@@ -799,9 +799,7 @@ let node_bench () =
       | Some p -> Shoalpp_backend.Verify_pool.work_exceptions p
       | None -> 0
     in
-    let behaviour_ok =
-      audit.Node.consistent_prefixes && audit.Node.duplicate_orders = 0 && pool_exns = 0
-    in
+    let behaviour_ok = Shoalpp_runtime.Harness.ok audit && pool_exns = 0 in
     note "domains=%d  %8.0f ordered tx/s  p50 %6.0f ms  elapsed %6.0f ms  audit %s\n" domains
       ordered_tps report.Report.latency_p50 elapsed_ms
       (if behaviour_ok then "ok" else "FAILED");
@@ -961,7 +959,7 @@ let net_bench () =
     Node.run node ~duration_ms;
     let report = Node.report node ~duration_ms in
     let audit = Node.audit node in
-    if not (audit.Node.consistent_prefixes && audit.Node.duplicate_orders = 0) then
+    if not (Shoalpp_runtime.Harness.ok audit) then
       note "WARNING: realtime audit failed at load %.0f coalesce %.0f\n" load coalesce_us;
     let ns = Option.get (Node.tcp_net_stats node) in
     let mode = Printf.sprintf "tcp+gcp10/c%.0fus" coalesce_us in

@@ -1,13 +1,14 @@
 (* Command-line front end for the real-time deployment: the same Shoal++
-   replicas the simulator runs, on a wall clock over loopback or Unix-domain
-   sockets, with the run's trace and metrics exported on shutdown.
+   replicas the simulator runs, on a wall clock over loopback or TCP, with
+   the run's trace and metrics exported on shutdown.
 
    Examples:
      dune exec bin/shoalpp_node.exe -- -n 4 --duration 2000 --load 200
-     dune exec bin/shoalpp_node.exe -- --transport uds --duration 2000
+     dune exec bin/shoalpp_node.exe -- --transport tcp --duration 2000
      dune exec bin/shoalpp_node.exe -- --trace-out node.jsonl --metrics-out node.metrics.json *)
 
 module Node = Shoalpp_runtime.Node
+module Harness = Shoalpp_runtime.Harness
 module Report = Shoalpp_runtime.Report
 module Export = Shoalpp_runtime.Export
 module Ledger = Shoalpp_runtime.Ledger
@@ -26,21 +27,9 @@ let write_file path f =
     Printf.eprintf "shoalpp_node: cannot write %s (%s)\n" path msg;
     exit 1
 
-type transport_arg = Inproc | Uds | Tcp
+type transport_arg = Inproc | Tcp
 
-let transport_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "inproc" | "loopback" -> Ok Inproc
-    | "uds" -> Ok Uds
-    | "tcp" -> Ok Tcp
-    | other -> Error (`Msg (Printf.sprintf "unknown transport %S (inproc | uds | tcp)" other))
-  in
-  let print fmt t =
-    Format.pp_print_string fmt
-      (match t with Inproc -> "inproc" | Uds -> "uds" | Tcp -> "tcp")
-  in
-  Arg.conv (parse, print)
+let transport_conv = Arg.enum [ ("loopback", Inproc); ("inproc", Inproc); ("tcp", Tcp) ]
 
 module Topology = Shoalpp_sim.Topology
 
@@ -100,28 +89,8 @@ let parse_topology ~n spec =
     Error
       (Printf.sprintf "unknown topology %S (gcp10 | uniform:MS | clique:REGIONS,MS | FILE)" spec)
 
-let is_replica_sock f =
-  Filename.check_suffix f ".sock"
-  && String.length f > 8
-  && String.sub f 0 8 = "replica-"
-
-(* Remove only the replica sockets the run created. The directory itself is
-   deleted only when it was our fresh temp dir, never when the user named it
-   via --uds-dir; any unrelated files in a user-supplied dir are untouched. *)
-let cleanup_uds_dir ~created dir =
-  (match Sys.readdir dir with
-  | entries ->
-    Array.iter
-      (fun f ->
-        if is_replica_sock f then
-          try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      entries
-  | exception Sys_error _ -> ());
-  if created then try Sys.rmdir dir with Sys_error _ -> ()
-
-let run n duration load warmup timeout link_delay seed no_verify domains verify_delay
-    checkpoint_interval restart transport uds_dir tcp_port coalesce_us topology trace_out
-    metrics_out admin_port ledger_tail =
+let run n duration load warmup timeout seed no_verify domains verify_delay checkpoint_interval
+    restart transport tcp_port coalesce_us topology trace_out metrics_out admin_port ledger_tail =
   let committee = Committee.make ~n ~cluster_seed:seed () in
   let protocol =
     let p = Config.shoalpp ~committee in
@@ -134,22 +103,7 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
     Printf.eprintf "shoalpp_node: --restart requires --domains 1\n";
     exit 1
   | _ -> ());
-  let transport, cleanup =
-    match transport with
-    | Inproc -> (Node.Inproc, fun () -> ())
-    | Uds ->
-      let dir, created =
-        match uds_dir with
-        | Some d -> (d, false)
-        | None ->
-          ( Filename.concat (Filename.get_temp_dir_name ())
-              (Printf.sprintf "shoalpp-node-%d" (Unix.getpid ())),
-            true )
-      in
-      if not (Sys.file_exists dir) then Unix.mkdir dir 0o700;
-      (Node.Uds dir, fun () -> cleanup_uds_dir ~created dir)
-    | Tcp -> (Node.Tcp tcp_port, fun () -> ())
-  in
+  let transport = match transport with Inproc -> Node.Inproc | Tcp -> Node.Tcp tcp_port in
   let delays_ms =
     match topology with
     | None -> None
@@ -168,7 +122,6 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
       warmup_ms = warmup;
       seed;
       transport;
-      link_delay_ms = link_delay;
       coalesce_us = Float.max 0.0 coalesce_us;
       delays_ms;
       trace;
@@ -196,7 +149,6 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
   Format.printf "shoalpp_node: %d replicas, %s transport, %.0f tps for %.0f ms%s%s%s@." n
     (match transport with
     | Node.Inproc -> "loopback"
-    | Node.Uds d -> "uds:" ^ d
     | Node.Tcp p -> Printf.sprintf "tcp:%d" p)
     load duration
     (if setup.Node.domains > 1 then
@@ -283,9 +235,7 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
       (if Node.catching_up node (n - 1) then " (still catching up)" else ""));
   let audit = Node.audit node in
   Format.printf "audit: %s; %d segments (common prefix %d); lanes %s@."
-    (if audit.Node.consistent_prefixes && audit.Node.duplicate_orders = 0 then
-       "consistent logs, no duplicates"
-     else "FAILED")
+    (if Harness.ok audit then "consistent logs, no duplicates" else "FAILED")
     audit.Node.total_segments audit.Node.prefix_length
     (String.concat ","
        (Array.to_list (Array.map string_of_int audit.Node.anchors_per_lane)));
@@ -311,8 +261,7 @@ let run n duration load warmup timeout link_delay seed no_verify domains verify_
         output_char oc '\n');
     Format.printf "metrics: %s@." path
   | None -> ());
-  cleanup ();
-  if not (audit.Node.consistent_prefixes && audit.Node.duplicate_orders = 0) then exit 1
+  if not (Harness.ok audit) then exit 1
 
 let cmd =
   let n = Arg.(value & opt int 4 & info [ "n"; "replicas" ] ~doc:"Number of replicas.") in
@@ -323,12 +272,6 @@ let cmd =
   let warmup = Arg.(value & opt float 0.0 & info [ "warmup" ] ~doc:"Warmup excluded, ms.") in
   let timeout =
     Arg.(value & opt (some float) None & info [ "timeout" ] ~doc:"Round timeout override, ms.")
-  in
-  let link_delay =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "link-delay" ] ~doc:"Loopback transport: artificial per-message delay, ms.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Cluster seed (keys, clients).") in
   let no_verify =
@@ -356,7 +299,7 @@ let cmd =
              and once per transaction in a proposal's batch — the client-signature term that \
              scales with throughput. The repo's crypto is a seeded model costing ~1us where \
              ed25519/BLS cost tens to hundreds; this charges the difference explicitly, like \
-             --link-delay for the network. Paid inline on the event loop at --domains 1 and \
+             --topology for the network. Paid inline on the event loop at --domains 1 and \
              on the verify pool's workers at --domains N, so the comparison varies only where \
              the cost lands.")
   in
@@ -385,14 +328,7 @@ let cmd =
       value
       & opt transport_conv Inproc
       & info [ "transport" ]
-          ~doc:"Message transport: inproc (loopback) | uds (Unix sockets) | tcp (127.0.0.1).")
-  in
-  let uds_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "uds-dir" ] ~docv:"DIR"
-          ~doc:"Socket directory for --transport uds (default: fresh temp dir, removed on exit).")
+          ~doc:"Message transport: inproc (loopback) | tcp (127.0.0.1).")
   in
   let tcp_port =
     Arg.(
@@ -455,11 +391,10 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "shoalpp_node"
-       ~doc:"Run a real-time Shoal++ cluster (wall clock, loopback or Unix-domain sockets)")
+       ~doc:"Run a real-time Shoal++ cluster (wall clock, loopback or TCP)")
     Term.(
-      const run $ n $ duration $ load $ warmup $ timeout $ link_delay $ seed $ no_verify
-      $ domains $ verify_delay $ checkpoint_interval $ restart $ transport $ uds_dir
-      $ tcp_port $ coalesce_us $ topology $ trace_out $ metrics_out $ admin_port
-      $ ledger_tail)
+      const run $ n $ duration $ load $ warmup $ timeout $ seed $ no_verify $ domains
+      $ verify_delay $ checkpoint_interval $ restart $ transport $ tcp_port $ coalesce_us
+      $ topology $ trace_out $ metrics_out $ admin_port $ ledger_tail)
 
 let () = exit (Cmd.eval cmd)

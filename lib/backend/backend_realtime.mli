@@ -3,9 +3,9 @@
     Runs the same protocol code as the simulator on real time: a timer
     wheel over a mutex-protected binary heap ({!Shoalpp_support.Heap}),
     a monotonic millisecond clock (clamped against system-clock steps),
-    and a choice of transports — in-process loopback dispatching through
-    the timer loop, or Unix-domain sockets with length-prefixed
-    {!Shoalpp_codec.Wire} framing.
+    in-process loopback transports, a per-link delay shim, and the
+    length-prefixed {!Shoalpp_codec.Wire} framing the TCP transport
+    ({!Tcp_transport}) speaks.
 
     Each executor's event loop is single-threaded: {!run_for} fires due
     timers in (due-time, scheduling-order) order and multiplexes socket
@@ -24,7 +24,7 @@
     - a message handler is never invoked from inside [send] — loopback
       deliveries go through a zero-delay timer, socket deliveries through
       the read side of the loop;
-    - per-sender FIFO order is preserved by both transports (equal
+    - per-sender FIFO order is preserved by every transport (equal
       due-times fire in scheduling order; stream sockets preserve byte
       order);
     - the first {!create} ignores [SIGPIPE] process-wide: a write into a
@@ -80,9 +80,9 @@ val stop_and_join : t -> unit
 val events_fired : t -> int
 val pending_timers : t -> int
 
-(** {2 I/O polling} — used by the socket transport; exposed for future
-    transports. Callbacks run on the loop thread when the descriptor is
-    readable (pollers) or writable (wpollers). *)
+(** {2 I/O polling} — used by {!Tcp_transport} and the admin server.
+    Callbacks run on the loop thread when the descriptor is readable
+    (pollers) or writable (wpollers). *)
 
 val add_poller : t -> Unix.file_descr -> (unit -> unit) -> unit
 val remove_poller : t -> Unix.file_descr -> unit
@@ -91,9 +91,9 @@ val remove_wpoller : t -> Unix.file_descr -> unit
 
 (** {2 Transports} *)
 
-val loopback : t -> n:int -> ?delay_ms:float -> unit -> 'msg Backend.Transport.t
-(** In-process transport: [send] arms a timer [delay_ms] (default 0) ahead
-    that invokes the destination handler. Nothing is serialized; [size] is
+val loopback : t -> n:int -> 'msg Backend.Transport.t
+(** In-process transport: [send] arms a zero-delay timer that invokes the
+    destination handler. Nothing is serialized; [size] is
     charged to the byte counter as declared. *)
 
 val multicore_loopback : n:int -> unit -> 'msg Backend.Transport.t
@@ -138,22 +138,3 @@ module Framing : sig
       @raise Shoalpp_codec.Wire.Reader.Malformed on a corrupt frame
       (including bodies over 64 MiB). *)
 end
-
-val uds :
-  t ->
-  n:int ->
-  dir:string ->
-  encode:('msg -> string) ->
-  decode:(string -> 'msg option) ->
-  unit ->
-  'msg Backend.Transport.t
-(** Unix-domain-socket transport: replica [i] listens on
-    [dir/replica-i.sock]; outbound connections are dialed lazily and each
-    frame carries the sender id, so one socket per (process, destination)
-    pair suffices. Outbound sockets are non-blocking: frames the kernel
-    cannot take immediately are buffered per connection (up to 8 MiB,
-    beyond which they are dropped and counted) and flushed from the loop
-    on writability, so [send] never blocks the loop thread. Messages whose
-    [decode] fails (or that arrive on a corrupt stream) are dropped and
-    counted. All endpoints live in this process today, but nothing in the
-    wire format assumes it. *)

@@ -3,7 +3,7 @@
    verification costs tens to hundreds — which erases the effect the
    verify pool exists for. [pay] charges that missing cost explicitly, as
    a service time, the same way the rest of the harness models I/O costs
-   as parameters (wal_sync_ms, link_delay_ms, fetch_delay_ms): the single
+   as parameters (wal_sync_ms, fetch_delay_ms): the single
    domain node pays it serially on its event loop; pool workers pay it
    concurrently, overlapping up to the pool width. *)
 

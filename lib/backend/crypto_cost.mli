@@ -4,7 +4,7 @@
     a few microseconds per check — orders of magnitude below the ed25519 /
     BLS operations it stands in for. [pay ~us] charges the modeled cost as
     an explicit service time at the verification seam, following the same
-    idiom as [wal_sync_ms] and [link_delay_ms]: a cost the deployment
+    idiom as [wal_sync_ms] and [fetch_delay_ms]: a cost the deployment
     would pay, expressed as a parameter rather than burned silently.
 
     The realtime node charges it identically at every [--domains] value —

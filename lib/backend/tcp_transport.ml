@@ -9,10 +9,9 @@
 
 (* Length-prefixed TCP transport for the wall-clock executor.
 
-   Same wire format as the UDS transport (Backend_realtime.Framing: 4-byte
-   big-endian body length, then a Wire body carrying (src, payload)), but
-   over 127.0.0.1 TCP sockets with the two behaviours a real deployment
-   needs and loopback hides:
+   Wire format: Backend_realtime.Framing (4-byte big-endian body length,
+   then a Wire body carrying (src, payload)) over 127.0.0.1 TCP sockets,
+   with the two behaviours a real deployment needs and loopback hides:
 
    - Per-peer WRITE COALESCING: frames bound for one destination are
      appended to a pending buffer and flushed as a single aggregated write

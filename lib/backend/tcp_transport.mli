@@ -3,12 +3,12 @@
 
     Replica [i] listens on [host:(base_port + i)] ([base_port = 0] lets the
     kernel pick each port; read the result back with {!ports}). Frames are
-    the same {!Backend_realtime.Framing} format as the UDS transport — a
+    in the {!Backend_realtime.Framing} format — a
     4-byte big-endian body length, then a {!Shoalpp_codec.Wire} body of
     [(uint src; bytes payload)] — so one socket per (process, destination)
     suffices and the receiver learns the sender from the frame.
 
-    Two behaviours distinguish it from the UDS path:
+    Two behaviours a real deployment needs and the loopbacks hide:
 
     - {b Write coalescing}: with [coalesce_us > 0], frames to one peer
       accumulate in a pending buffer and are flushed as a single aggregated
@@ -30,7 +30,7 @@
       frames in stream order (order restarts on reconnect — frames lost to
       a teardown are dropped, never reordered);
     - outbound memory per peer is bounded (8 MiB); frames beyond the cap
-      are dropped and counted, exactly like the UDS transport. *)
+      are dropped and counted. *)
 
 type 'msg t
 

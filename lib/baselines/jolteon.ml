@@ -714,18 +714,8 @@ let report c ~duration_ms =
     ()
 
 let committed_consistent c =
-  let logs = Array.map (fun r -> Array.of_list (List.rev r.committed_log)) c.c_replicas in
-  let ok = ref true in
-  let n = Array.length logs in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let common = min (Array.length logs.(a)) (Array.length logs.(b)) in
-      for i = 0 to common - 1 do
-        if not (Digest32.equal logs.(a).(i) logs.(b).(i)) then ok := false
-      done
-    done
-  done;
-  !ok
+  Shoalpp_runtime.Harness.prefixes_agree ~equal:Digest32.equal
+    (Array.map (fun r -> Array.of_list (List.rev r.committed_log)) c.c_replicas)
 
 let timeouts_fired c = Array.fold_left (fun acc r -> acc + r.ntimeouts) 0 c.c_replicas
 let rounds_reached c = Array.fold_left (fun acc r -> max acc r.current_round) 0 c.c_replicas

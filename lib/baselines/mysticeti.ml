@@ -18,6 +18,7 @@ module Mempool = Shoalpp_workload.Mempool
 module Metrics = Shoalpp_runtime.Metrics
 module Report = Shoalpp_runtime.Report
 module Ledger = Shoalpp_runtime.Ledger
+module Harness = Shoalpp_runtime.Harness
 module Rng = Shoalpp_support.Rng
 module Obs = Shoalpp_sim.Obs
 module Trace = Shoalpp_sim.Trace
@@ -98,7 +99,7 @@ type replica = {
   mutable proposed_round : int;
   mutable round_started_at : float;
   mutable round_timer : Backend.timer option;
-  log : (int * int * int) list ref; (* newest first: dag, round, author of anchors *)
+  log : Harness.seg_id list ref; (* newest first: anchor identities *)
   mutable fetches : int;
   mutable stalled : int;
   mutable crashed : bool;
@@ -386,7 +387,9 @@ let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
             let anchor = segment.Driver.anchor in
             let seq = !next_seq in
             incr next_seq;
-            log := (0, anchor.Types.ref_round, anchor.Types.ref_author) :: !log;
+            log :=
+              { Harness.sdag = 0; sround = anchor.Types.ref_round; sauthor = anchor.Types.ref_author }
+              :: !log;
             let now = Backend.now backend in
             List.iter
               (fun (cn : Types.certified_node) ->
@@ -615,18 +618,8 @@ let report c ~duration_ms =
     ()
 
 let logs_consistent c =
-  let logs = Array.map (fun r -> Array.of_list (List.rev !(r.log))) c.c_replicas in
-  let ok = ref true in
-  let n = Array.length logs in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let common = min (Array.length logs.(a)) (Array.length logs.(b)) in
-      for i = 0 to common - 1 do
-        if logs.(a).(i) <> logs.(b).(i) then ok := false
-      done
-    done
-  done;
-  !ok
+  Harness.prefixes_agree ~equal:Harness.equal_seg
+    (Array.map (fun r -> Array.of_list (List.rev !(r.log))) c.c_replicas)
 
 let fetches_sent c = Array.fold_left (fun acc r -> acc + r.fetches) 0 c.c_replicas
 let blocks_stalled c = Array.fold_left (fun acc r -> acc + r.stalled) 0 c.c_replicas

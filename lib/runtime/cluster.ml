@@ -6,12 +6,7 @@ module Faults = Shoalpp_sim.Faults
 module Trace = Shoalpp_sim.Trace
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
-module Driver = Shoalpp_consensus.Driver
-module Mempool = Shoalpp_workload.Mempool
-module Client = Shoalpp_workload.Client
 module Transaction = Shoalpp_workload.Transaction
-module Batch = Shoalpp_workload.Batch
-module Types = Shoalpp_dag.Types
 module Telemetry = Shoalpp_support.Telemetry
 
 type setup = {
@@ -43,28 +38,10 @@ let default_setup ~protocol =
     trace = None;
   }
 
-(* A compact identifier for one ordered segment, for the prefix audit. *)
-type seg_id = { sdag : int; sround : int; sauthor : int }
-
 type t = {
   setup : setup;
   world : Replica.envelope Backend_sim.t;
-  backend : Replica.envelope Backend.t;
-  mutable replicas : Replica.t array;
-  mempools : Mempool.t array;
-  clients : Client.t option array;
-  metrics : Metrics.t;
-  telemetry : Telemetry.t; (* one registry shared by all replicas *)
-  ledger : Ledger.t; (* per-commit latency records, fed from on_ordered *)
-  logs : seg_id list ref array; (* newest first; only when track_logs *)
-  ordered_seen : (int, unit) Hashtbl.t array; (* per-replica txn dedup *)
-  recovering : bool array; (* WAL replay in progress: metrics/dedup muted *)
-  (* Pre-crash (base seq, log snapshot) per recovered replica: the rebuilt
-     log must extend it above the restored checkpoint (crash-recovery
-     safety audit). *)
-  pre_recovery : (int, int * seg_id list) Hashtbl.t;
-  next_id : int ref; (* shared client tx-id counter (survives restarts) *)
-  mutable duplicate_orders : int;
+  h : Harness.t;
   mutable started : bool;
   mutable fault : Fault_schedule.t;
 }
@@ -81,143 +58,37 @@ let create setup =
       ~seed:setup.seed ()
   in
   let backend = Backend_sim.backend world in
-  let metrics = Metrics.create ~warmup_ms:setup.warmup_ms () in
   let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry () in
-  let mempools = Array.init n (fun _ -> Mempool.create ()) in
-  let logs = Array.init n (fun _ -> ref []) in
-  let ordered_seen = Array.init n (fun _ -> Hashtbl.create 4096) in
-  let recovering = Array.make n false in
-  let t =
-    {
-      setup;
-      world;
-      backend;
-      replicas = [||];
-      mempools;
-      clients = Array.make n None;
-      metrics;
-      telemetry;
-      ledger;
-      logs;
-      ordered_seen;
-      recovering;
-      pre_recovery = Hashtbl.create 4;
-      next_id = ref 0;
-      duplicate_orders = 0;
-      started = false;
-      fault;
-    }
-  in
-  (* The on_ordered closures capture [t] and mutate its counters, so the
-     replicas are installed by mutation — a functional record copy here
-     would leave the closures updating a dead record. *)
-  t.replicas <-
-    Array.init n (fun replica_id ->
-        let on_ordered (o : Replica.ordered) =
-          let seg = o.Replica.segment in
-          if setup.track_logs then begin
-            let anchor = seg.Driver.anchor in
-            logs.(replica_id) :=
-              {
-                sdag = seg.Driver.dag_id;
-                sround = anchor.Types.ref_round;
-                sauthor = anchor.Types.ref_author;
-              }
-              :: !(logs.(replica_id))
-          end;
-          List.iter
-            (fun (cn : Types.certified_node) ->
-              let node = cn.Types.cn_node in
-              let batch = node.Types.batch in
-              List.iter
-                (fun (tx : Transaction.t) ->
-                  if setup.track_logs then begin
-                    if Hashtbl.mem ordered_seen.(replica_id) tx.Transaction.id then begin
-                      (* WAL replay re-orders history by design; only a
-                         repeat outside recovery is a safety violation. *)
-                      if not recovering.(replica_id) then
-                        t.duplicate_orders <- t.duplicate_orders + 1
-                    end
-                    else Hashtbl.replace ordered_seen.(replica_id) tx.Transaction.id ()
-                  end;
-                  if not recovering.(replica_id) then begin
-                    Metrics.observe_commit metrics
-                      ~origin_ordered:(tx.Transaction.origin = replica_id)
-                      ~tx ~now:o.Replica.ordered_at;
-                    if tx.Transaction.origin = replica_id then
-                      Ledger.record ledger
-                        {
-                          Ledger.le_tx = tx.Transaction.id;
-                          le_origin = replica_id;
-                          le_dag = seg.Driver.dag_id;
-                          le_rule = Ledger.rule_of_kind seg.Driver.kind;
-                          le_seq = o.Replica.global_seq;
-                          le_submitted = tx.Transaction.submitted_at;
-                          le_batched = batch.Batch.created_at;
-                          le_included = node.Types.created_at;
-                          le_committed = seg.Driver.committed_at;
-                          le_ordered = o.Replica.ordered_at;
-                        }
-                  end)
-                batch.Batch.txns)
-            seg.Driver.nodes
-        in
-        Replica.create ~config:setup.protocol ~replica_id ~backend
-          ~mempool:mempools.(replica_id)
-          ~on_ordered
-          (* Recovery completion is asynchronous once peer catch-up sync is
-             involved: metrics/dedup stay muted until every lane is live. *)
-          ~on_caught_up:(fun () -> recovering.(replica_id) <- false)
-          ?trace:setup.trace ~telemetry
+  let h =
+    Harness.create ~backend ~n ~num_dags:setup.protocol.Config.num_dags
+      ~load_tps:setup.load_tps ~tx_size:setup.tx_size ~seed:setup.seed
+      ~warmup_ms:setup.warmup_ms ~track_logs:setup.track_logs ~telemetry
+      ~make_replica:(fun replica_id ~mempool ~on_ordered ~on_caught_up ->
+        Replica.create ~config:setup.protocol ~replica_id ~backend ~mempool ~on_ordered
+          ~on_caught_up ?trace:setup.trace ~telemetry
           ~byzantine:(Faults.byzantine_for setup.scenario ~n ~replica:replica_id)
           ~retain_wal:(Faults.has_recovery setup.scenario)
-          ());
-  t
+          ())
+      ()
+  in
+  { setup; world; h; started = false; fault }
 
 let engine t = t.world.Backend_sim.engine
 let net t = t.world.Backend_sim.net
-let backend t = t.backend
+let backend t = Harness.backend t.h
 let events_fired t = Backend_sim.events_fired t.world
-let replicas t = t.replicas
-let metrics t = t.metrics
-let telemetry t = t.telemetry
-let ledger t = t.ledger
-let trace t = t.setup.trace
+let replicas t = Harness.replicas t.h
+let metrics t = Harness.metrics t.h
+let telemetry t = Harness.telemetry t.h
+let ledger t = Harness.ledger t.h
 
-let per_replica_tps t = t.setup.load_tps /. float_of_int (Array.length t.replicas)
-
-let start_client t i =
-  if per_replica_tps t > 0.0 then
-    t.clients.(i) <-
-      Some
-        (Client.start ~clock:t.backend.Backend.clock ~timers:t.backend.Backend.timers
-           ~mempool:t.mempools.(i) ~origin:i
-           ~rate_tps:(per_replica_tps t) ~tx_size:t.setup.tx_size ~seed:(t.setup.seed + i)
-           ~next_id:t.next_id ())
-
-(* Replica-side crash for a downtime already present in [t.fault] (the
-   network side needs no update). *)
-let apply_crash t i =
-  Replica.crash t.replicas.(i);
-  (match t.clients.(i) with Some c -> Client.stop c | None -> ());
-  t.clients.(i) <- None
+let set_fault t fault =
+  t.fault <- fault;
+  Backend_sim.set_fault t.world fault
 
 let recover_now t i =
-  let now = Backend.now t.backend in
-  t.fault <- Fault_schedule.recover t.fault ~replica:i ~at:now;
-  Backend_sim.set_fault t.world t.fault;
-  (* The rebuilt log must re-derive everything ordered before the crash
-     (above the restored checkpoint): snapshot it for the audit, then let
-     replay + catch-up repopulate. [recovering] clears in the replica's
-     on_caught_up callback — synchronously for a local-only recovery,
-     after peer sync completes otherwise. *)
-  Hashtbl.replace t.pre_recovery i (Replica.base_seq t.replicas.(i), !(t.logs.(i)));
-  t.logs.(i) := [];
-  Hashtbl.reset t.ordered_seen.(i);
-  t.recovering.(i) <- true;
-  Replica.recover t.replicas.(i);
-  start_client t i
+  set_fault t (Fault_schedule.recover t.fault ~replica:i ~at:(Backend.now (backend t)));
+  Harness.recover t.h i
 
 let trace_partition t ~time kind =
   match t.setup.trace with
@@ -225,28 +96,25 @@ let trace_partition t ~time kind =
   | None -> ()
 
 let schedule_scenario t =
-  let n = Array.length t.replicas in
+  let n = Array.length (replicas t) in
   let scenario = t.setup.scenario in
+  let at time f = ignore (Backend.schedule_at (backend t) ~at:time f) in
   List.iter
-    (fun (replica, at) ->
-      ignore (Backend.schedule_at t.backend ~at (fun () -> apply_crash t replica)))
+    (fun (replica, time) -> at time (fun () -> Harness.crash t.h replica))
     (Faults.timed_crashes scenario ~n);
   List.iter
-    (fun (replica, _crash_at, recover_at) ->
-      ignore (Backend.schedule_at t.backend ~at:recover_at (fun () -> recover_now t replica)))
+    (fun (replica, _crash_at, recover_at) -> at recover_at (fun () -> recover_now t replica))
     (Faults.crash_recoveries scenario ~n);
   List.iter
     (fun (from_time, until_time, minority) ->
       let groups = Printf.sprintf "minority=%d" minority in
-      ignore
-        (Backend.schedule_at t.backend ~at:from_time (fun () ->
-             Telemetry.incr_named t.telemetry "fault.partitions_opened";
-             trace_partition t ~time:from_time (Trace.Partition_opened { groups })));
+      at from_time (fun () ->
+          Telemetry.incr_named (telemetry t) "fault.partitions_opened";
+          trace_partition t ~time:from_time (Trace.Partition_opened { groups }));
       if until_time < infinity then
-        ignore
-          (Backend.schedule_at t.backend ~at:until_time (fun () ->
-               Telemetry.incr_named t.telemetry "fault.partitions_healed";
-               trace_partition t ~time:until_time (Trace.Partition_healed { groups }))))
+        at until_time (fun () ->
+            Telemetry.incr_named (telemetry t) "fault.partitions_healed";
+            trace_partition t ~time:until_time (Trace.Partition_healed { groups })))
     (Faults.partition_windows scenario ~n)
 
 let start t =
@@ -256,9 +124,10 @@ let start t =
       (fun i replica ->
         (* Clients at replicas crashed from t=0 are not started (the paper
            measures surviving clients). *)
-        if not (Fault_schedule.is_crashed t.fault ~replica:i ~time:0.0) then start_client t i;
+        if not (Fault_schedule.is_crashed t.fault ~replica:i ~time:0.0) then
+          Harness.start_client t.h i;
         Replica.start replica)
-      t.replicas;
+      (replicas t);
     schedule_scenario t
   end
 
@@ -267,90 +136,23 @@ let run t ~duration_ms =
   Backend_sim.run ~until:duration_ms t.world
 
 let crash_now t i =
-  let now = Backend.now t.backend in
-  t.fault <- Fault_schedule.crash t.fault ~replica:i ~at:now;
-  Backend_sim.set_fault t.world t.fault;
-  apply_crash t i
+  set_fault t (Fault_schedule.crash t.fault ~replica:i ~at:(Backend.now (backend t)));
+  Harness.crash t.h i
 
-type audit = {
+type audit = Harness.audit = {
   consistent_prefixes : bool;
   prefix_length : int;
-  duplicate_orders : int;
   total_segments : int;
+  duplicate_orders : int;
   recovery_prefix_ok : bool;
+  anchors_per_lane : int array;
 }
 
-let audit t =
-  let logs = Array.map (fun l -> Array.of_list (List.rev !l)) t.logs in
-  (* A checkpoint-recovered replica's log starts at its base sequence, not
-     0, so every comparison runs in global-sequence coordinates: pairwise
-     agreement is checked over each pair's overlapping seq range. *)
-  let bases = Array.mapi (fun i _ -> Replica.base_seq t.replicas.(i)) logs in
-  let min_len =
-    Array.fold_left min max_int
-      (Array.mapi (fun i l -> bases.(i) + Array.length l) logs)
-  in
-  let min_len = if min_len = max_int then 0 else min_len in
-  let consistent = ref true in
-  let n = Array.length logs in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let lo = max bases.(a) bases.(b) in
-      let hi =
-        min (bases.(a) + Array.length logs.(a)) (bases.(b) + Array.length logs.(b))
-      in
-      for seq = lo to hi - 1 do
-        if logs.(a).(seq - bases.(a)) <> logs.(b).(seq - bases.(b)) then consistent := false
-      done
-    done
-  done;
-  (* Each recovered replica's rebuilt log must extend what it had ordered
-     before the crash — replay + catch-up may not lose or reorder history.
-     Both logs are compared in global-sequence coordinates: entries below
-     the post-recovery base were pruned under a certified checkpoint and
-     are vouched for by its digest, not by replay. *)
-  let recovery_ok = ref true in
-  Shoalpp_support.Sorted_tbl.iter ~cmp:Int.compare
-    (fun i (pre_base, snapshot) ->
-      let pre = Array.of_list (List.rev snapshot) in
-      let post = logs.(i) in
-      let post_base = Replica.base_seq t.replicas.(i) in
-      if post_base + Array.length post < pre_base + Array.length pre then
-        recovery_ok := false
-      else
-        Array.iteri
-          (fun k s ->
-            let seq = pre_base + k in
-            if seq >= post_base && post.(seq - post_base) <> s then recovery_ok := false)
-          pre)
-    t.pre_recovery;
-  {
-    consistent_prefixes = !consistent;
-    prefix_length = min_len;
-    duplicate_orders = t.duplicate_orders;
-    total_segments = Array.fold_left (fun acc l -> max acc (Array.length l)) 0 logs;
-    recovery_prefix_ok = !recovery_ok;
-  }
+let audit t = Harness.audit t.h
 
 let report t ~duration_ms =
-  let net_stats = Backend.stats t.backend in
-  let sum f =
-    Array.fold_left
-      (fun acc r -> List.fold_left (fun acc s -> acc + f s) acc (Replica.driver_stats r))
-      0 t.replicas
-  in
-  let submitted = Array.fold_left (fun acc m -> acc + Mempool.submitted m) 0 t.mempools in
-  Report.make ~name:t.setup.protocol.Config.name ~n:(Array.length t.replicas)
-    ~load_tps:t.setup.load_tps ~duration_ms ~submitted ~metrics:t.metrics
-    ~fast_commits:(sum (fun s -> s.Driver.fast_commits))
-    ~direct_commits:(sum (fun s -> s.Driver.direct_commits))
-    ~indirect_commits:(sum (fun s -> s.Driver.indirect_commits))
-    ~skipped_anchors:(sum (fun s -> s.Driver.skipped_anchors))
-    ~messages_sent:net_stats.Backend.Transport.sent
-    ~messages_dropped:(net_stats.Backend.Transport.dropped + net_stats.Backend.Transport.partitioned)
-    ~bytes_sent:net_stats.Backend.Transport.bytes
-    ~telemetry:(Telemetry.snapshot t.telemetry)
+  Harness.report t.h ~name:t.setup.protocol.Config.name ~duration_ms
+    ~telemetry:(Telemetry.snapshot (telemetry t))
     ~trace_dropped:(match t.setup.trace with Some tr -> Trace.dropped tr | None -> 0)
-    ()
 
 let pp_report = Report.pp

@@ -8,11 +8,12 @@
     are scheduled on the engine at {!start} — so one scenario value drives
     the network view and the replica view consistently.
 
-    The cluster also performs the safety audit the paper's correctness
-    section promises: after a run, every pair of replicas' global logs must
-    agree on their common prefix, no replica may order the same transaction
-    twice (outside WAL replay, which re-orders history by design), and a
-    recovered replica's rebuilt log must extend its pre-crash log.
+    The run is judged by the shared {!Harness} audit, the same code that
+    judges a realtime {!Node} run: every pair of replicas' global logs
+    agree on their common prefix in global-sequence coordinates, no replica
+    orders the same transaction twice (outside WAL replay, which re-orders
+    history by design), and a recovered replica's rebuilt log extends its
+    pre-crash log. {!Harness.ok} is the single verdict.
 
     Invariants:
     - the scenario is materialized exactly once, at {!create}, against this
@@ -70,8 +71,6 @@ val ledger : t -> Ledger.t
     outside WAL replay. Recording is effect-free beyond the ring and the
     registry, so traced runs stay byte-identical. *)
 
-val trace : t -> Shoalpp_sim.Trace.t option
-
 val run : t -> duration_ms:float -> unit
 (** Start everything (if not yet started) and run the simulation clock to
     [duration_ms]. Can be called repeatedly with increasing horizons. *)
@@ -85,15 +84,15 @@ val recover_now : t -> int -> unit
     restart its client. The pre-crash log is snapshotted for the
     [recovery_prefix_ok] audit. *)
 
-type audit = {
+type audit = Harness.audit = {
   consistent_prefixes : bool;
-  prefix_length : int;  (** length of the shortest replica log *)
-  duplicate_orders : int;  (** txns ordered twice by the same replica *)
+  prefix_length : int;
   total_segments : int;
+  duplicate_orders : int;
   recovery_prefix_ok : bool;
-      (** every recovered replica's rebuilt log extends its pre-crash log
-          (vacuously true when nothing recovered) *)
+  anchors_per_lane : int array;
 }
+(** See {!Harness.audit}. *)
 
 val audit : t -> audit
 

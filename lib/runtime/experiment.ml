@@ -214,16 +214,12 @@ let run_dag system params =
   let cluster = Cluster.create setup in
   Cluster.run cluster ~duration_ms:params.duration_ms;
   let report = Cluster.report cluster ~duration_ms:params.duration_ms in
-  let audit = Cluster.audit cluster in
   let requeued =
     Array.fold_left (fun acc r -> acc + Replica.requeued r) 0 (Cluster.replicas cluster)
   in
   {
     report;
-    audit_ok =
-      audit.Cluster.consistent_prefixes
-      && audit.Cluster.duplicate_orders = 0
-      && audit.Cluster.recovery_prefix_ok;
+    audit_ok = Harness.ok (Cluster.audit cluster);
     throughput_series = Metrics.throughput_series (Cluster.metrics cluster);
     latency_series = Metrics.latency_series (Cluster.metrics cluster);
     requeued;

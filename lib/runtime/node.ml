@@ -3,13 +3,9 @@ module Realtime = Shoalpp_backend.Backend_realtime
 module Trace = Shoalpp_sim.Trace
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
-module Driver = Shoalpp_consensus.Driver
 module Types = Shoalpp_dag.Types
 module Committee = Shoalpp_dag.Committee
-module Mempool = Shoalpp_workload.Mempool
-module Client = Shoalpp_workload.Client
 module Transaction = Shoalpp_workload.Transaction
-module Batch = Shoalpp_workload.Batch
 module Telemetry = Shoalpp_support.Telemetry
 module Obs = Shoalpp_sim.Obs
 module Validation = Shoalpp_dag.Validation
@@ -17,7 +13,7 @@ module Verify_pool = Shoalpp_backend.Verify_pool
 module Crypto_cost = Shoalpp_backend.Crypto_cost
 module Tcp = Shoalpp_backend.Tcp_transport
 
-type transport = Inproc | Uds of string | Tcp of int
+type transport = Inproc | Tcp of int
 
 type setup = {
   protocol : Config.t;
@@ -26,7 +22,6 @@ type setup = {
   warmup_ms : float;
   seed : int;
   transport : transport;
-  link_delay_ms : float;
   coalesce_us : float;
   delays_ms : float array array option;
   trace : Trace.t option;
@@ -43,7 +38,6 @@ let default_setup ~protocol =
     warmup_ms = 0.0;
     seed = 1;
     transport = Inproc;
-    link_delay_ms = 0.0;
     coalesce_us = 0.0;
     delays_ms = None;
     trace = None;
@@ -51,10 +45,6 @@ let default_setup ~protocol =
     verify_delay_us = 0.0;
     retain_wal = false;
   }
-
-(* Anchor identity of one ordered segment — what the consistency audit
-   compares across replicas (node sets differ only transiently). *)
-type seg_id = { sdag : int; sround : int; sauthor : int }
 
 (* Multicore execution state (--domains > 1): one executor domain per DAG
    lane (shared clock origin with the main loop), per-lane-domain
@@ -74,20 +64,9 @@ type multicore = {
 type t = {
   setup : setup;
   exec : Realtime.t;
-  backend : Replica.envelope Backend.t;
   tcp : Replica.envelope Tcp.t option;
   mc : multicore option;
-  mutable replicas : Replica.t array;
-  mempools : Mempool.t array;
-  clients : Client.t option array;
-  metrics : Metrics.t;
-  telemetry : Telemetry.t;
-  ledger : Ledger.t;
-  logs : seg_id list ref array;
-  ordered_seen : (int, unit) Hashtbl.t array;
-  recovering : bool array; (* replay/catch-up in progress: metrics/dedup muted *)
-  next_id : int ref; (* shared client tx-id counter (survives restarts) *)
-  mutable duplicate_orders : int;
+  h : Harness.t;
   mutable started : bool;
 }
 
@@ -129,8 +108,8 @@ let create setup =
           mc_rejects = Array.make (n * k) 0;
         }
   in
-  (* Transports with single-domain state (the socket poller, the delaying
-     loopback) are wrapped so lane domains hand each send to the main loop;
+  (* Transports with single-domain state (the socket poller, the delay
+     shim) are wrapped so lane domains hand each send to the main loop;
      the zero-delay multicore loopback instead dispatches on the calling
      domain — its counters are atomic and the multicore handlers only
      enqueue verify-pool jobs, so no protocol code runs inline. *)
@@ -150,20 +129,14 @@ let create setup =
   in
   let tcp = ref None in
   (* The multicore zero-delay loopback is the one transport safe to call
-     from a lane domain directly; anything else (socket pollers, the
-     delaying loopback, the delay shim's timers) owns single-domain state
-     and must be reached through [post_to_main]. *)
-  let mc_direct_loopback =
-    Option.is_some mc && setup.link_delay_ms = 0.0 && setup.delays_ms = None
-  in
+     from a lane domain directly; anything else (socket pollers, the delay
+     shim's timers) owns single-domain state and must be reached through
+     [post_to_main]. *)
+  let mc_direct_loopback = Option.is_some mc && setup.delays_ms = None in
   let raw =
     match setup.transport with
     | Inproc when mc_direct_loopback -> Realtime.multicore_loopback ~n ()
-    | Inproc -> Realtime.loopback exec ~n ~delay_ms:setup.link_delay_ms ()
-    | Uds dir ->
-      Realtime.uds exec ~n ~dir ~encode:encode_envelope
-        ~decode:(decode_envelope ~cluster_seed:committee.Committee.cluster_seed)
-        ()
+    | Inproc -> Realtime.loopback exec ~n
     | Tcp base_port ->
       let h =
         Tcp.create exec ~n ~base_port ~coalesce_us:setup.coalesce_us
@@ -221,119 +194,60 @@ let create setup =
     else transport
   in
   let backend = Realtime.backend exec transport in
-  let mempools = Array.init n (fun _ -> Mempool.create ()) in
-  let metrics = Metrics.create ~warmup_ms:setup.warmup_ms () in
   let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry () in
-  let logs = Array.init n (fun _ -> ref []) in
-  let ordered_seen = Array.init n (fun _ -> Hashtbl.create 256) in
-  let recovering = Array.make n false in
-  let t =
-    {
-      setup;
-      exec;
-      backend;
-      tcp = !tcp;
-      mc;
-      replicas = [||];
-      mempools;
-      clients = Array.make n None;
-      metrics;
-      telemetry;
-      ledger;
-      logs;
-      ordered_seen;
-      recovering;
-      next_id = ref 0;
-      duplicate_orders = 0;
-      started = false;
-    }
+  (* Multicore: client [i]'s Poisson timers fire on lane executor [i mod k]
+     instead of the main loop — tens of thousands of timer events per
+     second move off the merge domain. Disjoint stride-[n] id spaces
+     replace the shared counter, which would otherwise race across
+     domains. *)
+  let client_env =
+    Option.map
+      (fun m i ->
+        let e = m.mc_lane_execs.(i mod k) in
+        (Realtime.clock e, Realtime.timers e, ref i, n))
+      mc
   in
-  (* The on_ordered closures capture [t] and mutate its counters, so the
-     replicas are installed by mutation — a functional record copy here
-     would leave the closures updating a dead record. *)
-  t.replicas <-
-    Array.init n (fun replica_id ->
-        let on_ordered (o : Replica.ordered) =
-          let seg = o.Replica.segment in
-          let anchor = seg.Driver.anchor in
-          logs.(replica_id) :=
+  let make_replica replica_id ~mempool ~on_ordered ~on_caught_up =
+    let config, lane_env =
+      match mc with
+      | None -> (setup.protocol, None)
+      | Some m ->
+        (* The pool pre-verifies every inbound message's cryptography,
+           so the instances run with signature checks off: structural
+           validation still happens inline, and the verdicts equal
+           what inline verification would produce. *)
+        ( Config.without_signature_checks setup.protocol,
+          Some
             {
-              sdag = seg.Driver.dag_id;
-              sround = anchor.Types.ref_round;
-              sauthor = anchor.Types.ref_author;
-            }
-            :: !(logs.(replica_id));
-          List.iter
-            (fun (cn : Types.certified_node) ->
-              let node = cn.Types.cn_node in
-              let batch = node.Types.batch in
-              List.iter
-                (fun (tx : Transaction.t) ->
-                  (if Hashtbl.mem ordered_seen.(replica_id) tx.Transaction.id then begin
-                     (* Replay/catch-up re-orders history by design; only a
-                        repeat outside recovery is a safety violation. *)
-                     if not recovering.(replica_id) then
-                       t.duplicate_orders <- t.duplicate_orders + 1
-                   end
-                   else Hashtbl.replace ordered_seen.(replica_id) tx.Transaction.id ());
-                  if not recovering.(replica_id) then
-                    Metrics.observe_commit metrics
-                      ~origin_ordered:(tx.Transaction.origin = replica_id)
-                      ~tx ~now:o.Replica.ordered_at;
-                  if tx.Transaction.origin = replica_id && not recovering.(replica_id) then
-                    Ledger.record ledger
-                      {
-                        Ledger.le_tx = tx.Transaction.id;
-                        le_origin = replica_id;
-                        le_dag = seg.Driver.dag_id;
-                        le_rule = Ledger.rule_of_kind seg.Driver.kind;
-                        le_seq = o.Replica.global_seq;
-                        le_submitted = tx.Transaction.submitted_at;
-                        le_batched = batch.Batch.created_at;
-                        le_included = node.Types.created_at;
-                        le_committed = seg.Driver.committed_at;
-                        le_ordered = o.Replica.ordered_at;
-                      })
-                batch.Batch.txns)
-            seg.Driver.nodes
-        in
-        let config, lane_env =
-          match mc with
-          | None -> (setup.protocol, None)
-          | Some m ->
-            (* The pool pre-verifies every inbound message's cryptography,
-               so the instances run with signature checks off: structural
-               validation still happens inline, and the verdicts equal
-               what inline verification would produce. *)
-            ( Config.without_signature_checks setup.protocol,
-              Some
-                {
-                  Replica.le_backend =
-                    (fun dag_id ->
-                      {
-                        Backend.clock = Realtime.clock m.mc_lane_execs.(dag_id);
-                        timers = Realtime.timers m.mc_lane_execs.(dag_id);
-                        transport;
-                        control = None;
-                      });
-                  le_obs =
-                    (fun dag_id ->
-                      Obs.make
-                        ?trace:
-                          (if Option.is_some setup.trace then
-                             Some m.mc_lane_traces.(dag_id)
-                           else None)
-                        ~telemetry:m.mc_lane_telemetry.(dag_id) ~replica:replica_id
-                        ~instance:0 ())
-                  ;
-                  le_post_main = (fun f -> Realtime.post exec f);
-                } )
-        in
-        Replica.create ~config ~replica_id ~backend ~mempool:mempools.(replica_id)
-          ~on_ordered
-          ~on_caught_up:(fun () -> recovering.(replica_id) <- false)
-          ?trace:setup.trace ~telemetry ~retain_wal:setup.retain_wal ?lane_env ());
+              Replica.le_backend =
+                (fun dag_id ->
+                  {
+                    Backend.clock = Realtime.clock m.mc_lane_execs.(dag_id);
+                    timers = Realtime.timers m.mc_lane_execs.(dag_id);
+                    transport;
+                    control = None;
+                  });
+              le_obs =
+                (fun dag_id ->
+                  Obs.make
+                    ?trace:
+                      (if Option.is_some setup.trace then
+                         Some m.mc_lane_traces.(dag_id)
+                       else None)
+                    ~telemetry:m.mc_lane_telemetry.(dag_id) ~replica:replica_id
+                    ~instance:0 ())
+              ;
+              le_post_main = (fun f -> Realtime.post exec f);
+            } )
+    in
+    Replica.create ~config ~replica_id ~backend ~mempool ~on_ordered ~on_caught_up
+      ?trace:setup.trace ~telemetry ~retain_wal:setup.retain_wal ?lane_env ()
+  in
+  let h =
+    Harness.create ~backend ~n ~num_dags:setup.protocol.Config.num_dags
+      ~load_tps:setup.load_tps ~tx_size:setup.tx_size ~seed:setup.seed
+      ~warmup_ms:setup.warmup_ms ~track_logs:true ~telemetry ?client_env ~make_replica ()
+  in
   (* Multicore inbound routing: the transport delivers on the main domain;
      each message is verified on the pool (one pool lane per
      (replica, dag) so per-stream FIFO order survives the steal), and the
@@ -346,64 +260,42 @@ let create setup =
       (fun rid replica ->
         Backend.set_handler backend rid (fun ~src env ->
             let dag_id = env.Replica.dag_id in
-            (* The [closed] check makes the quiesce window benign: socket
-               transports can still deliver while the main loop drains after
-               {!Verify_pool.shutdown}, and a post-shutdown submit raises by
-               contract. Handler and shutdown both run on the main domain,
-               so the check cannot race. *)
             (* Control-plane envelopes (checkpoint votes) bypass the verify
                pool and land on the merge domain, which owns the checkpoint
                manager; their signature is checked inside the handler. *)
             if dag_id = Replica.control_dag_id then
               Realtime.post exec (fun () ->
                   Replica.deliver replica ~dag_id ~src env.Replica.payload)
-            else if dag_id >= 0 && dag_id < k && not (Verify_pool.closed m.mc_pool) then begin
+            else if dag_id >= 0 && dag_id < k then begin
               let payload = env.Replica.payload in
               let pool_lane = (rid * k) + dag_id in
-              Verify_pool.submit m.mc_pool ~lane:pool_lane
-                ~work:(fun () ->
-                  (not verify)
-                  ||
-                  (Crypto_cost.pay ~us:(modeled_cost_us payload);
-                   Validation.signatures_ok ~committee payload))
-                ~k:(fun ok ->
-                  if ok then
-                    Realtime.post m.mc_lane_execs.(dag_id) (fun () ->
-                        Replica.deliver replica ~dag_id ~src payload)
-                  else m.mc_rejects.(pool_lane) <- m.mc_rejects.(pool_lane) + 1)
+              (* The quiesce window: transports can still deliver after
+                 {!Verify_pool.shutdown} began — the direct multicore
+                 loopback even on a lane domain, racing the main domain's
+                 shutdown — and a late submit raises by contract. Such a
+                 message is dropped like any other still in flight. *)
+              try
+                Verify_pool.submit m.mc_pool ~lane:pool_lane
+                  ~work:(fun () ->
+                    (not verify)
+                    ||
+                    (Crypto_cost.pay ~us:(modeled_cost_us payload);
+                     Validation.signatures_ok ~committee payload))
+                  ~k:(fun ok ->
+                    if ok then
+                      Realtime.post m.mc_lane_execs.(dag_id) (fun () ->
+                          Replica.deliver replica ~dag_id ~src payload)
+                    else m.mc_rejects.(pool_lane) <- m.mc_rejects.(pool_lane) + 1)
+              with Invalid_argument _ when Verify_pool.closed m.mc_pool -> ()
             end))
-      t.replicas);
-  t
-
-let per_replica_tps t = t.setup.load_tps /. float_of_int (Array.length t.replicas)
-
-let start_client t i =
-  if per_replica_tps t > 0.0 then begin
-    let n = Array.length t.replicas in
-    (* Multicore: client [i]'s Poisson timers fire on lane executor
-       [i mod k] instead of the main loop — tens of thousands of
-       timer events per second move off the merge domain. Disjoint
-       stride-[n] id spaces replace the shared counter, which would
-       otherwise race across domains. *)
-    let clock, timers, next_id, stride =
-      match t.mc with
-      | None -> (t.backend.Backend.clock, t.backend.Backend.timers, t.next_id, 1)
-      | Some m ->
-        let e = m.mc_lane_execs.(i mod Array.length m.mc_lane_execs) in
-        (Realtime.clock e, Realtime.timers e, ref i, n)
-    in
-    t.clients.(i) <-
-      Some
-        (Client.start ~clock ~timers ~mempool:t.mempools.(i) ~origin:i
-           ~rate_tps:(per_replica_tps t) ~tx_size:t.setup.tx_size
-           ~seed:(t.setup.seed + i) ~next_id ~stride ())
-  end
+      (Harness.replicas h));
+  { setup; exec; tcp = !tcp; mc; h; started = false }
 
 let start t =
   if not t.started then begin
     t.started <- true;
-    Array.iter Replica.start t.replicas;
-    Array.iteri (fun i _ -> start_client t i) t.mempools
+    Array.iter Replica.start (Harness.replicas t.h);
+    Array.iteri (fun i _ -> Harness.start_client t.h i) (Harness.replicas t.h)
   end
 
 let run t ~duration_ms =
@@ -414,7 +306,7 @@ let run t ~duration_ms =
   Realtime.run_for t.exec ~duration_ms;
   (* Clean shutdown: no new transactions, and any timer already armed fires
      into a stopped client / a loop that is no longer running. *)
-  Array.iter (function Some c -> Client.stop c | None -> ()) t.clients;
+  Harness.stop_clients t.h;
   match t.mc with
   | None -> ()
   | Some m ->
@@ -427,37 +319,26 @@ let run t ~duration_ms =
     Array.iter Realtime.stop_and_join m.mc_lane_execs;
     Realtime.run_for t.exec ~duration_ms:50.0
 
-let stop t = Realtime.stop t.exec
-
 (* Realtime crash/restart (single-domain only: lane executors cannot be
-   torn down mid-run). Restart mirrors the sim cluster's recovery path:
-   snapshot bookkeeping resets, WAL replay + checkpoint restore inside
-   {!Replica.recover}, peer catch-up sync when checkpointing is on, and
-   metrics/dedup muted until [on_caught_up] clears [recovering]. *)
+   torn down mid-run) through the sim cluster's own recovery path,
+   {!Harness.recover}. *)
 let crash_replica t i =
   if Option.is_some t.mc then invalid_arg "Node.crash_replica: single-domain only";
-  Replica.crash t.replicas.(i);
-  (match t.clients.(i) with Some c -> Client.stop c | None -> ());
-  t.clients.(i) <- None
+  Harness.crash t.h i
 
 let recover_replica ?wipe t i =
   if Option.is_some t.mc then invalid_arg "Node.recover_replica: single-domain only";
-  t.logs.(i) := [];
-  Hashtbl.reset t.ordered_seen.(i);
-  t.recovering.(i) <- true;
-  Replica.recover ?wipe t.replicas.(i);
-  start_client t i
+  Harness.recover ?wipe t.h i
 
-let catching_up t i = t.recovering.(i) || Replica.catching_up t.replicas.(i)
+let catching_up t i = Harness.recovering t.h i || Replica.catching_up (Harness.replicas t.h).(i)
 let executor t = t.exec
 let tcp_ports t = Option.map Tcp.ports t.tcp
 let tcp_net_stats t = Option.map Tcp.net_stats t.tcp
-let backend t = t.backend
-let replicas t = t.replicas
-let metrics t = t.metrics
-let telemetry t = t.telemetry
-let ledger t = t.ledger
-let trace t = t.setup.trace
+let backend t = Harness.backend t.h
+let replicas t = Harness.replicas t.h
+let metrics t = Harness.metrics t.h
+let telemetry t = Harness.telemetry t.h
+let ledger t = Harness.ledger t.h
 let now_ms t = Realtime.now_ms t.exec
 let domains t = t.setup.domains
 let verify_pool t = match t.mc with None -> None | Some m -> Some m.mc_pool
@@ -467,10 +348,10 @@ let verify_pool t = match t.mc with None -> None | Some m -> Some m.mc_pool
    so a scrape never races a foreign domain's histogram. *)
 let telemetry_snapshot t =
   match t.mc with
-  | None -> Telemetry.snapshot t.telemetry
+  | None -> Telemetry.snapshot (telemetry t)
   | Some m ->
     let combined = Telemetry.create () in
-    Telemetry.merge ~src:t.telemetry ~dst:combined;
+    Telemetry.merge ~src:(telemetry t) ~dst:combined;
     Array.iter (fun src -> Telemetry.merge ~src ~dst:combined) m.mc_lane_telemetry;
     Telemetry.snapshot combined
 
@@ -498,15 +379,16 @@ let trace_dropped t =
    Realtime-only by construction (nothing in the sim harness calls it), so
    the extra timer events never touch deterministic runs. *)
 let arm_live_gauges ?(interval_ms = 250.0) t =
-  let g_uptime = Telemetry.gauge t.telemetry "live.uptime_ms" in
-  let g_committed = Telemetry.gauge t.telemetry "live.committed" in
-  let g_tps = Telemetry.gauge t.telemetry "live.commit_tps" in
-  let g_dropped = Telemetry.gauge t.telemetry "live.trace_dropped" in
-  let g_heap = Telemetry.gauge t.telemetry "live.heap_words" in
-  let last = ref (Backend.now t.backend, Metrics.committed t.metrics) in
+  let gauge = Telemetry.gauge (telemetry t) in
+  let g_uptime = gauge "live.uptime_ms" in
+  let g_committed = gauge "live.committed" in
+  let g_tps = gauge "live.commit_tps" in
+  let g_dropped = gauge "live.trace_dropped" in
+  let g_heap = gauge "live.heap_words" in
+  let last = ref (Backend.now (backend t), Metrics.committed (metrics t)) in
   let rec tick () =
-    let now = Backend.now t.backend in
-    let committed = Metrics.committed t.metrics in
+    let now = Backend.now (backend t) in
+    let committed = Metrics.committed (metrics t) in
     let last_now, last_committed = !last in
     let dt_s = Float.max 0.001 ((now -. last_now) /. 1000.0) in
     Telemetry.set g_uptime now;
@@ -519,76 +401,23 @@ let arm_live_gauges ?(interval_ms = 250.0) t =
        checkpoint-anchored pruning holds long runs bounded. *)
     Telemetry.set g_heap (float_of_int (Gc.quick_stat ()).Gc.heap_words);
     last := (now, committed);
-    ignore (Backend.schedule t.backend ~after:interval_ms tick)
+    ignore (Backend.schedule (backend t) ~after:interval_ms tick)
   in
-  ignore (Backend.schedule t.backend ~after:interval_ms tick)
+  ignore (Backend.schedule (backend t) ~after:interval_ms tick)
 
-type audit = {
+type audit = Harness.audit = {
   consistent_prefixes : bool;
-  prefix_length : int;  (** length of the shortest replica log *)
+  prefix_length : int;
   total_segments : int;
   duplicate_orders : int;
+  recovery_prefix_ok : bool;
   anchors_per_lane : int array;
-      (** segments replica 0 committed per DAG lane — every lane of a
-          healthy run shows at least one *)
 }
 
-let ordered_ids t ~replica =
-  List.rev_map (fun s -> (s.sdag, s.sround, s.sauthor)) !(t.logs.(replica))
-
-let audit t =
-  let logs = Array.map (fun l -> Array.of_list (List.rev !l)) t.logs in
-  (* A checkpoint-recovered replica's log starts at its base sequence, not
-     0: compare pairwise agreement in global-sequence coordinates. *)
-  let bases = Array.mapi (fun i _ -> Replica.base_seq t.replicas.(i)) logs in
-  let min_len =
-    Array.fold_left min max_int
-      (Array.mapi (fun i l -> bases.(i) + Array.length l) logs)
-  in
-  let min_len = if min_len = max_int then 0 else min_len in
-  let consistent = ref true in
-  let n = Array.length logs in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let lo = max bases.(a) bases.(b) in
-      let hi =
-        min (bases.(a) + Array.length logs.(a)) (bases.(b) + Array.length logs.(b))
-      in
-      for seq = lo to hi - 1 do
-        if logs.(a).(seq - bases.(a)) <> logs.(b).(seq - bases.(b)) then consistent := false
-      done
-    done
-  done;
-  let lanes = Array.make (max 1 t.setup.protocol.Config.num_dags) 0 in
-  Array.iter
-    (fun s -> if s.sdag < Array.length lanes then lanes.(s.sdag) <- lanes.(s.sdag) + 1)
-    logs.(0);
-  {
-    consistent_prefixes = !consistent;
-    prefix_length = min_len;
-    total_segments = Array.fold_left (fun acc l -> acc + Array.length l) 0 logs;
-    duplicate_orders = t.duplicate_orders;
-    anchors_per_lane = lanes;
-  }
+let audit t = Harness.audit t.h
+let ordered_ids t ~replica = Harness.ordered_ids t.h ~replica
 
 let report t ~duration_ms =
-  let net_stats = Backend.stats t.backend in
-  let sum f =
-    Array.fold_left
-      (fun acc r -> List.fold_left (fun acc s -> acc + f s) acc (Replica.driver_stats r))
-      0 t.replicas
-  in
-  let submitted = Array.fold_left (fun acc m -> acc + Mempool.submitted m) 0 t.mempools in
-  Report.make
+  Harness.report t.h
     ~name:(t.setup.protocol.Config.name ^ "/realtime")
-    ~n:(Array.length t.replicas) ~load_tps:t.setup.load_tps ~duration_ms ~submitted
-    ~metrics:t.metrics
-    ~fast_commits:(sum (fun s -> s.Driver.fast_commits))
-    ~direct_commits:(sum (fun s -> s.Driver.direct_commits))
-    ~indirect_commits:(sum (fun s -> s.Driver.indirect_commits))
-    ~skipped_anchors:(sum (fun s -> s.Driver.skipped_anchors))
-    ~messages_sent:net_stats.Backend.Transport.sent
-    ~messages_dropped:
-      (net_stats.Backend.Transport.dropped + net_stats.Backend.Transport.partitioned)
-    ~bytes_sent:net_stats.Backend.Transport.bytes
-    ~telemetry:(telemetry_snapshot t) ~trace_dropped:(trace_dropped t) ()
+    ~duration_ms ~telemetry:(telemetry_snapshot t) ~trace_dropped:(trace_dropped t)

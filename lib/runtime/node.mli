@@ -5,7 +5,9 @@
     the {e identical} protocol objects and differ only in the
     {!Shoalpp_backend.Backend} they pass in: the deterministic simulator
     there, {!Shoalpp_backend.Backend_realtime} here (in-process loopback or
-    Unix-domain sockets with length-prefixed signed messages).
+    TCP with length-prefixed signed messages). Both run on the shared
+    {!Harness} core — mempools, clients, commit sink, crash/recover
+    bookkeeping, audit and report.
 
     All replicas live in this process today; nothing in the harness or the
     wire format assumes it.
@@ -13,19 +15,19 @@
     Invariants:
     - no protocol module is re-parameterized: replicas, clients, WALs and
       telemetry are constructed exactly as under the simulator;
-    - {!audit} applies the same safety checks as the simulated cluster's:
-      pairwise common-prefix agreement of the replicas' ordered logs and
-      no transaction ordered twice by one replica. *)
+    - {!audit} is the simulated cluster's audit ({!Harness.audit}):
+      pairwise common-prefix agreement of the replicas' ordered logs in
+      global-sequence coordinates, no transaction ordered twice by one
+      replica, and every restarted replica's rebuilt log extending its
+      pre-crash log; {!Harness.ok} is the single verdict. *)
 
 type transport =
   | Inproc  (** in-process loopback; nothing is serialized *)
-  | Uds of string
-      (** Unix-domain sockets in the given directory; every message crosses
-          the codec (encode, frame, decode + signature re-check) *)
   | Tcp of int
       (** TCP on 127.0.0.1, replica [i] listening on [base_port + i]
-          ([0] lets the kernel pick; read back with {!tcp_ports}). Same
-          framing and codec path as [Uds], plus per-peer write coalescing
+          ([0] lets the kernel pick; read back with {!tcp_ports}). Every
+          message crosses the codec (encode, frame, decode + signature
+          re-check), with per-peer write coalescing
           ([setup.coalesce_us]) and lazy reconnect with capped backoff
           ({!Shoalpp_backend.Tcp_transport}). *)
 
@@ -36,7 +38,6 @@ type setup = {
   warmup_ms : float;
   seed : int;
   transport : transport;
-  link_delay_ms : float;  (** loopback only: artificial per-message delay *)
   coalesce_us : float;
       (** TCP only: per-peer write-coalescing latency budget in
           microseconds; [0] (default) flushes every frame immediately. *)
@@ -95,9 +96,6 @@ val run : t -> duration_ms:float -> unit
     on entry and quiesces them on exit (pool drained, lanes joined, merge
     backlog flushed) — after return no other domain is running. *)
 
-val stop : t -> unit
-(** Make a concurrent {!run} return after its current iteration. *)
-
 val crash_replica : t -> int -> unit
 (** Stop one replica and its client (realtime crash injection). Raises
     [Invalid_argument] at [domains > 1] — lane executors cannot be torn
@@ -107,7 +105,8 @@ val recover_replica : ?wipe:bool -> t -> int -> unit
 (** Restart a crashed replica through {!Shoalpp_core.Replica.recover}:
     checkpoint restore + WAL replay, then peer catch-up sync when
     checkpointing is on. Requires [retain_wal]; metrics and the duplicate
-    audit stay muted until catch-up completes. [wipe] simulates total disk
+    audit stay muted until catch-up completes, and the pre-crash log is
+    snapshotted for the [recovery_prefix_ok] audit. [wipe] simulates total disk
     loss (peer checkpoint adoption). Single-domain only, like
     {!crash_replica}. *)
 
@@ -134,8 +133,6 @@ val ledger : t -> Ledger.t
 (** Per-commit latency ledger, registered on the node's telemetry: one
     entry per origin transaction at its origin's commit. Backs the admin
     endpoint's [/ledger] tail and the stage x rule x DAG breakdown. *)
-
-val trace : t -> Shoalpp_sim.Trace.t option
 
 val domains : t -> int
 (** The configured [setup.domains]. *)
@@ -168,15 +165,15 @@ val arm_live_gauges : ?interval_ms:float -> t -> unit
 val now_ms : t -> float
 (** Wall milliseconds since the executor was created. *)
 
-type audit = {
+type audit = Harness.audit = {
   consistent_prefixes : bool;
-  prefix_length : int;  (** length of the shortest replica log *)
+  prefix_length : int;
   total_segments : int;
-  duplicate_orders : int;  (** txns ordered twice by the same replica *)
+  duplicate_orders : int;
+  recovery_prefix_ok : bool;
   anchors_per_lane : int array;
-      (** segments replica 0 committed per DAG lane — every lane of a
-          healthy run shows at least one *)
 }
+(** See {!Harness.audit}. *)
 
 val audit : t -> audit
 

@@ -4,7 +4,9 @@
    protocol's paging and peer rotation, and the end-to-end properties the
    lifecycle promises — a checkpointed crash-recover that restarts from
    the latest certified checkpoint in O(gap) sync messages, and commit
-   sequences byte-identical with checkpointing on vs off. *)
+   sequences byte-identical with checkpointing on vs off — plus the shared
+   run audit's recovery-prefix check, on hand-built logs and on a
+   realtime node restart. *)
 
 module Types = Shoalpp_dag.Types
 module Store = Shoalpp_dag.Store
@@ -22,9 +24,12 @@ module Trace = Shoalpp_sim.Trace
 module Faults = Shoalpp_sim.Faults
 module E = Shoalpp_runtime.Experiment
 module Cluster = Shoalpp_runtime.Cluster
+module Harness = Shoalpp_runtime.Harness
+module Node = Shoalpp_runtime.Node
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
 module Telemetry = Shoalpp_support.Telemetry
+module Topology = Shoalpp_sim.Topology
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -370,6 +375,76 @@ let test_checkpointed_crash_recover () =
   checkb "peers served the requests" true (served >= requests)
 
 (* ------------------------------------------------------------------ *)
+(* The recovery-prefix audit over hand-built logs: a rebuilt log must
+   extend the pre-crash log in global-sequence coordinates, and entries
+   below its base (pruned under a checkpoint) are not re-checked.      *)
+
+let test_recovery_audit_verdicts () =
+  let seg r = { Harness.sdag = r mod 3; sround = r; sauthor = r mod 4 } in
+  let log ~from ~upto = Array.init (upto - from) (fun k -> seg (from + k)) in
+  (* Replica 1 crashed at seq 10 (base 0) and recovered with [post]. *)
+  let verdict ~post_base post =
+    let a =
+      Harness.audit_logs ~num_dags:3
+        ~logs:[| log ~from:0 ~upto:20; post |]
+        ~bases:[| 0; post_base |]
+        ~pre_recovery:[| None; Some (0, log ~from:0 ~upto:10) |]
+        ~duplicate_orders:0
+    in
+    a.Harness.recovery_prefix_ok
+  in
+  let diverged = log ~from:0 ~upto:20 in
+  diverged.(7) <- { (seg 7) with Harness.sauthor = 3 - (seg 7).Harness.sauthor };
+  checkb "diverges at one sequence number" false (verdict ~post_base:0 diverged);
+  checkb "shorter than the pre-crash log" false (verdict ~post_base:0 (log ~from:0 ~upto:8));
+  checkb "base above the pruned prefix" true (verdict ~post_base:6 (log ~from:6 ~upto:20));
+  checkb "faithful replay" true (verdict ~post_base:0 (log ~from:0 ~upto:20));
+  let a =
+    Harness.audit_logs ~num_dags:3
+      ~logs:[| log ~from:0 ~upto:20; log ~from:12 ~upto:18 |]
+      ~bases:[| 0; 12 |] ~pre_recovery:[| None; None |] ~duplicate_orders:0
+  in
+  checkb "prefixes compared in global seqs" true a.Harness.consistent_prefixes;
+  checki "prefix length is the shortest end" 18 a.Harness.prefix_length;
+  checki "total segments is the longest end" 20 a.Harness.total_segments;
+  checkb "ok" true (Harness.ok a);
+  checkb "a duplicate fails ok" false (Harness.ok { a with Harness.duplicate_orders = 1 })
+
+(* The realtime node restarts a replica through the same recovery path
+   and the same audit as the simulated cluster: checkpoint restore, WAL
+   replay, peer catch-up, then the recovery-prefix check. The 20 ms delay
+   shim keeps rounds slow enough for catch-up to close the gap; over the
+   zero-delay loopback the cluster outruns the syncing replica. *)
+let test_node_restart_recovery_audit () =
+  let committee = Committee.make ~n:4 ~cluster_seed:5 () in
+  let protocol =
+    Config.with_checkpoint_interval
+      (Config.without_signature_checks (Config.shoalpp ~committee))
+      12
+  in
+  let node =
+    Node.create
+      {
+        (Node.default_setup ~protocol) with
+        Node.load_tps = 300.0;
+        seed = 5;
+        delays_ms = Some (Topology.delay_matrix (Topology.uniform ~delay_ms:20.0) ~n:4);
+        retain_wal = true;
+      }
+  in
+  let backend = Node.backend node in
+  ignore (Shoalpp_backend.Backend.schedule backend ~after:1_000.0 (fun () -> Node.crash_replica node 3));
+  ignore (Shoalpp_backend.Backend.schedule backend ~after:2_000.0 (fun () -> Node.recover_replica node 3));
+  Node.run node ~duration_ms:4_000.0;
+  let audit = Node.audit node in
+  checkb "prefixes consistent" true audit.Node.consistent_prefixes;
+  checki "no duplicate orders" 0 audit.Node.duplicate_orders;
+  checkb "recovered log extends its pre-crash log" true audit.Node.recovery_prefix_ok;
+  let r = (Node.replicas node).(3) in
+  checkb "caught up" false (Node.catching_up node 3);
+  checkb "restarted replica orders again" true (Replica.log_length r > Replica.base_seq r)
+
+(* ------------------------------------------------------------------ *)
 (* Golden determinism: the ordered commit stream is byte-identical with
    checkpointing/pruning on vs off at the same seed.                   *)
 
@@ -424,6 +499,8 @@ let suite =
         Alcotest.test_case "sync client O(gap) requests" `Quick test_sync_client_o_gap_requests;
         Alcotest.test_case "sync client rotates on no-progress" `Quick test_sync_client_rotates_on_no_progress;
         Alcotest.test_case "checkpointed crash-recover" `Slow test_checkpointed_crash_recover;
+        Alcotest.test_case "recovery audit verdicts" `Quick test_recovery_audit_verdicts;
+        Alcotest.test_case "node restart: recovery audited" `Slow test_node_restart_recovery_audit;
         Alcotest.test_case "determinism: checkpointing on vs off" `Slow test_golden_determinism_on_vs_off;
       ] );
   ]

@@ -13,7 +13,7 @@
      re-adopted with the drop/ dial-failure / reconnect counters telling
      the story;
    - the acceptance gate: a 4-replica cluster run over TCP commits the
-     same anchor sequence as the UDS and loopback runs of the same seed,
+     same anchor sequence as the loopback run of the same seed,
      and an n=10 run under the paper's gcp10 geography shim passes the
      safety audit. *)
 
@@ -166,21 +166,15 @@ let check_audit ~label node =
   checki (label ^ ": no duplicate orders") 0 audit.Node.duplicate_orders;
   checkb (label ^ ": progress") true (audit.Node.total_segments > 0)
 
-(* The golden cross-transport test: same seed, same protocol, three
-   transports — loopback, UDS, TCP (with coalescing, which batches writes
+(* The golden cross-transport test: same seed, same protocol, two
+   transports — loopback and TCP (with coalescing, which batches writes
    but must not reorder frames). The committed anchor sequences must agree
    on their common prefix; the transport may change timing, never
    content. *)
-let test_tcp_commit_sequence_matches_uds_and_loopback () =
-  let uds_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "shoalpp-tcp-test-%d" (Unix.getpid ()))
-  in
-  if not (Sys.file_exists uds_dir) then Unix.mkdir uds_dir 0o700;
+let test_tcp_commit_sequence_matches_loopback () =
   let runs =
     [
       ("loopback", run_cluster ~transport:Node.Inproc ~seed:31 ());
-      ("uds", run_cluster ~transport:(Node.Uds uds_dir) ~seed:31 ());
       ("tcp", run_cluster ~transport:(Node.Tcp 0) ~coalesce_us:500.0 ~seed:31 ());
     ]
   in
@@ -202,12 +196,7 @@ let test_tcp_commit_sequence_matches_uds_and_loopback () =
             (Printf.sprintf "%s/%s common prefix is non-trivial" la lb)
             true (min (List.length a) (List.length b) > 0))
         ids)
-    ids;
-  (match Sys.readdir uds_dir with
-  | entries ->
-    Array.iter (fun f -> try Sys.remove (Filename.concat uds_dir f) with Sys_error _ -> ()) entries;
-    (try Sys.rmdir uds_dir with Sys_error _ -> ())
-  | exception Sys_error _ -> ())
+    ids
 
 (* n = 10 over TCP with the paper's 10-region GCP delay matrix applied
    sender-side: commits still happen (the shim only stretches time) and
@@ -232,8 +221,8 @@ let suite =
         Alcotest.test_case "coalescing flush on byte threshold" `Quick
           test_tcp_coalescing_flush_on_threshold;
         Alcotest.test_case "crash, backoff, reconnect" `Quick test_tcp_crash_reconnect_backoff;
-        Alcotest.test_case "commit sequence matches uds + loopback" `Slow
-          test_tcp_commit_sequence_matches_uds_and_loopback;
+        Alcotest.test_case "commit sequence matches loopback" `Slow
+          test_tcp_commit_sequence_matches_loopback;
         Alcotest.test_case "n=10 under the gcp10 delay shim" `Slow test_tcp_gcp10_delay_shim;
       ] );
   ]
