@@ -1050,6 +1050,21 @@ let micro () =
         let kp = Shoalpp_dag.Committee.keypair committee i in
         (i, Shoalpp_crypto.Signer.sign kp "m"))
   in
+  let signature = Shoalpp_crypto.Signer.sign kp "message" in
+  let aggregate = Shoalpp_crypto.Multisig.aggregate ~n:16 sigs in
+  let encoded_cert =
+    let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:node.Types.digest in
+    Types.encode_message
+      (Types.Certificate
+         {
+           Types.cert_ref = Types.ref_of_node node;
+           multisig =
+             Shoalpp_crypto.Multisig.aggregate ~n:16
+               (List.init 11 (fun i ->
+                    (i, Shoalpp_crypto.Signer.sign (Shoalpp_dag.Committee.keypair committee i) preimage)));
+         })
+  in
+  let keys = committee.Shoalpp_dag.Committee.keys in
   let tests =
     Test.make_grouped ~name:"substrate"
       [
@@ -1061,6 +1076,12 @@ let micro () =
           (Staged.stage (fun () -> ignore (Shoalpp_crypto.Signer.sign kp "message")));
         Test.make ~name:"multisig-aggregate-11"
           (Staged.stage (fun () -> ignore (Shoalpp_crypto.Multisig.aggregate ~n:16 sigs)));
+        Test.make ~name:"verify"
+          (Staged.stage (fun () -> ignore (Shoalpp_crypto.Signer.verify keys 0 "message" signature)));
+        Test.make ~name:"multisig-verify-11"
+          (Staged.stage (fun () -> ignore (Shoalpp_crypto.Multisig.verify keys aggregate "m")));
+        Test.make ~name:"decode-certificate-11"
+          (Staged.stage (fun () -> ignore (Types.decode_message ~cluster_seed:0 encoded_cert)));
         Test.make ~name:"encode-proposal-500tx"
           (Staged.stage (fun () -> ignore (Types.encode_message (Types.Proposal node))));
         Test.make ~name:"decode-proposal-500tx"

@@ -218,7 +218,7 @@ let ck_try_certify t m ~seq =
         let ck = Checkpoint.certify ~n:committee.Shoalpp_dag.Committee.n cand sigs in
         (* Refuse to prune on anything but a verified certificate. *)
         if
-          Checkpoint.verify ~cluster_seed:committee.Shoalpp_dag.Committee.cluster_seed
+          Checkpoint.verify ~keys:committee.Shoalpp_dag.Committee.keys
             ~quorum ck
         then ck_install t m ck
         else Obs.incr t.obs "ck.cert_rejected"
@@ -767,7 +767,7 @@ and ck_adopt t m blob_opt =
           ~n:committee.Committee.n blob
       with
       | ck ->
-        if Checkpoint.verify ~cluster_seed:committee.Committee.cluster_seed ~quorum ck then
+        if Checkpoint.verify ~keys:committee.Committee.keys ~quorum ck then
           Some ck
         else None
       | exception Shoalpp_codec.Wire.Reader.Malformed _ -> None
@@ -940,7 +940,7 @@ let latest_local_checkpoint t =
         with
         | ck ->
           if
-            Checkpoint.verify ~cluster_seed:committee.Committee.cluster_seed ~quorum ck
+            Checkpoint.verify ~keys:committee.Committee.keys ~quorum ck
             && match acc with Some prev -> Checkpoint.seq ck > Checkpoint.seq prev | None -> true
           then Some ck
           else acc

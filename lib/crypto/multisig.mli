@@ -9,8 +9,9 @@
     bitmap, matching the paper's certificate sizes.
 
     Invariants:
-    - an aggregate verifies iff every signer set in the bitmap signed that
-      exact message — adding, removing or swapping a signer breaks it;
+    - an aggregate verifies iff its bitmap capacity equals the registry size
+      and every signer set in the bitmap signed that exact message —
+      adding, removing or swapping a signer breaks it;
     - aggregation is deterministic: signatures are combined in ascending
       signer order, so equal inputs give byte-equal aggregates;
     - modeled wire size depends only on (n, bitmap), not on signer values. *)
@@ -24,8 +25,13 @@ val aggregate : n:int -> (Signer.public * Signer.signature) list -> t
 val signers : t -> Shoalpp_support.Bitset.t
 val num_signers : t -> int
 
-val verify : cluster_seed:int -> t -> string -> bool
-(** All contained signatures must verify over the message. *)
+val capacity : t -> int
+(** Committee size the signer bitmap was built for. *)
+
+val verify : Signer.registry -> t -> string -> bool
+(** All contained signatures must verify over the message, and the bitmap
+    must be sized for exactly the registry's committee. [false], never an
+    exception, otherwise. *)
 
 val wire_size : t -> int
 (** Modeled bytes: 48-byte aggregate + ceil(n/8) bitmap. *)

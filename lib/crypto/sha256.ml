@@ -41,33 +41,35 @@ let init () =
     finalized = false;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
-
+(* Rotations use a doubled word: for a 32-bit [x], [x2 = x lor (x lsl 32)]
+   holds x twice, so [x2 lsr n] has [rotr x n] in its low 32 bits for
+   1 <= n <= 31 (the copy's bit 31 falls off the 63-bit int, but no rotation
+   here reads it). Bits above 31 are garbage wherever a value only feeds an
+   addition: the low 32 bits of a sum depend only on the operands' low 32
+   bits, so one [land mask] per stored word suffices. *)
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let base = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block base) lsl 24)
-      lor (Char.code (Bytes.get block (base + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (base + 2)) lsl 8)
-      lor Char.code (Bytes.get block (base + 3))
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
+    let d15 = w15 lor (w15 lsl 32) and d2 = w2 lor (w2 lsl 32) in
+    let s0 = (d15 lsr 7) lxor (d15 lsr 18) lxor (w15 lsr 3) in
+    let s1 = (d2 lsr 17) lxor (d2 lsr 19) lxor (w2 lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let de = !e lor (!e lsl 32) and da = !a lor (!a lsl 32) in
+    let s1 = (de lsr 6) lxor (de lsr 11) lxor (de lsr 25) in
     let ch = !e land !f lxor (lnot !e land !g) in
-    let temp1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = (da lsr 2) lxor (da lsr 13) lxor (da lsr 22) in
     let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask in
     hh := !g;
     g := !f;
     f := !e;
@@ -75,7 +77,7 @@ let compress ctx block off =
     d := !c;
     c := !b;
     b := !a;
-    a := (temp1 + temp2) land mask
+    a := (temp1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;
@@ -116,31 +118,33 @@ let feed_sub ctx src off len =
 let feed_bytes ctx b = feed_sub ctx b 0 (Bytes.length b)
 let feed_string ctx s = feed_sub ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
+(* Padding (0x80, zeros, 64-bit big-endian bit length) is written straight
+   into the block buffer: one extra compression when fewer than 9 bytes of
+   the last block are free, none otherwise. *)
+let pad ctx =
+  let buf = ctx.buf in
+  Bytes.set buf ctx.buf_len '\x80';
+  let used = ctx.buf_len + 1 in
+  if used > 56 then begin
+    Bytes.fill buf used (64 - used) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf used (56 - used) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0
+
+let write_state h dst off =
+  for i = 0 to 7 do
+    Bytes.set_int32_be dst (off + (4 * i)) (Int32.of_int (Array.unsafe_get h i))
+  done
+
 let finalize ctx =
   if ctx.finalized then invalid_arg "Sha256: context already finalized";
-  let bit_len = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  let total_before = ctx.total in
-  feed_sub ctx pad 0 (Bytes.length pad);
-  ctx.total <- total_before;
   ctx.finalized <- true;
+  pad ctx;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
+  write_state ctx.h out 0;
   Bytes.unsafe_to_string out
 
 let digest_string s =
@@ -148,16 +152,40 @@ let digest_string s =
   feed_string ctx s;
   finalize ctx
 
-let hmac ~key msg =
-  let block = 64 in
-  let key = if String.length key > block then digest_string key else key in
-  let pad fill =
-    let b = Bytes.make block fill in
-    String.iteri (fun i c -> Bytes.set b i (Char.chr (Char.code c lxor Char.code fill))) key;
-    Bytes.unsafe_to_string b
-  in
-  let ipad = pad '\x36' and opad = pad '\x5c' in
-  digest_string (opad ^ digest_string (ipad ^ msg))
+type hmac_key = { inner : int array; outer : int array }
+
+(* Midstate after compressing one key block XORed with [fill]. *)
+let midstate block fill =
+  let ctx = init () in
+  for i = 0 to 63 do
+    Bytes.unsafe_set ctx.buf i (Char.unsafe_chr (Char.code (Bytes.unsafe_get block i) lxor fill))
+  done;
+  compress ctx ctx.buf 0;
+  ctx.h
+
+let hmac_key key =
+  let key = if String.length key > 64 then digest_string key else key in
+  let block = Bytes.make 64 '\000' in
+  Bytes.blit_string key 0 block 0 (String.length key);
+  { inner = midstate block 0x36; outer = midstate block 0x5c }
+
+(* One scratch context serves both passes: it resumes from a copy of the
+   inner midstate, and after the inner digest it is rewound in place to a
+   copy of the outer midstate with the inner digest as its pending 32 bytes.
+   The shared key is only ever read. *)
+let hmac_with key msg =
+  let ctx = init () in
+  Array.blit key.inner 0 ctx.h 0 8;
+  ctx.total <- 64;
+  feed_string ctx msg;
+  pad ctx;
+  write_state ctx.h ctx.buf 0;
+  Array.blit key.outer 0 ctx.h 0 8;
+  ctx.buf_len <- 32;
+  ctx.total <- 96;
+  finalize ctx
+
+let hmac ~key msg = hmac_with (hmac_key key) msg
 
 let to_hex raw =
   let buf = Buffer.create (2 * String.length raw) in

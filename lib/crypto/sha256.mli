@@ -8,7 +8,8 @@
     Invariants:
     - matches FIPS 180-4 (checked against standard vectors in tests);
     - pure and reentrant: no global state, identical input gives identical
-      output on every platform and OCaml version. *)
+      output on every platform and OCaml version;
+    - an [hmac_key] is never mutated after [hmac_key] returns. *)
 
 type ctx
 
@@ -22,8 +23,22 @@ val finalize : ctx -> string
 val digest_string : string -> string
 (** One-shot convenience: 32-byte raw digest of the input. *)
 
+type hmac_key
+(** A precomputed HMAC-SHA256 key schedule: the SHA-256 states after the
+    ipad and the opad key blocks. Immutable once built. *)
+
+val hmac_key : string -> hmac_key
+(** Key schedule for a key of any length (keys over 64 bytes are hashed
+    first, per RFC 2104). Two compressions, plus one per 64 key bytes for a
+    long key. *)
+
+val hmac_with : hmac_key -> string -> string
+(** HMAC-SHA256 under a precomputed key: resumes from copies of the two
+    midstates, so a message under 56 bytes costs two compressions. Never
+    writes to the key, so one key may be shared across domains. *)
+
 val hmac : key:string -> string -> string
-(** HMAC-SHA256; the simulated signing primitive. *)
+(** HMAC-SHA256; [hmac ~key m = hmac_with (hmac_key key) m]. *)
 
 val to_hex : string -> string
 (** Lowercase hex of a raw digest. *)

@@ -122,7 +122,7 @@ let binding_holds (node : Types.node) =
    entry point the verify pool uses to run just the cryptographic part of
    validation on a worker domain. *)
 let proposal_signature_ok ~committee (node : Types.node) =
-  Signer.verify ~cluster_seed:committee.Committee.cluster_seed node.Types.author
+  Signer.verify committee.Committee.keys node.Types.author
     (Digest32.raw node.Types.digest) node.Types.signature
 
 let vote_signature_ok ~committee (v : Types.vote) =
@@ -130,7 +130,7 @@ let vote_signature_ok ~committee (v : Types.vote) =
     Types.vote_preimage ~round:v.Types.vote_round ~author:v.Types.vote_author
       ~digest:v.Types.vote_digest
   in
-  Signer.verify ~cluster_seed:committee.Committee.cluster_seed v.Types.voter preimage
+  Signer.verify committee.Committee.keys v.Types.voter preimage
     v.Types.vote_signature
 
 let certificate_signature_ok ~committee (c : Types.certificate) =
@@ -138,10 +138,10 @@ let certificate_signature_ok ~committee (c : Types.certificate) =
     Types.vote_preimage ~round:c.Types.cert_ref.Types.ref_round
       ~author:c.Types.cert_ref.Types.ref_author ~digest:c.Types.cert_ref.Types.ref_digest
   in
-  Multisig.verify ~cluster_seed:committee.Committee.cluster_seed c.Types.multisig preimage
+  Multisig.verify committee.Committee.keys c.Types.multisig preimage
 
 let checkpoint_vote_signature_ok ~committee ~ck_digest ~ck_voter ~ck_signature =
-  Signer.verify ~cluster_seed:committee.Committee.cluster_seed ck_voter
+  Signer.verify committee.Committee.keys ck_voter
     (Shoalpp_storage.Checkpoint.preimage_of_digest ck_digest)
     ck_signature
 
@@ -185,6 +185,11 @@ let validate_vote ~committee ~verify_signatures (v : Types.vote) =
   else Ok ()
 
 let validate_certificate ~committee ~verify_signatures (c : Types.certificate) =
+  let cap = Multisig.capacity c.Types.multisig in
+  let* () =
+    check (cap = committee.Committee.n) "certificate bitmap sized %d, committee has %d" cap
+      committee.Committee.n
+  in
   let nsig = Multisig.num_signers c.Types.multisig in
   let* () =
     check (nsig >= Committee.quorum committee) "certificate has %d signers, need >= %d" nsig

@@ -46,9 +46,8 @@ let sign keypair c = Signer.sign keypair (preimage c)
 
 let certify ~n candidate votes = { candidate; cert = Multisig.aggregate ~n votes }
 
-let verify ~cluster_seed ~quorum t =
-  Multisig.num_signers t.cert >= quorum
-  && Multisig.verify ~cluster_seed t.cert (preimage t.candidate)
+let verify ~keys ~quorum t =
+  Multisig.num_signers t.cert >= quorum && Multisig.verify keys t.cert (preimage t.candidate)
 
 let seq t = t.candidate.seq
 let lanes t = t.candidate.lanes
@@ -78,7 +77,11 @@ let decode ~cluster_seed ~n s =
         (Signer.public kp, Signer.sign kp pre))
       signers
   in
-  { candidate; cert = Multisig.aggregate ~n votes }
+  (* A peer's blob is untrusted input: a signer the bitmap cannot hold, or
+     one named twice, is a corrupt blob, not a programming error. *)
+  match Multisig.aggregate ~n votes with
+  | cert -> { candidate; cert }
+  | exception Invalid_argument m -> raise (Wire.Reader.Malformed m)
 
 let wire_size t =
   String.length (encode_candidate t.candidate) + Multisig.wire_size t.cert

@@ -53,7 +53,9 @@ val certify :
     before aggregating; {!verify} re-checks.
     @raise Invalid_argument on duplicate or out-of-range signers. *)
 
-val verify : cluster_seed:int -> quorum:int -> t -> bool
+val verify : keys:Shoalpp_crypto.Signer.registry -> quorum:int -> t -> bool
+(** Quorum of signers and an aggregate that verifies against the
+    committee's key registry. *)
 
 val seq : t -> int
 val lanes : t -> lane list
@@ -62,7 +64,8 @@ val cert : t -> Shoalpp_crypto.Multisig.t
 
 val encode : t -> string
 val decode : cluster_seed:int -> n:int -> string -> t
-(** @raise Shoalpp_codec.Wire.Reader.Malformed on corrupt input. *)
+(** @raise Shoalpp_codec.Wire.Reader.Malformed on corrupt input, including
+    a signer id [>= n] or a signer named twice. *)
 
 val wire_size : t -> int
 val pp : Format.formatter -> t -> unit

@@ -83,6 +83,58 @@ let test_hmac_long_key () =
   let k1 = String.make 100 'k' and k2 = String.make 100 'l' in
   checkb "long keys distinct" false (String.equal (Sha256.hmac ~key:k1 "m") (Sha256.hmac ~key:k2 "m"))
 
+(* Textbook RFC 2104 HMAC built on the one-shot digest, kept here as the
+   reference the precomputed key schedule must match. *)
+let reference_hmac ~key msg =
+  let key = if String.length key > 64 then Sha256.digest_string key else key in
+  let pad fill =
+    String.init 64 (fun i ->
+        let k = if i < String.length key then Char.code key.[i] else 0 in
+        Char.chr (k lxor fill))
+  in
+  Sha256.digest_string (pad 0x5c ^ Sha256.digest_string (pad 0x36 ^ msg))
+
+let test_hmac_with_matches_reference () =
+  List.iter
+    (fun klen ->
+      let key = String.init klen (fun i -> Char.chr (((7 * i) + klen) land 0xff)) in
+      let schedule = Sha256.hmac_key key in
+      List.iter
+        (fun mlen ->
+          let msg = String.init mlen (fun i -> Char.chr (((31 * i) + 5) land 0xff)) in
+          let expected = Sha256.to_hex (reference_hmac ~key msg) in
+          let label = Printf.sprintf "key %d msg %d" klen mlen in
+          checks label expected (Sha256.to_hex (Sha256.hmac_with schedule msg));
+          checks (label ^ " (hmac)") expected (Sha256.to_hex (Sha256.hmac ~key msg)))
+        [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 200 ])
+    [ 0; 20; 32; 64; 65; 131 ]
+
+let test_hmac_rfc4231_long_key () =
+  (* RFC 4231 test case 6: a 131-byte key is hashed before use. *)
+  checks "rfc4231-6" "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    (Sha256.to_hex
+       (Sha256.hmac_with
+          (Sha256.hmac_key (String.make 131 '\xaa'))
+          "Test Using Larger Than Block-Size Key - Hash Key First"))
+
+let test_hmac_key_shared () =
+  (* Reusing one schedule must not change it: interleaved calls agree. *)
+  let schedule = Sha256.hmac_key "shared" in
+  let a = Sha256.hmac_with schedule "a" in
+  ignore (Sha256.hmac_with schedule (String.make 200 'b'));
+  checks "stable" (Sha256.to_hex a) (Sha256.to_hex (Sha256.hmac_with schedule "a"))
+
+let test_sha_padding_spills () =
+  (* 56 bytes leave no room for the 8-byte length in the last block, so the
+     in-place padding must compress an extra block. *)
+  let s = "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq" in
+  checki "length" 56 (String.length s);
+  let expected = "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" in
+  checks "one-shot" expected (Sha256.to_hex (Sha256.digest_string s));
+  let ctx = Sha256.init () in
+  String.iter (fun c -> Sha256.feed_string ctx (String.make 1 c)) s;
+  checks "byte at a time" expected (Sha256.to_hex (Sha256.finalize ctx))
+
 (* ------------------------------------------------------------------ *)
 (* Digest32 *)
 
@@ -111,10 +163,11 @@ let prop_digest32_hash_consistent =
 let test_signer_roundtrip () =
   let kp = Signer.keygen ~cluster_seed:5 ~replica:3 in
   let s = Signer.sign kp "message" in
-  checkb "verifies" true (Signer.verify ~cluster_seed:5 3 "message" s);
-  checkb "wrong message" false (Signer.verify ~cluster_seed:5 3 "other" s);
-  checkb "wrong replica" false (Signer.verify ~cluster_seed:5 4 "message" s);
-  checkb "wrong cluster" false (Signer.verify ~cluster_seed:6 3 "message" s)
+  let keys = Signer.registry ~cluster_seed:5 ~n:7 in
+  checkb "verifies" true (Signer.verify keys 3 "message" s);
+  checkb "wrong message" false (Signer.verify keys 3 "other" s);
+  checkb "wrong replica" false (Signer.verify keys 4 "message" s);
+  checkb "wrong cluster" false (Signer.verify (Signer.registry ~cluster_seed:6 ~n:7) 3 "message" s)
 
 let test_signer_deterministic_keys () =
   let a = Signer.keygen ~cluster_seed:1 ~replica:0 in
@@ -125,9 +178,25 @@ let test_signer_of_raw () =
   let kp = Signer.keygen ~cluster_seed:1 ~replica:0 in
   let s = Signer.sign kp "m" in
   let s' = Signer.of_raw (Signer.raw s) in
-  checkb "roundtrip verifies" true (Signer.verify ~cluster_seed:1 0 "m" s');
+  checkb "roundtrip verifies" true (Signer.verify (Signer.registry ~cluster_seed:1 ~n:4) 0 "m" s');
   Alcotest.check_raises "bad length" (Invalid_argument "Signer.of_raw: need 32 bytes") (fun () ->
       ignore (Signer.of_raw "xx"))
+
+let test_signer_committee_keys () =
+  let committee = Shoalpp_dag.Committee.make ~n:7 ~cluster_seed:12 () in
+  for r = 0 to 6 do
+    checks
+      (Printf.sprintf "replica %d" r)
+      (Signer.raw (Signer.sign (Signer.keygen ~cluster_seed:12 ~replica:r) "m"))
+      (Signer.raw (Signer.sign (Shoalpp_dag.Committee.keypair committee r) "m"))
+  done
+
+let test_signer_unknown_id () =
+  let n = 4 in
+  let keys = Signer.registry ~cluster_seed:3 ~n in
+  let s = Signer.sign (Signer.keygen ~cluster_seed:3 ~replica:n) "m" in
+  checkb "id -1" false (Signer.verify keys (-1) "m" s);
+  checkb "id n" false (Signer.verify keys n "m" s)
 
 (* ------------------------------------------------------------------ *)
 (* Multisig *)
@@ -144,14 +213,16 @@ let test_multisig_roundtrip () =
   let agg = Multisig.aggregate ~n:7 (sigs_over ~cluster_seed:9 ~msg [ 0; 2; 5 ]) in
   checki "signers" 3 (Multisig.num_signers agg);
   check Alcotest.(list int) "signer ids" [ 0; 2; 5 ] (Bitset.to_list (Multisig.signers agg));
-  checkb "verifies" true (Multisig.verify ~cluster_seed:9 agg msg);
-  checkb "wrong message" false (Multisig.verify ~cluster_seed:9 agg "other")
+  let keys = Signer.registry ~cluster_seed:9 ~n:7 in
+  checkb "verifies" true (Multisig.verify keys agg msg);
+  checkb "wrong message" false (Multisig.verify keys agg "other")
 
 let test_multisig_order_insensitive () =
   let msg = "m" in
   let a = Multisig.aggregate ~n:5 (sigs_over ~cluster_seed:1 ~msg [ 3; 1; 4 ]) in
   let b = Multisig.aggregate ~n:5 (sigs_over ~cluster_seed:1 ~msg [ 1; 4; 3 ]) in
-  checkb "same aggregate verifies" true (Multisig.verify ~cluster_seed:1 a msg && Multisig.verify ~cluster_seed:1 b msg);
+  let keys = Signer.registry ~cluster_seed:1 ~n:5 in
+  checkb "same aggregate verifies" true (Multisig.verify keys a msg && Multisig.verify keys b msg);
   check Alcotest.(list int) "same signers" (Bitset.to_list (Multisig.signers a))
     (Bitset.to_list (Multisig.signers b))
 
@@ -171,7 +242,7 @@ let test_multisig_forgery_detected () =
   let honest = sigs_over ~cluster_seed:1 ~msg:"real" [ 0; 1 ] in
   let forged = (2, Signer.sign (Signer.keygen ~cluster_seed:1 ~replica:2) "fake") :: honest in
   let agg = Multisig.aggregate ~n:4 forged in
-  checkb "forgery rejected" false (Multisig.verify ~cluster_seed:1 agg "real")
+  checkb "forgery rejected" false (Multisig.verify (Signer.registry ~cluster_seed:1 ~n:4) agg "real")
 
 let test_multisig_wire_size () =
   let agg = Multisig.aggregate ~n:100 (sigs_over ~cluster_seed:1 ~msg:"m" [ 0; 99 ]) in
@@ -297,6 +368,10 @@ let suite =
         Alcotest.test_case "finalize twice raises" `Quick test_sha_finalize_twice_raises;
         Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
         Alcotest.test_case "hmac long key" `Quick test_hmac_long_key;
+        Alcotest.test_case "hmac_with matches reference" `Quick test_hmac_with_matches_reference;
+        Alcotest.test_case "hmac rfc4231 long key" `Quick test_hmac_rfc4231_long_key;
+        Alcotest.test_case "hmac key shared" `Quick test_hmac_key_shared;
+        Alcotest.test_case "padding spills a block" `Quick test_sha_padding_spills;
       ]
       @ qsuite [ prop_sha_incremental ] );
     ( "crypto.digest32",
@@ -310,6 +385,8 @@ let suite =
         Alcotest.test_case "sign/verify" `Quick test_signer_roundtrip;
         Alcotest.test_case "deterministic keys" `Quick test_signer_deterministic_keys;
         Alcotest.test_case "of_raw" `Quick test_signer_of_raw;
+        Alcotest.test_case "committee keys match keygen" `Quick test_signer_committee_keys;
+        Alcotest.test_case "unknown id rejected" `Quick test_signer_unknown_id;
       ] );
     ( "crypto.multisig",
       [

@@ -302,6 +302,33 @@ let test_validation_certificate_rules () =
     (Validation.validate_certified_node ~committee ~verify_signatures:true
        { Types.cn_node = other; cn_cert = cn.Types.cn_cert })
 
+(* A certificate may only name committee members: one real signer plus ids
+   5 and 6 (validly signed under the cluster seed, aggregated into a bitmap
+   sized 8) meets the n=4 quorum of 3 by count alone. Both the bitmap-size
+   rule and the multisig check must refuse it. *)
+let test_validation_certificate_foreign_signers () =
+  let node = make_node ~round:0 ~author:0 ~parents:[] () in
+  let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:node.Types.digest in
+  let outsider r =
+    (r, Signer.sign (Signer.keygen ~cluster_seed:committee.Committee.cluster_seed ~replica:r) preimage)
+  in
+  let cert =
+    {
+      Types.cert_ref = Types.ref_of_node node;
+      multisig =
+        Multisig.aggregate ~n:8
+          [ (0, Signer.sign (Committee.keypair committee 0) preimage); outsider 5; outsider 6 ];
+    }
+  in
+  expect_invalid "foreign signers, signatures checked"
+    (Validation.validate_certificate ~committee ~verify_signatures:true cert);
+  expect_invalid "foreign signers, signatures trusted"
+    (Validation.validate_certificate ~committee ~verify_signatures:false cert);
+  checkb "multisig refuses an 8-wide bitmap on a 4-key registry" false
+    (Multisig.verify committee.Committee.keys cert.Types.multisig preimage);
+  checkb "verify-pool check refuses it" false
+    (Validation.signatures_ok ~committee (Types.Certificate cert))
+
 (* ------------------------------------------------------------------ *)
 (* Store *)
 
@@ -492,6 +519,8 @@ let suite =
         Alcotest.test_case "digest binding" `Quick test_validation_digest_binding;
         Alcotest.test_case "author range" `Quick test_validation_author_range;
         Alcotest.test_case "certificate rules" `Quick test_validation_certificate_rules;
+        Alcotest.test_case "certificate foreign signers" `Quick
+          test_validation_certificate_foreign_signers;
       ] );
     ( "dag.store",
       [

@@ -118,8 +118,8 @@ let test_store_gc_then_counters_ignore_old () =
 let test_signer_cross_cluster_isolation () =
   let a = Signer.keygen ~cluster_seed:1 ~replica:0 in
   let s = Signer.sign a "m" in
-  checkb "verifies in own cluster" true (Signer.verify ~cluster_seed:1 0 "m" s);
-  checkb "rejected in other cluster" false (Signer.verify ~cluster_seed:2 0 "m" s)
+  checkb "verifies in own cluster" true (Signer.verify (Signer.registry ~cluster_seed:1 ~n:4) 0 "m" s);
+  checkb "rejected in other cluster" false (Signer.verify (Signer.registry ~cluster_seed:2 ~n:4) 0 "m" s)
 
 let test_reputation_slot_rotation_bounds () =
   let r = Reputation.create ~n:5 ~enabled:false () in

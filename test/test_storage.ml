@@ -18,6 +18,7 @@ module Batch = Shoalpp_workload.Batch
 module Transaction = Shoalpp_workload.Transaction
 module Wal = Shoalpp_storage.Wal
 module Checkpoint = Shoalpp_storage.Checkpoint
+module Wire = Shoalpp_codec.Wire
 module Sync = Shoalpp_sync.Sync
 module Engine = Shoalpp_sim.Engine
 module Trace = Shoalpp_sim.Trace
@@ -93,6 +94,7 @@ let test_wal_crash_mid_rotation () =
 
 let cluster_seed = 77
 let n = 4
+let keys = Signer.registry ~cluster_seed ~n
 
 let candidate =
   {
@@ -115,12 +117,12 @@ let votes_for c signers =
 
 let test_checkpoint_roundtrip () =
   let ck = Checkpoint.certify ~n candidate (votes_for candidate [ 0; 1; 3 ]) in
-  checkb "fresh cert verifies" true (Checkpoint.verify ~cluster_seed ~quorum:3 ck);
+  checkb "fresh cert verifies" true (Checkpoint.verify ~keys ~quorum:3 ck);
   let ck' = Checkpoint.decode ~cluster_seed ~n (Checkpoint.encode ck) in
   checki "seq roundtrips" (Checkpoint.seq ck) (Checkpoint.seq ck');
   checkb "state roundtrips" true (Digest32.equal (Checkpoint.state ck) (Checkpoint.state ck'));
   checkb "lanes roundtrip" true (Checkpoint.lanes ck = Checkpoint.lanes ck');
-  checkb "decoded cert verifies" true (Checkpoint.verify ~cluster_seed ~quorum:3 ck');
+  checkb "decoded cert verifies" true (Checkpoint.verify ~keys ~quorum:3 ck');
   (* wire_size models transport cost (candidate + multisig); the compact
      encoding regenerates the aggregate on decode, so it is never larger. *)
   checkb "wire size covers encoding" true
@@ -134,15 +136,35 @@ let test_checkpoint_forgery_refused () =
      cannot verify against the claimed one. *)
   let other = { candidate with Checkpoint.seq = candidate.Checkpoint.seq + 1 } in
   let forged = Checkpoint.certify ~n candidate (votes_for other [ 0; 1; 3 ]) in
-  checkb "tampered-digest cert refused" false (Checkpoint.verify ~cluster_seed ~quorum:3 forged);
+  checkb "tampered-digest cert refused" false (Checkpoint.verify ~keys ~quorum:3 forged);
   (* Sub-quorum signer bitmap. *)
   let thin = Checkpoint.certify ~n candidate (votes_for candidate [ 0; 2 ]) in
-  checkb "sub-quorum cert refused" false (Checkpoint.verify ~cluster_seed ~quorum:3 thin);
+  checkb "sub-quorum cert refused" false (Checkpoint.verify ~keys ~quorum:3 thin);
   (* A signer outside the registry is rejected at aggregation. *)
   checkb "out-of-range signer rejected" true
     (match Checkpoint.certify ~n candidate (votes_for candidate [ 0; 1; 9 ]) with
     | exception Invalid_argument _ -> true
     | _ -> false)
+
+(* A peer's checkpoint blob is untrusted: a signer id the committee does not
+   have, or one named twice, must surface as [Malformed] — the only exception
+   the replica's adoption and WAL-recovery paths catch — never as
+   [Invalid_argument] from aggregation. *)
+let blob_with_signers signers =
+  let w = Wire.Writer.create () in
+  Wire.Writer.list w (fun s -> Wire.Writer.uint w s) signers;
+  Checkpoint.encode_candidate candidate ^ Wire.Writer.contents w
+
+let test_checkpoint_decode_bad_signers () =
+  let decodes signers =
+    match Checkpoint.decode ~cluster_seed ~n (blob_with_signers signers) with
+    | _ -> `Decoded
+    | exception Wire.Reader.Malformed _ -> `Malformed
+  in
+  checkb "well-formed blob decodes" true (decodes [ 0; 1; 3 ] = `Decoded);
+  checkb "signer id = n is malformed" true (decodes [ 0; 1; n ] = `Malformed);
+  checkb "signer id > n is malformed" true (decodes [ 0; 1; 9 ] = `Malformed);
+  checkb "duplicate signer is malformed" true (decodes [ 0; 1; 1 ] = `Malformed)
 
 (* ------------------------------------------------------------------ *)
 (* Store: logical floor vs retain-gated physical floor.                *)
@@ -359,7 +381,7 @@ let test_checkpointed_crash_recover () =
   checkb "restarted from a checkpoint, not genesis" true (Replica.base_seq r > 0);
   checkb "adopted checkpoint is certified" true
     (match Replica.latest_checkpoint r with
-    | Some ck -> Checkpoint.verify ~cluster_seed:9 ~quorum:(Committee.quorum committee) ck
+    | Some ck -> Checkpoint.verify ~keys:committee.Committee.keys ~quorum:(Committee.quorum committee) ck
     | None -> false);
   checkb "caught up" false (Replica.catching_up r);
   let requests, certs = Replica.sync_stats r in
@@ -493,6 +515,8 @@ let suite =
         Alcotest.test_case "wal crash mid-rotation" `Quick test_wal_crash_mid_rotation;
         Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
         Alcotest.test_case "forged checkpoint refused" `Quick test_checkpoint_forgery_refused;
+        Alcotest.test_case "checkpoint blob with bad signers is malformed" `Quick
+          test_checkpoint_decode_bad_signers;
         Alcotest.test_case "store retain gate" `Quick test_store_retain_gate;
         Alcotest.test_case "sync server pages whole rounds" `Quick test_sync_server_pages_whole_rounds;
         Alcotest.test_case "sync server respects physical floor" `Quick test_sync_server_respects_physical_floor;
