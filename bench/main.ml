@@ -1065,6 +1065,17 @@ let micro () =
          })
   in
   let keys = committee.Shoalpp_dag.Committee.keys in
+  (* A checkpoint candidate shaped like the lifecycle's: 3 lanes, ~1 KB
+     driver resume blob each. *)
+  let module Checkpoint = Shoalpp_storage.Checkpoint in
+  let ck_candidate =
+    Checkpoint.candidate ~seq:4799
+      ~lanes:
+        (List.init 3 (fun dag_id ->
+             { Checkpoint.dag_id; round = 1600; resume = String.make 1000 (Char.chr (65 + dag_id)) }))
+      ~state:(Shoalpp_crypto.Digest32.of_string "state")
+  in
+  let ck_state = Shoalpp_crypto.Digest32.of_string "stream" in
   let tests =
     Test.make_grouped ~name:"substrate"
       [
@@ -1082,6 +1093,11 @@ let micro () =
           (Staged.stage (fun () -> ignore (Shoalpp_crypto.Multisig.verify keys aggregate "m")));
         Test.make ~name:"decode-certificate-11"
           (Staged.stage (fun () -> ignore (Types.decode_message ~cluster_seed:0 encoded_cert)));
+        Test.make ~name:"ck-candidate-digest"
+          (Staged.stage (fun () -> ignore (Checkpoint.digest ck_candidate)));
+        Test.make ~name:"ck-fold"
+          (Staged.stage (fun () ->
+               ignore (Checkpoint.fold_segment ck_state ~dag_id:1 ~round:1600 ~author:7)));
         Test.make ~name:"encode-proposal-500tx"
           (Staged.stage (fun () -> ignore (Types.encode_message (Types.Proposal node))));
         Test.make ~name:"decode-proposal-500tx"

@@ -95,6 +95,12 @@ type t = {
      the hot skip test during causal traversal must not allocate a tuple
      per visited node. *)
   ordered : (int, unit) Hashtbl.t;
+  (* Round bounds of [ordered]: every key's round lies in [lo, hi] (empty
+     when lo > hi). Snapshots and prunes walk these rounds by membership
+     instead of folding the whole table, so they cost the live window and
+     emit keys in ascending order without a sort. *)
+  mutable lo : int;
+  mutable hi : int;
   (* Memoized last complete [Store.causal_history] answer. A complete
      history is a pure function of (root, ordered set, store's retained
      floor): the first two are captured here and the entry is dropped
@@ -129,6 +135,8 @@ let create ?(obs = Obs.none) cfg hooks ~store =
     c_skipped = Obs.counter obs Anchors.(counter_name Skipped);
     c_segments = Obs.counter obs "dag.segments";
     ordered = Hashtbl.create 1024;
+    lo = max_int;
+    hi = min_int;
     history_cache = None;
     cur_round = 0;
     pending = [];
@@ -145,6 +153,23 @@ let anchors_of_round t round = Anchors.candidates t.cfg.mode t.rep ~round
 let current_anchor_round t = t.cur_round
 let pos_key t ~round ~author = (round * t.cfg.committee.Committee.n) + author
 let is_ordered t ~round ~author = Hashtbl.mem t.ordered (pos_key t ~round ~author)
+
+let mark_ordered t ~round ~author =
+  Hashtbl.replace t.ordered (pos_key t ~round ~author) ();
+  if round < t.lo then t.lo <- round;
+  if round > t.hi then t.hi <- round
+
+(* Ordered keys with rounds in [from, upto], ascending. *)
+let ordered_keys t ~from ~upto =
+  let n = t.cfg.committee.Committee.n in
+  let keys = ref [] in
+  for round = upto downto max from t.lo do
+    for author = n - 1 downto 0 do
+      let key = pos_key t ~round ~author in
+      if Hashtbl.mem t.ordered key then keys := key :: !keys
+    done
+  done;
+  !keys
 
 let stats t =
   {
@@ -278,7 +303,7 @@ let resolve_candidate t ~round ~author =
 let wint w v = Wire.Writer.uint w (v + 1)
 let rint rd = Wire.Reader.uint rd - 1
 
-let encode_snapshot t =
+let snapshot t =
   let w = Wire.Writer.create ~initial:256 () in
   Wire.Writer.uint w t.cur_round;
   Wire.Writer.list w (fun a -> Wire.Writer.uint w a) t.pending;
@@ -286,14 +311,9 @@ let encode_snapshot t =
   Wire.Writer.uint w t.skipped_anchors;
   let floor = Store.lowest_retained t.store in
   Wire.Writer.uint w floor;
-  let positions =
-    Hashtbl.fold
-      (fun key () acc ->
-        if key / t.cfg.committee.Committee.n >= floor then key :: acc else acc)
-      t.ordered []
-  in
-  (* Hashtbl iteration order must not leak into the (digested) blob. *)
-  Wire.Writer.list w (fun k -> Wire.Writer.uint w k) (List.sort Int.compare positions);
+  (* The round walk yields keys ascending: no table order reaches the
+     (digested) blob. *)
+  Wire.Writer.list w (fun k -> Wire.Writer.uint w k) (ordered_keys t ~from:floor ~upto:t.hi);
   let d = Reputation.dump t.rep in
   let ints l = Wire.Writer.list w (fun v -> wint w v) l in
   ints d.Reputation.d_scores;
@@ -314,7 +334,10 @@ let restore t blob =
   let floor = Wire.Reader.uint rd in
   let positions = Wire.Reader.list rd Wire.Reader.uint in
   Hashtbl.reset t.ordered;
-  List.iter (fun k -> Hashtbl.replace t.ordered k ()) positions;
+  t.lo <- max_int;
+  t.hi <- min_int;
+  let n = t.cfg.committee.Committee.n in
+  List.iter (fun k -> mark_ordered t ~round:(k / n) ~author:(k mod n)) positions;
   let ints () = Wire.Reader.list rd rint in
   let d_scores = ints () in
   let d_last_round = ints () in
@@ -344,11 +367,9 @@ let snapshot_floor blob =
   Wire.Reader.uint rd
 
 let prune_ordered t ~below =
-  let n = t.cfg.committee.Committee.n in
-  let doomed =
-    Hashtbl.fold (fun key () acc -> if key / n < below then key :: acc else acc) t.ordered []
-  in
-  List.iter (fun k -> Hashtbl.remove t.ordered k) doomed;
+  let doomed = ordered_keys t ~from:t.lo ~upto:(min t.hi (below - 1)) in
+  List.iter (Hashtbl.remove t.ordered) doomed;
+  if below > t.lo then t.lo <- below;
   if doomed <> [] then t.history_cache <- None;
   List.length doomed
 
@@ -376,9 +397,7 @@ let output_segment t ~round ~author ~kind ~finish =
       List.iter
         (fun (cn : Types.certified_node) ->
           let node = cn.Types.cn_node in
-          Hashtbl.replace t.ordered
-            (pos_key t ~round:node.Types.round ~author:node.Types.author)
-            ())
+          mark_ordered t ~round:node.Types.round ~author:node.Types.author)
         nodes;
       (* The ordered set grew: any memoized history is now stale. *)
       t.history_cache <- None;
@@ -422,7 +441,7 @@ let output_segment t ~round ~author ~kind ~finish =
       let deferred = finish () in
       let resume =
         if t.cfg.snapshot_every > 0 && t.segments mod t.cfg.snapshot_every = 0 then
-          Some (encode_snapshot t)
+          Some (snapshot t)
         else None
       in
       t.hooks.on_segment

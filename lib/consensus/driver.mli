@@ -128,7 +128,18 @@ val reputation : t -> Reputation.t
       state exactly: subsequent segments are identical to those a replica
       that replayed the whole prefix would emit;
     - [prune_ordered] only forgets ordered-set entries strictly below the
-      floor; membership queries at or above it are unaffected. *)
+      floor; membership queries at or above it are unaffected;
+    - [restore] then [snapshot], over a store whose retained floor is the
+      floor [restore] returned, gives back the restored blob byte for byte;
+    - [snapshot] and [prune_ordered] cost the rounds between the lowest and
+      highest ordered round (times [n]), never the table's bucket count; a
+      restored driver's bounds come from its blob, not from round 0. *)
+
+val snapshot : t -> string
+(** The {!segment.resume} blob for the driver's current state. Its
+    ordered-position window lists, ascending, every ordered position at or
+    above the store's retained floor; building it walks only the rounds the
+    ordered set spans. *)
 
 val restore : t -> string -> int
 (** Load a {!segment.resume} snapshot into a freshly created driver.

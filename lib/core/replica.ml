@@ -126,9 +126,6 @@ type t = {
    rotation/truncation. All inputs are deterministic functions of the
    committed prefix, so every correct replica votes for the same digest. *)
 
-let ck_fold st ~dag_id ~round ~author =
-  Digest32.of_string (Printf.sprintf "%s%d/%d/%d" (Digest32.raw st) dag_id round author)
-
 let ck_truncate t m =
   let rotate_one wal marks =
     let seg = Wal.rotate wal in
@@ -284,7 +281,7 @@ let ck_boundary t m ~seq =
              | None -> assert false)
            m.ck_lane_latest)
     in
-    let cand = { Checkpoint.seq; lanes; state = m.ck_state } in
+    let cand = Checkpoint.candidate ~seq ~lanes ~state:m.ck_state in
     m.ck_candidate <- Some cand;
     if not t.replaying then begin
       let committee = t.cfg.Config.committee in
@@ -311,8 +308,8 @@ let ck_observe t ~seq (segment : Driver.segment) =
   | Some m ->
     let anchor = segment.Driver.anchor in
     m.ck_state <-
-      ck_fold m.ck_state ~dag_id:segment.Driver.dag_id ~round:anchor.Types.ref_round
-        ~author:anchor.Types.ref_author;
+      Checkpoint.fold_segment m.ck_state ~dag_id:segment.Driver.dag_id
+        ~round:anchor.Types.ref_round ~author:anchor.Types.ref_author;
     (match segment.Driver.resume with
     | Some blob ->
       m.ck_lane_latest.(segment.Driver.dag_id) <- Some (anchor.Types.ref_round, blob)

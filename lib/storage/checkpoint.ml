@@ -6,7 +6,7 @@ module Wire = Shoalpp_codec.Wire
 
 type lane = { dag_id : int; round : int; resume : string }
 
-type candidate = { seq : int; lanes : lane list; state : Digest32.t }
+type candidate = { seq : int; lanes : lane list; state : Digest32.t; digest : Digest32.t }
 
 type t = { candidate : candidate; cert : Multisig.t }
 
@@ -20,6 +20,17 @@ let write_candidate w c =
     c.lanes;
   Wire.Writer.digest w c.state
 
+let encode_candidate c =
+  let w = Wire.Writer.create () in
+  write_candidate w c;
+  Wire.Writer.contents w
+
+(* The only constructor: the digest is taken here, once, and every later
+   [digest]/[preimage]/[sign]/[verify] reads it back. *)
+let candidate ~seq ~lanes ~state =
+  let c = { seq; lanes; state; digest = Digest32.zero } in
+  { c with digest = Digest32.of_string (encode_candidate c) }
+
 let read_candidate rd =
   let seq = Wire.Reader.uint rd in
   let lanes =
@@ -30,14 +41,15 @@ let read_candidate rd =
         { dag_id; round; resume })
   in
   let state = Wire.Reader.digest rd in
-  { seq; lanes; state }
+  candidate ~seq ~lanes ~state
 
-let encode_candidate c =
-  let w = Wire.Writer.create () in
-  write_candidate w c;
-  Wire.Writer.contents w
+let digest c = c.digest
 
-let digest c = Digest32.of_string (encode_candidate c)
+let fold_segment st ~dag_id ~round ~author =
+  Digest32.of_string
+    (String.concat ""
+       [ Digest32.raw st; string_of_int dag_id; "/"; string_of_int round; "/";
+         string_of_int author ])
 
 let preimage_of_digest d = "ckpt/" ^ Digest32.raw d
 let preimage c = preimage_of_digest (digest c)
@@ -49,6 +61,7 @@ let certify ~n candidate votes = { candidate; cert = Multisig.aggregate ~n votes
 let verify ~keys ~quorum t =
   Multisig.num_signers t.cert >= quorum && Multisig.verify keys t.cert (preimage t.candidate)
 
+let candidate_of t = t.candidate
 let seq t = t.candidate.seq
 let lanes t = t.candidate.lanes
 let state t = t.candidate.state

@@ -15,6 +15,10 @@
     - [digest]/[preimage] are pure functions of the candidate's wire
       encoding, so two replicas with byte-equal committed prefixes produce
       byte-equal checkpoint digests;
+    - the digest is computed once per candidate, when {!candidate} or
+      {!decode} builds it; [digest], [preimage], [sign] and [verify] read
+      the stored value, so a vote or certificate check never re-encodes
+      the candidate (each signature is still checked);
     - [verify] accepts only certificates whose signer bitmap meets the
       quorum {e and} whose aggregate verifies over this exact candidate —
       tampering with seq, any lane frontier, or the state digest breaks it;
@@ -26,14 +30,33 @@ type lane = { dag_id : int; round : int; resume : string }
     lane driver's opaque resume blob (ordered-window, pending anchors,
     reputation state). *)
 
-type candidate = { seq : int; lanes : lane list; state : Shoalpp_crypto.Digest32.t }
+type candidate = private {
+  seq : int;
+  lanes : lane list;
+  state : Shoalpp_crypto.Digest32.t;
+  digest : Shoalpp_crypto.Digest32.t;
+}
 (** [seq] is the last global sequence number the checkpoint covers; [lanes]
-    are sorted by [dag_id]; [state] is the running commit-stream digest. *)
+    are sorted by [dag_id]; [state] is the running commit-stream digest;
+    [digest] is the SHA-256 of {!encode_candidate}, fixed at construction. *)
+
+val candidate :
+  seq:int -> lanes:lane list -> state:Shoalpp_crypto.Digest32.t -> candidate
+(** Build a candidate and hash its encoding — the one digest computation in
+    its lifetime. *)
+
+val fold_segment :
+  Shoalpp_crypto.Digest32.t -> dag_id:int -> round:int -> author:int -> Shoalpp_crypto.Digest32.t
+(** Advance the running commit-stream digest by one merged segment: the
+    SHA-256 of the previous digest's raw bytes followed by the decimal
+    [dag_id ^ "/" ^ round ^ "/" ^ author] of the segment's anchor. *)
 
 type t
 (** A certified checkpoint: candidate + multisig over its digest. *)
 
 val digest : candidate -> Shoalpp_crypto.Digest32.t
+(** The stored digest: [Digest32.of_string (encode_candidate c)]. *)
+
 val preimage : candidate -> string
 (** The signed message: a domain-separated tag over {!digest}. *)
 
@@ -56,6 +79,10 @@ val certify :
 val verify : keys:Shoalpp_crypto.Signer.registry -> quorum:int -> t -> bool
 (** Quorum of signers and an aggregate that verifies against the
     committee's key registry. *)
+
+val candidate_of : t -> candidate
+(** The certified candidate, digest included (for a decoded checkpoint,
+    the digest {!decode} computed). *)
 
 val seq : t -> int
 val lanes : t -> lane list

@@ -415,6 +415,148 @@ let test_driver_stats_consistent () =
     stats.Driver.segments;
   checki "segments = emitted" (List.length ctx.segments) stats.Driver.segments
 
+(* ------------------------------------------------------------------ *)
+(* Checkpoint lifecycle: snapshots and prunes walk the ordered set's
+   round bounds. Each driver below is checked against a reference model of
+   its ordered set (every position it emitted, minus every pruned round),
+   over a seeded DAG with dropouts, so skips and indirect commits shift
+   the window. *)
+
+let snapshot_window blob =
+  (* The blob's leading fields, as [Driver.snapshot] writes them. *)
+  let rd = Shoalpp_codec.Wire.Reader.of_string blob in
+  let uint () = Shoalpp_codec.Wire.Reader.uint rd in
+  ignore (uint ()) (* cur_round *);
+  ignore (Shoalpp_codec.Wire.Reader.list rd Shoalpp_codec.Wire.Reader.uint) (* pending *);
+  ignore (uint ()) (* segments *);
+  ignore (uint ()) (* skipped_anchors *);
+  let floor = uint () in
+  (floor, Shoalpp_codec.Wire.Reader.list rd Shoalpp_codec.Wire.Reader.uint)
+
+type lifecycle = {
+  lstore : Store.t;
+  ldriver : Driver.t;
+  model : (int, unit) Hashtbl.t; (* reference ordered set: round * 4 + author *)
+  mutable blobs : string list; (* newest first *)
+  mutable log : (int * int * (int * int) list) list; (* newest first *)
+}
+
+let lifecycle_driver () =
+  let store = Store.create ~n:4 ~genesis_digest:committee.Committee.genesis in
+  let self = ref None in
+  let get () = Option.get !self in
+  let reference_keys l pred =
+    List.sort Int.compare (Hashtbl.fold (fun k () acc -> if pred k then k :: acc else acc) l.model [])
+  in
+  let on_segment (seg : Driver.segment) =
+    let l = get () in
+    let nodes =
+      List.map
+        (fun cn -> (cn.Types.cn_node.Types.round, cn.Types.cn_node.Types.author))
+        seg.Driver.nodes
+    in
+    List.iter (fun (r, a) -> Hashtbl.replace l.model ((r * 4) + a) ()) nodes;
+    l.log <- (seg.Driver.anchor.Types.ref_round, seg.Driver.anchor.Types.ref_author, nodes) :: l.log;
+    let blob = Option.get seg.Driver.resume in
+    l.blobs <- blob :: l.blobs;
+    let floor, window = snapshot_window blob in
+    checki "snapshot floor = store floor" (Store.lowest_retained l.lstore) floor;
+    checkb "snapshot window = reference keys >= floor, ascending" true
+      (window = reference_keys l (fun k -> k / 4 >= floor))
+  in
+  let request_gc ~round =
+    let l = get () in
+    ignore (Store.prune_below l.lstore ~round);
+    let expected = reference_keys l (fun k -> k / 4 < round) in
+    checki "prune_ordered count = keys below" (List.length expected)
+      (Driver.prune_ordered l.ldriver ~below:round);
+    List.iter (Hashtbl.remove l.model) expected
+  in
+  let cfg = { (Driver.default_config ~committee) with Driver.gc_depth = 3; snapshot_every = 1 } in
+  let driver =
+    Driver.create cfg
+      {
+        Driver.now = (fun () -> 0.0);
+        cert_ref =
+          (fun ~round ~author ->
+            Option.map (fun cn -> Types.ref_of_node cn.Types.cn_node) (Store.get store ~round ~author));
+        request_fetch = (fun _ -> ());
+        on_segment;
+        request_gc;
+        direct_guard = None;
+      }
+      ~store
+  in
+  let l = { lstore = store; ldriver = driver; model = Hashtbl.create 64; blobs = []; log = [] } in
+  self := Some l;
+  l
+
+(* Rounds [0, rounds) of a seeded DAG: each round drops one author, and
+   each node drops one parent, with probability 1/3 (quorums always hold). *)
+let seeded_rounds ~seed ~rounds =
+  let rng = Random.State.make [| seed |] in
+  let drop_one l =
+    if Random.State.int rng 3 = 0 then
+      let victim = List.nth l (Random.State.int rng (List.length l)) in
+      List.filter (fun x -> x != victim) l
+    else l
+  in
+  let prev = ref [] in
+  List.init rounds (fun round ->
+      let cns =
+        List.map
+          (fun author ->
+            let parents = if round = 0 then [] else drop_one !prev in
+            certify (make_node ~round ~author ~parents ()))
+          (drop_one [ 0; 1; 2; 3 ])
+      in
+      prev := List.map (fun cn -> Types.ref_of_node cn.Types.cn_node) cns;
+      cns)
+
+let feed l cns =
+  List.iter
+    (fun cn ->
+      ignore (Store.note_proposal l.lstore cn.Types.cn_node);
+      ignore (Store.add_certified l.lstore cn);
+      Driver.notify l.ldriver)
+    cns
+
+let test_driver_snapshot_and_prune_bounds () =
+  let dag = Array.of_list (seeded_rounds ~seed:11 ~rounds:60) in
+  let a = lifecycle_driver () in
+  Array.iteri (fun r cns -> if r < 40 then feed a cns) dag;
+  checkb "segments emitted" true (List.length a.log > 10);
+  let st = Driver.stats a.ldriver in
+  checkb "skips and indirect commits exercised" true
+    (st.Driver.skipped_anchors > 0 && st.Driver.indirect_commits > 0);
+  checkb "history pruned" true (Store.lowest_retained a.lstore > 20);
+  (* Restore the latest blob into a fresh driver over a store holding only
+     the rounds at or above the blob's floor: the restored bounds start
+     high, not at round 0. *)
+  let blob = List.hd a.blobs in
+  let b = lifecycle_driver () in
+  let floor = Driver.restore b.ldriver blob in
+  checki "restore returns the blob floor" (fst (snapshot_window blob)) floor;
+  ignore (Store.prune_below b.lstore ~round:floor);
+  Alcotest.(check string) "encode -> restore -> encode" blob (Driver.snapshot b.ldriver);
+  List.iter (fun k -> Hashtbl.replace b.model k ()) (snd (snapshot_window blob));
+  Array.iteri (fun r cns -> if r >= floor && r < 40 then feed b cns) dag;
+  (* The GC [a] ran after its last snapshot, replayed on [b]. *)
+  let below = Store.lowest_retained a.lstore in
+  ignore (Store.prune_below b.lstore ~round:below);
+  let expected = Hashtbl.fold (fun k () n -> if k / 4 < below then n + 1 else n) b.model 0 in
+  checki "restored prune count" expected (Driver.prune_ordered b.ldriver ~below);
+  Hashtbl.filter_map_inplace (fun k () -> if k / 4 < below then None else Some ()) b.model;
+  (* From here both drivers see the same rounds: the restored one must
+     emit the same segments and byte-identical snapshots. *)
+  let mark_a = List.length a.log and mark_b = List.length b.log in
+  Array.iteri (fun r cns -> if r >= 40 then (feed a cns; feed b cns)) dag;
+  let since mark l = List.filteri (fun i _ -> i < List.length l - mark) l in
+  checkb "restored driver emits" true (List.length b.log > mark_b);
+  checkb "same segments after restore" true (since mark_a a.log = since mark_b b.log);
+  checkb "same snapshots after restore" true
+    (since mark_a a.blobs = since mark_b b.blobs)
+
 let suite =
   [
     ( "consensus.reputation",
@@ -443,6 +585,8 @@ let suite =
         Alcotest.test_case "indirect skip" `Quick test_driver_indirect_skip;
         Alcotest.test_case "replicas agree" `Quick test_driver_two_replicas_agree;
         Alcotest.test_case "bullshark mode" `Quick test_driver_bullshark_mode;
+        Alcotest.test_case "snapshot and prune walk round bounds" `Quick
+          test_driver_snapshot_and_prune_bounds;
         Alcotest.test_case "gc requested" `Quick test_driver_gc_requested;
         Alcotest.test_case "stats consistent" `Quick test_driver_stats_consistent;
       ] );

@@ -97,16 +97,14 @@ let n = 4
 let keys = Signer.registry ~cluster_seed ~n
 
 let candidate =
-  {
-    Checkpoint.seq = 41;
-    lanes =
+  Checkpoint.candidate ~seq:41
+    ~lanes:
       [
         { Checkpoint.dag_id = 0; round = 14; resume = "blob0" };
         { Checkpoint.dag_id = 1; round = 13; resume = "blob1" };
         { Checkpoint.dag_id = 2; round = 13; resume = "" };
-      ];
-    state = Digest32.of_string "state-after-42-segments";
-  }
+      ]
+    ~state:(Digest32.of_string "state-after-42-segments")
 
 let votes_for c signers =
   List.map
@@ -128,15 +126,70 @@ let test_checkpoint_roundtrip () =
   checkb "wire size covers encoding" true
     (Checkpoint.wire_size ck >= String.length (Checkpoint.encode ck))
 
+(* The digest is stored at construction, not recomputed: it must still be
+   the hash of the candidate's encoding, for a built candidate and for one
+   that came off the wire. *)
+let test_checkpoint_digest_stored () =
+  let hashes_encoding label c =
+    checkb label true
+      (Digest32.equal (Checkpoint.digest c)
+         (Digest32.of_string (Checkpoint.encode_candidate c)))
+  in
+  hashes_encoding "constructed digest = hash of encoding" candidate;
+  let ck = Checkpoint.certify ~n candidate (votes_for candidate [ 0; 1; 3 ]) in
+  let decoded =
+    Checkpoint.candidate_of (Checkpoint.decode ~cluster_seed ~n (Checkpoint.encode ck))
+  in
+  hashes_encoding "decoded digest = hash of encoding" decoded;
+  checkb "decode keeps the digest" true
+    (Digest32.equal (Checkpoint.digest decoded) (Checkpoint.digest candidate));
+  checkb "preimage is the tag over the stored digest" true
+    (String.equal (Checkpoint.preimage candidate)
+       (Checkpoint.preimage_of_digest (Checkpoint.digest candidate)))
+
+(* The running commit-stream digest's preimage is the previous digest's
+   raw bytes, then "dag/round/author" in decimal — any other byte would
+   change every checkpoint digest. *)
+let test_checkpoint_fold_segment_bytes () =
+  let st = Digest32.of_string "stream" in
+  List.iter
+    (fun (dag_id, round, author) ->
+      let reference =
+        Digest32.of_string (Printf.sprintf "%s%d/%d/%d" (Digest32.raw st) dag_id round author)
+      in
+      checkb
+        (Printf.sprintf "fold %d/%d/%d" dag_id round author)
+        true
+        (Digest32.equal reference (Checkpoint.fold_segment st ~dag_id ~round ~author)))
+    [ (0, 0, 0); (2, 9, 10); (1, 99, 100); (0, 1600, 7); (9, 123_456_789, 49); (3, max_int, 0) ]
+
 (* A checkpoint whose certificate does not verify must never authorize
    pruning — these are the refusal cases [Replica]'s adopt/install paths
    gate on. *)
 let test_checkpoint_forgery_refused () =
   (* Votes cast over a different candidate (wrong digest): the aggregate
-     cannot verify against the claimed one. *)
-  let other = { candidate with Checkpoint.seq = candidate.Checkpoint.seq + 1 } in
-  let forged = Checkpoint.certify ~n candidate (votes_for other [ 0; 1; 3 ]) in
-  checkb "tampered-digest cert refused" false (Checkpoint.verify ~keys ~quorum:3 forged);
+     cannot verify against the claimed one, whichever field differs. *)
+  let c = candidate in
+  let lane0 = List.hd c.Checkpoint.lanes in
+  List.iter
+    (fun (label, other) ->
+      checkb (label ^ ": digest differs") false
+        (Digest32.equal (Checkpoint.digest other) (Checkpoint.digest c));
+      let forged = Checkpoint.certify ~n c (votes_for other [ 0; 1; 3 ]) in
+      checkb (label ^ ": cert refused") false (Checkpoint.verify ~keys ~quorum:3 forged))
+    [
+      ( "tampered seq",
+        Checkpoint.candidate ~seq:(c.Checkpoint.seq + 1) ~lanes:c.Checkpoint.lanes
+          ~state:c.Checkpoint.state );
+      ( "tampered lane",
+        Checkpoint.candidate ~seq:c.Checkpoint.seq
+          ~lanes:({ lane0 with Checkpoint.round = lane0.Checkpoint.round + 1 }
+                  :: List.tl c.Checkpoint.lanes)
+          ~state:c.Checkpoint.state );
+      ( "tampered state",
+        Checkpoint.candidate ~seq:c.Checkpoint.seq ~lanes:c.Checkpoint.lanes
+          ~state:(Digest32.of_string "another-stream") );
+    ];
   (* Sub-quorum signer bitmap. *)
   let thin = Checkpoint.certify ~n candidate (votes_for candidate [ 0; 2 ]) in
   checkb "sub-quorum cert refused" false (Checkpoint.verify ~keys ~quorum:3 thin);
@@ -396,6 +449,77 @@ let test_checkpointed_crash_recover () =
   in
   checkb "peers served the requests" true (served >= requests)
 
+(* A replica's checkpoint vote carries exactly the digest and signature
+   [Checkpoint] derives from the candidate: the stored digest changes no
+   byte on the wire. Votes are captured off the simulator's control plane
+   and checked against each replica's certified checkpoint. *)
+let test_replica_vote_matches_sign () =
+  let committee = Committee.make ~n:4 ~cluster_seed:9 () in
+  let protocol =
+    Config.with_checkpoint_interval
+      (Config.without_signature_checks (Config.shoalpp ~committee))
+      12
+  in
+  let world =
+    Shoalpp_backend.Backend_sim.make
+      ~topology:(Topology.clique ~regions:2 ~one_way_ms:20.0)
+      ~assignment:(Array.init 4 (fun i -> i mod 2))
+      ~fault:Shoalpp_sim.Fault_schedule.none
+      ~config:Shoalpp_backend.Backend_sim.default_net_config ~seed:3 ()
+  in
+  let base = Shoalpp_backend.Backend_sim.backend world in
+  let votes = Hashtbl.create 64 in
+  let record (env : Replica.envelope) =
+    match env.Replica.payload with
+    | Types.Checkpoint_vote { ck_seq; ck_digest; ck_voter; ck_signature } ->
+      Hashtbl.replace votes (ck_seq, ck_voter) (ck_digest, ck_signature)
+    | _ -> ()
+  in
+  let tap (tr : Replica.envelope Shoalpp_backend.Backend.Transport.t) =
+    {
+      tr with
+      Shoalpp_backend.Backend.Transport.broadcast =
+        (fun ~src ~size ~include_self env ->
+          record env;
+          tr.Shoalpp_backend.Backend.Transport.broadcast ~src ~size ~include_self env);
+    }
+  in
+  let backend =
+    {
+      base with
+      Shoalpp_backend.Backend.transport = tap base.Shoalpp_backend.Backend.transport;
+      control = Option.map tap base.Shoalpp_backend.Backend.control;
+    }
+  in
+  let replicas =
+    Array.init 4 (fun replica_id ->
+        Replica.create ~config:protocol ~replica_id ~backend
+          ~mempool:(Shoalpp_workload.Mempool.create ()) ())
+  in
+  Array.iter Replica.start replicas;
+  Shoalpp_backend.Backend_sim.run ~until:4_000.0 world;
+  Array.iter
+    (fun r ->
+      match Replica.latest_checkpoint r with
+      | None -> Alcotest.fail "no certified checkpoint"
+      | Some ck ->
+        (* Rebuilt from the fields, so its digest is hashed afresh. *)
+        let cand =
+          Checkpoint.candidate ~seq:(Checkpoint.seq ck) ~lanes:(Checkpoint.lanes ck)
+            ~state:(Checkpoint.state ck)
+        in
+        let voter = Replica.replica_id r in
+        (match Hashtbl.find_opt votes (Checkpoint.seq ck, voter) with
+        | None -> Alcotest.fail "replica sent no vote for its checkpoint"
+        | Some (digest, signature) ->
+          checkb "vote digest = Checkpoint.digest" true
+            (Digest32.equal digest (Checkpoint.digest cand));
+          Alcotest.(check string)
+            "vote signature = Checkpoint.sign"
+            (Signer.raw (Checkpoint.sign (Committee.keypair committee voter) cand))
+            (Signer.raw signature)))
+    replicas
+
 (* ------------------------------------------------------------------ *)
 (* The recovery-prefix audit over hand-built logs: a rebuilt log must
    extend the pre-crash log in global-sequence coordinates, and entries
@@ -514,6 +638,8 @@ let suite =
         Alcotest.test_case "wal replay across segment boundary" `Quick test_wal_segment_boundary_replay;
         Alcotest.test_case "wal crash mid-rotation" `Quick test_wal_crash_mid_rotation;
         Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
+        Alcotest.test_case "checkpoint digest stored" `Quick test_checkpoint_digest_stored;
+        Alcotest.test_case "checkpoint fold bytes" `Quick test_checkpoint_fold_segment_bytes;
         Alcotest.test_case "forged checkpoint refused" `Quick test_checkpoint_forgery_refused;
         Alcotest.test_case "checkpoint blob with bad signers is malformed" `Quick
           test_checkpoint_decode_bad_signers;
@@ -523,6 +649,7 @@ let suite =
         Alcotest.test_case "sync client O(gap) requests" `Quick test_sync_client_o_gap_requests;
         Alcotest.test_case "sync client rotates on no-progress" `Quick test_sync_client_rotates_on_no_progress;
         Alcotest.test_case "checkpointed crash-recover" `Slow test_checkpointed_crash_recover;
+        Alcotest.test_case "replica vote = Checkpoint.sign" `Quick test_replica_vote_matches_sign;
         Alcotest.test_case "recovery audit verdicts" `Quick test_recovery_audit_verdicts;
         Alcotest.test_case "node restart: recovery audited" `Slow test_node_restart_recovery_audit;
         Alcotest.test_case "determinism: checkpointing on vs off" `Slow test_golden_determinism_on_vs_off;

@@ -105,6 +105,8 @@ let default =
            wire — both must iterate deterministically *)
         "lib/storage/checkpoint.ml";
         "lib/sync/sync.ml";
+        (* the driver's snapshot blob is part of a checkpoint-digest preimage *)
+        "lib/consensus/driver.ml";
         (* socket emission: frame batches feed the wire, whose bytes the
            cross-transport golden test compares — iteration must be stable *)
         "lib/backend/tcp_transport.ml";
@@ -131,6 +133,8 @@ let default =
            on protocol coordinates (rounds, refs, signer indices) *)
         "lib/storage/checkpoint.ml";
         "lib/sync/sync.ml";
+        (* the driver's snapshot blob is part of a checkpoint-digest preimage *)
+        "lib/consensus/driver.ml";
         (* the shared run audit compares segment identities across replicas *)
         "lib/runtime/harness.ml";
       ];
