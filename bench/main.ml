@@ -655,7 +655,7 @@ let mem () =
   let module Config = Shoalpp_core.Config in
   let module Committee = Shoalpp_dag.Committee in
   let module Telemetry = Shoalpp_support.Telemetry in
-  let module Metrics = Shoalpp_runtime.Metrics in
+  let module Ledger = Shoalpp_runtime.Ledger in
   let ints_env name default =
     match Sys.getenv_opt name with
     | None -> default
@@ -699,7 +699,7 @@ let mem () =
     let live_after = (Gc.stat ()).Gc.live_words in
     let retained = max 0 (live_after - live_before) in
     let snap = Telemetry.snapshot (Cluster.telemetry cluster) in
-    let committed = Metrics.committed (Cluster.metrics cluster) in
+    let committed = Ledger.committed (Cluster.ledger cluster) in
     let pruned = Telemetry.snap_counter snap "gc.pruned_vertices" in
     let certified = Telemetry.snap_counter snap "ck.certified" in
     let events = Cluster.events_fired cluster in

@@ -8,7 +8,6 @@ module Faults = Shoalpp_sim.Faults
 module Transaction = Shoalpp_workload.Transaction
 module Client = Shoalpp_workload.Client
 module Mempool = Shoalpp_workload.Mempool
-module Metrics = Shoalpp_runtime.Metrics
 module Report = Shoalpp_runtime.Report
 module Ledger = Shoalpp_runtime.Ledger
 module Anchors = Shoalpp_consensus.Anchors
@@ -101,8 +100,7 @@ type replica = {
   id : int;
   setup : setup;
   backend : msg Backend.t;
-  metrics : Metrics.t;
-  ledger : Ledger.t; (* shared per-commit latency ledger *)
+  ledger : Ledger.t; (* the cluster's one latency sink *)
   mutable ordered_seq : int; (* position of the next committed block *)
   genesis_qc : qc;
   pool : (int, tx_state) Hashtbl.t; (* txid -> state *)
@@ -142,9 +140,6 @@ type replica = {
   c_withheld : Telemetry.counter option;
   c_delayed : Telemetry.counter option;
   c_syncs : Telemetry.counter option;
-  h_submit_block : Telemetry.Histogram.t option;
-  h_block_commit : Telemetry.Histogram.t option;
-  h_e2e : Telemetry.Histogram.t option;
 }
 
 let rep_lag = 6
@@ -196,15 +191,10 @@ let commit_block t (b : block) =
     (fun (tx : Transaction.t) ->
       if not (Hashtbl.mem t.committed_ids tx.Transaction.id) then begin
         Hashtbl.replace t.committed_ids tx.Transaction.id ();
-        Metrics.observe_commit t.metrics ~origin_ordered:(tx.Transaction.origin = t.id) ~tx ~now;
-        if tx.Transaction.origin = t.id then begin
-          let submitted = tx.Transaction.submitted_at in
-          Obs.observe_h t.h_submit_block (b.jb_created_at -. submitted);
-          Obs.observe_h t.h_block_commit (now -. b.jb_created_at);
-          Obs.observe_h t.h_e2e (now -. submitted);
-          (* Chain protocol: block creation is both batching and inclusion,
-             and a 2-chain commit is final order — the middle stages
-             collapse, which is exactly what the attribution should show. *)
+        (* Chain protocol: block creation is both batching and inclusion,
+           and a 2-chain commit is final order — those stages collapse to
+           0, which is exactly what the attribution should show. *)
+        if tx.Transaction.origin = t.id then
           Ledger.record t.ledger
             {
               Ledger.le_tx = tx.Transaction.id;
@@ -212,13 +202,12 @@ let commit_block t (b : block) =
               le_dag = 0;
               le_rule = Anchors.Certified_direct;
               le_seq = seq;
-              le_submitted = submitted;
+              le_submitted = tx.Transaction.submitted_at;
               le_batched = b.jb_created_at;
               le_included = b.jb_created_at;
               le_committed = now;
               le_ordered = now;
             }
-        end
       end)
     b.jb_txns
 
@@ -501,7 +490,6 @@ type cluster = {
   c_world : msg Backend_sim.t;
   c_backend : msg Backend.t;
   c_replicas : replica array;
-  c_metrics : Metrics.t;
   c_telemetry : Telemetry.t;
   c_ledger : Ledger.t;
   c_clients : Client.t option array;
@@ -523,9 +511,8 @@ let create setup =
       ~seed:setup.seed ()
   in
   let backend = Backend_sim.backend world in
-  let metrics = Metrics.create ~warmup_ms:setup.warmup_ms () in
   let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry () in
+  let ledger = Ledger.create ~telemetry ~warmup_ms:setup.warmup_ms () in
   let genesis_qc =
     { qc_round = -1; qc_digest = committee.Committee.genesis; qc_signers = [] }
   in
@@ -536,7 +523,6 @@ let create setup =
           id;
           setup;
           backend;
-          metrics;
           ledger;
           ordered_seq = 0;
           genesis_qc;
@@ -570,9 +556,6 @@ let create setup =
           c_withheld = Obs.counter obs "fault.withheld_proposals";
           c_delayed = Obs.counter obs "fault.delayed_votes";
           c_syncs = Obs.counter obs "dag.fetches";
-          h_submit_block = Obs.histogram obs "stage.submit_to_batch";
-          h_block_commit = Obs.histogram obs "stage.proposal_to_commit";
-          h_e2e = Obs.histogram obs "latency.e2e";
         })
   in
   Array.iter
@@ -583,7 +566,6 @@ let create setup =
     c_world = world;
     c_backend = backend;
     c_replicas = replicas;
-    c_metrics = metrics;
     c_telemetry = telemetry;
     c_ledger = ledger;
     c_clients = Array.make n None;
@@ -645,28 +627,12 @@ let recover_now c ~next_id i =
   end
 
 let schedule_scenario c ~next_id =
-  let n = Array.length c.c_replicas in
-  let scenario = c.c_setup.scenario in
-  List.iter
-    (fun (replica, at) ->
-      ignore (Backend.schedule_at c.c_backend ~at (fun () -> apply_crash c replica)))
-    (Faults.timed_crashes scenario ~n);
-  List.iter
-    (fun (replica, _crash_at, recover_at) ->
-      ignore
-        (Backend.schedule_at c.c_backend ~at:recover_at (fun () ->
-             recover_now c ~next_id replica)))
-    (Faults.crash_recoveries scenario ~n);
-  List.iter
-    (fun (from_time, until_time, _minority) ->
-      ignore
-        (Backend.schedule_at c.c_backend ~at:from_time (fun () ->
-             Telemetry.incr_named c.c_telemetry "fault.partitions_opened"));
-      if until_time < infinity then
-        ignore
-          (Backend.schedule_at c.c_backend ~at:until_time (fun () ->
-               Telemetry.incr_named c.c_telemetry "fault.partitions_healed")))
-    (Faults.partition_windows scenario ~n)
+  Faults.schedule_events c.c_setup.scenario ~n:(Array.length c.c_replicas)
+    ~schedule_at:(fun at f -> ignore (Backend.schedule_at c.c_backend ~at f))
+    ~crash:(apply_crash c) ~recover:(recover_now c ~next_id)
+    ~partition:(fun ~opened ~time:_ ~minority:_ ->
+      Telemetry.incr_named c.c_telemetry
+        (if opened then "fault.partitions_opened" else "fault.partitions_healed"))
 
 let start c =
   if not c.c_started then begin
@@ -695,7 +661,6 @@ let crash_now c i =
   match c.c_clients.(i) with Some cl -> Client.stop cl | None -> ()
 
 let events_fired c = Backend_sim.events_fired c.c_world
-let metrics c = c.c_metrics
 let telemetry c = c.c_telemetry
 let ledger c = c.c_ledger
 
@@ -703,7 +668,7 @@ let report c ~duration_ms =
   let net_stats = Backend.stats c.c_backend in
   let submitted = Array.fold_left (fun acc m -> acc + Mempool.submitted m) 0 c.c_mempools in
   Report.make ~name:"jolteon" ~n:(Array.length c.c_replicas) ~load_tps:c.c_setup.load_tps
-    ~duration_ms ~submitted ~metrics:c.c_metrics
+    ~duration_ms ~submitted ~ledger:c.c_ledger
     ~direct_commits:
       (Array.fold_left (fun acc r -> acc + List.length r.committed_log) 0 c.c_replicas)
     ~messages_sent:net_stats.Backend.Transport.sent

@@ -65,18 +65,19 @@ val crash_now : cluster -> int -> unit
 val events_fired : cluster -> int
 (** Simulation events fired so far (reporting). *)
 
-val metrics : cluster -> Shoalpp_runtime.Metrics.t
-
 val telemetry : cluster -> Shoalpp_support.Telemetry.t
 (** Shared registry: [commit.certified_direct] (2-chain commits),
-    [dag.timeouts], and the stage histograms comparable with the DAG family
-    ([stage.submit_to_batch], [stage.proposal_to_commit], [latency.e2e]). *)
+    [dag.timeouts], and the ledger's latency instruments, named as for the
+    DAG family ([stage.*], [latency.e2e], [dag0.*], [ledger.dag0.*]). *)
 
 val ledger : cluster -> Shoalpp_runtime.Ledger.t
-(** Shared per-commit latency ledger: every origin transaction recorded at
-    its 2-chain commit under [Certified_direct], with the batch/inclusion
-    stages collapsed onto block creation (a chain protocol has no separate
-    DAG-inclusion step — the attribution shows that collapse explicitly). *)
+(** The cluster's one latency sink, warmup cut at [setup.warmup_ms]: every
+    origin transaction is recorded once, at its 2-chain commit, under
+    [Certified_direct], with the batch/inclusion stages collapsed onto
+    block creation and commit equal to order (a chain protocol has no
+    separate DAG-inclusion or merge step — the attribution shows both
+    collapses as zero stages). The report reads its latency and
+    throughput from here. *)
 
 val report : cluster -> duration_ms:float -> Shoalpp_runtime.Report.t
 

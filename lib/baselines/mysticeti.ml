@@ -15,7 +15,6 @@ module Batch = Shoalpp_workload.Batch
 module Transaction = Shoalpp_workload.Transaction
 module Client = Shoalpp_workload.Client
 module Mempool = Shoalpp_workload.Mempool
-module Metrics = Shoalpp_runtime.Metrics
 module Report = Shoalpp_runtime.Report
 module Ledger = Shoalpp_runtime.Ledger
 module Harness = Shoalpp_runtime.Harness
@@ -83,7 +82,6 @@ type replica = {
   id : int;
   setup : setup;
   backend : msg Backend.t;
-  metrics : Metrics.t;
   mempool : Mempool.t;
   store : Store.t;
   driver : Driver.t;
@@ -111,9 +109,6 @@ type replica = {
   c_equiv : Telemetry.counter option;
   c_withheld : Telemetry.counter option;
   c_delayed : Telemetry.counter option;
-  h_submit_block : Telemetry.Histogram.t option;
-  h_block_commit : Telemetry.Histogram.t option;
-  h_e2e : Telemetry.Histogram.t option;
 }
 
 let quorum r = Committee.quorum r.setup.committee
@@ -341,7 +336,6 @@ type cluster = {
   c_world : msg Backend_sim.t;
   c_backend : msg Backend.t;
   c_replicas : replica array;
-  c_metrics : Metrics.t;
   c_telemetry : Telemetry.t;
   c_ledger : Ledger.t;
   c_clients : Client.t option array;
@@ -349,15 +343,12 @@ type cluster = {
   mutable c_started : bool;
 }
 
-let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
+let make_replica setup ~backend ~telemetry ~ledger id =
   let committee = setup.committee in
   let store =
     Store.create ~n:committee.Committee.n ~genesis_digest:committee.Committee.genesis
   in
   let obs = Obs.make ?trace:setup.trace ~telemetry ~replica:id ~instance:0 () in
-  let h_submit_block = Obs.histogram obs "stage.submit_to_batch" in
-  let h_block_commit = Obs.histogram obs "stage.proposal_to_commit" in
-  let h_e2e = Obs.histogram obs "latency.e2e" in
   let log = ref [] in
   let next_seq = ref 0 in
   let replica_ref = ref None in
@@ -397,13 +388,7 @@ let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
                 let batch = node.Types.batch in
                 List.iter
                   (fun (tx : Transaction.t) ->
-                    Metrics.observe_commit metrics
-                      ~origin_ordered:(tx.Transaction.origin = id) ~tx ~now;
-                    if tx.Transaction.origin = id then begin
-                      let submitted = tx.Transaction.submitted_at in
-                      Obs.observe_h h_submit_block (batch.Batch.created_at -. submitted);
-                      Obs.observe_h h_block_commit (now -. node.Types.created_at);
-                      Obs.observe_h h_e2e (now -. submitted);
+                    if tx.Transaction.origin = id then
                       Ledger.record ledger
                         {
                           Ledger.le_tx = tx.Transaction.id;
@@ -411,13 +396,12 @@ let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
                           le_dag = 0;
                           le_rule = Ledger.rule_of_kind segment.Driver.kind;
                           le_seq = seq;
-                          le_submitted = submitted;
+                          le_submitted = tx.Transaction.submitted_at;
                           le_batched = batch.Batch.created_at;
                           le_included = node.Types.created_at;
                           le_committed = segment.Driver.committed_at;
                           le_ordered = now;
-                        }
-                    end)
+                        })
                   batch.Batch.txns)
               segment.Driver.nodes);
         request_gc = (fun ~round -> ignore (Store.prune_below store ~round));
@@ -436,7 +420,6 @@ let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
       id;
       setup;
       backend;
-      metrics;
       mempool = Mempool.create ();
       store;
       driver;
@@ -462,9 +445,6 @@ let make_replica setup ~backend ~metrics ~telemetry ~ledger id =
       c_equiv = Obs.counter obs "fault.equivocations";
       c_withheld = Obs.counter obs "fault.withheld_proposals";
       c_delayed = Obs.counter obs "fault.delayed_votes";
-      h_submit_block;
-      h_block_commit;
-      h_e2e;
     }
   in
   replica_ref := Some r;
@@ -481,11 +461,10 @@ let create setup =
       ~seed:setup.seed ()
   in
   let backend = Backend_sim.backend world in
-  let metrics = Metrics.create ~warmup_ms:setup.warmup_ms () in
   let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry () in
+  let ledger = Ledger.create ~telemetry ~warmup_ms:setup.warmup_ms () in
   let replicas =
-    Array.init n (fun id -> make_replica setup ~backend ~metrics ~telemetry ~ledger id)
+    Array.init n (fun id -> make_replica setup ~backend ~telemetry ~ledger id)
   in
   Array.iter
     (fun r -> Backend.set_handler backend r.id (fun ~src:_ msg -> handle_message r msg))
@@ -495,7 +474,6 @@ let create setup =
     c_world = world;
     c_backend = backend;
     c_replicas = replicas;
-    c_metrics = metrics;
     c_telemetry = telemetry;
     c_ledger = ledger;
     c_clients = Array.make n None;
@@ -542,28 +520,12 @@ let recover_now c ~next_id i =
   end
 
 let schedule_scenario c ~next_id =
-  let n = Array.length c.c_replicas in
-  let scenario = c.c_setup.scenario in
-  List.iter
-    (fun (replica, at) ->
-      ignore (Backend.schedule_at c.c_backend ~at (fun () -> apply_crash c replica)))
-    (Faults.timed_crashes scenario ~n);
-  List.iter
-    (fun (replica, _crash_at, recover_at) ->
-      ignore
-        (Backend.schedule_at c.c_backend ~at:recover_at (fun () ->
-             recover_now c ~next_id replica)))
-    (Faults.crash_recoveries scenario ~n);
-  List.iter
-    (fun (from_time, until_time, _minority) ->
-      ignore
-        (Backend.schedule_at c.c_backend ~at:from_time (fun () ->
-             Telemetry.incr_named c.c_telemetry "fault.partitions_opened"));
-      if until_time < infinity then
-        ignore
-          (Backend.schedule_at c.c_backend ~at:until_time (fun () ->
-               Telemetry.incr_named c.c_telemetry "fault.partitions_healed")))
-    (Faults.partition_windows scenario ~n)
+  Faults.schedule_events c.c_setup.scenario ~n:(Array.length c.c_replicas)
+    ~schedule_at:(fun at f -> ignore (Backend.schedule_at c.c_backend ~at f))
+    ~crash:(apply_crash c) ~recover:(recover_now c ~next_id)
+    ~partition:(fun ~opened ~time:_ ~minority:_ ->
+      Telemetry.incr_named c.c_telemetry
+        (if opened then "fault.partitions_opened" else "fault.partitions_healed"))
 
 let start c =
   if not c.c_started then begin
@@ -593,7 +555,6 @@ let set_fault c fault =
   Backend_sim.set_fault c.c_world fault
 
 let events_fired c = Backend_sim.events_fired c.c_world
-let metrics c = c.c_metrics
 let telemetry c = c.c_telemetry
 let ledger c = c.c_ledger
 
@@ -606,7 +567,7 @@ let report c ~duration_ms =
     Array.fold_left (fun acc r -> acc + f (Driver.stats r.driver)) 0 c.c_replicas
   in
   Report.make ~name:"mysticeti" ~n:(Array.length c.c_replicas) ~load_tps:c.c_setup.load_tps
-    ~duration_ms ~submitted ~metrics:c.c_metrics
+    ~duration_ms ~submitted ~ledger:c.c_ledger
     ~direct_commits:(sum (fun s -> s.Driver.direct_commits))
     ~indirect_commits:(sum (fun s -> s.Driver.indirect_commits))
     ~skipped_anchors:(sum (fun s -> s.Driver.skipped_anchors))

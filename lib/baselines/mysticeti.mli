@@ -63,17 +63,16 @@ val crash_now : cluster -> int -> unit
 val events_fired : cluster -> int
 (** Simulation events fired so far (reporting). *)
 
-val metrics : cluster -> Shoalpp_runtime.Metrics.t
-
 val telemetry : cluster -> Shoalpp_support.Telemetry.t
 (** Shared registry: driver [commit.*] rule counters, [dag.proposals],
-    [dag.fetches] (critical-path fetches), [dag.timeouts], and the stage
-    histograms comparable with the DAG family. *)
+    [dag.fetches] (critical-path fetches), [dag.timeouts], and the ledger's
+    latency instruments, named as for the DAG family. *)
 
 val ledger : cluster -> Shoalpp_runtime.Ledger.t
-(** Shared per-commit latency ledger: every origin transaction recorded at
-    its segment commit, tagged with the driver's commit rule (single DAG,
-    so all entries carry lane 0). *)
+(** The cluster's one latency sink, warmup cut at [setup.warmup_ms]: every
+    origin transaction is recorded once, at its segment commit, tagged with
+    the driver's commit rule (single DAG, so all entries carry lane 0).
+    The report reads its latency and throughput from here. *)
 
 val report : cluster -> duration_ms:float -> Shoalpp_runtime.Report.t
 val set_fault : cluster -> Shoalpp_sim.Fault_schedule.t -> unit

@@ -1,5 +1,5 @@
 module Experiment = Shoalpp_runtime.Experiment
-module Metrics = Shoalpp_runtime.Metrics
+module Ledger = Shoalpp_runtime.Ledger
 module Committee = Shoalpp_dag.Committee
 module Fault_schedule = Shoalpp_sim.Fault_schedule
 
@@ -52,8 +52,8 @@ let jolteon_runner (p : Experiment.params) : Experiment.outcome =
   {
     Experiment.report = Jolteon.report c ~duration_ms:p.Experiment.duration_ms;
     audit_ok = Jolteon.committed_consistent c;
-    throughput_series = Metrics.throughput_series (Jolteon.metrics c);
-    latency_series = Metrics.latency_series (Jolteon.metrics c);
+    throughput_series = Ledger.throughput_series (Jolteon.ledger c);
+    latency_series = Ledger.latency_series (Jolteon.ledger c);
     requeued = 0;
     events_fired = Jolteon.events_fired c;
     events = events_of_trace trace;
@@ -87,8 +87,8 @@ let mysticeti_runner (p : Experiment.params) : Experiment.outcome =
   {
     Experiment.report = Mysticeti.report c ~duration_ms:p.Experiment.duration_ms;
     audit_ok = Mysticeti.logs_consistent c;
-    throughput_series = Metrics.throughput_series (Mysticeti.metrics c);
-    latency_series = Metrics.latency_series (Mysticeti.metrics c);
+    throughput_series = Ledger.throughput_series (Mysticeti.ledger c);
+    latency_series = Ledger.latency_series (Mysticeti.ledger c);
     requeued = 0;
     events_fired = Mysticeti.events_fired c;
     events = events_of_trace trace;

@@ -57,8 +57,6 @@ type dag_lane = {
   server : Sync.Server.t; (* answers peers' catch-up requests from our store *)
   mutable sync_client : Sync.Client.t option; (* present while catching up *)
   mutable ck_marks : int list; (* WAL segment ids opened at checkpoints, newest first *)
-  c_lane_txns : Telemetry.counter option; (* dag<k>.txns, origin-only *)
-  h_lane_latency : Telemetry.Histogram.t option; (* dag<k>.latency, origin-only *)
 }
 
 (* Checkpoint manager: runs at the Alg. 3 merge point (the only place the
@@ -88,14 +86,6 @@ type t = {
   mutable lanes : dag_lane array;
   on_ordered : (ordered -> unit) option;
   obs : Obs.t;
-  (* Per-stage latency decomposition of the commit path, recorded once per
-     transaction at its origin replica (origin-only: the shared registry
-     sums counters across replicas, so each tx must be counted once). *)
-  h_submit_batch : Telemetry.Histogram.t option; (* submit -> mempool pull *)
-  h_batch_prop : Telemetry.Histogram.t option; (* batch -> DAG proposal *)
-  h_prop_commit : Telemetry.Histogram.t option; (* proposal -> anchor commit *)
-  h_commit_order : Telemetry.Histogram.t option; (* commit -> global order *)
-  h_e2e : Telemetry.Histogram.t option;
   mutable next_lane : int; (* round-robin cursor of Alg. 3 *)
   mutable global_seq : int;
   mutable txns_ordered : int;
@@ -104,10 +94,10 @@ type t = {
   mutable crashed : bool;
   (* Scenario-driven misbehaviour, queried at send time: None = honest. *)
   byzantine : float -> Faults.byz_kind option;
-  mutable replaying : bool; (* WAL replay in progress: sends muted, metrics skipped *)
+  mutable replaying : bool; (* WAL replay in progress: sends muted *)
   ck : ck_mgr option; (* Some iff checkpoint_interval > 0 *)
   mutable base_seq : int; (* first global seq of the post-recovery log (audit offset) *)
-  mutable catching_up : bool; (* peer sync in progress: latency metrics skipped *)
+  mutable catching_up : bool; (* peer sync in progress *)
   mutable syncing_lanes : int; (* lanes whose sync client has not finished *)
   mutable ck_fetch_attempt : int; (* peer rotation for checkpoint adoption; -1 = idle *)
   on_caught_up : (unit -> unit) option;
@@ -327,32 +317,15 @@ let rec drain t =
       t.global_seq <- t.global_seq + 1;
       t.next_lane <- (t.next_lane + 1) mod Array.length t.lanes;
       let ordered_at = Backend.now t.backend in
-      let committed_at = segment.Driver.committed_at in
       let ntx = ref 0 in
       List.iter
         (fun (cn : Types.certified_node) ->
-          let node = cn.Types.cn_node in
-          let batch = node.Types.batch in
           List.iter
             (fun (tx : Shoalpp_workload.Transaction.t) ->
               incr ntx;
-              if tx.Shoalpp_workload.Transaction.origin = t.id then begin
-                Hashtbl.replace t.committed_own tx.Shoalpp_workload.Transaction.id ();
-                (* Replayed (or catch-up) re-orderings must not re-observe
-                   latency: the transactions were measured when first
-                   committed. *)
-                if not (t.replaying || t.catching_up) then begin
-                  let submitted = tx.Shoalpp_workload.Transaction.submitted_at in
-                  Obs.observe_h t.h_submit_batch (batch.Batch.created_at -. submitted);
-                  Obs.observe_h t.h_batch_prop (node.Types.created_at -. batch.Batch.created_at);
-                  Obs.observe_h t.h_prop_commit (committed_at -. node.Types.created_at);
-                  Obs.observe_h t.h_commit_order (ordered_at -. committed_at);
-                  Obs.observe_h t.h_e2e (ordered_at -. submitted);
-                  Obs.incr_c lane.c_lane_txns;
-                  Obs.observe_h lane.h_lane_latency (ordered_at -. submitted)
-                end
-              end)
-            batch.Batch.txns)
+              if tx.Shoalpp_workload.Transaction.origin = t.id then
+                Hashtbl.replace t.committed_own tx.Shoalpp_workload.Transaction.id ())
+            cn.Types.cn_node.Types.batch.Batch.txns)
         segment.Driver.nodes;
       t.txns_ordered <- t.txns_ordered + !ntx;
       Obs.event
@@ -591,8 +564,6 @@ let make_lane t dag_id =
         ();
     sync_client = None;
     ck_marks = [];
-    c_lane_txns = Obs.counter t.obs (Printf.sprintf "dag%d.txns" dag_id);
-    h_lane_latency = Obs.histogram t.obs (Printf.sprintf "dag%d.latency" dag_id);
   }
 
 (* --- peer catch-up sync -------------------------------------------------
@@ -838,11 +809,6 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
       lanes = [||];
       on_ordered;
       obs;
-      h_submit_batch = Obs.histogram obs "stage.submit_to_batch";
-      h_batch_prop = Obs.histogram obs "stage.batch_to_proposal";
-      h_prop_commit = Obs.histogram obs "stage.proposal_to_commit";
-      h_commit_order = Obs.histogram obs "stage.commit_to_order";
-      h_e2e = Obs.histogram obs "latency.e2e";
       next_lane = 0;
       global_seq = 0;
       txns_ordered = 0;
@@ -950,12 +916,12 @@ let latest_local_checkpoint t =
    the vote-once table (so we cannot double-vote positions we voted before
    the crash), and — via the drivers — the committed suffix, which is a
    pure function of the replayed DAG above the checkpoint. Sends are muted
-   and latency metrics skipped while [replaying] is set. With peers and a
-   checkpoint manager, recovery then pulls the missed history via the sync
-   protocol; instances resume lane-by-lane as their catch-up completes and
-   [on_caught_up] fires once all lanes are live. [wipe] simulates total
-   disk loss: both WAL devices are cleared and the replica adopts a peer's
-   certified checkpoint before syncing. *)
+   while [replaying] is set. With peers and a checkpoint manager, recovery
+   then pulls the missed history via the sync protocol; instances resume
+   lane-by-lane as their catch-up completes and [on_caught_up] fires once
+   all lanes are live. [wipe] simulates total disk loss: both WAL devices
+   are cleared and the replica adopts a peer's certified checkpoint before
+   syncing. *)
 let recover ?(wipe = false) t =
   if t.crashed then begin
     t.crashed <- false;

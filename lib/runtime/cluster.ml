@@ -78,7 +78,7 @@ let net t = t.world.Backend_sim.net
 let backend t = Harness.backend t.h
 let events_fired t = Backend_sim.events_fired t.world
 let replicas t = Harness.replicas t.h
-let metrics t = Harness.metrics t.h
+let metrics t = Harness.ledger t.h
 let telemetry t = Harness.telemetry t.h
 let ledger t = Harness.ledger t.h
 
@@ -90,32 +90,20 @@ let recover_now t i =
   set_fault t (Fault_schedule.recover t.fault ~replica:i ~at:(Backend.now (backend t)));
   Harness.recover t.h i
 
-let trace_partition t ~time kind =
+let partition_event t ~opened ~time ~minority =
+  let groups = Printf.sprintf "minority=%d" minority in
+  Telemetry.incr_named (telemetry t)
+    (if opened then "fault.partitions_opened" else "fault.partitions_healed");
   match t.setup.trace with
-  | Some trace -> Trace.record_event trace ~time ~replica:(-1) kind
+  | Some trace ->
+    Trace.record_event trace ~time ~replica:(-1)
+      (if opened then Trace.Partition_opened { groups } else Trace.Partition_healed { groups })
   | None -> ()
 
 let schedule_scenario t =
-  let n = Array.length (replicas t) in
-  let scenario = t.setup.scenario in
-  let at time f = ignore (Backend.schedule_at (backend t) ~at:time f) in
-  List.iter
-    (fun (replica, time) -> at time (fun () -> Harness.crash t.h replica))
-    (Faults.timed_crashes scenario ~n);
-  List.iter
-    (fun (replica, _crash_at, recover_at) -> at recover_at (fun () -> recover_now t replica))
-    (Faults.crash_recoveries scenario ~n);
-  List.iter
-    (fun (from_time, until_time, minority) ->
-      let groups = Printf.sprintf "minority=%d" minority in
-      at from_time (fun () ->
-          Telemetry.incr_named (telemetry t) "fault.partitions_opened";
-          trace_partition t ~time:from_time (Trace.Partition_opened { groups }));
-      if until_time < infinity then
-        at until_time (fun () ->
-            Telemetry.incr_named (telemetry t) "fault.partitions_healed";
-            trace_partition t ~time:until_time (Trace.Partition_healed { groups })))
-    (Faults.partition_windows scenario ~n)
+  Faults.schedule_events t.setup.scenario ~n:(Array.length (replicas t))
+    ~schedule_at:(fun at f -> ignore (Backend.schedule_at (backend t) ~at f))
+    ~crash:(Harness.crash t.h) ~recover:(recover_now t) ~partition:(partition_event t)
 
 let start t =
   if not t.started then begin

@@ -58,18 +58,21 @@ val events_fired : t -> int
 (** Simulation events fired so far (reporting). *)
 
 val replicas : t -> Shoalpp_core.Replica.t array
+
 val metrics : t -> Metrics.t
+(** The same value as {!ledger}. *)
 
 val telemetry : t -> Shoalpp_support.Telemetry.t
 (** The cluster's shared metric registry (always created; counters aggregate
-    across replicas, per-stage histograms record each transaction once at
-    its origin). *)
+    across replicas, the ledger's latency histograms record each
+    transaction once at its origin). *)
 
 val ledger : t -> Ledger.t
-(** Per-commit latency ledger (always created, registered on the shared
-    telemetry): one entry per origin transaction at its origin's commit,
-    outside WAL replay. Recording is effect-free beyond the ring and the
-    registry, so traced runs stay byte-identical. *)
+(** The latency ledger (always created, registered on the shared
+    telemetry, warmup cut at [setup.warmup_ms]): one entry per origin
+    transaction at its origin's commit, outside WAL replay. Recording is
+    effect-free beyond the ledger and the registry, so traced runs stay
+    byte-identical. *)
 
 val run : t -> duration_ms:float -> unit
 (** Start everything (if not yet started) and run the simulation clock to

@@ -220,8 +220,8 @@ let run_dag system params =
   {
     report;
     audit_ok = Harness.ok (Cluster.audit cluster);
-    throughput_series = Metrics.throughput_series (Cluster.metrics cluster);
-    latency_series = Metrics.latency_series (Cluster.metrics cluster);
+    throughput_series = Ledger.throughput_series (Cluster.ledger cluster);
+    latency_series = Ledger.latency_series (Cluster.ledger cluster);
     requeued;
     events_fired = Cluster.events_fired cluster;
     events = events_of_trace trace;

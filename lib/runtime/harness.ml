@@ -91,12 +91,11 @@ type t = {
   mutable replicas : Replica.t array;
   mempools : Mempool.t array;
   clients : Client.t option array;
-  metrics : Metrics.t;
   telemetry : Telemetry.t;
-  ledger : Ledger.t; (* per-commit latency records, fed from on_ordered *)
+  ledger : Ledger.t; (* the one latency sink, fed from on_ordered *)
   logs : seg_id list ref array; (* newest first; only when track_logs *)
   ordered_seen : (int, unit) Hashtbl.t array; (* per-replica txn dedup *)
-  recovering : bool array; (* replay/catch-up in progress: metrics/dedup muted *)
+  recovering : bool array; (* replay/catch-up in progress: ledger/dedup muted *)
   (* Pre-crash (base seq, log snapshot) per recovered replica: the rebuilt
      log must extend it above the restored checkpoint. *)
   pre_recovery : (int * seg_id list) option array;
@@ -125,25 +124,20 @@ let on_ordered t replica_id (o : Replica.ordered) =
             end
             else Hashtbl.replace t.ordered_seen.(replica_id) tx.Transaction.id ()
           end;
-          if not t.recovering.(replica_id) then begin
-            Metrics.observe_commit t.metrics
-              ~origin_ordered:(tx.Transaction.origin = replica_id)
-              ~tx ~now:o.Replica.ordered_at;
-            if tx.Transaction.origin = replica_id then
-              Ledger.record t.ledger
-                {
-                  Ledger.le_tx = tx.Transaction.id;
-                  le_origin = replica_id;
-                  le_dag = seg.Driver.dag_id;
-                  le_rule = Ledger.rule_of_kind seg.Driver.kind;
-                  le_seq = o.Replica.global_seq;
-                  le_submitted = tx.Transaction.submitted_at;
-                  le_batched = batch.Batch.created_at;
-                  le_included = node.Types.created_at;
-                  le_committed = seg.Driver.committed_at;
-                  le_ordered = o.Replica.ordered_at;
-                }
-          end)
+          if tx.Transaction.origin = replica_id && not t.recovering.(replica_id) then
+            Ledger.record t.ledger
+              {
+                Ledger.le_tx = tx.Transaction.id;
+                le_origin = replica_id;
+                le_dag = seg.Driver.dag_id;
+                le_rule = Ledger.rule_of_kind seg.Driver.kind;
+                le_seq = o.Replica.global_seq;
+                le_submitted = tx.Transaction.submitted_at;
+                le_batched = batch.Batch.created_at;
+                le_included = node.Types.created_at;
+                le_committed = seg.Driver.committed_at;
+                le_ordered = o.Replica.ordered_at;
+              })
         batch.Batch.txns)
     seg.Driver.nodes
 
@@ -165,9 +159,8 @@ let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs
       replicas = [||];
       mempools = Array.init n (fun _ -> Mempool.create ());
       clients = Array.make n None;
-      metrics = Metrics.create ~warmup_ms ();
       telemetry;
-      ledger = Ledger.create ~telemetry ();
+      ledger = Ledger.create ~telemetry ~warmup_ms ~num_dags ();
       logs = Array.init n (fun _ -> ref []);
       ordered_seen = Array.init n (fun _ -> Hashtbl.create 256);
       recovering = Array.make n false;
@@ -182,13 +175,13 @@ let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs
     Array.init n (fun i ->
         make_replica i ~mempool:t.mempools.(i) ~on_ordered:(on_ordered t i)
           (* Recovery completion is asynchronous once peer catch-up sync is
-             involved: metrics/dedup stay muted until every lane is live. *)
+             involved: the ledger and dedup stay muted until every lane is
+             live. *)
           ~on_caught_up:(fun () -> t.recovering.(i) <- false));
   t
 
 let backend t = t.backend
 let replicas t = t.replicas
-let metrics t = t.metrics
 let telemetry t = t.telemetry
 let ledger t = t.ledger
 let recovering t i = t.recovering.(i)
@@ -246,7 +239,7 @@ let report t ~name ~duration_ms ~telemetry ~trace_dropped =
   in
   let submitted = Array.fold_left (fun acc m -> acc + Mempool.submitted m) 0 t.mempools in
   Report.make ~name ~n:(Array.length t.replicas) ~load_tps:t.load_tps ~duration_ms ~submitted
-    ~metrics:t.metrics
+    ~ledger:t.ledger
     ~fast_commits:(sum (fun s -> s.Driver.fast_commits))
     ~direct_commits:(sum (fun s -> s.Driver.direct_commits))
     ~indirect_commits:(sum (fun s -> s.Driver.indirect_commits))

@@ -19,9 +19,9 @@
 
     Invariants:
     - every ordered segment goes through one sink: the log append, the
-      per-replica transaction dedup, {!Metrics.observe_commit} and the
-      origin's {!Ledger.record} happen in that order, and the latter two
-      are muted while the replica is recovering;
+      per-replica transaction dedup and, for each transaction at its
+      origin, {!Ledger.record} — the only latency recording — happen in
+      that order, and the record is muted while the replica is recovering;
     - the sink only records, so a run's commit stream is independent of
       whether logs are tracked;
     - {!audit_logs} is a pure function of its arguments, and segment
@@ -98,11 +98,11 @@ val create :
     and the dedup (the audit then sees empty logs). [client_env i] gives
     client [i]'s clock, timers, id counter and id stride; by default every
     client runs on [backend] and shares one counter with stride 1. A ledger
-    is registered on [telemetry]. *)
+    is registered on [telemetry], with [warmup_ms] as its warmup cut and
+    one [dag<k>.*] pair per lane. *)
 
 val backend : t -> Shoalpp_core.Replica.envelope Shoalpp_backend.Backend.t
 val replicas : t -> Shoalpp_core.Replica.t array
-val metrics : t -> Metrics.t
 val telemetry : t -> Shoalpp_support.Telemetry.t
 val ledger : t -> Ledger.t
 
@@ -119,7 +119,7 @@ val crash : t -> int -> unit
 
 val recover : ?wipe:bool -> t -> int -> unit
 (** Snapshot replica [i]'s log for the recovery-prefix check, reset its log
-    and dedup, mute its metrics until catch-up, then run
+    and dedup, mute its ledger records until catch-up, then run
     {!Shoalpp_core.Replica.recover} and restart its client. *)
 
 val ordered_ids : t -> replica:int -> (int * int * int) list

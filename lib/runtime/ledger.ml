@@ -1,21 +1,23 @@
-(* Per-commit latency ledger: one compact timestamp record per transaction
-   at its origin replica's commit, tagged with the DAG lane and the commit
-   rule that resolved its anchor.
+(* The latency ledger: the one place an ordered transaction's latency is
+   recorded. Every system's commit path hands [record] one timestamp entry
+   per transaction at its origin replica, and the ledger derives every
+   latency view from it:
+   - a bounded ring of raw entries, the admin endpoint's JSON tail;
+   - the stage deltas keyed by (DAG lane x commit rule), so a fast-path
+     commit's pipeline can be compared against an indirect one's — the
+     attribution Shoal++'s latency claims are made of;
+   - the aggregate [stage.*], [latency.e2e] and [dag<k>.latency|txns]
+     instruments;
+   - the warmup-cut latency summary and the dense per-second throughput
+     and latency series a run report is made of.
 
-   The ledger is the per-commit refinement of the sampled stage histograms:
-   where [stage.*] aggregates every origin commit into one histogram per
-   stage, the ledger keys the same stage deltas by (DAG lane x commit rule)
-   — so a fast-path commit's pipeline can be compared against an indirect
-   one's, which is exactly the attribution Shoal++'s latency claims are
-   made of — and additionally retains a bounded ring of raw entries for the
-   admin endpoint's JSON tail.
-
-   Determinism: recording only mutates this ring and (when a registry is
-   attached) telemetry histograms. It emits no trace events, schedules no
+   Determinism: recording only mutates this value and (when a registry is
+   attached) telemetry instruments. It emits no trace events, schedules no
    timers and performs no I/O, so attaching a ledger to the simulated
    cluster leaves golden trace digests and event counts byte-identical. *)
 
 module Telemetry = Shoalpp_support.Telemetry
+module Stats = Shoalpp_support.Stats
 module Tablefmt = Shoalpp_support.Tablefmt
 module Anchors = Shoalpp_consensus.Anchors
 module Driver = Shoalpp_consensus.Driver
@@ -33,18 +35,22 @@ type entry = {
   le_ordered : float;
 }
 
-(* Pipeline stages in order; each is a delta (ms) between two of the five
-   timestamps. [e2e] spans the whole pipeline and is listed last. *)
-let stages =
+let e2e e = e.le_ordered -. e.le_submitted
+
+(* Pipeline stages in order: (keyed stage name, aggregate histogram, delta
+   in ms between two of the five timestamps). [e2e] spans the whole
+   pipeline and is listed last. *)
+let pipeline =
   [
-    ("submit_to_batch", fun e -> e.le_batched -. e.le_submitted);
-    ("batch_to_inclusion", fun e -> e.le_included -. e.le_batched);
-    ("inclusion_to_commit", fun e -> e.le_committed -. e.le_included);
-    ("commit_to_order", fun e -> e.le_ordered -. e.le_committed);
-    ("e2e", fun e -> e.le_ordered -. e.le_submitted);
+    ("submit_to_batch", "stage.submit_to_batch", fun e -> e.le_batched -. e.le_submitted);
+    ("batch_to_inclusion", "stage.batch_to_proposal", fun e -> e.le_included -. e.le_batched);
+    ("inclusion_to_commit", "stage.proposal_to_commit", fun e -> e.le_committed -. e.le_included);
+    ("commit_to_order", "stage.commit_to_order", fun e -> e.le_ordered -. e.le_committed);
+    ("e2e", "latency.e2e", e2e);
   ]
 
-let stage_names = List.map fst stages
+let stage_names = List.map (fun (stage, _, _) -> stage) pipeline
+let deltas = Array.of_list (List.map (fun (_, _, delta) -> delta) pipeline)
 
 let rule_of_kind = function
   | Driver.Fast -> Anchors.Fast_direct
@@ -63,65 +69,147 @@ let rule_of_tag tag =
 let metric_name ~dag ~rule stage =
   Printf.sprintf "ledger.dag%d.%s.%s" dag (Anchors.rule_tag rule) stage
 
+(* One DAG lane's instruments: its [dag<k>.*] pair and, per commit rule,
+   the keyed [ledger.dag<k>.<rule>.*] histograms (created on the lane's
+   first commit under that rule). *)
+type lane = {
+  txns : Telemetry.counter;
+  latency : Telemetry.Histogram.t;
+  keyed : Telemetry.Histogram.t array option array;
+}
+
+type instruments = {
+  tel : Telemetry.t;
+  aggregate : Telemetry.Histogram.t array; (* one per pipeline stage *)
+  lanes : (int, lane) Hashtbl.t;
+}
+
 type t = {
-  telemetry : Telemetry.t option;
-  capacity : int;
   ring : entry option array;
   mutable next : int;  (* ring slot the next entry lands in *)
   mutable total : int;  (* entries ever recorded *)
-  (* Histogram handles cached per (dag, rule): recording stays one array
-     index + five observes on the hot path after the first commit of each
-     (lane, rule) pair. *)
-  handles : (int, Telemetry.Histogram.t array) Hashtbl.t;
+  instruments : instruments option;
+  warmup_ms : float;
+  summary : Stats.Summary.t;  (* e2e latency of post-warmup entries *)
+  windows : Stats.Windowed.t;  (* post-warmup e2e sum and count per window *)
 }
 
-let default_capacity = 4096
+let capacity = 4096
+let window_ms = 1000.0
 
-let create ?telemetry ?(capacity = default_capacity) () =
-  let capacity = max 1 capacity in
+let lane_of ins dag =
+  match Hashtbl.find_opt ins.lanes dag with
+  | Some lane -> lane
+  | None ->
+    let lane =
+      {
+        txns = Telemetry.counter ins.tel (Printf.sprintf "dag%d.txns" dag);
+        latency = Telemetry.histogram ins.tel (Printf.sprintf "dag%d.latency" dag);
+        keyed = Array.make 4 None;
+      }
+    in
+    Hashtbl.replace ins.lanes dag lane;
+    lane
+
+let create ?telemetry ?(warmup_ms = 0.0) ?(num_dags = 1) () =
+  let instruments =
+    Option.map
+      (fun tel ->
+        let ins =
+          {
+            tel;
+            aggregate =
+              Array.of_list (List.map (fun (_, name, _) -> Telemetry.histogram tel name) pipeline);
+            lanes = Hashtbl.create 4;
+          }
+        in
+        (* Every lane is registered up front, so a lane that never commits
+           still exports an explicit zero. *)
+        for dag = 0 to max 1 num_dags - 1 do
+          ignore (lane_of ins dag)
+        done;
+        ins)
+      telemetry
+  in
   {
-    telemetry;
-    capacity;
     ring = Array.make capacity None;
     next = 0;
     total = 0;
-    handles = Hashtbl.create 16;
+    instruments;
+    warmup_ms;
+    summary = Stats.Summary.create ();
+    windows = Stats.Windowed.create ~width:window_ms;
   }
 
-let handles_for t tel ~dag ~rule =
-  let key = (dag * 4) + rule_index rule in
-  match Hashtbl.find_opt t.handles key with
+let keyed_for ins lane ~dag ~rule =
+  let i = rule_index rule in
+  match lane.keyed.(i) with
   | Some hs -> hs
   | None ->
     let hs =
       Array.of_list
-        (List.map (fun (stage, _) -> Telemetry.histogram tel (metric_name ~dag ~rule stage)) stages)
+        (List.map (fun stage -> Telemetry.histogram ins.tel (metric_name ~dag ~rule stage)) stage_names)
     in
-    Hashtbl.replace t.handles key hs;
+    lane.keyed.(i) <- Some hs;
     hs
 
+(* One warmup rule for every latency view: an entry counts iff it was
+   ordered at or after [warmup_ms], judged on order time, never on
+   [le_submitted]. The summary and the windowed series bucket on the same
+   time, so [committed_tps] and [throughput_series] agree exactly over the
+   warmup window. A transaction submitted during warmup but ordered after
+   it still measures the steady-state commit path, so it is included. *)
 let record t e =
   t.ring.(t.next) <- Some e;
-  t.next <- (t.next + 1) mod t.capacity;
+  t.next <- (t.next + 1) mod capacity;
   t.total <- t.total + 1;
-  match t.telemetry with
+  (match t.instruments with
   | None -> ()
-  | Some tel ->
-    let hs = handles_for t tel ~dag:e.le_dag ~rule:e.le_rule in
-    List.iteri (fun i (_, delta) -> Telemetry.observe hs.(i) (delta e)) stages
+  | Some ins ->
+    let lane = lane_of ins e.le_dag in
+    let keyed = keyed_for ins lane ~dag:e.le_dag ~rule:e.le_rule in
+    Array.iteri
+      (fun i delta ->
+        let v = delta e in
+        Telemetry.observe ins.aggregate.(i) v;
+        Telemetry.observe keyed.(i) v)
+      deltas;
+    Telemetry.incr lane.txns;
+    Telemetry.observe lane.latency (e2e e));
+  if e.le_ordered >= t.warmup_ms then begin
+    let lat = e2e e in
+    Stats.Summary.add t.summary lat;
+    Stats.Windowed.add t.windows ~time:e.le_ordered ~value:lat
+  end
 
 let recorded t = t.total
-let capacity t = t.capacity
-let dropped t = max 0 (t.total - t.capacity)
+let dropped t = max 0 (t.total - capacity)
+
+let latency t = t.summary
+let committed t = Stats.Summary.count t.summary
+
+let committed_tps t ~duration_ms =
+  let effective = duration_ms -. t.warmup_ms in
+  if effective <= 0.0 then 0.0 else float_of_int (committed t) /. (effective /. 1000.0)
+
+let throughput_series t = Stats.Windowed.rate_series t.windows
+
+(* Dense: a window with no commits (crash, partition) reports an explicit
+   0.0 rather than being silently omitted — downstream tables and the
+   paper's failure figures need the stall to be visible. *)
+let latency_series t =
+  List.map
+    (fun (start, sum, cnt) -> (start, if cnt <= 0 then 0.0 else sum /. float_of_int cnt))
+    (Stats.Windowed.series_filled t.windows)
 
 (* Retained entries in commit order (oldest first); [limit] keeps the
    newest that many. *)
 let tail ?limit t =
-  let stored = min t.total t.capacity in
+  let stored = min t.total capacity in
   let keep = match limit with Some l -> min (max 0 l) stored | None -> stored in
   let out = ref [] in
   for i = 0 to keep - 1 do
-    let idx = (t.next - 1 - i + (2 * t.capacity)) mod t.capacity in
+    let idx = (t.next - 1 - i + (2 * capacity)) mod capacity in
     match t.ring.(idx) with Some e -> out := e :: !out | None -> ()
   done;
   !out
@@ -170,17 +258,17 @@ let row_of_stats (hs : Telemetry.histogram_stats) =
     when String.length dagpart > 3 && String.equal (String.sub dagpart 0 3) "dag" ->
     let dag = int_of_string_opt (String.sub dagpart 3 (String.length dagpart - 3)) in
     let rule = rule_of_tag ruletag in
-    (match (dag, rule, List.mem_assoc stage stages) with
+    (match (dag, rule, List.mem stage stage_names) with
     | Some dag, Some rule, true -> Some { br_dag = dag; br_rule = rule; br_stage = stage; br_stats = hs }
     | _ -> None)
   | _ -> None
 
 let stage_order stage =
   let rec go i = function
-    | [] -> List.length stages
-    | (s, _) :: rest -> if String.equal s stage then i else go (i + 1) rest
+    | [] -> List.length stage_names
+    | s :: rest -> if String.equal s stage then i else go (i + 1) rest
   in
-  go 0 stages
+  go 0 stage_names
 
 let breakdown snap =
   snap.Telemetry.snap_histograms

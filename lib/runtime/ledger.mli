@@ -1,26 +1,47 @@
-(** Per-commit latency ledger: one timestamp record per transaction at its
-    origin replica's commit, tagged with DAG lane and commit rule.
+(** The latency ledger: the one place an ordered transaction's latency is
+    recorded, for every system (Shoal++ and its DAG variants, Jolteon,
+    Mysticeti).
 
-    This refines the sampled [stage.*] histograms into per-commit
-    attribution: the same five pipeline timestamps (submit, batch,
-    DAG inclusion, anchor commit, global order) are kept per transaction,
-    their stage deltas are aggregated into telemetry histograms keyed
-    [ledger.dag<k>.<rule_tag>.<stage>], and a bounded ring of raw entries
-    backs the admin endpoint's [/ledger] JSON tail.
-
-    All three systems feed it from their commit hooks: the Shoal++
-    harnesses ({!Cluster}, {!Node}) from their [on_ordered] callbacks, the
-    baselines from their block/segment commit paths.
+    Latency is measured exactly as in the paper (§8): the time between a
+    transaction's arrival at its local replica and the moment that replica
+    appends a segment (or block) containing it to its global log. Each
+    system's commit path calls {!record} once per transaction, at its
+    origin replica, with five pipeline timestamps (submit, batch, DAG
+    inclusion, anchor commit, global order); the Shoal++ harnesses
+    ({!Harness}, shared by {!Cluster} and {!Node}) do so from their
+    [on_ordered] sink, the baselines from their block/segment commit paths.
+    Everything else is derived here:
+    - a bounded ring of raw entries backing the admin endpoint's [/ledger]
+      JSON tail;
+    - stage deltas keyed [ledger.dag<k>.<rule_tag>.<stage>], so a fast-path
+      commit's pipeline can be compared against an indirect one's;
+    - the aggregate [stage.submit_to_batch | stage.batch_to_proposal |
+      stage.proposal_to_commit | stage.commit_to_order] and [latency.e2e]
+      histograms, and per DAG lane the [dag<k>.latency] histogram and
+      [dag<k>.txns] counter;
+    - the warmup-cut latency summary ({!latency}, {!committed},
+      {!committed_tps}) and the dense per-second series
+      ({!throughput_series}, {!latency_series}).
 
     Invariants:
-    - recording is effect-free beyond this ring and the attached telemetry
+    - recording is effect-free beyond this value and the attached telemetry
       registry: no trace events, no scheduled timers, no I/O — a ledger on
       the simulated cluster leaves golden trace digests, event counts and
       exported trace bytes byte-identical;
     - each origin transaction is recorded at most once (call sites record
-      only [origin = replica_id] commits outside WAL replay), so
-      [recorded] counts unique origin commits;
-    - the ring keeps the newest [capacity] entries; {!dropped} = total
+      only [origin = replica_id] commits outside WAL replay and catch-up),
+      so [recorded] counts unique origin commits; each aggregate
+      histogram, the keyed histograms of one stage summed over lanes and
+      rules, and the [dag<k>.latency] histograms and [dag<k>.txns]
+      counters summed over lanes all hold exactly [recorded] samples;
+    - the warmup rule is single and uniform: an entry enters the summary
+      and the series iff [le_ordered >= warmup_ms] — judged on order time,
+      never on submission — so {!committed} and the sum of
+      {!throughput_series} agree exactly;
+    - both series are dense over the observed span: a window in which
+      nothing was ordered (a crash, a partition) appears as an explicit
+      zero row, so fault stalls stay visible;
+    - the ring keeps the newest {!capacity} entries; {!dropped} = total
       recorded - retained, never negative;
     - {!breakdown} rows are deterministically ordered (DAG id, then rule,
       then pipeline stage) regardless of snapshot hash order. *)
@@ -38,12 +59,12 @@ type entry = {
   le_ordered : float;  (** ms: segment interleaved into the global log *)
 }
 
-val stages : (string * (entry -> float)) list
-(** Pipeline stages in order ([submit_to_batch], [batch_to_inclusion],
-    [inclusion_to_commit], [commit_to_order]) plus [e2e]; each maps an
-    entry to its stage latency in ms. *)
-
 val stage_names : string list
+(** The keyed pipeline stages in order ([submit_to_batch],
+    [batch_to_inclusion], [inclusion_to_commit], [commit_to_order]) plus
+    [e2e]. They aggregate, in the same order, into [stage.submit_to_batch],
+    [stage.batch_to_proposal], [stage.proposal_to_commit],
+    [stage.commit_to_order] and [latency.e2e]. *)
 
 val rule_of_kind : Shoalpp_consensus.Driver.kind -> Shoalpp_consensus.Anchors.rule
 (** Committed segments map [Fast -> Fast_direct], [Direct ->
@@ -57,19 +78,44 @@ val metric_name :
 
 type t
 
-val default_capacity : int
+val capacity : int
+(** 4096: the raw-entry ring's size. Histograms, the summary and the series
+    aggregate every entry regardless. *)
 
-val create : ?telemetry:Shoalpp_support.Telemetry.t -> ?capacity:int -> unit -> t
-(** [capacity] (clamped to >= 1) bounds the raw-entry ring; histograms, if
-    a registry is given, aggregate every entry regardless. *)
+val create :
+  ?telemetry:Shoalpp_support.Telemetry.t -> ?warmup_ms:float -> ?num_dags:int -> unit -> t
+(** Entries ordered before [warmup_ms] (default 0) are left out of the
+    summary and the series. With a [telemetry] registry, the aggregate
+    histograms and the [dag<k>.*] instruments of lanes [0 .. num_dags - 1]
+    (default 1) are registered at once, so a lane that never commits still
+    exports an explicit zero; a higher lane is registered on its first
+    entry. *)
 
 val record : t -> entry -> unit
 
 val recorded : t -> int
-val capacity : t -> int
 
 val dropped : t -> int
 (** Entries evicted from the ring (aggregates still include them). *)
+
+(** {2 Warmup-cut latency and throughput} *)
+
+val latency : t -> Shoalpp_support.Stats.Summary.t
+(** End-to-end latency ([le_ordered - le_submitted], ms) of every entry
+    ordered at or after the warmup. *)
+
+val committed : t -> int
+(** Entries ordered at or after the warmup: unique transactions committed
+    at their origin. *)
+
+val committed_tps : t -> duration_ms:float -> float
+(** {!committed} per second of the post-warmup part of [duration_ms]. *)
+
+val throughput_series : t -> (float * float) list
+(** (window start ms, tx/s) over 1 s windows — Fig 8's series. *)
+
+val latency_series : t -> (float * float) list
+(** (window start ms, mean latency ms in that window). *)
 
 val tail : ?limit:int -> t -> entry list
 (** Retained entries oldest-first; [limit] keeps only the newest that

@@ -336,7 +336,7 @@ let tcp_ports t = Option.map Tcp.ports t.tcp
 let tcp_net_stats t = Option.map Tcp.net_stats t.tcp
 let backend t = Harness.backend t.h
 let replicas t = Harness.replicas t.h
-let metrics t = Harness.metrics t.h
+let metrics t = Harness.ledger t.h
 let telemetry t = Harness.telemetry t.h
 let ledger t = Harness.ledger t.h
 let now_ms t = Realtime.now_ms t.exec
@@ -385,10 +385,10 @@ let arm_live_gauges ?(interval_ms = 250.0) t =
   let g_tps = gauge "live.commit_tps" in
   let g_dropped = gauge "live.trace_dropped" in
   let g_heap = gauge "live.heap_words" in
-  let last = ref (Backend.now (backend t), Metrics.committed (metrics t)) in
+  let last = ref (Backend.now (backend t), Ledger.committed (ledger t)) in
   let rec tick () =
     let now = Backend.now (backend t) in
-    let committed = Metrics.committed (metrics t) in
+    let committed = Ledger.committed (ledger t) in
     let last_now, last_committed = !last in
     let dt_s = Float.max 0.001 ((now -. last_now) /. 1000.0) in
     Telemetry.set g_uptime now;

@@ -104,8 +104,8 @@ val crash_replica : t -> int -> unit
 val recover_replica : ?wipe:bool -> t -> int -> unit
 (** Restart a crashed replica through {!Shoalpp_core.Replica.recover}:
     checkpoint restore + WAL replay, then peer catch-up sync when
-    checkpointing is on. Requires [retain_wal]; metrics and the duplicate
-    audit stay muted until catch-up completes, and the pre-crash log is
+    checkpointing is on. Requires [retain_wal]; the ledger and the
+    duplicate audit stay muted until catch-up completes, and the pre-crash log is
     snapshotted for the [recovery_prefix_ok] audit. [wipe] simulates total disk
     loss (peer checkpoint adoption). Single-domain only, like
     {!crash_replica}. *)
@@ -126,13 +126,17 @@ val tcp_net_stats : t -> Shoalpp_backend.Tcp_transport.net_stats option
 
 val backend : t -> Shoalpp_core.Replica.envelope Shoalpp_backend.Backend.t
 val replicas : t -> Shoalpp_core.Replica.t array
+
 val metrics : t -> Metrics.t
+(** The same value as {!ledger}. *)
+
 val telemetry : t -> Shoalpp_support.Telemetry.t
 
 val ledger : t -> Ledger.t
-(** Per-commit latency ledger, registered on the node's telemetry: one
-    entry per origin transaction at its origin's commit. Backs the admin
-    endpoint's [/ledger] tail and the stage x rule x DAG breakdown. *)
+(** The latency ledger, registered on the node's main telemetry: one entry
+    per origin transaction at its origin's commit. Backs the report, the
+    admin endpoint's [/ledger] tail and the stage x rule x DAG
+    breakdown. *)
 
 val domains : t -> int
 (** The configured [setup.domains]. *)

@@ -82,11 +82,11 @@ type t = {
   trace_dropped : int;
 }
 
-let make ~name ~n ~load_tps ~duration_ms ~submitted ~metrics ?(fast_commits = 0)
+let make ~name ~n ~load_tps ~duration_ms ~submitted ~ledger ?(fast_commits = 0)
     ?(direct_commits = 0) ?(indirect_commits = 0) ?(skipped_anchors = 0) ~messages_sent
     ~messages_dropped ~bytes_sent ?(telemetry = Shoalpp_support.Telemetry.empty_snapshot)
     ?(trace_dropped = 0) () =
-  let lat = Metrics.latency metrics in
+  let lat = Ledger.latency ledger in
   let p25, p50, p75 = Stats.Summary.quartiles lat in
   {
     name;
@@ -94,8 +94,8 @@ let make ~name ~n ~load_tps ~duration_ms ~submitted ~metrics ?(fast_commits = 0)
     load_tps;
     duration_ms;
     submitted;
-    committed = Metrics.committed metrics;
-    committed_tps = Metrics.committed_tps metrics ~duration_ms;
+    committed = Ledger.committed ledger;
+    committed_tps = Ledger.committed_tps ledger ~duration_ms;
     latency_p25 = p25;
     latency_p50 = p50;
     latency_p75 = p75;

@@ -40,7 +40,7 @@ val make :
   load_tps:float ->
   duration_ms:float ->
   submitted:int ->
-  metrics:Metrics.t ->
+  ledger:Ledger.t ->
   ?fast_commits:int ->
   ?direct_commits:int ->
   ?indirect_commits:int ->
@@ -52,6 +52,8 @@ val make :
   ?trace_dropped:int ->
   unit ->
   t
+(** [committed], [committed_tps] and the latency fields are read from
+    [ledger]'s warmup-cut summary. *)
 
 val rule_mix : t -> (Shoalpp_consensus.Anchors.rule * float) list
 (** Fractions of anchor resolutions per commit rule (fast-direct /

@@ -210,3 +210,17 @@ let partition_windows t ~n =
         Some (from_time, until_time, m)
       | _ -> None)
     t.specs
+
+(* Timers go in this fixed order — crashes, recoveries, then each window's
+   open and heal — so engine tie-breaks are the same for every system. *)
+let schedule_events t ~n ~schedule_at ~crash ~recover ~partition =
+  List.iter (fun (replica, at) -> schedule_at at (fun () -> crash replica)) (timed_crashes t ~n);
+  List.iter
+    (fun (replica, _crash_at, recover_at) -> schedule_at recover_at (fun () -> recover replica))
+    (crash_recoveries t ~n);
+  List.iter
+    (fun (from_time, until_time, minority) ->
+      schedule_at from_time (fun () -> partition ~opened:true ~time:from_time ~minority);
+      if until_time < infinity then
+        schedule_at until_time (fun () -> partition ~opened:false ~time:until_time ~minority))
+    (partition_windows t ~n)

@@ -82,11 +82,6 @@ val crash_recoveries : t -> n:int -> (int * float * float) list
 (** [(replica, crash_at, recover_at)] for every crash spec with a recovery —
     the runtime schedules a WAL-replay restart for each. *)
 
-val timed_crashes : t -> n:int -> (int * float) list
-(** [(replica, crash_at)] for every scenario crash that needs a runtime
-    crash event (mid-run crashes; t=0 crashes without recovery are handled
-    by the cluster's start-up path). *)
-
 val has_recovery : t -> bool
 (** True iff some crash spec recovers — the runtime then retains WAL
     payloads for replay. *)
@@ -94,3 +89,21 @@ val has_recovery : t -> bool
 val partition_windows : t -> n:int -> (float * float * int) list
 (** [(from_time, until_time, minority_size)] per partition spec, for
     scheduling open/heal trace events. *)
+
+val schedule_events :
+  t ->
+  n:int ->
+  schedule_at:(float -> (unit -> unit) -> unit) ->
+  crash:(int -> unit) ->
+  recover:(int -> unit) ->
+  partition:(opened:bool -> time:float -> minority:int -> unit) ->
+  unit
+(** Arm the scenario's runtime events through [schedule_at time f]: a
+    [crash] for every scenario crash that needs a runtime crash event
+    (mid-run crashes; t=0 crashes without recovery are handled by each
+    harness's start-up path), a [recover] for each of
+    {!crash_recoveries}, and per partition window a [partition ~opened:true]
+    at its start and, if it heals, a [partition ~opened:false] at its end.
+    Every system's harness arms its scenario through this one function,
+    and the timers are always scheduled in that order, so the engine
+    breaks ties between them the same way for every system. *)

@@ -26,14 +26,9 @@ let event t ~time kind =
 let incr ?by t name =
   match t.telemetry with Some reg -> Telemetry.incr_named ?by reg name | None -> ()
 
-let observe t name v =
-  match t.telemetry with Some reg -> Telemetry.observe_named reg name v | None -> ()
-
 let set t name v =
   match t.telemetry with Some reg -> Telemetry.set_named reg name v | None -> ()
 
 (* Cached-handle access for hot paths: [None] when telemetry is off. *)
 let counter t name = Option.map (fun reg -> Telemetry.counter reg name) t.telemetry
-let histogram t name = Option.map (fun reg -> Telemetry.histogram reg name) t.telemetry
 let incr_c ?by c = match c with Some c -> Telemetry.incr ?by c | None -> ()
-let observe_h h v = match h with Some h -> Telemetry.observe h v | None -> ()

@@ -28,12 +28,9 @@ val with_instance : t -> instance:int -> t
 
 val event : t -> time:float -> Trace.kind -> unit
 val incr : ?by:int -> t -> string -> unit
-val observe : t -> string -> float -> unit
 val set : t -> string -> float -> unit
 
 (** Cached-handle access for hot paths ([None] when telemetry is off). *)
 
 val counter : t -> string -> Telemetry.counter option
-val histogram : t -> string -> Telemetry.Histogram.t option
 val incr_c : ?by:int -> Telemetry.counter option -> unit
-val observe_h : Telemetry.Histogram.t option -> float -> unit

@@ -11,11 +11,19 @@
       commit.skipped] — anchor commit-rule outcomes;
     - [stage.submit_to_batch | stage.batch_to_proposal |
       stage.proposal_to_commit | stage.commit_to_order] — per-transaction
-      latency decomposition histograms (ms);
+      latency decomposition histograms (ms), and [latency.e2e] — the
+      end-to-end latency histogram (ms);
     - [dag.proposals | dag.certs_formed | dag.timeouts | dag.fetches] —
       DAG-instance activity;
     - [dag<k>.txns | dag<k>.segments | dag<k>.latency] — per-parallel-DAG
-      attribution.
+      attribution;
+    - [ledger.dag<k>.<rule>.<stage>] — stage latency keyed by lane and
+      commit rule.
+
+    The [stage.*], [latency.e2e], [dag<k>.txns], [dag<k>.latency] and
+    [ledger.*] instruments are recorded by the runtime's latency ledger
+    for every system (Shoal++ and its variants, Jolteon, Mysticeti), so all
+    of them export one latency namespace.
 
     Invariants:
     - handles are get-or-create by name: re-requesting a name returns the

@@ -85,6 +85,19 @@ dune exec bin/shoalpp_sim.exe -- \
 grep -q '"fault.recoveries"' "$out/faults.metrics.json" \
   || { echo "check failed: fault counters missing from scenario metrics" >&2; exit 1; }
 
+# One metric namespace for all three systems: the baselines' latency is
+# recorded by the same ledger as Shoal++'s, so their exports carry the same
+# stage, end-to-end, per-lane and keyed ledger metrics.
+for sys in jolteon mysticeti; do
+  dune exec bin/shoalpp_sim.exe -- --system "$sys" \
+    -n 4 --topology clique:4,15 --load 200 --duration 3000 --warmup 500 --no-verify \
+    --metrics-out "$out/$sys.metrics.json" > "$out/$sys.out"
+  for metric in '"stage.commit_to_order"' '"latency.e2e"' '"dag0.txns"' '"ledger.dag0.'; do
+    grep -q "$metric" "$out/$sys.metrics.json" \
+      || { echo "check failed: $sys metrics lack $metric" >&2; exit 1; }
+  done
+done
+
 # Real-time node smoke: the same replicas on a wall clock (sans-I/O seam),
 # run in the background with the live admin plane up so /health and
 # /metrics are scraped MID-RUN — the endpoint must serve while consensus is

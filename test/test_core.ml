@@ -6,7 +6,7 @@
 module E = Shoalpp_runtime.Experiment
 module Cluster = Shoalpp_runtime.Cluster
 module Report = Shoalpp_runtime.Report
-module Metrics = Shoalpp_runtime.Metrics
+module Ledger = Shoalpp_runtime.Ledger
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
 module Committee = Shoalpp_dag.Committee
@@ -220,34 +220,48 @@ let test_wal_active () =
     (Cluster.replicas c)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics & Report *)
+(* Ledger & Report *)
+
+(* A ledger entry for transaction [id] submitted at [submitted] and ordered
+   at [ordered]; the intermediate stamps are irrelevant to the warmup-cut
+   summary and series. *)
+let ordered_entry ~id ~submitted ~ordered =
+  {
+    Ledger.le_tx = id;
+    le_origin = 0;
+    le_dag = 0;
+    le_rule = Anchors.Fast_direct;
+    le_seq = id;
+    le_submitted = submitted;
+    le_batched = submitted;
+    le_included = submitted;
+    le_committed = ordered;
+    le_ordered = ordered;
+  }
 
 let test_metrics_warmup_exclusion () =
-  let m = Metrics.create ~warmup_ms:1_000.0 () in
-  let tx_early = Transaction.make ~id:1 ~submitted_at:500.0 ~origin:0 () in
-  let tx_late = Transaction.make ~id:2 ~submitted_at:1_500.0 ~origin:0 () in
-  Metrics.observe_commit m ~origin_ordered:true ~tx:tx_early ~now:900.0;
-  Metrics.observe_commit m ~origin_ordered:true ~tx:tx_late ~now:1_900.0;
-  Metrics.observe_commit m ~origin_ordered:false ~tx:tx_late ~now:1_900.0;
-  checki "only post-warmup origin commits" 1 (Metrics.committed m);
-  checki "latency samples" 1 (Shoalpp_support.Stats.Summary.count (Metrics.latency m))
+  let l = Ledger.create ~warmup_ms:1_000.0 () in
+  Ledger.record l (ordered_entry ~id:1 ~submitted:500.0 ~ordered:900.0);
+  Ledger.record l (ordered_entry ~id:2 ~submitted:1_500.0 ~ordered:1_900.0);
+  checki "only post-warmup origin commits" 1 (Ledger.committed l);
+  checki "latency samples" 1 (Shoalpp_support.Stats.Summary.count (Ledger.latency l))
 
 let test_metrics_series () =
-  let m = Metrics.create () in
+  let l = Ledger.create () in
   for i = 1 to 10 do
-    let tx = Transaction.make ~id:i ~submitted_at:(float_of_int i *. 50.0) ~origin:0 () in
-    Metrics.observe_commit m ~origin_ordered:true ~tx ~now:(float_of_int i *. 50.0 +. 50.0)
+    Ledger.record l
+      (ordered_entry ~id:i ~submitted:(float_of_int i *. 50.0)
+         ~ordered:(float_of_int i *. 50.0 +. 50.0))
   done;
-  match Metrics.throughput_series m with
+  match Ledger.throughput_series l with
   | [ (_, rate) ] -> checkb "10 commits in 1s window" true (rate = 10.0)
   | l -> Alcotest.failf "expected one window, got %d" (List.length l)
 
 let test_report_fields () =
-  let m = Metrics.create () in
-  let tx = Transaction.make ~id:1 ~submitted_at:100.0 ~origin:0 () in
-  Metrics.observe_commit m ~origin_ordered:true ~tx ~now:350.0;
+  let l = Ledger.create () in
+  Ledger.record l (ordered_entry ~id:1 ~submitted:100.0 ~ordered:350.0);
   let r =
-    Report.make ~name:"x" ~n:4 ~load_tps:10.0 ~duration_ms:1_000.0 ~submitted:5 ~metrics:m
+    Report.make ~name:"x" ~n:4 ~load_tps:10.0 ~duration_ms:1_000.0 ~submitted:5 ~ledger:l
       ~fast_commits:1 ~messages_sent:100 ~messages_dropped:2 ~bytes_sent:1e6 ()
   in
   checki "committed" 1 r.Report.committed;

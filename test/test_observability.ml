@@ -5,6 +5,14 @@
 
 module E = Shoalpp_runtime.Experiment
 module Report = Shoalpp_runtime.Report
+module Ledger = Shoalpp_runtime.Ledger
+module Cluster = Shoalpp_runtime.Cluster
+module Config = Shoalpp_core.Config
+module Committee = Shoalpp_dag.Committee
+module Topology = Shoalpp_sim.Topology
+module Faults = Shoalpp_sim.Faults
+module Jolteon = Shoalpp_baselines.Jolteon
+module Mysticeti = Shoalpp_baselines.Mysticeti
 module Export = Shoalpp_runtime.Export
 module Telemetry = Shoalpp_support.Telemetry
 module Anchors = Shoalpp_consensus.Anchors
@@ -347,6 +355,126 @@ let test_baseline_telemetry () =
      + Telemetry.snap_counter snap "commit.certified_direct"
      > 0)
 
+(* ------------------------------------------------------------------ *)
+(* One latency sink: the aggregate stage histograms, the keyed ledger
+   histograms, the per-lane instruments and the report are all views of
+   the one ledger, so they agree with it exactly — for Shoal++ (with and
+   without a restart, with and without checkpoints) and both baselines. *)
+
+(* Each aggregate histogram and the keyed ledger stage it must match. *)
+let aggregate_stages =
+  [
+    ("stage.submit_to_batch", "submit_to_batch");
+    ("stage.batch_to_proposal", "batch_to_inclusion");
+    ("stage.proposal_to_commit", "inclusion_to_commit");
+    ("stage.commit_to_order", "commit_to_order");
+    ("latency.e2e", "e2e");
+  ]
+
+(* [dag<k><suffix>] with a non-empty decimal [k]. *)
+let is_lane_metric ~suffix name =
+  let ls = String.length suffix and ln = String.length name in
+  ln > 3 + ls
+  && String.equal (String.sub name 0 3) "dag"
+  && String.equal (String.sub name (ln - ls) ls) suffix
+  && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub name 3 (ln - ls - 3))
+
+let check_one_sink name ledger (r : Report.t) =
+  let snap = r.Report.telemetry in
+  let recorded = Ledger.recorded ledger in
+  let label what = Printf.sprintf "%s: %s" name what in
+  checkb (label "transactions recorded") true (recorded > 0);
+  let count metric =
+    match Telemetry.snap_histogram snap metric with
+    | Some hs -> hs.Telemetry.hs_count
+    | None -> Alcotest.failf "%s: histogram %s missing" name metric
+  in
+  let rows = Ledger.breakdown snap in
+  List.iter
+    (fun (aggregate, stage) ->
+      let keyed =
+        List.fold_left
+          (fun acc row ->
+            if String.equal row.Ledger.br_stage stage then acc + row.Ledger.br_stats.Telemetry.hs_count
+            else acc)
+          0 rows
+      in
+      checki (label (aggregate ^ " = sum of keyed " ^ stage)) keyed (count aggregate);
+      checki (label (aggregate ^ " = recorded")) recorded (count aggregate))
+    aggregate_stages;
+  let lane_txns =
+    List.fold_left
+      (fun acc (k, v) -> if is_lane_metric ~suffix:".txns" k then acc + v else acc)
+      0 snap.Telemetry.snap_counters
+  in
+  let lane_latency =
+    List.fold_left
+      (fun acc (hs : Telemetry.histogram_stats) ->
+        if is_lane_metric ~suffix:".latency" hs.Telemetry.hs_name then acc + hs.Telemetry.hs_count
+        else acc)
+      0 snap.Telemetry.snap_histograms
+  in
+  checki (label "sum of dag<k>.txns = recorded") recorded lane_txns;
+  checki (label "sum of dag<k>.latency counts = recorded") recorded lane_latency;
+  checki (label "report committed = warmup-cut summary") r.Report.committed
+    (Shoalpp_support.Stats.Summary.count (Ledger.latency ledger))
+
+let test_one_latency_sink () =
+  let committee = Committee.make ~n:4 ~cluster_seed:9 () in
+  let topology = Topology.clique ~regions:2 ~one_way_ms:20.0 in
+  let duration_ms = 6_000.0 in
+  let shoalpp name ?(scenario = Faults.none) interval =
+    let protocol =
+      Config.with_checkpoint_interval
+        (Config.without_signature_checks (Config.shoalpp ~committee))
+        interval
+    in
+    let c =
+      Cluster.create
+        {
+          (Cluster.default_setup ~protocol) with
+          Cluster.topology;
+          scenario;
+          load_tps = 300.0;
+          warmup_ms = 500.0;
+          seed = 3;
+        }
+    in
+    Cluster.run c ~duration_ms;
+    let r = Cluster.report c ~duration_ms in
+    checki (name ^ ": restarts") (List.length (Faults.crash_recoveries scenario ~n:4))
+      (Telemetry.snap_counter r.Report.telemetry "fault.recoveries");
+    check_one_sink name (Cluster.ledger c) r
+  in
+  let crash_recover = Faults.crash_recover ~count:1 ~at:2_000.0 ~recover_at:3_500.0 () in
+  shoalpp "shoal++ clean" 0;
+  shoalpp "shoal++ crash_recover" ~scenario:crash_recover 0;
+  shoalpp "shoal++ crash_recover, checkpoints" ~scenario:crash_recover 12;
+  let j =
+    Jolteon.create
+      {
+        (Jolteon.default_setup ~committee) with
+        Jolteon.topology;
+        load_tps = 300.0;
+        warmup_ms = 500.0;
+        verify_signatures = false;
+      }
+  in
+  Jolteon.run j ~duration_ms;
+  check_one_sink "jolteon" (Jolteon.ledger j) (Jolteon.report j ~duration_ms);
+  let m =
+    Mysticeti.create
+      {
+        (Mysticeti.default_setup ~committee) with
+        Mysticeti.topology;
+        load_tps = 300.0;
+        warmup_ms = 500.0;
+        verify_signatures = false;
+      }
+  in
+  Mysticeti.run m ~duration_ms;
+  check_one_sink "mysticeti" (Mysticeti.ledger m) (Mysticeti.report m ~duration_ms)
+
 let suite =
   [
     ( "observability",
@@ -372,5 +500,6 @@ let suite =
           test_trace_events_exported_roundtrip;
         Alcotest.test_case "trace and metrics deterministic" `Quick test_deterministic_trace;
         Alcotest.test_case "baseline telemetry hooks" `Quick test_baseline_telemetry;
+        Alcotest.test_case "one latency sink agrees with itself" `Quick test_one_latency_sink;
       ] );
   ]

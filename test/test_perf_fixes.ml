@@ -6,7 +6,7 @@
    audit — for a fixed seed. *)
 
 module Engine = Shoalpp_sim.Engine
-module Metrics = Shoalpp_runtime.Metrics
+module Ledger = Shoalpp_runtime.Ledger
 module Report = Shoalpp_runtime.Report
 module E = Shoalpp_runtime.Experiment
 module Export = Shoalpp_runtime.Export
@@ -23,44 +23,56 @@ let checkf = Alcotest.(check (float 1e-9))
 let checks = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics: one warmup rule, judged on commit time, for both the scalar
-   counters and the windowed series. *)
+(* Ledger: one warmup rule, judged on commit (order) time, for both the
+   scalar counters and the windowed series. *)
 
-let tx ~id ~at = Shoalpp_workload.Transaction.make ~id ~submitted_at:at ~origin:0 ()
+(* Transaction [id], submitted at [at] and ordered at [now]. *)
+let commit ~id ~at ~now =
+  {
+    Ledger.le_tx = id;
+    le_origin = 0;
+    le_dag = 0;
+    le_rule = Anchors.Fast_direct;
+    le_seq = id;
+    le_submitted = at;
+    le_batched = at;
+    le_included = at;
+    le_committed = now;
+    le_ordered = now;
+  }
 
 let series_total series =
   (* rate_series reports tx/s over 1 s windows: summing gives commits. *)
   List.fold_left (fun acc (_, v) -> acc +. v) 0.0 series
 
 let test_warmup_judged_on_commit_time () =
-  let m = Metrics.create ~warmup_ms:1000.0 ~window_ms:1000.0 () in
+  let m = Ledger.create ~warmup_ms:1000.0 () in
   (* Submitted during warmup, committed after: measures the steady-state
      commit path, so every view must include it. *)
-  Metrics.observe_commit m ~origin_ordered:true ~tx:(tx ~id:1 ~at:500.0) ~now:1500.0;
+  Ledger.record m (commit ~id:1 ~at:500.0 ~now:1500.0);
   (* Committed during warmup: no view may include it. *)
-  Metrics.observe_commit m ~origin_ordered:true ~tx:(tx ~id:2 ~at:100.0) ~now:900.0;
-  checki "committed counter" 1 (Metrics.committed m);
-  checki "latency samples" 1 (Stats.Summary.count (Metrics.latency m));
-  checkf "latency of the counted tx" 1000.0 (Stats.Summary.mean (Metrics.latency m));
-  checkf "series total agrees with counter" 1.0 (series_total (Metrics.throughput_series m))
+  Ledger.record m (commit ~id:2 ~at:100.0 ~now:900.0);
+  checki "committed counter" 1 (Ledger.committed m);
+  checki "latency samples" 1 (Stats.Summary.count (Ledger.latency m));
+  checkf "latency of the counted tx" 1000.0 (Stats.Summary.mean (Ledger.latency m));
+  checkf "series total agrees with counter" 1.0 (series_total (Ledger.throughput_series m))
 
 let test_warmup_counters_and_series_agree () =
   (* Commits straddling the cutoff in both submit/commit combinations: the
      scalar counter and the series must agree exactly (the old code judged
      the counter on submit time and the series on commit time). *)
-  let m = Metrics.create ~warmup_ms:2000.0 ~window_ms:1000.0 () in
+  let m = Ledger.create ~warmup_ms:2000.0 () in
   List.iter
-    (fun (id, submitted, committed) ->
-      Metrics.observe_commit m ~origin_ordered:true ~tx:(tx ~id ~at:submitted) ~now:committed)
+    (fun (id, submitted, committed) -> Ledger.record m (commit ~id ~at:submitted ~now:committed))
     [
       (1, 500.0, 1500.0) (* in-warmup commit: excluded *);
       (2, 1500.0, 2500.0) (* warmup submit, steady commit: included *);
       (3, 2500.0, 3500.0) (* steady both: included *);
       (4, 100.0, 1999.0) (* in-warmup commit: excluded *);
     ];
-  checki "committed" 2 (Metrics.committed m);
-  checkf "series total" 2.0 (series_total (Metrics.throughput_series m));
-  checki "latency count matches" 2 (Stats.Summary.count (Metrics.latency m))
+  checki "committed" 2 (Ledger.committed m);
+  checkf "series total" 2.0 (series_total (Ledger.throughput_series m));
+  checki "latency count matches" 2 (Stats.Summary.count (Ledger.latency m))
 
 (* ------------------------------------------------------------------ *)
 (* Engine: run-to-horizon is gated on the queue being drained of due

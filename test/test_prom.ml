@@ -117,22 +117,22 @@ let entry ?(tx = 0) ?(dag = 0) ?(rule = Anchors.Fast_direct) ?(seq = 0) ?(t0 = 0
   }
 
 let test_ledger_ring () =
-  let l = Ledger.create ~capacity:3 () in
+  let l = Ledger.create () in
   checki "empty" 0 (Ledger.recorded l);
-  for i = 0 to 4 do
+  let total = Ledger.capacity + 2 in
+  for i = 0 to total - 1 do
     Ledger.record l (entry ~tx:i ~seq:i ())
   done;
-  checki "recorded counts all" 5 (Ledger.recorded l);
-  checki "capacity" 3 (Ledger.capacity l);
+  checki "recorded counts all" total (Ledger.recorded l);
   checki "dropped = recorded - retained" 2 (Ledger.dropped l);
   (* Tail is oldest-first over the newest [capacity] entries. *)
   checkb "tail keeps newest, oldest first" true
-    (List.map (fun e -> e.Ledger.le_tx) (Ledger.tail l) = [ 2; 3; 4 ]);
+    (List.map (fun e -> e.Ledger.le_tx) (Ledger.tail l) = List.init Ledger.capacity (fun i -> i + 2));
   checkb "limited tail keeps the newest" true
-    (List.map (fun e -> e.Ledger.le_tx) (Ledger.tail ~limit:2 l) = [ 3; 4 ])
+    (List.map (fun e -> e.Ledger.le_tx) (Ledger.tail ~limit:2 l) = [ total - 2; total - 1 ])
 
 let test_ledger_json_tail () =
-  let l = Ledger.create ~capacity:2 () in
+  let l = Ledger.create () in
   Ledger.record l (entry ~tx:7 ~seq:42 ~rule:Anchors.Indirect_rule ());
   let j =
     match Export.Json.parse (Ledger.json_tail l) with

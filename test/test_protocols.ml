@@ -192,11 +192,13 @@ let test_gc_bounds_state () =
     (Cluster.replicas cluster);
   checkb "still consistent after 60s" true (Cluster.audit cluster).Cluster.consistent_prefixes;
   (* Latency stays flat: last-window mean within 3x of global median. *)
-  let m = Cluster.metrics cluster in
-  let series = Shoalpp_runtime.Metrics.latency_series m in
+  let ledger = Cluster.ledger cluster in
+  let series = Shoalpp_runtime.Ledger.latency_series ledger in
   match List.rev series with
   | (_, last) :: _ ->
-    let p50 = Shoalpp_support.Stats.Summary.percentile (Shoalpp_runtime.Metrics.latency m) 0.5 in
+    let p50 =
+      Shoalpp_support.Stats.Summary.percentile (Shoalpp_runtime.Ledger.latency ledger) 0.5
+    in
     checkb
       (Printf.sprintf "no drift (last window %.0f vs p50 %.0f)" last p50)
       true (last < 3.0 *. p50)

@@ -88,7 +88,6 @@ let default =
            are scraped and diffed, so their iteration order must be stable *)
         "lib/runtime/ledger.ml";
         "lib/runtime/prom.ml";
-        "lib/runtime/metrics.ml";
         "lib/runtime/cluster.ml";
         "lib/runtime/experiment.ml";
         "lib/runtime/harness.ml";
