@@ -1092,7 +1092,7 @@ let micro () =
         Test.make ~name:"multisig-verify-11"
           (Staged.stage (fun () -> ignore (Shoalpp_crypto.Multisig.verify keys aggregate "m")));
         Test.make ~name:"decode-certificate-11"
-          (Staged.stage (fun () -> ignore (Types.decode_message ~cluster_seed:0 encoded_cert)));
+          (Staged.stage (fun () -> ignore (Types.decode_message encoded_cert)));
         Test.make ~name:"ck-candidate-digest"
           (Staged.stage (fun () -> ignore (Checkpoint.digest ck_candidate)));
         Test.make ~name:"ck-fold"
@@ -1101,7 +1101,7 @@ let micro () =
         Test.make ~name:"encode-proposal-500tx"
           (Staged.stage (fun () -> ignore (Types.encode_message (Types.Proposal node))));
         Test.make ~name:"decode-proposal-500tx"
-          (Staged.stage (fun () -> ignore (Types.decode_message ~cluster_seed:0 encoded)));
+          (Staged.stage (fun () -> ignore (Types.decode_message encoded)));
       ]
   in
   let instances = Instance.[ monotonic_clock ] in

@@ -420,18 +420,24 @@ let delayed t ~delay_ms (inner : 'msg Backend.Transport.t) =
 module Framing = struct
   let max_body = 1 lsl 26 (* 64 MiB: far above any protocol message *)
 
-  let frame ~src payload =
-    let w = Wire.Writer.create () in
+  (* The body is written into [w] (cleared first) and copied once, into
+     the frame's own bytes behind the length prefix. *)
+  let frame w ~src write =
+    Wire.Writer.clear w;
     Wire.Writer.uint w src;
-    Wire.Writer.bytes w payload;
-    let body = Wire.Writer.contents w in
-    let n = String.length body in
+    write w;
+    let n = Wire.Writer.size w in
     let out = Bytes.create (4 + n) in
     Bytes.set_int32_be out 0 (Int32.of_int n);
-    Bytes.blit_string body 0 out 4 n;
+    Wire.Writer.blit w out 4;
     Bytes.unsafe_to_string out
 
-  (* Byte backlog with a consumed-prefix offset: frames are decoded in
+  let header frame =
+    let r = Wire.Reader.of_string ~pos:4 frame in
+    let src = Wire.Reader.uint r in
+    (src, Wire.Reader.position r)
+
+  (* Byte backlog with a consumed-prefix offset: frames are cut out in
      place by advancing [start], and the live region is compacted (or the
      buffer grown) at most once per [feed], so decoding stays linear in the
      bytes received no matter how many frames pile up on one connection. *)
@@ -467,17 +473,41 @@ module Framing = struct
           raise (Wire.Reader.Malformed "frame length out of range");
         if d.len < 4 + body_len then progress := false
         else begin
-          let body = Bytes.sub_string d.buf (d.start + 4) body_len in
+          (* The one copy a received frame gets before it is decoded. *)
+          let frame = Bytes.sub_string d.buf d.start (4 + body_len) in
           d.start <- d.start + 4 + body_len;
           d.len <- d.len - (4 + body_len);
-          let r = Wire.Reader.of_string body in
-          let src = Wire.Reader.uint r in
-          let payload = Wire.Reader.bytes r in
-          Wire.Reader.expect_end r;
-          frames := (src, payload) :: !frames
+          let src, _ = header frame in
+          frames := (src, frame) :: !frames
         end
       end
     done;
     if d.len = 0 then d.start <- 0;
     List.rev !frames
 end
+
+(* The codec step of a byte transport. The scratch writer is reused from
+   message to message, so a send or broadcast costs one encode into warm
+   storage and one copy into its frame; the frame string is what every
+   destination's queue (or delay timer) holds. *)
+let framed ~encode ~decode (inner : string Backend.Transport.t) =
+  let scratch = Wire.Writer.create ~initial:4096 () in
+  let frame ~src msg = Framing.frame scratch ~src (fun w -> encode w msg) in
+  let undecodable = ref 0 in
+  {
+    Backend.Transport.n = inner.Backend.Transport.n;
+    send = (fun ~src ~dst ~size msg -> inner.Backend.Transport.send ~src ~dst ~size (frame ~src msg));
+    broadcast =
+      (fun ~src ~size ~include_self msg ->
+        inner.Backend.Transport.broadcast ~src ~size ~include_self (frame ~src msg));
+    set_handler =
+      (fun replica h ->
+        inner.Backend.Transport.set_handler replica (fun ~src frame ->
+            match decode frame ~pos:(snd (Framing.header frame)) with
+            | Some msg -> h ~src msg
+            | None -> incr undecodable));
+    stats =
+      (fun () ->
+        let s = inner.Backend.Transport.stats () in
+        { s with Backend.Transport.dropped = s.Backend.Transport.dropped + !undecodable });
+  }

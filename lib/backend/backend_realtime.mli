@@ -3,9 +3,10 @@
     Runs the same protocol code as the simulator on real time: a timer
     wheel over a mutex-protected binary heap ({!Shoalpp_support.Heap}),
     a monotonic millisecond clock (clamped against system-clock steps),
-    in-process loopback transports, a per-link delay shim, and the
+    in-process loopback transports, a per-link delay shim, the
     length-prefixed {!Shoalpp_codec.Wire} framing the TCP transport
-    ({!Tcp_transport}) speaks.
+    ({!Tcp_transport}) speaks, and the codec step ({!framed}) that turns
+    messages into those frames.
 
     Each executor's event loop is single-threaded: {!run_for} fires due
     timers in (due-time, scheduling-order) order and multiplexes socket
@@ -121,11 +122,21 @@ val delayed :
 
 module Framing : sig
   (** Length-prefixed frames over a byte stream: a 4-byte big-endian body
-      length, then a {!Shoalpp_codec.Wire} body [(uint src; bytes
-      payload)]. Split out for direct testing. *)
+      length, then the body [uint src] followed by the payload, which runs
+      to the end of the body. A frame is an immutable string, built once
+      and shared by every destination of a broadcast. Split out for direct
+      testing. *)
 
-  val frame : src:int -> string -> string
-  (** Encode one payload as a complete frame. *)
+  val frame : Shoalpp_codec.Wire.Writer.t -> src:int -> (Shoalpp_codec.Wire.Writer.t -> unit) -> string
+  (** [frame w ~src write] clears [w], writes [src] and then the payload
+      with [write w], and returns the complete frame: the body is copied
+      once, behind the length prefix. *)
+
+  val header : string -> int * int
+  (** [(src, pos)] of a complete frame: its sender and the offset at which
+      its payload starts.
+      @raise Shoalpp_codec.Wire.Reader.Malformed if the body does not start
+      with a sender id. *)
 
   type decoder
 
@@ -133,8 +144,24 @@ module Framing : sig
 
   val feed : decoder -> Bytes.t -> int -> (int * string) list
   (** [feed d chunk len] appends [len] bytes and returns every complete
-      [(src, payload)] frame now available, in stream order. Partial frames
-      are buffered across calls.
+      frame now available as [(src, frame)], in stream order: each frame
+      is copied out of the backlog once, length prefix included, so it is
+      byte-equal to the string {!frame} built. Partial frames are buffered
+      across calls.
       @raise Shoalpp_codec.Wire.Reader.Malformed on a corrupt frame
       (including bodies over 64 MiB). *)
 end
+
+val framed :
+  encode:(Shoalpp_codec.Wire.Writer.t -> 'msg -> unit) ->
+  decode:(string -> pos:int -> 'msg option) ->
+  string Backend.Transport.t ->
+  'msg Backend.Transport.t
+(** The codec step over a transport of {!Framing} frames (the TCP
+    transport, possibly under {!delayed}): [send] and [broadcast] encode
+    the message once into a reused scratch writer and hand one frame string
+    to the inner transport, however many destinations it has; an inbound
+    frame is decoded in place ([decode frame ~pos] with [pos] at its
+    payload). A frame that does not decode is dropped and counted in
+    [stats.dropped]. Drive it from one domain: the scratch writer is not
+    shared-safe. *)

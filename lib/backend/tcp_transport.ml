@@ -9,9 +9,11 @@
 
 (* Length-prefixed TCP transport for the wall-clock executor.
 
-   Wire format: Backend_realtime.Framing (4-byte big-endian body length,
-   then a Wire body carrying (src, payload)) over 127.0.0.1 TCP sockets,
-   with the two behaviours a real deployment needs and loopback hides:
+   Messages are complete Backend_realtime.Framing frames (4-byte
+   big-endian body length, then the sender id and the payload), built once
+   by the codec step above ([Backend_realtime.framed]) and written as they
+   are over 127.0.0.1 TCP sockets, with the two behaviours a real
+   deployment needs and loopback hides:
 
    - Per-peer WRITE COALESCING: frames bound for one destination are
      appended to a pending buffer and flushed as a single aggregated write
@@ -20,7 +22,8 @@
      certificates) stop paying one syscall each — the real-time analogue
      of the simulator's region-batched broadcast. TCP_NODELAY is set so
      the kernel never adds a second (Nagle) coalescing delay on top of
-     ours; with [coalesce_us = 0] every frame is written immediately.
+     ours; with [coalesce_us = 0] every frame is written immediately, and
+     the write queue holds the frame string itself — no copy.
 
    - LAZY RECONNECT with capped exponential backoff: a send to a peer with
      no live connection dials it non-blockingly; a failed dial (or a
@@ -32,8 +35,8 @@
 
    Everything runs on the executor's single event loop: sends enqueue,
    the select loop flushes on writability and feeds inbound bytes through
-   a per-connection Framing.decoder. No protocol handler ever runs inside
-   [send]. *)
+   a per-connection Framing.decoder, which hands each frame to the owner's
+   handler. No protocol handler ever runs inside [send]. *)
 
 module Framing = Backend_realtime.Framing
 module Wire = Shoalpp_codec.Wire
@@ -44,8 +47,9 @@ let max_out_buffered = 8 * 1024 * 1024
 let max_coalesce_bytes = 64 * 1024
 
 (* One live (or connecting) outbound connection. The write queue holds
-   aggregated batches with their frame counts, so a teardown can report
-   dropped frames accurately; the head batch may be partially written. *)
+   frames, or aggregated batches of them, with their frame counts, so a
+   teardown can report dropped frames accurately; the head entry may be
+   partially written. *)
 type conn = {
   c_fd : Unix.file_descr;
   c_q : (string * int) Queue.t;
@@ -70,15 +74,13 @@ type net_stats = {
   dial_failures : int;
 }
 
-type 'msg t = {
+type t = {
   exec : Backend_realtime.t;
   n : int;
   host : string;
   t_ports : int array;
   coalesce_ms : float;
-  t_encode : 'msg -> string;
-  t_decode : string -> 'msg option;
-  handlers : (src:int -> 'msg -> unit) option array;
+  handlers : (src:int -> string -> unit) option array;
   peers : peer array;
   listeners : Unix.file_descr option array;
   inbound : Unix.file_descr list ref array; (* accepted conns per listening replica *)
@@ -94,7 +96,7 @@ type 'msg t = {
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Inbound side: accept, read, decode, dispatch to the owner's handler. *)
+(* Inbound side: accept, read, cut frames, dispatch to the owner's handler. *)
 
 let forget_inbound t ~owner fd =
   Backend_realtime.remove_poller t.exec fd;
@@ -106,14 +108,10 @@ let on_readable t ~owner conn dec buf () =
   | 0 -> forget_inbound t ~owner conn
   | len -> (
     match Framing.feed dec buf len with
-    | frames ->
-      List.iter
-        (fun (src, payload) ->
-          match t.t_decode payload with
-          | Some msg -> (
-            match t.handlers.(owner) with Some h -> h ~src msg | None -> ())
-          | None -> t.t_dropped <- t.t_dropped + 1)
-        frames
+    | frames -> (
+      match t.handlers.(owner) with
+      | Some h -> List.iter (fun (src, frame) -> h ~src frame) frames
+      | None -> ())
     | exception Wire.Reader.Malformed _ ->
       t.t_dropped <- t.t_dropped + 1;
       forget_inbound t ~owner conn)
@@ -261,34 +259,40 @@ let conn_for t dst =
   | None ->
     if Backend_realtime.now_ms t.exec < p.p_retry_at_ms then None else dial t dst
 
-let send t ~src ~dst ~size msg =
+let send t ~dst ~size frame =
   match conn_for t dst with
   | None -> t.t_dropped <- t.t_dropped + 1
   | Some c ->
-    let frame = Framing.frame ~src (t.t_encode msg) in
     if c.c_buffered + String.length frame > max_out_buffered then
       t.t_dropped <- t.t_dropped + 1
     else begin
-      Buffer.add_string c.c_pending frame;
-      c.c_pending_frames <- c.c_pending_frames + 1;
       c.c_buffered <- c.c_buffered + String.length frame;
       t.t_sent <- t.t_sent + 1;
       t.t_bytes <- t.t_bytes +. float_of_int size;
-      if t.coalesce_ms <= 0.0 || Buffer.length c.c_pending >= max_coalesce_bytes then
-        flush_pending t dst c
-      else if c.c_flush_timer = None then
-        c.c_flush_timer <-
-          Some
-            ((Backend_realtime.timers t.exec).Backend.Timers.schedule ~after:t.coalesce_ms
-               (fun () ->
-                 c.c_flush_timer <- None;
-                 flush_pending t dst c))
+      if t.coalesce_ms <= 0.0 then begin
+        (* Uncoalesced: the frame string itself is queued, shared with
+           every other destination of the same broadcast. *)
+        Queue.add (frame, 1) c.c_q;
+        t.t_flushes <- t.t_flushes + 1;
+        if c.c_connected then pump t dst c
+      end
+      else begin
+        Buffer.add_string c.c_pending frame;
+        c.c_pending_frames <- c.c_pending_frames + 1;
+        if Buffer.length c.c_pending >= max_coalesce_bytes then flush_pending t dst c
+        else if c.c_flush_timer = None then
+          c.c_flush_timer <-
+            Some
+              ((Backend_realtime.timers t.exec).Backend.Timers.schedule ~after:t.coalesce_ms
+                 (fun () ->
+                   c.c_flush_timer <- None;
+                   flush_pending t dst c))
+      end
     end
 
 (* ------------------------------------------------------------------ *)
 
-let create exec ~n ?(base_port = 0) ?(host = "127.0.0.1") ?(coalesce_us = 0.0) ~encode
-    ~decode () =
+let create exec ~n ?(base_port = 0) ?(host = "127.0.0.1") ?(coalesce_us = 0.0) () =
   let t =
     {
       exec;
@@ -296,8 +300,6 @@ let create exec ~n ?(base_port = 0) ?(host = "127.0.0.1") ?(coalesce_us = 0.0) ~
       host;
       t_ports = Array.init n (fun i -> if base_port = 0 then 0 else base_port + i);
       coalesce_ms = Float.max 0.0 coalesce_us /. 1000.0;
-      t_encode = encode;
-      t_decode = decode;
       handlers = Array.make n None;
       peers =
         Array.init n (fun _ ->
@@ -323,11 +325,11 @@ let ports t = Array.copy t.t_ports
 let transport t =
   {
     Backend.Transport.n = t.n;
-    send = (fun ~src ~dst ~size msg -> send t ~src ~dst ~size msg);
+    send = (fun ~src:_ ~dst ~size frame -> send t ~dst ~size frame);
     broadcast =
-      (fun ~src ~size ~include_self msg ->
+      (fun ~src ~size ~include_self frame ->
         for dst = 0 to t.n - 1 do
-          if include_self || dst <> src then send t ~src ~dst ~size msg
+          if include_self || dst <> src then send t ~dst ~size frame
         done);
     set_handler = (fun replica f -> t.handlers.(replica) <- Some f);
     stats =

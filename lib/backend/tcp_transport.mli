@@ -2,11 +2,14 @@
     reconnect, for {!Backend_realtime}.
 
     Replica [i] listens on [host:(base_port + i)] ([base_port = 0] lets the
-    kernel pick each port; read the result back with {!ports}). Frames are
-    in the {!Backend_realtime.Framing} format — a
-    4-byte big-endian body length, then a {!Shoalpp_codec.Wire} body of
-    [(uint src; bytes payload)] — so one socket per (process, destination)
-    suffices and the receiver learns the sender from the frame.
+    kernel pick each port; read the result back with {!ports}). The
+    messages it carries are complete {!Backend_realtime.Framing} frames — a
+    4-byte big-endian body length, then [uint src] and the payload — built
+    by the codec step above it ({!Backend_realtime.framed}), so one socket
+    per (process, destination) suffices and the receiver learns the sender
+    from the frame. The transport never encodes, decodes or re-frames: a
+    sent frame is written as it is, and each received frame is copied once
+    out of the read buffer and handed to the owner's handler.
 
     Two behaviours a real deployment needs and the loopbacks hide:
 
@@ -15,7 +18,9 @@
       write when 64 KiB accumulate or the latency budget expires, whichever
       comes first — many small protocol messages per syscall, the real-time
       analogue of the simulator's region-batched broadcast. [TCP_NODELAY]
-      is set so the kernel never stacks a Nagle delay on top.
+      is set so the kernel never stacks a Nagle delay on top. With
+      [coalesce_us = 0] each peer's write queue holds the frame string
+      itself, shared by every destination of a broadcast.
     - {b Lazy reconnect}: outbound connections are dialed non-blockingly on
       first use; a failed dial or torn-down stream drops the queued frames
       (counted in [stats.dropped]), doubles the peer's retry delay (10 ms
@@ -32,7 +37,7 @@
     - outbound memory per peer is bounded (8 MiB); frames beyond the cap
       are dropped and counted. *)
 
-type 'msg t
+type t
 
 val create :
   Backend_realtime.t ->
@@ -40,20 +45,20 @@ val create :
   ?base_port:int ->
   ?host:string ->
   ?coalesce_us:float ->
-  encode:('msg -> string) ->
-  decode:(string -> 'msg option) ->
   unit ->
-  'msg t
+  t
 (** Create listeners for all [n] replicas in this process.
     @raise Unix.Unix_error with [EADDRINUSE] when a fixed [base_port] range
     collides with another process — callers retry with a different base. *)
 
-val transport : 'msg t -> 'msg Backend.Transport.t
-(** The {!Backend.Transport} view: [send]/[broadcast] enqueue (and
-    coalesce), [set_handler] registers the per-replica inbound dispatch,
+val transport : t -> string Backend.Transport.t
+(** The {!Backend.Transport} view over frames: [send]/[broadcast] enqueue
+    (and coalesce) a {!Backend_realtime.Framing.frame} string, whose
+    sender id is the one the receiver sees; [set_handler] registers the
+    per-replica inbound dispatch, which receives each complete frame;
     [stats] counts frames and declared payload bytes. *)
 
-val ports : 'msg t -> int array
+val ports : t -> int array
 (** Actual listening ports, resolved after bind (useful with
     [base_port = 0]). *)
 
@@ -66,16 +71,16 @@ type net_stats = {
   dial_failures : int;  (** failed dials and mid-stream teardowns *)
 }
 
-val net_stats : 'msg t -> net_stats
+val net_stats : t -> net_stats
 
-val crash_replica : 'msg t -> int -> unit
+val crash_replica : t -> int -> unit
 (** Test hook: close replica [i]'s listener and every connection it has
     accepted, as if its process died. Peers' next writes fail and enter
     backoff. *)
 
-val restart_replica : 'msg t -> int -> unit
+val restart_replica : t -> int -> unit
 (** Test hook: re-listen on replica [i]'s original port after
     {!crash_replica}. Peers re-dial lazily once their backoff expires. *)
 
-val shutdown : 'msg t -> unit
+val shutdown : t -> unit
 (** Close every listener, accepted connection and outbound connection. *)

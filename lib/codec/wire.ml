@@ -33,6 +33,8 @@ module Writer = struct
 
   let size t = Buffer.length t
   let contents t = Buffer.contents t
+  let clear t = Buffer.clear t
+  let blit t dst pos = Buffer.blit t 0 dst pos (Buffer.length t)
 end
 
 module Reader = struct
@@ -40,7 +42,9 @@ module Reader = struct
 
   exception Malformed of string
 
-  let of_string src = { src; pos = 0 }
+  let of_string ?(pos = 0) src =
+    if pos < 0 || pos > String.length src then invalid_arg "Wire.Reader.of_string";
+    { src; pos }
 
   let need t n =
     if t.pos + n > String.length t.src then raise (Malformed "truncated")
@@ -96,6 +100,7 @@ module Reader = struct
     if n > 1_000_000 then raise (Malformed "list too long");
     List.init n (fun _ -> f t)
 
+  let position t = t.pos
   let at_end t = t.pos = String.length t.src
   let expect_end t = if not (at_end t) then raise (Malformed "trailing bytes")
 end

@@ -40,6 +40,13 @@ module Writer : sig
 
   val size : t -> int
   val contents : t -> string
+
+  val clear : t -> unit
+  (** Empty the writer, keeping its storage for the next message. *)
+
+  val blit : t -> Bytes.t -> int -> unit
+  (** [blit w dst pos] copies the [size w] written bytes into [dst] at
+      [pos], without an intermediate string. *)
 end
 
 module Reader : sig
@@ -49,7 +56,11 @@ module Reader : sig
   (** Raised by all reads on truncated or invalid input; protocol code treats
       it as a Byzantine message and drops it. *)
 
-  val of_string : string -> t
+  val of_string : ?pos:int -> string -> t
+  (** A reader over [s] from offset [pos] (default 0) to its end; the
+      string is not copied.
+      @raise Invalid_argument if [pos] is outside [0, length s]. *)
+
   val uint : t -> int
   val u8 : t -> int
   val u32 : t -> int
@@ -59,6 +70,10 @@ module Reader : sig
   val raw : t -> int -> string
   val digest : t -> Shoalpp_crypto.Digest32.t
   val list : t -> (t -> 'a) -> 'a list
+  val position : t -> int
+  (** Offset of the next byte to read, counted from the start of the
+      string (not from [pos]). *)
+
   val at_end : t -> bool
   val expect_end : t -> unit
   (** @raise Malformed if trailing bytes remain. *)

@@ -608,11 +608,7 @@ let replay_wal t =
       if String.length entry > 1 then begin
         let dag_id = Char.code entry.[0] in
         if dag_id < Array.length t.lanes then begin
-          let raw = String.sub entry 1 (String.length entry - 1) in
-          match
-            Types.decode_message ~cluster_seed:t.cfg.Config.committee.Committee.cluster_seed
-              raw
-          with
+          match Types.decode_message ~pos:1 entry with
           | Ok msg ->
             incr replayed;
             (* Proposals must appear to come from their author (the
@@ -731,8 +727,7 @@ and ck_adopt t m blob_opt =
     let quorum = Committee.quorum committee in
     let ck =
       match
-        Checkpoint.decode ~cluster_seed:committee.Committee.cluster_seed
-          ~n:committee.Committee.n blob
+        Checkpoint.decode ~n:committee.Committee.n blob
       with
       | ck ->
         if Checkpoint.verify ~keys:committee.Committee.keys ~quorum ck then
@@ -898,8 +893,7 @@ let latest_local_checkpoint t =
     List.fold_left
       (fun acc blob ->
         match
-          Checkpoint.decode ~cluster_seed:committee.Committee.cluster_seed
-            ~n:committee.Committee.n blob
+          Checkpoint.decode ~n:committee.Committee.n blob
         with
         | ck ->
           if

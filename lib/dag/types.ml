@@ -175,11 +175,33 @@ let read_node rd =
     created_at;
   }
 
+(* A certificate on the wire: its ref, the bitmap capacity, the signer
+   list, then the 32-byte aggregate (Narwhal's header + aggregated
+   signature shape). *)
 let write_cert w (c : certificate) =
   write_ref w c.cert_ref;
   let signers = Multisig.signers c.multisig in
   Wire.Writer.uint w (Bitset.capacity signers);
-  Wire.Writer.list w (Wire.Writer.uint w) (Bitset.to_list signers)
+  Wire.Writer.list w (Wire.Writer.uint w) (Bitset.to_list signers);
+  Wire.Writer.raw w (Multisig.combined c.multisig)
+
+(* The aggregate is kept exactly as received, so validation verifies what
+   the sender sent. [Multisig.of_wire] checks the claimed capacity against
+   its ceiling before allocating the bitmap: a few bytes on the wire can
+   never make the decoder allocate more than that. *)
+let read_cert rd =
+  let cert_ref = read_ref rd in
+  let cap = Wire.Reader.uint rd in
+  let signers = Wire.Reader.list rd Wire.Reader.uint in
+  let combined = Wire.Reader.raw rd Multisig.combined_size in
+  match Multisig.of_wire ~n:cap ~signers ~combined with
+  | multisig -> { cert_ref; multisig }
+  | exception Invalid_argument m -> raise (Wire.Reader.Malformed m)
+
+let read_certified rd =
+  let cn_node = read_node rd in
+  let cn_cert = read_cert rd in
+  { cn_node; cn_cert }
 
 let write_sync_request w = function
   | Get_highest_round -> Wire.Writer.u8 w 1
@@ -233,9 +255,8 @@ let write_sync_response w = function
       Wire.Writer.u8 w 1;
       Wire.Writer.bytes w blob)
 
-let encode_message msg =
-  let w = Wire.Writer.create () in
-  (match msg with
+let write_message w msg =
+  match msg with
   | Proposal n ->
     Wire.Writer.u8 w 1;
     write_node w n
@@ -270,38 +291,21 @@ let encode_message msg =
   | Sync_response { sp_responder; sp_resp } ->
     Wire.Writer.u8 w 8;
     Wire.Writer.uint w sp_responder;
-    write_sync_response w sp_resp);
+    write_sync_response w sp_resp
+
+let encode_message msg =
+  let w = Wire.Writer.create () in
+  write_message w msg;
   Wire.Writer.contents w
 
-(* Decoding rebuilds signatures/multisigs through the registry: since the
-   simulated schemes are deterministic given the cluster seed, a decoded
-   message is bit-equivalent to the original if and only if it is
-   authentic. Structural errors surface as [Error _]. *)
-let read_certified ~cluster_seed rd =
-  let cn_node = read_node rd in
-  let cert_ref = read_ref rd in
-  let cap = Wire.Reader.uint rd in
-  let signers = Wire.Reader.list rd Wire.Reader.uint in
-  let sigs =
-    List.map
-      (fun signer ->
-        let kp = Signer.keygen ~cluster_seed ~replica:signer in
-        ( signer,
-          Signer.sign kp
-            (vote_preimage ~round:cert_ref.ref_round ~author:cert_ref.ref_author
-               ~digest:cert_ref.ref_digest) ))
-      signers
-  in
-  { cn_node; cn_cert = { cert_ref; multisig = Multisig.aggregate ~n:cap sigs } }
-
-let read_sync_response ~cluster_seed rd =
+let read_sync_response rd =
   match Wire.Reader.u8 rd with
   | 1 ->
     let hr_highest = Wire.Reader.uint rd in
     let hr_lowest = Wire.Reader.uint rd in
     Highest_round { hr_highest; hr_lowest }
   | 2 ->
-    let sc_certs = Wire.Reader.list rd (read_certified ~cluster_seed) in
+    let sc_certs = Wire.Reader.list rd read_certified in
     let sc_has_more = Wire.Reader.u8 rd = 1 in
     let sc_next = Wire.Reader.uint rd in
     Certificates { sc_certs; sc_has_more; sc_next }
@@ -312,8 +316,8 @@ let read_sync_response ~cluster_seed rd =
     Checkpoint_blob { cb_blob }
   | tag -> failwith (Printf.sprintf "unknown sync response tag %d" tag)
 
-let decode_message ~cluster_seed s =
-  let rd = Wire.Reader.of_string s in
+let decode_message ?pos s =
+  let rd = Wire.Reader.of_string ?pos s in
   try
     let msg =
       match Wire.Reader.u8 rd with
@@ -325,26 +329,12 @@ let decode_message ~cluster_seed s =
         let voter = Wire.Reader.uint rd in
         let raw = Wire.Reader.raw rd 32 in
         Vote { vote_round; vote_author; vote_digest; voter; vote_signature = Signer.of_raw raw }
-      | 3 ->
-        let cert_ref = read_ref rd in
-        let cap = Wire.Reader.uint rd in
-        let signers = Wire.Reader.list rd Wire.Reader.uint in
-        let sigs =
-          List.map
-            (fun signer ->
-              let kp = Signer.keygen ~cluster_seed ~replica:signer in
-              ( signer,
-                Signer.sign kp
-                  (vote_preimage ~round:cert_ref.ref_round ~author:cert_ref.ref_author
-                     ~digest:cert_ref.ref_digest) ))
-            signers
-        in
-        Certificate { cert_ref; multisig = Multisig.aggregate ~n:cap sigs }
+      | 3 -> Certificate (read_cert rd)
       | 4 ->
         let wanted = read_ref rd in
         let requester = Wire.Reader.uint rd in
         Fetch_request { wanted; requester }
-      | 5 -> Fetch_response (read_certified ~cluster_seed rd)
+      | 5 -> Fetch_response (read_certified rd)
       | 6 ->
         let ck_seq = Wire.Reader.uint rd in
         let ck_digest = Wire.Reader.digest rd in
@@ -356,7 +346,7 @@ let decode_message ~cluster_seed s =
         Sync_request { sq_requester; sq_req = read_sync_request rd }
       | 8 ->
         let sp_responder = Wire.Reader.uint rd in
-        Sync_response { sp_responder; sp_resp = read_sync_response ~cluster_seed rd }
+        Sync_response { sp_responder; sp_resp = read_sync_response rd }
       | tag -> failwith (Printf.sprintf "unknown message tag %d" tag)
     in
     Wire.Reader.expect_end rd;
@@ -391,7 +381,14 @@ let sync_response_size = function
     1 + 2 + 4
     + List.fold_left (fun acc cn -> acc + node_size cn.cn_node + cert_size cn.cn_cert) 0 sc_certs
   | Checkpoint_blob { cb_blob } -> (
-    1 + 1 + match cb_blob with None -> 0 | Some blob -> String.length blob)
+    (* A blob is charged as the candidate plus its signer list: like the
+       certificates above, its aggregate's cost is a modeling choice, not
+       its stand-in bytes, and the blob's model has never charged one. *)
+    1 + 1
+    +
+    match cb_blob with
+    | None -> 0
+    | Some blob -> max 0 (String.length blob - Multisig.combined_size))
 
 let message_size = function
   | Proposal n -> node_size n

@@ -119,9 +119,19 @@ val pp_node : Format.formatter -> node -> unit
     network charges bandwidth and CPU for these. *)
 
 val message_size : message -> int
+
+val write_message : Shoalpp_codec.Wire.Writer.t -> message -> unit
+(** Append the binary encoding to a writer, so a caller can put its own
+    header (the node's lane tag, a frame prefix) in the same buffer. *)
+
 val encode_message : message -> string
 (** Reference binary encoding (validated round-trip in tests; the simulator
-    passes values in memory and charges for [message_size] bytes). *)
+    passes values in memory and charges for [message_size] bytes). A
+    certificate carries its signer list and its 32-byte aggregate. *)
 
-val decode_message : cluster_seed:int -> string -> (message, string) result
-(** Decode and structurally validate; does not check signatures. *)
+val decode_message : ?pos:int -> string -> (message, string) result
+(** Decode the message that starts at offset [pos] (default 0) and runs to
+    the end of the string, and validate its structure. Signatures and
+    aggregates are kept as received and are not checked here; a signer
+    bitmap claiming a capacity above {!Shoalpp_crypto.Multisig.max_capacity}
+    is an [Error], found before anything is allocated for it. *)

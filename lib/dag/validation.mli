@@ -30,7 +30,8 @@ val validate_vote :
 val validate_certificate :
   committee:Committee.t -> verify_signatures:bool -> Types.certificate -> (unit, string) result
 (** Checks: >= n-f distinct signers and multisig validity over the vote
-    preimage. *)
+    preimage — of the aggregate as carried by the certificate, which for a
+    decoded message is the one the sender put on the wire. *)
 
 val validate_certified_node :
   committee:Committee.t -> verify_signatures:bool -> Types.certified_node -> (unit, string) result

@@ -80,6 +80,38 @@ let audit_logs ~num_dags ~logs ~bases ~pre_recovery ~duplicate_orders =
     anchors_per_lane = lanes;
   }
 
+(* One replica's set of ordered transaction ids: one bit per id. Client ids
+   are dense — one shared counter, or disjoint stride-n counters in
+   multicore mode — so the bits stay packed, and the array is a few
+   unboxed blocks the major GC never has to walk entry by entry. It grows
+   by doubling to cover the largest id seen. *)
+module Seen = struct
+  type t = { mutable bits : Bytes.t }
+
+  let initial_bytes = 1024
+
+  let create () = { bits = Bytes.make initial_bytes '\000' }
+
+  (* Record [id]; true if it was already there. *)
+  let mark t id =
+    if id < 0 then invalid_arg "Harness.Seen.mark: negative id";
+    let byte = id lsr 3 and bit = 1 lsl (id land 7) in
+    let len = Bytes.length t.bits in
+    if byte >= len then begin
+      let grown = Bytes.make (max (2 * len) (byte + 1)) '\000' in
+      Bytes.blit t.bits 0 grown 0 len;
+      t.bits <- grown
+    end;
+    let cur = Bytes.get_uint8 t.bits byte in
+    if cur land bit <> 0 then true
+    else begin
+      Bytes.set_uint8 t.bits byte (cur lor bit);
+      false
+    end
+
+  let reset t = t.bits <- Bytes.make initial_bytes '\000'
+end
+
 type t = {
   backend : Replica.envelope Backend.t;
   num_dags : int;
@@ -94,7 +126,7 @@ type t = {
   telemetry : Telemetry.t;
   ledger : Ledger.t; (* the one latency sink, fed from on_ordered *)
   logs : seg_id list ref array; (* newest first; only when track_logs *)
-  ordered_seen : (int, unit) Hashtbl.t array; (* per-replica txn dedup *)
+  ordered_seen : Seen.t array; (* per-replica txn dedup *)
   recovering : bool array; (* replay/catch-up in progress: ledger/dedup muted *)
   (* Pre-crash (base seq, log snapshot) per recovered replica: the rebuilt
      log must extend it above the restored checkpoint. *)
@@ -116,14 +148,13 @@ let on_ordered t replica_id (o : Replica.ordered) =
       let batch = node.Types.batch in
       List.iter
         (fun (tx : Transaction.t) ->
-          if t.track_logs then begin
-            if Hashtbl.mem t.ordered_seen.(replica_id) tx.Transaction.id then begin
-              (* Replay/catch-up re-orders history by design; only a repeat
-                 outside recovery is a safety violation. *)
-              if not t.recovering.(replica_id) then t.duplicate_orders <- t.duplicate_orders + 1
-            end
-            else Hashtbl.replace t.ordered_seen.(replica_id) tx.Transaction.id ()
-          end;
+          (* Replay/catch-up re-orders history by design; only a repeat
+             outside recovery is a safety violation. *)
+          if
+            t.track_logs
+            && Seen.mark t.ordered_seen.(replica_id) tx.Transaction.id
+            && not t.recovering.(replica_id)
+          then t.duplicate_orders <- t.duplicate_orders + 1;
           if tx.Transaction.origin = replica_id && not t.recovering.(replica_id) then
             Ledger.record t.ledger
               {
@@ -162,7 +193,7 @@ let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs
       telemetry;
       ledger = Ledger.create ~telemetry ~warmup_ms ~num_dags ();
       logs = Array.init n (fun _ -> ref []);
-      ordered_seen = Array.init n (fun _ -> Hashtbl.create 256);
+      ordered_seen = Array.init n (fun _ -> Seen.create ());
       recovering = Array.make n false;
       pre_recovery = Array.make n None;
       duplicate_orders = 0;
@@ -214,7 +245,7 @@ let recover ?wipe t i =
      after peer sync completes otherwise. *)
   t.pre_recovery.(i) <- Some (Replica.base_seq t.replicas.(i), !(t.logs.(i)));
   t.logs.(i) := [];
-  Hashtbl.reset t.ordered_seen.(i);
+  Seen.reset t.ordered_seen.(i);
   t.recovering.(i) <- true;
   Replica.recover ?wipe t.replicas.(i);
   start_client t i

@@ -12,6 +12,7 @@ module Validation = Shoalpp_dag.Validation
 module Verify_pool = Shoalpp_backend.Verify_pool
 module Crypto_cost = Shoalpp_backend.Crypto_cost
 module Tcp = Shoalpp_backend.Tcp_transport
+module Wire = Shoalpp_codec.Wire
 
 type transport = Inproc | Tcp of int
 
@@ -64,27 +65,34 @@ type multicore = {
 type t = {
   setup : setup;
   exec : Realtime.t;
-  tcp : Replica.envelope Tcp.t option;
+  tcp : Tcp.t option;
   mc : multicore option;
   h : Harness.t;
   mutable started : bool;
 }
 
-(* One-byte DAG tag, then the signed protocol message — the same bytes
-   whether the peers share a process (loopback skips this) or not. *)
-let encode_envelope (e : Replica.envelope) =
-  let body = Types.encode_message e.Replica.payload in
-  let b = Buffer.create (String.length body + 1) in
-  Buffer.add_char b (Char.chr (e.Replica.dag_id land 0xff));
-  Buffer.add_string b body;
-  Buffer.contents b
+(* One-byte DAG tag, then the signed protocol message, written into one
+   writer — the same bytes whether the peers share a process (loopback
+   skips this) or not. *)
+let write_envelope w (e : Replica.envelope) =
+  Wire.Writer.u8 w e.Replica.dag_id;
+  Types.write_message w e.Replica.payload
 
-let decode_envelope ~cluster_seed s =
-  if String.length s < 1 then None
+let encode_envelope e =
+  let w = Wire.Writer.create () in
+  write_envelope w e;
+  Wire.Writer.contents w
+
+(* Decoded in place from [pos]: the tag byte, then the message to the end
+   of the string. *)
+let read_envelope s ~pos =
+  if pos >= String.length s then None
   else
-    match Types.decode_message ~cluster_seed (String.sub s 1 (String.length s - 1)) with
-    | Ok payload -> Some { Replica.dag_id = Char.code s.[0]; payload }
+    match Types.decode_message ~pos:(pos + 1) s with
+    | Ok payload -> Some { Replica.dag_id = Char.code s.[pos]; payload }
     | Error _ -> None
+
+let decode_envelope ~cluster_seed:_ s = read_envelope s ~pos:0
 
 let create setup =
   let committee = setup.protocol.Config.committee in
@@ -130,30 +138,27 @@ let create setup =
   let tcp = ref None in
   (* The multicore zero-delay loopback is the one transport safe to call
      from a lane domain directly; anything else (socket pollers, the delay
-     shim's timers) owns single-domain state and must be reached through
-     [post_to_main]. *)
+     shim's timers, the codec's scratch writer) owns single-domain state
+     and must be reached through [post_to_main]. *)
   let mc_direct_loopback = Option.is_some mc && setup.delays_ms = None in
-  let raw =
-    match setup.transport with
-    | Inproc when mc_direct_loopback -> Realtime.multicore_loopback ~n ()
-    | Inproc -> Realtime.loopback exec ~n
-    | Tcp base_port ->
-      let h =
-        Tcp.create exec ~n ~base_port ~coalesce_us:setup.coalesce_us
-          ~encode:encode_envelope
-          ~decode:(decode_envelope ~cluster_seed:committee.Committee.cluster_seed)
-          ()
-      in
-      tcp := Some h;
-      Tcp.transport h
-  in
   (* Geography shim: per-(src,dst) one-way delays applied sender-side over
      whatever transport is underneath. The timers live on the main loop, so
      under [post_to_main] the delayed send itself already runs there. *)
-  let shimmed =
+  let shim raw =
     match setup.delays_ms with
     | None -> raw
     | Some d -> Realtime.delayed exec ~delay_ms:(fun ~src ~dst -> d.(src).(dst)) raw
+  in
+  let shimmed =
+    match setup.transport with
+    | Inproc when mc_direct_loopback -> Realtime.multicore_loopback ~n ()
+    | Inproc -> shim (Realtime.loopback exec ~n)
+    | Tcp base_port ->
+      let h = Tcp.create exec ~n ~base_port ~coalesce_us:setup.coalesce_us () in
+      tcp := Some h;
+      (* The one codec step sits above the shim: a broadcast is encoded
+         and framed once, and the shim delays that frame string. *)
+      Realtime.framed ~encode:write_envelope ~decode:read_envelope (shim (Tcp.transport h))
   in
   let transport =
     if Option.is_none mc || mc_direct_loopback then shimmed else post_to_main shimmed

@@ -26,10 +26,12 @@ type transport =
   | Tcp of int
       (** TCP on 127.0.0.1, replica [i] listening on [base_port + i]
           ([0] lets the kernel pick; read back with {!tcp_ports}). Every
-          message crosses the codec (encode, frame, decode + signature
-          re-check), with per-peer write coalescing
-          ([setup.coalesce_us]) and lazy reconnect with capped backoff
-          ({!Shoalpp_backend.Tcp_transport}). *)
+          message crosses the codec ({!Shoalpp_backend.Backend_realtime.framed}:
+          one encode and one frame per send or broadcast, above the delay
+          shim; one copy and an in-place decode per received frame; the
+          replica then checks signatures and aggregates as received), with
+          per-peer write coalescing ([setup.coalesce_us]) and lazy
+          reconnect with capped backoff ({!Shoalpp_backend.Tcp_transport}). *)
 
 type setup = {
   protocol : Shoalpp_core.Config.t;
@@ -76,10 +78,25 @@ val default_setup : protocol:Shoalpp_core.Config.t -> setup
 (** 200 tps, paper tx size, no warmup, loopback transport, no trace, one
     domain. *)
 
-val encode_envelope : Shoalpp_core.Replica.envelope -> string
-val decode_envelope : cluster_seed:int -> string -> Shoalpp_core.Replica.envelope option
+val write_envelope : Shoalpp_codec.Wire.Writer.t -> Shoalpp_core.Replica.envelope -> unit
 (** The socket wire format: one DAG-id byte, then the signed protocol
-    message ({!Shoalpp_dag.Types.encode_message}). Exposed for tests. *)
+    message ({!Shoalpp_dag.Types.write_message}), certificates with their
+    aggregate. Written into the caller's writer, so the TCP codec step puts
+    it straight into a frame. *)
+
+val read_envelope : string -> pos:int -> Shoalpp_core.Replica.envelope option
+(** Decode the envelope that starts at [pos] and runs to the end of the
+    string, in place; [None] if it is malformed. Signatures are not
+    checked here — the replica's validation does that. *)
+
+val encode_envelope : Shoalpp_core.Replica.envelope -> string
+(** [write_envelope] into a fresh writer. *)
+
+val decode_envelope : cluster_seed:int -> string -> Shoalpp_core.Replica.envelope option
+(** [read_envelope s ~pos:0]. [cluster_seed] is ignored: decoding needs no
+    keys now that the aggregate travels on the wire. The argument stays
+    because the benchmark's probe ([perfbench/probe.ml]), which must not
+    change, calls it with one. *)
 
 type t
 

@@ -71,28 +71,20 @@ let encode t =
   let w = Wire.Writer.create () in
   write_candidate w t.candidate;
   Wire.Writer.list w (fun s -> Wire.Writer.uint w s) (Bitset.to_list (Multisig.signers t.cert));
+  Wire.Writer.raw w (Multisig.combined t.cert);
   Wire.Writer.contents w
 
-let decode ~cluster_seed ~n s =
+(* The aggregate is kept as received, so [verify] checks what the peer
+   sent. A peer's blob is untrusted input: a signer the bitmap cannot hold,
+   one named twice, or a committee size above the Multisig ceiling is a
+   corrupt blob, not a programming error. *)
+let decode ~n s =
   let rd = Wire.Reader.of_string s in
   let candidate = read_candidate rd in
   let signers = Wire.Reader.list rd (fun rd -> Wire.Reader.uint rd) in
+  let combined = Wire.Reader.raw rd Multisig.combined_size in
   Wire.Reader.expect_end rd;
-  (* As for certificates in [Types.decode_message]: the registry is public
-     within the simulation, so the aggregate is regenerated from the signer
-     bitmap. A decoded cert therefore verifies iff the bitmap meets quorum;
-     forged-cert tests construct aggregates in memory instead. *)
-  let pre = preimage candidate in
-  let votes =
-    List.map
-      (fun r ->
-        let kp = Signer.keygen ~cluster_seed ~replica:r in
-        (Signer.public kp, Signer.sign kp pre))
-      signers
-  in
-  (* A peer's blob is untrusted input: a signer the bitmap cannot hold, or
-     one named twice, is a corrupt blob, not a programming error. *)
-  match Multisig.aggregate ~n votes with
+  match Multisig.of_wire ~n ~signers ~combined with
   | cert -> { candidate; cert }
   | exception Invalid_argument m -> raise (Wire.Reader.Malformed m)
 

@@ -22,8 +22,10 @@
     - [verify] accepts only certificates whose signer bitmap meets the
       quorum {e and} whose aggregate verifies over this exact candidate —
       tampering with seq, any lane frontier, or the state digest breaks it;
-    - [encode]/[decode] round-trip ([decode] regenerates the aggregate from
-      the public signer registry, mirroring [Types.decode_message]). *)
+    - [encode]/[decode] round-trip: the blob carries the signer list and
+      the 32-byte aggregate, and [decode] keeps the aggregate as received
+      (as [Types.decode_message] does for certificates), so a blob with a
+      wrong aggregate fails [verify]. *)
 
 type lane = { dag_id : int; round : int; resume : string }
 (** Per-lane frontier: the highest committed anchor round covered and the
@@ -90,9 +92,12 @@ val state : t -> Shoalpp_crypto.Digest32.t
 val cert : t -> Shoalpp_crypto.Multisig.t
 
 val encode : t -> string
-val decode : cluster_seed:int -> n:int -> string -> t
-(** @raise Shoalpp_codec.Wire.Reader.Malformed on corrupt input, including
-    a signer id [>= n] or a signer named twice. *)
+val decode : n:int -> string -> t
+(** Decode a blob for a committee of [n].
+    @raise Shoalpp_codec.Wire.Reader.Malformed on corrupt input, including
+    a signer id [>= n], a signer named twice, an aggregate of the wrong
+    length, or [n] above {!Shoalpp_crypto.Multisig.max_capacity} (checked
+    before the signer bitmap is allocated). *)
 
 val wire_size : t -> int
 val pp : Format.formatter -> t -> unit

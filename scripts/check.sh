@@ -233,6 +233,20 @@ grep -Eq 'tcp: [1-9][0-9]* flushes, [1-9][0-9]* coalesced frames' "$out/tcp.out"
 grep -q 'commit sequence: consistent' "$out/tcp_report.txt" \
   || { echo "check failed: tcp analyzer consistency line missing" >&2; exit 1; }
 
+# Verified TCP smoke: the smoke above and the one below skip signature
+# checks, so this one checks every signature and certificate aggregate
+# that crossed a socket (n=4, no coalescing, kernel-assigned ports).
+# Certificates carry their aggregate on the wire and are verified as
+# received, so a codec that lost or mangled it would stall the DAG: the
+# run must pass its audit and commit an anchor on every lane.
+./_build/default/bin/shoalpp_node.exe \
+  -n 4 --transport tcp --duration 3000 --load 300 > "$out/tcpv.out" 2>&1 \
+  || { echo "check failed: verified tcp run failed" >&2; cat "$out/tcpv.out" >&2; exit 1; }
+grep -q 'audit: consistent logs, no duplicates' "$out/tcpv.out" \
+  || { echo "check failed: verified tcp audit line missing" >&2; exit 1; }
+grep -Eq 'lanes [1-9][0-9]*,[1-9][0-9]*,[1-9][0-9]*$' "$out/tcpv.out" \
+  || { echo "check failed: verified tcp run left a lane without commits" >&2; cat "$out/tcpv.out" >&2; exit 1; }
+
 # Geography smoke: n=10 over TCP with the paper's gcp10 delay matrix
 # applied per link (kernel-assigned ports). The run must pass its safety
 # audit under realistic heterogeneous latencies; the exit code carries it.
@@ -384,4 +398,4 @@ else
     || { echo "check failed: BENCH_perf.json has no passing audit" >&2; exit 1; }
 fi
 
-echo "check: build + tests + docs + observability/scenario + node + live scrape + trace analysis + multicore + tcp + gcp10 shim + node bench + perf smoke OK"
+echo "check: build + tests + docs + observability/scenario + node + live scrape + trace analysis + multicore + tcp + verified tcp + gcp10 shim + node bench + perf smoke OK"

@@ -214,7 +214,7 @@ let prop_decoder_never_crashes =
       let pos = pos mod String.length encoded in
       let mutated = Bytes.of_string encoded in
       Bytes.set mutated pos (Char.chr byte);
-      match Types.decode_message ~cluster_seed:44 (Bytes.to_string mutated) with
+      match Types.decode_message (Bytes.to_string mutated) with
       | Ok _ | Error _ -> true)
 
 let prop_random_bytes_rejected =
@@ -223,7 +223,7 @@ let prop_random_bytes_rejected =
     (fun (seed, len) ->
       let rng = Rng.create seed in
       let junk = String.init len (fun _ -> Char.chr (Rng.int rng 256)) in
-      match Types.decode_message ~cluster_seed:44 junk with
+      match Types.decode_message junk with
       | Error _ -> true
       | Ok (Types.Proposal _) | Ok (Types.Fetch_response _) ->
         false (* a random blob must not parse into a signed node *)

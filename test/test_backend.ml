@@ -122,22 +122,48 @@ let test_realtime_clock_monotonic () =
 (* ------------------------------------------------------------------ *)
 (* Socket framing: 4-byte length prefix + (src, payload) body. *)
 
+let frame_of (src, payload) =
+  Realtime.Framing.frame (Wire.Writer.create ()) ~src (fun w -> Wire.Writer.raw w payload)
+
+let payload_of frame =
+  let _, pos = Realtime.Framing.header frame in
+  String.sub frame pos (String.length frame - pos)
+
 let test_framing_roundtrip_chunked () =
   let frames = [ (0, "hello"); (3, ""); (200, String.make 1000 'x') ] in
-  let stream =
-    String.concat "" (List.map (fun (src, p) -> Realtime.Framing.frame ~src p) frames)
-  in
+  let framed = List.map (fun f -> (fst f, frame_of f)) frames in
+  let stream = String.concat "" (List.map snd framed) in
   (* All at once. *)
   let d = Realtime.Framing.decoder () in
   let all = Realtime.Framing.feed d (Bytes.of_string stream) (String.length stream) in
-  Alcotest.(check (list (pair int string))) "one chunk" frames all;
+  Alcotest.(check (list (pair int string))) "one chunk" framed all;
+  Alcotest.(check (list (pair int string)))
+    "payloads recovered" frames
+    (List.map (fun (src, f) -> (src, payload_of f)) all);
   (* Byte by byte: partial frames must buffer across feeds. *)
   let d = Realtime.Framing.decoder () in
   let got = ref [] in
   String.iter
     (fun c -> List.iter (fun f -> got := f :: !got) (Realtime.Framing.feed d (Bytes.make 1 c) 1))
     stream;
-  Alcotest.(check (list (pair int string))) "byte at a time" frames (List.rev !got)
+  Alcotest.(check (list (pair int string))) "byte at a time" framed (List.rev !got);
+  (* Reads cut at [cuts]: every two-read split, and a read that ends one
+     frame, carries a whole one and starts the last. *)
+  let len = String.length stream in
+  let feed_cut cuts =
+    let d = Realtime.Framing.decoder () in
+    List.concat_map
+      (fun (from, upto) ->
+        Realtime.Framing.feed d (Bytes.of_string (String.sub stream from (upto - from))) (upto - from))
+      (List.combine (0 :: cuts) (cuts @ [ len ]))
+  in
+  for cut = 0 to len do
+    Alcotest.(check (list (pair int string))) (Printf.sprintf "split at %d" cut) framed (feed_cut [ cut ])
+  done;
+  let first = String.length (snd (List.hd framed)) in
+  Alcotest.(check (list (pair int string)))
+    "several frames in the middle read" framed
+    (feed_cut [ first - 3; len - 2 ])
 
 let test_framing_rejects_corrupt_stream () =
   let d = Realtime.Framing.decoder () in

@@ -117,7 +117,7 @@ let test_weak_parents_in_digest () =
   checkb "weak parents bound" false (Digest32.equal a.Types.digest b.Types.digest)
 
 let roundtrip msg =
-  match Types.decode_message ~cluster_seed:committee.Committee.cluster_seed (Types.encode_message msg) with
+  match Types.decode_message (Types.encode_message msg) with
   | Ok decoded -> decoded
   | Error e -> Alcotest.failf "decode failed: %s" e
 
@@ -172,11 +172,11 @@ let test_encode_decode_vote_and_cert () =
 
 let test_decode_garbage () =
   checkb "garbage rejected" true
-    (match Types.decode_message ~cluster_seed:0 "\x09not-a-message" with
+    (match Types.decode_message "\x09not-a-message" with
     | Error _ -> true
     | Ok _ -> false);
   checkb "empty rejected" true
-    (match Types.decode_message ~cluster_seed:0 "" with Error _ -> true | Ok _ -> false)
+    (match Types.decode_message "" with Error _ -> true | Ok _ -> false)
 
 let test_message_sizes_scale () =
   let small = Types.Proposal (make_node ~round:0 ~author:0 ~parents:[] ()) in

@@ -24,17 +24,21 @@ module Node = Shoalpp_runtime.Node
 module Config = Shoalpp_core.Config
 module Committee = Shoalpp_dag.Committee
 module Topology = Shoalpp_sim.Topology
+module Wire = Shoalpp_codec.Wire
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 (* A raw string-message transport: identity codec, per-replica inbox. *)
 let make ?coalesce_us ~n exec =
-  let h =
-    Tcp.create exec ~n ?coalesce_us ~encode:Fun.id ~decode:Option.some ()
-  in
+  let h = Tcp.create exec ~n ?coalesce_us () in
   let inboxes = Array.init n (fun _ -> ref []) in
-  let tr = Tcp.transport h in
+  let tr =
+    Realtime.framed
+      ~encode:(fun w msg -> Wire.Writer.raw w msg)
+      ~decode:(fun frame ~pos -> Some (String.sub frame pos (String.length frame - pos)))
+      (Tcp.transport h)
+  in
   for r = 0 to n - 1 do
     tr.Backend.Transport.set_handler r (fun ~src msg ->
         inboxes.(r) := (src, msg) :: !(inboxes.(r)))
