@@ -1116,6 +1116,7 @@ let micro () =
            | Some [ est ] -> Some [ name; Printf.sprintf "%.0f ns/op" est ]
            | _ -> None)
   in
+  Printf.printf "sha256 kernel: %s\n" (Shoalpp_crypto.Sha256.kernel ());
   Tablefmt.print ~header:[ "operation"; "time" ] rows
 
 let () =

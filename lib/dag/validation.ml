@@ -1,6 +1,7 @@
 module Digest32 = Shoalpp_crypto.Digest32
 module Signer = Shoalpp_crypto.Signer
 module Multisig = Shoalpp_crypto.Multisig
+module Bitset = Shoalpp_support.Bitset
 
 let ( let* ) r f = Result.bind r f
 
@@ -23,7 +24,9 @@ let validate_parents committee (node : Types.node) =
         (n_parents >= Committee.quorum committee)
         "node has %d parents, need >= %d" n_parents (Committee.quorum committee)
     in
-    let seen = Hashtbl.create 8 in
+    (* An n-bit scratch of the authors named so far; every author is
+       checked valid before it indexes the scratch. *)
+    let seen = Bitset.create committee.Committee.n in
     List.fold_left
       (fun acc (p : Types.node_ref) ->
         let* () = acc in
@@ -35,11 +38,18 @@ let validate_parents committee (node : Types.node) =
           check (Committee.valid_replica committee p.Types.ref_author) "parent author %d invalid"
             p.Types.ref_author
         in
-        let* () = check (not (Hashtbl.mem seen p.Types.ref_author)) "duplicate parent author" in
-        Hashtbl.replace seen p.Types.ref_author ();
+        let* () = check (not (Bitset.mem seen p.Types.ref_author)) "duplicate parent author" in
+        Bitset.set seen p.Types.ref_author;
         Ok ())
       (Ok ()) node.Types.parents
   end
+
+(* Whether one of the first [k] refs of [refs] names [p]'s (round, author). *)
+let rec named_before (p : Types.node_ref) k = function
+  | (q : Types.node_ref) :: rest when k > 0 ->
+      (q.Types.ref_round = p.Types.ref_round && q.Types.ref_author = p.Types.ref_author)
+      || named_before p (k - 1) rest
+  | _ -> false
 
 let validate_weak_parents committee (node : Types.node) =
   let nweak = List.length node.Types.weak_parents in
@@ -47,23 +57,24 @@ let validate_weak_parents committee (node : Types.node) =
     check (nweak <= Types.max_weak_parents) "%d weak parents, cap is %d" nweak
       Types.max_weak_parents
   in
-  let seen = Hashtbl.create 8 in
-  List.fold_left
-    (fun acc (p : Types.node_ref) ->
-      let* () = acc in
-      let* () =
-        check
-          (p.Types.ref_round >= 0 && p.Types.ref_round < node.Types.round - 1)
-          "weak parent from round %d, need < %d" p.Types.ref_round (node.Types.round - 1)
-      in
-      let* () =
-        check (Committee.valid_replica committee p.Types.ref_author) "weak parent author invalid"
-      in
-      let key = (p.Types.ref_round, p.Types.ref_author) in
-      let* () = check (not (Hashtbl.mem seen key)) "duplicate weak parent" in
-      Hashtbl.replace seen key ();
-      Ok ())
-    (Ok ()) node.Types.weak_parents
+  (* At most [max_weak_parents] refs, so duplicates are found by scanning
+     the refs already checked. *)
+  let weak = node.Types.weak_parents in
+  let rec go k = function
+    | [] -> Ok ()
+    | (p : Types.node_ref) :: rest ->
+        let* () =
+          check
+            (p.Types.ref_round >= 0 && p.Types.ref_round < node.Types.round - 1)
+            "weak parent from round %d, need < %d" p.Types.ref_round (node.Types.round - 1)
+        in
+        let* () =
+          check (Committee.valid_replica committee p.Types.ref_author) "weak parent author invalid"
+        in
+        let* () = check (not (named_before p k weak)) "duplicate weak parent" in
+        go (k + 1) rest
+  in
+  go 0 weak
 
 (* Memo for the digest-binding check. In the simulator one broadcast hands
    the same physical [Types.node] to every receiver, so recomputing the

@@ -136,6 +136,109 @@ let test_sha_padding_spills () =
   checks "byte at a time" expected (Sha256.to_hex (Sha256.finalize ctx))
 
 (* ------------------------------------------------------------------ *)
+(* SHA-256 kernels: test-only C entry points run one named compression
+   function (0 = portable, 1 = SHA extensions) whatever kernel the module
+   picked, so every kernel compiled in is checked on any CPU that can run
+   it. "Available" means the CPU can run it, not that it passed the
+   module's self-test, so a broken accelerated kernel fails here. *)
+
+external kernel_available : int -> bool = "shoalpp_sha256_test_available"
+external kernel_digest : int -> string -> string = "shoalpp_sha256_test_digest"
+external kernel_hmac : int -> string -> string -> string = "shoalpp_sha256_test_hmac"
+
+let portable = 0
+let sha_ni = 1
+
+(* Lengths 0..300 cross every block and padding boundary several times. *)
+let kernel_msg i = String.init i (fun j -> Char.chr (((j * 31) + i) land 0xff))
+let kernel_key i = String.init (i mod 150) (fun j -> Char.chr (((j * 7) + i) land 0xff))
+
+let check_kernel_vectors k =
+  let hex = Sha256.to_hex in
+  List.iter
+    (fun (input, expected) -> checks "FIPS 180-4" expected (hex (kernel_digest k input)))
+    [
+      ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+      ( "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
+      ( "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+        "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1" );
+      ( String.make 1_000_000 'a',
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" );
+    ];
+  let long_key = String.make 131 '\xaa' in
+  List.iter
+    (fun (key, msg, expected) -> checks "RFC 4231" expected (hex (kernel_hmac k key msg)))
+    [
+      ( String.make 20 '\x0b',
+        "Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+      ( "Jefe",
+        "what do ya want for nothing?",
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+      ( String.make 20 '\xaa',
+        String.make 50 '\xdd',
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+      ( String.init 25 (fun i -> Char.chr (i + 1)),
+        String.make 50 '\xcd',
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+      ( long_key,
+        "Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( long_key,
+        "This is a test using a larger than block-size key and a larger than block-size data. \
+         The key needs to be hashed before being used by the HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+    ];
+  (* Every length 0..300, pinned as a digest over the concatenated digests
+     (computed with an independent SHA-256), and compared length by length
+     with the portable kernel and with the module's public functions. *)
+  let digests = Buffer.create (301 * 32) and hmacs = Buffer.create (301 * 32) in
+  for i = 0 to 300 do
+    let msg = kernel_msg i and key = kernel_key i in
+    let d = kernel_digest k msg and h = kernel_hmac k key msg in
+    let label = Printf.sprintf "len %d" i in
+    checks (label ^ " digest = portable") (hex (kernel_digest portable msg)) (hex d);
+    checks (label ^ " digest = active") (hex (Sha256.digest_string msg)) (hex d);
+    checks (label ^ " hmac = portable") (hex (kernel_hmac portable key msg)) (hex h);
+    checks (label ^ " hmac = active") (hex (Sha256.hmac ~key msg)) (hex h);
+    Buffer.add_string digests d;
+    Buffer.add_string hmacs h
+  done;
+  checks "digests 0..300" "2508c478cc7c1417db7b6e5532ddda7c5c497ad1e51c11df37059147d9b81354"
+    (hex (Sha256.digest_string (Buffer.contents digests)));
+  checks "hmacs 0..300" "efd7b34b783e27d86a74b64aa46ee9ac3a5cbe812c40978a0ff4f44fb2a89a37"
+    (hex (Sha256.digest_string (Buffer.contents hmacs)));
+  (* Random keys up to 200 bytes (past the 64-byte block, so long keys are
+     hashed by the kernel under test) and random messages. *)
+  let rng = Random.State.make [| 18 |] in
+  let random_string len = String.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for _ = 1 to 200 do
+    let key = random_string (Random.State.int rng 201) in
+    let msg = random_string (Random.State.int rng 301) in
+    checks
+      (Printf.sprintf "random key %d msg %d" (String.length key) (String.length msg))
+      (hex (kernel_hmac portable key msg))
+      (hex (kernel_hmac k key msg))
+  done
+
+let test_kernel_portable () = check_kernel_vectors portable
+
+let test_kernel_sha_ni () =
+  if not (kernel_available sha_ni) then Alcotest.skip ();
+  check_kernel_vectors sha_ni
+
+let test_kernel_active_named () =
+  checkb "portable always available" true (kernel_available portable);
+  checks "active kernel"
+    (if kernel_available sha_ni then "sha-ni" else "portable")
+    (Sha256.kernel ());
+  Alcotest.check_raises "unknown kernel"
+    (Invalid_argument "Sha256: kernel not available on this CPU") (fun () ->
+      ignore (kernel_digest 7 "abc"))
+
+(* ------------------------------------------------------------------ *)
 (* Digest32 *)
 
 let test_digest32_basics () =
@@ -374,6 +477,12 @@ let suite =
         Alcotest.test_case "padding spills a block" `Quick test_sha_padding_spills;
       ]
       @ qsuite [ prop_sha_incremental ] );
+    ( "crypto.sha256-kernels",
+      [
+        Alcotest.test_case "portable kernel" `Quick test_kernel_portable;
+        Alcotest.test_case "sha-ni kernel" `Quick test_kernel_sha_ni;
+        Alcotest.test_case "active kernel named" `Quick test_kernel_active_named;
+      ] );
     ( "crypto.digest32",
       [
         Alcotest.test_case "basics" `Quick test_digest32_basics;

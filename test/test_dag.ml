@@ -247,6 +247,26 @@ let test_validation_weak_parent_rules () =
        (make_node ~round:2 ~author:0 ~parents:(refs_of r1)
           ~weak_parents:[ List.hd (refs_of r0); List.hd (refs_of r0) ] ()))
 
+let test_validation_duplicate_errors () =
+  (* The first failing check names the error, whatever follows it. *)
+  let r0 = full_round ~round:0 ~parents:[] () in
+  let r1 = full_round ~round:1 ~parents:(refs_of r0) () in
+  let expect label want ~parents ~weak =
+    Alcotest.check
+      Alcotest.(result unit string)
+      label (Error want)
+      (Validation.validate_proposal ~committee ~verify_signatures:true
+         (make_node ~round:2 ~author:0 ~parents ~weak_parents:weak ()))
+  in
+  let p0 = List.hd (refs_of r1) and w0 = List.hd (refs_of r0) in
+  let bad_author = { p0 with Types.ref_author = 99 } in
+  expect "duplicate parent" "duplicate parent author" ~parents:(p0 :: refs_of r1) ~weak:[];
+  expect "invalid author before duplicate" "parent author 99 invalid"
+    ~parents:(bad_author :: p0 :: refs_of r1) ~weak:[];
+  expect "duplicate weak" "duplicate weak parent" ~parents:(refs_of r1) ~weak:[ w0; w0 ];
+  expect "bad round before duplicate weak" "weak parent from round 1, need < 1"
+    ~parents:(refs_of r1) ~weak:[ w0; p0; w0 ]
+
 let test_validation_signature () =
   let good = make_node ~round:0 ~author:0 ~parents:[] () in
   let forged = { good with Types.signature = Signer.sign (Committee.keypair committee 1) "x" } in
@@ -492,6 +512,15 @@ let prop_store_counters_match_naive =
         (fun a -> Store.certified_refs s ~round:0 ~author:a = List.length authors)
         [ 0; 1; 2; 3 ])
 
+let prop_vote_preimage_matches_sprintf =
+  QCheck.Test.make ~name:"vote preimage equals the sprintf form" ~count:200
+    QCheck.(triple int int string)
+    (fun (round, author, s) ->
+      let digest = Digest32.of_string s in
+      String.equal
+        (Types.vote_preimage ~round ~author ~digest)
+        (Printf.sprintf "vote/%d/%d/%s" round author (Digest32.raw digest)))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -509,12 +538,14 @@ let suite =
         Alcotest.test_case "vote/cert roundtrip" `Quick test_encode_decode_vote_and_cert;
         Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
         Alcotest.test_case "message sizes" `Quick test_message_sizes_scale;
-      ] );
+      ]
+      @ qsuite [ prop_vote_preimage_matches_sprintf ] );
     ( "dag.validation",
       [
         Alcotest.test_case "round 0" `Quick test_validation_round0;
         Alcotest.test_case "parent rules" `Quick test_validation_parent_rules;
         Alcotest.test_case "weak parent rules" `Quick test_validation_weak_parent_rules;
+        Alcotest.test_case "duplicate errors" `Quick test_validation_duplicate_errors;
         Alcotest.test_case "signature" `Quick test_validation_signature;
         Alcotest.test_case "digest binding" `Quick test_validation_digest_binding;
         Alcotest.test_case "author range" `Quick test_validation_author_range;

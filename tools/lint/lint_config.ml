@@ -175,16 +175,6 @@ let default =
              the lock serializes exactly the interleavings a single domain \
              already produced, and the simulator pays one uncontended lock";
         };
-        {
-          a_path = "lib/crypto/sha256.ml";
-          a_rule = "shared-mutable-state";
-          a_reason =
-            "the FIPS 180-4 round-constant table: an int32 array built \
-             once at module init and written nowhere afterwards (the only \
-             Array.set in the file targets function-local state). Every \
-             domain only ever reads it, and immutable-after-init arrays \
-             are race-free under the OCaml 5 memory model";
-        };
       ];
     (* Domain-ownership map (docs/CONCURRENCY.md, "Domain topology").
        Longest pattern wins: the exact-file entries below refine their
