@@ -4,6 +4,7 @@ module Committee = Shoalpp_dag.Committee
 module Obs = Shoalpp_sim.Obs
 module Trace = Shoalpp_sim.Trace
 module Wire = Shoalpp_codec.Wire
+module Bitset = Shoalpp_support.Bitset
 
 type kind = Fast | Direct | Indirect
 
@@ -80,6 +81,75 @@ type stats = {
   nodes_ordered : int;
 }
 
+(* Ordered-position set: one author bitset per round, in a ring of [cap]
+   rows (a power of two) covering rounds [lo, hi]; round r's row is
+   [rows.(r land (cap - 1))]. Rows outside [lo, hi] are empty. The hot
+   skip test during causal traversal is an index and a bit test;
+   snapshots and prunes walk rounds, never a hash table, and [size] is
+   kept as bits flip. *)
+type positions = {
+  n : int;
+  mutable rows : Bitset.t array;
+  mutable lo : int;
+  mutable hi : int; (* empty when lo > hi *)
+  mutable size : int;
+}
+
+let positions_create n =
+  { n; rows = Array.init 16 (fun _ -> Bitset.create n); lo = max_int; hi = min_int; size = 0 }
+
+let row p round = p.rows.(round land (Array.length p.rows - 1))
+
+let positions_mem p ~round ~author =
+  round >= p.lo && round <= p.hi && Bitset.mem (row p round) author
+
+let positions_add p ~round ~author =
+  let lo, hi = if p.lo > p.hi then (round, round) else (min p.lo round, max p.hi round) in
+  if hi - lo + 1 > Array.length p.rows then begin
+    (* Grow the ring; live rows move to their slots under the new mask. *)
+    let cap = ref (Array.length p.rows) in
+    while hi - lo + 1 > !cap do
+      cap := 2 * !cap
+    done;
+    let rows = Array.init !cap (fun _ -> Bitset.create p.n) in
+    for round = p.lo to p.hi do
+      rows.(round land (!cap - 1)) <- row p round
+    done;
+    p.rows <- rows
+  end;
+  p.lo <- lo;
+  p.hi <- hi;
+  let r = row p round in
+  if not (Bitset.mem r author) then begin
+    Bitset.set r author;
+    p.size <- p.size + 1
+  end
+
+(* Drop rounds below [below]; returns the positions dropped. *)
+let positions_prune p ~below =
+  let dropped = ref 0 in
+  for round = p.lo to min p.hi (below - 1) do
+    dropped := !dropped + Bitset.count (row p round);
+    p.rows.(round land (Array.length p.rows - 1)) <- Bitset.create p.n
+  done;
+  if below > p.lo then p.lo <- below;
+  p.size <- p.size - !dropped;
+  !dropped
+
+(* Append the packed keys [round * n + author] of every position at or
+   above [from], count-prefixed and ascending: the bytes
+   [Wire.Writer.list] would write for the sorted key list. *)
+let positions_write p w ~from =
+  let from = max from p.lo in
+  let count = ref 0 in
+  for round = from to p.hi do
+    count := !count + Bitset.count (row p round)
+  done;
+  Wire.Writer.uint w !count;
+  for round = from to p.hi do
+    Bitset.iter (fun author -> Wire.Writer.uint w ((round * p.n) + author)) (row p round)
+  done
+
 type t = {
   cfg : config;
   hooks : hooks;
@@ -91,16 +161,7 @@ type t = {
   c_indirect : Shoalpp_support.Telemetry.counter option;
   c_skipped : Shoalpp_support.Telemetry.counter option;
   c_segments : Shoalpp_support.Telemetry.counter option;
-  (* Ordered-position set, keyed by the packed int [round * n + author]:
-     the hot skip test during causal traversal must not allocate a tuple
-     per visited node. *)
-  ordered : (int, unit) Hashtbl.t;
-  (* Round bounds of [ordered]: every key's round lies in [lo, hi] (empty
-     when lo > hi). Snapshots and prunes walk these rounds by membership
-     instead of folding the whole table, so they cost the live window and
-     emit keys in ascending order without a sort. *)
-  mutable lo : int;
-  mutable hi : int;
+  mutable ordered : positions;
   (* Memoized last complete [Store.causal_history] answer. A complete
      history is a pure function of (root, ordered set, store's retained
      floor): the first two are captured here and the entry is dropped
@@ -134,9 +195,7 @@ let create ?(obs = Obs.none) cfg hooks ~store =
     c_indirect = Obs.counter obs Anchors.(counter_name Indirect_rule);
     c_skipped = Obs.counter obs Anchors.(counter_name Skipped);
     c_segments = Obs.counter obs "dag.segments";
-    ordered = Hashtbl.create 1024;
-    lo = max_int;
-    hi = min_int;
+    ordered = positions_create cfg.committee.Committee.n;
     history_cache = None;
     cur_round = 0;
     pending = [];
@@ -151,25 +210,7 @@ let create ?(obs = Obs.none) cfg hooks ~store =
 
 let anchors_of_round t round = Anchors.candidates t.cfg.mode t.rep ~round
 let current_anchor_round t = t.cur_round
-let pos_key t ~round ~author = (round * t.cfg.committee.Committee.n) + author
-let is_ordered t ~round ~author = Hashtbl.mem t.ordered (pos_key t ~round ~author)
-
-let mark_ordered t ~round ~author =
-  Hashtbl.replace t.ordered (pos_key t ~round ~author) ();
-  if round < t.lo then t.lo <- round;
-  if round > t.hi then t.hi <- round
-
-(* Ordered keys with rounds in [from, upto], ascending. *)
-let ordered_keys t ~from ~upto =
-  let n = t.cfg.committee.Committee.n in
-  let keys = ref [] in
-  for round = upto downto max from t.lo do
-    for author = n - 1 downto 0 do
-      let key = pos_key t ~round ~author in
-      if Hashtbl.mem t.ordered key then keys := key :: !keys
-    done
-  done;
-  !keys
+let is_ordered t ~round ~author = positions_mem t.ordered ~round ~author
 
 let stats t =
   {
@@ -228,7 +269,7 @@ let history_complete t anchor_ref =
   | _ -> (
     match
       Store.causal_history t.store anchor_ref ~skip:(fun (r : Types.node_ref) ->
-          Hashtbl.mem t.ordered (pos_key t ~round:r.Types.ref_round ~author:r.Types.ref_author))
+          positions_mem t.ordered ~round:r.Types.ref_round ~author:r.Types.ref_author)
     with
     | Ok nodes ->
       t.history_cache <- Some (anchor_ref, Store.lowest_retained t.store, nodes);
@@ -300,9 +341,6 @@ let resolve_candidate t ~round ~author =
 
    Varints are unsigned; fields that can be -1 are shifted by one. *)
 
-let wint w v = Wire.Writer.uint w (v + 1)
-let rint rd = Wire.Reader.uint rd - 1
-
 let snapshot t =
   let w = Wire.Writer.create ~initial:256 () in
   Wire.Writer.uint w t.cur_round;
@@ -313,16 +351,8 @@ let snapshot t =
   Wire.Writer.uint w floor;
   (* The round walk yields keys ascending: no table order reaches the
      (digested) blob. *)
-  Wire.Writer.list w (fun k -> Wire.Writer.uint w k) (ordered_keys t ~from:floor ~upto:t.hi);
-  let d = Reputation.dump t.rep in
-  let ints l = Wire.Writer.list w (fun v -> wint w v) l in
-  ints d.Reputation.d_scores;
-  ints d.Reputation.d_last_round;
-  ints d.Reputation.d_last_support;
-  ints d.Reputation.d_miss;
-  Wire.Writer.list w (fun sup -> Wire.Writer.list w (fun a -> Wire.Writer.uint w a) sup)
-    d.Reputation.d_recent;
-  wint w d.Reputation.d_highest_anchor_round;
+  positions_write t.ordered w ~from:floor;
+  Reputation.write t.rep w;
   Wire.Writer.contents w
 
 let restore t blob =
@@ -333,28 +363,11 @@ let restore t blob =
   t.skipped_anchors <- Wire.Reader.uint rd;
   let floor = Wire.Reader.uint rd in
   let positions = Wire.Reader.list rd Wire.Reader.uint in
-  Hashtbl.reset t.ordered;
-  t.lo <- max_int;
-  t.hi <- min_int;
   let n = t.cfg.committee.Committee.n in
-  List.iter (fun k -> mark_ordered t ~round:(k / n) ~author:(k mod n)) positions;
-  let ints () = Wire.Reader.list rd rint in
-  let d_scores = ints () in
-  let d_last_round = ints () in
-  let d_last_support = ints () in
-  let d_miss = ints () in
-  let d_recent = Wire.Reader.list rd (fun rd -> Wire.Reader.list rd Wire.Reader.uint) in
-  let d_highest_anchor_round = rint rd in
+  t.ordered <- positions_create n;
+  List.iter (fun k -> positions_add t.ordered ~round:(k / n) ~author:(k mod n)) positions;
+  Reputation.read t.rep rd;
   Wire.Reader.expect_end rd;
-  Reputation.load t.rep
-    {
-      Reputation.d_scores;
-      d_last_round;
-      d_last_support;
-      d_miss;
-      d_recent;
-      d_highest_anchor_round;
-    };
   t.history_cache <- None;
   floor
 
@@ -367,13 +380,11 @@ let snapshot_floor blob =
   Wire.Reader.uint rd
 
 let prune_ordered t ~below =
-  let doomed = ordered_keys t ~from:t.lo ~upto:(min t.hi (below - 1)) in
-  List.iter (Hashtbl.remove t.ordered) doomed;
-  if below > t.lo then t.lo <- below;
-  if doomed <> [] then t.history_cache <- None;
-  List.length doomed
+  let dropped = positions_prune t.ordered ~below in
+  if dropped > 0 then t.history_cache <- None;
+  dropped
 
-let ordered_size t = Hashtbl.length t.ordered
+let ordered_size t = t.ordered.size
 
 (* Emit the segment for a committed anchor position. Returns false when node
    data is still missing (fetches have been requested; [finish] does not
@@ -397,7 +408,7 @@ let output_segment t ~round ~author ~kind ~finish =
       List.iter
         (fun (cn : Types.certified_node) ->
           let node = cn.Types.cn_node in
-          mark_ordered t ~round:node.Types.round ~author:node.Types.author)
+          positions_add t.ordered ~round:node.Types.round ~author:node.Types.author)
         nodes;
       (* The ordered set grew: any memoized history is now stale. *)
       t.history_cache <- None;

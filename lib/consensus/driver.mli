@@ -131,9 +131,12 @@ val reputation : t -> Reputation.t
       floor; membership queries at or above it are unaffected;
     - [restore] then [snapshot], over a store whose retained floor is the
       floor [restore] returned, gives back the restored blob byte for byte;
-    - [snapshot] and [prune_ordered] cost the rounds between the lowest and
-      highest ordered round (times [n]), never the table's bucket count; a
-      restored driver's bounds come from its blob, not from round 0. *)
+    - the ordered set is one author bitset per round: [snapshot] and
+      [prune_ordered] cost the rounds they cover (popcounts, then the set
+      bits), [ordered_size] is O(1), and a restored driver's bounds come
+      from its blob, not from round 0;
+    - [snapshot] writes the reputation window from bytes encoded once per
+      observed segment, so a snapshot costs O(n + window) appends. *)
 
 val snapshot : t -> string
 (** The {!segment.resume} blob for the driver's current state. Its

@@ -1,3 +1,5 @@
+module Wire = Shoalpp_codec.Wire
+
 type t = {
   n : int;
   window : int;
@@ -6,7 +8,11 @@ type t = {
   scores : int array; (* segments supported within the window *)
   last_round : int array; (* highest ordered node round per author; -1 = never *)
   last_support : int array; (* highest anchor round the author supported *)
-  recent : int list Queue.t; (* per-segment supporter lists, oldest first *)
+  recent : string Queue.t;
+      (* per-segment supporter lists, oldest first, each held as the bytes
+         a snapshot writes for it (count-prefixed varints, as
+         [Wire.Writer.list] would): encoded once when the segment is
+         observed, decoded once when it leaves the window. *)
   miss_threshold : int;
   miss : int array; (* consecutive skipped-anchor streak per author *)
   mutable highest_anchor_round : int;
@@ -26,6 +32,14 @@ let create ~n ?(window = 64) ?(staleness = 8) ?(miss_threshold = 2) ~enabled () 
     miss = Array.make n 0;
     highest_anchor_round = -1;
   }
+
+let encode_supporters sup =
+  let w = Wire.Writer.create ~initial:16 () in
+  Wire.Writer.list w (Wire.Writer.uint w) sup;
+  Wire.Writer.contents w
+
+let decode_supporters bytes =
+  Wire.Reader.list (Wire.Reader.of_string bytes) Wire.Reader.uint
 
 (* Supporting a committed anchor — being its author or one of its strong
    parents — is the signal that a replica is currently fast and well
@@ -48,9 +62,9 @@ let observe_segment t ~anchor_round ~supporters ~node_positions =
       t.miss.(a) <- 0;
       if anchor_round > t.last_support.(a) then t.last_support.(a) <- anchor_round)
     supporters;
-  Queue.push supporters t.recent;
+  Queue.push (encode_supporters supporters) t.recent;
   if Queue.length t.recent > t.window then begin
-    let evicted = Queue.pop t.recent in
+    let evicted = decode_supporters (Queue.pop t.recent) in
     List.iter (fun a -> t.scores.(a) <- t.scores.(a) - 1) evicted
   end
 
@@ -70,8 +84,9 @@ let is_active t ~round a =
      || t.last_support.(a) >= round - t.staleness)
 
 (* Checkpoint support: the whole state is a bounded window over the
-   committed prefix, so it serializes into a few int arrays. [dump]/[load]
-   move it through the consensus driver's opaque resume blob. *)
+   committed prefix, so it serializes into a few int arrays plus the
+   window's pre-encoded supporter lists. Fields that can be -1 are shifted
+   by one (varints are unsigned). *)
 type dump = {
   d_scores : int list;
   d_last_round : int list;
@@ -87,19 +102,38 @@ let dump t =
     d_last_round = Array.to_list t.last_round;
     d_last_support = Array.to_list t.last_support;
     d_miss = Array.to_list t.miss;
-    d_recent = List.of_seq (Queue.to_seq t.recent);
+    d_recent = List.of_seq (Seq.map decode_supporters (Queue.to_seq t.recent));
     d_highest_anchor_round = t.highest_anchor_round;
   }
 
-let load t d =
-  let fill arr l = List.iteri (fun i v -> if i < Array.length arr then arr.(i) <- v) l in
-  fill t.scores d.d_scores;
-  fill t.last_round d.d_last_round;
-  fill t.last_support d.d_last_support;
-  fill t.miss d.d_miss;
+let wint w v = Wire.Writer.uint w (v + 1)
+let rint rd = Wire.Reader.uint rd - 1
+
+let write t w =
+  let ints arr =
+    Wire.Writer.uint w (Array.length arr);
+    Array.iter (wint w) arr
+  in
+  ints t.scores;
+  ints t.last_round;
+  ints t.last_support;
+  ints t.miss;
+  Wire.Writer.uint w (Queue.length t.recent);
+  Queue.iter (Wire.Writer.raw w) t.recent;
+  wint w t.highest_anchor_round
+
+let read t rd =
+  let fill arr =
+    List.iteri (fun i v -> if i < Array.length arr then arr.(i) <- v) (Wire.Reader.list rd rint)
+  in
+  fill t.scores;
+  fill t.last_round;
+  fill t.last_support;
+  fill t.miss;
+  let recent = Wire.Reader.list rd (fun rd -> Wire.Reader.list rd Wire.Reader.uint) in
   Queue.clear t.recent;
-  List.iter (fun l -> Queue.push l t.recent) d.d_recent;
-  t.highest_anchor_round <- d.d_highest_anchor_round
+  List.iter (fun sup -> Queue.push (encode_supporters sup) t.recent) recent;
+  t.highest_anchor_round <- rint rd
 
 let rotate slot l =
   match l with

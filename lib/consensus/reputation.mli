@@ -72,11 +72,21 @@ type dump = {
   d_recent : int list list;
   d_highest_anchor_round : int;
 }
-(** Serializable image of the full reputation state (bounded: n-sized
-    arrays plus at most [window] supporter lists). *)
+(** Image of the full reputation state (bounded: n-sized arrays plus at
+    most [window] supporter lists), for inspection. *)
 
 val dump : t -> dump
-val load : t -> dump -> unit
-(** [load (create ...)] with matching [n]/[window] reproduces the dumped
-    state exactly, so a checkpoint-restored replica computes the same
-    eligible vectors as one that replayed the whole prefix. *)
+
+val write : t -> Shoalpp_codec.Wire.Writer.t -> unit
+(** Append the state's checkpoint encoding: the four n-sized arrays and the
+    highest anchor round as count-prefixed varints shifted by one, and the
+    window as a count of supporter lists. Each list's bytes were encoded
+    when its segment was observed, so this costs O(n + window) appends,
+    not one varint per supporter. *)
+
+val read : t -> Shoalpp_codec.Wire.Reader.t -> unit
+(** Inverse of {!write}: [read (create ...)] with matching [n]/[window]
+    reproduces the written state exactly, so a checkpoint-restored replica
+    computes the same eligible vectors as one that replayed the whole
+    prefix.
+    @raise Shoalpp_codec.Wire.Reader.Malformed on corrupt input. *)

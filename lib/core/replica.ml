@@ -179,7 +179,8 @@ let ck_install t m ck =
     Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) m.ck_votes []
   in
   List.iter (Hashtbl.remove m.ck_votes) doomed;
-  Wal.append m.ck_wal ~size:(Checkpoint.wire_size ck) ~payload:(Checkpoint.encode ck) ignore;
+  Wal.append m.ck_wal ~size:(Checkpoint.wire_size ck) ~payload:(fun () -> Checkpoint.encode ck)
+    ignore;
   Obs.incr t.obs "ck.certified";
   Obs.set t.obs "ck.latest_seq" (float_of_int seq);
   Obs.event t.obs ~time:(Backend.now t.backend)
@@ -527,7 +528,8 @@ let make_lane t dag_id =
           else begin
             let size = Types.message_size msg in
             if Wal.retains wal then
-              let payload =
+              (* Encoded only if a recovery ever replays it. *)
+              let payload () =
                 String.make 1 (Char.chr (dag_id land 0xff)) ^ Types.encode_message msg
               in
               Wal.append wal ~size ~payload cb
@@ -747,7 +749,8 @@ and ck_adopt t m blob_opt =
          state (its WAL coverage is contiguous with it) and move on. *)
       if Checkpoint.seq ck + 1 > t.global_seq then begin
         ck_restore_from t m ck;
-        Wal.append m.ck_wal ~size:(Checkpoint.wire_size ck) ~payload:(Checkpoint.encode ck)
+        Wal.append m.ck_wal ~size:(Checkpoint.wire_size ck)
+          ~payload:(fun () -> Checkpoint.encode ck)
           ignore
       end;
       finish_recovery t)

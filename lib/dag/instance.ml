@@ -73,6 +73,11 @@ type t = {
   mutable round_timer : Backend.timer option;
   mutable timeout_backoff : float; (* multiplier on the round timeout *)
   mutable lowest_round : int; (* GC horizon *)
+  mutable table_low : int;
+      (* no round- or position-keyed table below holds an entry under this
+         round: GC walks the rounds from here to its new floor. It trails
+         [lowest_round] only when an entry lands under the floor (an own
+         proposal's late loopback). *)
   own_votes : (int, vote_acc) Hashtbl.t; (* by round *)
   (* Position-keyed tables below pack (round, author) into the int
      [round * n + author]: these are touched on every received message, and
@@ -81,6 +86,8 @@ type t = {
   a2a_votes : (int, (Digest32.t, (int * Signer.signature) list ref) Hashtbl.t) Hashtbl.t;
   voted : (int, Digest32.t) Hashtbl.t; (* position -> digest voted *)
   data : Types.node Shoalpp_storage.Kvstore.t; (* proposals by digest *)
+  data_rounds : (int, Digest32.t list) Hashtbl.t; (* round -> digests in [data] *)
+  mutable data_low : int; (* no [data_rounds] entry under this round *)
   cert_meta : (int, Types.node_ref) Hashtbl.t;
   (* Certificates no node we have seen references yet — candidates for weak
      edges in our next proposal (DAG-Rider validity mechanism). *)
@@ -118,10 +125,13 @@ let create ?(obs = Obs.none) cfg cb ~store =
     round_timer = None;
     timeout_backoff = 1.0;
     lowest_round = 0;
+    table_low = 0;
     own_votes = Hashtbl.create 32;
     a2a_votes = Hashtbl.create 64;
     voted = Hashtbl.create 256;
     data = Shoalpp_storage.Kvstore.create ();
+    data_rounds = Hashtbl.create 32;
+    data_low = 0;
     cert_meta = Hashtbl.create 256;
     unreferenced = Hashtbl.create 64;
     certs_per_round = Hashtbl.create 32;
@@ -150,6 +160,34 @@ let invalid_dropped t = t.invalid_dropped
 let crash t = t.alive <- false
 
 let quorum t = Committee.quorum t.cfg.committee
+
+(* Keep a received proposal, indexed by round for GC. A fetched node may
+   land under the current floor; the index walk still reaches it. *)
+let put_data t (node : Types.node) =
+  let digest = node.Types.digest and round = node.Types.round in
+  if not (Shoalpp_storage.Kvstore.mem t.data digest) then begin
+    let prev = Option.value ~default:[] (Hashtbl.find_opt t.data_rounds round) in
+    Hashtbl.replace t.data_rounds round (digest :: prev);
+    if round < t.data_low then t.data_low <- round
+  end;
+  Shoalpp_storage.Kvstore.put t.data digest node
+
+(* Drop proposal data for rounds below [floor]; returns entries dropped. *)
+let prune_data t ~floor =
+  let dropped = ref 0 in
+  for round = t.data_low to floor - 1 do
+    match Hashtbl.find_opt t.data_rounds round with
+    | Some digests ->
+      List.iter
+        (fun d ->
+          Shoalpp_storage.Kvstore.remove t.data d;
+          incr dropped)
+        digests;
+      Hashtbl.remove t.data_rounds round
+    | None -> ()
+  done;
+  if floor > t.data_low then t.data_low <- floor;
+  !dropped
 
 let mark_referenced t (node : Types.node) =
   let unref (p : Types.node_ref) =
@@ -304,19 +342,25 @@ let rec arm_fetch t (cert : Types.certificate) =
      must hold the data; rotate targets on retry to balance load. *)
   ignore
     (t.cb.schedule ~after:t.cfg.fetch_delay_ms (fun () ->
-         if t.alive && Hashtbl.mem t.awaiting_data cert.Types.cert_ref.Types.ref_digest then begin
-           let signers = Shoalpp_support.Bitset.to_list (Multisig.signers cert.Types.multisig) in
-           let candidates = List.filter (fun s -> s <> t.cfg.replica) signers in
-           (match candidates with
-           | [] -> ()
-           | _ ->
-             let target = List.nth candidates (Rng.int t.rng (List.length candidates)) in
-             t.fetches_sent <- t.fetches_sent + 1;
-             Obs.incr_c t.c_fetches;
-             t.cb.send ~dst:target
-               (Types.Fetch_request { wanted = cert.Types.cert_ref; requester = t.cfg.replica }));
-           arm_fetch t cert
-         end))
+         let digest = cert.Types.cert_ref.Types.ref_digest in
+         if t.alive && Hashtbl.mem t.awaiting_data digest then
+           if cert.Types.cert_ref.Types.ref_round < t.lowest_round then
+             (* GC passed the round: its data is never needed again (and
+                peers may have pruned it), so stop polling. *)
+             Hashtbl.remove t.awaiting_data digest
+           else begin
+             let signers = Shoalpp_support.Bitset.to_list (Multisig.signers cert.Types.multisig) in
+             let candidates = List.filter (fun s -> s <> t.cfg.replica) signers in
+             (match candidates with
+             | [] -> ()
+             | _ ->
+               let target = List.nth candidates (Rng.int t.rng (List.length candidates)) in
+               t.fetches_sent <- t.fetches_sent + 1;
+               Obs.incr_c t.c_fetches;
+               t.cb.send ~dst:target
+                 (Types.Fetch_request { wanted = cert.Types.cert_ref; requester = t.cfg.replica }));
+             arm_fetch t cert
+           end))
 
 (* Recover a node we know only by reference (a parent edge of some received
    node): ask random peers until the certified node arrives. At least f+1
@@ -383,7 +427,7 @@ let handle_proposal t ~src (node : Types.node) =
     | Ok () ->
       if node.Types.round >= t.lowest_round then begin
         let key = pos t ~round:node.Types.round ~author:node.Types.author in
-        Shoalpp_storage.Kvstore.put t.data node.Types.digest node;
+        put_data t node;
         mark_referenced t node;
         (* Weak votes: only the first proposal per (round, author). *)
         if Store.note_proposal t.store node then begin
@@ -546,7 +590,7 @@ let handle_fetch_response t (cn : Types.certified_node) =
   | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
   | Ok () ->
     let node = cn.Types.cn_node in
-    Shoalpp_storage.Kvstore.put t.data node.Types.digest node;
+    put_data t node;
     mark_referenced t node;
     if Store.note_proposal t.store node then t.cb.on_proposal_noted node;
     accept_certificate t cn.Types.cn_cert;
@@ -561,9 +605,12 @@ let handle_message t ~src msg =
       handle_proposal t ~src node;
       (* The author votes for its own proposal like everyone else; register
          our vote accumulator when the loopback copy arrives. *)
-      if node.Types.author = t.cfg.replica && not (Hashtbl.mem t.own_votes node.Types.round) then
+      if node.Types.author = t.cfg.replica && not (Hashtbl.mem t.own_votes node.Types.round)
+      then begin
         Hashtbl.replace t.own_votes node.Types.round
-          { digest = node.Types.digest; sigs = []; cert_done = false }
+          { digest = node.Types.digest; sigs = []; cert_done = false };
+        if node.Types.round < t.table_low then t.table_low <- node.Types.round
+      end
     | Types.Vote v -> handle_vote t v
     | Types.Certificate c -> handle_certificate t c
     | Types.Fetch_request { wanted; requester } ->
@@ -604,13 +651,13 @@ let ingest_certified t cn = if t.alive then handle_fetch_response t cn
 
 let lowest_round t = t.lowest_round
 
+let awaiting_data t = Hashtbl.length t.awaiting_data
+
 let set_retain_gate t ~round =
   let swept = Store.set_retain_gate t.store ~round in
   if swept > 0 then begin
     let floor = Store.lowest_stored t.store in
-    let pruned_data =
-      Shoalpp_storage.Kvstore.prune t.data ~keep:(fun _ node -> node.Types.round >= floor)
-    in
+    let pruned_data = prune_data t ~floor in
     Obs.incr ~by:swept t.obs "gc.pruned_vertices";
     Obs.incr ~by:pruned_data t.obs "gc.pruned_data";
     Obs.set t.obs "gc.retained_rounds"
@@ -622,40 +669,29 @@ let gc_upto t ~round =
     t.lowest_round <- round;
     Obs.event t.obs ~time:(t.cb.now ()) (Trace.Gc_pruned { below = round });
     let pruned_vertices = Store.prune_below t.store ~round in
-    (* The proposal-data KV grows with every batch ever stored; it was the
-       one table this sweep forgot. Keyed by digest, so the round gate goes
-       through the stored node itself. Both it and the store delete at the
-       {e physical} floor — a checkpoint retain gate keeps rounds (with
-       their batches, which the sync server ships whole) serveable after
-       the logical floor has passed them. *)
+    (* Proposal data deletes at the {e physical} floor, like the store: a
+       checkpoint retain gate keeps rounds (with their batches, which the
+       sync server ships whole) serveable after the logical floor has
+       passed them. *)
     let floor = Store.lowest_stored t.store in
-    let pruned_data =
-      Shoalpp_storage.Kvstore.prune t.data ~keep:(fun _ node -> node.Types.round >= floor)
-    in
+    let pruned_data = prune_data t ~floor in
     Obs.incr ~by:pruned_vertices t.obs "gc.pruned_vertices";
     Obs.incr ~by:pruned_data t.obs "gc.pruned_data";
     Obs.set t.obs "gc.floor" (float_of_int round);
     Obs.set t.obs "gc.retained_rounds"
       (float_of_int (max 0 (Store.highest_round t.store - floor + 1)));
-    let doomed =
-      Hashtbl.fold (fun k _ acc -> if pos_round t k < round then k :: acc else acc) t.cert_meta []
-    in
-    List.iter (fun k -> Hashtbl.remove t.cert_meta k) doomed;
-    List.iter (fun k -> Hashtbl.remove t.unreferenced k) doomed;
-    let doomed_votes =
-      Hashtbl.fold (fun k _ acc -> if pos_round t k < round then k :: acc else acc) t.voted []
-    in
-    List.iter (fun k -> Hashtbl.remove t.voted k) doomed_votes;
-    let doomed_rounds =
-      Hashtbl.fold (fun r _ acc -> if r < round then r :: acc else acc) t.certs_per_round []
-    in
-    List.iter (fun r -> Hashtbl.remove t.certs_per_round r) doomed_rounds;
-    let doomed_own =
-      Hashtbl.fold (fun r _ acc -> if r < round then r :: acc else acc) t.own_votes []
-    in
-    List.iter (fun r -> Hashtbl.remove t.own_votes r) doomed_own;
-    let doomed_a2a =
-      Hashtbl.fold (fun k _ acc -> if pos_round t k < round then k :: acc else acc) t.a2a_votes []
-    in
-    List.iter (fun k -> Hashtbl.remove t.a2a_votes k) doomed_a2a
+    (* Every table below is keyed by round or by position: walk the rounds
+       under the new floor instead of folding the tables. *)
+    for r = t.table_low to round - 1 do
+      for author = 0 to t.cfg.committee.Committee.n - 1 do
+        let k = pos t ~round:r ~author in
+        Hashtbl.remove t.cert_meta k;
+        Hashtbl.remove t.unreferenced k;
+        Hashtbl.remove t.voted k;
+        Hashtbl.remove t.a2a_votes k
+      done;
+      Hashtbl.remove t.certs_per_round r;
+      Hashtbl.remove t.own_votes r
+    done;
+    t.table_low <- round
   end

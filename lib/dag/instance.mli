@@ -119,7 +119,9 @@ val certs_known_at : t -> round:int -> int
 
 val gc_upto : t -> round:int -> unit
 (** Drop instance and store state below [round] — including the
-    proposal-data KV — and publish [gc.pruned_vertices] / [gc.pruned_data]
+    proposal-data KV — walking only the rounds between the previous floor
+    (or the lowest round a late entry landed in since) and [round], and
+    publish [gc.pruned_vertices] / [gc.pruned_data]
     counters and [gc.floor] / [gc.retained_rounds] gauges. With a retain
     gate installed ({!set_retain_gate}) the store and KV delete only below
     the gate; ordering still ignores everything below the logical floor. *)
@@ -130,6 +132,10 @@ val set_retain_gate : t -> round:int -> unit
     and sweep store rounds plus proposal data whose deletion the previous
     gate deferred. Installing a gate of 0 at startup defers all physical
     deletion until a first checkpoint certifies. *)
+
+val awaiting_data : t -> int
+(** Certificates whose node data is still being fetched. An entry is
+    dropped once GC passes its round; fetching for it stops then. *)
 
 val lowest_round : t -> int
 (** Current GC floor: rounds below it are pruned and their messages

@@ -19,6 +19,10 @@ type t = {
          ordering, still serveable to catching-up peers. [None] deletes at
          the logical floor (pre-checkpoint behavior). *)
   mutable stored : int; (* physical floor: lowest round still in the tables *)
+  mutable low_slot : int;
+      (* no slot exists below this round: a sweep walks the rounds from
+         here to its floor. A late insert for a round under a past floor
+         (a fetched node, a proposal note) lowers it. *)
 }
 
 let create ~n ~genesis_digest =
@@ -30,6 +34,7 @@ let create ~n ~genesis_digest =
     lowest = 0;
     retain_gate = None;
     stored = 0;
+    low_slot = 0;
   }
 
 let n t = t.n
@@ -47,6 +52,7 @@ let slot t round =
       }
     in
     Hashtbl.replace t.rounds round s;
+    if round < t.low_slot then t.low_slot <- round;
     s
 
 let slot_opt t round = Hashtbl.find_opt t.rounds round
@@ -188,19 +194,19 @@ let position_ancestor t ~round ~author ~of_ =
     search of_
   end
 
-(* Physically delete rounds below [below] (never above the logical floor). *)
+(* Physically delete rounds below [below] (never above the logical floor),
+   walking the rounds from the lowest slot up. *)
 let sweep t ~below =
   let below = min below t.lowest in
   let dropped = ref 0 in
-  let doomed = Hashtbl.fold (fun r _ acc -> if r < below then r :: acc else acc) t.rounds [] in
-  List.iter
-    (fun r ->
-      (match slot_opt t r with
-      | Some s ->
-        Array.iter (fun n -> if Option.is_some n then incr dropped) s.nodes
-      | None -> ());
-      Hashtbl.remove t.rounds r)
-    doomed;
+  for r = t.low_slot to below - 1 do
+    match slot_opt t r with
+    | Some s ->
+      Array.iter (fun n -> if Option.is_some n then incr dropped) s.nodes;
+      Hashtbl.remove t.rounds r
+    | None -> ()
+  done;
+  if below > t.low_slot then t.low_slot <- below;
   if below > t.stored then t.stored <- below;
   !dropped
 

@@ -21,7 +21,9 @@
     - causal-history traversal reports missing ancestors exactly, and
       returns nodes sorted by (round, author) under explicit [Int.compare]
       — never in table iteration order;
-    - GC below round r removes only state strictly below r. *)
+    - GC below round r removes only state strictly below r, and every
+      slot below it — a slot opened under an earlier floor included — by
+      walking the rounds from the lowest slot up, never the table. *)
 
 type t
 

@@ -5,43 +5,37 @@ module Bitset = Shoalpp_support.Bitset
 
 let ( let* ) r f = Result.bind r f
 
-(* The error message is only materialized on failure: validation runs on
-   every received message, and eagerly formatting the (almost always
-   discarded) success-path string dominated the simulator's allocation
-   profile. [ikfprintf] consumes the format arguments without building
-   anything. *)
-let check cond fmt =
-  if cond then Printf.ikfprintf (fun () -> Ok ()) () fmt
-  else Printf.ksprintf (fun m -> Error m) fmt
+(* The error message is only formatted on rejection: validation runs on
+   every received message, so the success path is plain comparisons with
+   no format work at all. *)
+let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
 
 let validate_parents committee (node : Types.node) =
   if node.Types.round = 0 then
-    check (node.Types.parents = []) "round-0 node must have no parents"
+    if node.Types.parents = [] then Ok () else fail "round-0 node must have no parents"
   else begin
     let n_parents = List.length node.Types.parents in
-    let* () =
-      check
-        (n_parents >= Committee.quorum committee)
-        "node has %d parents, need >= %d" n_parents (Committee.quorum committee)
-    in
-    (* An n-bit scratch of the authors named so far; every author is
-       checked valid before it indexes the scratch. *)
-    let seen = Bitset.create committee.Committee.n in
-    List.fold_left
-      (fun acc (p : Types.node_ref) ->
-        let* () = acc in
-        let* () =
-          check (p.Types.ref_round = node.Types.round - 1) "parent from round %d, expected %d"
-            p.Types.ref_round (node.Types.round - 1)
-        in
-        let* () =
-          check (Committee.valid_replica committee p.Types.ref_author) "parent author %d invalid"
-            p.Types.ref_author
-        in
-        let* () = check (not (Bitset.mem seen p.Types.ref_author)) "duplicate parent author" in
-        Bitset.set seen p.Types.ref_author;
-        Ok ())
-      (Ok ()) node.Types.parents
+    let quorum = Committee.quorum committee in
+    if n_parents < quorum then fail "node has %d parents, need >= %d" n_parents quorum
+    else begin
+      (* An n-bit scratch of the authors named so far; every author is
+         checked valid before it indexes the scratch. *)
+      let seen = Bitset.create committee.Committee.n in
+      let rec go = function
+        | [] -> Ok ()
+        | (p : Types.node_ref) :: rest ->
+          if p.Types.ref_round <> node.Types.round - 1 then
+            fail "parent from round %d, expected %d" p.Types.ref_round (node.Types.round - 1)
+          else if not (Committee.valid_replica committee p.Types.ref_author) then
+            fail "parent author %d invalid" p.Types.ref_author
+          else if Bitset.mem seen p.Types.ref_author then fail "duplicate parent author"
+          else begin
+            Bitset.set seen p.Types.ref_author;
+            go rest
+          end
+      in
+      go node.Types.parents
+    end
   end
 
 (* Whether one of the first [k] refs of [refs] names [p]'s (round, author). *)
@@ -52,29 +46,25 @@ let rec named_before (p : Types.node_ref) k = function
   | _ -> false
 
 let validate_weak_parents committee (node : Types.node) =
-  let nweak = List.length node.Types.weak_parents in
-  let* () =
-    check (nweak <= Types.max_weak_parents) "%d weak parents, cap is %d" nweak
-      Types.max_weak_parents
-  in
-  (* At most [max_weak_parents] refs, so duplicates are found by scanning
-     the refs already checked. *)
   let weak = node.Types.weak_parents in
-  let rec go k = function
-    | [] -> Ok ()
-    | (p : Types.node_ref) :: rest ->
-        let* () =
-          check
-            (p.Types.ref_round >= 0 && p.Types.ref_round < node.Types.round - 1)
-            "weak parent from round %d, need < %d" p.Types.ref_round (node.Types.round - 1)
-        in
-        let* () =
-          check (Committee.valid_replica committee p.Types.ref_author) "weak parent author invalid"
-        in
-        let* () = check (not (named_before p k weak)) "duplicate weak parent" in
-        go (k + 1) rest
-  in
-  go 0 weak
+  let nweak = List.length weak in
+  if nweak > Types.max_weak_parents then
+    fail "%d weak parents, cap is %d" nweak Types.max_weak_parents
+  else begin
+    (* At most [max_weak_parents] refs, so duplicates are found by scanning
+       the refs already checked. *)
+    let rec go k = function
+      | [] -> Ok ()
+      | (p : Types.node_ref) :: rest ->
+        if not (p.Types.ref_round >= 0 && p.Types.ref_round < node.Types.round - 1) then
+          fail "weak parent from round %d, need < %d" p.Types.ref_round (node.Types.round - 1)
+        else if not (Committee.valid_replica committee p.Types.ref_author) then
+          fail "weak parent author invalid"
+        else if named_before p k weak then fail "duplicate weak parent"
+        else go (k + 1) rest
+    in
+    go 0 weak
+  end
 
 (* Memo for the digest-binding check. In the simulator one broadcast hands
    the same physical [Types.node] to every receiver, so recomputing the
@@ -177,46 +167,43 @@ let signatures_ok ~committee (msg : Types.message) =
   | Types.Sync_response _ -> true
 
 let validate_proposal ~committee ~verify_signatures (node : Types.node) =
-  let* () = check (Committee.valid_replica committee node.Types.author) "author out of range" in
-  let* () = check (node.Types.round >= 0) "negative round" in
-  let* () = validate_parents committee node in
-  let* () = validate_weak_parents committee node in
-  (* The digest binds the node's fields in both crypto modes: trusted-mode
-     runs still reject tampered content (see dag.validation "digest
-     binding"), only signature verification is elided. *)
-  let* () = check (binding_holds node) "digest mismatch" in
-  if verify_signatures then
-    check (proposal_signature_ok ~committee node) "bad author signature"
-  else Ok ()
+  if not (Committee.valid_replica committee node.Types.author) then fail "author out of range"
+  else if node.Types.round < 0 then fail "negative round"
+  else
+    let* () = validate_parents committee node in
+    let* () = validate_weak_parents committee node in
+    (* The digest binds the node's fields in both crypto modes: trusted-mode
+       runs still reject tampered content (see dag.validation "digest
+       binding"), only signature verification is elided. *)
+    if not (binding_holds node) then fail "digest mismatch"
+    else if verify_signatures && not (proposal_signature_ok ~committee node) then
+      fail "bad author signature"
+    else Ok ()
 
 let validate_vote ~committee ~verify_signatures (v : Types.vote) =
-  let* () = check (Committee.valid_replica committee v.Types.voter) "voter out of range" in
-  let* () = check (Committee.valid_replica committee v.Types.vote_author) "vote author out of range" in
-  if verify_signatures then check (vote_signature_ok ~committee v) "bad vote signature"
+  if not (Committee.valid_replica committee v.Types.voter) then fail "voter out of range"
+  else if not (Committee.valid_replica committee v.Types.vote_author) then
+    fail "vote author out of range"
+  else if verify_signatures && not (vote_signature_ok ~committee v) then
+    fail "bad vote signature"
   else Ok ()
 
 let validate_certificate ~committee ~verify_signatures (c : Types.certificate) =
   let cap = Multisig.capacity c.Types.multisig in
-  let* () =
-    check (cap = committee.Committee.n) "certificate bitmap sized %d, committee has %d" cap
-      committee.Committee.n
-  in
   let nsig = Multisig.num_signers c.Types.multisig in
-  let* () =
-    check (nsig >= Committee.quorum committee) "certificate has %d signers, need >= %d" nsig
-      (Committee.quorum committee)
-  in
-  let* () =
-    check (Committee.valid_replica committee c.Types.cert_ref.Types.ref_author)
-      "certified author out of range"
-  in
-  if verify_signatures then
-    check (certificate_signature_ok ~committee c) "bad certificate multisig"
+  if cap <> committee.Committee.n then
+    fail "certificate bitmap sized %d, committee has %d" cap committee.Committee.n
+  else if nsig < Committee.quorum committee then
+    fail "certificate has %d signers, need >= %d" nsig (Committee.quorum committee)
+  else if not (Committee.valid_replica committee c.Types.cert_ref.Types.ref_author) then
+    fail "certified author out of range"
+  else if verify_signatures && not (certificate_signature_ok ~committee c) then
+    fail "bad certificate multisig"
   else Ok ()
 
 let validate_certified_node ~committee ~verify_signatures (cn : Types.certified_node) =
   let* () = validate_proposal ~committee ~verify_signatures cn.Types.cn_node in
   let* () = validate_certificate ~committee ~verify_signatures cn.Types.cn_cert in
-  check
-    (Types.ref_equal (Types.ref_of_node cn.Types.cn_node) cn.Types.cn_cert.Types.cert_ref)
-    "certificate does not match node"
+  if Types.ref_equal (Types.ref_of_node cn.Types.cn_node) cn.Types.cn_cert.Types.cert_ref then
+    Ok ()
+  else fail "certificate does not match node"

@@ -16,8 +16,3 @@ let mem t k = H.mem t k
 let remove t k = H.remove t k
 let size t = H.length t
 let iter f t = H.iter f t
-
-let prune t ~keep =
-  let doomed = H.fold (fun k v acc -> if keep k v then acc else k :: acc) t [] in
-  List.iter (fun k -> H.remove t k) doomed;
-  List.length doomed

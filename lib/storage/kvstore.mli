@@ -19,8 +19,3 @@ val mem : 'a t -> Shoalpp_crypto.Digest32.t -> bool
 val remove : 'a t -> Shoalpp_crypto.Digest32.t -> unit
 val size : 'a t -> int
 val iter : (Shoalpp_crypto.Digest32.t -> 'a -> unit) -> 'a t -> unit
-
-val prune : 'a t -> keep:(Shoalpp_crypto.Digest32.t -> 'a -> bool) -> int
-(** Remove every binding for which [keep] is false; returns the number
-    removed. Iteration order during the sweep is unobservable (the predicate
-    sees each binding once, in hash order). *)

@@ -1,10 +1,12 @@
 module Backend = Shoalpp_backend.Backend
 
-type pending = { cb : unit -> unit; payload : string option }
+(* A retained payload is a thunk: the record is encoded only if it is ever
+   replayed ({!entries}), not on every append. *)
+type pending = { cb : unit -> unit; payload : (unit -> string) option }
 
 type segment = {
   seg_id : int;
-  mutable seg_entries : string list; (* synced retained payloads, reversed *)
+  mutable seg_entries : (unit -> string) list; (* synced retained payloads, reversed *)
   mutable seg_count : int;
 }
 
@@ -129,6 +131,7 @@ let append t ~size ?payload cb =
 
 let entries t =
   List.fold_left (fun acc seg -> List.rev_append seg.seg_entries acc) [] t.segments
+  |> List.map (fun payload -> payload ())
 
 let segments t =
   List.rev_map (fun s -> (s.seg_id, s.seg_count)) t.segments

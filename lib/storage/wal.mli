@@ -45,13 +45,16 @@ val create :
     recovering replica can replay them ({!entries}); crash-recovery
     scenarios enable it. A fresh log has one empty segment (id 0). *)
 
-val append : t -> size:int -> ?payload:string -> (unit -> unit) -> unit
+val append : t -> size:int -> ?payload:(unit -> string) -> (unit -> unit) -> unit
 (** Schedule a durable write of [size] bytes; the callback fires when the
     write has synced. With zero latency the callback fires on the next
     engine step (never synchronously, so callers can rely on async order).
     [payload] is retained for replay only if the log was created with
     [retain] — and only once its sync completes, so appends in flight at a
-    crash are lost, exactly as on a real device. *)
+    crash are lost, exactly as on a real device. It is a thunk producing
+    the record's bytes, called only by {!entries}: a record that is never
+    replayed is never encoded. It must return the same bytes whenever it
+    is called. *)
 
 val rotate : t -> int
 (** Seal the current segment and open a fresh one; returns the new
@@ -72,7 +75,7 @@ val clear : t -> unit
 
 val entries : t -> string list
 (** Synced retained payloads across all retained segments, oldest first
-    (empty unless [retain]). *)
+    (empty unless [retain]); each payload thunk is called here. *)
 
 val segments : t -> (int * int) list
 (** Retained [(segment id, entry count)] pairs, oldest first. *)

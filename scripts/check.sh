@@ -85,6 +85,22 @@ dune exec bin/shoalpp_sim.exe -- \
 grep -q '"fault.recoveries"' "$out/faults.metrics.json" \
   || { echo "check failed: fault counters missing from scenario metrics" >&2; exit 1; }
 
+# Checkpointed crash-recover smoke: with the lifecycle on, the restarted
+# replica restores a certified checkpoint and then replays the WAL records
+# retained since it. Those records are payload thunks, encoded only here
+# on replay and decoded again, so the run must pass its audit and replay a
+# nonzero number of entries (42 for this command).
+dune exec bin/shoalpp_sim.exe -- \
+  -n 4 --checkpoint-interval 12 --scenario crash-recover:at=3000,recover=6000 --no-verify \
+  --trace-out "$out/ck_recover.jsonl" > "$out/ck_recover.out"
+grep -q 'audit: consistent logs, no duplicates' "$out/ck_recover.out" \
+  || { echo "check failed: checkpointed crash-recover audit" >&2; exit 1; }
+python3 - "$out/ck_recover.jsonl" <<'EOF' || { echo "check failed: checkpointed recovery replayed no WAL entries" >&2; exit 1; }
+import json, sys
+replayed = [e["replayed"] for e in map(json.loads, open(sys.argv[1])) if e.get("tag") == "replica_recovered"]
+sys.exit(0 if replayed and all(r > 0 for r in replayed) else 1)
+EOF
+
 # One metric namespace for all three systems: the baselines' latency is
 # recorded by the same ledger as Shoal++'s, so their exports carry the same
 # stage, end-to-end, per-lane and keyed ledger metrics.

@@ -433,6 +433,45 @@ let snapshot_window blob =
   let floor = uint () in
   (floor, Shoalpp_codec.Wire.Reader.list rd Shoalpp_codec.Wire.Reader.uint)
 
+(* Reference encoder for [Driver.snapshot], built from the public state
+   only: the header's scheduling fields (the pending vector is not public,
+   so it is read back from [blob]), a membership walk over every round from
+   the store floor up, and [Reputation.dump] written field by field. *)
+let reference_snapshot store driver ~blob =
+  let module W = Shoalpp_codec.Wire.Writer in
+  let module R = Shoalpp_codec.Wire.Reader in
+  let rd = R.of_string blob in
+  ignore (R.uint rd);
+  let pending = R.list rd R.uint in
+  let w = W.create () in
+  let uints l = W.list w (W.uint w) l in
+  W.uint w (Driver.current_anchor_round driver);
+  uints pending;
+  let st = Driver.stats driver in
+  W.uint w st.Driver.segments;
+  W.uint w st.Driver.skipped_anchors;
+  let floor = Store.lowest_retained store in
+  W.uint w floor;
+  let n = Store.n store in
+  let keys = ref [] in
+  (* Ordered nodes sit at or below the anchor round being resolved. *)
+  let top = max (Store.highest_round store) (Driver.current_anchor_round driver) in
+  for round = top downto floor do
+    for author = n - 1 downto 0 do
+      if Driver.is_ordered driver ~round ~author then keys := ((round * n) + author) :: !keys
+    done
+  done;
+  uints !keys;
+  let d = Reputation.dump (Driver.reputation driver) in
+  let shifted l = W.list w (fun v -> W.uint w (v + 1)) l in
+  shifted d.Reputation.d_scores;
+  shifted d.Reputation.d_last_round;
+  shifted d.Reputation.d_last_support;
+  shifted d.Reputation.d_miss;
+  W.list w uints d.Reputation.d_recent;
+  W.uint w (d.Reputation.d_highest_anchor_round + 1);
+  W.contents w
+
 type lifecycle = {
   lstore : Store.t;
   ldriver : Driver.t;
@@ -441,7 +480,7 @@ type lifecycle = {
   mutable log : (int * int * (int * int) list) list; (* newest first *)
 }
 
-let lifecycle_driver () =
+let lifecycle_driver ?(window = 64) () =
   let store = Store.create ~n:4 ~genesis_digest:committee.Committee.genesis in
   let self = ref None in
   let get () = Option.get !self in
@@ -459,6 +498,8 @@ let lifecycle_driver () =
     l.log <- (seg.Driver.anchor.Types.ref_round, seg.Driver.anchor.Types.ref_author, nodes) :: l.log;
     let blob = Option.get seg.Driver.resume in
     l.blobs <- blob :: l.blobs;
+    Alcotest.(check string) "snapshot = reference encoder" (reference_snapshot l.lstore l.ldriver ~blob)
+      blob;
     let floor, window = snapshot_window blob in
     checki "snapshot floor = store floor" (Store.lowest_retained l.lstore) floor;
     checkb "snapshot window = reference keys >= floor, ascending" true
@@ -472,7 +513,14 @@ let lifecycle_driver () =
       (Driver.prune_ordered l.ldriver ~below:round);
     List.iter (Hashtbl.remove l.model) expected
   in
-  let cfg = { (Driver.default_config ~committee) with Driver.gc_depth = 3; snapshot_every = 1 } in
+  let cfg =
+    {
+      (Driver.default_config ~committee) with
+      Driver.gc_depth = 3;
+      snapshot_every = 1;
+      reputation_window = window;
+    }
+  in
   let driver =
     Driver.create cfg
       {
@@ -557,6 +605,63 @@ let test_driver_snapshot_and_prune_bounds () =
   checkb "same snapshots after restore" true
     (since mark_a a.blobs = since mark_b b.blobs)
 
+(* Three lanes over independently seeded DAGs, fed round-robin, with a
+   reputation window short enough to evict: every emitted snapshot (checked
+   inside [lifecycle_driver]) must equal the reference encoder, across
+   prunes, and again after each lane is restored from its latest blob and
+   driven on by the same rounds as the original. *)
+let test_driver_snapshot_matches_reference_multi_lane () =
+  let lanes = [| 21; 22; 23 |] in
+  let dags = Array.map (fun seed -> Array.of_list (seeded_rounds ~seed ~rounds:70)) lanes in
+  let drivers = Array.map (fun _ -> lifecycle_driver ~window:6 ()) lanes in
+  for r = 0 to 44 do
+    Array.iteri (fun i l -> feed l dags.(i).(r)) drivers
+  done;
+  Array.iter
+    (fun l ->
+      checkb "many snapshots" true (List.length l.blobs > 15);
+      checkb "window evicted" true (List.length l.blobs > 6);
+      checkb "pruned" true (Store.lowest_retained l.lstore > 20))
+    drivers;
+  let restored =
+    Array.mapi
+      (fun i a ->
+        let b = lifecycle_driver ~window:6 () in
+        let blob = List.hd a.blobs in
+        let floor = Driver.restore b.ldriver blob in
+        ignore (Store.prune_below b.lstore ~round:floor);
+        Alcotest.(check string) "restored snapshot" blob (Driver.snapshot b.ldriver);
+        Alcotest.(check string) "restored = reference" blob
+          (reference_snapshot b.lstore b.ldriver ~blob);
+        (* Catch the restored lane's store up to the original's rounds and
+           floor; from then on both see the same rounds. *)
+        List.iter (fun k -> Hashtbl.replace b.model k ()) (snd (snapshot_window blob));
+        Array.iteri (fun r cns -> if r >= floor && r < 45 then feed b cns) dags.(i);
+        let below = Store.lowest_retained a.lstore in
+        ignore (Store.prune_below b.lstore ~round:below);
+        let expected = Hashtbl.fold (fun k () n -> if k / 4 < below then n + 1 else n) b.model 0 in
+        checki "restored prune count" expected (Driver.prune_ordered b.ldriver ~below);
+        Hashtbl.filter_map_inplace (fun k () -> if k / 4 < below then None else Some ()) b.model;
+        b)
+      drivers
+  in
+  let count l = List.length l.blobs in
+  let marks = Array.map (fun i -> (count drivers.(i), count restored.(i))) [| 0; 1; 2 |] in
+  for r = 45 to 69 do
+    Array.iteri
+      (fun i l ->
+        feed l dags.(i).(r);
+        feed restored.(i) dags.(i).(r))
+      drivers
+  done;
+  Array.iteri
+    (fun i (mark_a, mark_b) ->
+      let newest l mark = List.filteri (fun j _ -> j < count l - mark) l.blobs in
+      checkb "restored lane emits" true (count restored.(i) > mark_b);
+      checkb "same snapshots as the original lane" true
+        (newest drivers.(i) mark_a = newest restored.(i) mark_b))
+    marks
+
 let suite =
   [
     ( "consensus.reputation",
@@ -587,6 +692,8 @@ let suite =
         Alcotest.test_case "bullshark mode" `Quick test_driver_bullshark_mode;
         Alcotest.test_case "snapshot and prune walk round bounds" `Quick
           test_driver_snapshot_and_prune_bounds;
+        Alcotest.test_case "snapshot = reference encoder, three lanes" `Quick
+          test_driver_snapshot_matches_reference_multi_lane;
         Alcotest.test_case "gc requested" `Quick test_driver_gc_requested;
         Alcotest.test_case "stats consistent" `Quick test_driver_stats_consistent;
       ] );

@@ -349,6 +349,76 @@ let test_validation_certificate_foreign_signers () =
   checkb "verify-pool check refuses it" false
     (Validation.signatures_ok ~committee (Types.Certificate cert))
 
+(* Every rejection names its rule: the message of each check, pinned. *)
+let test_validation_rejection_messages () =
+  let r0 = full_round ~round:0 ~parents:[] () in
+  let r1 = full_round ~round:1 ~parents:(refs_of r0) () in
+  let p0 = List.hd (refs_of r1) and w0 = List.hd (refs_of r0) in
+  let expect want got = Alcotest.(check (result unit string)) want (Error want) got in
+  let proposal ?(verify = true) node =
+    Validation.validate_proposal ~committee ~verify_signatures:verify node
+  in
+  let node ?weak_parents ~round parents = make_node ?weak_parents ~round ~author:0 ~parents () in
+  expect "author out of range"
+    (proposal
+       (make_node ~committee:(Committee.make ~n:7 ~cluster_seed:77 ()) ~round:0 ~author:5
+          ~parents:[] ()));
+  expect "negative round" (proposal { (node ~round:0 []) with Types.round = -1 });
+  expect "round-0 node must have no parents" (proposal (node ~round:0 [ w0 ]));
+  expect "node has 2 parents, need >= 3" (proposal (node ~round:2 [ p0; p0 ]));
+  expect "parent from round 0, expected 1" (proposal (node ~round:2 (refs_of r0)));
+  expect "parent author 99 invalid"
+    (proposal (node ~round:2 ({ p0 with Types.ref_author = 99 } :: refs_of r1)));
+  expect "duplicate parent author" (proposal (node ~round:2 (p0 :: refs_of r1)));
+  let many = List.init (Types.max_weak_parents + 1) (fun _ -> w0) in
+  expect
+    (Printf.sprintf "%d weak parents, cap is %d" (Types.max_weak_parents + 1)
+       Types.max_weak_parents)
+    (proposal (node ~weak_parents:many ~round:2 (refs_of r1)));
+  expect "weak parent from round 1, need < 1"
+    (proposal (node ~weak_parents:[ p0 ] ~round:2 (refs_of r1)));
+  expect "weak parent author invalid"
+    (proposal (node ~weak_parents:[ { w0 with Types.ref_author = 4 } ] ~round:2 (refs_of r1)));
+  expect "duplicate weak parent" (proposal (node ~weak_parents:[ w0; w0 ] ~round:2 (refs_of r1)));
+  let good = node ~round:0 [] in
+  expect "digest mismatch" (proposal ~verify:false { good with Types.batch = make_batch [ 7 ] });
+  expect "bad author signature"
+    (proposal { good with Types.signature = Signer.sign (Committee.keypair committee 1) "x" });
+  let vote =
+    {
+      Types.vote_round = 0;
+      vote_author = 0;
+      vote_digest = good.Types.digest;
+      voter = 1;
+      vote_signature = Signer.sign (Committee.keypair committee 1) "x";
+    }
+  in
+  let validate_vote v = Validation.validate_vote ~committee ~verify_signatures:true v in
+  expect "voter out of range" (validate_vote { vote with Types.voter = 4 });
+  expect "vote author out of range" (validate_vote { vote with Types.vote_author = -1 });
+  expect "bad vote signature" (validate_vote vote);
+  let cn = certify good in
+  let cert = cn.Types.cn_cert in
+  let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:good.Types.digest in
+  let signed ~n ids =
+    Multisig.aggregate ~n
+      (List.map (fun i -> (i, Signer.sign (Committee.keypair committee i) preimage)) ids)
+  in
+  let validate_cert c = Validation.validate_certificate ~committee ~verify_signatures:true c in
+  expect "certificate bitmap sized 5, committee has 4"
+    (validate_cert { cert with Types.multisig = signed ~n:5 [ 0; 1; 2 ] });
+  expect "certificate has 2 signers, need >= 3"
+    (validate_cert { cert with Types.multisig = signed ~n:4 [ 0; 1 ] });
+  expect "certified author out of range"
+    (validate_cert
+       { cert with Types.cert_ref = { cert.Types.cert_ref with Types.ref_author = 4 } });
+  expect "bad certificate multisig"
+    (validate_cert
+       { cert with Types.cert_ref = { cert.Types.cert_ref with Types.ref_digest = Digest32.zero } });
+  expect "certificate does not match node"
+    (Validation.validate_certified_node ~committee ~verify_signatures:true
+       { cn with Types.cn_node = make_node ~round:0 ~author:1 ~parents:[] () })
+
 (* ------------------------------------------------------------------ *)
 (* Store *)
 
@@ -546,6 +616,7 @@ let suite =
         Alcotest.test_case "parent rules" `Quick test_validation_parent_rules;
         Alcotest.test_case "weak parent rules" `Quick test_validation_weak_parent_rules;
         Alcotest.test_case "duplicate errors" `Quick test_validation_duplicate_errors;
+        Alcotest.test_case "rejection messages" `Quick test_validation_rejection_messages;
         Alcotest.test_case "signature" `Quick test_validation_signature;
         Alcotest.test_case "digest binding" `Quick test_validation_digest_binding;
         Alcotest.test_case "author range" `Quick test_validation_author_range;

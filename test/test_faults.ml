@@ -98,10 +98,10 @@ let test_schedule_materializes () =
 let test_wal_retention () =
   let engine = Engine.create () in
   let wal = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:5.0 ~retain:true () in
-  Wal.append wal ~size:10 ~payload:"first" (fun () -> ());
+  Wal.append wal ~size:10 ~payload:(fun () -> "first") (fun () -> ());
   checki "nothing before sync" 0 (List.length (Wal.entries wal));
   Engine.run ~until:100.0 engine;
-  Wal.append wal ~size:10 ~payload:"second" (fun () -> ());
+  Wal.append wal ~size:10 ~payload:(fun () -> "second") (fun () -> ());
   (* The second append is in flight — a crash now would lose it. *)
   Alcotest.(check (list string)) "only synced payloads" [ "first" ] (Wal.entries wal);
   Engine.run ~until:200.0 engine;

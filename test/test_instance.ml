@@ -302,6 +302,80 @@ let test_weak_edges_rescue_orphans () =
   done;
   checkb "weak edges appear after healing" true !found_weak
 
+(* One replica-0 instance on its own engine, wired to nothing: every
+   message it sends is counted and dropped, so data it lacks never
+   arrives. *)
+let lone_instance ?telemetry () =
+  let engine = Engine.create () in
+  let store = Store.create ~n:4 ~genesis_digest:committee.Committee.genesis in
+  let obs = Shoalpp_sim.Obs.make ?telemetry ~replica:0 ~instance:0 () in
+  let cfg =
+    {
+      (Instance.default_config ~committee ~replica:0) with
+      Instance.verify_signatures = true;
+      fetch_delay_ms = 30.0;
+    }
+  in
+  let callbacks =
+    {
+      Instance.broadcast = (fun _ -> ());
+      send = (fun ~dst:_ _ -> ());
+      now = (fun () -> Engine.now engine);
+      schedule = (Shoalpp_backend.Backend_sim.timers engine).Shoalpp_backend.Backend.Timers.schedule;
+      pull_batch = (fun ~max:_ -> []);
+      anchors_of_round = (fun _ -> []);
+      persist = (fun _msg cb -> cb ());
+      on_proposal_noted = (fun _ -> ());
+      on_certified = (fun _ -> ());
+      on_cert_meta = (fun _ -> ());
+    }
+  in
+  (engine, store, Instance.create ~obs cfg callbacks ~store)
+
+(* Certified nodes of rounds 0.. from a short healthy run. *)
+let certified_source () =
+  let h = make_harness () in
+  start_all h;
+  Engine.run ~until:600.0 h.engine;
+  fun ~round ~author -> Option.get (Store.get h.stores.(1) ~round ~author)
+
+(* A certificate whose data never arrives is fetched until GC passes its
+   round; then the retry stops and the entry is dropped. *)
+let test_fetch_stops_below_gc_floor () =
+  let source = certified_source () in
+  let engine, _store, inst = lone_instance () in
+  let cn = source ~round:3 ~author:2 in
+  Instance.handle_message inst ~src:2 (Types.Certificate cn.Types.cn_cert);
+  checki "awaiting the withheld data" 1 (Instance.awaiting_data inst);
+  Engine.run ~until:200.0 engine;
+  checkb "fetching while above the floor" true (Instance.fetches_sent inst > 0);
+  Instance.gc_upto inst ~round:5;
+  let sent = Instance.fetches_sent inst in
+  Engine.run ~until:2_000.0 engine;
+  checki "no fetch after GC passed the round" sent (Instance.fetches_sent inst);
+  checki "entry dropped" 0 (Instance.awaiting_data inst)
+
+(* GC walks rounds, not tables: state that lands under an earlier floor
+   (a late fetch response, with the store slot its proposal note opens)
+   must still go at the next collection. *)
+let test_gc_reaches_entries_below_old_floor () =
+  let source = certified_source () in
+  let telemetry = Shoalpp_support.Telemetry.create () in
+  let _engine, store, inst = lone_instance ~telemetry () in
+  let pruned_data () = Shoalpp_support.Telemetry.get_counter telemetry "gc.pruned_data" in
+  Instance.gc_upto inst ~round:4;
+  checki "nothing to prune yet" 0 (pruned_data ());
+  Instance.handle_message inst ~src:1 (Types.Fetch_response (source ~round:1 ~author:1));
+  Instance.gc_upto inst ~round:6;
+  checki "late proposal data pruned" 1 (pruned_data ());
+  (* The store side on its own: a certified node inserted under the floor
+     opens a slot there, and the next prune drops it. *)
+  ignore (Store.prune_below store ~round:8);
+  checkb "late insert" true (Store.add_certified store (source ~round:2 ~author:0));
+  checki "slot under the floor" 1 (Store.count_at store ~round:2);
+  checki "next prune drops it" 1 (Store.prune_below store ~round:9);
+  checki "slot gone" 0 (Store.count_at store ~round:2)
+
 let suite =
   [
     ( "dag.instance",
@@ -317,6 +391,9 @@ let suite =
         Alcotest.test_case "invalid proposals dropped" `Quick test_invalid_proposals_dropped;
         Alcotest.test_case "no spurious fetches" `Quick test_fetch_recovers_missing_data;
         Alcotest.test_case "gc prunes state" `Quick test_gc_prunes_state;
+        Alcotest.test_case "fetch stops below the gc floor" `Quick test_fetch_stops_below_gc_floor;
+        Alcotest.test_case "gc reaches entries below an old floor" `Quick
+          test_gc_reaches_entries_below_old_floor;
         Alcotest.test_case "crash stops activity" `Quick test_crash_stops_activity;
         Alcotest.test_case "weak edges rescue orphans" `Quick test_weak_edges_rescue_orphans;
       ] );

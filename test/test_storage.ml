@@ -42,7 +42,7 @@ let check_sl = Alcotest.(check (list string))
 let make_wal engine = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:5.0 ~retain:true ()
 
 let append_synced engine wal payload =
-  Wal.append wal ~size:(String.length payload) ~payload (fun () -> ());
+  Wal.append wal ~size:(String.length payload) ~payload:(fun () -> payload) (fun () -> ());
   Engine.run ~until:(Engine.now engine +. 50.0) engine
 
 let test_wal_segment_boundary_replay () =
@@ -75,7 +75,7 @@ let test_wal_crash_mid_rotation () =
   (* An append still in flight when the checkpoint rotates: its sync
      completes after the rotation, so it must land in the new segment —
      a truncation of the old window can never lose it. *)
-  Wal.append wal ~size:3 ~payload:"new" (fun () -> ());
+  Wal.append wal ~size:3 ~payload:(fun () -> "new") (fun () -> ());
   ignore (Wal.rotate wal);
   Engine.run ~until:(Engine.now engine +. 50.0) engine;
   Alcotest.(check (list (pair int int)))
@@ -88,6 +88,26 @@ let test_wal_crash_mid_rotation () =
   check_sl "both windows replayable before truncation" [ "old1"; "old2"; "new" ] (Wal.entries wal);
   checki "completing the interrupted truncation" 2 (Wal.truncate_below wal ~seg:1);
   check_sl "post-truncation replay" [ "new" ] (Wal.entries wal)
+
+(* A retained record is encoded only when it is replayed: appending,
+   syncing, rotating and truncating never call its payload thunk. *)
+let test_wal_payload_encoded_on_replay () =
+  let engine = Engine.create () in
+  let wal = make_wal engine in
+  let calls = ref 0 in
+  let payload s () =
+    incr calls;
+    s
+  in
+  Wal.append wal ~size:1 ~payload:(payload "a") (fun () -> ());
+  Engine.run ~until:50.0 engine;
+  ignore (Wal.rotate wal);
+  Wal.append wal ~size:1 ~payload:(payload "b") (fun () -> ());
+  Engine.run ~until:100.0 engine;
+  ignore (Wal.truncate_below wal ~seg:0);
+  checki "nothing encoded before replay" 0 !calls;
+  check_sl "replay" [ "a"; "b" ] (Wal.entries wal);
+  checki "each record encoded once per replay" 2 !calls
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint certification: roundtrip, forgery refusal.               *)
@@ -639,6 +659,7 @@ let suite =
       [
         Alcotest.test_case "wal replay across segment boundary" `Quick test_wal_segment_boundary_replay;
         Alcotest.test_case "wal crash mid-rotation" `Quick test_wal_crash_mid_rotation;
+        Alcotest.test_case "wal payload encoded on replay" `Quick test_wal_payload_encoded_on_replay;
         Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
         Alcotest.test_case "checkpoint digest stored" `Quick test_checkpoint_digest_stored;
         Alcotest.test_case "checkpoint fold bytes" `Quick test_checkpoint_fold_segment_bytes;
