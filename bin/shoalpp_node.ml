@@ -178,7 +178,7 @@ let run n duration load warmup timeout seed no_verify domains verify_delay check
             fun () ->
               {
                 Admin.content_type = "text/plain; version=0.0.4";
-                body = Prom.render (Telemetry.snapshot (Node.telemetry node));
+                body = Prom.render (Node.live_snapshot node);
               } );
           ( "/ledger",
             fun () ->

@@ -14,7 +14,8 @@ let cmp a b =
 
 (* Concurrency map (machine-checked by tools/lint lock-discipline):
    [heap]/[next_seq]/[mono] are guarded by [mu] — any domain may post or
-   cancel a timer. [fired], the poller tables and [loop_domain] belong to
+   cancel a timer. [fired], the loop counters, the poller tables with
+   their select lists and [loop_domain] belong to
    the loop-owner domain only (docs/CONCURRENCY.md effect-confinement map)
    and are deliberately *not* guarded; the Atomics carry every remaining
    cross-domain bit. *)
@@ -30,6 +31,10 @@ type t = {
   max_tick_ms : float;
   pollers : (Unix.file_descr, unit -> unit) Hashtbl.t;
   wpollers : (Unix.file_descr, unit -> unit) Hashtbl.t;
+  mutable rfds : Unix.file_descr list; (* the keys of [pollers] *)
+  mutable wfds : Unix.file_descr list; (* the keys of [wpollers] *)
+  mutable turns : int; (* loop iterations: one select (or sleep) each *)
+  mutable sleeps : int; (* turns whose select could block *)
   (* Cross-domain wakeup: a byte written here makes a sleeping [select]
      return, so a timer armed from another domain is noticed immediately
      rather than at the next tick. *)
@@ -73,6 +78,10 @@ let create ?(max_tick_ms = 50.0) ?origin_of () =
       max_tick_ms;
       pollers = Hashtbl.create 8;
       wpollers = Hashtbl.create 8;
+      rfds = [ wake_r ];
+      wfds = [];
+      turns = 0;
+      sleeps = 0;
       wake_r;
       wake_w;
       owner = Atomic.make (-1);
@@ -169,10 +178,36 @@ let backend t transport =
   { Backend.clock = clock t; timers = timers t; transport; control = None }
 let events_fired t = t.fired
 let pending_timers t = with_mu t (fun () -> Heap.length t.heap)
-let add_poller t fd f = Hashtbl.replace t.pollers fd f
-let remove_poller t fd = Hashtbl.remove t.pollers fd
-let add_wpoller t fd f = Hashtbl.replace t.wpollers fd f
-let remove_wpoller t fd = Hashtbl.remove t.wpollers fd
+let loop_turns t = t.turns
+let loop_sleeps t = t.sleeps
+
+(* The select lists are rebuilt only when the set of descriptors changes:
+   replacing a callback, or removing a descriptor that is not there (the
+   TCP transport's pump does so after every send that drained its
+   queue), leaves them as they are. *)
+let fds tbl = Hashtbl.fold (fun fd _ acc -> fd :: acc) tbl []
+
+let add_poller t fd f =
+  let fresh = not (Hashtbl.mem t.pollers fd) in
+  Hashtbl.replace t.pollers fd f;
+  if fresh then t.rfds <- fds t.pollers
+
+let remove_poller t fd =
+  if Hashtbl.mem t.pollers fd then begin
+    Hashtbl.remove t.pollers fd;
+    t.rfds <- fds t.pollers
+  end
+
+let add_wpoller t fd f =
+  let fresh = not (Hashtbl.mem t.wpollers fd) in
+  Hashtbl.replace t.wpollers fd f;
+  if fresh then t.wfds <- fds t.wpollers
+
+let remove_wpoller t fd =
+  if Hashtbl.mem t.wpollers fd then begin
+    Hashtbl.remove t.wpollers fd;
+    t.wfds <- fds t.wpollers
+  end
 
 let stop t =
   Atomic.set t.stopping true;
@@ -248,62 +283,52 @@ let run_for t ~duration_ms =
   in
   (try
      while (not (Atomic.get t.stopping)) && now_ms t < deadline do
+       t.turns <- t.turns + 1;
        (* Drain due timers in rounds: a firing commonly arms new work that
-          is itself already due (a zero-delay post, a Poisson chain whose
-          next arrival is in the past), and paying one select syscall per
-          firing would cap the event rate at the loop's iteration rate.
-          Bounded in rounds AND time — at saturation every round refills
-          with freshly posted work, so an unbounded drain would blow
-          through the run deadline and starve the socket pollers. *)
+          is itself already due (a zero-delay post), and paying one select
+          syscall per firing would cap the event rate at the loop's
+          iteration rate. Bounded in rounds AND time — at saturation every
+          round refills with freshly posted work, so an unbounded drain
+          would blow through the run deadline and starve the socket
+          pollers. *)
        let slice_end = Float.min deadline (now_ms t +. t.max_tick_ms) in
-       let fired_any = ref false in
        let rec drain rounds =
          let now = now_ms t in
          let due = with_mu t (fun () -> pop_due t ~now ~limit:1024 []) in
          if due <> [] then begin
-           fired_any := true;
            fire_due t due;
            if rounds > 1 && now_ms t < slice_end then drain (rounds - 1)
          end
        in
        drain 64;
-       (* Sleep until the next timer (bounded by the tick), or just poll the
-          sockets when this iteration did fire something. The sleeping flag
-          goes up BEFORE the horizon is read: a foreign domain's timer
-          armed after the read sees the flag and wakes the select, one
-          armed before is already in the horizon. *)
+       (* One select per turn: it polls the sockets and sleeps until the
+          next timer (bounded by the tick), or returns at once when work is
+          already due — a drain cut short, or a firing that posted more.
+          The sleeping flag goes up BEFORE the horizon is read: a foreign
+          domain's timer armed after the read sees the flag and wakes the
+          select, one armed before is already in the horizon. *)
        Atomic.set t.sleeping true;
        let gap_ms =
-         if !fired_any then 0.0
-         else begin
-           let now = now_ms t in
-           let horizon =
-             match with_mu t (fun () -> next_deadline t) with
-             | Some at -> at -. now
-             | None -> t.max_tick_ms
-           in
-           Float.max 0.0 (Float.min (Float.min horizon t.max_tick_ms) (deadline -. now))
-         end
+         let now = now_ms t in
+         let horizon =
+           match with_mu t (fun () -> next_deadline t) with
+           | Some at -> at -. now
+           | None -> t.max_tick_ms
+         in
+         Float.max 0.0 (Float.min (Float.min horizon t.max_tick_ms) (deadline -. now))
        in
-       let rfds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.pollers [] in
-       let wfds = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.wpollers [] in
-       (if rfds = [] && wfds = [] then begin
-          if gap_ms > 0.0 then Unix.sleepf (gap_ms /. 1000.0)
-        end
-        else begin
-          match Unix.select rfds wfds [] (gap_ms /. 1000.0) with
-          | readable, writable, _ ->
-            Atomic.set t.sleeping false;
-            List.iter
-              (fun fd ->
-                match Hashtbl.find_opt t.pollers fd with Some f -> f () | None -> ())
-              readable;
-            List.iter
-              (fun fd ->
-                match Hashtbl.find_opt t.wpollers fd with Some f -> f () | None -> ())
-              writable
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        end);
+       if gap_ms > 0.0 then t.sleeps <- t.sleeps + 1;
+       (* The wakeup pipe is always polled, so the lists are never empty. *)
+       (match Unix.select t.rfds t.wfds [] (gap_ms /. 1000.0) with
+       | readable, writable, _ ->
+         Atomic.set t.sleeping false;
+         List.iter
+           (fun fd -> match Hashtbl.find_opt t.pollers fd with Some f -> f () | None -> ())
+           readable;
+         List.iter
+           (fun fd -> match Hashtbl.find_opt t.wpollers fd with Some f -> f () | None -> ())
+           writable
+       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
        Atomic.set t.sleeping false
      done
    with e ->

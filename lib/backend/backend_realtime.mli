@@ -10,7 +10,9 @@
 
     Each executor's event loop is single-threaded: {!run_for} fires due
     timers in (due-time, scheduling-order) order and multiplexes socket
-    readiness with [select] between them. [schedule]/[cancel] are
+    readiness with [select] between them — one [select] per turn, which
+    sleeps to the next deadline, over descriptor lists rebuilt only when a
+    poller is added or removed. [schedule]/[cancel] are
     mutex-protected and cross-domain safe — arming a timer from a foreign
     domain pokes a wakeup pipe so a sleeping loop re-reads its horizon —
     but transport handlers and timer callbacks always run on the loop's
@@ -80,6 +82,17 @@ val stop_and_join : t -> unit
 
 val events_fired : t -> int
 val pending_timers : t -> int
+
+val loop_turns : t -> int
+(** Iterations of the {!run_for} loop so far. Each turn fires the due
+    timers, then makes exactly one [select], which both polls the sockets
+    and sleeps until the next timer. Read it on the loop's own domain (or
+    after the loop stopped). *)
+
+val loop_sleeps : t -> int
+(** Turns whose [select] had a positive timeout, i.e. could block: the
+    loop's wakeups. [loop_turns - loop_sleeps] counts turns that found
+    work already due after firing timers and only polled. *)
 
 (** {2 I/O polling} — used by {!Tcp_transport} and the admin server.
     Callbacks run on the loop thread when the descriptor is readable

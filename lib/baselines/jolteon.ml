@@ -569,7 +569,9 @@ let create setup =
     c_telemetry = telemetry;
     c_ledger = ledger;
     c_clients = Array.make n None;
-    c_mempools = Array.init n (fun _ -> Mempool.create ());
+    c_mempools =
+      (let group = Mempool.group ~clock:backend.Backend.clock () in
+       Array.init n (fun _ -> Mempool.create ~group ()));
     c_fault = fault;
     c_started = false;
   }
@@ -589,14 +591,12 @@ let rec arm_gossip c i =
 
 let per_replica_tps c = c.c_setup.load_tps /. float_of_int (Array.length c.c_replicas)
 
-let start_client c ~next_id i =
+let start_client c i =
   if per_replica_tps c > 0.0 then
     c.c_clients.(i) <-
       Some
-        (Client.start ~clock:c.c_backend.Backend.clock ~timers:c.c_backend.Backend.timers
-           ~mempool:c.c_mempools.(i) ~origin:i
-           ~rate_tps:(per_replica_tps c) ~tx_size:c.c_setup.tx_size ~seed:(c.c_setup.seed + i)
-           ~next_id ())
+        (Client.start ~mempool:c.c_mempools.(i) ~origin:i
+           ~rate_tps:(per_replica_tps c) ~tx_size:c.c_setup.tx_size ~seed:(c.c_setup.seed + i) ())
 
 (* Replica-side crash for a downtime already baked into [c_fault] by
    [Faults.schedule] (the network side needs no update). *)
@@ -612,7 +612,7 @@ let apply_crash c i =
 (* Warm in-memory resume: Jolteon keeps no WAL, so a recovered replica
    rejoins with its pre-crash state and catches up from peers' QCs and
    timeout messages (a documented asymmetry vs Shoal++'s WAL replay). *)
-let recover_now c ~next_id i =
+let recover_now c i =
   let r = c.c_replicas.(i) in
   if r.crashed then begin
     let now = Backend.now c.c_backend in
@@ -621,15 +621,15 @@ let recover_now c ~next_id i =
     r.crashed <- false;
     Telemetry.incr_named c.c_telemetry "fault.recoveries";
     Obs.event r.obs ~time:now (Trace.Replica_recovered { replica = i; replayed = 0 });
-    start_client c ~next_id i;
+    start_client c i;
     arm_gossip c i;
     send_timeout r r.current_round
   end
 
-let schedule_scenario c ~next_id =
+let schedule_scenario c =
   Faults.schedule_events c.c_setup.scenario ~n:(Array.length c.c_replicas)
     ~schedule_at:(fun at f -> ignore (Backend.schedule_at c.c_backend ~at f))
-    ~crash:(apply_crash c) ~recover:(recover_now c ~next_id)
+    ~crash:(apply_crash c) ~recover:(recover_now c)
     ~partition:(fun ~opened ~time:_ ~minority:_ ->
       Telemetry.incr_named c.c_telemetry
         (if opened then "fault.partitions_opened" else "fault.partitions_healed"))
@@ -637,16 +637,15 @@ let schedule_scenario c ~next_id =
 let start c =
   if not c.c_started then begin
     c.c_started <- true;
-    let next_id = ref 0 in
     Array.iteri
       (fun i r ->
         if not (Fault_schedule.is_crashed c.c_fault ~replica:i ~time:0.0) then begin
-          start_client c ~next_id i;
+          start_client c i;
           arm_gossip c i
         end;
         enter_round r 0)
       c.c_replicas;
-    schedule_scenario c ~next_id
+    schedule_scenario c
   end
 
 let run c ~duration_ms =

@@ -343,7 +343,7 @@ type cluster = {
   mutable c_started : bool;
 }
 
-let make_replica setup ~backend ~telemetry ~ledger id =
+let make_replica setup ~backend ~telemetry ~ledger ~group id =
   let committee = setup.committee in
   let store =
     Store.create ~n:committee.Committee.n ~genesis_digest:committee.Committee.genesis
@@ -420,7 +420,7 @@ let make_replica setup ~backend ~telemetry ~ledger id =
       id;
       setup;
       backend;
-      mempool = Mempool.create ();
+      mempool = Mempool.create ~group ();
       store;
       driver;
       kp = Committee.keypair committee id;
@@ -464,7 +464,8 @@ let create setup =
   let telemetry = Telemetry.create () in
   let ledger = Ledger.create ~telemetry ~warmup_ms:setup.warmup_ms () in
   let replicas =
-    Array.init n (fun id -> make_replica setup ~backend ~telemetry ~ledger id)
+    let group = Mempool.group ~clock:backend.Backend.clock () in
+    Array.init n (fun id -> make_replica setup ~backend ~telemetry ~ledger ~group id)
   in
   Array.iter
     (fun r -> Backend.set_handler backend r.id (fun ~src:_ msg -> handle_message r msg))
@@ -483,14 +484,12 @@ let create setup =
 
 let per_replica_tps c = c.c_setup.load_tps /. float_of_int (Array.length c.c_replicas)
 
-let start_client c ~next_id i =
+let start_client c i =
   if per_replica_tps c > 0.0 then
     c.c_clients.(i) <-
       Some
-        (Client.start ~clock:c.c_backend.Backend.clock ~timers:c.c_backend.Backend.timers
-           ~mempool:c.c_replicas.(i).mempool ~origin:i
-           ~rate_tps:(per_replica_tps c) ~tx_size:c.c_setup.tx_size ~seed:(c.c_setup.seed + i)
-           ~next_id ())
+        (Client.start ~mempool:c.c_replicas.(i).mempool ~origin:i
+           ~rate_tps:(per_replica_tps c) ~tx_size:c.c_setup.tx_size ~seed:(c.c_setup.seed + i) ())
 
 (* Replica-side crash for a downtime already baked into [c_fault] by
    [Faults.schedule] (the network side needs no update). *)
@@ -506,7 +505,7 @@ let apply_crash c i =
 (* Warm in-memory resume: the public Mysticeti prototype forgoes the WAL,
    so recovery keeps the pre-crash DAG and relies on critical-path fetches
    to pull the missed rounds (an asymmetry vs Shoal++'s WAL replay). *)
-let recover_now c ~next_id i =
+let recover_now c i =
   let r = c.c_replicas.(i) in
   if r.crashed then begin
     let now = Backend.now c.c_backend in
@@ -515,14 +514,14 @@ let recover_now c ~next_id i =
     r.crashed <- false;
     Telemetry.incr_named c.c_telemetry "fault.recoveries";
     Obs.event r.obs ~time:now (Trace.Replica_recovered { replica = i; replayed = 0 });
-    start_client c ~next_id i;
+    start_client c i;
     propose r (max (r.proposed_round + 1) (Store.highest_round r.store + 1))
   end
 
-let schedule_scenario c ~next_id =
+let schedule_scenario c =
   Faults.schedule_events c.c_setup.scenario ~n:(Array.length c.c_replicas)
     ~schedule_at:(fun at f -> ignore (Backend.schedule_at c.c_backend ~at f))
-    ~crash:(apply_crash c) ~recover:(recover_now c ~next_id)
+    ~crash:(apply_crash c) ~recover:(recover_now c)
     ~partition:(fun ~opened ~time:_ ~minority:_ ->
       Telemetry.incr_named c.c_telemetry
         (if opened then "fault.partitions_opened" else "fault.partitions_healed"))
@@ -530,13 +529,12 @@ let schedule_scenario c ~next_id =
 let start c =
   if not c.c_started then begin
     c.c_started <- true;
-    let next_id = ref 0 in
     Array.iteri
       (fun i r ->
-        if not (Fault_schedule.is_crashed c.c_fault ~replica:i ~time:0.0) then start_client c ~next_id i;
+        if not (Fault_schedule.is_crashed c.c_fault ~replica:i ~time:0.0) then start_client c i;
         propose r 0)
       c.c_replicas;
-    schedule_scenario c ~next_id
+    schedule_scenario c
   end
 
 let run c ~duration_ms =

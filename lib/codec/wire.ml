@@ -13,12 +13,8 @@ module Writer = struct
       Buffer.add_char t (Char.chr ((v lsr (8 * i)) land 0xff))
     done
 
-  let u64 t v =
-    for i = 7 downto 0 do
-      Buffer.add_char t (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-    done
-
-  let float t v = u64 t (Int64.bits_of_float v)
+  let u64 t v = Buffer.add_int64_be t v
+  let float t v = Buffer.add_int64_be t (Int64.bits_of_float v)
 
   let bytes t s =
     uint t (String.length s);
@@ -38,7 +34,7 @@ module Writer = struct
 end
 
 module Reader = struct
-  type t = { src : string; mutable pos : int }
+  type t = Varint.cursor = { src : string; mutable pos : int }
 
   exception Malformed of string
 
@@ -49,12 +45,7 @@ module Reader = struct
   let need t n =
     if t.pos + n > String.length t.src then raise (Malformed "truncated")
 
-  let uint t =
-    match Varint.read t.src t.pos with
-    | v, next ->
-      t.pos <- next;
-      v
-    | exception Failure msg -> raise (Malformed msg)
+  let uint t = try Varint.read_cursor t with Failure msg -> raise (Malformed msg)
 
   let u8 t =
     need t 1;
@@ -73,14 +64,15 @@ module Reader = struct
 
   let u64 t =
     need t 8;
-    let v = ref 0L in
-    for _ = 1 to 8 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code t.src.[t.pos]));
-      t.pos <- t.pos + 1
-    done;
-    !v
+    let v = String.get_int64_be t.src t.pos in
+    t.pos <- t.pos + 8;
+    v
 
-  let float t = Int64.float_of_bits (u64 t)
+  let float t =
+    need t 8;
+    let v = Int64.float_of_bits (String.get_int64_be t.src t.pos) in
+    t.pos <- t.pos + 8;
+    v
 
   let raw t n =
     if n < 0 then raise (Malformed "negative length");

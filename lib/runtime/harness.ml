@@ -119,7 +119,6 @@ type t = {
   tx_size : int;
   seed : int;
   track_logs : bool;
-  client_env : int -> Backend.Clock.t * Backend.Timers.t * int ref * int;
   mutable replicas : Replica.t array;
   mempools : Mempool.t array;
   clients : Client.t option array;
@@ -173,8 +172,14 @@ let on_ordered t replica_id (o : Replica.ordered) =
     seg.Driver.nodes
 
 let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs ~telemetry
-    ?client_env ~make_replica () =
-  let next_id = ref 0 in
+    ?client_group ~make_replica () =
+  let group =
+    match client_group with
+    | Some f -> f
+    | None ->
+      let shared = Mempool.group ~clock:backend.Backend.clock () in
+      fun _ -> shared
+  in
   let t =
     {
       backend;
@@ -183,12 +188,8 @@ let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs
       tx_size;
       seed;
       track_logs;
-      client_env =
-        (match client_env with
-        | Some f -> f
-        | None -> fun _ -> (backend.Backend.clock, backend.Backend.timers, next_id, 1));
       replicas = [||];
-      mempools = Array.init n (fun _ -> Mempool.create ());
+      mempools = Array.init n (fun i -> Mempool.create ~group:(group i) ());
       clients = Array.make n None;
       telemetry;
       ledger = Ledger.create ~telemetry ~warmup_ms ~num_dags ();
@@ -219,13 +220,11 @@ let recovering t i = t.recovering.(i)
 
 let start_client t i =
   let rate_tps = t.load_tps /. float_of_int (Array.length t.replicas) in
-  if rate_tps > 0.0 then begin
-    let clock, timers, next_id, stride = t.client_env i in
+  if rate_tps > 0.0 then
     t.clients.(i) <-
       Some
-        (Client.start ~clock ~timers ~mempool:t.mempools.(i) ~origin:i ~rate_tps
-           ~tx_size:t.tx_size ~seed:(t.seed + i) ~next_id ~stride ())
-  end
+        (Client.start ~mempool:t.mempools.(i) ~origin:i ~rate_tps ~tx_size:t.tx_size
+           ~seed:(t.seed + i) ())
 
 let stop_client t i =
   (match t.clients.(i) with Some c -> Client.stop c | None -> ());

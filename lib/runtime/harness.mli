@@ -81,9 +81,7 @@ val create :
   warmup_ms:float ->
   track_logs:bool ->
   telemetry:Shoalpp_support.Telemetry.t ->
-  ?client_env:
-    (int ->
-    Shoalpp_backend.Backend.Clock.t * Shoalpp_backend.Backend.Timers.t * int ref * int) ->
+  ?client_group:(int -> Shoalpp_workload.Mempool.group) ->
   make_replica:
     (int ->
     mempool:Shoalpp_workload.Mempool.t ->
@@ -95,9 +93,10 @@ val create :
 (** Build the per-replica state, then each replica via [make_replica i],
     which must wire the given mempool and callbacks into it. [load_tps] is
     split evenly over the [n] clients; [track_logs = false] skips the logs
-    and the dedup (the audit then sees empty logs). [client_env i] gives
-    client [i]'s clock, timers, id counter and id stride; by default every
-    client runs on [backend] and shares one counter with stride 1. A ledger
+    and the dedup (the audit then sees empty logs). [client_group i] is
+    the arrival group of replica [i]'s mempool (its clock and id counter);
+    by default every mempool joins one group on [backend]'s clock, so all
+    clients share one counter with stride 1. A ledger
     is registered on [telemetry], with [warmup_ms] as its warmup cut and
     one [dag<k>.*] pair per lane. *)
 

@@ -200,16 +200,17 @@ let create setup =
   in
   let backend = Realtime.backend exec transport in
   let telemetry = Telemetry.create () in
-  (* Multicore: client [i]'s Poisson timers fire on lane executor [i mod k]
-     instead of the main loop — tens of thousands of timer events per
-     second move off the merge domain. Disjoint stride-[n] id spaces
-     replace the shared counter, which would otherwise race across
-     domains. *)
-  let client_env =
+  (* Multicore: each mempool is its own arrival group, caught up under its
+     own mutex by whichever domain touches it (its lanes' proposers, the
+     main domain's requeues and client stops). Disjoint stride-[n] id
+     spaces replace the shared counter, which would otherwise serialize
+     every lane domain on one lock. *)
+  let client_group =
     Option.map
       (fun m i ->
-        let e = m.mc_lane_execs.(i mod k) in
-        (Realtime.clock e, Realtime.timers e, ref i, n))
+        Shoalpp_workload.Mempool.group
+          ~clock:(Realtime.clock m.mc_lane_execs.(i mod k))
+          ~next_id:i ~stride:n ())
       mc
   in
   let make_replica replica_id ~mempool ~on_ordered ~on_caught_up =
@@ -251,7 +252,7 @@ let create setup =
   let h =
     Harness.create ~backend ~n ~num_dags:setup.protocol.Config.num_dags
       ~load_tps:setup.load_tps ~tx_size:setup.tx_size ~seed:setup.seed
-      ~warmup_ms:setup.warmup_ms ~track_logs:true ~telemetry ?client_env ~make_replica ()
+      ~warmup_ms:setup.warmup_ms ~track_logs:true ~telemetry ?client_group ~make_replica ()
   in
   (* Multicore inbound routing: the transport delivers on the main domain;
      each message is verified on the pool (one pool lane per
@@ -309,8 +310,7 @@ let run t ~duration_ms =
   | None -> ()
   | Some m -> Array.iter Realtime.run_in_domain m.mc_lane_execs);
   Realtime.run_for t.exec ~duration_ms;
-  (* Clean shutdown: no new transactions, and any timer already armed fires
-     into a stopped client / a loop that is no longer running. *)
+  (* Clean shutdown: every arrival due by now is materialized, none after. *)
   Harness.stop_clients t.h;
   match t.mc with
   | None -> ()
@@ -348,17 +348,34 @@ let now_ms t = Realtime.now_ms t.exec
 let domains t = t.setup.domains
 let verify_pool t = match t.mc with None -> None | Some m -> Some m.mc_pool
 
+(* The main loop's turn and sleep counters, added to a snapshot rather
+   than recorded into the registry: the loop itself touches no telemetry. *)
+let with_loop_counters t (s : Telemetry.snapshot) =
+  let loop =
+    [
+      ("backend.loop_sleeps", Realtime.loop_sleeps t.exec);
+      ("backend.loop_turns", Realtime.loop_turns t.exec);
+    ]
+  in
+  {
+    s with
+    Telemetry.snap_counters =
+      List.merge (fun (a, _) (b, _) -> String.compare a b) s.Telemetry.snap_counters loop;
+  }
+
+let live_snapshot t = with_loop_counters t (Telemetry.snapshot (telemetry t))
+
 (* Lane-domain sinks are merged only after the lanes have been joined
    (post-run): mid-run the main registry alone feeds the admin endpoint,
    so a scrape never races a foreign domain's histogram. *)
 let telemetry_snapshot t =
   match t.mc with
-  | None -> Telemetry.snapshot (telemetry t)
+  | None -> live_snapshot t
   | Some m ->
     let combined = Telemetry.create () in
     Telemetry.merge ~src:(telemetry t) ~dst:combined;
     Array.iter (fun src -> Telemetry.merge ~src ~dst:combined) m.mc_lane_telemetry;
-    Telemetry.snapshot combined
+    with_loop_counters t (Telemetry.snapshot combined)
 
 let trace_events t =
   let main = match t.setup.trace with Some tr -> Trace.events tr | None -> [] in

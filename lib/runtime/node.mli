@@ -164,9 +164,16 @@ val verify_pool : t -> Shoalpp_backend.Verify_pool.t option
 
 val telemetry_snapshot : t -> Shoalpp_support.Telemetry.snapshot
 (** The full end-of-run registry: the main registry merged with every
-    lane domain's (counters add, histograms merge). Only meaningful after
-    {!run} has returned — mid-run scrapes should use {!telemetry}, which
-    the admin endpoint reads without racing the lane domains. *)
+    lane domain's (counters add, histograms merge), plus the main loop's
+    [backend.loop_turns] and [backend.loop_sleeps]
+    ({!Shoalpp_backend.Backend_realtime.loop_turns}). Only meaningful
+    after {!run} has returned — mid-run scrapes should use
+    {!live_snapshot}. *)
+
+val live_snapshot : t -> Shoalpp_support.Telemetry.snapshot
+(** The main registry plus the main loop's two counters: what the admin
+    endpoint serves mid-run, read on the loop's own domain without racing
+    the lane domains. *)
 
 val trace_events : t -> Shoalpp_sim.Trace.event list
 (** All trace events — main ring plus the per-lane-domain rings — in one

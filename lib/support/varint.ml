@@ -3,24 +3,36 @@ let encoded_size v =
   let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
   go v 1
 
+(* Top-level recursions, not local closures: without flambda a local
+   [let rec] capturing the buffer or cursor is a closure allocated per
+   call, which a codec pays per integer. *)
+let rec write_digits buf v =
+  if v < 0x80 then Buffer.add_char buf (Char.unsafe_chr v)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    write_digits buf (v lsr 7)
+  end
+
 let write buf v =
   if v < 0 then invalid_arg "Varint.write: negative";
-  let rec go v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7)
-    end
-  in
-  go v
+  write_digits buf v
+
+type cursor = { src : string; mutable pos : int }
+
+let rec decode c len pos shift acc =
+  if pos >= len then failwith "Varint.read: truncated input";
+  if shift > 62 then failwith "Varint.read: varint too large";
+  let b = Char.code (String.unsafe_get c.src pos) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then begin
+    c.pos <- pos + 1;
+    acc
+  end
+  else decode c len (pos + 1) (shift + 7) acc
+
+let read_cursor c = decode c (String.length c.src) c.pos 0 0
 
 let read s pos =
-  let len = String.length s in
-  let rec go pos shift acc =
-    if pos >= len then failwith "Varint.read: truncated input";
-    if shift > 62 then failwith "Varint.read: varint too large";
-    let b = Char.code s.[pos] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
-  in
-  go pos 0 0
+  let c = { src = s; pos } in
+  let v = read_cursor c in
+  (v, c.pos)

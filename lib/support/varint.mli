@@ -14,6 +14,16 @@ val encoded_size : int -> int
 val write : Buffer.t -> int -> unit
 (** Append the LEB128 encoding of a non-negative int. *)
 
+type cursor = { src : string; mutable pos : int }
+(** A read position in a string: the state of a decoder that advances as
+    it reads ({!Shoalpp_codec.Wire.Reader.t} is one). *)
+
+val read_cursor : cursor -> int
+(** Decode the value at [c.pos] and move [c.pos] past it, allocating
+    nothing. The one decoder: {!read} is a wrapper.
+    @raise Failure ["Varint.read: truncated input"] or
+    ["Varint.read: varint too large"]; [c.pos] is then unchanged. *)
+
 val read : string -> int -> int * int
 (** [read s pos] returns [(value, next_pos)].
     @raise Failure on truncated or oversized input. *)

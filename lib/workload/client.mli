@@ -6,42 +6,46 @@
     connect to a single (local) replica and issue a continuous stream of
     dummy transactions").
 
+    A client is a schedule, not a timer: it keeps the due time of its next
+    arrival, and its mempool materializes every arrival due by now when it
+    is next read ({!Mempool}), stamped with its due time. Clients whose
+    pools share a {!Mempool.group} share its id counter and are caught up
+    together, in due-time order.
+
     Invariants:
-    - the arrival process is a pure function of (rng, rate, horizon):
-      identical seeds give identical submission times and sizes;
-    - no transactions are generated after the configured stop/horizon, and
-      all scheduling goes through the injected backend timers;
+    - the arrival process is a pure function of (seed, origin, rate, start
+      time): identical seeds give identical due times, sizes and — within
+      a group — ids, whenever the pools happen to be read;
+    - no transaction is due after {!stop}, and every one due before it is
+      delivered; no executor event or timer is involved at any point;
     - transaction ids never repeat: stride-sharded id spaces stay disjoint
-      across client lanes at any horizon — a lane whose next id would
+      across groups at any horizon — a client whose next id would
       overflow [max_int] submits the last representable id and stops
-      ({!exhausted}) rather than wrapping into another lane's space. *)
+      ({!exhausted}) rather than wrapping into another group's space. *)
 
 type t
 
 val start :
-  clock:Shoalpp_backend.Backend.Clock.t ->
-  timers:Shoalpp_backend.Backend.Timers.t ->
   mempool:Mempool.t ->
   origin:int ->
   rate_tps:float ->
   ?tx_size:int ->
   ?seed:int ->
-  ?next_id:int ref ->
-  ?stride:int ->
   unit ->
   t
-(** Begin submitting immediately. Ids advance by [stride] (default 1) from
-    [next_id]: a shared counter keeps ids globally unique across replicas
-    on one domain; the multicore node instead gives client [i] its own
-    counter starting at [i] with [stride = n], so the id spaces are
-    disjoint without any cross-domain sharing.
-    @raise Invalid_argument when [rate_tps] is not finite and positive,
-    [stride < 1], or [!next_id < 0]. *)
+(** Begin arriving now, at the clock of [mempool]'s group: the first
+    arrival is due one exponential gap later. Ids come from the group's
+    counter.
+    @raise Invalid_argument when [rate_tps] is not finite and positive, or
+    [mempool] was created without a group. *)
 
 val stop : t -> unit
+(** Materialize every arrival due by now, then stop. *)
+
 val generated : t -> int
+(** Arrivals so far, counted up to now. *)
 
 val exhausted : t -> bool
-(** True once the lane stopped itself because the next id would have
+(** True once the client stopped itself because the next id would have
     overflowed [max_int] (the last representable id was submitted, none
     were wrapped). Never true in practice at realistic horizons. *)

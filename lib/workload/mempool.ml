@@ -1,40 +1,159 @@
-(* The mutex exists for the multicore node, where clients submit on the
-   main domain while the proposer pulls from a DAG-lane domain. All
-   operations are short and non-blocking, so one lock per call is cheap
-   relative to the batch work either side does around it; single-domain
-   users (the simulator) pay an uncontended lock. *)
-type t = {
+module Backend = Shoalpp_backend.Backend
+module Heap = Shoalpp_support.Heap
+module Rng = Shoalpp_support.Rng
+
+(* One mutex per arrival group covers the group's id counter, its
+   clients' schedules and every member pool's queue: an operation on any
+   pool catches up the whole group and then acts, atomically. The
+   simulator and the single-domain node put every pool in one group (one
+   shared id counter) and pay an uncontended lock. The multicore node
+   gives each pool its own group, so a lane domain's pull and the main
+   domain's requeue or client stop serialize on that pool's mutex only. *)
+
+(* One open-loop client. [next_at] is the due time of its next arrival;
+   the group's heap holds one entry for it, left in place when the client
+   stops and dropped when it surfaces. *)
+type source = {
+  pool : t;
+  origin : int;
+  tx_size : int;
+  mean_gap_ms : float;
+  rng : Rng.t; (* drawn only under the group's mutex *)
+  mutable next_at : float; [@shoalpp.guarded_by "mu"]
+  mutable generated : int; [@shoalpp.guarded_by "mu"]
+  mutable live : bool; [@shoalpp.guarded_by "mu"]
+  mutable exhausted : bool; [@shoalpp.guarded_by "mu"]
+}
+
+(* A heap entry: [at] is frozen at insertion, so the heap order never
+   reads a field another operation may write; [seq] breaks due-time ties
+   in scheduling order, as the engine's timers do. *)
+and entry = { at : float; seq : int; src : source }
+
+and group = {
   mu : Mutex.t;
+  clock : Backend.Clock.t option; (* [None]: a pool that never gets clients *)
+  stride : int;
+  mutable next_id : int; [@shoalpp.guarded_by "mu"]
+  due : entry Heap.t; [@shoalpp.guarded_by "mu"]
+  mutable next_seq : int; [@shoalpp.guarded_by "mu"]
+  (* Due time of the heap's head, [infinity] when empty: the O(1) test
+     every operation makes before it touches the heap. *)
+  mutable earliest : float; [@shoalpp.guarded_by "mu"]
+}
+
+and t = {
+  group : group;
   q : Transaction.t Queue.t; [@shoalpp.guarded_by "mu"]
   max_pending : int;
   mutable submitted : int; [@shoalpp.guarded_by "mu"]
   mutable rejected : int; [@shoalpp.guarded_by "mu"]
 }
 
+let cmp_entry a b = if a.at < b.at then -1 else if a.at > b.at then 1 else Int.compare a.seq b.seq
+
+let make_group ?clock ~next_id ~stride () =
+  {
+    mu = Mutex.create ();
+    clock;
+    stride;
+    next_id;
+    due = Heap.create ~cmp:cmp_entry;
+    next_seq = 0;
+    earliest = infinity;
+  }
+
+let group ~clock ?(next_id = 0) ?(stride = 1) () =
+  if stride < 1 then invalid_arg "Mempool.group: stride must be >= 1";
+  if next_id < 0 then invalid_arg "Mempool.group: next_id must be >= 0";
+  make_group ~clock ~next_id ~stride ()
+
+let create ?(max_pending = max_int) ?group () =
+  let group =
+    match group with Some g -> g | None -> make_group ~next_id:0 ~stride:1 ()
+  in
+  { group; q = Queue.create (); max_pending; submitted = 0; rejected = 0 }
+
+let push t tx =
+  if Queue.length t.q >= t.max_pending then begin
+    t.rejected <- t.rejected + 1;
+    false
+  end
+  else begin
+    Queue.push tx t.q;
+    t.submitted <- t.submitted + 1;
+    true
+  end
+[@@shoalpp.requires_lock "mu"]
+
+let schedule g src =
+  Heap.add g.due { at = src.next_at; seq = g.next_seq; src };
+  g.next_seq <- g.next_seq + 1;
+  if src.next_at < g.earliest then g.earliest <- src.next_at
+[@@shoalpp.requires_lock "mu"]
+
+(* The arrival due at [src.next_at], stamped with that due time. Id
+   overflow guard: advancing past [max_int - stride] would wrap the id
+   space into another group's stride, so the last representable id is
+   submitted and the client retires instead. *)
+let arrive g src =
+  let id = g.next_id in
+  if id > max_int - g.stride then begin
+    src.live <- false;
+    src.exhausted <- true
+  end
+  else g.next_id <- id + g.stride;
+  ignore
+    (push src.pool
+       (Transaction.make ~id ~size:src.tx_size ~submitted_at:src.next_at ~origin:src.origin ()));
+  src.generated <- src.generated + 1;
+  if src.live then begin
+    src.next_at <- src.next_at +. Rng.exponential src.rng src.mean_gap_ms;
+    schedule g src
+  end
+[@@shoalpp.requires_lock "mu"]
+
+(* Materialize every arrival of the group due at or before now, in
+   (due time, scheduling order): ids follow the order the clients' own
+   timers would have fired in. Entries of stopped clients are dropped as
+   they surface. *)
+let catch_up g =
+  match g.clock with
+  | Some clock when g.earliest < infinity ->
+    let now = clock.Backend.Clock.now () in
+    if g.earliest <= now then begin
+      let rec drain () =
+        match Heap.peek g.due with
+        | Some e when e.at <= now ->
+          ignore (Heap.pop g.due);
+          if e.src.live then arrive g e.src;
+          drain ()
+        | Some e -> g.earliest <- e.at
+        | None -> g.earliest <- infinity
+      in
+      drain ()
+    end
+  | _ -> ()
+[@@shoalpp.requires_lock "mu"]
+
+(* Every operation on a pool: lock its group, catch the group up to
+   now, then act — so what the operation sees includes every arrival due
+   by now, stamped with its due time. *)
 let with_mu t f =
-  Mutex.lock t.mu;
-  match f () with
+  let g = t.group in
+  Mutex.lock g.mu;
+  match
+    catch_up g;
+    f ()
+  with
   | v ->
-    Mutex.unlock t.mu;
+    Mutex.unlock g.mu;
     v
   | exception e ->
-    Mutex.unlock t.mu;
+    Mutex.unlock g.mu;
     raise e
 
-let create ?(max_pending = max_int) () =
-  { mu = Mutex.create (); q = Queue.create (); max_pending; submitted = 0; rejected = 0 }
-
-let submit t tx =
-  with_mu t (fun () ->
-      if Queue.length t.q >= t.max_pending then begin
-        t.rejected <- t.rejected + 1;
-        false
-      end
-      else begin
-        Queue.push tx t.q;
-        t.submitted <- t.submitted + 1;
-        true
-      end)
+let submit t tx = with_mu t (fun () -> push t tx)
 
 let pull t ~max =
   with_mu t (fun () ->
@@ -53,3 +172,30 @@ let oldest_waiting t =
       match Queue.peek_opt t.q with
       | None -> None
       | Some tx -> Some tx.Transaction.submitted_at)
+
+let attach t ~origin ~mean_gap_ms ~tx_size ~rng =
+  match t.group.clock with
+  | None -> invalid_arg "Mempool.attach: the pool belongs to no arrival group"
+  | Some clock ->
+    with_mu t (fun () ->
+        let src =
+          {
+            pool = t;
+            origin;
+            tx_size;
+            mean_gap_ms;
+            rng;
+            next_at = clock.Backend.Clock.now () +. Rng.exponential rng mean_gap_ms;
+            generated = 0;
+            live = true;
+            exhausted = false;
+          }
+        in
+        schedule t.group src;
+        src)
+
+let detach src =
+  with_mu src.pool (fun () -> src.live <- false)
+
+let generated src = with_mu src.pool (fun () -> src.generated)
+let exhausted src = with_mu src.pool (fun () -> src.exhausted)

@@ -13,7 +13,9 @@
 type t = {
   id : int;  (** globally unique *)
   size : int;  (** payload bytes on the wire *)
-  submitted_at : float;  (** simulated ms when it reached its local replica *)
+  submitted_at : float;
+      (** ms when it reached its local replica: a client's arrival is
+          stamped with its due time, however late the mempool noticed it *)
   origin : int;  (** replica it was submitted to *)
 }
 

@@ -155,6 +155,7 @@ for ln in body.splitlines():
         names.add(ln.split("{")[0].split(" ")[0])
 assert any(n.startswith("shoalpp_live_") for n in names), "live gauges missing mid-run"
 assert "shoalpp_commit_fast_direct" in names, "commit counters missing from scrape"
+assert "shoalpp_backend_loop_turns" in names, "loop turn counter missing from scrape"
 # Histogram sanity: cumulative buckets closed by le="+Inf" equal to _count.
 buckets, counts = {}, {}
 for ln in body.splitlines():
@@ -189,6 +190,12 @@ grep -q 'per-commit stage attribution' "$out/node.out" \
   || { echo "check failed: ledger breakdown table missing from node output" >&2; exit 1; }
 for f in node.jsonl node.metrics.json; do
   test -s "$out/$f" || { echo "check failed: $f missing or empty" >&2; exit 1; }
+done
+# The realtime loop's wakeup counters: every turn is one select, and the
+# sleeping ones are the node's wakeups.
+for c in backend.loop_turns backend.loop_sleeps; do
+  grep -Eq "\"$c\": *[1-9][0-9]*" "$out/node.metrics.json" \
+    || { echo "check failed: $c missing or zero in node metrics" >&2; exit 1; }
 done
 
 # Cross-replica trace analysis: join the smoke run's per-replica logs and

@@ -109,6 +109,42 @@ let test_realtime_timer_cancel () =
   checki "only the live timer fired" 1 !fired;
   checkb "fired timer no longer pending" false (Backend.is_pending t2)
 
+(* Timers that are always due must not starve the sockets: every turn
+   ends in a select, even when the drain stopped with work still due. *)
+let test_realtime_pollers_not_starved () =
+  let exec = Realtime.create () in
+  let r, w = Unix.pipe () in
+  let rec spin () = Realtime.post exec spin in
+  spin ();
+  let served = ref false in
+  Realtime.add_poller exec r (fun () ->
+      ignore (Unix.read r (Bytes.create 1) 0 1);
+      served := true;
+      Realtime.stop exec);
+  ignore (Unix.write_substring w "x" 0 1);
+  let t0 = Realtime.now_ms exec in
+  Realtime.run_for exec ~duration_ms:2_000.0;
+  Realtime.remove_poller exec r;
+  Unix.close r;
+  Unix.close w;
+  checkb "readable socket serviced" true !served;
+  checkb "timers kept firing meanwhile" true (Realtime.events_fired exec > 0);
+  checkb "serviced promptly" true (Realtime.now_ms exec -. t0 < 1_000.0)
+
+(* A turn that fires a timer makes one select, which sleeps to the next
+   deadline: no zero-timeout poll follows a firing. Here the timer stops
+   the loop, so the run is two turns — sleep to the timer, fire it and
+   select once more (woken at once by the stop) — and both slept. *)
+let test_realtime_one_select_per_turn () =
+  let exec = Realtime.create () in
+  let timers = Realtime.timers exec in
+  ignore (timers.Backend.Timers.schedule ~after:10.0 (fun () -> Realtime.stop exec));
+  Realtime.run_for exec ~duration_ms:1_000.0;
+  checki "the timer fired" 1 (Realtime.events_fired exec);
+  checkb "at least the two turns" true (Realtime.loop_turns exec >= 2);
+  checki "every turn's one select could sleep" (Realtime.loop_turns exec)
+    (Realtime.loop_sleeps exec)
+
 let test_realtime_clock_monotonic () =
   let exec = Realtime.create () in
   let clock = Realtime.clock exec in
@@ -204,7 +240,17 @@ let test_realtime_cluster_run () =
       checkb (Printf.sprintf "lane %d committed an anchor (got %d)" lane count) true (count >= 1))
     audit.Node.anchors_per_lane;
   let report = Node.report node ~duration_ms:1_000.0 in
-  checkb "transactions committed" true (report.Report.committed > 0)
+  checkb "transactions committed" true (report.Report.committed > 0);
+  (* The loop's wakeup counters ride along in the node's own snapshot. *)
+  let snap = Node.telemetry_snapshot node in
+  let counter = Shoalpp_support.Telemetry.snap_counter snap in
+  checkb "loop turns exported" true (counter "backend.loop_turns" > 0);
+  checkb "loop sleeps exported" true (counter "backend.loop_sleeps" > 0);
+  checkb "no more sleeps than turns" true
+    (counter "backend.loop_sleeps" <= counter "backend.loop_turns");
+  checki "live snapshot carries them too"
+    (counter "backend.loop_turns")
+    (Shoalpp_support.Telemetry.snap_counter (Node.live_snapshot node) "backend.loop_turns")
 
 (* The admin endpoint serves scrapes off the same select loop as the
    protocol: issue a raw HTTP GET from a client socket while a bare
@@ -350,6 +396,9 @@ let suite =
         Alcotest.test_case "timer order" `Quick test_realtime_timer_order;
         Alcotest.test_case "timer cancel" `Quick test_realtime_timer_cancel;
         Alcotest.test_case "clock monotonic" `Quick test_realtime_clock_monotonic;
+        Alcotest.test_case "pollers not starved by due timers" `Quick
+          test_realtime_pollers_not_starved;
+        Alcotest.test_case "one select per turn" `Quick test_realtime_one_select_per_turn;
         Alcotest.test_case "framing roundtrip" `Quick test_framing_roundtrip_chunked;
         Alcotest.test_case "framing rejects corrupt input" `Quick test_framing_rejects_corrupt_stream;
         Alcotest.test_case "cluster run + safety audit" `Quick test_realtime_cluster_run;

@@ -169,11 +169,13 @@ let default =
           a_path = "lib/workload/mempool.ml";
           a_rule = "effect-confinement";
           a_reason =
-            "a Mutex making each queue operation atomic: a replica's client \
-             submits on one DAG-lane domain while its k proposers pull on \
-             every lane domain. FIFO order and all counts are unchanged — \
-             the lock serializes exactly the interleavings a single domain \
-             already produced, and the simulator pays one uncontended lock";
+            "a Mutex making each pool operation atomic, client catch-up \
+             included: a replica's k proposers pull on every lane domain and \
+             each pull first materializes the client arrivals due by now, \
+             while the main domain requeues and stops clients. FIFO order, \
+             ids and all counts are unchanged — the lock serializes exactly \
+             the interleavings a single domain already produced, and the \
+             simulator pays one uncontended lock";
         };
       ];
     (* Domain-ownership map (docs/CONCURRENCY.md, "Domain topology").
