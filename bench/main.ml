@@ -25,7 +25,7 @@
    roughly what factor, and where the crossovers are. EXPERIMENTS.md
    records a paper-vs-measured comparison for every figure. *)
 
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Report = Shoalpp_runtime.Report
 module Tablefmt = Shoalpp_support.Tablefmt
 
@@ -1120,7 +1120,6 @@ let micro () =
   Tablefmt.print ~header:[ "operation"; "time" ] rows
 
 let () =
-  Shoalpp_baselines.Register.register ();
   let which =
     if Array.length Sys.argv > 1 then Array.to_list (Array.sub Sys.argv 1 (Array.length Sys.argv - 1))
     else [ "all" ]

@@ -11,7 +11,7 @@
      dune exec bin/shoalpp_sim.exe -- --trace-out run.jsonl --chrome-out run.trace.json \
        --metrics-out run.metrics.json *)
 
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Report = Shoalpp_runtime.Report
 module Export = Shoalpp_runtime.Export
 open Cmdliner
@@ -86,7 +86,6 @@ let drop_conv =
 
 let run system n load duration warmup topology crashes scenario drop timeout dags stagger seed
     no_verify checkpoint_interval series trace_out chrome_out metrics_out =
-  Shoalpp_baselines.Register.register ();
   let params =
     {
       E.default_params with

@@ -9,7 +9,7 @@
 
      dune exec examples/fault_injection.exe *)
 
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Cluster = Shoalpp_runtime.Cluster
 module Report = Shoalpp_runtime.Report
 module Config = Shoalpp_core.Config
@@ -17,8 +17,6 @@ module Committee = Shoalpp_dag.Committee
 module Topology = Shoalpp_sim.Topology
 
 let () =
-  Shoalpp_baselines.Register.register ();
-
   (* ---------------- Phase 1: crash f replicas mid-run ---------------- *)
   Format.printf "=== crash faults: Shoal++ with f=5 of 16 replicas crashed at t=10s ===@.";
   let committee = Committee.make ~n:16 () in

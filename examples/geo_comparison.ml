@@ -8,12 +8,11 @@
 
      dune exec examples/geo_comparison.exe *)
 
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Report = Shoalpp_runtime.Report
 module Tablefmt = Shoalpp_support.Tablefmt
 
 let () =
-  Shoalpp_baselines.Register.register ();
   let params =
     {
       E.default_params with

@@ -8,7 +8,7 @@
 
      dune exec examples/parallel_dags.exe *)
 
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Report = Shoalpp_runtime.Report
 module Tablefmt = Shoalpp_support.Tablefmt
 module Engine = Shoalpp_sim.Engine

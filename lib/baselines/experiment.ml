@@ -1,9 +1,11 @@
+module Cluster = Shoalpp_runtime.Cluster
+module Harness = Shoalpp_runtime.Harness
+module Ledger = Shoalpp_runtime.Ledger
+module Report = Shoalpp_runtime.Report
 module Topology = Shoalpp_sim.Topology
 module Fault_schedule = Shoalpp_sim.Fault_schedule
 module Committee = Shoalpp_dag.Committee
 module Config = Shoalpp_core.Config
-module Instance = Shoalpp_dag.Instance
-module Anchors = Shoalpp_consensus.Anchors
 module Replica = Shoalpp_core.Replica
 module Transaction = Shoalpp_workload.Transaction
 
@@ -100,13 +102,6 @@ type outcome = {
   events : Shoalpp_sim.Trace.event list;
 }
 
-let trace_of params =
-  if params.trace then
-    Some (Shoalpp_sim.Trace.create ~enabled:true ~capacity:params.trace_capacity ())
-  else None
-
-let events_of_trace = function Some tr -> Shoalpp_sim.Trace.events tr | None -> []
-
 let make_topology = function
   | Gcp10 -> Topology.gcp10 ()
   | Uniform delay_ms -> Topology.uniform ~delay_ms
@@ -173,30 +168,15 @@ let dag_config system params =
   let base = Config.with_checkpoint_interval base params.checkpoint_interval in
   if params.verify_signatures then base else Config.without_signature_checks base
 
-(* ------------------------------------------------------------------ *)
-(* Baseline plug-in registry (avoids a dependency cycle with
-   shoalpp_baselines).                                                  *)
-
-type runner = params -> outcome
-
-let extras : (string, runner) Hashtbl.t = Hashtbl.create 4
-
-let register_extra ~name runner = Hashtbl.replace extras name runner
-
-let run_extra ~name params =
-  match Hashtbl.find_opt extras name with
-  | Some runner -> runner params
-  | None ->
-    invalid_arg
-      (Printf.sprintf
-         "Experiment.run_extra: no runner registered for %S (call \
-          Shoalpp_baselines.register () first)"
-         name)
-
-let run_dag system params =
-  let protocol = dag_config system params in
-  let trace = trace_of params in
-  let setup =
+(* Every system runs on the one simulated cluster; only the protocol's
+   own parameters differ. *)
+let run system params =
+  let trace =
+    if params.trace then
+      Some (Shoalpp_sim.Trace.create ~enabled:true ~capacity:params.trace_capacity ())
+    else None
+  in
+  let setup protocol =
     {
       Cluster.protocol;
       topology = make_topology params.topology;
@@ -211,24 +191,37 @@ let run_dag system params =
       trace;
     }
   in
-  let cluster = Cluster.create setup in
-  Cluster.run cluster ~duration_ms:params.duration_ms;
-  let report = Cluster.report cluster ~duration_ms:params.duration_ms in
-  let requeued =
-    Array.fold_left (fun acc r -> acc + Replica.requeued r) 0 (Cluster.replicas cluster)
+  let finish cluster ~requeued =
+    Cluster.run cluster ~duration_ms:params.duration_ms;
+    {
+      report = Cluster.report cluster ~duration_ms:params.duration_ms;
+      audit_ok = Harness.ok (Cluster.audit cluster);
+      throughput_series = Ledger.throughput_series (Cluster.ledger cluster);
+      latency_series = Ledger.latency_series (Cluster.ledger cluster);
+      requeued = Array.fold_left (fun acc r -> acc + requeued r) 0 (Cluster.replicas cluster);
+      events_fired = Cluster.events_fired cluster;
+      events = (match trace with Some tr -> Shoalpp_sim.Trace.events tr | None -> []);
+    }
   in
-  {
-    report;
-    audit_ok = Harness.ok (Cluster.audit cluster);
-    throughput_series = Ledger.throughput_series (Cluster.ledger cluster);
-    latency_series = Ledger.latency_series (Cluster.ledger cluster);
-    requeued;
-    events_fired = Cluster.events_fired cluster;
-    events = events_of_trace trace;
-  }
-
-let run system params =
+  let committee () = Committee.make ~n:params.n ~cluster_seed:params.seed () in
+  let round_timeout default = Option.value ~default params.round_timeout_ms in
   match system with
-  | Jolteon -> run_extra ~name:"jolteon" params
-  | Mysticeti -> run_extra ~name:"mysticeti" params
-  | _ -> run_dag system params
+  | Jolteon ->
+    let protocol =
+      {
+        (Jolteon.default_setup ~committee:(committee ())) with
+        Jolteon.round_timeout_ms = round_timeout 1500.0;
+      }
+    in
+    finish (Jolteon.create (setup protocol)) ~requeued:(fun _ -> 0)
+  | Mysticeti ->
+    let protocol =
+      {
+        (Mysticeti.default_setup ~committee:(committee ())) with
+        Mysticeti.round_timeout_ms = round_timeout 1000.0;
+        batch_cap = params.batch_cap;
+        verify_signatures = params.verify_signatures;
+      }
+    in
+    finish (Mysticeti.create (setup protocol)) ~requeued:(fun _ -> 0)
+  | _ -> finish (Cluster.create (setup (dag_config system params))) ~requeued:Replica.requeued

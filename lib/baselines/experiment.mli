@@ -3,16 +3,18 @@
     safety audit. This is the single entry point used by the benchmark
     harness, the CLI and the examples.
 
-    Baseline systems (Jolteon, Mysticeti) live in [shoalpp_baselines], which
-    depends on this library; their runners plug in through {!register_extra}
-    at program start (see [Shoalpp_baselines.register]).
+    It lives beside the baselines because it is the one module that sees
+    every system: all of them — the DAG family, Jolteon and Mysticeti — run
+    on the same {!Shoalpp_runtime.Cluster} with the same load, faults,
+    commit sink and audit; only the protocol's own parameters differ.
 
     Invariants:
     - {!run} is deterministic: equal [params] (same seed, same scenario)
-      yield identical outcomes, for every system including the registered
-      baselines — fault injection draws no randomness of its own;
-    - [audit_ok] reflects the full safety audit (prefix consistency, no
-      duplicate ordering, recovery prefix extension) for every system. *)
+      yield identical outcomes, for every system — fault injection draws no
+      randomness of its own;
+    - [audit_ok] is {!Shoalpp_runtime.Harness.ok} over the full safety
+      audit (prefix consistency with anchor digests, no duplicate
+      ordering, recovery prefix extension) for every system. *)
 
 type topology_spec =
   | Gcp10  (** the paper's 10-region deployment *)
@@ -78,7 +80,7 @@ val clean_net_config : Shoalpp_sim.Netmodel.config
     accounting becomes exact. *)
 
 type outcome = {
-  report : Report.t;
+  report : Shoalpp_runtime.Report.t;
   audit_ok : bool;
       (** log prefix consistency + no duplicate ordering + recovered
           replicas' logs extend their pre-crash prefixes *)
@@ -90,8 +92,8 @@ type outcome = {
           denominator-free work measure [bench/main.exe perf] reports *)
   events : Shoalpp_sim.Trace.event list;
       (** the retained trace window, oldest first; empty unless
-          {!params.trace} — export with {!Export.write_jsonl} /
-          {!Export.write_chrome_trace} *)
+          {!params.trace} — export with {!Shoalpp_runtime.Export.write_jsonl} /
+          {!Shoalpp_runtime.Export.write_chrome_trace} *)
 }
 
 val run : system -> params -> outcome
@@ -100,11 +102,3 @@ val median_one_way : Shoalpp_sim.Topology.t -> float
 val dag_config : system -> params -> Shoalpp_core.Config.t
 (** The concrete configuration a DAG-family system resolves to.
     @raise Invalid_argument for [Jolteon] / [Mysticeti]. *)
-
-(** {2 Baseline registration} *)
-
-type runner = params -> outcome
-
-val register_extra : name:string -> runner -> unit
-val run_extra : name:string -> params -> outcome
-(** @raise Invalid_argument when no runner was registered under [name]. *)

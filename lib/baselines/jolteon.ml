@@ -1,17 +1,12 @@
 module Digest32 = Shoalpp_crypto.Digest32
 module Committee = Shoalpp_dag.Committee
 module Backend = Shoalpp_backend.Backend
-module Backend_sim = Shoalpp_backend.Backend_sim
-module Topology = Shoalpp_sim.Topology
-module Fault_schedule = Shoalpp_sim.Fault_schedule
 module Faults = Shoalpp_sim.Faults
 module Transaction = Shoalpp_workload.Transaction
-module Client = Shoalpp_workload.Client
 module Mempool = Shoalpp_workload.Mempool
-module Report = Shoalpp_runtime.Report
-module Ledger = Shoalpp_runtime.Ledger
+module Cluster = Shoalpp_runtime.Cluster
+module Harness = Shoalpp_runtime.Harness
 module Anchors = Shoalpp_consensus.Anchors
-module Rng = Shoalpp_support.Rng
 module Obs = Shoalpp_sim.Obs
 module Trace = Shoalpp_sim.Trace
 module Telemetry = Shoalpp_support.Telemetry
@@ -60,38 +55,13 @@ let block_digest ~round ~author ~justify ~txns =
 
 type setup = {
   committee : Committee.t;
-  topology : Topology.t;
-  net_config : Backend_sim.net_config;
-  fault : Fault_schedule.t;
-  scenario : Faults.t;
-  load_tps : float;
-  tx_size : int;
-  warmup_ms : float;
   round_timeout_ms : float;
   gossip_interval_ms : float;
   max_block_txns : int;
-  verify_signatures : bool;
-  seed : int;
-  trace : Trace.t option;
 }
 
 let default_setup ~committee =
-  {
-    committee;
-    topology = Topology.gcp10 ();
-    net_config = Backend_sim.default_net_config;
-    fault = Fault_schedule.none;
-    scenario = Faults.none;
-    load_tps = 1000.0;
-    tx_size = Transaction.default_size;
-    warmup_ms = 1000.0;
-    round_timeout_ms = 1500.0;
-    gossip_interval_ms = 10.0;
-    max_block_txns = 100 * 500;
-    verify_signatures = true;
-    seed = 11;
-    trace = None;
-  }
+  { committee; round_timeout_ms = 1500.0; gossip_interval_ms = 10.0; max_block_txns = 100 * 500 }
 
 (* Per-transaction shared-mempool bookkeeping. *)
 type tx_state = { tx : Transaction.t; mutable included_round : int (* -1 = free *) }
@@ -100,12 +70,12 @@ type replica = {
   id : int;
   setup : setup;
   backend : msg Backend.t;
-  ledger : Ledger.t; (* the cluster's one latency sink *)
-  mutable ordered_seq : int; (* position of the next committed block *)
+  mempool : Mempool.t; (* client arrivals, drained by the gossip loop *)
+  on_commit : Harness.commit -> unit; (* the harness's commit sink *)
+  mutable ordered_seq : int; (* position of the next committed block = blocks committed *)
   genesis_qc : qc;
   pool : (int, tx_state) Hashtbl.t; (* txid -> state *)
   pool_order : int Queue.t; (* FIFO of txids for proposal order *)
-  mutable staged : Transaction.t list; (* awaiting next gossip *)
   blocks : (Digest32.t, block) Hashtbl.t;
   mutable high_qc : qc;
   mutable current_round : int;
@@ -114,10 +84,8 @@ type replica = {
   mutable qc_formed : (int, unit) Hashtbl.t; (* rounds for which we aggregated *)
   timeouts : (int, int list ref) Hashtbl.t;
   mutable sent_timeout : (int, unit) Hashtbl.t;
-  committed_ids : (int, unit) Hashtbl.t;
-  mutable committed_log : Digest32.t list; (* newest first *)
+  committed_ids : (int, unit) Hashtbl.t; (* executed txns: the sink and the pool skip them *)
   mutable committed_round : int;
-  mutable last_committed : Digest32.t;
   (* Reputation inputs: (block round, author, qc signers) of committed
      blocks, newest first. *)
   mutable committed_meta : (int * int * int list) list;
@@ -134,6 +102,8 @@ type replica = {
   pending_qcs : (Digest32.t, qc) Hashtbl.t;
   byzantine : float -> Faults.byz_kind option;
   obs : Obs.t;
+  c_crashes : Telemetry.counter option;
+  c_recoveries : Telemetry.counter option;
   c_commits : Telemetry.counter option;
   c_timeouts : Telemetry.counter option;
   c_equiv : Telemetry.counter option;
@@ -171,9 +141,7 @@ let send t ~dst msg = Backend.send t.backend ~src:t.id ~dst ~size:(message_size 
 let byz_now t = t.byzantine (Backend.now t.backend)
 
 let commit_block t (b : block) =
-  t.committed_log <- b.jb_digest :: t.committed_log;
   t.committed_round <- max t.committed_round b.jb_round;
-  t.last_committed <- b.jb_digest;
   (* Keep enough history for any future round's [r - lag - window, r - lag]
      lookback; prune strictly older entries. *)
   t.committed_meta <-
@@ -187,29 +155,31 @@ let commit_block t (b : block) =
   Obs.incr_c t.c_commits;
   Obs.event t.obs ~time:now
     (Trace.Anchor_direct_certified { round = b.jb_round; anchor = b.jb_author });
-  List.iter
-    (fun (tx : Transaction.t) ->
-      if not (Hashtbl.mem t.committed_ids tx.Transaction.id) then begin
-        Hashtbl.replace t.committed_ids tx.Transaction.id ();
-        (* Chain protocol: block creation is both batching and inclusion,
-           and a 2-chain commit is final order — those stages collapse to
-           0, which is exactly what the attribution should show. *)
-        if tx.Transaction.origin = t.id then
-          Ledger.record t.ledger
-            {
-              Ledger.le_tx = tx.Transaction.id;
-              le_origin = t.id;
-              le_dag = 0;
-              le_rule = Anchors.Certified_direct;
-              le_seq = seq;
-              le_submitted = tx.Transaction.submitted_at;
-              le_batched = b.jb_created_at;
-              le_included = b.jb_created_at;
-              le_committed = now;
-              le_ordered = now;
-            }
-      end)
-    b.jb_txns
+  (* A block may re-carry a transaction an earlier block committed (the
+     pool re-offers it until it sees the commit); only first executions
+     reach the sink. *)
+  let fresh =
+    List.filter
+      (fun (tx : Transaction.t) ->
+        let first = not (Hashtbl.mem t.committed_ids tx.Transaction.id) in
+        if first then Hashtbl.replace t.committed_ids tx.Transaction.id ();
+        first)
+      b.jb_txns
+  in
+  (* Chain protocol: block creation is both batching and inclusion, and a
+     2-chain commit is final order — those stages collapse to 0, which is
+     exactly what the attribution should show. *)
+  t.on_commit
+    {
+      Harness.anchor =
+        { Harness.sdag = 0; sround = b.jb_round; sauthor = b.jb_author; sdigest = b.jb_digest };
+      rule = Anchors.Certified_direct;
+      seq;
+      committed_at = now;
+      ordered_at = now;
+      batches =
+        [ { Harness.batched_at = b.jb_created_at; included_at = b.jb_created_at; txns = fresh } ];
+    }
 
 (* A request in flight during a partition is dropped silently, so dedup
    must expire: re-ask once a round timeout has passed without a response,
@@ -483,52 +453,75 @@ let handle_message t msg =
   end
 
 (* -------------------------------------------------------------------- *)
-(* Cluster wiring.                                                       *)
+(* Cluster hooks: the shared harness runs everything else.               *)
 
-type cluster = {
-  c_setup : setup;
-  c_world : msg Backend_sim.t;
-  c_backend : msg Backend.t;
-  c_replicas : replica array;
-  c_telemetry : Telemetry.t;
-  c_ledger : Ledger.t;
-  c_clients : Client.t option array;
-  c_mempools : Mempool.t array; (* staging: client -> gossip *)
-  mutable c_fault : Fault_schedule.t;
-  mutable c_started : bool;
-}
+let rec arm_gossip t =
+  ignore
+    (Backend.schedule t.backend ~after:t.setup.gossip_interval_ms (fun () ->
+         if not t.crashed then begin
+           let txns = Mempool.pull t.mempool ~max:max_int in
+           if txns <> [] then begin
+             List.iter (fun tx -> pool_add t tx) txns;
+             broadcast t (Gossip txns)
+           end;
+           arm_gossip t
+         end))
 
-let create setup =
+let hooks =
+  {
+    Harness.start =
+      (fun t ->
+        arm_gossip t;
+        enter_round t 0);
+    crash =
+      (fun t ->
+        if not t.crashed then begin
+          t.crashed <- true;
+          Obs.incr_c t.c_crashes;
+          Obs.event t.obs ~time:(Backend.now t.backend) (Trace.Replica_crashed { replica = t.id })
+        end);
+    (* Warm in-memory resume: Jolteon keeps no WAL, so a recovered replica
+       rejoins with its pre-crash state and catches up from peers' QCs and
+       timeout messages (a documented asymmetry vs Shoal++'s WAL replay). *)
+    recover =
+      (fun t ~wipe:_ ->
+        if t.crashed then begin
+          t.crashed <- false;
+          Obs.incr_c t.c_recoveries;
+          Obs.event t.obs ~time:(Backend.now t.backend)
+            (Trace.Replica_recovered { replica = t.id; replayed = 0 });
+          arm_gossip t;
+          send_timeout t t.current_round
+        end);
+    replays_log = false;
+    base_seq = (fun _ -> 0);
+    commit_counts =
+      (fun t -> { Harness.fast = 0; direct = t.ordered_seq; indirect = 0; skipped = 0 });
+  }
+
+type cluster = (msg, replica) Cluster.gen
+
+let create (run : setup Cluster.gen_setup) =
+  let setup = run.Cluster.protocol in
   let committee = setup.committee in
   let n = committee.Committee.n in
-  (* Bind the declarative scenario to this cluster size: crashes, recovery
-     windows and partitions become part of the network fault schedule;
-     Byzantine roles become per-replica closures below. *)
-  let fault = Faults.schedule setup.scenario ~n ~base:setup.fault in
-  let assignment = Topology.assign_round_robin setup.topology ~n in
-  let world =
-    Backend_sim.make ~topology:setup.topology ~assignment ~fault ~config:setup.net_config
-      ~seed:setup.seed ()
-  in
-  let backend = Backend_sim.backend world in
-  let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry ~warmup_ms:setup.warmup_ms () in
   let genesis_qc =
     { qc_round = -1; qc_digest = committee.Committee.genesis; qc_signers = [] }
   in
-  let replicas =
-    Array.init n (fun id ->
-        let obs = Obs.make ?trace:setup.trace ~telemetry ~replica:id ~instance:0 () in
+  Cluster.make run ~name:"jolteon" ~n ~num_dags:1 ~hooks
+    ~make_replica:(fun ~backend ~telemetry id ~mempool ~on_commit ~on_caught_up:_ ->
+      let obs = Obs.make ?trace:run.Cluster.trace ~telemetry ~replica:id ~instance:0 () in
+      let r =
         {
           id;
           setup;
           backend;
-          ledger;
+          mempool;
+          on_commit;
           ordered_seq = 0;
           genesis_qc;
           pool = Hashtbl.create 4096;
           pool_order = Queue.create ();
-          staged = [];
           blocks = Hashtbl.create 4096;
           high_qc = genesis_qc;
           current_round = -1;
@@ -538,9 +531,7 @@ let create setup =
           timeouts = Hashtbl.create 16;
           sent_timeout = Hashtbl.create 16;
           committed_ids = Hashtbl.create 4096;
-          committed_log = [];
           committed_round = -1;
-          last_committed = committee.Committee.genesis;
           committed_meta = [];
           round_timer = None;
           ntimeouts = 0;
@@ -548,138 +539,20 @@ let create setup =
           syncing = Hashtbl.create 16;
           pending_qcs = Hashtbl.create 16;
           pending_commit = Hashtbl.create 16;
-          byzantine = Faults.byzantine_for setup.scenario ~n ~replica:id;
+          byzantine = Faults.byzantine_for run.Cluster.scenario ~n ~replica:id;
           obs;
+          c_crashes = Obs.counter obs "fault.crashes";
+          c_recoveries = Obs.counter obs "fault.recoveries";
           c_commits = Obs.counter obs "commit.certified_direct";
           c_timeouts = Obs.counter obs "dag.timeouts";
           c_equiv = Obs.counter obs "fault.equivocations";
           c_withheld = Obs.counter obs "fault.withheld_proposals";
           c_delayed = Obs.counter obs "fault.delayed_votes";
           c_syncs = Obs.counter obs "dag.fetches";
-        })
-  in
-  Array.iter
-    (fun r -> Backend.set_handler backend r.id (fun ~src:_ msg -> handle_message r msg))
-    replicas;
-  {
-    c_setup = setup;
-    c_world = world;
-    c_backend = backend;
-    c_replicas = replicas;
-    c_telemetry = telemetry;
-    c_ledger = ledger;
-    c_clients = Array.make n None;
-    c_mempools =
-      (let group = Mempool.group ~clock:backend.Backend.clock () in
-       Array.init n (fun _ -> Mempool.create ~group ()));
-    c_fault = fault;
-    c_started = false;
-  }
+        }
+      in
+      Backend.set_handler backend id (fun ~src:_ msg -> handle_message r msg);
+      r)
 
-let rec arm_gossip c i =
-  let r = c.c_replicas.(i) in
-  ignore
-    (Backend.schedule c.c_backend ~after:c.c_setup.gossip_interval_ms (fun () ->
-         if not r.crashed then begin
-           let txns = Mempool.pull c.c_mempools.(i) ~max:max_int in
-           if txns <> [] then begin
-             List.iter (fun tx -> pool_add r tx) txns;
-             broadcast r (Gossip txns)
-           end;
-           arm_gossip c i
-         end))
-
-let per_replica_tps c = c.c_setup.load_tps /. float_of_int (Array.length c.c_replicas)
-
-let start_client c i =
-  if per_replica_tps c > 0.0 then
-    c.c_clients.(i) <-
-      Some
-        (Client.start ~mempool:c.c_mempools.(i) ~origin:i
-           ~rate_tps:(per_replica_tps c) ~tx_size:c.c_setup.tx_size ~seed:(c.c_setup.seed + i) ())
-
-(* Replica-side crash for a downtime already baked into [c_fault] by
-   [Faults.schedule] (the network side needs no update). *)
-let apply_crash c i =
-  let r = c.c_replicas.(i) in
-  if not r.crashed then begin
-    r.crashed <- true;
-    Telemetry.incr_named c.c_telemetry "fault.crashes";
-    Obs.event r.obs ~time:(Backend.now c.c_backend) (Trace.Replica_crashed { replica = i });
-    match c.c_clients.(i) with Some cl -> Client.stop cl | None -> ()
-  end
-
-(* Warm in-memory resume: Jolteon keeps no WAL, so a recovered replica
-   rejoins with its pre-crash state and catches up from peers' QCs and
-   timeout messages (a documented asymmetry vs Shoal++'s WAL replay). *)
-let recover_now c i =
-  let r = c.c_replicas.(i) in
-  if r.crashed then begin
-    let now = Backend.now c.c_backend in
-    c.c_fault <- Fault_schedule.recover c.c_fault ~replica:i ~at:now;
-    Backend_sim.set_fault c.c_world c.c_fault;
-    r.crashed <- false;
-    Telemetry.incr_named c.c_telemetry "fault.recoveries";
-    Obs.event r.obs ~time:now (Trace.Replica_recovered { replica = i; replayed = 0 });
-    start_client c i;
-    arm_gossip c i;
-    send_timeout r r.current_round
-  end
-
-let schedule_scenario c =
-  Faults.schedule_events c.c_setup.scenario ~n:(Array.length c.c_replicas)
-    ~schedule_at:(fun at f -> ignore (Backend.schedule_at c.c_backend ~at f))
-    ~crash:(apply_crash c) ~recover:(recover_now c)
-    ~partition:(fun ~opened ~time:_ ~minority:_ ->
-      Telemetry.incr_named c.c_telemetry
-        (if opened then "fault.partitions_opened" else "fault.partitions_healed"))
-
-let start c =
-  if not c.c_started then begin
-    c.c_started <- true;
-    Array.iteri
-      (fun i r ->
-        if not (Fault_schedule.is_crashed c.c_fault ~replica:i ~time:0.0) then begin
-          start_client c i;
-          arm_gossip c i
-        end;
-        enter_round r 0)
-      c.c_replicas;
-    schedule_scenario c
-  end
-
-let run c ~duration_ms =
-  start c;
-  Backend_sim.run ~until:duration_ms c.c_world
-
-let crash_now c i =
-  let now = Backend.now c.c_backend in
-  c.c_fault <- Fault_schedule.crash c.c_fault ~replica:i ~at:now;
-  Backend_sim.set_fault c.c_world c.c_fault;
-  c.c_replicas.(i).crashed <- true;
-  match c.c_clients.(i) with Some cl -> Client.stop cl | None -> ()
-
-let events_fired c = Backend_sim.events_fired c.c_world
-let telemetry c = c.c_telemetry
-let ledger c = c.c_ledger
-
-let report c ~duration_ms =
-  let net_stats = Backend.stats c.c_backend in
-  let submitted = Array.fold_left (fun acc m -> acc + Mempool.submitted m) 0 c.c_mempools in
-  Report.make ~name:"jolteon" ~n:(Array.length c.c_replicas) ~load_tps:c.c_setup.load_tps
-    ~duration_ms ~submitted ~ledger:c.c_ledger
-    ~direct_commits:
-      (Array.fold_left (fun acc r -> acc + List.length r.committed_log) 0 c.c_replicas)
-    ~messages_sent:net_stats.Backend.Transport.sent
-    ~messages_dropped:(net_stats.Backend.Transport.dropped + net_stats.Backend.Transport.partitioned)
-    ~bytes_sent:net_stats.Backend.Transport.bytes
-    ~telemetry:(Telemetry.snapshot c.c_telemetry)
-    ~trace_dropped:(match c.c_setup.trace with Some tr -> Trace.dropped tr | None -> 0)
-    ()
-
-let committed_consistent c =
-  Shoalpp_runtime.Harness.prefixes_agree ~equal:Digest32.equal
-    (Array.map (fun r -> Array.of_list (List.rev r.committed_log)) c.c_replicas)
-
-let timeouts_fired c = Array.fold_left (fun acc r -> acc + r.ntimeouts) 0 c.c_replicas
-let rounds_reached c = Array.fold_left (fun acc r -> max acc r.current_round) 0 c.c_replicas
+let timeouts_fired c = Array.fold_left (fun acc r -> acc + r.ntimeouts) 0 (Cluster.replicas c)
+let rounds_reached c = Array.fold_left (fun acc r -> max acc r.current_round) 0 (Cluster.replicas c)

@@ -7,16 +7,10 @@ module Store = Shoalpp_dag.Store
 module Driver = Shoalpp_consensus.Driver
 module Anchors = Shoalpp_consensus.Anchors
 module Backend = Shoalpp_backend.Backend
-module Backend_sim = Shoalpp_backend.Backend_sim
-module Topology = Shoalpp_sim.Topology
-module Fault_schedule = Shoalpp_sim.Fault_schedule
 module Faults = Shoalpp_sim.Faults
 module Batch = Shoalpp_workload.Batch
-module Transaction = Shoalpp_workload.Transaction
-module Client = Shoalpp_workload.Client
 module Mempool = Shoalpp_workload.Mempool
-module Report = Shoalpp_runtime.Report
-module Ledger = Shoalpp_runtime.Ledger
+module Cluster = Shoalpp_runtime.Cluster
 module Harness = Shoalpp_runtime.Harness
 module Rng = Shoalpp_support.Rng
 module Obs = Shoalpp_sim.Obs
@@ -40,37 +34,19 @@ let message_size = function
 
 type setup = {
   committee : Committee.t;
-  topology : Topology.t;
-  net_config : Backend_sim.net_config;
-  fault : Fault_schedule.t;
-  scenario : Faults.t;
-  load_tps : float;
-  tx_size : int;
-  warmup_ms : float;
   round_timeout_ms : float;
   batch_cap : int;
   fetch_retry_ms : float;
   verify_signatures : bool;
-  seed : int;
-  trace : Trace.t option;
 }
 
 let default_setup ~committee =
   {
     committee;
-    topology = Topology.gcp10 ();
-    net_config = Backend_sim.default_net_config;
-    fault = Fault_schedule.none;
-    scenario = Faults.none;
-    load_tps = 1000.0;
-    tx_size = Transaction.default_size;
-    warmup_ms = 1000.0;
     round_timeout_ms = 1000.0;
     batch_cap = 500;
     fetch_retry_ms = 50.0;
     verify_signatures = true;
-    seed = 13;
-    trace = None;
   }
 
 (* Blocks carry an empty dummy certificate so they fit the certified-node
@@ -97,12 +73,13 @@ type replica = {
   mutable proposed_round : int;
   mutable round_started_at : float;
   mutable round_timer : Backend.timer option;
-  log : Harness.seg_id list ref; (* newest first: anchor identities *)
   mutable fetches : int;
   mutable stalled : int;
   mutable crashed : bool;
   byzantine : float -> Faults.byz_kind option;
   obs : Obs.t;
+  c_crashes : Telemetry.counter option;
+  c_recoveries : Telemetry.counter option;
   c_proposals : Telemetry.counter option;
   c_fetches : Telemetry.counter option;
   c_timeouts : Telemetry.counter option;
@@ -329,27 +306,44 @@ let handle_message r msg =
   end
 
 (* -------------------------------------------------------------------- *)
-(* Cluster wiring.                                                       *)
+(* Cluster hooks: the shared harness runs everything else.               *)
 
-type cluster = {
-  c_setup : setup;
-  c_world : msg Backend_sim.t;
-  c_backend : msg Backend.t;
-  c_replicas : replica array;
-  c_telemetry : Telemetry.t;
-  c_ledger : Ledger.t;
-  c_clients : Client.t option array;
-  mutable c_fault : Fault_schedule.t;
-  mutable c_started : bool;
-}
+let hooks =
+  {
+    Harness.start = (fun r -> propose r 0);
+    crash =
+      (fun r ->
+        if not r.crashed then begin
+          r.crashed <- true;
+          Obs.incr_c r.c_crashes;
+          Obs.event r.obs ~time:(Backend.now r.backend) (Trace.Replica_crashed { replica = r.id })
+        end);
+    (* Warm in-memory resume: the public Mysticeti prototype forgoes the
+       WAL, so recovery keeps the pre-crash DAG and relies on critical-path
+       fetches to pull the missed rounds (an asymmetry vs Shoal++'s WAL
+       replay). *)
+    recover =
+      (fun r ~wipe:_ ->
+        if r.crashed then begin
+          r.crashed <- false;
+          Obs.incr_c r.c_recoveries;
+          Obs.event r.obs ~time:(Backend.now r.backend)
+            (Trace.Replica_recovered { replica = r.id; replayed = 0 });
+          propose r (max (r.proposed_round + 1) (Store.highest_round r.store + 1))
+        end);
+    replays_log = false;
+    base_seq = (fun _ -> 0);
+    commit_counts = (fun r -> Harness.driver_counts [ Driver.stats r.driver ]);
+  }
 
-let make_replica setup ~backend ~telemetry ~ledger ~group id =
+let make_replica (run : setup Cluster.gen_setup) ~backend ~telemetry id ~mempool ~on_commit
+    ~on_caught_up:_ =
+  let setup = run.Cluster.protocol in
   let committee = setup.committee in
   let store =
     Store.create ~n:committee.Committee.n ~genesis_digest:committee.Committee.genesis
   in
-  let obs = Obs.make ?trace:setup.trace ~telemetry ~replica:id ~instance:0 () in
-  let log = ref [] in
+  let obs = Obs.make ?trace:run.Cluster.trace ~telemetry ~replica:id ~instance:0 () in
   let next_seq = ref 0 in
   let replica_ref = ref None in
   let driver_cfg =
@@ -375,35 +369,10 @@ let make_replica setup ~backend ~telemetry ~ledger ~group id =
             match !replica_ref with Some r -> start_fetch r wanted | None -> ());
         on_segment =
           (fun segment ->
-            let anchor = segment.Driver.anchor in
             let seq = !next_seq in
             incr next_seq;
-            log :=
-              { Harness.sdag = 0; sround = anchor.Types.ref_round; sauthor = anchor.Types.ref_author }
-              :: !log;
-            let now = Backend.now backend in
-            List.iter
-              (fun (cn : Types.certified_node) ->
-                let node = cn.Types.cn_node in
-                let batch = node.Types.batch in
-                List.iter
-                  (fun (tx : Transaction.t) ->
-                    if tx.Transaction.origin = id then
-                      Ledger.record ledger
-                        {
-                          Ledger.le_tx = tx.Transaction.id;
-                          le_origin = id;
-                          le_dag = 0;
-                          le_rule = Ledger.rule_of_kind segment.Driver.kind;
-                          le_seq = seq;
-                          le_submitted = tx.Transaction.submitted_at;
-                          le_batched = batch.Batch.created_at;
-                          le_included = node.Types.created_at;
-                          le_committed = segment.Driver.committed_at;
-                          le_ordered = now;
-                        })
-                  batch.Batch.txns)
-              segment.Driver.nodes);
+            on_commit
+              (Harness.commit_of_segment segment ~seq ~ordered_at:(Backend.now backend)));
         request_gc = (fun ~round -> ignore (Store.prune_below store ~round));
         (* Cordial-Miners certificate pattern: a direct decision needs the
            round r+2 "certificate" blocks to be visible, making the commit
@@ -420,11 +389,11 @@ let make_replica setup ~backend ~telemetry ~ledger ~group id =
       id;
       setup;
       backend;
-      mempool = Mempool.create ~group ();
+      mempool;
       store;
       driver;
       kp = Committee.keypair committee id;
-      rng = Rng.create (setup.seed + (id * 131));
+      rng = Rng.create (run.Cluster.seed + (id * 131));
       received = Shoalpp_storage.Kvstore.create ();
       waiting = Hashtbl.create 64;
       missing_count = Hashtbl.create 64;
@@ -433,12 +402,13 @@ let make_replica setup ~backend ~telemetry ~ledger ~group id =
       proposed_round = -1;
       round_started_at = 0.0;
       round_timer = None;
-      log;
       fetches = 0;
       stalled = 0;
       crashed = false;
-      byzantine = Faults.byzantine_for setup.scenario ~n:committee.Committee.n ~replica:id;
+      byzantine = Faults.byzantine_for run.Cluster.scenario ~n:committee.Committee.n ~replica:id;
       obs;
+      c_crashes = Obs.counter obs "fault.crashes";
+      c_recoveries = Obs.counter obs "fault.recoveries";
       c_proposals = Obs.counter obs "dag.proposals";
       c_fetches = Obs.counter obs "dag.fetches";
       c_timeouts = Obs.counter obs "dag.timeouts";
@@ -448,138 +418,17 @@ let make_replica setup ~backend ~telemetry ~ledger ~group id =
     }
   in
   replica_ref := Some r;
+  Backend.set_handler backend id (fun ~src:_ msg -> handle_message r msg);
   r
 
-let create setup =
-  let committee = setup.committee in
-  let n = committee.Committee.n in
-  (* Bind the declarative scenario to this cluster size (see Jolteon). *)
-  let fault = Faults.schedule setup.scenario ~n ~base:setup.fault in
-  let assignment = Topology.assign_round_robin setup.topology ~n in
-  let world =
-    Backend_sim.make ~topology:setup.topology ~assignment ~fault ~config:setup.net_config
-      ~seed:setup.seed ()
-  in
-  let backend = Backend_sim.backend world in
-  let telemetry = Telemetry.create () in
-  let ledger = Ledger.create ~telemetry ~warmup_ms:setup.warmup_ms () in
-  let replicas =
-    let group = Mempool.group ~clock:backend.Backend.clock () in
-    Array.init n (fun id -> make_replica setup ~backend ~telemetry ~ledger ~group id)
-  in
-  Array.iter
-    (fun r -> Backend.set_handler backend r.id (fun ~src:_ msg -> handle_message r msg))
-    replicas;
-  {
-    c_setup = setup;
-    c_world = world;
-    c_backend = backend;
-    c_replicas = replicas;
-    c_telemetry = telemetry;
-    c_ledger = ledger;
-    c_clients = Array.make n None;
-    c_fault = fault;
-    c_started = false;
-  }
+type cluster = (msg, replica) Cluster.gen
 
-let per_replica_tps c = c.c_setup.load_tps /. float_of_int (Array.length c.c_replicas)
+let create run =
+  Cluster.make run ~name:"mysticeti" ~n:run.Cluster.protocol.committee.Committee.n ~num_dags:1
+    ~hooks ~make_replica:(make_replica run)
 
-let start_client c i =
-  if per_replica_tps c > 0.0 then
-    c.c_clients.(i) <-
-      Some
-        (Client.start ~mempool:c.c_replicas.(i).mempool ~origin:i
-           ~rate_tps:(per_replica_tps c) ~tx_size:c.c_setup.tx_size ~seed:(c.c_setup.seed + i) ())
-
-(* Replica-side crash for a downtime already baked into [c_fault] by
-   [Faults.schedule] (the network side needs no update). *)
-let apply_crash c i =
-  let r = c.c_replicas.(i) in
-  if not r.crashed then begin
-    r.crashed <- true;
-    Telemetry.incr_named c.c_telemetry "fault.crashes";
-    Obs.event r.obs ~time:(Backend.now c.c_backend) (Trace.Replica_crashed { replica = i });
-    match c.c_clients.(i) with Some cl -> Client.stop cl | None -> ()
-  end
-
-(* Warm in-memory resume: the public Mysticeti prototype forgoes the WAL,
-   so recovery keeps the pre-crash DAG and relies on critical-path fetches
-   to pull the missed rounds (an asymmetry vs Shoal++'s WAL replay). *)
-let recover_now c i =
-  let r = c.c_replicas.(i) in
-  if r.crashed then begin
-    let now = Backend.now c.c_backend in
-    c.c_fault <- Fault_schedule.recover c.c_fault ~replica:i ~at:now;
-    Backend_sim.set_fault c.c_world c.c_fault;
-    r.crashed <- false;
-    Telemetry.incr_named c.c_telemetry "fault.recoveries";
-    Obs.event r.obs ~time:now (Trace.Replica_recovered { replica = i; replayed = 0 });
-    start_client c i;
-    propose r (max (r.proposed_round + 1) (Store.highest_round r.store + 1))
-  end
-
-let schedule_scenario c =
-  Faults.schedule_events c.c_setup.scenario ~n:(Array.length c.c_replicas)
-    ~schedule_at:(fun at f -> ignore (Backend.schedule_at c.c_backend ~at f))
-    ~crash:(apply_crash c) ~recover:(recover_now c)
-    ~partition:(fun ~opened ~time:_ ~minority:_ ->
-      Telemetry.incr_named c.c_telemetry
-        (if opened then "fault.partitions_opened" else "fault.partitions_healed"))
-
-let start c =
-  if not c.c_started then begin
-    c.c_started <- true;
-    Array.iteri
-      (fun i r ->
-        if not (Fault_schedule.is_crashed c.c_fault ~replica:i ~time:0.0) then start_client c i;
-        propose r 0)
-      c.c_replicas;
-    schedule_scenario c
-  end
-
-let run c ~duration_ms =
-  start c;
-  Backend_sim.run ~until:duration_ms c.c_world
-
-let crash_now c i =
-  let now = Backend.now c.c_backend in
-  c.c_fault <- Fault_schedule.crash c.c_fault ~replica:i ~at:now;
-  Backend_sim.set_fault c.c_world c.c_fault;
-  c.c_replicas.(i).crashed <- true;
-  match c.c_clients.(i) with Some cl -> Client.stop cl | None -> ()
-
-let set_fault c fault =
-  c.c_fault <- fault;
-  Backend_sim.set_fault c.c_world fault
-
-let events_fired c = Backend_sim.events_fired c.c_world
-let telemetry c = c.c_telemetry
-let ledger c = c.c_ledger
-
-let report c ~duration_ms =
-  let net_stats = Backend.stats c.c_backend in
-  let submitted =
-    Array.fold_left (fun acc r -> acc + Mempool.submitted r.mempool) 0 c.c_replicas
-  in
-  let sum f =
-    Array.fold_left (fun acc r -> acc + f (Driver.stats r.driver)) 0 c.c_replicas
-  in
-  Report.make ~name:"mysticeti" ~n:(Array.length c.c_replicas) ~load_tps:c.c_setup.load_tps
-    ~duration_ms ~submitted ~ledger:c.c_ledger
-    ~direct_commits:(sum (fun s -> s.Driver.direct_commits))
-    ~indirect_commits:(sum (fun s -> s.Driver.indirect_commits))
-    ~skipped_anchors:(sum (fun s -> s.Driver.skipped_anchors))
-    ~messages_sent:net_stats.Backend.Transport.sent
-    ~messages_dropped:(net_stats.Backend.Transport.dropped + net_stats.Backend.Transport.partitioned)
-    ~bytes_sent:net_stats.Backend.Transport.bytes
-    ~telemetry:(Telemetry.snapshot c.c_telemetry)
-    ~trace_dropped:(match c.c_setup.trace with Some tr -> Trace.dropped tr | None -> 0)
-    ()
-
-let logs_consistent c =
-  Harness.prefixes_agree ~equal:Harness.equal_seg
-    (Array.map (fun r -> Array.of_list (List.rev !(r.log))) c.c_replicas)
-
-let fetches_sent c = Array.fold_left (fun acc r -> acc + r.fetches) 0 c.c_replicas
-let blocks_stalled c = Array.fold_left (fun acc r -> acc + r.stalled) 0 c.c_replicas
-let rounds_reached c = Array.fold_left (fun acc r -> max acc r.proposed_round) 0 c.c_replicas
+let sum_replicas f c = Array.fold_left (fun acc r -> acc + f r) 0 (Cluster.replicas c)
+let fetches_sent = sum_replicas (fun r -> r.fetches)
+let blocks_stalled = sum_replicas (fun r -> r.stalled)
+let rounds_reached c =
+  Array.fold_left (fun acc r -> max acc r.proposed_round) 0 (Cluster.replicas c)

@@ -22,6 +22,15 @@
     empty certificate, letting the baseline reuse the DAG store and
     consensus driver; validation of the dummy certificates is skipped.
 
+    The run itself — world, clients, faults, commit sink, audit, report —
+    is the shared {!Shoalpp_runtime.Cluster}; this module contributes the
+    replicas and their {!Shoalpp_runtime.Harness.hooks}. Each committed
+    segment reaches the harness's sink tagged with the driver's commit rule
+    (single DAG, so lane 0). Recovery is a warm in-memory resume (no WAL),
+    so a recovered replica's log simply continues. Telemetry adds the
+    driver's [commit.*] rule counters, [dag.proposals], [dag.fetches]
+    (critical-path fetches) and [dag.timeouts].
+
     Invariants:
     - a correct replica signs at most one block per round; injected
       equivocators send twin blocks to at most f distinct recipients;
@@ -29,55 +38,26 @@
       partial order — no clocks or randomness feed the ordering rule. *)
 
 type msg
-
-val message_size : msg -> int
-
-type cluster
+type replica
 
 type setup = {
   committee : Shoalpp_dag.Committee.t;
-  topology : Shoalpp_sim.Topology.t;
-  net_config : Shoalpp_backend.Backend_sim.net_config;
-  fault : Shoalpp_sim.Fault_schedule.t;
-  scenario : Shoalpp_sim.Faults.t;
-      (** declarative fault scenario, materialized against the committee
-          size on {!create}; Byzantine roles map onto uncertified-DAG
-          behaviours (twin blocks, withheld block, delayed block broadcast)
-          and recovery is a warm in-memory resume (no WAL here) *)
-  load_tps : float;
-  tx_size : int;
-  warmup_ms : float;
   round_timeout_ms : float;  (** paper: Mysticeti defaults to 1 s *)
   batch_cap : int;
   fetch_retry_ms : float;  (** critical-path fetch retry period *)
   verify_signatures : bool;
-  seed : int;
-  trace : Shoalpp_sim.Trace.t option;  (** shared typed-event trace *)
 }
+(** Mysticeti's own parameters; the run's shared fields (topology, load,
+    faults, seed, trace, ...) live in {!Shoalpp_runtime.Cluster.gen_setup}. *)
 
 val default_setup : committee:Shoalpp_dag.Committee.t -> setup
 
-val create : setup -> cluster
-val run : cluster -> duration_ms:float -> unit
-val crash_now : cluster -> int -> unit
-val events_fired : cluster -> int
-(** Simulation events fired so far (reporting). *)
+type cluster = (msg, replica) Shoalpp_runtime.Cluster.gen
 
-val telemetry : cluster -> Shoalpp_support.Telemetry.t
-(** Shared registry: driver [commit.*] rule counters, [dag.proposals],
-    [dag.fetches] (critical-path fetches), [dag.timeouts], and the ledger's
-    latency instruments, named as for the DAG family. *)
+val create : setup Shoalpp_runtime.Cluster.gen_setup -> cluster
+(** Byzantine roles of the run's scenario map onto uncertified-DAG
+    behaviours (twin blocks, withheld block, delayed block broadcast). *)
 
-val ledger : cluster -> Shoalpp_runtime.Ledger.t
-(** The cluster's one latency sink, warmup cut at [setup.warmup_ms]: every
-    origin transaction is recorded once, at its segment commit, tagged with
-    the driver's commit rule (single DAG, so all entries carry lane 0).
-    The report reads its latency and throughput from here. *)
-
-val report : cluster -> duration_ms:float -> Shoalpp_runtime.Report.t
-val set_fault : cluster -> Shoalpp_sim.Fault_schedule.t -> unit
-
-val logs_consistent : cluster -> bool
 val fetches_sent : cluster -> int
 val blocks_stalled : cluster -> int
 (** Blocks that arrived but had to wait for missing ancestors. *)

@@ -9,8 +9,8 @@ module Replica = Shoalpp_core.Replica
 module Transaction = Shoalpp_workload.Transaction
 module Telemetry = Shoalpp_support.Telemetry
 
-type setup = {
-  protocol : Config.t;
+type 'p gen_setup = {
+  protocol : 'p;
   topology : Topology.t;
   net_config : Backend_sim.net_config;
   fault : Fault_schedule.t;
@@ -20,8 +20,10 @@ type setup = {
   warmup_ms : float;
   seed : int;
   track_logs : bool;
-  trace : Shoalpp_sim.Trace.t option;
+  trace : Trace.t option;
 }
+
+type setup = Config.t gen_setup
 
 let default_setup ~protocol =
   {
@@ -38,17 +40,19 @@ let default_setup ~protocol =
     trace = None;
   }
 
-type t = {
-  setup : setup;
-  world : Replica.envelope Backend_sim.t;
-  h : Harness.t;
+type ('msg, 'r) gen = {
+  name : string;
+  scenario : Faults.t;
+  trace : Trace.t option;
+  world : 'msg Backend_sim.t;
+  h : ('msg, 'r) Harness.t;
   mutable started : bool;
   mutable fault : Fault_schedule.t;
 }
 
-let create setup =
-  let committee = setup.protocol.Config.committee in
-  let n = committee.Shoalpp_dag.Committee.n in
+type t = (Replica.envelope, Replica.t) gen
+
+let make (setup : _ gen_setup) ~name ~n ~num_dags ~hooks ~make_replica =
   (* Bind the abstract scenario to this cluster size; from here on a single
      Fault_schedule.t drives both the network and the scheduled replica events. *)
   let fault = Faults.schedule setup.scenario ~n ~base:setup.fault in
@@ -60,18 +64,25 @@ let create setup =
   let backend = Backend_sim.backend world in
   let telemetry = Telemetry.create () in
   let h =
-    Harness.create ~backend ~n ~num_dags:setup.protocol.Config.num_dags
-      ~load_tps:setup.load_tps ~tx_size:setup.tx_size ~seed:setup.seed
-      ~warmup_ms:setup.warmup_ms ~track_logs:setup.track_logs ~telemetry
-      ~make_replica:(fun replica_id ~mempool ~on_ordered ~on_caught_up ->
-        Replica.create ~config:setup.protocol ~replica_id ~backend ~mempool ~on_ordered
-          ~on_caught_up ?trace:setup.trace ~telemetry
-          ~byzantine:(Faults.byzantine_for setup.scenario ~n ~replica:replica_id)
-          ~retain_wal:(Faults.has_recovery setup.scenario)
-          ())
+    Harness.create ~backend ~n ~num_dags ~load_tps:setup.load_tps ~tx_size:setup.tx_size
+      ~seed:setup.seed ~warmup_ms:setup.warmup_ms ~track_logs:setup.track_logs ~telemetry ~hooks
+      ~make_replica:(make_replica ~backend ~telemetry)
       ()
   in
-  { setup; world; h; started = false; fault }
+  { name; scenario = setup.scenario; trace = setup.trace; world; h; started = false; fault }
+
+let create (setup : setup) =
+  let config = setup.protocol in
+  let n = config.Config.committee.Shoalpp_dag.Committee.n in
+  make setup ~name:config.Config.name ~n ~num_dags:config.Config.num_dags
+    ~hooks:Harness.replica_hooks
+    ~make_replica:(fun ~backend ~telemetry replica_id ~mempool ~on_commit ~on_caught_up ->
+      Replica.create ~config ~replica_id ~backend ~mempool
+        ~on_ordered:(fun o -> on_commit (Harness.commit_of_ordered o))
+        ~on_caught_up ?trace:setup.trace ~telemetry
+        ~byzantine:(Faults.byzantine_for setup.scenario ~n ~replica:replica_id)
+        ~retain_wal:(Faults.has_recovery setup.scenario)
+        ())
 
 let engine t = t.world.Backend_sim.engine
 let net t = t.world.Backend_sim.net
@@ -94,27 +105,28 @@ let partition_event t ~opened ~time ~minority =
   let groups = Printf.sprintf "minority=%d" minority in
   Telemetry.incr_named (telemetry t)
     (if opened then "fault.partitions_opened" else "fault.partitions_healed");
-  match t.setup.trace with
+  match t.trace with
   | Some trace ->
     Trace.record_event trace ~time ~replica:(-1)
       (if opened then Trace.Partition_opened { groups } else Trace.Partition_healed { groups })
   | None -> ()
 
 let schedule_scenario t =
-  Faults.schedule_events t.setup.scenario ~n:(Array.length (replicas t))
+  Faults.schedule_events t.scenario ~n:(Array.length (replicas t))
     ~schedule_at:(fun at f -> ignore (Backend.schedule_at (backend t) ~at f))
     ~crash:(Harness.crash t.h) ~recover:(recover_now t) ~partition:(partition_event t)
 
 let start t =
   if not t.started then begin
     t.started <- true;
+    let hooks = Harness.hooks t.h in
     Array.iteri
       (fun i replica ->
         (* Clients at replicas crashed from t=0 are not started (the paper
            measures surviving clients). *)
         if not (Fault_schedule.is_crashed t.fault ~replica:i ~time:0.0) then
           Harness.start_client t.h i;
-        Replica.start replica)
+        hooks.Harness.start replica)
       (replicas t);
     schedule_scenario t
   end
@@ -139,8 +151,8 @@ type audit = Harness.audit = {
 let audit t = Harness.audit t.h
 
 let report t ~duration_ms =
-  Harness.report t.h ~name:t.setup.protocol.Config.name ~duration_ms
+  Harness.report t.h ~name:t.name ~duration_ms
     ~telemetry:(Telemetry.snapshot (telemetry t))
-    ~trace_dropped:(match t.setup.trace with Some tr -> Trace.dropped tr | None -> 0)
+    ~trace_dropped:(match t.trace with Some tr -> Trace.dropped tr | None -> 0)
 
 let pp_report = Report.pp

@@ -1,19 +1,96 @@
 module Backend = Shoalpp_backend.Backend
 module Replica = Shoalpp_core.Replica
 module Driver = Shoalpp_consensus.Driver
+module Anchors = Shoalpp_consensus.Anchors
 module Mempool = Shoalpp_workload.Mempool
 module Client = Shoalpp_workload.Client
 module Transaction = Shoalpp_workload.Transaction
 module Batch = Shoalpp_workload.Batch
 module Types = Shoalpp_dag.Types
+module Digest32 = Shoalpp_crypto.Digest32
 module Telemetry = Shoalpp_support.Telemetry
 
-(* Anchor identity of one ordered segment — what the audit compares across
+(* Anchor identity of one ordered unit — what the audit compares across
    replicas (node sets differ only transiently). *)
-type seg_id = { sdag : int; sround : int; sauthor : int }
+type seg_id = { sdag : int; sround : int; sauthor : int; sdigest : Digest32.t }
 
 let equal_seg a b =
   Int.equal a.sdag b.sdag && Int.equal a.sround b.sround && Int.equal a.sauthor b.sauthor
+  && Digest32.equal a.sdigest b.sdigest
+
+type batch = { batched_at : float; included_at : float; txns : Transaction.t list }
+
+type commit = {
+  anchor : seg_id;
+  rule : Anchors.rule;
+  seq : int;
+  committed_at : float;
+  ordered_at : float;
+  batches : batch list;
+}
+
+let commit_of_segment (seg : Driver.segment) ~seq ~ordered_at =
+  let a = seg.Driver.anchor in
+  {
+    anchor =
+      {
+        sdag = seg.Driver.dag_id;
+        sround = a.Types.ref_round;
+        sauthor = a.Types.ref_author;
+        sdigest = a.Types.ref_digest;
+      };
+    rule = Ledger.rule_of_kind seg.Driver.kind;
+    seq;
+    committed_at = seg.Driver.committed_at;
+    ordered_at;
+    batches =
+      List.map
+        (fun (cn : Types.certified_node) ->
+          let node = cn.Types.cn_node in
+          let b = node.Types.batch in
+          {
+            batched_at = b.Batch.created_at;
+            included_at = node.Types.created_at;
+            txns = b.Batch.txns;
+          })
+        seg.Driver.nodes;
+  }
+
+let commit_of_ordered (o : Replica.ordered) =
+  commit_of_segment o.Replica.segment ~seq:o.Replica.global_seq ~ordered_at:o.Replica.ordered_at
+
+type commit_counts = { fast : int; direct : int; indirect : int; skipped : int }
+
+let driver_counts stats =
+  List.fold_left
+    (fun c (s : Driver.stats) ->
+      {
+        fast = c.fast + s.Driver.fast_commits;
+        direct = c.direct + s.Driver.direct_commits;
+        indirect = c.indirect + s.Driver.indirect_commits;
+        skipped = c.skipped + s.Driver.skipped_anchors;
+      })
+    { fast = 0; direct = 0; indirect = 0; skipped = 0 }
+    stats
+
+type 'r hooks = {
+  start : 'r -> unit;
+  crash : 'r -> unit;
+  recover : 'r -> wipe:bool -> unit;
+  replays_log : bool;
+  base_seq : 'r -> int;
+  commit_counts : 'r -> commit_counts;
+}
+
+let replica_hooks =
+  {
+    start = Replica.start;
+    crash = Replica.crash;
+    recover = (fun r ~wipe -> Replica.recover ~wipe r);
+    replays_log = true;
+    base_seq = Replica.base_seq;
+    commit_counts = (fun r -> driver_counts (Replica.driver_stats r));
+  }
 
 type audit = {
   consistent_prefixes : bool;
@@ -29,14 +106,13 @@ let ok a = a.consistent_prefixes && a.duplicate_orders = 0 && a.recovery_prefix_
 (* A checkpoint-recovered replica's log starts at its base sequence, not 0,
    so every comparison runs in global-sequence coordinates: pairwise
    agreement is checked over each pair's overlapping seq range. *)
-let prefixes_agree ~equal ?bases logs =
-  let bases = match bases with Some b -> b | None -> Array.map (fun _ -> 0) logs in
+let prefixes_agree ~bases logs =
   let top i = bases.(i) + Array.length logs.(i) in
   let consistent = ref true in
   for a = 0 to Array.length logs - 1 do
     for b = a + 1 to Array.length logs - 1 do
       for seq = max bases.(a) bases.(b) to min (top a) (top b) - 1 do
-        if not (equal logs.(a).(seq - bases.(a)) logs.(b).(seq - bases.(b))) then
+        if not (equal_seg logs.(a).(seq - bases.(a)) logs.(b).(seq - bases.(b))) then
           consistent := false
       done
     done
@@ -72,7 +148,7 @@ let audit_logs ~num_dags ~logs ~bases ~pre_recovery ~duplicate_orders =
       logs.(0);
   let tops = Array.init n top in
   {
-    consistent_prefixes = prefixes_agree ~equal:equal_seg ~bases logs;
+    consistent_prefixes = prefixes_agree ~bases logs;
     prefix_length = (if n = 0 then 0 else Array.fold_left min max_int tops);
     total_segments = Array.fold_left max 0 tops;
     duplicate_orders;
@@ -112,18 +188,19 @@ module Seen = struct
   let reset t = t.bits <- Bytes.make initial_bytes '\000'
 end
 
-type t = {
-  backend : Replica.envelope Backend.t;
+type ('msg, 'r) t = {
+  backend : 'msg Backend.t;
+  hooks : 'r hooks;
   num_dags : int;
   load_tps : float;
   tx_size : int;
   seed : int;
   track_logs : bool;
-  mutable replicas : Replica.t array;
+  mutable replicas : 'r array;
   mempools : Mempool.t array;
   clients : Client.t option array;
   telemetry : Telemetry.t;
-  ledger : Ledger.t; (* the one latency sink, fed from on_ordered *)
+  ledger : Ledger.t; (* the one latency sink, fed from on_commit *)
   logs : seg_id list ref array; (* newest first; only when track_logs *)
   ordered_seen : Seen.t array; (* per-replica txn dedup *)
   recovering : bool array; (* replay/catch-up in progress: ledger/dedup muted *)
@@ -133,18 +210,10 @@ type t = {
   mutable duplicate_orders : int;
 }
 
-let on_ordered t replica_id (o : Replica.ordered) =
-  let seg = o.Replica.segment in
-  if t.track_logs then begin
-    let anchor = seg.Driver.anchor in
-    t.logs.(replica_id) :=
-      { sdag = seg.Driver.dag_id; sround = anchor.Types.ref_round; sauthor = anchor.Types.ref_author }
-      :: !(t.logs.(replica_id))
-  end;
+let on_commit t replica_id (c : commit) =
+  if t.track_logs then t.logs.(replica_id) := c.anchor :: !(t.logs.(replica_id));
   List.iter
-    (fun (cn : Types.certified_node) ->
-      let node = cn.Types.cn_node in
-      let batch = node.Types.batch in
+    (fun b ->
       List.iter
         (fun (tx : Transaction.t) ->
           (* Replay/catch-up re-orders history by design; only a repeat
@@ -159,20 +228,20 @@ let on_ordered t replica_id (o : Replica.ordered) =
               {
                 Ledger.le_tx = tx.Transaction.id;
                 le_origin = replica_id;
-                le_dag = seg.Driver.dag_id;
-                le_rule = Ledger.rule_of_kind seg.Driver.kind;
-                le_seq = o.Replica.global_seq;
+                le_dag = c.anchor.sdag;
+                le_rule = c.rule;
+                le_seq = c.seq;
                 le_submitted = tx.Transaction.submitted_at;
-                le_batched = batch.Batch.created_at;
-                le_included = node.Types.created_at;
-                le_committed = seg.Driver.committed_at;
-                le_ordered = o.Replica.ordered_at;
+                le_batched = b.batched_at;
+                le_included = b.included_at;
+                le_committed = c.committed_at;
+                le_ordered = c.ordered_at;
               })
-        batch.Batch.txns)
-    seg.Driver.nodes
+        b.txns)
+    c.batches
 
 let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs ~telemetry
-    ?client_group ~make_replica () =
+    ?client_group ~hooks ~make_replica () =
   let group =
     match client_group with
     | Some f -> f
@@ -183,6 +252,7 @@ let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs
   let t =
     {
       backend;
+      hooks;
       num_dags;
       load_tps;
       tx_size;
@@ -205,7 +275,7 @@ let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs
      the closures updating a dead record. *)
   t.replicas <-
     Array.init n (fun i ->
-        make_replica i ~mempool:t.mempools.(i) ~on_ordered:(on_ordered t i)
+        make_replica i ~mempool:t.mempools.(i) ~on_commit:(on_commit t i)
           (* Recovery completion is asynchronous once peer catch-up sync is
              involved: the ledger and dedup stay muted until every lane is
              live. *)
@@ -214,6 +284,7 @@ let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs
 
 let backend t = t.backend
 let replicas t = t.replicas
+let hooks t = t.hooks
 let telemetry t = t.telemetry
 let ledger t = t.ledger
 let recovering t i = t.recovering.(i)
@@ -233,20 +304,23 @@ let stop_client t i =
 let stop_clients t = Array.iteri (fun i _ -> stop_client t i) t.clients
 
 let crash t i =
-  Replica.crash t.replicas.(i);
+  t.hooks.crash t.replicas.(i);
   stop_client t i
 
-let recover ?wipe t i =
+let recover ?(wipe = false) t i =
   (* The rebuilt log must re-derive everything ordered before the crash
      (above the restored checkpoint): snapshot it for the audit, then let
      replay + catch-up repopulate. [recovering] clears in the replica's
      on_caught_up callback — synchronously for a local-only recovery,
-     after peer sync completes otherwise. *)
-  t.pre_recovery.(i) <- Some (Replica.base_seq t.replicas.(i), !(t.logs.(i)));
-  t.logs.(i) := [];
-  Seen.reset t.ordered_seen.(i);
-  t.recovering.(i) <- true;
-  Replica.recover ?wipe t.replicas.(i);
+     after peer sync completes otherwise. A warm resume keeps its log, so
+     the snapshot is a prefix by construction. *)
+  t.pre_recovery.(i) <- Some (t.hooks.base_seq t.replicas.(i), !(t.logs.(i)));
+  if t.hooks.replays_log then begin
+    t.logs.(i) := [];
+    Seen.reset t.ordered_seen.(i);
+    t.recovering.(i) <- true
+  end;
+  t.hooks.recover t.replicas.(i) ~wipe;
   start_client t i
 
 let ordered_ids t ~replica =
@@ -256,24 +330,21 @@ let audit t =
   let oldest_first l = Array.of_list (List.rev l) in
   audit_logs ~num_dags:t.num_dags
     ~logs:(Array.map (fun l -> oldest_first !l) t.logs)
-    ~bases:(Array.map Replica.base_seq t.replicas)
+    ~bases:(Array.map t.hooks.base_seq t.replicas)
     ~pre_recovery:(Array.map (Option.map (fun (base, l) -> (base, oldest_first l))) t.pre_recovery)
     ~duplicate_orders:t.duplicate_orders
 
 let report t ~name ~duration_ms ~telemetry ~trace_dropped =
   let net_stats = Backend.stats t.backend in
-  let sum f =
-    Array.fold_left
-      (fun acc r -> List.fold_left (fun acc s -> acc + f s) acc (Replica.driver_stats r))
-      0 t.replicas
-  in
+  let counts = Array.map t.hooks.commit_counts t.replicas in
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 counts in
   let submitted = Array.fold_left (fun acc m -> acc + Mempool.submitted m) 0 t.mempools in
   Report.make ~name ~n:(Array.length t.replicas) ~load_tps:t.load_tps ~duration_ms ~submitted
     ~ledger:t.ledger
-    ~fast_commits:(sum (fun s -> s.Driver.fast_commits))
-    ~direct_commits:(sum (fun s -> s.Driver.direct_commits))
-    ~indirect_commits:(sum (fun s -> s.Driver.indirect_commits))
-    ~skipped_anchors:(sum (fun s -> s.Driver.skipped_anchors))
+    ~fast_commits:(sum (fun c -> c.fast))
+    ~direct_commits:(sum (fun c -> c.direct))
+    ~indirect_commits:(sum (fun c -> c.indirect))
+    ~skipped_anchors:(sum (fun c -> c.skipped))
     ~messages_sent:net_stats.Backend.Transport.sent
     ~messages_dropped:(net_stats.Backend.Transport.dropped + net_stats.Backend.Transport.partitioned)
     ~bytes_sent:net_stats.Backend.Transport.bytes ~telemetry ~trace_dropped ()

@@ -4,12 +4,11 @@
 
     Latency is measured exactly as in the paper (§8): the time between a
     transaction's arrival at its local replica and the moment that replica
-    appends a segment (or block) containing it to its global log. Each
-    system's commit path calls {!record} once per transaction, at its
-    origin replica, with five pipeline timestamps (submit, batch, DAG
-    inclusion, anchor commit, global order); the Shoal++ harnesses
-    ({!Harness}, shared by {!Cluster} and {!Node}) do so from their
-    [on_ordered] sink, the baselines from their block/segment commit paths.
+    appends a segment (or block) containing it to its global log. Every
+    system hands its ordered units to the commit sink of {!Harness} (shared
+    by {!Cluster} and {!Node}), the one caller of {!record}: once per
+    transaction, at its origin replica, with five pipeline timestamps
+    (submit, batch, DAG inclusion, anchor commit, global order).
     Everything else is derived here:
     - a bounded ring of raw entries backing the admin endpoint's [/ledger]
       JSON tail;
@@ -28,8 +27,8 @@
       registry: no trace events, no scheduled timers, no I/O — a ledger on
       the simulated cluster leaves golden trace digests, event counts and
       exported trace bytes byte-identical;
-    - each origin transaction is recorded at most once (call sites record
-      only [origin = replica_id] commits outside WAL replay and catch-up),
+    - each origin transaction is recorded at most once (the call site
+      records only [origin = replica_id] commits outside WAL replay and catch-up),
       so [recorded] counts unique origin commits; each aggregate
       histogram, the keyed histograms of one stage summed over lanes and
       rules, and the [dag<k>.latency] histograms and [dag<k>.txns]

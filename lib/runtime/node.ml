@@ -67,7 +67,7 @@ type t = {
   exec : Realtime.t;
   tcp : Tcp.t option;
   mc : multicore option;
-  h : Harness.t;
+  h : (Replica.envelope, Replica.t) Harness.t;
   mutable started : bool;
 }
 
@@ -213,7 +213,7 @@ let create setup =
           ~next_id:i ~stride:n ())
       mc
   in
-  let make_replica replica_id ~mempool ~on_ordered ~on_caught_up =
+  let make_replica replica_id ~mempool ~on_commit ~on_caught_up =
     let config, lane_env =
       match mc with
       | None -> (setup.protocol, None)
@@ -246,13 +246,15 @@ let create setup =
               le_post_main = (fun f -> Realtime.post exec f);
             } )
     in
-    Replica.create ~config ~replica_id ~backend ~mempool ~on_ordered ~on_caught_up
-      ?trace:setup.trace ~telemetry ~retain_wal:setup.retain_wal ?lane_env ()
+    Replica.create ~config ~replica_id ~backend ~mempool
+      ~on_ordered:(fun o -> on_commit (Harness.commit_of_ordered o))
+      ~on_caught_up ?trace:setup.trace ~telemetry ~retain_wal:setup.retain_wal ?lane_env ()
   in
   let h =
     Harness.create ~backend ~n ~num_dags:setup.protocol.Config.num_dags
       ~load_tps:setup.load_tps ~tx_size:setup.tx_size ~seed:setup.seed
-      ~warmup_ms:setup.warmup_ms ~track_logs:true ~telemetry ?client_group ~make_replica ()
+      ~warmup_ms:setup.warmup_ms ~track_logs:true ~telemetry ?client_group
+      ~hooks:Harness.replica_hooks ~make_replica ()
   in
   (* Multicore inbound routing: the transport delivers on the main domain;
      each message is verified on the pool (one pool lane per

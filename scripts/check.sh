@@ -103,7 +103,9 @@ EOF
 
 # One metric namespace for all three systems: the baselines' latency is
 # recorded by the same ledger as Shoal++'s, so their exports carry the same
-# stage, end-to-end, per-lane and keyed ledger metrics.
+# stage, end-to-end, per-lane and keyed ledger metrics. They also share
+# Shoal++'s cluster and audit, so a crash-recover run (a warm resume for
+# the baselines) must pass the same checks, the recovery prefix included.
 for sys in jolteon mysticeti; do
   dune exec bin/shoalpp_sim.exe -- --system "$sys" \
     -n 4 --topology clique:4,15 --load 200 --duration 3000 --warmup 500 --no-verify \
@@ -112,6 +114,11 @@ for sys in jolteon mysticeti; do
     grep -q "$metric" "$out/$sys.metrics.json" \
       || { echo "check failed: $sys metrics lack $metric" >&2; exit 1; }
   done
+  dune exec bin/shoalpp_sim.exe -- --system "$sys" \
+    -n 4 --topology clique:4,15 --load 200 --duration 10000 --warmup 500 --no-verify \
+    --scenario crash-recover:at=3000,recover=6000 > "$out/$sys.recover.out"
+  grep -q 'audit: consistent logs, no duplicates' "$out/$sys.recover.out" \
+    || { echo "check failed: $sys crash-recover audit" >&2; cat "$out/$sys.recover.out" >&2; exit 1; }
 done
 
 # Real-time node smoke: the same replicas on a wall clock (sans-I/O seam),

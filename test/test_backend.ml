@@ -14,9 +14,7 @@ module Backend = Shoalpp_backend.Backend
 module Backend_sim = Shoalpp_backend.Backend_sim
 module Realtime = Shoalpp_backend.Backend_realtime
 module Engine = Shoalpp_sim.Engine
-module E = Shoalpp_runtime.Experiment
 module Report = Shoalpp_runtime.Report
-module Export = Shoalpp_runtime.Export
 module Node = Shoalpp_runtime.Node
 module Config = Shoalpp_core.Config
 module Committee = Shoalpp_dag.Committee
@@ -32,50 +30,18 @@ let checks = Alcotest.(check string)
    digests pinned before the backend refactor, and stay deterministic on a
    second seed. *)
 
-let run_digest system ~seed =
-  Shoalpp_baselines.Register.register ();
-  let params =
-    {
-      E.default_params with
-      E.n = 4;
-      load_tps = 500.0;
-      duration_ms = 3_000.0;
-      warmup_ms = 500.0;
-      seed;
-      verify_signatures = false;
-      trace = true;
-      trace_capacity = 262_144;
-    }
-  in
-  let o = E.run system params in
-  let r = o.E.report in
-  let summary =
-    Printf.sprintf "committed=%d fast=%d direct=%d indirect=%d skipped=%d audit=%b"
-      r.Report.committed r.Report.fast_commits r.Report.direct_commits r.Report.indirect_commits
-      r.Report.skipped_anchors o.E.audit_ok
-  in
-  Shoalpp_crypto.Sha256.to_hex
-    (Shoalpp_crypto.Sha256.digest_string (Export.jsonl_of_events o.E.events ^ "\n" ^ summary))
-
-(* Same constants as test_perf_fixes: captured on the pre-backend code. *)
-let golden =
-  [
-    ("shoal++", E.Shoalpp, "80b8a19140a933935f53514982a7f09980e71ab01771b99ee0c3455b56cd268d");
-    ("jolteon", E.Jolteon, "2a5c05b857fd76d4c69cb435246f01d94b1cd9068b56808e11bc7991646f01f6");
-    ("mysticeti", E.Mysticeti, "c2dc2dda8eeb7a9e265243ef23ca96245e446352a399bb63c347d4308e450efe");
-  ]
-
 let test_sim_reproduces_golden_traces () =
   List.iter
-    (fun (name, system, expected) -> checks (name ^ " golden") expected (run_digest system ~seed:11))
-    golden
+    (fun (name, system, expected) ->
+      checks (name ^ " golden") expected (Golden.run_digest system ~seed:11))
+    Golden.seed11
 
 let test_sim_deterministic_on_second_seed () =
   List.iter
     (fun (name, system, _) ->
-      checks (name ^ " seed 12 deterministic") (run_digest system ~seed:12)
-        (run_digest system ~seed:12))
-    golden
+      checks (name ^ " seed 12 deterministic") (Golden.run_digest system ~seed:12)
+        (Golden.run_digest system ~seed:12))
+    Golden.seed11
 
 (* ------------------------------------------------------------------ *)
 (* The wall-clock executor's timer wheel. *)

@@ -3,7 +3,7 @@
    protocol presets. Small clusters and short simulated runs keep them
    fast. *)
 
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Cluster = Shoalpp_runtime.Cluster
 module Report = Shoalpp_runtime.Report
 module Ledger = Shoalpp_runtime.Ledger
@@ -305,12 +305,6 @@ let test_experiment_runs_dag_system () =
   checkb "commits" true (o.E.report.Report.committed > 200);
   checkb "series populated" true (List.length o.E.throughput_series > 2)
 
-let test_experiment_unknown_extra_rejected () =
-  checkb "informative error" true
-    (match E.run_extra ~name:"nonesuch" E.default_params with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let suite =
   [
     ( "core.config",
@@ -344,6 +338,5 @@ let suite =
       [
         Alcotest.test_case "dag config mapping" `Quick test_experiment_dag_config_mapping;
         Alcotest.test_case "runs dag system" `Quick test_experiment_runs_dag_system;
-        Alcotest.test_case "unknown extra rejected" `Quick test_experiment_unknown_extra_rejected;
       ] );
   ]

@@ -14,7 +14,7 @@ module Netmodel = Shoalpp_sim.Netmodel
 module Fault_schedule = Shoalpp_sim.Fault_schedule
 module Wal = Shoalpp_storage.Wal
 module Wire = Shoalpp_codec.Wire
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)

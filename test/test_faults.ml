@@ -12,7 +12,7 @@ module Faults = Shoalpp_sim.Faults
 module Engine = Shoalpp_sim.Engine
 module Wal = Shoalpp_storage.Wal
 module Reputation = Shoalpp_consensus.Reputation
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Report = Shoalpp_runtime.Report
 module Telemetry = Shoalpp_support.Telemetry
 
@@ -158,7 +158,6 @@ let params ~scenario ~seed =
   }
 
 let run_scenario system name seed =
-  Shoalpp_baselines.Register.register ();
   let o = E.run system (params ~scenario:(scenario_of name) ~seed) in
   checkb
     (Printf.sprintf "%s/%s seed %d: safety audit" (E.system_name system) name seed)
@@ -204,7 +203,6 @@ let test_system_scenario system name () =
 
 (* Same seed, same scenario: the run must be a deterministic replay. *)
 let test_determinism () =
-  Shoalpp_baselines.Register.register ();
   let run () = E.run E.Shoalpp (params ~scenario:(scenario_of "crash-recover") ~seed:5) in
   let a = run () and b = run () in
   checki "committed identical" a.E.report.Report.committed b.E.report.Report.committed;

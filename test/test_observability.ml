@@ -3,7 +3,7 @@
    that deterministic cluster runs record the commit-rule counters and
    stage histograms the report surfaces. *)
 
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Report = Shoalpp_runtime.Report
 module Ledger = Shoalpp_runtime.Ledger
 module Cluster = Shoalpp_runtime.Cluster
@@ -337,7 +337,6 @@ let test_deterministic_trace () =
     (Export.metrics_json b.E.report.Report.telemetry)
 
 let test_baseline_telemetry () =
-  Shoalpp_baselines.Register.register ();
   let o = E.run E.Jolteon failure_free_params in
   let snap = o.E.report.Report.telemetry in
   checkb "jolteon records 2-chain commits" true
@@ -450,30 +449,26 @@ let test_one_latency_sink () =
   shoalpp "shoal++ clean" 0;
   shoalpp "shoal++ crash_recover" ~scenario:crash_recover 0;
   shoalpp "shoal++ crash_recover, checkpoints" ~scenario:crash_recover 12;
-  let j =
-    Jolteon.create
-      {
-        (Jolteon.default_setup ~committee) with
-        Jolteon.topology;
-        load_tps = 300.0;
-        warmup_ms = 500.0;
-        verify_signatures = false;
-      }
+  let run_setup protocol ~seed =
+    {
+      (Cluster.default_setup ~protocol) with
+      Cluster.topology;
+      load_tps = 300.0;
+      warmup_ms = 500.0;
+      seed;
+    }
   in
-  Jolteon.run j ~duration_ms;
-  check_one_sink "jolteon" (Jolteon.ledger j) (Jolteon.report j ~duration_ms);
+  let j = Jolteon.create (run_setup (Jolteon.default_setup ~committee) ~seed:11) in
+  Cluster.run j ~duration_ms;
+  check_one_sink "jolteon" (Cluster.ledger j) (Cluster.report j ~duration_ms);
   let m =
     Mysticeti.create
-      {
-        (Mysticeti.default_setup ~committee) with
-        Mysticeti.topology;
-        load_tps = 300.0;
-        warmup_ms = 500.0;
-        verify_signatures = false;
-      }
+      (run_setup
+         { (Mysticeti.default_setup ~committee) with Mysticeti.verify_signatures = false }
+         ~seed:13)
   in
-  Mysticeti.run m ~duration_ms;
-  check_one_sink "mysticeti" (Mysticeti.ledger m) (Mysticeti.report m ~duration_ms)
+  Cluster.run m ~duration_ms;
+  check_one_sink "mysticeti" (Cluster.ledger m) (Cluster.report m ~duration_ms)
 
 let suite =
   [

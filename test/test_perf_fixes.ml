@@ -7,9 +7,6 @@
 
 module Engine = Shoalpp_sim.Engine
 module Ledger = Shoalpp_runtime.Ledger
-module Report = Shoalpp_runtime.Report
-module E = Shoalpp_runtime.Experiment
-module Export = Shoalpp_runtime.Export
 module Stats = Shoalpp_support.Stats
 module Types = Shoalpp_dag.Types
 module Store = Shoalpp_dag.Store
@@ -230,46 +227,19 @@ let test_skip_to_elides_schedule_prefix () =
 
 (* ------------------------------------------------------------------ *)
 (* Golden determinism: for a fixed seed, a full cluster run must produce a
-   byte-identical trace (commit sequence included), rule mix and audit.
-   The digests below were captured before the hot-path optimizations; the
-   optimizations must not move them. *)
-
-let golden_digest system =
-  Shoalpp_baselines.Register.register ();
-  let params =
-    {
-      E.default_params with
-      E.n = 4;
-      load_tps = 500.0;
-      duration_ms = 3_000.0;
-      warmup_ms = 500.0;
-      seed = 11;
-      verify_signatures = false;
-      trace = true;
-      trace_capacity = 262_144;
-    }
-  in
-  let o = E.run system params in
-  let r = o.E.report in
-  let summary =
-    Printf.sprintf "committed=%d fast=%d direct=%d indirect=%d skipped=%d audit=%b"
-      r.Report.committed r.Report.fast_commits r.Report.direct_commits r.Report.indirect_commits
-      r.Report.skipped_anchors o.E.audit_ok
-  in
-  Shoalpp_crypto.Sha256.to_hex
-    (Shoalpp_crypto.Sha256.digest_string (Export.jsonl_of_events o.E.events ^ "\n" ^ summary))
-
-let golden = [ ("shoal++", E.Shoalpp, "80b8a19140a933935f53514982a7f09980e71ab01771b99ee0c3455b56cd268d"); ("jolteon", E.Jolteon, "2a5c05b857fd76d4c69cb435246f01d94b1cd9068b56808e11bc7991646f01f6"); ("mysticeti", E.Mysticeti, "c2dc2dda8eeb7a9e265243ef23ca96245e446352a399bb63c347d4308e450efe") ]
+   byte-identical trace (commit sequence included), rule mix and audit,
+   pinned at {!Golden.seed11}; the hot-path optimizations must not move
+   them. *)
 
 let test_golden_cluster_digests () =
   List.iter
     (fun (name, system, expected) ->
-      let d = golden_digest system in
+      let d = Golden.run_digest system ~seed:11 in
       (* Re-running in the same process must also reproduce it (no hidden
          global state in the optimized paths). *)
-      checks (name ^ " stable across runs") d (golden_digest system);
+      checks (name ^ " stable across runs") d (Golden.run_digest system ~seed:11);
       checks (name ^ " golden digest") expected d)
-    golden
+    Golden.seed11
 
 let suite =
   [

@@ -2,7 +2,7 @@
    under randomized fault schedules (property-based over seeds), long-run
    garbage-collection stability, and cross-system determinism. *)
 
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Cluster = Shoalpp_runtime.Cluster
 module Report = Shoalpp_runtime.Report
 module Config = Shoalpp_core.Config
@@ -208,7 +208,6 @@ let test_gc_bounds_state () =
 (* Determinism across all systems. *)
 
 let test_all_systems_deterministic () =
-  Shoalpp_baselines.Register.register ();
   let params =
     {
       E.default_params with

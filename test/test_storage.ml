@@ -23,7 +23,7 @@ module Sync = Shoalpp_sync.Sync
 module Engine = Shoalpp_sim.Engine
 module Trace = Shoalpp_sim.Trace
 module Faults = Shoalpp_sim.Faults
-module E = Shoalpp_runtime.Experiment
+module E = Shoalpp_baselines.Experiment
 module Cluster = Shoalpp_runtime.Cluster
 module Harness = Shoalpp_runtime.Harness
 module Node = Shoalpp_runtime.Node
@@ -548,7 +548,14 @@ let test_replica_vote_matches_sign () =
    below its base (pruned under a checkpoint) are not re-checked.      *)
 
 let test_recovery_audit_verdicts () =
-  let seg r = { Harness.sdag = r mod 3; sround = r; sauthor = r mod 4 } in
+  let seg r =
+    {
+      Harness.sdag = r mod 3;
+      sround = r;
+      sauthor = r mod 4;
+      sdigest = Digest32.of_string (string_of_int r);
+    }
+  in
   let log ~from ~upto = Array.init (upto - from) (fun k -> seg (from + k)) in
   (* Replica 1 crashed at seq 10 (base 0) and recovered with [post]. *)
   let verdict ~post_base post =
@@ -576,7 +583,16 @@ let test_recovery_audit_verdicts () =
   checki "prefix length is the shortest end" 18 a.Harness.prefix_length;
   checki "total segments is the longest end" 20 a.Harness.total_segments;
   checkb "ok" true (Harness.ok a);
-  checkb "a duplicate fails ok" false (Harness.ok { a with Harness.duplicate_orders = 1 })
+  checkb "a duplicate fails ok" false (Harness.ok { a with Harness.duplicate_orders = 1 });
+  (* Same (dag, round, author) at one sequence number, but a different
+     anchor digest: an equivocated anchor, which the audit must catch. *)
+  let twin = log ~from:0 ~upto:20 in
+  twin.(9) <- { (seg 9) with Harness.sdigest = Digest32.of_string "twin" };
+  let a =
+    Harness.audit_logs ~num_dags:3 ~logs:[| log ~from:0 ~upto:20; twin |] ~bases:[| 0; 0 |]
+      ~pre_recovery:[| None; None |] ~duplicate_orders:0
+  in
+  checkb "a differing anchor digest fails consistent prefixes" false a.Harness.consistent_prefixes
 
 (* The realtime node restarts a replica through the same recovery path
    and the same audit as the simulated cluster: checkpoint restore, WAL

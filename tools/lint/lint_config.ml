@@ -89,7 +89,7 @@ let default =
         "lib/runtime/ledger.ml";
         "lib/runtime/prom.ml";
         "lib/runtime/cluster.ml";
-        "lib/runtime/experiment.ml";
+        "lib/baselines/experiment.ml";
         "lib/runtime/harness.ml";
         "lib/runtime/node.ml";
         "lib/support/telemetry.ml";
