@@ -57,3 +57,7 @@ let control_broadcast t ~src ~size ?(include_self = true) msg =
   | None -> t.transport.Transport.broadcast ~src ~size ~include_self msg
 
 let control_stats t = Option.map (fun c -> c.Transport.stats ()) t.control
+
+let domain_local init =
+  let key = Domain.DLS.new_key init in
+  fun () -> Domain.DLS.get key

@@ -19,7 +19,9 @@
       idempotent no-op;
     - transport handlers are invoked asynchronously with respect to [send]
       (never from inside the sending call), exactly once per delivered
-      message. *)
+      message;
+    - a {!domain_local} value is only ever read by the domain that built
+      it. *)
 
 type timer = { cancel : unit -> unit; is_pending : unit -> bool }
 (** Handle for a scheduled event. A first-class record of closures so that
@@ -110,3 +112,9 @@ val control_broadcast : 'msg t -> src:int -> size:int -> ?include_self:bool -> '
 
 val control_stats : _ t -> Transport.stats option
 (** Control-plane counters ([None] when control shares the data plane). *)
+
+val domain_local : (unit -> 'a) -> unit -> 'a
+(** [domain_local init] is a getter for a value private to the calling
+    domain: a domain's first call builds its own with [init], later calls
+    on that domain return that one. Nothing behind the getter is shared
+    across domains, so the value needs no lock. *)

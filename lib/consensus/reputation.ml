@@ -15,6 +15,7 @@ type t = {
          observed, decoded once when it leaves the window. *)
   miss_threshold : int;
   miss : int array; (* consecutive skipped-anchor streak per author *)
+  marked : Bytes.t; (* n-slot scratch deduping one segment's supporters; all zero between calls *)
   mutable highest_anchor_round : int;
 }
 
@@ -30,6 +31,7 @@ let create ~n ?(window = 64) ?(staleness = 8) ?(miss_threshold = 2) ~enabled () 
     recent = Queue.create ();
     miss_threshold;
     miss = Array.make n 0;
+    marked = Bytes.make n '\000';
     highest_anchor_round = -1;
   }
 
@@ -53,16 +55,28 @@ let observe_segment t ~anchor_round ~supporters ~node_positions =
       if author >= 0 && author < t.n && round > t.last_round.(author) then
         t.last_round.(author) <- round)
     node_positions;
-  let supporters =
-    List.sort_uniq Int.compare (List.filter (fun a -> a >= 0 && a < t.n) supporters)
-  in
+  (* Dedupe in the scratch, then walk it: the distinct in-range supporters
+     come out in ascending order, encoded as [encode_supporters] would. *)
+  let count = ref 0 in
   List.iter
     (fun a ->
+      if a >= 0 && a < t.n && Bytes.get t.marked a = '\000' then begin
+        Bytes.set t.marked a '\001';
+        incr count
+      end)
+    supporters;
+  let w = Wire.Writer.create ~initial:16 () in
+  Wire.Writer.uint w !count;
+  for a = 0 to t.n - 1 do
+    if Bytes.get t.marked a <> '\000' then begin
+      Bytes.set t.marked a '\000';
       t.scores.(a) <- t.scores.(a) + 1;
       t.miss.(a) <- 0;
-      if anchor_round > t.last_support.(a) then t.last_support.(a) <- anchor_round)
-    supporters;
-  Queue.push (encode_supporters supporters) t.recent;
+      if anchor_round > t.last_support.(a) then t.last_support.(a) <- anchor_round;
+      Wire.Writer.uint w a
+    end
+  done;
+  Queue.push (Wire.Writer.contents w) t.recent;
   if Queue.length t.recent > t.window then begin
     let evicted = decode_supporters (Queue.pop t.recent) in
     List.iter (fun a -> t.scores.(a) <- t.scores.(a) - 1) evicted

@@ -213,7 +213,7 @@ let ck_try_certify t m ~seq =
       end)
   | _ -> ()
 
-let handle_checkpoint_vote t ~ck_seq ~ck_digest ~ck_voter ~ck_signature =
+let handle_checkpoint_vote t vote ~ck_seq ~ck_digest ~ck_voter ~ck_signature =
   match t.ck with
   | None -> ()
   | Some m ->
@@ -240,8 +240,7 @@ let handle_checkpoint_vote t ~ck_seq ~ck_digest ~ck_voter ~ck_signature =
       && ck_seq < horizon
       && Committee.valid_replica committee ck_voter
     then begin
-      if Validation.checkpoint_vote_signature_ok ~committee ~ck_digest ~ck_voter ~ck_signature
-      then begin
+      if Validation.signatures_ok ~committee vote then begin
         let votes =
           match Hashtbl.find_opt m.ck_votes ck_seq with
           | Some l -> l
@@ -779,8 +778,8 @@ let route t ~src (env : envelope) =
   if not t.crashed then begin
     if env.dag_id = control_dag_id then begin
       match env.payload with
-      | Types.Checkpoint_vote { ck_seq; ck_digest; ck_voter; ck_signature } ->
-        handle_checkpoint_vote t ~ck_seq ~ck_digest ~ck_voter ~ck_signature
+      | Types.Checkpoint_vote { ck_seq; ck_digest; ck_voter; ck_signature } as vote ->
+        handle_checkpoint_vote t vote ~ck_seq ~ck_digest ~ck_voter ~ck_signature
       | _ -> () (* only checkpoint votes ride the control plane *)
     end
     else if env.dag_id >= 0 && env.dag_id < Array.length t.lanes then begin
@@ -969,6 +968,9 @@ let txns_ordered t = t.txns_ordered
 let driver_stats t = Array.to_list (Array.map (fun lane -> Driver.stats lane.driver) t.lanes)
 let store t ~dag_id = t.lanes.(dag_id).store
 let driver t ~dag_id = t.lanes.(dag_id).driver
+
+let invalid_dropped t =
+  Array.fold_left (fun acc lane -> acc + Instance.invalid_dropped lane.instance) 0 t.lanes
 
 let instance_stats t =
   Array.to_list

@@ -180,6 +180,9 @@ val driver : t -> dag_id:int -> Shoalpp_consensus.Driver.t
 val instance_stats : t -> (int * int * int * int) list
 (** Per-DAG (proposals, votes, certs formed, fetches). *)
 
+val invalid_dropped : t -> int
+(** Messages the lanes refused as invalid, summed over lanes. *)
+
 val current_rounds : t -> int list
 (** Per-DAG highest proposed round. *)
 

@@ -66,105 +66,105 @@ let validate_weak_parents committee (node : Types.node) =
     go 0 weak
   end
 
-(* Memo for the digest-binding check. In the simulator one broadcast hands
-   the same physical [Types.node] to every receiver, so recomputing the
-   SHA-256 header digest per receiver multiplies the single most expensive
-   validation step by n. A cache hit requires the stored node to be
-   physically equal ([==]) to the candidate, so it can only replay a result
-   the full recompute already produced — a forged node reusing a cached
-   digest is a different value and takes the slow path. Only successful
-   bindings are cached; the table is reset at a size cap to bound memory. *)
-(* The memo stays a single process-wide table so the sim's allocation
-   profile is unchanged, which means the multicore node's lane domains
-   share it: the mutex makes lookup and insert atomic. The SHA-256
-   recompute — the expensive part — runs outside the lock. *)
-let binding_mu = Mutex.create ()
+(* The memo of verified values. One simulated broadcast hands the same
+   physical value to all n receivers, each recomputing one SHA-256/HMAC
+   verdict. A slot holds the whole record an expensive check passed on
+   and, for signatures, the registry it was checked under. A hit needs that
+   very value ([==]) under that very registry, so it only replays a verdict
+   the full check gave for the same immutable value; a forged twin
+   ([{ cert with cert_ref }]) is another record and misses. Failures are
+   never stored. Each domain owns one direct-mapped table (sized by its
+   n=100 hit rate, see EXPERIMENTS.md): nothing is shared and a collision
+   just overwrites the slot. *)
+type check = Binding | Proposal_signature | Certificate_multisig | Checkpoint_vote_signature
 
-let binding_cache : (Digest32.t, Types.node) Hashtbl.t = Hashtbl.create 1024
-[@@shoalpp.guarded_by "binding_mu"]
+type entry =
+  | Empty
+  | Bound of Types.node
+  | Signed of Types.node * Signer.registry
+  | Certified of Types.certificate * Signer.registry
+  | Ck_signed of Types.message * Signer.registry
 
-let binding_cache_cap = 8192
+let same a b =
+  match (a, b) with
+  | Bound x, Bound y -> x == y
+  | Signed (x, k), Signed (y, k') -> x == y && k == k'
+  | Certified (x, k), Certified (y, k') -> x == y && k == k'
+  | Ck_signed (x, k), Ck_signed (y, k') -> x == y && k == k'
+  | _ -> false
 
-(* Exception-safe critical section: [Hashtbl] operations on a corrupted
-   heap (or an async exception landing between lock and unlock) must not
-   leave [binding_mu] held forever for every other lane domain. *)
-let with_mu f =
-  Mutex.lock binding_mu;
-  match f () with
-  | v ->
-    Mutex.unlock binding_mu;
-    v
-  | exception e ->
-    Mutex.unlock binding_mu;
-    raise e
+type memo = { slots : entry array; hits : int array; misses : int array }
+
+let memo =
+  Shoalpp_backend.Backend.domain_local (fun () ->
+      { slots = Array.make 8192 Empty; hits = Array.make 4 0; misses = Array.make 4 0 })
+
+let index = function Binding -> 0 | Proposal_signature -> 1 | Certificate_multisig -> 2 | _ -> 3
+
+let memo_counts check = let m = memo () in (m.hits.(index check), m.misses.(index check))
+
+(* [full ()] runs only on a miss. Each check has its own offset, so a node's
+   binding, signature and certificate (one digest) do not evict each other. *)
+let memoized check ~hash entry full =
+  let m = memo () and k = index check in
+  let i = (hash + (k * 0x9E3779B1)) land (Array.length m.slots - 1) in
+  let hit = same m.slots.(i) entry in
+  if hit then m.hits.(k) <- m.hits.(k) + 1 else m.misses.(k) <- m.misses.(k) + 1;
+  let ok = hit || full () in
+  if ok && not hit then m.slots.(i) <- entry;
+  ok
 
 let binding_holds (node : Types.node) =
-  let hit =
-    with_mu (fun () ->
-        match Hashtbl.find_opt binding_cache node.Types.digest with
-        | Some cached when cached == node -> true
-        | _ -> false)
-  in
-  hit
-  ||
-  let expected =
-    Types.node_digest ~round:node.Types.round ~author:node.Types.author
-      ~batch_digest:node.Types.batch.Shoalpp_workload.Batch.digest ~parents:node.Types.parents
-      ~weak_parents:node.Types.weak_parents
-  in
-  let ok = Digest32.equal expected node.Types.digest in
-  if ok then
-    with_mu (fun () ->
-        if Hashtbl.length binding_cache >= binding_cache_cap then Hashtbl.reset binding_cache;
-        Hashtbl.replace binding_cache node.Types.digest node);
-  ok
+  memoized Binding ~hash:(Digest32.hash node.Types.digest) (Bound node) (fun () ->
+      Digest32.equal node.Types.digest
+        (Types.node_digest ~round:node.Types.round ~author:node.Types.author
+           ~batch_digest:node.Types.batch.Shoalpp_workload.Batch.digest
+           ~parents:node.Types.parents ~weak_parents:node.Types.weak_parents))
 
 (* Shared by the inline validators below and by {!signatures_ok}, the
    entry point the verify pool uses to run just the cryptographic part of
    validation on a worker domain. *)
 let proposal_signature_ok ~committee (node : Types.node) =
-  Signer.verify committee.Committee.keys node.Types.author
-    (Digest32.raw node.Types.digest) node.Types.signature
+  let keys = committee.Committee.keys and d = node.Types.digest in
+  memoized Proposal_signature ~hash:(Digest32.hash d) (Signed (node, keys)) (fun () ->
+      Signer.verify keys node.Types.author (Digest32.raw d) node.Types.signature)
 
+(* Not memoized: a vote is unicast, so no value reaches a second receiver. *)
 let vote_signature_ok ~committee (v : Types.vote) =
-  let preimage =
-    Types.vote_preimage ~round:v.Types.vote_round ~author:v.Types.vote_author
-      ~digest:v.Types.vote_digest
-  in
-  Signer.verify committee.Committee.keys v.Types.voter preimage
+  Signer.verify committee.Committee.keys v.Types.voter
+    (Types.vote_preimage ~round:v.Types.vote_round ~author:v.Types.vote_author
+       ~digest:v.Types.vote_digest)
     v.Types.vote_signature
 
 let certificate_signature_ok ~committee (c : Types.certificate) =
-  let preimage =
-    Types.vote_preimage ~round:c.Types.cert_ref.Types.ref_round
-      ~author:c.Types.cert_ref.Types.ref_author ~digest:c.Types.cert_ref.Types.ref_digest
-  in
-  Multisig.verify committee.Committee.keys c.Types.multisig preimage
-
-let checkpoint_vote_signature_ok ~committee ~ck_digest ~ck_voter ~ck_signature =
-  Signer.verify committee.Committee.keys ck_voter
-    (Shoalpp_storage.Checkpoint.preimage_of_digest ck_digest)
-    ck_signature
+  let keys = committee.Committee.keys and r = c.Types.cert_ref in
+  memoized Certificate_multisig ~hash:(Digest32.hash r.Types.ref_digest) (Certified (c, keys))
+    (fun () ->
+      Multisig.verify keys c.Types.multisig
+        (Types.vote_preimage ~round:r.Types.ref_round ~author:r.Types.ref_author
+           ~digest:r.Types.ref_digest))
 
 let signatures_ok ~committee (msg : Types.message) =
+  let certified_ok (cn : Types.certified_node) =
+    proposal_signature_ok ~committee cn.Types.cn_node
+    && certificate_signature_ok ~committee cn.Types.cn_cert
+  in
   match msg with
   | Types.Proposal node -> proposal_signature_ok ~committee node
   | Types.Vote v -> vote_signature_ok ~committee v
   | Types.Certificate c -> certificate_signature_ok ~committee c
-  | Types.Fetch_request _ -> true
-  | Types.Fetch_response cn ->
-    proposal_signature_ok ~committee cn.Types.cn_node
-    && certificate_signature_ok ~committee cn.Types.cn_cert
+  | Types.Fetch_response cn -> certified_ok cn
   | Types.Checkpoint_vote { ck_digest; ck_voter; ck_signature; _ } ->
-    checkpoint_vote_signature_ok ~committee ~ck_digest ~ck_voter ~ck_signature
-  | Types.Sync_request _ -> true
+    (* Keyed on the whole message; every voter signs the same digest, so
+       the voter picks the slot too. *)
+    let keys = committee.Committee.keys in
+    memoized Checkpoint_vote_signature ~hash:(Digest32.hash ck_digest + ck_voter)
+      (Ck_signed (msg, keys)) (fun () ->
+        Signer.verify keys ck_voter
+          (Shoalpp_storage.Checkpoint.preimage_of_digest ck_digest) ck_signature)
   | Types.Sync_response { sp_resp = Types.Certificates { sc_certs; _ }; _ } ->
-    List.for_all
-      (fun cn ->
-        proposal_signature_ok ~committee cn.Types.cn_node
-        && certificate_signature_ok ~committee cn.Types.cn_cert)
-      sc_certs
-  | Types.Sync_response _ -> true
+    List.for_all certified_ok sc_certs
+  | Types.Fetch_request _ | Types.Sync_request _ | Types.Sync_response _ -> true
 
 let validate_proposal ~committee ~verify_signatures (node : Types.node) =
   if not (Committee.valid_replica committee node.Types.author) then fail "author out of range"

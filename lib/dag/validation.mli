@@ -12,11 +12,20 @@
     - with [verify_signatures:false], the structural checks still run; the
       flag only skips cryptographic verification, never widens what is
       accepted structurally;
-    - the internal binding-digest memo is an invisible cache: it never
-      changes a verdict, only the cost of recomputing one. It is
-      mutex-guarded (the sole effect in this module) so the multicore
-      node's lane domains and verify-pool workers can validate
-      concurrently; every function here is safe to call from any domain. *)
+    - every SHA-256/HMAC check of a broadcast value — the digest binding,
+      the author signature, the certificate multisig and the
+      checkpoint-vote signature — goes through one memo of verified
+      values, which never changes a verdict, only the cost of reaching
+      one (a vote is unicast, so its signature is always checked in
+      full). A hit needs the very record the check reads ([==]: the
+      node, the certificate, the checkpoint-vote message) under the very
+      registry ([committee.keys]) it passed under, so a forged twin
+      sharing a field with an honest value still takes the full check.
+      Only passes are stored; the structural checks run on every call;
+    - the memo is one direct-mapped table per domain, with no lock: each
+      domain replays only verdicts it reached itself, so every function
+      here is safe to call from any domain. A decoded copy is a distinct
+      value, so the realtime node checks every copy in full. *)
 
 val validate_proposal :
   committee:Committee.t -> verify_signatures:bool -> Types.node -> (unit, string) result
@@ -37,22 +46,22 @@ val validate_certified_node :
   committee:Committee.t -> verify_signatures:bool -> Types.certified_node -> (unit, string) result
 (** Node and certificate valid, and the certificate matches the node. *)
 
-val checkpoint_vote_signature_ok :
-  committee:Committee.t ->
-  ck_digest:Shoalpp_crypto.Digest32.t ->
-  ck_voter:int ->
-  ck_signature:Shoalpp_crypto.Signer.signature ->
-  bool
-(** The voter's signature over the checkpoint-digest preimage
-    ({!Shoalpp_storage.Checkpoint.preimage_of_digest}): a verifier needs
-    only the digest being voted on, never the full candidate. *)
-
 val signatures_ok : committee:Committee.t -> Types.message -> bool
 (** Just the cryptographic checks of a message — author signature for a
     proposal, voter signature for a vote, multisig for a certificate, both
-    for a fetch response, vacuously true for a fetch request — with none
-    of the structural checks. This is the closure the multicore node hands
+    for each certified node of a fetch response or sync page, the voter's
+    signature over {!Shoalpp_storage.Checkpoint.preimage_of_digest} for a
+    checkpoint vote (a verifier needs only the digest voted on, never the
+    full candidate), vacuously true for the other requests — with none of
+    the structural checks. This is the closure the multicore node hands
     to {!Shoalpp_backend.Verify_pool}: a message that passes here can be
     processed by an instance configured with [verify_signatures:false]
     and reach exactly the verdicts inline verification would have
     produced, because the structural half still runs in the instance. *)
+
+type check = Binding | Proposal_signature | Certificate_multisig | Checkpoint_vote_signature
+
+val memo_counts : check -> int * int
+(** [(hits, full checks)] of the calling domain's memo for one kind of
+    check since the domain started, counting failed checks as full ones.
+    For tests that pin what the memo saves; no telemetry reads it. *)

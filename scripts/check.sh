@@ -85,6 +85,20 @@ dune exec bin/shoalpp_sim.exe -- \
 grep -q '"fault.recoveries"' "$out/faults.metrics.json" \
   || { echo "check failed: fault counters missing from scenario metrics" >&2; exit 1; }
 
+# Byzantine smoke with signatures verified: an equivocating replica sends
+# conflicting proposals, and each simulated broadcast is checked once per
+# physical value (Validation's memo), so every receiver must still refuse
+# what it should. The run must pass its audit and count the equivocations
+# it injected (89 for this command).
+dune exec bin/shoalpp_sim.exe -- \
+  -n 4 --topology clique:4,15 --load 200 --duration 4000 --warmup 500 \
+  --scenario byzantine:count=1,kind=equivocate \
+  --metrics-out "$out/byz.metrics.json" > "$out/byz.out"
+grep -q 'audit: consistent logs, no duplicates' "$out/byz.out" \
+  || { echo "check failed: verified byzantine audit" >&2; cat "$out/byz.out" >&2; exit 1; }
+grep -q '"fault.equivocations":[1-9]' "$out/byz.metrics.json" \
+  || { echo "check failed: verified byzantine run injected no equivocations" >&2; exit 1; }
+
 # Checkpointed crash-recover smoke: with the lifecycle on, the restarted
 # replica restores a certified checkpoint and then replays the WAL records
 # retained since it. Those records are payload thunks, encoded only here

@@ -86,6 +86,27 @@ let test_reputation_duplicate_supporters_once () =
   Reputation.observe_segment r ~anchor_round:1 ~supporters:[ 2; 2; 2 ] ~node_positions:[];
   checki "dedup" 1 (Reputation.score r 2)
 
+(* The window keeps each segment's distinct in-range supporters in
+   ascending order, whatever order and repeats the caller passes — the
+   bytes a snapshot writes — and every kept supporter scores once. *)
+let prop_reputation_supporters_canonical =
+  QCheck.Test.make ~name:"supporters kept sorted, deduped and in range" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 80) (list_of_size Gen.(0 -- 12) (int_range (-2) 9)))
+    (fun segments ->
+      let n = 7 in
+      let r = Reputation.create ~n ~window:1000 ~enabled:true () in
+      List.iteri
+        (fun i supporters ->
+          Reputation.observe_segment r ~anchor_round:i ~supporters ~node_positions:[])
+        segments;
+      let canon l = List.sort_uniq Int.compare (List.filter (fun a -> a >= 0 && a < n) l) in
+      let d = Reputation.dump r in
+      let kept = List.map canon segments in
+      d.Reputation.d_recent = kept
+      && List.for_all
+           (fun a -> Reputation.score r a = List.length (List.filter (List.mem a) kept))
+           (List.init n Fun.id))
+
 let test_reputation_determinism () =
   let feed r =
     for round = 1 to 6 do
@@ -674,6 +695,7 @@ let suite =
         Alcotest.test_case "scores order" `Quick test_reputation_scores_order;
         Alcotest.test_case "window eviction" `Quick test_reputation_window_eviction;
         Alcotest.test_case "determinism" `Quick test_reputation_determinism;
+        QCheck_alcotest.to_alcotest prop_reputation_supporters_canonical;
       ] );
     ( "consensus.anchors",
       [

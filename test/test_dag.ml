@@ -1,6 +1,7 @@
 (* Tests for the certified-DAG layer: types and wire encoding, validation
-   rules, the DAG store (counters, causal traversal, weak edges, GC), and
-   the committee configuration. *)
+   rules and the memo of verified values behind them, the DAG store
+   (counters, causal traversal, weak edges, GC), and the committee
+   configuration. *)
 
 module Types = Shoalpp_dag.Types
 module Store = Shoalpp_dag.Store
@@ -420,6 +421,203 @@ let test_validation_rejection_messages () =
        { cn with Types.cn_node = make_node ~round:0 ~author:1 ~parents:[] () })
 
 (* ------------------------------------------------------------------ *)
+(* The memo of verified values behind the SHA-256/HMAC checks: a hit may
+   only replay a verdict the full check gave for the very same value under
+   the very same key registry, and in the simulator each broadcast is
+   checked once, not once per receiver. *)
+
+let ok = function Ok () -> true | Error _ -> false
+
+let proposal ?(committee = committee) n =
+  ok (Validation.validate_proposal ~committee ~verify_signatures:true n)
+
+let certificate ?(committee = committee) c =
+  ok (Validation.validate_certificate ~committee ~verify_signatures:true c)
+
+let ck_vote ~voter digest =
+  Types.Checkpoint_vote
+    {
+      ck_seq = 12;
+      ck_digest = digest;
+      ck_voter = voter;
+      ck_signature =
+        Signer.sign (Committee.keypair committee voter)
+          (Shoalpp_storage.Checkpoint.preimage_of_digest digest);
+    }
+
+(* Calls [f] and returns how many hits and full checks of [check] it made
+   on this domain's memo. *)
+let counted check f =
+  let h0, m0 = Validation.memo_counts check in
+  f ();
+  let h1, m1 = Validation.memo_counts check in
+  (h1 - h0, m1 - m0)
+
+(* Each twin keeps its honest original's digest, so it lands in the slot
+   the original was just stored in: only a key on the whole record makes
+   it miss and take the full check. *)
+let test_memo_twins_refused_after_original () =
+  let parents = refs_of (full_round ~round:0 ~parents:[] ()) in
+  let node = make_node ~round:1 ~author:2 ~parents () in
+  let cert = (certify node).Types.cn_cert in
+  checkb "honest node" true (proposal node);
+  checkb "honest certificate" true (certificate cert);
+  checkb "honest pool check" true (Validation.signatures_ok ~committee (Types.Certificate cert));
+  let other_author = { cert.Types.cert_ref with Types.ref_author = 3 } in
+  let other_round = { cert.Types.cert_ref with Types.ref_round = 2 } in
+  checkb "reused multisig, other author" false
+    (certificate { cert with Types.cert_ref = other_author });
+  checkb "reused multisig, other round" false
+    (certificate { cert with Types.cert_ref = other_round });
+  checkb "reused multisig, pool check" false
+    (Validation.signatures_ok ~committee
+       (Types.Certificate { cert with Types.cert_ref = other_author }));
+  let resigned = Signer.sign (Committee.keypair committee 2) "another message" in
+  checkb "other signature" false (proposal { node with Types.signature = resigned });
+  checkb "other signature, pool check" false
+    (Validation.signatures_ok ~committee
+       (Types.Proposal { node with Types.signature = resigned }));
+  (* Three of the four round-0 parents still meet the quorum, so only the
+     digest binding can refuse this one; it reuses the honest signature. *)
+  let fewer = { node with Types.parents = List.tl parents } in
+  checkb "other parents, same digest" false (proposal fewer);
+  checkb "other parents, unsigned mode" false
+    (ok (Validation.validate_proposal ~committee ~verify_signatures:false fewer));
+  let vote = ck_vote ~voter:1 (Digest32.of_string "checkpoint") in
+  checkb "honest checkpoint vote" true (Validation.signatures_ok ~committee vote);
+  (match vote with
+  | Types.Checkpoint_vote v ->
+    let forged = Signer.sign (Committee.keypair committee 1) "another message" in
+    checkb "checkpoint vote, other signature" false
+      (Validation.signatures_ok ~committee
+         (Types.Checkpoint_vote { v with ck_signature = forged }));
+    checkb "checkpoint vote, other digest" false
+      (Validation.signatures_ok ~committee
+         (Types.Checkpoint_vote { v with ck_digest = Digest32.of_string "other" }))
+  | _ -> assert false);
+  checkb "originals still pass" true (proposal node && certificate cert)
+
+(* The same physical values, checked under another registry of the same
+   size: every signature check must refuse them. *)
+let test_memo_registry_is_part_of_the_key () =
+  let other = Committee.make ~n:4 ~cluster_seed:78 () in
+  let node = make_node ~round:0 ~author:1 ~parents:[] () in
+  let cert = (certify node).Types.cn_cert in
+  let vote = ck_vote ~voter:2 (Digest32.of_string "ck") in
+  checkb "node under A" true (proposal node);
+  checkb "certificate under A" true (certificate cert);
+  checkb "checkpoint vote under A" true (Validation.signatures_ok ~committee vote);
+  checkb "node under B" false (proposal ~committee:other node);
+  checkb "certificate under B" false (certificate ~committee:other cert);
+  checkb "checkpoint vote under B" false (Validation.signatures_ok ~committee:other vote);
+  checkb "pool check under B" false
+    (Validation.signatures_ok ~committee:other
+       (Types.Fetch_response { cn_node = node; cn_cert = cert }))
+
+(* Two valid values that share a slot evict each other; each must still
+   verify every time it comes back. Nodes whose digest hashes agree in
+   their low 13 bits share a slot of the 8192-slot table; the counts below
+   check that they really did. *)
+let test_memo_colliding_values_both_verify () =
+  let slot (n : Types.node) = Digest32.hash n.Types.digest land 8191 in
+  let by_slot = Hashtbl.create 64 in
+  let rec find tag =
+    let n = make_node ~batch:(make_batch [ tag ]) ~round:0 ~author:0 ~parents:[] () in
+    match Hashtbl.find_opt by_slot (slot n) with
+    | Some m -> (m, n)
+    | None ->
+      Hashtbl.replace by_slot (slot n) n;
+      find (tag + 1)
+  in
+  let a, b = find 1 in
+  let hits, full =
+    counted Validation.Binding (fun () ->
+        for _ = 1 to 3 do
+          checkb "a verifies" true (proposal a);
+          checkb "b verifies" true (proposal b)
+        done)
+  in
+  checki "no hits while alternating" 0 hits;
+  checki "every check in full" 6 full
+
+(* A refused value is not remembered: it is refused again, in full. *)
+let test_memo_failures_not_memoized () =
+  let node = make_node ~batch:(make_batch [ 1 ]) ~round:0 ~author:3 ~parents:[] () in
+  let forged = { node with Types.signature = Signer.sign (Committee.keypair committee 0) "x" } in
+  let hits, full =
+    counted Validation.Proposal_signature (fun () ->
+        checkb "refused once" false (proposal forged);
+        checkb "refused twice" false (proposal forged))
+  in
+  checki "no hits" 0 hits;
+  checki "two full checks" 2 full;
+  let cert = (certify node).Types.cn_cert in
+  let bad = { cert with Types.cert_ref = { cert.Types.cert_ref with Types.ref_round = 5 } } in
+  checkb "certificate refused once" false (certificate bad);
+  checkb "certificate refused twice" false (certificate bad);
+  let tampered = { node with Types.batch = make_batch [ 2 ] } in
+  checkb "binding refused once" false (proposal tampered);
+  checkb "binding refused twice" false (proposal tampered)
+
+(* The realtime node decodes a copy per receiver: none of them may hit. *)
+let test_memo_decoded_copies_checked_in_full () =
+  let module Replica = Shoalpp_core.Replica in
+  let module Node = Shoalpp_runtime.Node in
+  let cert = (certify (make_node ~round:0 ~author:1 ~parents:[] ())).Types.cn_cert in
+  let wire = Node.encode_envelope { Replica.dag_id = 0; payload = Types.Certificate cert } in
+  let decode () =
+    match Node.decode_envelope ~cluster_seed:committee.Committee.cluster_seed wire with
+    | Some { Replica.payload = Types.Certificate c; _ } -> c
+    | _ -> Alcotest.fail "certificate does not round-trip"
+  in
+  let a = decode () and b = decode () in
+  let hits, full =
+    counted Validation.Certificate_multisig (fun () ->
+        checkb "first copy" true (certificate a);
+        checkb "second copy" true (certificate b))
+  in
+  checki "no hits" 0 hits;
+  checki "both in full" 2 full
+
+(* The saving itself: in a seeded n=16 run with signatures verified, each
+   certificate broadcast is checked natively about once, while every
+   receiver still validates its delivery. The allowance covers slot
+   collisions and the few certificates that reach a replica again later
+   (fetch responses): 5% of the certificates formed, plus 16. *)
+let test_memo_one_native_check_per_certificate () =
+  let module Cluster = Shoalpp_runtime.Cluster in
+  let module Replica = Shoalpp_core.Replica in
+  let committee = Committee.make ~n:16 ~cluster_seed:5 () in
+  let setup =
+    {
+      (Cluster.default_setup ~protocol:(Shoalpp_core.Config.shoalpp ~committee)) with
+      Cluster.topology = Shoalpp_sim.Topology.gcp10 ();
+      load_tps = 1000.0;
+      warmup_ms = 500.0;
+      seed = 5;
+    }
+  in
+  let cluster = Cluster.create setup in
+  let hits, full =
+    counted Validation.Certificate_multisig (fun () -> Cluster.run cluster ~duration_ms:2_500.0)
+  in
+  let formed =
+    Array.fold_left
+      (fun acc r ->
+        List.fold_left (fun acc (_, _, certs, _) -> acc + certs) acc (Replica.instance_stats r))
+      0 (Cluster.replicas cluster)
+  in
+  checkb "certificates formed" true (formed > 100);
+  checkb
+    (Printf.sprintf "%d native checks for %d certificates" full formed)
+    true
+    (full >= formed && full <= formed + (formed / 20) + 16);
+  checkb
+    (Printf.sprintf "%d deliveries for %d certificates" (hits + full) formed)
+    true
+    (hits + full >= 15 * formed)
+
+(* ------------------------------------------------------------------ *)
 (* Store *)
 
 let fresh_store () = Store.create ~n:4 ~genesis_digest:committee.Committee.genesis
@@ -623,6 +821,20 @@ let suite =
         Alcotest.test_case "certificate rules" `Quick test_validation_certificate_rules;
         Alcotest.test_case "certificate foreign signers" `Quick
           test_validation_certificate_foreign_signers;
+      ] );
+    ( "dag.validation_memo",
+      [
+        Alcotest.test_case "twins refused after original" `Quick
+          test_memo_twins_refused_after_original;
+        Alcotest.test_case "registry is part of the key" `Quick
+          test_memo_registry_is_part_of_the_key;
+        Alcotest.test_case "colliding values both verify" `Quick
+          test_memo_colliding_values_both_verify;
+        Alcotest.test_case "failures not memoized" `Quick test_memo_failures_not_memoized;
+        Alcotest.test_case "decoded copies checked in full" `Quick
+          test_memo_decoded_copies_checked_in_full;
+        Alcotest.test_case "one native check per certificate" `Quick
+          test_memo_one_native_check_per_certificate;
       ] );
     ( "dag.store",
       [

@@ -100,6 +100,13 @@ let test_forged_messages_ignored () =
   let engine = Cluster.engine cluster in
   (* Replica 3 impersonates replica 1 (forged signature) and also sends a
      structurally invalid certificate. *)
+  let send payload =
+    for dst = 0 to 2 do
+      Netmodel.send net ~src:3 ~dst
+        ~size:(Replica.envelope_size { Replica.dag_id = 0; payload })
+        { Replica.dag_id = 0; payload }
+    done
+  in
   ignore
     (Engine.schedule engine ~after:400.0 (fun () ->
          let fake = make_byz_node ~committee ~round:0 ~author:3 ~parents:[] ~tag:3 in
@@ -112,15 +119,49 @@ let test_forged_messages_ignored () =
                  [ (3, Signer.sign (Committee.keypair committee 3) "junk") ];
            }
          in
-         List.iter
-           (fun payload ->
-             for dst = 0 to 2 do
-               Netmodel.send net ~src:3 ~dst
-                 ~size:(Replica.envelope_size { Replica.dag_id = 0; payload })
-                 { Replica.dag_id = 0; payload }
-             done)
-           [ Types.Proposal impersonated; Types.Certificate bad_cert ]));
+         List.iter send [ Types.Proposal impersonated; Types.Certificate bad_cert ]));
+  (* Honest originals first, then forged twins of the very same physical
+     values once every receiver has accepted them: a twin reuses the
+     original's signature or aggregate and keeps its digest, so it lands on
+     the memo slot the original left behind and must still be refused. *)
+  let orig = make_byz_node ~committee ~round:0 ~author:3 ~parents:[] ~tag:4 in
+  let preimage = Types.vote_preimage ~round:0 ~author:3 ~digest:orig.Types.digest in
+  let cert =
+    {
+      Types.cert_ref = Types.ref_of_node orig;
+      multisig =
+        Shoalpp_crypto.Multisig.aggregate ~n:4
+          (List.init 3 (fun i -> (i, Signer.sign (Committee.keypair committee i) preimage)));
+    }
+  in
+  let twins =
+    [
+      Types.Proposal
+        { orig with Types.signature = Signer.sign (Committee.keypair committee 3) "junk" };
+      Types.Proposal { orig with Types.batch = Batch.empty ~created_at:0.0 };
+      Types.Certificate
+        { cert with Types.cert_ref = { cert.Types.cert_ref with Types.ref_author = 2 } };
+      Types.Certificate
+        { cert with Types.cert_ref = { cert.Types.cert_ref with Types.ref_round = 1 } };
+    ]
+  in
+  let dropped () = Array.map Replica.invalid_dropped (Cluster.replicas cluster) in
+  let before = ref [||] in
+  ignore
+    (Engine.schedule engine ~after:700.0 (fun () ->
+         List.iter send [ Types.Proposal orig; Types.Certificate cert ]));
+  ignore
+    (Engine.schedule engine ~after:1_500.0 (fun () ->
+         before := dropped ();
+         List.iter send twins));
   Cluster.run cluster ~duration_ms:6_000.0;
+  Array.iteri
+    (fun r after ->
+      checki
+        (Printf.sprintf "replica %d drops every twin" r)
+        (if r < 3 then List.length twins else 0)
+        (after - !before.(r)))
+    (dropped ());
   let audit = Cluster.audit cluster in
   checkb "consistent despite forgeries" true audit.Cluster.consistent_prefixes;
   checkb "liveness preserved" true

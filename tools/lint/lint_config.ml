@@ -156,16 +156,6 @@ let default =
              simulated behaviour";
         };
         {
-          a_path = "lib/dag/validation.ml";
-          a_rule = "effect-confinement";
-          a_reason =
-            "a Mutex guarding the digest-binding memo, nothing else: the \
-             cache is shared by the multicore node's lane domains, and a \
-             lock around a pure memo cannot change any verdict — only \
-             whether a digest is recomputed. Verdicts stay a function of \
-             (committee, message), so determinism is unaffected";
-        };
-        {
           a_path = "lib/workload/mempool.ml";
           a_rule = "effect-confinement";
           a_reason =
