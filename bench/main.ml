@@ -17,7 +17,11 @@
      dune exec bench/main.exe net         # sim vs realtime TCP+gcp10 -> BENCH_net.json
      dune exec bench/main.exe mem         # retention vs checkpoint interval -> BENCH_mem.json
      dune exec bench/main.exe micro       # bechamel micro-benchmarks
-   Environment: BENCH_N (replicas, default 16), BENCH_DURATION_S (default 20).
+   Environment, the same in every sweep: BENCH_N (replicas in every run;
+   default 16 for the figures, the sweep's own otherwise), BENCH_DURATION_S
+   (seconds per run; default 20 for the figures, the sweep's own
+   otherwise) and BENCH_OUT (the file perf/mem/node/net write, default
+   BENCH_<kind>.json). Every other sweep parameter is a constant below.
 
    Numbers will not match the paper's absolute values (its testbed is 100
    GCP VMs; ours is a discrete-event simulation at reduced n), but the
@@ -28,14 +32,21 @@
 module E = Shoalpp_baselines.Experiment
 module Report = Shoalpp_runtime.Report
 module Tablefmt = Shoalpp_support.Tablefmt
+module Json = Shoalpp_runtime.Export.Json
+module Topology = Shoalpp_sim.Topology
+module Telemetry = Shoalpp_support.Telemetry
+module Config = Shoalpp_core.Config
+module Committee = Shoalpp_dag.Committee
+module Node = Shoalpp_runtime.Node
 
-let bench_n =
-  match Sys.getenv_opt "BENCH_N" with Some s -> int_of_string s | None -> 16
+let env_n = Option.map int_of_string (Sys.getenv_opt "BENCH_N")
+let env_duration_s = Option.map float_of_string (Sys.getenv_opt "BENCH_DURATION_S")
 
-let bench_duration_ms =
-  match Sys.getenv_opt "BENCH_DURATION_S" with
-  | Some s -> 1000.0 *. float_of_string s
-  | None -> 20_000.0
+(* A sweep's replica counts and run length: its defaults unless overridden. *)
+let replicas default = match env_n with Some n -> [ n ] | None -> default
+let duration_ms default_s = 1000.0 *. Option.value env_duration_s ~default:default_s
+let bench_n = Option.value env_n ~default:16
+let bench_duration_ms = duration_ms 20.0
 
 let base_params =
   {
@@ -47,8 +58,6 @@ let base_params =
        actual HMAC recomputation keeps large sweeps fast. *)
     verify_signatures = false;
   }
-
-let run system params = E.run system params
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 let note fmt = Printf.printf fmt
@@ -70,6 +79,10 @@ let row_of_outcome (o : E.outcome) =
 
 let header = Report.table_header @ [ "fast/cert/ind %"; "audit" ]
 
+(* The row of a run whose system name gets a suffix naming its variant. *)
+let tagged_row suffix o =
+  match row_of_outcome o with name :: rest -> (name ^ suffix) :: rest | [] -> []
+
 (* ------------------------------------------------------------------ *)
 (* T1 — message-delay accounting (§3.2, §5.4). A uniform-delay network
    (every one-way message = 1 md) at trivial load turns measured end-to-end
@@ -81,7 +94,7 @@ let t1 () =
   let params =
     {
       base_params with
-      E.topology = E.Uniform md;
+      E.topology = Topology.uniform ~delay_ms:md;
       load_tps = 50.0 *. float_of_int bench_n;
       duration_ms = Float.max 20_000.0 bench_duration_ms;
       stagger_ms = Some md;
@@ -96,7 +109,7 @@ let t1 () =
   let rows =
     List.map
       (fun (sys, paper_md) ->
-        let o = run sys params in
+        let o = E.run sys params in
         [
           E.system_name sys;
           Printf.sprintf "%.1f" paper_md;
@@ -142,7 +155,7 @@ let fig5 () =
             in
             if skip then None
             else begin
-              let o = run system { base_params with E.load_tps = load } in
+              let o = E.run system { base_params with E.load_tps = load } in
               let r = o.E.report in
               if
                 r.Report.committed_tps < 0.7 *. load
@@ -173,7 +186,7 @@ let fig6 () =
       (fun system ->
         List.map
           (fun load ->
-            let o = run system { base_params with E.load_tps = load } in
+            let o = E.run system { base_params with E.load_tps = load } in
             Hashtbl.replace p50s (E.system_name system, load) o.E.report.Report.latency_p50;
             row_of_outcome o)
           loads)
@@ -207,18 +220,13 @@ let fig7 () =
       (fun system ->
         List.concat_map
           (fun load ->
-            let clean = run system { base_params with E.load_tps = load } in
-            let crashed = run system { base_params with E.load_tps = load; crashes = f } in
+            let clean = E.run system { base_params with E.load_tps = load } in
+            let crashed = E.run system { base_params with E.load_tps = load; crashes = f } in
             let ratio =
               crashed.E.report.Report.latency_p50 /. clean.E.report.Report.latency_p50
             in
             if load = List.hd loads then ratios := (E.system_name system, ratio) :: !ratios;
-            [
-              row_of_outcome clean;
-              (match row_of_outcome crashed with
-              | name :: rest -> (name ^ " +crash") :: rest
-              | [] -> []);
-            ])
+            [ row_of_outcome clean; tagged_row " +crash" crashed ])
           loads)
       systems
   in
@@ -251,7 +259,7 @@ let fig8 () =
     }
   in
   let outcomes =
-    List.map (fun system -> (E.system_name system, run system params)) [ E.Shoalpp; E.Mysticeti ]
+    List.map (fun system -> (E.system_name system, E.run system params)) [ E.Shoalpp; E.Mysticeti ]
   in
   List.iter
     (fun (name, (o : E.outcome)) ->
@@ -281,29 +289,16 @@ let fig8 () =
   Tablefmt.print
     ~header:[ "t(s)"; "shoal++ lat(ms)"; "shoal++ tps"; "mysticeti lat(ms)"; "mysticeti tps" ]
     rows;
-  let baseline (o : E.outcome) =
-    match
-      List.sort compare
-        (List.filter_map
-           (fun (t, v) -> if t >= 2_000.0 && t < inject_at then Some v else None)
-           o.E.latency_series)
-    with
+  let median = function
     | [] -> nan
-    | sorted -> List.nth sorted (List.length sorted / 2)
+    | l -> List.nth (List.sort compare l) (List.length l / 2)
   in
-  let med_after (o : E.outcome) =
-    match
-      List.sort compare
-        (List.filter_map (fun (t, v) -> if t >= inject_at then Some v else None) o.E.latency_series)
-    with
-    | [] -> nan
-    | sorted -> List.nth sorted (List.length sorted / 2)
+  let window (o : E.outcome) keep =
+    List.filter_map (fun (t, v) -> if keep t then Some v else None) o.E.latency_series
   in
-  let peak_after (o : E.outcome) =
-    List.fold_left
-      (fun acc (t, v) -> if t >= inject_at then Float.max acc v else acc)
-      0.0 o.E.latency_series
-  in
+  let baseline o = median (window o (fun t -> t >= 2_000.0 && t < inject_at)) in
+  let med_after o = median (window o (fun t -> t >= inject_at)) in
+  let peak_after o = List.fold_left Float.max 0.0 (window o (fun t -> t >= inject_at)) in
   let summarize name o =
     note "%s: median degradation %.2fx, peak %.2fx\n" name
       (med_after o /. baseline o)
@@ -325,7 +320,6 @@ let fig8 () =
 let failures () =
   section "Failures: Byzantine / partition+heal / crash-recover scenarios";
   let module Faults = Shoalpp_sim.Faults in
-  let module Telemetry = Shoalpp_support.Telemetry in
   let t4 = bench_duration_ms /. 4.0 in
   (* Fault windows scaled to the bench duration so the heal / recovery and
      the post-recovery tail both fit inside the run. *)
@@ -376,7 +370,7 @@ let failures () =
       (fun system ->
         List.map
           (fun scenario ->
-            let o = run system { base_params with E.load_tps = 1_000.0; scenario } in
+            let o = E.run system { base_params with E.load_tps = 1_000.0; scenario } in
             let r = o.E.report in
             [
               Printf.sprintf "%s %s" (E.system_name system) (Faults.name scenario);
@@ -416,10 +410,8 @@ let kdags () =
       (fun k ->
         List.map
           (fun load ->
-            let o = run E.Shoalpp { base_params with E.load_tps = load; num_dags = Some k } in
-            match row_of_outcome o with
-            | name :: rest -> Printf.sprintf "%s k=%d" name k :: rest
-            | [] -> [])
+            tagged_row (Printf.sprintf " k=%d" k)
+              (E.run E.Shoalpp { base_params with E.load_tps = load; num_dags = Some k }))
           [ 2_000.0; 20_000.0 ])
       [ 1; 2; 3; 4 ]
   in
@@ -434,12 +426,9 @@ let timeouts () =
   let rows =
     List.map
       (fun timeout ->
-        let o =
-          run E.Shoalpp { base_params with E.load_tps = 2_000.0; round_timeout_ms = Some timeout }
-        in
-        match row_of_outcome o with
-        | name :: rest -> Printf.sprintf "%s to=%.0fms" name timeout :: rest
-        | [] -> [])
+        tagged_row (Printf.sprintf " to=%.0fms" timeout)
+          (E.run E.Shoalpp
+             { base_params with E.load_tps = 2_000.0; round_timeout_ms = Some timeout }))
       [ 150.0; 300.0; 600.0; 1_200.0 ]
   in
   Tablefmt.print ~header rows;
@@ -453,42 +442,77 @@ let timeouts () =
 
 let a2a () =
   section "Ablation: star vs all-to-all certification (section 5.4)";
-  let committee = Shoalpp_dag.Committee.make ~n:bench_n ~cluster_seed:1 () in
+  let committee = Committee.make ~n:bench_n ~cluster_seed:1 () in
   let rows =
     List.map
       (fun sys ->
-        let o = run sys { base_params with E.load_tps = 2_000.0 } in
+        let o = E.run sys { base_params with E.load_tps = 2_000.0 } in
         row_of_outcome o @ [ string_of_int o.E.report.Report.messages_sent ])
       [
         E.Shoalpp;
-        E.Custom (Shoalpp_core.Config.with_all_to_all (Shoalpp_core.Config.shoalpp ~committee));
+        E.Custom (Config.with_all_to_all (Config.shoalpp ~committee));
       ]
   in
   Tablefmt.print ~header:(header @ [ "messages" ]) rows;
   note "shape: ~1 md lower latency for ~an order of magnitude more messages.\n"
 
 (* ------------------------------------------------------------------ *)
-(* perf — the continuous-benchmark harness: a fixed sweep of Shoal++ runs
-   (n x topology) timed end to end, written to BENCH_perf.json at the repo
-   root. The committed file locks in the hot-path optimizations: re-run the
-   harness after a change and compare against the committed numbers.
+(* The one record the perf/mem/node/net sweeps write: their runs under an
+   envelope naming the kind and the machine that produced them (core
+   count, OCaml version, git rev, as perfbench's run record does).
+   Comparing records is scripts/check.sh's job, not the writer's. *)
 
-   Set BENCH_PERF_BASELINE=<path to a previous BENCH_perf.json> to embed
-   that run verbatim under "baseline" and have per-config speedups and an
-   identity check (same audit, same commit-rule mix — the optimizations must
-   not change behaviour) computed into the new file. BENCH_PERF_OUT
-   overrides the output path (default BENCH_perf.json). *)
+let git_rev () =
+  let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+  let rev = In_channel.input_line ic in
+  match (Unix.close_process_in ic, rev) with
+  | Unix.WEXITED 0, Some rev -> Json.Str (String.trim rev)
+  | _ -> Json.Null
+
+let write_record kind runs =
+  let machine =
+    Json.Obj
+      [
+        ("nproc", Json.Int (Domain.recommended_domain_count ()));
+        ("ocaml_version", Json.Str Sys.ocaml_version);
+        ("git_rev", git_rev ());
+      ]
+  in
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.Str "shoalpp-bench/2");
+        ("kind", Json.Str kind);
+        ("machine", machine);
+        ("runs", Json.List runs);
+      ]
+  in
+  let out = Option.value (Sys.getenv_opt "BENCH_OUT") ~default:("BENCH_" ^ kind ^ ".json") in
+  let oc = open_out out in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  note "wrote %s\n" out
+
+(* ------------------------------------------------------------------ *)
+(* perf — the continuous-benchmark harness: a fixed sweep of Shoal++ runs
+   (n x topology) timed end to end, written to BENCH_perf.json. Its
+   behaviour fields (events, commits, rule mix, audit) are the contract a
+   change to the hot path must keep; scripts/check.sh compares a fresh
+   sweep against the committed file. Retention is BENCH_mem.json's measure:
+   the heap left after a run is mostly Validation's memo, which pins
+   whatever the previous runs verified (see EXPERIMENTS.md). *)
 
 let perf () =
-  section "perf: hot-path sweep (wall-clock, events/s, heap)";
-  let module Json = Shoalpp_runtime.Export.Json in
-  let duration_ms = 1000.0 *. Float.min 10.0 (bench_duration_ms /. 1000.0) in
+  section "perf: hot-path sweep (wall-clock, events/s, allocation)";
+  let duration_ms = duration_ms 10.0 in
   let sweep =
     List.concat_map
       (fun n ->
-        List.map (fun (tname, topo) -> (n, tname, topo))
-          [ ("clique", E.Clique (4, 25.0)); ("gcp10", E.Gcp10) ])
-      [ 4; 20; 50 ]
+        List.map
+          (fun (tname, topo) -> (n, tname, topo))
+          [ ("clique", Topology.clique ~regions:4 ~one_way_ms:25.0); ("gcp10", Topology.gcp10 ()) ])
+      (replicas [ 4; 20; 50 ])
   in
   let run_one (n, tname, topo) =
     let params =
@@ -502,20 +526,18 @@ let perf () =
         seed = 42;
       }
     in
-    (* Per-run allocation delta; a full major before/after also makes
-       live_words comparable across sweep points. *)
+    (* Start each point from a collected heap, so no run pays for
+       collecting its predecessor's garbage. *)
     Gc.full_major ();
     let s0 = Gc.quick_stat () in
     let words_before = s0.Gc.minor_words +. s0.Gc.major_words -. s0.Gc.promoted_words in
     let t0 = Unix.gettimeofday () in
-    let o = run E.Shoalpp params in
+    let o = E.run E.Shoalpp params in
     let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
     let s1 = Gc.quick_stat () in
     let allocated =
       s1.Gc.minor_words +. s1.Gc.major_words -. s1.Gc.promoted_words -. words_before
     in
-    Gc.full_major ();
-    let live_words = (Gc.stat ()).Gc.live_words in
     let r = o.E.report in
     let events_per_sec = float_of_int o.E.events_fired /. (wall_ms /. 1000.0) in
     note "n=%-3d %-6s wall %7.0f ms  %9.0f events/s  %6.1f Mw alloc  audit %s\n" n tname
@@ -533,7 +555,6 @@ let perf () =
         ("events_fired", Json.Int o.E.events_fired);
         ("events_per_sec", Json.Float events_per_sec);
         ("allocated_words", Json.Float allocated);
-        ("live_words", Json.Int live_words);
         ("committed", Json.Int r.Report.committed);
         ("committed_tps", Json.Float r.Report.committed_tps);
         ("latency_p50_ms", Json.Float r.Report.latency_p50);
@@ -548,91 +569,7 @@ let perf () =
             ] );
       ]
   in
-  let runs = List.map run_one sweep in
-  let key j =
-    ( Option.bind (Json.member "n" j) Json.to_int_opt,
-      Option.bind (Json.member "topology" j) Json.to_string_opt )
-  in
-  let baseline =
-    match Sys.getenv_opt "BENCH_PERF_BASELINE" with
-    | None -> None
-    | Some path ->
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      (match Json.parse text with
-      | Some doc -> Some doc
-      | None ->
-        Printf.eprintf "BENCH_PERF_BASELINE %s: not valid JSON, ignoring\n" path;
-        None)
-  in
-  let comparison =
-    match Option.bind baseline (Json.member "runs") with
-    | Some (Json.List base_runs) ->
-      let speedups =
-        List.filter_map
-          (fun cur ->
-            match List.find_opt (fun b -> key b = key cur) base_runs with
-            | None -> None
-            | Some b ->
-              let f k j = Option.bind (Json.member k j) Json.to_float_opt in
-              let name =
-                Printf.sprintf "n%d_%s"
-                  (Option.value ~default:0 (fst (key cur)))
-                  (Option.value ~default:"?" (snd (key cur)))
-              in
-              (* Behaviour identity: the optimizations may only change how
-                 fast we simulate, never what happens in the simulation. *)
-              let same k = Json.member k b = Json.member k cur in
-              let identical =
-                same "committed" && same "audit_ok" && same "rule_mix"
-                && Option.bind (Json.member "audit_ok" cur) (function
-                       | Json.Bool ok -> Some ok
-                       | _ -> None)
-                   = Some true
-              in
-              (match (f "wall_ms" b, f "wall_ms" cur, f "events_per_sec" b, f "events_per_sec" cur) with
-              | Some bw, Some cw, Some be, Some ce when cw > 0.0 && be > 0.0 ->
-                Some
-                  ( name,
-                    Json.Obj
-                      [
-                        ("wall_speedup", Json.Float (bw /. cw));
-                        ("events_per_sec_ratio", Json.Float (ce /. be));
-                        ("identical_behaviour", Json.Bool identical);
-                      ] )
-              | _ -> None))
-          runs
-      in
-      List.iter
-        (fun (name, j) ->
-          match
-            ( Option.bind (Json.member "wall_speedup" j) Json.to_float_opt,
-              Json.member "identical_behaviour" j )
-          with
-          | Some s, Some (Json.Bool id) ->
-            note "speedup %-12s %.2fx wall, behaviour %s\n" name s
-              (if id then "identical" else "DIVERGED")
-          | _ -> ())
-        speedups;
-      [ ("speedup", Json.Obj speedups) ]
-    | _ -> []
-  in
-  let doc =
-    Json.Obj
-      ([
-         ("schema", Json.Str "shoalpp-bench-perf/1");
-         ("runs", Json.List runs);
-       ]
-      @ comparison
-      @ match baseline with Some b -> [ ("baseline", b) ] | None -> [])
-  in
-  let out = Option.value ~default:"BENCH_perf.json" (Sys.getenv_opt "BENCH_PERF_OUT") in
-  let oc = open_out out in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  note "wrote %s\n" out
+  write_record "perf" (List.map run_one sweep)
 
 (* ------------------------------------------------------------------ *)
 (* mem — the bounded-memory lifecycle sweep: checkpoint interval x n,
@@ -642,35 +579,13 @@ let perf () =
    retained protocol state itself, not what happens to survive teardown.
    Audit-log tracking is off: retaining every replica's full ordered log
    for the audit is unbounded by design and would drown the store/WAL
-   retention the sweep measures.
-
-   Environment: BENCH_MEM_DURATION_S (default 10), BENCH_MEM_NS (default
-   "4,50"), BENCH_MEM_INTERVALS (default "0,12,48"; 0 = lifecycle off),
-   BENCH_MEM_LOAD (default 2000), BENCH_MEM_OUT (default BENCH_mem.json). *)
+   retention the sweep measures. Interval 0 = lifecycle off. *)
 
 let mem () =
   section "mem: live retention vs checkpoint interval (bounded-memory lifecycle)";
-  let module Json = Shoalpp_runtime.Export.Json in
   let module Cluster = Shoalpp_runtime.Cluster in
-  let module Config = Shoalpp_core.Config in
-  let module Committee = Shoalpp_dag.Committee in
-  let module Telemetry = Shoalpp_support.Telemetry in
   let module Ledger = Shoalpp_runtime.Ledger in
-  let ints_env name default =
-    match Sys.getenv_opt name with
-    | None -> default
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-  in
-  let duration_ms =
-    match Sys.getenv_opt "BENCH_MEM_DURATION_S" with
-    | Some s -> 1000.0 *. float_of_string s
-    | None -> 10_000.0
-  in
-  let load =
-    match Sys.getenv_opt "BENCH_MEM_LOAD" with Some s -> float_of_string s | None -> 2_000.0
-  in
-  let ns = ints_env "BENCH_MEM_NS" [ 4; 50 ] in
-  let intervals = ints_env "BENCH_MEM_INTERVALS" [ 0; 12; 48 ] in
+  let duration_ms = duration_ms 10.0 and load = 2_000.0 in
   let run_one n interval =
     let committee = Committee.make ~n ~cluster_seed:42 () in
     let protocol =
@@ -681,7 +596,7 @@ let mem () =
     let setup =
       {
         (Cluster.default_setup ~protocol) with
-        Cluster.topology = Shoalpp_sim.Topology.clique ~regions:4 ~one_way_ms:25.0;
+        Cluster.topology = Topology.clique ~regions:4 ~one_way_ms:25.0;
         load_tps = load;
         seed = 42;
         track_logs = false;
@@ -726,16 +641,11 @@ let mem () =
         ("checkpoints_certified", Json.Int certified);
       ]
   in
-  let runs = List.concat_map (fun n -> List.map (run_one n) intervals) ns in
-  let doc =
-    Json.Obj [ ("schema", Json.Str "shoalpp-bench-mem/1"); ("runs", Json.List runs) ]
-  in
-  let out = Option.value ~default:"BENCH_mem.json" (Sys.getenv_opt "BENCH_MEM_OUT") in
-  let oc = open_out out in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  note "wrote %s\n" out
+  (* Each point runs on a fresh domain: Validation's memo is domain-local,
+     so no point's live words include the values an earlier one verified. *)
+  let on_fresh_domain n interval = Domain.join (Domain.spawn (fun () -> run_one n interval)) in
+  write_record "mem"
+    (List.concat_map (fun n -> List.map (on_fresh_domain n) [ 0; 12; 48 ]) (replicas [ 4; 50 ]))
 
 (* ------------------------------------------------------------------ *)
 (* node: the real-time multicore node, ordered throughput vs --domains,
@@ -743,36 +653,17 @@ let mem () =
    wall-clock behaviour, so the absolute tx/s are machine-dependent; the
    committed file's machine-independent fields (audit consistency, zero
    duplicate orders, zero pool exceptions, the swept domain counts and k)
-   are what scripts/check.sh guards. The modeled per-signature
-   verification cost (--verify-delay-us; see Crypto_cost) is what the
-   verify pool parallelizes — with the default 0 the run measures only
-   the seeded HMAC, which underprices real crypto by orders of magnitude
-   and makes the comparison meaningless.
-
-   Environment: BENCH_NODE_LOAD (offered tx/s, default 60000),
-   BENCH_NODE_DURATION_S (default 5), BENCH_NODE_VD_US (default 10),
-   BENCH_NODE_DOMAINS (default "1,2,4"), BENCH_NODE_OUT. *)
+   are what scripts/check.sh guards. Each domain count runs twice: with a
+   modeled per-signature verification cost of 10 us (--verify-delay-us;
+   see Crypto_cost), which is what the verify pool parallelizes, and with
+   none, where only the seeded HMAC is paid. Each row's speedup_vs_1 is its
+   ordered tx/s over the one-domain row at the same cost. *)
 
 let node_bench () =
   section "node: realtime ordered throughput vs domains (wall clock)";
-  let module Json = Shoalpp_runtime.Export.Json in
-  let module Node = Shoalpp_runtime.Node in
-  let module Config = Shoalpp_core.Config in
-  let module Committee = Shoalpp_dag.Committee in
-  let getf name default =
-    match Sys.getenv_opt name with Some s -> float_of_string s | None -> default
-  in
-  let n = 4 in
-  let seed = 42 in
-  let load = getf "BENCH_NODE_LOAD" 60_000.0 in
-  let duration_ms = 1000.0 *. getf "BENCH_NODE_DURATION_S" 5.0 in
-  let vd_us = getf "BENCH_NODE_VD_US" 10.0 in
-  let domain_counts =
-    match Sys.getenv_opt "BENCH_NODE_DOMAINS" with
-    | Some s -> List.map int_of_string (String.split_on_char ',' s)
-    | None -> [ 1; 2; 4 ]
-  in
-  let run_one domains =
+  let n = Option.value env_n ~default:4 and seed = 42 and load = 60_000.0 in
+  let duration_ms = duration_ms 5.0 in
+  let run_one vd_us domains =
     let committee = Committee.make ~n ~cluster_seed:seed () in
     let protocol = Config.shoalpp ~committee in
     let setup =
@@ -800,63 +691,40 @@ let node_bench () =
       | None -> 0
     in
     let behaviour_ok = Shoalpp_runtime.Harness.ok audit && pool_exns = 0 in
-    note "domains=%d  %8.0f ordered tx/s  p50 %6.0f ms  elapsed %6.0f ms  audit %s\n" domains
-      ordered_tps report.Report.latency_p50 elapsed_ms
+    note "vd=%2.0fus domains=%d  %8.0f ordered tx/s  p50 %6.0f ms  elapsed %6.0f ms  audit %s\n"
+      vd_us domains ordered_tps report.Report.latency_p50 elapsed_ms
       (if behaviour_ok then "ok" else "FAILED");
-    ( domains,
-      ordered_tps,
-      Json.Obj
-        [
-          ("domains", Json.Int domains);
-          ("n", Json.Int n);
-          ("k_dags", Json.Int protocol.Config.num_dags);
-          ("load_tps", Json.Float load);
-          ("duration_ms", Json.Float duration_ms);
-          ("verify_delay_us", Json.Float vd_us);
-          ("seed", Json.Int seed);
-          ("elapsed_ms", Json.Float elapsed_ms);
-          ("submitted", Json.Int report.Report.submitted);
-          ("committed", Json.Int report.Report.committed);
-          ("ordered_tps", Json.Float ordered_tps);
-          ("latency_p50_ms", Json.Float report.Report.latency_p50);
-          ("audit_consistent", Json.Bool audit.Node.consistent_prefixes);
-          ("duplicate_orders", Json.Int audit.Node.duplicate_orders);
-          ("pool_work_exceptions", Json.Int pool_exns);
-          ("behaviour_ok", Json.Bool behaviour_ok);
-        ] )
-  in
-  let results = List.map run_one domain_counts in
-  let speedup =
-    let base =
-      List.find_map (fun (d, tps, _) -> if d = 1 then Some tps else None) results
-    in
-    let dmax, tmax =
-      List.fold_left (fun (ad, at) (d, t, _) -> if d > ad then (d, t) else (ad, at)) (0, 0.0)
-        results
-    in
-    match base with
-    | Some b when b > 0.0 && dmax > 1 ->
-      note "speedup: %.2fx ordered tx/s at %d domains vs 1\n" (tmax /. b) dmax;
+    ( ordered_tps,
       [
-        ( "speedup_vs_1",
-          Json.Obj [ ("domains", Json.Int dmax); ("ratio", Json.Float (tmax /. b)) ] );
-      ]
-    | _ -> []
+        ("domains", Json.Int domains);
+        ("n", Json.Int n);
+        ("k_dags", Json.Int protocol.Config.num_dags);
+        ("load_tps", Json.Float load);
+        ("duration_ms", Json.Float duration_ms);
+        ("verify_delay_us", Json.Float vd_us);
+        ("seed", Json.Int seed);
+        ("elapsed_ms", Json.Float elapsed_ms);
+        ("submitted", Json.Int report.Report.submitted);
+        ("committed", Json.Int report.Report.committed);
+        ("ordered_tps", Json.Float ordered_tps);
+        ("latency_p50_ms", Json.Float report.Report.latency_p50);
+        ("audit_consistent", Json.Bool audit.Node.consistent_prefixes);
+        ("duplicate_orders", Json.Int audit.Node.duplicate_orders);
+        ("pool_work_exceptions", Json.Int pool_exns);
+        ("behaviour_ok", Json.Bool behaviour_ok);
+      ] )
   in
-  let doc =
-    Json.Obj
-      ([
-         ("schema", Json.Str "shoalpp-bench-node/1");
-         ("runs", Json.List (List.map (fun (_, _, j) -> j) results));
-       ]
-      @ speedup)
+  let runs =
+    List.concat_map
+      (fun vd_us ->
+        let rows = List.map (run_one vd_us) [ 1; 2; 4 ] in
+        let base = fst (List.hd rows) in
+        List.map
+          (fun (tps, fields) -> Json.Obj (fields @ [ ("speedup_vs_1", Json.Float (tps /. base)) ]))
+          rows)
+      [ 10.0; 0.0 ]
   in
-  let out = Option.value ~default:"BENCH_node.json" (Sys.getenv_opt "BENCH_NODE_OUT") in
-  let oc = open_out out in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  note "wrote %s\n" out
+  write_record "node" runs
 
 (* ------------------------------------------------------------------ *)
 (* net: simulation vs realtime sockets under the same geography.
@@ -868,40 +736,15 @@ let node_bench () =
    and on. The table this prints (and BENCH_net.json) is the sim-vs-real
    comparison EXPERIMENTS.md commits: latency should agree to within the
    socket stack's overhead, and coalescing should cut flushes (syscalls)
-   without moving the commit latency.
-
-   Environment: BENCH_NET_N (replicas, default 10 — the paper's region
-   count; raise toward 50 for the scaling sweep), BENCH_NET_LOADS
-   (default "100,300,1000" tx/s), BENCH_NET_DURATION_S (default 5),
-   BENCH_NET_COALESCE_US (default "0,500"), BENCH_NET_OUT. *)
+   without moving the commit latency. n defaults to 10, the paper's region
+   count; raise BENCH_N toward 50 for the scaling sweep. *)
 
 let net_bench () =
   section "net: sim vs realtime TCP under gcp10 (latency vs load)";
-  let module Json = Shoalpp_runtime.Export.Json in
-  let module Node = Shoalpp_runtime.Node in
-  let module Config = Shoalpp_core.Config in
-  let module Committee = Shoalpp_dag.Committee in
-  let module Topology = Shoalpp_sim.Topology in
-  let geti name default =
-    match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
-  in
-  let getl name default =
-    match Sys.getenv_opt name with
-    | Some s -> List.map float_of_string (String.split_on_char ',' s)
-    | None -> default
-  in
-  let n = geti "BENCH_NET_N" 10 in
-  let seed = 42 in
-  let loads = getl "BENCH_NET_LOADS" [ 100.0; 300.0; 1_000.0 ] in
-  let coalesce_variants = getl "BENCH_NET_COALESCE_US" [ 0.0; 500.0 ] in
-  let duration_ms =
-    1000.0
-    *. (match Sys.getenv_opt "BENCH_NET_DURATION_S" with
-       | Some s -> float_of_string s
-       | None -> 5.0)
-  in
+  let n = Option.value env_n ~default:10 and seed = 42 in
+  let duration_ms = duration_ms 5.0 in
   let warmup_ms = Float.min 1_000.0 (duration_ms /. 5.0) in
-  let row ~mode ~load (r : Report.t) extras =
+  let row ~mode ~load (r : Report.t) extras fields =
     ( [
         Printf.sprintf "%.0f" load;
         mode;
@@ -923,7 +766,8 @@ let net_bench () =
            ("committed_tps", Json.Float r.Report.committed_tps);
            ("latency_p50_ms", Json.Float r.Report.latency_p50);
            ("latency_p75_ms", Json.Float r.Report.latency_p75);
-         ]) )
+         ]
+        @ fields) )
   in
   let sim_run load =
     let params =
@@ -933,13 +777,13 @@ let net_bench () =
         load_tps = load;
         duration_ms;
         warmup_ms;
-        topology = E.Gcp10;
+        topology = Topology.gcp10 ();
         seed;
       }
     in
     let o = E.run E.Shoalpp params in
     if not o.E.audit_ok then note "WARNING: sim audit failed at load %.0f\n" load;
-    row ~mode:"sim" ~load o.E.report [ "-"; "-" ]
+    row ~mode:"sim" ~load o.E.report [ "-"; "-" ] []
   in
   let realtime_run load coalesce_us =
     let committee = Committee.make ~n ~cluster_seed:seed () in
@@ -962,52 +806,29 @@ let net_bench () =
     if not (Shoalpp_runtime.Harness.ok audit) then
       note "WARNING: realtime audit failed at load %.0f coalesce %.0f\n" load coalesce_us;
     let ns = Option.get (Node.tcp_net_stats node) in
-    let mode = Printf.sprintf "tcp+gcp10/c%.0fus" coalesce_us in
-    let txt, json =
-      row ~mode ~load report
-        [
-          string_of_int ns.Shoalpp_backend.Tcp_transport.flushes;
-          string_of_int ns.Shoalpp_backend.Tcp_transport.coalesced_frames;
-        ]
-    in
-    let json =
-      match json with
-      | Json.Obj fields ->
-        Json.Obj
-          (fields
-          @ [
-              ("coalesce_us", Json.Float coalesce_us);
-              ("flushes", Json.Int ns.Shoalpp_backend.Tcp_transport.flushes);
-              ("coalesced_frames", Json.Int ns.Shoalpp_backend.Tcp_transport.coalesced_frames);
-              ("audit_consistent", Json.Bool audit.Node.consistent_prefixes);
-              ("duplicate_orders", Json.Int audit.Node.duplicate_orders);
-            ])
-      | other -> other
-    in
-    (txt, json)
+    let flushes = ns.Shoalpp_backend.Tcp_transport.flushes in
+    let coalesced = ns.Shoalpp_backend.Tcp_transport.coalesced_frames in
+    row
+      ~mode:(Printf.sprintf "tcp+gcp10/c%.0fus" coalesce_us)
+      ~load report
+      [ string_of_int flushes; string_of_int coalesced ]
+      [
+        ("coalesce_us", Json.Float coalesce_us);
+        ("flushes", Json.Int flushes);
+        ("coalesced_frames", Json.Int coalesced);
+        ("audit_consistent", Json.Bool audit.Node.consistent_prefixes);
+        ("duplicate_orders", Json.Int audit.Node.duplicate_orders);
+      ]
   in
   let results =
     List.concat_map
-      (fun load ->
-        sim_run load :: List.map (fun c -> realtime_run load c) coalesce_variants)
-      loads
+      (fun load -> sim_run load :: List.map (realtime_run load) [ 0.0; 500.0 ])
+      [ 100.0; 300.0; 1_000.0 ]
   in
   Tablefmt.print
     ~header:[ "load tx/s"; "mode"; "committed"; "tx/s"; "p50 ms"; "p75 ms"; "flushes"; "coalesced" ]
     (List.map fst results);
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "shoalpp-bench-net/1");
-        ("runs", Json.List (List.map snd results));
-      ]
-  in
-  let out = Option.value ~default:"BENCH_net.json" (Sys.getenv_opt "BENCH_NET_OUT") in
-  let oc = open_out out in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  note "wrote %s\n" out
+  write_record "net" (List.map snd results)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks for the substrate. *)

@@ -1,129 +1,57 @@
-(* Command-line front end for the real-time deployment: the same Shoal++
-   replicas the simulator runs, on a wall clock over loopback or TCP, with
-   the run's trace and metrics exported on shutdown.
+(* [shoalpp node]: the same Shoal++ replicas the simulator runs, on a wall
+   clock over loopback or TCP, with the run's trace and metrics exported on
+   shutdown. The one module of the front end that touches the OS (sockets,
+   the admin plane); the sim subcommand stays effect-free.
 
    Examples:
-     dune exec bin/shoalpp_node.exe -- -n 4 --duration 2000 --load 200
-     dune exec bin/shoalpp_node.exe -- --transport tcp --duration 2000
-     dune exec bin/shoalpp_node.exe -- --trace-out node.jsonl --metrics-out node.metrics.json *)
+     dune exec bin/shoalpp.exe -- node -n 4 --duration 2000 --load 200
+     dune exec bin/shoalpp.exe -- node --transport tcp --duration 2000
+     dune exec bin/shoalpp.exe -- node --trace-out node.jsonl --metrics-out node.metrics.json *)
 
 module Node = Shoalpp_runtime.Node
 module Harness = Shoalpp_runtime.Harness
 module Report = Shoalpp_runtime.Report
-module Export = Shoalpp_runtime.Export
 module Ledger = Shoalpp_runtime.Ledger
 module Prom = Shoalpp_runtime.Prom
 module Admin = Shoalpp_backend.Admin_server
-module Telemetry = Shoalpp_support.Telemetry
 module Config = Shoalpp_core.Config
 module Committee = Shoalpp_dag.Committee
+module Topology = Shoalpp_sim.Topology
 module Trace = Shoalpp_sim.Trace
 open Cmdliner
-
-let write_file path f =
-  match open_out path with
-  | oc -> Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-  | exception Sys_error msg ->
-    Printf.eprintf "shoalpp_node: cannot write %s (%s)\n" path msg;
-    exit 1
 
 type transport_arg = Inproc | Tcp
 
 let transport_conv = Arg.enum [ ("loopback", Inproc); ("inproc", Inproc); ("tcp", Tcp) ]
 
-module Topology = Shoalpp_sim.Topology
-
-(* A topology file is "src dst one_way_ms" triples, one per line (blank
-   lines and #-comments skipped); unlisted pairs get 0 ms. Only the listed
-   direction is set, so asymmetric links are expressible. *)
-let parse_topology_file ~n path =
-  let d = Array.make_matrix n n 0.0 in
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let err = ref None and lineno = ref 0 in
-        (try
-           while !err = None do
-             incr lineno;
-             let line = String.trim (input_line ic) in
-             if line <> "" && line.[0] <> '#' then
-               match Scanf.sscanf line " %d %d %f" (fun s t ms -> (s, t, ms)) with
-               | src, dst, ms ->
-                 if src < 0 || src >= n || dst < 0 || dst >= n then
-                   err := Some (Printf.sprintf "%s:%d: replica out of range 0..%d" path !lineno (n - 1))
-                 else if not (Float.is_finite ms) || ms < 0.0 then
-                   err := Some (Printf.sprintf "%s:%d: delay must be finite and >= 0" path !lineno)
-                 else d.(src).(dst) <- ms
-               | exception Scanf.Scan_failure _ | exception Failure _ ->
-                 err := Some (Printf.sprintf "%s:%d: expected 'src dst one_way_ms'" path !lineno)
-           done
-         with End_of_file -> ());
-        match !err with Some m -> Error m | None -> Ok d)
-
-(* --topology SPEC -> n x n one-way delay matrix for the geography shim.
-   Named topologies place replicas round-robin across regions, exactly as
-   the simulator does, so a sim run and a realtime run of the same spec see
-   the same per-link delays. *)
-let parse_topology ~n spec =
-  let named t = Ok (Topology.delay_matrix t ~n) in
-  match String.split_on_char ':' spec with
-  | [ "gcp10" ] -> named (Topology.gcp10 ())
-  | [ "uniform"; ms ] -> (
-    match float_of_string_opt ms with
-    | Some d when Float.is_finite d && d >= 0.0 -> named (Topology.uniform ~delay_ms:d)
-    | _ -> Error (Printf.sprintf "bad uniform delay %S (want uniform:MS)" ms))
-  | [ "clique"; rest ] -> (
-    match String.split_on_char ',' rest with
-    | [ r; ms ] -> (
-      match (int_of_string_opt r, float_of_string_opt ms) with
-      | Some regions, Some one_way_ms when regions > 0 && Float.is_finite one_way_ms && one_way_ms >= 0.0
-        ->
-        named (Topology.clique ~regions ~one_way_ms)
-      | _ -> Error (Printf.sprintf "bad clique spec %S (want clique:REGIONS,MS)" rest))
-    | _ -> Error (Printf.sprintf "bad clique spec %S (want clique:REGIONS,MS)" rest))
-  | _ when Sys.file_exists spec -> parse_topology_file ~n spec
-  | _ ->
-    Error
-      (Printf.sprintf "unknown topology %S (gcp10 | uniform:MS | clique:REGIONS,MS | FILE)" spec)
-
-let run n duration load warmup timeout seed no_verify domains verify_delay checkpoint_interval
-    restart transport tcp_port coalesce_us topology trace_out metrics_out admin_port ledger_tail =
-  let committee = Committee.make ~n ~cluster_seed:seed () in
+let run (c : Cli.common) domains verify_delay restart transport tcp_port coalesce_us admin_port
+    ledger_tail =
+  let n = c.Cli.n and duration = c.Cli.duration in
+  let committee = Committee.make ~n ~cluster_seed:c.Cli.seed () in
   let protocol =
     let p = Config.shoalpp ~committee in
-    let p = if no_verify then Config.without_signature_checks p else p in
-    let p = Config.with_checkpoint_interval p (max 0 checkpoint_interval) in
-    match timeout with Some ms -> Config.round_timeout p ms | None -> p
+    let p = if c.Cli.no_verify then Config.without_signature_checks p else p in
+    let p = Config.with_checkpoint_interval p c.Cli.checkpoint_interval in
+    match c.Cli.timeout with Some ms -> Config.round_timeout p ms | None -> p
   in
   (match restart with
   | Some _ when domains > 1 ->
-    Printf.eprintf "shoalpp_node: --restart requires --domains 1\n";
+    Printf.eprintf "shoalpp: --restart requires --domains 1\n";
     exit 1
   | _ -> ());
   let transport = match transport with Inproc -> Node.Inproc | Tcp -> Node.Tcp tcp_port in
-  let delays_ms =
-    match topology with
-    | None -> None
-    | Some spec -> (
-      match parse_topology ~n spec with
-      | Ok d -> Some d
-      | Error msg ->
-        Printf.eprintf "shoalpp_node: --topology: %s\n" msg;
-        exit 1)
+  let trace =
+    if c.Cli.trace_out <> None then Some (Trace.create ~enabled:true ~capacity:65536 ()) else None
   in
-  let trace = if trace_out <> None then Some (Trace.create ~enabled:true ~capacity:65536 ()) else None in
   let setup =
     {
       (Node.default_setup ~protocol) with
-      Node.load_tps = load;
-      warmup_ms = warmup;
-      seed;
+      Node.load_tps = c.Cli.load;
+      warmup_ms = c.Cli.warmup;
+      seed = c.Cli.seed;
       transport;
       coalesce_us = Float.max 0.0 coalesce_us;
-      delays_ms;
+      delays_ms = Option.map (fun t -> Topology.delay_matrix t ~n) c.Cli.topology;
       trace;
       domains = max 1 domains;
       verify_delay_us = Float.max 0.0 verify_delay;
@@ -146,18 +74,18 @@ let run n duration load warmup timeout seed no_verify domains verify_delay check
       (Shoalpp_backend.Backend.schedule bk
          ~after:(Float.max 0.0 (Float.max crash_at recover_at))
          (fun () -> Node.recover_replica node i)));
-  Format.printf "shoalpp_node: %d replicas, %s transport, %.0f tps for %.0f ms%s%s%s@." n
+  Format.printf "shoalpp node: %d replicas, %s transport, %.0f tps for %.0f ms%s%s%s@." n
     (match transport with
     | Node.Inproc -> "loopback"
     | Node.Tcp p -> Printf.sprintf "tcp:%d" p)
-    load duration
+    c.Cli.load duration
     (if setup.Node.domains > 1 then
        Printf.sprintf ", %d domains (per-DAG executors + verify pool)" setup.Node.domains
      else "")
     (if setup.Node.coalesce_us > 0.0 then
        Printf.sprintf ", coalesce %.0f us" setup.Node.coalesce_us
      else "")
-    (match topology with Some s -> ", topology " ^ s | None -> "");
+    (match c.Cli.topology with Some t -> ", topology " ^ Topology.to_spec t | None -> "");
   (match Node.tcp_ports node with
   | Some ports ->
     Format.printf "tcp ports: %s@."
@@ -194,7 +122,7 @@ let run n duration load warmup timeout seed no_verify domains verify_delay check
           (Admin.port admin);
         Some admin
       | exception Unix.Unix_error (err, _, _) ->
-        Printf.eprintf "shoalpp_node: cannot bind admin port %d (%s)\n" port
+        Printf.eprintf "shoalpp: cannot bind admin port %d (%s)\n" port
           (Unix.error_message err);
         exit 1)
   in
@@ -239,44 +167,20 @@ let run n duration load warmup timeout seed no_verify domains verify_delay check
     audit.Node.total_segments audit.Node.prefix_length
     (String.concat ","
        (Array.to_list (Array.map string_of_int audit.Node.anchors_per_lane)));
-  (match trace with
-  | Some _ ->
-    let path = Option.get trace_out in
-    (* Node.trace_events merges the per-lane-domain rings of a multicore
-       run into one time-sorted stream (at --domains 1 it is exactly the
-       main ring's contents). *)
-    let events = Node.trace_events node in
-    write_file path (fun oc -> Export.write_jsonl oc events);
-    Format.printf "trace: %d events -> %s@." (List.length events) path;
-    if Node.trace_dropped node > 0 then
-      Format.printf
-        "WARNING: trace ring dropped %d events — %s holds only the newest %d; raise the ring \
-         capacity or shorten the run for a complete trace@."
-        (Node.trace_dropped node) path (List.length events)
-  | None -> ());
-  (match metrics_out with
-  | Some path ->
-    write_file path (fun oc ->
-        Export.write_metrics oc report.Report.telemetry;
-        output_char oc '\n');
-    Format.printf "metrics: %s@." path
-  | None -> ());
-  if not (Harness.ok audit) then exit 1
+  (* Node.trace_events merges the per-lane-domain rings of a multicore run
+     into one time-sorted stream (at --domains 1 it is exactly the main
+     ring's contents). *)
+  let events = Node.trace_events node in
+  (match c.Cli.trace_out with
+  | Some path when Node.trace_dropped node > 0 ->
+    Format.printf
+      "WARNING: trace ring dropped %d events — %s holds only the newest %d; raise the ring \
+       capacity or shorten the run for a complete trace@."
+      (Node.trace_dropped node) path (List.length events)
+  | _ -> ());
+  Cli.finish c ~events ~telemetry:report.Report.telemetry ~ok:(Harness.ok audit)
 
 let cmd =
-  let n = Arg.(value & opt int 4 & info [ "n"; "replicas" ] ~doc:"Number of replicas.") in
-  let duration =
-    Arg.(value & opt float 2_000.0 & info [ "duration" ] ~doc:"Wall-clock run length, ms.")
-  in
-  let load = Arg.(value & opt float 200.0 & info [ "load" ] ~doc:"Offered load, tx/s.") in
-  let warmup = Arg.(value & opt float 0.0 & info [ "warmup" ] ~doc:"Warmup excluded, ms.") in
-  let timeout =
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~doc:"Round timeout override, ms.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Cluster seed (keys, clients).") in
-  let no_verify =
-    Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip signature verification (faster).")
-  in
   let domains =
     Arg.(
       value
@@ -302,16 +206,6 @@ let cmd =
              --topology for the network. Paid inline on the event loop at --domains 1 and \
              on the verify pool's workers at --domains N, so the comparison varies only where \
              the cost lands.")
-  in
-  let checkpoint_interval =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "checkpoint-interval" ] ~docv:"C"
-          ~doc:
-            "Certify a checkpoint (and prune history below it) every C committed anchors; 0 \
-             (default) disables the bounded-memory lifecycle. The commit sequence is identical \
-             at any value.")
   in
   let restart =
     Arg.(
@@ -349,30 +243,6 @@ let cmd =
              64 KiB, whichever first) and flush them as a single write. 0 (default) flushes \
              every frame immediately. TCP_NODELAY is always set.")
   in
-  let topology =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "topology" ] ~docv:"SPEC"
-          ~doc:
-            "Geography shim: add per-(src,dst) one-way delays to every message, over any \
-             transport. SPEC is gcp10 (the paper's 10-region GCP RTT matrix, replicas placed \
-             round-robin) | uniform:MS | clique:REGIONS,MS | a file of 'src dst one_way_ms' \
-             lines.")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE" ~doc:"Write the typed event trace as JSONL.")
-  in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the telemetry snapshot (counters, stage histograms) as JSON.")
-  in
   let admin_port =
     Arg.(
       value
@@ -390,11 +260,12 @@ let cmd =
       & info [ "ledger-tail" ] ~docv:"N" ~doc:"Entries returned by the /ledger endpoint.")
   in
   Cmd.v
-    (Cmd.info "shoalpp_node"
-       ~doc:"Run a real-time Shoal++ cluster (wall clock, loopback or TCP)")
+    (Cmd.info "node" ~doc:"Run a real-time Shoal++ cluster (wall clock, loopback or TCP)")
     Term.(
-      const run $ n $ duration $ load $ warmup $ timeout $ seed $ no_verify $ domains
-      $ verify_delay $ checkpoint_interval $ restart $ transport $ tcp_port $ coalesce_us
-      $ topology $ trace_out $ metrics_out $ admin_port $ ledger_tail)
-
-let () = exit (Cmd.eval cmd)
+      const run
+      $ Cli.common ~n:4 ~load:200.0 ~duration:2_000.0 ~warmup:0.0
+          ~topology_doc:
+            "Applied as a geography shim: per-(src,dst) one-way delays added to every message, \
+             over any transport. Default: no shim."
+      $ domains $ verify_delay $ restart $ transport $ tcp_port $ coalesce_us $ admin_port
+      $ ledger_tail)

@@ -9,8 +9,6 @@ module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
 module Transaction = Shoalpp_workload.Transaction
 
-type topology_spec = Gcp10 | Uniform of float | Clique of int * float
-
 type system =
   | Shoalpp
   | Shoal
@@ -44,7 +42,7 @@ type params = {
   load_tps : float;
   duration_ms : float;
   warmup_ms : float;
-  topology : topology_spec;
+  topology : Topology.t;
   crashes : int;
   scenario : Shoalpp_sim.Faults.t;
   drop_spec : (int * float * float) option;
@@ -67,7 +65,7 @@ let default_params =
     load_tps = 1000.0;
     duration_ms = 30_000.0;
     warmup_ms = 3_000.0;
-    topology = Gcp10;
+    topology = Topology.gcp10 ();
     crashes = 0;
     scenario = Shoalpp_sim.Faults.none;
     drop_spec = None;
@@ -101,11 +99,6 @@ type outcome = {
   events_fired : int;
   events : Shoalpp_sim.Trace.event list;
 }
-
-let make_topology = function
-  | Gcp10 -> Topology.gcp10 ()
-  | Uniform delay_ms -> Topology.uniform ~delay_ms
-  | Clique (regions, one_way_ms) -> Topology.clique ~regions ~one_way_ms
 
 let median_one_way topology =
   let k = Topology.num_regions topology in
@@ -160,9 +153,8 @@ let dag_config system params =
   let base =
     match params.round_timeout_ms with Some ms -> Config.round_timeout base ms | None -> base
   in
-  let topology = make_topology params.topology in
   let stagger =
-    match params.stagger_ms with Some s -> s | None -> median_one_way topology
+    match params.stagger_ms with Some s -> s | None -> median_one_way params.topology
   in
   let base = { base with Config.stagger_ms = stagger } in
   let base = Config.with_checkpoint_interval base params.checkpoint_interval in
@@ -179,7 +171,7 @@ let run system params =
   let setup protocol =
     {
       Cluster.protocol;
-      topology = make_topology params.topology;
+      topology = params.topology;
       net_config = Option.value ~default:Shoalpp_sim.Netmodel.default_config params.net_config;
       fault = fault_of params;
       scenario = params.scenario;

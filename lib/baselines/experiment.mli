@@ -16,11 +16,6 @@
       audit (prefix consistency with anchor digests, no duplicate
       ordering, recovery prefix extension) for every system. *)
 
-type topology_spec =
-  | Gcp10  (** the paper's 10-region deployment *)
-  | Uniform of float  (** constant one-way delay (md accounting, T1) *)
-  | Clique of int * float  (** regions x one-way ms *)
-
 type system =
   | Shoalpp  (** full Shoal++: fast commit + multi-anchor + 3 DAGs *)
   | Shoal
@@ -42,7 +37,9 @@ type params = {
   load_tps : float;
   duration_ms : float;
   warmup_ms : float;
-  topology : topology_spec;
+  topology : Shoalpp_sim.Topology.t;
+      (** e.g. {!Shoalpp_sim.Topology.gcp10}, or any
+          {!Shoalpp_sim.Topology.of_spec} *)
   crashes : int;  (** crash this many replicas (highest ids) at t=0 *)
   scenario : Shoalpp_sim.Faults.t;
       (** declarative fault scenario (Byzantine / partition+heal /
@@ -97,7 +94,6 @@ type outcome = {
 }
 
 val run : system -> params -> outcome
-val make_topology : topology_spec -> Shoalpp_sim.Topology.t
 val median_one_way : Shoalpp_sim.Topology.t -> float
 val dag_config : system -> params -> Shoalpp_core.Config.t
 (** The concrete configuration a DAG-family system resolves to.

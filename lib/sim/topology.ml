@@ -1,4 +1,4 @@
-type t = { names : string array; one_way : float array array }
+type t = { spec : string; one_way : float array array }
 
 (* Approximate public inter-region RTTs (ms) for the paper's ten GCP regions.
    Order: us-west1, us-east1, europe-west4, europe-southwest1,
@@ -18,30 +18,49 @@ let gcp_rtt =
     [| 140.; 200.; 250.; 270.; 135.; 95.; 150.; 280.; 275.; 2. |];
   |]
 
-let gcp_names =
-  [|
-    "us-west1"; "us-east1"; "europe-west4"; "europe-southwest1"; "asia-northeast3";
-    "asia-southeast1"; "asia-south1"; "southamerica-east1"; "africa-south1";
-    "australia-southeast1";
-  |]
-
 let gcp10 () =
   let one_way = Array.map (Array.map (fun rtt -> rtt /. 2.0)) gcp_rtt in
-  { names = Array.copy gcp_names; one_way }
+  { spec = "gcp10"; one_way }
 
-let uniform ~delay_ms = { names = [| "uniform" |]; one_way = [| [| delay_ms |] |] }
+(* The shortest decimal that reads back as exactly [ms]. *)
+let ms_repr ms =
+  let short = Printf.sprintf "%g" ms in
+  if float_of_string short = ms then short else Printf.sprintf "%.17g" ms
+
+let uniform ~delay_ms = { spec = "uniform:" ^ ms_repr delay_ms; one_way = [| [| delay_ms |] |] }
 
 let clique ~regions ~one_way_ms =
-  let names = Array.init regions (Printf.sprintf "region-%d") in
   let one_way =
     Array.init regions (fun i ->
         Array.init regions (fun j -> if i = j then 0.5 else one_way_ms))
   in
-  { names; one_way }
+  { spec = Printf.sprintf "clique:%d,%s" regions (ms_repr one_way_ms); one_way }
 
-let num_regions t = Array.length t.names
+let of_spec spec =
+  let delay ms =
+    match float_of_string_opt ms with
+    | Some d when Float.is_finite d && d >= 0.0 -> Some d
+    | _ -> None
+  in
+  match String.split_on_char ':' (String.lowercase_ascii spec) with
+  | [ "gcp10" ] -> Ok (gcp10 ())
+  | [ "uniform"; ms ] -> (
+    match delay ms with
+    | Some delay_ms -> Ok (uniform ~delay_ms)
+    | None -> Error (Printf.sprintf "bad uniform delay %S (want uniform:MS, MS >= 0)" ms))
+  | [ "clique"; rest ] -> (
+    let bad = Printf.sprintf "bad clique spec %S (want clique:K,MS, K >= 1, MS >= 0)" rest in
+    match String.split_on_char ',' rest with
+    | [ k; ms ] -> (
+      match (int_of_string_opt k, delay ms) with
+      | Some regions, Some one_way_ms when regions > 0 -> Ok (clique ~regions ~one_way_ms)
+      | _ -> Error bad)
+    | _ -> Error bad)
+  | _ -> Error (Printf.sprintf "unknown topology %S (gcp10 | uniform:MS | clique:K,MS)" spec)
 
-let region_name t i = t.names.(i)
+let to_spec t = t.spec
+
+let num_regions t = Array.length t.one_way
 
 let one_way_ms t i j = t.one_way.(i).(j)
 

@@ -7,8 +7,9 @@
     testing topology.
 
     Invariants:
-    - delays are symmetric ([one_way_ms a b = one_way_ms b a]) and strictly
-      positive, including within a region;
+    - delays are symmetric ([one_way_ms a b = one_way_ms b a]), finite and
+      non-negative; within a region they are strictly positive except for
+      [uniform ~delay_ms:0.];
     - topologies are pure values: the same constructor arguments always
       yield the same matrix and the same round-robin assignment. *)
 
@@ -24,8 +25,16 @@ val clique : regions:int -> one_way_ms:float -> t
 (** [regions] identical regions, [one_way_ms] between distinct regions, for
     tests that need small asymmetries. *)
 
+val of_spec : string -> (t, string) result
+(** The one topology vocabulary of the CLI and the benchmarks:
+    [gcp10 | uniform:MS | clique:K,MS] (case-insensitive). [Error] names the
+    expected form when the spec is malformed, when a delay is not a finite
+    number [>= 0], or when [K < 1]. *)
+
+val to_spec : t -> string
+(** The spec {!of_spec} reads back as an equal topology. *)
+
 val num_regions : t -> int
-val region_name : t -> int -> string
 
 val one_way_ms : t -> int -> int -> float
 (** Base one-way propagation delay between two regions (RTT/2). Within a

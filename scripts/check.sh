@@ -59,7 +59,7 @@ else
   echo "check: odoc not installed, skipping dune build @doc"
 fi
 
-dune exec bin/shoalpp_sim.exe -- \
+dune exec bin/shoalpp.exe -- sim \
   -n 4 --topology clique:4,15 --load 200 --duration 4000 --warmup 500 \
   --trace-out "$out/run.jsonl" \
   --chrome-out "$out/run.trace.json" \
@@ -76,9 +76,19 @@ grep -q '"traceEvents"' "$out/run.trace.json" \
 grep -q '"commit.fast_direct"' "$out/run.metrics.json" \
   || { echo "check failed: commit-rule counters missing from metrics" >&2; exit 1; }
 
+# A malformed topology is a usage error (cmdliner's exit 124), caught by
+# the one spec parser before any run starts, never an uncaught exception
+# (exit 125) or a run on a nonsense network.
+set +e
+./_build/default/bin/shoalpp.exe sim -n 4 --topology clique:0,15 > "$out/bad_topo.out" 2>&1
+bad_topo=$?
+set -e
+[ "$bad_topo" -eq 124 ] \
+  || { echo "check failed: --topology clique:0,15 exited $bad_topo, not 124" >&2; cat "$out/bad_topo.out" >&2; exit 1; }
+
 # Fault-scenario smoke: a crash-recover run must stay safe (the sim exits
 # non-zero on a failed audit) and record the injected faults in telemetry.
-dune exec bin/shoalpp_sim.exe -- \
+dune exec bin/shoalpp.exe -- sim \
   -n 4 --topology clique:4,15 --load 200 --duration 10000 --warmup 500 \
   --scenario crash-recover:at=3000,recover=6000 --no-verify \
   --metrics-out "$out/faults.metrics.json"
@@ -90,7 +100,7 @@ grep -q '"fault.recoveries"' "$out/faults.metrics.json" \
 # physical value (Validation's memo), so every receiver must still refuse
 # what it should. The run must pass its audit and count the equivocations
 # it injected (89 for this command).
-dune exec bin/shoalpp_sim.exe -- \
+dune exec bin/shoalpp.exe -- sim \
   -n 4 --topology clique:4,15 --load 200 --duration 4000 --warmup 500 \
   --scenario byzantine:count=1,kind=equivocate \
   --metrics-out "$out/byz.metrics.json" > "$out/byz.out"
@@ -104,7 +114,7 @@ grep -q '"fault.equivocations":[1-9]' "$out/byz.metrics.json" \
 # retained since it. Those records are payload thunks, encoded only here
 # on replay and decoded again, so the run must pass its audit and replay a
 # nonzero number of entries (42 for this command).
-dune exec bin/shoalpp_sim.exe -- \
+dune exec bin/shoalpp.exe -- sim \
   -n 4 --checkpoint-interval 12 --scenario crash-recover:at=3000,recover=6000 --no-verify \
   --trace-out "$out/ck_recover.jsonl" > "$out/ck_recover.out"
 grep -q 'audit: consistent logs, no duplicates' "$out/ck_recover.out" \
@@ -121,14 +131,14 @@ EOF
 # Shoal++'s cluster and audit, so a crash-recover run (a warm resume for
 # the baselines) must pass the same checks, the recovery prefix included.
 for sys in jolteon mysticeti; do
-  dune exec bin/shoalpp_sim.exe -- --system "$sys" \
+  dune exec bin/shoalpp.exe -- sim --system "$sys" \
     -n 4 --topology clique:4,15 --load 200 --duration 3000 --warmup 500 --no-verify \
     --metrics-out "$out/$sys.metrics.json" > "$out/$sys.out"
   for metric in '"stage.commit_to_order"' '"latency.e2e"' '"dag0.txns"' '"ledger.dag0.'; do
     grep -q "$metric" "$out/$sys.metrics.json" \
       || { echo "check failed: $sys metrics lack $metric" >&2; exit 1; }
   done
-  dune exec bin/shoalpp_sim.exe -- --system "$sys" \
+  dune exec bin/shoalpp.exe -- sim --system "$sys" \
     -n 4 --topology clique:4,15 --load 200 --duration 10000 --warmup 500 --no-verify \
     --scenario crash-recover:at=3000,recover=6000 > "$out/$sys.recover.out"
   grep -q 'audit: consistent logs, no duplicates' "$out/$sys.recover.out" \
@@ -141,7 +151,7 @@ done
 # running, not just at shutdown. The binary exits non-zero if the safety
 # audit fails, and the audit line must show committed segments on every
 # DAG lane.
-./_build/default/bin/shoalpp_node.exe \
+./_build/default/bin/shoalpp.exe node \
   -n 4 --duration 5000 --load 200 --no-verify --admin-port 0 \
   --trace-out "$out/node.jsonl" --metrics-out "$out/node.metrics.json" \
   > "$out/node.out" 2>&1 &
@@ -234,7 +244,7 @@ grep -Eq 'propose->order' "$out/trace_report.txt" \
 # must pass its own audit (the binary exits non-zero otherwise), report a
 # clean pool, and — the determinism claim — the trace analyzer joined over
 # the per-lane-domain rings must find zero commit-sequence divergence.
-./_build/default/bin/shoalpp_node.exe \
+./_build/default/bin/shoalpp.exe node \
   -n 4 --duration 4000 --load 500 --domains 2 \
   --trace-out "$out/mc.jsonl" > "$out/mc.out" 2>&1 \
   || { echo "check failed: multicore node run failed" >&2; cat "$out/mc.out" >&2; exit 1; }
@@ -256,7 +266,7 @@ grep -q 'commit sequence: consistent' "$out/mc_report.txt" \
 # i.e. the socket transport changed timing but never content.
 tcp_ok=""
 for base in 39140 39240 39340 39440 39540; do
-  if ./_build/default/bin/shoalpp_node.exe \
+  if ./_build/default/bin/shoalpp.exe node \
       -n 4 --transport tcp --tcp-port "$base" --coalesce-us 500 \
       --duration 4000 --load 300 --no-verify \
       --trace-out "$out/tcp.jsonl" > "$out/tcp.out" 2>&1; then
@@ -283,7 +293,7 @@ grep -q 'commit sequence: consistent' "$out/tcp_report.txt" \
 # Certificates carry their aggregate on the wire and are verified as
 # received, so a codec that lost or mangled it would stall the DAG: the
 # run must pass its audit and commit an anchor on every lane.
-./_build/default/bin/shoalpp_node.exe \
+./_build/default/bin/shoalpp.exe node \
   -n 4 --transport tcp --duration 3000 --load 300 > "$out/tcpv.out" 2>&1 \
   || { echo "check failed: verified tcp run failed" >&2; cat "$out/tcpv.out" >&2; exit 1; }
 grep -q 'audit: consistent logs, no duplicates' "$out/tcpv.out" \
@@ -294,7 +304,7 @@ grep -Eq 'lanes [1-9][0-9]*,[1-9][0-9]*,[1-9][0-9]*$' "$out/tcpv.out" \
 # Geography smoke: n=10 over TCP with the paper's gcp10 delay matrix
 # applied per link (kernel-assigned ports). The run must pass its safety
 # audit under realistic heterogeneous latencies; the exit code carries it.
-./_build/default/bin/shoalpp_node.exe \
+./_build/default/bin/shoalpp.exe node \
   -n 10 --transport tcp --topology gcp10 --coalesce-us 500 \
   --duration 5000 --load 300 --no-verify > "$out/tcp10.out" 2>&1 \
   || { echo "check failed: n=10 tcp+gcp10 run failed" >&2; cat "$out/tcp10.out" >&2; exit 1; }
@@ -307,7 +317,7 @@ grep -q 'audit: consistent logs, no duplicates' "$out/tcp10.out" \
 # retains at most two checkpoint windows of store + WAL; BENCH_mem.json
 # records the retention curves). The ceiling is ~5x the measured steady
 # state, so real regressions trip it while GC noise cannot.
-./_build/default/bin/shoalpp_node.exe \
+./_build/default/bin/shoalpp.exe node \
   -n 4 --duration 12000 --load 500 --no-verify --admin-port 0 \
   --checkpoint-interval 12 --metrics-out "$out/mem.metrics.json" \
   > "$out/mem.out" 2>&1 &
@@ -347,7 +357,7 @@ grep -q 'audit: consistent logs, no duplicates' "$out/mem.out" \
 # require that it rejoined from a certified checkpoint (base_seq > 0 — it
 # did NOT replay from genesis) with an O(gap) number of sync requests,
 # and that the cluster audit still passes (the binary's exit code).
-./_build/default/bin/shoalpp_node.exe \
+./_build/default/bin/shoalpp.exe node \
   -n 4 --duration 10000 --load 300 --no-verify \
   --checkpoint-interval 12 --restart 3000,6000 > "$out/catchup.out" 2>&1 \
   || { echo "check failed: restart run failed" >&2; cat "$out/catchup.out" >&2; exit 1; }
@@ -363,37 +373,87 @@ reqs=$(printf '%s' "$restart_line" | sed -n 's/.*catch-up \([0-9]*\) sync reques
   || { echo "check failed: catch-up sync requests not O(gap) ($reqs)" >&2; exit 1; }
 echo "catch-up smoke: $restart_line"
 
-# Node-bench guard: a short re-run of the domains sweep must keep every
-# machine-independent behaviour field clean (audit consistent, zero
-# duplicate orders, zero pool exceptions), and the committed
-# BENCH_node.json must carry the same guarantees plus the recorded >= 1.5x
-# ordered-tps speedup at its top domain count. Absolute tx/s are never
-# asserted — they are this machine's, not the code's.
-BENCH_NODE_OUT="$out/node_bench.json" BENCH_NODE_DURATION_S=2 \
-  BENCH_NODE_LOAD=20000 BENCH_NODE_DOMAINS=1,2 \
-  timeout 120 ./_build/default/bench/main.exe node >/dev/null \
-  || { echo "check failed: node bench did not complete" >&2; exit 1; }
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out/node_bench.json" BENCH_node.json <<'EOF' || { echo "check failed: BENCH_node.json malformed or behaviour regressed" >&2; exit 1; }
-import json, sys
-fresh = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
-for which, doc in (("fresh", fresh), ("committed", committed)):
-    assert doc["schema"] == "shoalpp-bench-node/1", f"{which}: bad schema"
-    assert doc["runs"], f"{which}: no runs"
-    for r in doc["runs"]:
-        tag = f"{which} domains={r['domains']}"
+# Bench records: perf, mem, node and net all write one record (schema,
+# kind, machine block, runs), and check_record below is the one validator
+# for it: the envelope plus the machine-independent behaviour fields of
+# each kind. Every committed BENCH_*.json must pass it; the node and perf
+# guards below run it on fresh records too.
+cat > "$out/bench_record.py" <<'EOF'
+import json
+
+def _behaviour(kind, r, tag):
+    if kind == "perf":
+        assert r["audit_ok"] is True, f"{tag}: audit failed for n={r['n']} {r['topology']}"
+        assert r["wall_ms"] > 0 and r["events_fired"] > 0 and r["committed"] > 0, f"{tag}: empty run"
+    elif kind == "node":
+        tag = f"{tag} domains={r['domains']} verify_delay_us={r['verify_delay_us']}"
         assert r["audit_consistent"] is True, f"{tag}: audit failed"
         assert r["duplicate_orders"] == 0, f"{tag}: duplicate orders"
         assert r["pool_work_exceptions"] == 0, f"{tag}: pool exceptions"
         assert r["behaviour_ok"] is True, f"{tag}: behaviour flag"
         assert r["committed"] > 0, f"{tag}: committed nothing"
         assert r["k_dags"] == 3, f"{tag}: unexpected DAG count"
-assert [r["domains"] for r in committed["runs"]] == [1, 2, 4], "committed sweep shape changed"
-sp = committed["speedup_vs_1"]
-assert sp["ratio"] >= 1.5, f"committed speedup {sp['ratio']:.2f}x < 1.5x"
-print(f"node bench guard: behaviour clean at domains {[r['domains'] for r in fresh['runs']]}, "
-      f"committed speedup {sp['ratio']:.2f}x at {sp['domains']} domains")
+    elif kind == "mem":
+        assert r["events_fired"] > 0 and r["committed_txns"] > 0, f"{tag}: empty run"
+    elif kind == "net":
+        assert r["committed"] > 0, f"{tag} {r['mode']}: committed nothing"
+        if r["mode"] != "sim":
+            assert r["audit_consistent"] is True, f"{tag} {r['mode']}: audit failed"
+            assert r["duplicate_orders"] == 0, f"{tag} {r['mode']}: duplicate orders"
+    else:
+        raise AssertionError(f"{tag}: unknown kind {kind!r}")
+
+def check_record(path, kind):
+    """The envelope every bench sweep writes, then each run's behaviour
+    fields for its kind. Returns the parsed record."""
+    doc = json.load(open(path))
+    assert set(doc) == {"schema", "kind", "machine", "runs"}, f"{path}: envelope keys {sorted(doc)}"
+    assert doc["schema"] == "shoalpp-bench/2", f"{path}: bad schema {doc['schema']!r}"
+    assert doc["kind"] == kind, f"{path}: kind {doc['kind']!r}, expected {kind!r}"
+    m = doc["machine"]
+    assert isinstance(m.get("nproc"), int) and m["nproc"] >= 1, f"{path}: machine.nproc"
+    assert isinstance(m.get("ocaml_version"), str) and m["ocaml_version"], f"{path}: machine.ocaml_version"
+    assert "git_rev" in m and (m["git_rev"] is None or isinstance(m["git_rev"], str)), f"{path}: machine.git_rev"
+    assert isinstance(doc["runs"], list) and doc["runs"], f"{path}: no runs"
+    for r in doc["runs"]:
+        _behaviour(kind, r, path)
+    return doc
+EOF
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$out" <<'EOF' || { echo "check failed: a committed BENCH_*.json is malformed" >&2; exit 1; }
+import sys
+sys.path.insert(0, sys.argv[1])
+from bench_record import check_record
+for kind in ("perf", "mem", "node", "net"):
+    check_record(f"BENCH_{kind}.json", kind)
+print("bench records: BENCH_{perf,mem,node,net}.json valid")
+EOF
+fi
+
+# Node-bench guard: a short re-run of the domains sweep must keep every
+# machine-independent behaviour field clean (audit consistent, zero
+# duplicate orders, zero pool exceptions), and the committed
+# BENCH_node.json must carry the same guarantees, rows at both modeled
+# verification costs (10 us and 0) for domains 1, 2 and 4, and the
+# recorded >= 1.5x ordered-tps speedup at 4 domains with the 10 us cost.
+# Absolute tx/s are never asserted — they are this machine's, not the
+# code's.
+BENCH_OUT="$out/node_bench.json" BENCH_DURATION_S=2 \
+  timeout 180 ./_build/default/bench/main.exe node >/dev/null \
+  || { echo "check failed: node bench did not complete" >&2; exit 1; }
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$out" "$out/node_bench.json" BENCH_node.json <<'EOF' || { echo "check failed: BENCH_node.json malformed or behaviour regressed" >&2; exit 1; }
+import sys
+sys.path.insert(0, sys.argv[1])
+from bench_record import check_record
+fresh = check_record(sys.argv[2], "node")
+committed = check_record(sys.argv[3], "node")
+shape = [(r["verify_delay_us"], r["domains"]) for r in committed["runs"]]
+assert shape == [(10, 1), (10, 2), (10, 4), (0, 1), (0, 2), (0, 4)], f"committed sweep shape changed: {shape}"
+sp = next(r["speedup_vs_1"] for r in committed["runs"] if (r["verify_delay_us"], r["domains"]) == (10, 4))
+assert sp >= 1.5, f"committed speedup {sp:.2f}x < 1.5x"
+print(f"node bench guard: behaviour clean at {[(r['verify_delay_us'], r['domains']) for r in fresh['runs']]}, "
+      f"committed speedup {sp:.2f}x at 4 domains (verify_delay_us=10)")
 EOF
 else
   grep -q '"behaviour_ok":true' "$out/node_bench.json" \
@@ -402,44 +462,43 @@ fi
 
 # Perf re-run guard: the full sweep (same durations as the committed
 # BENCH_perf.json) must finish inside a generous ceiling with all audits
-# passing, and the n=50 gcp10 run is held to within 10% of the committed
-# baseline on the machine-independent axes — byte-identical behaviour
-# (same events fired, same commits) and allocated words per run. Raw
-# wall-clock/events-per-second are reported but not asserted: they track
-# the CI machine's load as much as the code (the committed code itself
-# misses its own committed ev/s numbers on a throttled machine).
-BENCH_PERF_OUT="$out/perf.json" \
+# passing. Every point must match the committed record on the
+# machine-independent axes — byte-identical behaviour (same events fired,
+# same commits, same rule mix) — and the n=50 gcp10 run is held to within
+# 10% of the committed allocated words. Raw wall-clock/events-per-second
+# are reported but not asserted: they track the CI machine's load as much
+# as the code (the committed code itself misses its own committed ev/s
+# numbers on a throttled machine).
+BENCH_OUT="$out/perf.json" \
   timeout 600 ./_build/default/bench/main.exe perf >/dev/null \
   || { echo "check failed: perf sweep did not complete" >&2; exit 1; }
 test -s "$out/perf.json" || { echo "check failed: BENCH_perf.json missing or empty" >&2; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out/perf.json" BENCH_perf.json <<'EOF' || { echo "check failed: BENCH_perf.json malformed or regressed" >&2; exit 1; }
-import json, sys
-d = json.load(open(sys.argv[1]))
-runs = d["runs"]
+  python3 - "$out" "$out/perf.json" BENCH_perf.json <<'EOF' || { echo "check failed: BENCH_perf.json malformed or regressed" >&2; exit 1; }
+import sys
+sys.path.insert(0, sys.argv[1])
+from bench_record import check_record
+runs = check_record(sys.argv[2], "perf")["runs"]
 assert len(runs) == 6, f"expected 6 runs, got {len(runs)}"
-for r in runs:
-    assert r["audit_ok"] is True, f"audit failed for n={r['n']} {r['topology']}"
-    assert r["wall_ms"] > 0 and r["events_fired"] > 0 and r["committed"] > 0
-committed = json.load(open(sys.argv[2]))
-pick = lambda rs: next(r for r in rs if r["n"] == 50 and r["topology"] == "gcp10")
-fresh, base = pick(runs), pick(committed["runs"])
-assert fresh["events_fired"] == base["events_fired"], (
-    f"n=50 gcp10 behaviour changed: {fresh['events_fired']} events vs "
-    f"committed {base['events_fired']}")
-assert fresh["committed"] == base["committed"], (
-    f"n=50 gcp10 behaviour changed: {fresh['committed']} commits vs "
-    f"committed {base['committed']}")
+committed = check_record(sys.argv[3], "perf")["runs"]
+key = lambda r: (r["n"], r["topology"])
+assert [key(r) for r in runs] == [key(r) for r in committed], "sweep shape changed"
+for fresh, base in zip(runs, committed):
+    for field in ("events_fired", "committed", "rule_mix", "audit_ok"):
+        assert fresh[field] == base[field], (
+            f"n={fresh['n']} {fresh['topology']} behaviour changed: {field} {fresh[field]} vs "
+            f"committed {base[field]}")
+fresh, base = (next(r for r in rs if key(r) == (50, "gcp10")) for rs in (runs, committed))
 alloc = fresh["allocated_words"] / base["allocated_words"]
 assert alloc <= 1.10, (
     f"n=50 gcp10 regressed: {fresh['allocated_words']} allocated words vs "
     f"committed {base['allocated_words']} (ratio {alloc:.2f} > 1.10)")
-print(f"perf guard: n=50 gcp10 behaviour identical, {alloc:.2f}x committed allocations, "
-      f"{fresh['events_per_sec'] / base['events_per_sec']:.2f}x committed ev/s (informational)")
+print(f"perf guard: behaviour identical at all 6 points, n=50 gcp10 {alloc:.2f}x committed "
+      f"allocations, {fresh['events_per_sec'] / base['events_per_sec']:.2f}x committed ev/s (informational)")
 EOF
 else
   grep -q '"audit_ok":true' "$out/perf.json" \
     || { echo "check failed: BENCH_perf.json has no passing audit" >&2; exit 1; }
 fi
 
-echo "check: build + tests + docs + observability/scenario + node + live scrape + trace analysis + multicore + tcp + verified tcp + gcp10 shim + node bench + perf smoke OK"
+echo "check: build + tests + docs + observability/scenario + usage error + bench records + node + live scrape + trace analysis + multicore + tcp + verified tcp + gcp10 shim + node bench + perf smoke OK"

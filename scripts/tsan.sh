@@ -19,13 +19,13 @@ fi
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-dune build bin/shoalpp_node.exe
+dune build bin/shoalpp.exe
 
 # TSAN_OPTIONS: halt_on_error makes the first report fatal so the exit
 # code carries the verdict; keep history large enough for 4 domains + the
 # verify pool.
 TSAN_OPTIONS="halt_on_error=1 history_size=7 ${TSAN_OPTIONS:-}" \
-  ./_build/default/bin/shoalpp_node.exe \
+  ./_build/default/bin/shoalpp.exe node \
   -n 4 --duration 4000 --load 300 --domains 4 \
   > "$out/tsan.out" 2>&1 \
   || { echo "tsan: multicore drill failed (data race or crash)" >&2; cat "$out/tsan.out" >&2; exit 1; }

@@ -186,7 +186,7 @@ let test_dispatch_and_audit () =
       load_tps = 100.0;
       duration_ms = 4_000.0;
       warmup_ms = 500.0;
-      topology = E.Clique (4, 20.0);
+      topology = Topology.clique ~regions:4 ~one_way_ms:20.0;
     }
   in
   let jo = E.run E.Jolteon params in

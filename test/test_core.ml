@@ -297,7 +297,7 @@ let test_experiment_runs_dag_system () =
       load_tps = 100.0;
       duration_ms = 5_000.0;
       warmup_ms = 500.0;
-      topology = E.Clique (4, 20.0);
+      topology = Topology.clique ~regions:4 ~one_way_ms:20.0;
     }
   in
   let o = E.run E.Shoalpp params in

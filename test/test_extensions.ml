@@ -246,8 +246,6 @@ let test_reader_list_bound () =
     | _ -> false)
 
 let test_experiment_helpers () =
-  let t = E.make_topology (E.Clique (4, 30.0)) in
-  checkf "clique delay" 30.0 (Topology.one_way_ms t 0 1);
   let m = E.median_one_way (Topology.uniform ~delay_ms:42.0) in
   checkf "uniform median" 42.0 m;
   checki "all dag systems listed" 7 (List.length E.all_dag_systems);

@@ -151,7 +151,7 @@ let params ~scenario ~seed =
     load_tps = 300.0;
     duration_ms;
     warmup_ms = 1_000.0;
-    topology = E.Clique (2, 20.0);
+    topology = Shoalpp_sim.Topology.clique ~regions:2 ~one_way_ms:20.0;
     scenario;
     verify_signatures = false;
     seed;

@@ -200,7 +200,7 @@ let failure_free_params =
     load_tps = 200.0;
     duration_ms = 4_000.0;
     warmup_ms = 500.0;
-    topology = E.Clique (4, 15.0);
+    topology = Topology.clique ~regions:4 ~one_way_ms:15.0;
     seed = 1;
     trace = true;
   }
@@ -244,7 +244,7 @@ let test_crash_injection_yields_indirect () =
       load_tps = 300.0;
       duration_ms = 8_000.0;
       warmup_ms = 500.0;
-      topology = E.Clique (7, 15.0);
+      topology = Topology.clique ~regions:7 ~one_way_ms:15.0;
       crashes = 2;
       seed = 3;
       trace = true;

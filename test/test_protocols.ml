@@ -181,7 +181,7 @@ let prop_safety_under_random_faults =
           load_tps = 100.0 *. float_of_int load_scale;
           duration_ms = 4_000.0;
           warmup_ms = 500.0;
-          topology = E.Clique (7, 15.0);
+          topology = Topology.clique ~regions:7 ~one_way_ms:15.0;
           crashes;
           seed;
         }
@@ -200,7 +200,7 @@ let prop_safety_under_random_drops =
           load_tps = 150.0;
           duration_ms = 4_000.0;
           warmup_ms = 500.0;
-          topology = E.Clique (4, 15.0);
+          topology = Topology.clique ~regions:4 ~one_way_ms:15.0;
           drop_spec = Some (1, float_of_int drop_pct /. 100.0, 1_000.0);
           seed;
         }
@@ -256,7 +256,7 @@ let test_all_systems_deterministic () =
       load_tps = 120.0;
       duration_ms = 3_000.0;
       warmup_ms = 500.0;
-      topology = E.Clique (4, 20.0);
+      topology = Topology.clique ~regions:4 ~one_way_ms:20.0;
     }
   in
   List.iter
@@ -277,7 +277,7 @@ let test_seed_changes_outcome () =
       load_tps = 120.0;
       duration_ms = 3_000.0;
       warmup_ms = 500.0;
-      topology = E.Clique (4, 20.0);
+      topology = Topology.clique ~regions:4 ~one_way_ms:20.0;
     }
   in
   let a = E.run E.Shoalpp params in

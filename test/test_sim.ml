@@ -120,6 +120,54 @@ let test_assignment_round_robin () =
   checki "replica 10 wraps" 0 a.(10);
   checki "replica 13" 3 a.(13)
 
+(* The one spec parser the CLI and the benchmarks share: each form is its
+   constructor, and a spec that would crash a run or model negative time
+   is refused up front. *)
+let test_of_spec_forms () =
+  let same spec expected =
+    match Topology.of_spec spec with
+    | Error msg -> Alcotest.failf "%s rejected: %s" spec msg
+    | Ok t ->
+      List.iter
+        (fun n ->
+          Alcotest.(check (array (array (float 0.0))))
+            (Printf.sprintf "%s n=%d" spec n)
+            (Topology.delay_matrix expected ~n) (Topology.delay_matrix t ~n))
+        [ 1; 4; 7; 16 ];
+      Alcotest.(check string)
+        (spec ^ " round-trips") (Topology.to_spec expected) (Topology.to_spec t)
+  in
+  same "gcp10" (Topology.gcp10 ());
+  same "GCP10" (Topology.gcp10 ());
+  same "uniform:50" (Topology.uniform ~delay_ms:50.0);
+  same "uniform:0" (Topology.uniform ~delay_ms:0.0);
+  same "clique:4,15" (Topology.clique ~regions:4 ~one_way_ms:15.0);
+  same "clique:7,12.5" (Topology.clique ~regions:7 ~one_way_ms:12.5);
+  (match Topology.of_spec "clique:4,30" with
+  | Ok t -> checkf "clique delay" 30.0 (Topology.one_way_ms t 0 1)
+  | Error msg -> Alcotest.fail msg);
+  List.iter
+    (fun t ->
+      match Topology.of_spec (Topology.to_spec t) with
+      | Ok t' ->
+        Alcotest.(check (array (array (float 0.0))))
+          (Topology.to_spec t ^ " reads back")
+          (Topology.delay_matrix t ~n:5) (Topology.delay_matrix t' ~n:5)
+      | Error msg -> Alcotest.fail msg)
+    [
+      Topology.gcp10 (); Topology.uniform ~delay_ms:0.25; Topology.uniform ~delay_ms:(1.0 /. 3.0);
+      Topology.clique ~regions:3 ~one_way_ms:40.0; Topology.clique ~regions:2 ~one_way_ms:0.1234567;
+    ]
+
+let test_of_spec_rejects () =
+  List.iter
+    (fun spec ->
+      checkb (spec ^ " rejected") true (Result.is_error (Topology.of_spec spec)))
+    [
+      "clique:0,15"; "clique:-2,15"; "clique:4,inf"; "clique:4,-1"; "clique:4"; "clique:4,15,3";
+      "uniform:-20"; "uniform:nan"; "uniform:inf"; "uniform:"; "uniform"; "bogus"; "gcp10:3"; "";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Netmodel *)
 
@@ -432,6 +480,8 @@ let suite =
         Alcotest.test_case "gcp10 shape" `Quick test_gcp10_shape;
         Alcotest.test_case "uniform" `Quick test_uniform_topology;
         Alcotest.test_case "round robin assignment" `Quick test_assignment_round_robin;
+        Alcotest.test_case "of_spec forms" `Quick test_of_spec_forms;
+        Alcotest.test_case "of_spec rejects" `Quick test_of_spec_rejects;
       ] );
     ( "sim.netmodel",
       [

@@ -440,7 +440,7 @@ let test_checkpointed_crash_recover () =
   let setup =
     {
       (Cluster.default_setup ~protocol) with
-      Cluster.topology = Shoalpp_sim.Topology.clique ~regions:2 ~one_way_ms:20.0;
+      Cluster.topology = Topology.clique ~regions:2 ~one_way_ms:20.0;
       scenario = Faults.crash_recover ~count:1 ~at:3_000.0 ~recover_at:8_000.0 ();
       load_tps = 300.0;
       seed = 3;
@@ -649,7 +649,7 @@ let test_golden_determinism_on_vs_off () =
       load_tps = 300.0;
       duration_ms = 8_000.0;
       warmup_ms = 1_000.0;
-      topology = E.Clique (2, 20.0);
+      topology = Topology.clique ~regions:2 ~one_way_ms:20.0;
       verify_signatures = false;
       checkpoint_interval = interval;
       seed = 11;

@@ -146,7 +146,7 @@ let ast_diagnostics ~path ~rules ast_kind source =
        match effect_violation lid with
        | Some why ->
          add loc "effect-confinement"
-           (Printf.sprintf "%s — only lib/backend/ and bin/shoalpp_node.ml may touch it"
+           (Printf.sprintf "%s — only lib/backend/ and bin/node_cmd.ml may touch it"
               why)
        | None -> ());
     (if rules.sorted_required then
@@ -981,10 +981,10 @@ let race_diagnostics ~(config : Lint_config.t) ~use_cmt ~root ~files =
     in
     (* Reference targets are *library members* only: an executable module
        (bin/, bench/) can never be linked against, and a dune library
-       wrapper module (e.g. Shoalpp_sim, which shadows bin/shoalpp_sim.ml's
-       module name) is not a file. Without this, a reference to the wrapper
-       resolves to the same-named executable and its whole dependency cone
-       inherits every referrer's roles. *)
+       wrapper module (e.g. Shoalpp_sim) is not a file. Without this, a
+       reference to a wrapper would resolve to a same-named executable
+       module and its whole dependency cone inherit every referrer's
+       roles. *)
     let lib_dirs = ref SS.empty and stanza_names = ref SS.empty in
     let text_contains hay needle =
       let n = String.length hay and m = String.length needle in

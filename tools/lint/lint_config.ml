@@ -74,10 +74,10 @@ type t = {
 
 let default =
   {
-    (* The impure side of the sans-I/O seam (PR 4): the wall-clock executor,
-       the process entrypoint that owns it, and the storage WAL's fsync
-       model are the only places allowed to name OS effects. *)
-    effect_allowed = [ "lib/backend/"; "bin/shoalpp_node.ml" ];
+    (* The impure side of the sans-I/O seam: the wall-clock executor and
+       the node subcommand that owns it are the only places allowed to
+       name OS effects. *)
+    effect_allowed = [ "lib/backend/"; "bin/node_cmd.ml" ];
     sorted_modules =
       [
         (* exporters and report renderers: their bytes are hashed by golden
@@ -113,8 +113,7 @@ let default =
         "lib/baselines/jolteon.ml";
         "lib/baselines/mysticeti.ml";
         (* CLI / bench surfaces rendering tables and JSON *)
-        "bin/shoalpp_sim.ml";
-        "bin/shoalpp_node.ml";
+        "bin/";
         "bench/main.ml";
         (* trace analyzer: its report bytes are diffed in tests and by
            operators comparing runs, so iteration order must be stable *)
@@ -151,9 +150,11 @@ let default =
           a_path = "bench/main.ml";
           a_rule = "effect-confinement";
           a_reason =
-            "perf harness wall-clock measurement (Unix.gettimeofday around \
-             whole runs); timings are reported, never fed back into \
-             simulated behaviour";
+            "bench harness wall-clock measurement (Unix.gettimeofday around \
+             whole runs) and the bench record's machine block (the core \
+             count, and the git rev read from a `git rev-parse HEAD` \
+             child); both are reported, never fed back into simulated \
+             behaviour";
         };
         {
           a_path = "lib/workload/mempool.ml";
