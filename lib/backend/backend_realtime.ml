@@ -5,15 +5,11 @@ module Wire = Shoalpp_codec.Wire
    loop; both under [mu] — see the guarded_by declarations on [t]. *)
 type rt_timer = {
   at : float;
-  seq : int;
   mutable action : (unit -> unit) option; [@shoalpp.guarded_by "mu"]
 }
 
-let cmp a b =
-  if a.at < b.at then -1 else if a.at > b.at then 1 else compare a.seq b.seq
-
 (* Concurrency map (machine-checked by tools/lint lock-discipline):
-   [heap]/[next_seq]/[mono] are guarded by [mu] — any domain may post or
+   [heap]/[mono] are guarded by [mu] — any domain may post or
    cancel a timer. [fired], the loop counters, the poller tables with
    their select lists and [loop_domain] belong to
    the loop-owner domain only (docs/CONCURRENCY.md effect-confinement map)
@@ -22,7 +18,6 @@ let cmp a b =
 type t = {
   mu : Mutex.t;
   heap : rt_timer Heap.t; [@shoalpp.guarded_by "mu"]
-  mutable next_seq : int; [@shoalpp.guarded_by "mu"]
   mutable fired : int;
   origin : float; (* Unix.gettimeofday at create, seconds *)
   mutable mono : float; [@shoalpp.guarded_by "mu"] (* high-water clock reading, ms *)
@@ -67,8 +62,7 @@ let create ?(max_tick_ms = 50.0) ?origin_of () =
   let t =
     {
       mu = Mutex.create ();
-      heap = Heap.create ~cmp;
-      next_seq = 0;
+      heap = Heap.create ();
       fired = 0;
       origin =
         (match origin_of with Some o -> o.origin | None -> Unix.gettimeofday ());
@@ -147,9 +141,8 @@ let clock t =
 let schedule_abs t ~at f =
   let tm =
     with_mu t (fun () ->
-        let tm = { at; seq = t.next_seq; action = Some f } in
-        t.next_seq <- t.next_seq + 1;
-        Heap.add t.heap tm;
+        let tm = { at; action = Some f } in
+        Heap.add t.heap ~at tm;
         tm)
   in
   (* If another domain's loop is (possibly) asleep in select, poke it so the
@@ -229,7 +222,7 @@ let rec pop_due t ~now ~limit acc =
     | Some tm when tm.action = None ->
       ignore (Heap.pop t.heap);
       pop_due t ~now ~limit acc
-    | Some tm when tm.at <= now ->
+    | Some tm when Heap.min_at t.heap <= now ->
       ignore (Heap.pop t.heap);
       pop_due t ~now ~limit:(limit - 1) (tm :: acc)
     | _ -> List.rev acc
@@ -240,14 +233,15 @@ let rec next_deadline t =
   | Some tm when tm.action = None ->
     ignore (Heap.pop t.heap);
     next_deadline t
-  | Some tm -> Some tm.at
+  | Some _ -> Some (Heap.min_at t.heap)
   | None -> None
 [@@shoalpp.requires_lock "mu"]
 
 (* Fire each due timer, taking its action out atomically so a concurrent
    cancel can never race the invocation. If a callback raises, the popped
    but unfired tail goes back on the heap before the exception propagates —
-   those timers stay pending rather than being silently lost. *)
+   those timers stay pending rather than being silently lost (re-added
+   behind any timer already due at the same instant). *)
 let fire_due t due =
   let rec go = function
     | [] -> ()
@@ -263,7 +257,7 @@ let fire_due t due =
         t.fired <- t.fired + 1;
         try f ()
         with e ->
-          with_mu t (fun () -> List.iter (fun tm -> Heap.add t.heap tm) rest);
+          with_mu t (fun () -> List.iter (fun tm -> Heap.add t.heap ~at:tm.at tm) rest);
           raise e)
       | None -> ());
       go rest

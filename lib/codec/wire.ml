@@ -21,6 +21,7 @@ module Writer = struct
     Buffer.add_string t s
 
   let raw t s = Buffer.add_string t s
+  let raw_sub t b ~pos ~len = Buffer.add_subbytes t b pos len
   let digest t d = raw t (Digest32.raw d)
 
   let list t f l =

@@ -34,6 +34,11 @@ module Writer : sig
   val raw : t -> string -> unit
   (** Raw bytes with no prefix (for fixed-size fields like digests). *)
 
+  val raw_sub : t -> Bytes.t -> pos:int -> len:int -> unit
+  (** [len] raw bytes of a buffer from [pos], with no prefix: appends
+      pre-encoded fields kept in a mutable buffer without copying them out
+      first. *)
+
   val digest : t -> Shoalpp_crypto.Digest32.t -> unit
   val list : t -> ('a -> unit) -> 'a list -> unit
   (** Count-prefixed sequence; the callback writes each element. *)

@@ -430,25 +430,30 @@ let output_segment t ~round ~author ~kind ~finish =
         | None -> [ author ]
       in
       Reputation.observe_segment t.rep ~anchor_round:round ~supporters ~node_positions:positions;
-      let time = t.hooks.now () in
       (match kind with
       | Fast ->
         t.fast_commits <- t.fast_commits + 1;
-        Obs.incr_c t.c_fast;
-        Obs.event t.obs ~time (Trace.Anchor_direct_fast { round; anchor = author })
+        Obs.incr_c t.c_fast
       | Direct ->
         t.direct_commits <- t.direct_commits + 1;
-        Obs.incr_c t.c_cert_direct;
-        Obs.event t.obs ~time (Trace.Anchor_direct_certified { round; anchor = author })
+        Obs.incr_c t.c_cert_direct
       | Indirect ->
         t.indirect_commits <- t.indirect_commits + 1;
-        Obs.incr_c t.c_indirect;
-        Obs.event t.obs ~time (Trace.Anchor_indirect { round; anchor = author }));
+        Obs.incr_c t.c_indirect);
       t.segments <- t.segments + 1;
       Obs.incr_c t.c_segments;
-      t.nodes_ordered <- t.nodes_ordered + List.length nodes;
-      Obs.event t.obs ~time
-        (Trace.Segment_committed { round; anchor = author; nodes = List.length nodes });
+      let count = List.length nodes in
+      t.nodes_ordered <- t.nodes_ordered + count;
+      (* Trace payloads are built only when a trace is attached. *)
+      if Obs.tracing t.obs then begin
+        let time = t.hooks.now () in
+        Obs.event t.obs ~time
+          (match kind with
+          | Fast -> Trace.Anchor_direct_fast { round; anchor = author }
+          | Direct -> Trace.Anchor_direct_certified { round; anchor = author }
+          | Indirect -> Trace.Anchor_indirect { round; anchor = author });
+        Obs.event t.obs ~time (Trace.Segment_committed { round; anchor = author; nodes = count })
+      end;
       let deferred = finish () in
       let resume =
         if t.cfg.snapshot_every > 0 && t.segments mod t.cfg.snapshot_every = 0 then

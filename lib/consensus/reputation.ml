@@ -1,4 +1,5 @@
 module Wire = Shoalpp_codec.Wire
+module Varint = Shoalpp_support.Varint
 
 type t = {
   n : int;
@@ -8,11 +9,18 @@ type t = {
   scores : int array; (* segments supported within the window *)
   last_round : int array; (* highest ordered node round per author; -1 = never *)
   last_support : int array; (* highest anchor round the author supported *)
-  recent : string Queue.t;
-      (* per-segment supporter lists, oldest first, each held as the bytes
-         a snapshot writes for it (count-prefixed varints, as
-         [Wire.Writer.list] would): encoded once when the segment is
-         observed, decoded once when it leaves the window. *)
+  (* The window: each recent segment's distinct in-range supporters,
+     ascending, held as the bytes a snapshot writes for it (a
+     count-prefixed LEB128 list, as [Wire.Writer.list] would write it) in
+     a ring of [window + 1] slots of [stride] bytes, oldest at [head];
+     [lens] holds each slot's used length. A segment is encoded straight
+     into its slot when observed and its bytes are walked once when it
+     leaves the window: neither allocates. *)
+  stride : int;
+  ring : Bytes.t;
+  lens : int array;
+  mutable head : int;
+  mutable len : int;
   miss_threshold : int;
   miss : int array; (* consecutive skipped-anchor streak per author *)
   marked : Bytes.t; (* n-slot scratch deduping one segment's supporters; all zero between calls *)
@@ -20,6 +28,7 @@ type t = {
 }
 
 let create ~n ?(window = 64) ?(staleness = 8) ?(miss_threshold = 2) ~enabled () =
+  let stride = Varint.encoded_size n + (n * Varint.encoded_size (max 0 (n - 1))) in
   {
     n;
     window;
@@ -28,20 +37,35 @@ let create ~n ?(window = 64) ?(staleness = 8) ?(miss_threshold = 2) ~enabled () 
     scores = Array.make n 0;
     last_round = Array.make n (-1);
     last_support = Array.make n (-1);
-    recent = Queue.create ();
+    stride;
+    ring = Bytes.create ((window + 1) * stride);
+    lens = Array.make (window + 1) 0;
+    head = 0;
+    len = 0;
     miss_threshold;
     miss = Array.make n 0;
     marked = Bytes.make n '\000';
     highest_anchor_round = -1;
   }
 
-let encode_supporters sup =
-  let w = Wire.Writer.create ~initial:16 () in
-  Wire.Writer.list w (Wire.Writer.uint w) sup;
-  Wire.Writer.contents w
+(* Ring slot of the window's [k]-th segment, oldest first. *)
+let slot_at t k = (t.head + k) mod (t.window + 1)
 
-let decode_supporters bytes =
-  Wire.Reader.list (Wire.Reader.of_string bytes) Wire.Reader.uint
+(* Apply [f] to a slot's supporters, ascending. *)
+let iter_slot t s f =
+  let base = s * t.stride in
+  let count = Varint.get t.ring base in
+  let pos = ref (base + Varint.encoded_size count) in
+  for _ = 1 to count do
+    let a = Varint.get t.ring !pos in
+    pos := !pos + Varint.encoded_size a;
+    f a
+  done
+
+let supporters_of t s =
+  let acc = ref [] in
+  iter_slot t s (fun a -> acc := a :: !acc);
+  List.rev !acc
 
 (* Supporting a committed anchor — being its author or one of its strong
    parents — is the signal that a replica is currently fast and well
@@ -56,7 +80,7 @@ let observe_segment t ~anchor_round ~supporters ~node_positions =
         t.last_round.(author) <- round)
     node_positions;
   (* Dedupe in the scratch, then walk it: the distinct in-range supporters
-     come out in ascending order, encoded as [encode_supporters] would. *)
+     come out in ascending order, encoded into the tail slot. *)
   let count = ref 0 in
   List.iter
     (fun a ->
@@ -65,21 +89,24 @@ let observe_segment t ~anchor_round ~supporters ~node_positions =
         incr count
       end)
     supporters;
-  let w = Wire.Writer.create ~initial:16 () in
-  Wire.Writer.uint w !count;
+  let s = slot_at t t.len in
+  let base = s * t.stride in
+  let pos = ref (Varint.put t.ring base !count) in
   for a = 0 to t.n - 1 do
     if Bytes.get t.marked a <> '\000' then begin
       Bytes.set t.marked a '\000';
       t.scores.(a) <- t.scores.(a) + 1;
       t.miss.(a) <- 0;
       if anchor_round > t.last_support.(a) then t.last_support.(a) <- anchor_round;
-      Wire.Writer.uint w a
+      pos := Varint.put t.ring !pos a
     end
   done;
-  Queue.push (Wire.Writer.contents w) t.recent;
-  if Queue.length t.recent > t.window then begin
-    let evicted = decode_supporters (Queue.pop t.recent) in
-    List.iter (fun a -> t.scores.(a) <- t.scores.(a) - 1) evicted
+  t.lens.(s) <- !pos - base;
+  t.len <- t.len + 1;
+  if t.len > t.window then begin
+    iter_slot t t.head (fun a -> t.scores.(a) <- t.scores.(a) - 1);
+    t.head <- slot_at t 1;
+    t.len <- t.len - 1
   end
 
 (* A skipped anchor is part of the committed prefix (the Skip_to decision is
@@ -99,8 +126,8 @@ let is_active t ~round a =
 
 (* Checkpoint support: the whole state is a bounded window over the
    committed prefix, so it serializes into a few int arrays plus the
-   window's pre-encoded supporter lists. Fields that can be -1 are shifted
-   by one (varints are unsigned). *)
+   window's supporter lists. Fields that can be -1 are shifted by one
+   (varints are unsigned). *)
 type dump = {
   d_scores : int list;
   d_last_round : int list;
@@ -116,7 +143,7 @@ let dump t =
     d_last_round = Array.to_list t.last_round;
     d_last_support = Array.to_list t.last_support;
     d_miss = Array.to_list t.miss;
-    d_recent = List.of_seq (Seq.map decode_supporters (Queue.to_seq t.recent));
+    d_recent = List.init t.len (fun k -> supporters_of t (slot_at t k));
     d_highest_anchor_round = t.highest_anchor_round;
   }
 
@@ -132,8 +159,11 @@ let write t w =
   ints t.last_round;
   ints t.last_support;
   ints t.miss;
-  Wire.Writer.uint w (Queue.length t.recent);
-  Queue.iter (Wire.Writer.raw w) t.recent;
+  Wire.Writer.uint w t.len;
+  for k = 0 to t.len - 1 do
+    let s = slot_at t k in
+    Wire.Writer.raw_sub w t.ring ~pos:(s * t.stride) ~len:t.lens.(s)
+  done;
   wint w t.highest_anchor_round
 
 let read t rd =
@@ -145,8 +175,25 @@ let read t rd =
   fill t.last_support;
   fill t.miss;
   let recent = Wire.Reader.list rd (fun rd -> Wire.Reader.list rd Wire.Reader.uint) in
-  Queue.clear t.recent;
-  List.iter (fun sup -> Queue.push (encode_supporters sup) t.recent) recent;
+  if List.length recent > t.window then raise (Wire.Reader.Malformed "reputation window overflow");
+  List.iter
+    (fun sup ->
+      ignore
+        (List.fold_left
+           (fun prev a ->
+             if a <= prev || a >= t.n then
+               raise (Wire.Reader.Malformed "reputation supporters not ascending in range");
+             a)
+           (-1) sup))
+    recent;
+  List.iteri
+    (fun s sup ->
+      let base = s * t.stride in
+      let stop = List.fold_left (Varint.put t.ring) (Varint.put t.ring base (List.length sup)) sup in
+      t.lens.(s) <- stop - base)
+    recent;
+  t.head <- 0;
+  t.len <- List.length recent;
   t.highest_anchor_round <- rint rd
 
 let rotate slot l =

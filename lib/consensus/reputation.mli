@@ -22,7 +22,12 @@
     - {!eligible} is never empty: before any observation, or when every
       author has gone stale, it falls back to the full round-robin vector;
     - a {!miss_threshold} streak of skipped anchors excludes an author, and
-      supporting any later segment readmits it and resets the streak. *)
+      supporting any later segment readmits it and resets the streak;
+    - the window holds each of the last [window] segments' distinct
+      in-range supporters, ascending, as the count-prefixed varint list
+      {!write} emits for it, in a preallocated ring of fixed-size slots:
+      observing or evicting a segment allocates nothing, and {!write}
+      copies each slot's bytes. *)
 
 type t
 
@@ -80,13 +85,16 @@ val dump : t -> dump
 val write : t -> Shoalpp_codec.Wire.Writer.t -> unit
 (** Append the state's checkpoint encoding: the four n-sized arrays and the
     highest anchor round as count-prefixed varints shifted by one, and the
-    window as a count of supporter lists. Each list's bytes were encoded
-    when its segment was observed, so this costs O(n + window) appends,
-    not one varint per supporter. *)
+    window as a count of supporter lists, each count-prefixed and
+    ascending. Each list's bytes were encoded when its segment was
+    observed, so this costs O(n + window) appends, not one varint per
+    supporter. *)
 
 val read : t -> Shoalpp_codec.Wire.Reader.t -> unit
 (** Inverse of {!write}: [read (create ...)] with matching [n]/[window]
     reproduces the written state exactly, so a checkpoint-restored replica
     computes the same eligible vectors as one that replayed the whole
     prefix.
-    @raise Shoalpp_codec.Wire.Reader.Malformed on corrupt input. *)
+    @raise Shoalpp_codec.Wire.Reader.Malformed on corrupt input, including
+    more supporter lists than the window holds or a list that is not
+    strictly ascending within [0, n). *)

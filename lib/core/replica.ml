@@ -17,6 +17,7 @@ module Multisig = Shoalpp_crypto.Multisig
 module Checkpoint = Shoalpp_storage.Checkpoint
 module Validation = Shoalpp_dag.Validation
 module Sync = Shoalpp_sync.Sync
+module Seen = Shoalpp_support.Seen
 
 type envelope = { dag_id : int; payload : Types.message }
 
@@ -90,7 +91,7 @@ type t = {
   mutable global_seq : int;
   mutable txns_ordered : int;
   mutable requeued : int;
-  committed_own : (int, unit) Hashtbl.t; (* own-origin txn ids already ordered *)
+  committed_own : Seen.t; (* own-origin txn ids already ordered *)
   mutable crashed : bool;
   (* Scenario-driven misbehaviour, queried at send time: None = honest. *)
   byzantine : float -> Faults.byz_kind option;
@@ -318,26 +319,33 @@ let rec drain t =
       t.next_lane <- (t.next_lane + 1) mod Array.length t.lanes;
       let ordered_at = Backend.now t.backend in
       let ntx = ref 0 in
+      (* Own-origin transactions only ever travel in our own nodes (the
+         mempool feeds only our proposals), so only those are marked: a
+         peer's node claiming our origin cannot grow the id set. *)
       List.iter
         (fun (cn : Types.certified_node) ->
-          List.iter
-            (fun (tx : Shoalpp_workload.Transaction.t) ->
-              incr ntx;
-              if tx.Shoalpp_workload.Transaction.origin = t.id then
-                Hashtbl.replace t.committed_own tx.Shoalpp_workload.Transaction.id ())
-            cn.Types.cn_node.Types.batch.Batch.txns)
+          let txns = cn.Types.cn_node.Types.batch.Batch.txns in
+          if cn.Types.cn_node.Types.author = t.id then
+            List.iter
+              (fun (tx : Shoalpp_workload.Transaction.t) ->
+                incr ntx;
+                if tx.Shoalpp_workload.Transaction.origin = t.id then
+                  ignore (Seen.mark t.committed_own tx.Shoalpp_workload.Transaction.id))
+              txns
+          else ntx := !ntx + List.length txns)
         segment.Driver.nodes;
       t.txns_ordered <- t.txns_ordered + !ntx;
-      Obs.event
-        (Obs.with_instance t.obs ~instance:segment.Driver.dag_id)
-        ~time:ordered_at
-        (Trace.Segment_interleaved
-           {
-             global_seq = seq;
-             round = segment.Driver.anchor.Types.ref_round;
-             anchor = segment.Driver.anchor.Types.ref_author;
-             txns = !ntx;
-           });
+      if Obs.tracing t.obs then
+        Obs.event
+          (Obs.with_instance t.obs ~instance:segment.Driver.dag_id)
+          ~time:ordered_at
+          (Trace.Segment_interleaved
+             {
+               global_seq = seq;
+               round = segment.Driver.anchor.Types.ref_round;
+               anchor = segment.Driver.anchor.Types.ref_author;
+               txns = !ntx;
+             });
       ck_observe t ~seq segment;
       (match t.on_ordered with
       | Some f -> f { global_seq = seq; segment; ordered_at }
@@ -431,7 +439,7 @@ let make_lane t dag_id =
                   List.iter
                     (List.iter (fun (tx : Shoalpp_workload.Transaction.t) ->
                          if
-                           not (Hashtbl.mem t.committed_own tx.Shoalpp_workload.Transaction.id)
+                           not (Seen.mem t.committed_own tx.Shoalpp_workload.Transaction.id)
                          then begin
                            t.requeued <- t.requeued + 1;
                            ignore (Shoalpp_workload.Mempool.submit t.mempool tx)
@@ -810,7 +818,7 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
       global_seq = 0;
       txns_ordered = 0;
       requeued = 0;
-      committed_own = Hashtbl.create 4096;
+      committed_own = Seen.create ();
       crashed = false;
       byzantine;
       replaying = false;

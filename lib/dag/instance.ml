@@ -6,6 +6,7 @@ module Backend = Shoalpp_backend.Backend
 module Obs = Shoalpp_sim.Obs
 module Trace = Shoalpp_sim.Trace
 module Rng = Shoalpp_support.Rng
+module Int_tbl = Shoalpp_support.Int_tbl
 
 type wait_policy = Quorum_only | Anchors_or_timeout of float | All_or_timeout of float
 
@@ -78,25 +79,25 @@ type t = {
          round: GC walks the rounds from here to its new floor. It trails
          [lowest_round] only when an entry lands under the floor (an own
          proposal's late loopback). *)
-  own_votes : (int, vote_acc) Hashtbl.t; (* by round *)
+  own_votes : vote_acc Int_tbl.t; (* by round *)
   (* Position-keyed tables below pack (round, author) into the int
      [round * n + author]: these are touched on every received message, and
      int keys make lookups allocation-free (tuple keys cost 3 words each). *)
   (* All-to-all mode: vote accumulators for every position. *)
-  a2a_votes : (int, (Digest32.t, (int * Signer.signature) list ref) Hashtbl.t) Hashtbl.t;
-  voted : (int, Digest32.t) Hashtbl.t; (* position -> digest voted *)
+  a2a_votes : (Digest32.t, (int * Signer.signature) list ref) Hashtbl.t Int_tbl.t;
+  voted : Digest32.t Int_tbl.t; (* position -> digest voted *)
   data : Types.node Shoalpp_storage.Kvstore.t; (* proposals by digest *)
-  data_rounds : (int, Digest32.t list) Hashtbl.t; (* round -> digests in [data] *)
+  data_rounds : Digest32.t list Int_tbl.t; (* round -> digests in [data] *)
   mutable data_low : int; (* no [data_rounds] entry under this round *)
-  cert_meta : (int, Types.node_ref) Hashtbl.t;
+  cert_meta : Types.node_ref Int_tbl.t;
   (* Certificates no node we have seen references yet — candidates for weak
      edges in our next proposal (DAG-Rider validity mechanism). *)
-  unreferenced : (int, Types.node_ref) Hashtbl.t;
-  certs_per_round : (int, int) Hashtbl.t;
+  unreferenced : Types.node_ref Int_tbl.t;
+  certs_per_round : int Int_tbl.t;
   awaiting_data : (Digest32.t, Types.certificate) Hashtbl.t;
   (* Refs the consensus driver needs but whose certificates never reached us
      (e.g. the certificate broadcast itself was dropped). *)
-  fetching_refs : (int, unit) Hashtbl.t;
+  fetching_refs : unit Int_tbl.t;
   mutable proposals_made : int;
   mutable votes_cast : int;
   mutable certs_formed : int;
@@ -126,17 +127,17 @@ let create ?(obs = Obs.none) cfg cb ~store =
     timeout_backoff = 1.0;
     lowest_round = 0;
     table_low = 0;
-    own_votes = Hashtbl.create 32;
-    a2a_votes = Hashtbl.create 64;
-    voted = Hashtbl.create 256;
+    own_votes = Int_tbl.create 32;
+    a2a_votes = Int_tbl.create 64;
+    voted = Int_tbl.create 256;
     data = Shoalpp_storage.Kvstore.create ();
-    data_rounds = Hashtbl.create 32;
+    data_rounds = Int_tbl.create 32;
     data_low = 0;
-    cert_meta = Hashtbl.create 256;
-    unreferenced = Hashtbl.create 64;
-    certs_per_round = Hashtbl.create 32;
+    cert_meta = Int_tbl.create 256;
+    unreferenced = Int_tbl.create 64;
+    certs_per_round = Int_tbl.create 32;
     awaiting_data = Hashtbl.create 16;
-    fetching_refs = Hashtbl.create 16;
+    fetching_refs = Int_tbl.create 16;
     proposals_made = 0;
     votes_cast = 0;
     certs_formed = 0;
@@ -149,9 +150,9 @@ let proposed_round t = t.proposed_round
 let pos t ~round ~author = (round * t.cfg.committee.Committee.n) + author
 let pos_round t k = k / t.cfg.committee.Committee.n
 
-let cert_known t ~round ~author = Hashtbl.mem t.cert_meta (pos t ~round ~author)
-let cert_ref_at t ~round ~author = Hashtbl.find_opt t.cert_meta (pos t ~round ~author)
-let certs_known_at t ~round = Option.value ~default:0 (Hashtbl.find_opt t.certs_per_round round)
+let cert_known t ~round ~author = Int_tbl.mem t.cert_meta (pos t ~round ~author)
+let cert_ref_at t ~round ~author = Int_tbl.find_opt t.cert_meta (pos t ~round ~author)
+let certs_known_at t ~round = Option.value ~default:0 (Int_tbl.find_opt t.certs_per_round round)
 let proposals_made t = t.proposals_made
 let votes_cast t = t.votes_cast
 let certs_formed t = t.certs_formed
@@ -166,8 +167,8 @@ let quorum t = Committee.quorum t.cfg.committee
 let put_data t (node : Types.node) =
   let digest = node.Types.digest and round = node.Types.round in
   if not (Shoalpp_storage.Kvstore.mem t.data digest) then begin
-    let prev = Option.value ~default:[] (Hashtbl.find_opt t.data_rounds round) in
-    Hashtbl.replace t.data_rounds round (digest :: prev);
+    let prev = Option.value ~default:[] (Int_tbl.find_opt t.data_rounds round) in
+    Int_tbl.replace t.data_rounds round (digest :: prev);
     if round < t.data_low then t.data_low <- round
   end;
   Shoalpp_storage.Kvstore.put t.data digest node
@@ -176,14 +177,14 @@ let put_data t (node : Types.node) =
 let prune_data t ~floor =
   let dropped = ref 0 in
   for round = t.data_low to floor - 1 do
-    match Hashtbl.find_opt t.data_rounds round with
+    match Int_tbl.find_opt t.data_rounds round with
     | Some digests ->
       List.iter
         (fun d ->
           Shoalpp_storage.Kvstore.remove t.data d;
           incr dropped)
         digests;
-      Hashtbl.remove t.data_rounds round
+      Int_tbl.remove t.data_rounds round
     | None -> ()
   done;
   if floor > t.data_low then t.data_low <- floor;
@@ -191,7 +192,7 @@ let prune_data t ~floor =
 
 let mark_referenced t (node : Types.node) =
   let unref (p : Types.node_ref) =
-    Hashtbl.remove t.unreferenced (pos t ~round:p.Types.ref_round ~author:p.Types.ref_author)
+    Int_tbl.remove t.unreferenced (pos t ~round:p.Types.ref_round ~author:p.Types.ref_author)
   in
   List.iter unref node.Types.parents;
   List.iter unref node.Types.weak_parents
@@ -234,7 +235,7 @@ let rec propose t round =
   let parents =
     if round = 0 then []
     else
-      List.init (Store.n t.store) (fun a -> Hashtbl.find_opt t.cert_meta (pos t ~round:(round - 1) ~author:a))
+      List.init (Store.n t.store) (fun a -> Int_tbl.find_opt t.cert_meta (pos t ~round:(round - 1) ~author:a))
       |> List.filter_map Fun.id
   in
   (* Weak edges: adopt certificates that nothing we have seen references,
@@ -242,7 +243,7 @@ let rec propose t round =
   let weak_parents =
     if round < 2 then []
     else begin
-      Hashtbl.fold
+      Int_tbl.fold
         (fun k node_ref acc -> if pos_round t k < round - 1 then node_ref :: acc else acc)
         t.unreferenced []
       |> List.sort Types.compare_ref
@@ -251,7 +252,7 @@ let rec propose t round =
   in
   List.iter
     (fun (p : Types.node_ref) ->
-      Hashtbl.remove t.unreferenced (pos t ~round:p.Types.ref_round ~author:p.Types.ref_author))
+      Int_tbl.remove t.unreferenced (pos t ~round:p.Types.ref_round ~author:p.Types.ref_author))
     weak_parents;
   let txns = t.cb.pull_batch ~max:t.cfg.batch_cap in
   let created_at = t.cb.now () in
@@ -312,7 +313,7 @@ and maybe_advance t =
     (* Catch-up: find the highest round with a certificate quorum at or
        above our current round, then check its wait policy. *)
     let rec best r best_so_far =
-      if r > Store.highest_round t.store + 1 && Hashtbl.find_opt t.certs_per_round r = None then
+      if r > Store.highest_round t.store + 1 && Int_tbl.find_opt t.certs_per_round r = None then
         best_so_far
       else begin
         let next = if certs_known_at t ~round:r >= quorum t then Some r else best_so_far in
@@ -369,17 +370,17 @@ let fetch_missing t (wanted : Types.node_ref) =
   let key = pos t ~round:wanted.Types.ref_round ~author:wanted.Types.ref_author in
   if
     wanted.Types.ref_round >= t.lowest_round
-    && (not (Hashtbl.mem t.cert_meta key))
-    && not (Hashtbl.mem t.fetching_refs key)
+    && (not (Int_tbl.mem t.cert_meta key))
+    && not (Int_tbl.mem t.fetching_refs key)
   then begin
-    Hashtbl.replace t.fetching_refs key ();
+    Int_tbl.replace t.fetching_refs key ();
     Obs.event t.obs ~time:(t.cb.now ())
       (Trace.Fetch_requested { round = wanted.Types.ref_round; author = wanted.Types.ref_author });
     let rec attempt () =
       if
         t.alive
-        && Hashtbl.mem t.fetching_refs key
-        && (not (Hashtbl.mem t.cert_meta key))
+        && Int_tbl.mem t.fetching_refs key
+        && (not (Int_tbl.mem t.cert_meta key))
         && wanted.Types.ref_round >= t.lowest_round
       then begin
         let n = t.cfg.committee.Committee.n in
@@ -389,7 +390,7 @@ let fetch_missing t (wanted : Types.node_ref) =
         t.cb.send ~dst (Types.Fetch_request { wanted; requester = t.cfg.replica });
         ignore (t.cb.schedule ~after:(2.0 *. t.cfg.fetch_delay_ms) attempt)
       end
-      else Hashtbl.remove t.fetching_refs key
+      else Int_tbl.remove t.fetching_refs key
     in
     ignore (t.cb.schedule ~after:t.cfg.fetch_delay_ms attempt)
   end
@@ -397,12 +398,12 @@ let fetch_missing t (wanted : Types.node_ref) =
 let accept_certificate t (cert : Types.certificate) =
   let r = cert.Types.cert_ref in
   let key = pos t ~round:r.Types.ref_round ~author:r.Types.ref_author in
-  if (not (Hashtbl.mem t.cert_meta key)) && r.Types.ref_round >= t.lowest_round then begin
+  if (not (Int_tbl.mem t.cert_meta key)) && r.Types.ref_round >= t.lowest_round then begin
     Obs.incr_c t.c_certs_received;
-    Hashtbl.replace t.cert_meta key r;
-    Hashtbl.remove t.fetching_refs key;
-    Hashtbl.replace t.unreferenced key r;
-    Hashtbl.replace t.certs_per_round r.Types.ref_round (certs_known_at t ~round:r.Types.ref_round + 1);
+    Int_tbl.replace t.cert_meta key r;
+    Int_tbl.remove t.fetching_refs key;
+    Int_tbl.replace t.unreferenced key r;
+    Int_tbl.replace t.certs_per_round r.Types.ref_round (certs_known_at t ~round:r.Types.ref_round + 1);
     (* Persist the certificate (group-committed; does not gate progress). *)
     t.cb.persist (Types.Certificate cert) (fun () -> ());
     if not (try_deliver t cert) then begin
@@ -439,7 +440,7 @@ let handle_proposal t ~src (node : Types.node) =
             (fun (p : Types.node_ref) ->
               if
                 not
-                  (Hashtbl.mem t.cert_meta
+                  (Int_tbl.mem t.cert_meta
                      (pos t ~round:p.Types.ref_round ~author:p.Types.ref_author))
               then fetch_missing t p)
             node.Types.parents
@@ -451,8 +452,8 @@ let handle_proposal t ~src (node : Types.node) =
         (* Vote at most once per position; equivocating second proposals
            are ignored (§3.1 step 2). The vote is externalized only after
            the proposal is durably persisted. *)
-        if not (Hashtbl.mem t.voted key) then begin
-          Hashtbl.replace t.voted key node.Types.digest;
+        if not (Int_tbl.mem t.voted key) then begin
+          Int_tbl.replace t.voted key node.Types.digest;
           let preimage =
             Types.vote_preimage ~round:node.Types.round ~author:node.Types.author
               ~digest:node.Types.digest
@@ -482,7 +483,7 @@ let handle_proposal t ~src (node : Types.node) =
    forwarding step, saving one message delay per round. *)
 let handle_vote_a2a t (v : Types.vote) =
   let key = pos t ~round:v.Types.vote_round ~author:v.Types.vote_author in
-  if (not (Hashtbl.mem t.cert_meta key)) && v.Types.vote_round >= t.lowest_round then begin
+  if (not (Int_tbl.mem t.cert_meta key)) && v.Types.vote_round >= t.lowest_round then begin
     match
       Validation.validate_vote ~committee:t.cfg.committee
         ~verify_signatures:t.cfg.verify_signatures v
@@ -490,11 +491,11 @@ let handle_vote_a2a t (v : Types.vote) =
     | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
     | Ok () ->
       let per_pos =
-        match Hashtbl.find_opt t.a2a_votes key with
+        match Int_tbl.find_opt t.a2a_votes key with
         | Some h -> h
         | None ->
           let h = Hashtbl.create 4 in
-          Hashtbl.replace t.a2a_votes key h;
+          Int_tbl.replace t.a2a_votes key h;
           h
       in
       let sigs =
@@ -512,7 +513,7 @@ let handle_vote_a2a t (v : Types.vote) =
           Obs.incr_c t.c_certs_formed;
           Obs.event t.obs ~time:(t.cb.now ())
             (Trace.Cert_formed { round = v.Types.vote_round; author = v.Types.vote_author });
-          Hashtbl.remove t.a2a_votes key;
+          Int_tbl.remove t.a2a_votes key;
           let multisig = Multisig.aggregate ~n:t.cfg.committee.Committee.n !sigs in
           let cert_ref =
             {
@@ -535,7 +536,7 @@ let handle_vote t (v : Types.vote) =
     with
     | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
     | Ok () -> (
-      match Hashtbl.find_opt t.own_votes v.Types.vote_round with
+      match Int_tbl.find_opt t.own_votes v.Types.vote_round with
       | Some acc
         when Digest32.equal acc.digest v.Types.vote_digest
              && (not acc.cert_done)
@@ -605,9 +606,9 @@ let handle_message t ~src msg =
       handle_proposal t ~src node;
       (* The author votes for its own proposal like everyone else; register
          our vote accumulator when the loopback copy arrives. *)
-      if node.Types.author = t.cfg.replica && not (Hashtbl.mem t.own_votes node.Types.round)
+      if node.Types.author = t.cfg.replica && not (Int_tbl.mem t.own_votes node.Types.round)
       then begin
-        Hashtbl.replace t.own_votes node.Types.round
+        Int_tbl.replace t.own_votes node.Types.round
           { digest = node.Types.digest; sigs = []; cert_done = false };
         if node.Types.round < t.table_low then t.table_low <- node.Types.round
       end
@@ -635,13 +636,13 @@ let resume t =
   if t.alive && t.proposed_round < 0 then begin
     let highest = Store.highest_round t.store in
     let highest =
-      Hashtbl.fold
+      Int_tbl.fold
         (fun k _ acc ->
           if k mod t.cfg.committee.Committee.n = t.cfg.replica then max (pos_round t k) acc
           else acc)
         t.voted highest
     in
-    let highest = Hashtbl.fold (fun k _ acc -> max (pos_round t k) acc) t.cert_meta highest in
+    let highest = Int_tbl.fold (fun k _ acc -> max (pos_round t k) acc) t.cert_meta highest in
     propose t (highest + 1)
   end
 
@@ -685,13 +686,13 @@ let gc_upto t ~round =
     for r = t.table_low to round - 1 do
       for author = 0 to t.cfg.committee.Committee.n - 1 do
         let k = pos t ~round:r ~author in
-        Hashtbl.remove t.cert_meta k;
-        Hashtbl.remove t.unreferenced k;
-        Hashtbl.remove t.voted k;
-        Hashtbl.remove t.a2a_votes k
+        Int_tbl.remove t.cert_meta k;
+        Int_tbl.remove t.unreferenced k;
+        Int_tbl.remove t.voted k;
+        Int_tbl.remove t.a2a_votes k
       done;
-      Hashtbl.remove t.certs_per_round r;
-      Hashtbl.remove t.own_votes r
+      Int_tbl.remove t.certs_per_round r;
+      Int_tbl.remove t.own_votes r
     done;
     t.table_low <- round
   end

@@ -22,7 +22,10 @@
     - the current round only advances (monotone), and only when the round's
       waiting policy is satisfied;
     - garbage collection never drops state at or above the collection
-      round, and re-delivered messages for collected rounds are ignored. *)
+      round, and re-delivered messages for collected rounds are ignored;
+    - every round- or position-keyed table is an identity-hashed
+      [Int_tbl]; what is read out of one in table order (weak-edge
+      candidates, the resume round) is sorted or reduced by [max] first. *)
 
 (** What, beyond an n-f certificate quorum, a replica waits for before
     advancing its round. The timeout always runs from the round's start. *)

@@ -1,16 +1,18 @@
 module Digest32 = Shoalpp_crypto.Digest32
+module Int_tbl = Shoalpp_support.Int_tbl
 
 type round_slot = {
   nodes : Types.certified_node option array; (* by author *)
   cert_refs : int array; (* certified round+1 references to (this round, author) *)
   weak : int array; (* weak votes: round+1 proposals referencing (this round, author) *)
   proposal_seen : bool array; (* first-proposal dedup for authors of THIS round *)
+  stamp : int array; (* generation of the last traversal that visited (this round, author) *)
 }
 
 type t = {
   n : int;
   genesis : Digest32.t;
-  rounds : (int, round_slot) Hashtbl.t;
+  rounds : round_slot Int_tbl.t;
   mutable highest : int;
   mutable lowest : int; (* logical GC floor: ordering ignores rounds below *)
   mutable retain_gate : int option;
@@ -23,24 +25,26 @@ type t = {
       (* no slot exists below this round: a sweep walks the rounds from
          here to its floor. A late insert for a round under a past floor
          (a fetched node, a proposal note) lowers it. *)
+  mutable gen : int; (* generation of the latest traversal *)
 }
 
 let create ~n ~genesis_digest =
   {
     n;
     genesis = genesis_digest;
-    rounds = Hashtbl.create 64;
+    rounds = Int_tbl.create 64;
     highest = -1;
     lowest = 0;
     retain_gate = None;
     stored = 0;
     low_slot = 0;
+    gen = 0;
   }
 
 let n t = t.n
 
 let slot t round =
-  match Hashtbl.find_opt t.rounds round with
+  match Int_tbl.find_opt t.rounds round with
   | Some s -> s
   | None ->
     let s =
@@ -49,13 +53,14 @@ let slot t round =
         cert_refs = Array.make t.n 0;
         weak = Array.make t.n 0;
         proposal_seen = Array.make t.n false;
+        stamp = Array.make t.n 0;
       }
     in
-    Hashtbl.replace t.rounds round s;
+    Int_tbl.replace t.rounds round s;
     if round < t.low_slot then t.low_slot <- round;
     s
 
-let slot_opt t round = Hashtbl.find_opt t.rounds round
+let slot_opt t round = Int_tbl.find_opt t.rounds round
 
 let bump_parent_counters t (node : Types.node) which =
   List.iter
@@ -118,26 +123,45 @@ let certified_refs t ~round ~author =
 let weak_votes t ~round ~author =
   match slot_opt t round with None -> 0 | Some s -> s.weak.(author)
 
-(* Key for visited sets during traversal: packed to an immediate int so the
-   per-node membership tests allocate nothing (a tuple key costs 3 words on
-   every [mem]/[replace]). Rounds are bounded far below 2^62 / n. *)
-let key t (r : Types.node_ref) = (r.Types.ref_round * t.n) + r.Types.ref_author
+(* Traversals mark a visit by writing a fresh generation into the visited
+   position's [stamp] cell: no visited table is allocated, and a position
+   without a slot is never marked (nothing is stored there to walk). *)
+let next_gen t =
+  t.gen <- t.gen + 1;
+  t.gen
 
 let causal_history t root ~skip =
-  let visited = Hashtbl.create 64 in
+  let gen = next_gen t in
   let missing = ref [] in
+  (* Positions visited that have no slot (or an author out of range):
+     holding no node, each is missing or genesis. Rare, so a list. *)
+  let absent = ref [] in
   let collected = ref [] in
+  let note_missing (r : Types.node_ref) =
+    if not (Digest32.equal r.Types.ref_digest t.genesis) then missing := r :: !missing
+  in
   let rec visit (r : Types.node_ref) =
-    if r.Types.ref_round >= t.lowest && (not (Hashtbl.mem visited (key t r))) && not (skip r)
-    then begin
-      Hashtbl.replace visited (key t r) ();
-      match get_by_ref t r with
-      | None -> if not (Digest32.equal r.Types.ref_digest t.genesis) then missing := r :: !missing
-      | Some cn ->
-        List.iter visit cn.Types.cn_node.Types.parents;
-        List.iter visit cn.Types.cn_node.Types.weak_parents;
-        collected := cn :: !collected
-    end
+    let round = r.Types.ref_round and author = r.Types.ref_author in
+    if round >= t.lowest then
+      match slot_opt t round with
+      | Some s when author >= 0 && author < t.n ->
+        if s.stamp.(author) <> gen && not (skip r) then begin
+          s.stamp.(author) <- gen;
+          match s.nodes.(author) with
+          | Some cn when Digest32.equal cn.Types.cn_node.Types.digest r.Types.ref_digest ->
+            List.iter visit cn.Types.cn_node.Types.parents;
+            List.iter visit cn.Types.cn_node.Types.weak_parents;
+            collected := cn :: !collected
+          | _ -> note_missing r
+        end
+      | _ ->
+        if
+          (not (List.exists (fun (ar, aa) -> ar = round && aa = author) !absent))
+          && not (skip r)
+        then begin
+          absent := (round, author) :: !absent;
+          note_missing r
+        end
   in
   visit root;
   if !missing <> [] then Error (List.sort_uniq Types.compare_ref !missing)
@@ -152,47 +176,43 @@ let causal_history t root ~skip =
     Ok nodes
   end
 
+(* Reachability search from [of_] down to round [floor], which holds the
+   target ([hit]). A position without a node stops its path, so only
+   positions with a slot need a mark. *)
+let search_down t ~floor ~hit (of_ : Types.node_ref) =
+  let gen = next_gen t in
+  let rec search (r : Types.node_ref) =
+    let round = r.Types.ref_round and author = r.Types.ref_author in
+    if round < floor then false
+    else if hit r then true
+    else
+      match slot_opt t round with
+      | Some s when author >= 0 && author < t.n ->
+        if s.stamp.(author) = gen then false
+        else begin
+          s.stamp.(author) <- gen;
+          match s.nodes.(author) with
+          | Some cn when Digest32.equal cn.Types.cn_node.Types.digest r.Types.ref_digest ->
+            List.exists search cn.Types.cn_node.Types.parents
+            || List.exists search cn.Types.cn_node.Types.weak_parents
+          | _ -> false
+        end
+      | _ -> false
+  in
+  search of_
+
 let is_ancestor t ~ancestor ~of_ =
   if Types.ref_equal ancestor of_ then true
   else if ancestor.Types.ref_round >= of_.Types.ref_round then false
-  else begin
-    let visited = Hashtbl.create 64 in
-    let rec search (r : Types.node_ref) =
-      if r.Types.ref_round < ancestor.Types.ref_round then false
-      else if Types.ref_equal r ancestor then true
-      else if Hashtbl.mem visited (key t r) then false
-      else begin
-        Hashtbl.replace visited (key t r) ();
-        match get_by_ref t r with
-        | None -> false
-        | Some cn ->
-          List.exists search cn.Types.cn_node.Types.parents
-          || List.exists search cn.Types.cn_node.Types.weak_parents
-      end
-    in
-    search of_
-  end
+  else search_down t ~floor:ancestor.Types.ref_round ~hit:(Types.ref_equal ancestor) of_
 
 let position_ancestor t ~round ~author ~of_ =
   if of_.Types.ref_round = round && of_.Types.ref_author = author then true
   else if round >= of_.Types.ref_round then false
-  else begin
-    let visited = Hashtbl.create 64 in
-    let rec search (r : Types.node_ref) =
-      if r.Types.ref_round < round then false
-      else if r.Types.ref_round = round && r.Types.ref_author = author then true
-      else if Hashtbl.mem visited (key t r) then false
-      else begin
-        Hashtbl.replace visited (key t r) ();
-        match get_by_ref t r with
-        | None -> false
-        | Some cn ->
-          List.exists search cn.Types.cn_node.Types.parents
-          || List.exists search cn.Types.cn_node.Types.weak_parents
-      end
-    in
-    search of_
-  end
+  else
+    search_down t ~floor:round
+      ~hit:(fun (r : Types.node_ref) -> r.Types.ref_round = round && r.Types.ref_author = author)
+      of_
 
 (* Physically delete rounds below [below] (never above the logical floor),
    walking the rounds from the lowest slot up. *)
@@ -203,7 +223,7 @@ let sweep t ~below =
     match slot_opt t r with
     | Some s ->
       Array.iter (fun n -> if Option.is_some n then incr dropped) s.nodes;
-      Hashtbl.remove t.rounds r
+      Int_tbl.remove t.rounds r
     | None -> ()
   done;
   if below > t.low_slot then t.low_slot <- below;

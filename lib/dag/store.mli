@@ -21,6 +21,13 @@
     - causal-history traversal reports missing ancestors exactly, and
       returns nodes sorted by (round, author) under explicit [Int.compare]
       — never in table iteration order;
+    - traversals ({!causal_history}, {!is_ancestor}, {!position_ancestor})
+      visit each position at most once per call by writing a fresh
+      generation stamp into its round slot: they allocate no visited table,
+      create no slot, and answer exactly as a per-call visited set keyed by
+      (round, author) would;
+    - rounds are kept in an int-keyed table ([Int_tbl]) walked only by
+      round number, never iterated;
     - GC below round r removes only state strictly below r, and every
       slot below it — a slot opened under an earlier floor included — by
       walking the rounds from the lowest slot up, never the table. *)

@@ -156,37 +156,7 @@ let audit_logs ~num_dags ~logs ~bases ~pre_recovery ~duplicate_orders =
     anchors_per_lane = lanes;
   }
 
-(* One replica's set of ordered transaction ids: one bit per id. Client ids
-   are dense — one shared counter, or disjoint stride-n counters in
-   multicore mode — so the bits stay packed, and the array is a few
-   unboxed blocks the major GC never has to walk entry by entry. It grows
-   by doubling to cover the largest id seen. *)
-module Seen = struct
-  type t = { mutable bits : Bytes.t }
-
-  let initial_bytes = 1024
-
-  let create () = { bits = Bytes.make initial_bytes '\000' }
-
-  (* Record [id]; true if it was already there. *)
-  let mark t id =
-    if id < 0 then invalid_arg "Harness.Seen.mark: negative id";
-    let byte = id lsr 3 and bit = 1 lsl (id land 7) in
-    let len = Bytes.length t.bits in
-    if byte >= len then begin
-      let grown = Bytes.make (max (2 * len) (byte + 1)) '\000' in
-      Bytes.blit t.bits 0 grown 0 len;
-      t.bits <- grown
-    end;
-    let cur = Bytes.get_uint8 t.bits byte in
-    if cur land bit <> 0 then true
-    else begin
-      Bytes.set_uint8 t.bits byte (cur lor bit);
-      false
-    end
-
-  let reset t = t.bits <- Bytes.make initial_bytes '\000'
-end
+module Seen = Shoalpp_support.Seen
 
 type ('msg, 'r) t = {
   backend : 'msg Backend.t;

@@ -168,14 +168,18 @@ let record t e =
   | Some ins ->
     let lane = lane_of ins e.le_dag in
     let keyed = keyed_for ins lane ~dag:e.le_dag ~rule:e.le_rule in
+    (* One bucket per stage serves its aggregate, keyed and (for e2e,
+       listed last) lane histograms. *)
+    let last = Array.length deltas - 1 in
     Array.iteri
       (fun i delta ->
         let v = delta e in
-        Telemetry.observe ins.aggregate.(i) v;
-        Telemetry.observe keyed.(i) v)
+        let bucket = Telemetry.Histogram.bucket_of v in
+        Telemetry.Histogram.observe_in ins.aggregate.(i) ~bucket v;
+        Telemetry.Histogram.observe_in keyed.(i) ~bucket v;
+        if i = last then Telemetry.Histogram.observe_in lane.latency ~bucket v)
       deltas;
-    Telemetry.incr lane.txns;
-    Telemetry.observe lane.latency (e2e e));
+    Telemetry.incr lane.txns);
   if e.le_ordered >= t.warmup_ms then begin
     let lat = e2e e in
     Stats.Summary.add t.summary lat;

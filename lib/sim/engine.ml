@@ -1,27 +1,22 @@
 module Heap = Shoalpp_support.Heap
 
-type timer = { at : float; seq : int; mutable action : (unit -> unit) option }
+(* The due time and tie-break live in the queue; a timer is its action. *)
+type timer = { mutable action : (unit -> unit) option }
 
 type t = {
   queue : timer Heap.t;
   mutable clock : float;
-  mutable next_seq : int;
   mutable fired : int;
 }
 
-let compare_timer a b =
-  let c = compare a.at b.at in
-  if c <> 0 then c else compare a.seq b.seq
-
-let create () = { queue = Heap.create ~cmp:compare_timer; clock = 0.0; next_seq = 0; fired = 0 }
+let create () = { queue = Heap.create (); clock = 0.0; fired = 0 }
 
 let now t = t.clock
 
 let schedule_at t ~at f =
   let at = if at < t.clock then t.clock else at in
-  let timer = { at; seq = t.next_seq; action = Some f } in
-  t.next_seq <- t.next_seq + 1;
-  Heap.add t.queue timer;
+  let timer = { action = Some f } in
+  Heap.add t.queue ~at timer;
   timer
 
 let schedule t ~after f = schedule_at t ~at:(t.clock +. Float.max after 0.0) f
@@ -30,14 +25,17 @@ let cancel timer = timer.action <- None
 let is_pending timer = Option.is_some timer.action
 
 let rec step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some { action = None; _ } -> step t (* cancelled; skip *)
-  | Some { at; action = Some f; _ } ->
-    t.clock <- at;
-    t.fired <- t.fired + 1;
-    f ();
-    true
+  if Heap.is_empty t.queue then false
+  else begin
+    let at = Heap.min_at t.queue in
+    match (Heap.pop_exn t.queue).action with
+    | None -> step t (* cancelled; skip *)
+    | Some f ->
+      t.clock <- at;
+      t.fired <- t.fired + 1;
+      f ();
+      true
+  end
 
 type stop_reason = Horizon_reached | Queue_drained | Budget_exhausted
 
@@ -48,7 +46,7 @@ type stop_reason = Horizon_reached | Queue_drained | Budget_exhausted
    events; [step] never counted them as fired either). *)
 let rec drop_cancelled t =
   match Heap.peek t.queue with
-  | Some { action = None; _ } ->
+  | Some { action = None } ->
     ignore (Heap.pop t.queue);
     drop_cancelled t
   | _ -> ()
@@ -56,22 +54,19 @@ let rec drop_cancelled t =
 let run_status ?until ?(max_events = max_int) t =
   let budget = ref max_events in
   (* The next live event due at or before the horizon, if any. *)
+  let horizon = match until with Some h -> h | None -> infinity in
   let due () =
     drop_cancelled t;
-    match Heap.peek t.queue with
-    | None -> None
-    | Some next -> (
-      match until with Some horizon when next.at > horizon -> None | _ -> Some next)
+    (not (Heap.is_empty t.queue)) && Heap.min_at t.queue <= horizon
   in
-  while !budget > 0 && Option.is_some (due ()) do
+  while !budget > 0 && due () do
     decr budget;
     ignore (step t)
   done;
   (* Decide on the queue's state, not on leftover budget: a run whose budget
      expires exactly as the queue drains has still reached the horizon. *)
-  match due () with
-  | Some _ -> Budget_exhausted
-  | None -> (
+  if due () then Budget_exhausted
+  else (
     match until with
     | Some horizon ->
       if t.clock < horizon then t.clock <- horizon;

@@ -18,6 +18,8 @@ let make ?trace ?telemetry ~replica ~instance () = { replica; instance; trace; t
 let none = { replica = 0; instance = 0; trace = None; telemetry = None }
 let with_instance t ~instance = { t with instance }
 
+let tracing t = Option.is_some t.trace
+
 let event t ~time kind =
   match t.trace with
   | Some tr -> Trace.record_event tr ~time ~replica:t.replica ~instance:t.instance kind

@@ -26,6 +26,10 @@ val make : ?trace:Trace.t -> ?telemetry:Telemetry.t -> replica:int -> instance:i
 val none : t
 val with_instance : t -> instance:int -> t
 
+val tracing : t -> bool
+(** A trace is attached: hot paths test this before building an event's
+    payload, so an untraced run allocates none. *)
+
 val event : t -> time:float -> Trace.kind -> unit
 val incr : ?by:int -> t -> string -> unit
 val set : t -> string -> float -> unit

@@ -45,11 +45,39 @@ let read_candidate rd =
 
 let digest c = c.digest
 
+(* Length of [string_of_int v]. Digits are taken from the non-positive
+   [-|v|], which cannot overflow at [min_int]. *)
+let decimal_length v =
+  let rec digits x acc = if x <= -10 then digits (x / 10) (acc + 1) else acc in
+  digits (if v < 0 then v else -v) 1 + if v < 0 then 1 else 0
+
+(* Write [string_of_int v] at [pos]; returns the position after it. *)
+let put_decimal b pos v =
+  let stop = pos + decimal_length v in
+  let rec put i x =
+    Bytes.set b i (Char.unsafe_chr (48 - (x mod 10)));
+    if x <= -10 then put (i - 1) (x / 10)
+  in
+  put (stop - 1) (if v < 0 then v else -v);
+  if v < 0 then Bytes.set b pos '-';
+  stop
+
+(* The preimage [raw st ^ dag_id ^ "/" ^ round ^ "/" ^ author], written
+   into one buffer of its exact length. *)
 let fold_segment st ~dag_id ~round ~author =
-  Digest32.of_string
-    (String.concat ""
-       [ Digest32.raw st; string_of_int dag_id; "/"; string_of_int round; "/";
-         string_of_int author ])
+  let raw = Digest32.raw st in
+  let len =
+    String.length raw + decimal_length dag_id + 1 + decimal_length round + 1
+    + decimal_length author
+  in
+  let b = Bytes.create len in
+  Bytes.blit_string raw 0 b 0 (String.length raw);
+  let pos = put_decimal b (String.length raw) dag_id in
+  Bytes.set b pos '/';
+  let pos = put_decimal b (pos + 1) round in
+  Bytes.set b pos '/';
+  ignore (put_decimal b (pos + 1) author);
+  Digest32.of_string (Bytes.unsafe_to_string b)
 
 let preimage_of_digest d = "ckpt/" ^ Digest32.raw d
 let preimage c = preimage_of_digest (digest c)

@@ -48,13 +48,14 @@ module Histogram = struct
   let bucket_value i =
     if i = 0 then lo else lo *. (growth ** (float_of_int i -. 0.5))
 
-  let observe t v =
+  let observe_in t ~bucket v =
     t.count <- t.count + 1;
     t.sum <- t.sum +. v;
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v;
-    let i = bucket_of v in
-    t.buckets.(i) <- t.buckets.(i) + 1
+    t.buckets.(bucket) <- t.buckets.(bucket) + 1
+
+  let observe t v = observe_in t ~bucket:(bucket_of v) v
 
   let name t = t.h_name
   let count t = t.count

@@ -49,6 +49,13 @@ module Histogram : sig
   val observe : t -> float -> unit
   (** O(1), allocation-free; geometric buckets with ~7% relative error. *)
 
+  val bucket_of : float -> int
+  (** The bucket a value falls in: one [log]. *)
+
+  val observe_in : t -> bucket:int -> float -> unit
+  (** [observe_in h ~bucket:(bucket_of v) v] is [observe h v]: a value
+      recorded into several histograms computes its bucket once. *)
+
   val name : t -> string
   val count : t -> int
   val sum : t -> float

@@ -17,6 +17,27 @@ let write buf v =
   if v < 0 then invalid_arg "Varint.write: negative";
   write_digits buf v
 
+let rec put_digits b pos v =
+  if v < 0x80 then begin
+    Bytes.set b pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    put_digits b (pos + 1) (v lsr 7)
+  end
+
+let put b pos v =
+  if v < 0 then invalid_arg "Varint.put: negative";
+  put_digits b pos v
+
+let rec get_digits b pos shift acc =
+  let byte = Char.code (Bytes.get b pos) in
+  let acc = acc lor ((byte land 0x7f) lsl shift) in
+  if byte land 0x80 = 0 then acc else get_digits b (pos + 1) (shift + 7) acc
+
+let get b pos = get_digits b pos 0 0
+
 type cursor = { src : string; mutable pos : int }
 
 let rec decode c len pos shift acc =

@@ -14,6 +14,16 @@ val encoded_size : int -> int
 val write : Buffer.t -> int -> unit
 (** Append the LEB128 encoding of a non-negative int. *)
 
+val put : Bytes.t -> int -> int -> int
+(** [put b pos v] writes the encoding {!write} appends for [v] at [pos]
+    and returns the position after it.
+    @raise Invalid_argument on a negative value or a write past [b]. *)
+
+val get : Bytes.t -> int -> int
+(** The value {!put} wrote at a position, trusted: for bytes this process
+    encoded, not for input (use {!read_cursor} there).
+    @raise Invalid_argument on a read past [b]. *)
+
 type cursor = { src : string; mutable pos : int }
 (** A read position in a string: the state of a decoder that advances as
     it reads ({!Shoalpp_codec.Wire.Reader.t} is one). *)

@@ -11,8 +11,10 @@ module Rng = Shoalpp_support.Rng
    domain's requeue or client stop serialize on that pool's mutex only. *)
 
 (* One open-loop client. [next_at] is the due time of its next arrival;
-   the group's heap holds one entry for it, left in place when the client
-   stops and dropped when it surfaces. *)
+   the group's due-time queue holds it once, under the [next_at] it had
+   when queued (the queue keeps that key, so its order never reads a field
+   another operation may write), left in place when the client stops and
+   dropped when it surfaces. *)
 type source = {
   pool : t;
   origin : int;
@@ -25,21 +27,13 @@ type source = {
   mutable exhausted : bool; [@shoalpp.guarded_by "mu"]
 }
 
-(* A heap entry: [at] is frozen at insertion, so the heap order never
-   reads a field another operation may write; [seq] breaks due-time ties
-   in scheduling order, as the engine's timers do. *)
-and entry = { at : float; seq : int; src : source }
-
 and group = {
   mu : Mutex.t;
   clock : Backend.Clock.t option; (* [None]: a pool that never gets clients *)
   stride : int;
   mutable next_id : int; [@shoalpp.guarded_by "mu"]
-  due : entry Heap.t; [@shoalpp.guarded_by "mu"]
-  mutable next_seq : int; [@shoalpp.guarded_by "mu"]
-  (* Due time of the heap's head, [infinity] when empty: the O(1) test
-     every operation makes before it touches the heap. *)
-  mutable earliest : float; [@shoalpp.guarded_by "mu"]
+  (* Due-time ties break in scheduling order, as the engine's timers do. *)
+  due : source Heap.t; [@shoalpp.guarded_by "mu"]
 }
 
 and t = {
@@ -50,17 +44,13 @@ and t = {
   mutable rejected : int; [@shoalpp.guarded_by "mu"]
 }
 
-let cmp_entry a b = if a.at < b.at then -1 else if a.at > b.at then 1 else Int.compare a.seq b.seq
-
 let make_group ?clock ~next_id ~stride () =
   {
     mu = Mutex.create ();
     clock;
     stride;
     next_id;
-    due = Heap.create ~cmp:cmp_entry;
-    next_seq = 0;
-    earliest = infinity;
+    due = Heap.create ();
   }
 
 let group ~clock ?(next_id = 0) ?(stride = 1) () =
@@ -87,9 +77,7 @@ let push t tx =
 [@@shoalpp.requires_lock "mu"]
 
 let schedule g src =
-  Heap.add g.due { at = src.next_at; seq = g.next_seq; src };
-  g.next_seq <- g.next_seq + 1;
-  if src.next_at < g.earliest then g.earliest <- src.next_at
+  Heap.add g.due ~at:src.next_at src
 [@@shoalpp.requires_lock "mu"]
 
 (* The arrival due at [src.next_at], stamped with that due time. Id
@@ -119,20 +107,12 @@ let arrive g src =
    they surface. *)
 let catch_up g =
   match g.clock with
-  | Some clock when g.earliest < infinity ->
+  | Some clock when not (Heap.is_empty g.due) ->
     let now = clock.Backend.Clock.now () in
-    if g.earliest <= now then begin
-      let rec drain () =
-        match Heap.peek g.due with
-        | Some e when e.at <= now ->
-          ignore (Heap.pop g.due);
-          if e.src.live then arrive g e.src;
-          drain ()
-        | Some e -> g.earliest <- e.at
-        | None -> g.earliest <- infinity
-      in
-      drain ()
-    end
+    while Heap.min_at g.due <= now do
+      let src = Heap.pop_exn g.due in
+      if src.live then arrive g src
+    done
   | _ -> ()
 [@@shoalpp.requires_lock "mu"]
 

@@ -25,8 +25,8 @@
       scheduling order) across all the group's clients: ids never repeat
       within a group, and groups with distinct residues modulo a common
       stride never share an id;
-    - catch-up is O(1) when nothing is due (the group caches its earliest
-      due time) and O(log clients) per materialized arrival;
+    - catch-up is O(1) when nothing is due (one read of the group queue's
+      head due time) and O(log clients) per materialized arrival;
     - a pull returns at most the requested batch size, and a bounded pool
       counts every rejected transaction;
     - every operation is atomic under the group's one mutex, so the

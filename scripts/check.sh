@@ -501,4 +501,19 @@ else
     || { echo "check failed: BENCH_perf.json has no passing audit" >&2; exit 1; }
 fi
 
-echo "check: build + tests + docs + observability/scenario + usage error + bench records + node + live scrape + trace analysis + multicore + tcp + verified tcp + gcp10 shim + node bench + perf smoke OK"
+# Benchmark digest guard: one short run of each simulator workload of the
+# repository benchmark at seed 3 must order the pinned commit stream. The
+# digests are a function of the seed only, so any change to them is a
+# change of behaviour and must be re-pinned on purpose.
+for pin in sim-gcp10:2944a3ef9715988bb326ed0e9847ca95 sim-lifecycle:87a4f2277c97ff1c4307d36e7844cffe; do
+  workload=${pin%%:*}
+  want=${pin#*:}
+  run_out=$(timeout 300 python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 --trace 0) \
+    || { echo "check failed: perfbench $workload failed its own checks" >&2; exit 1; }
+  got=$(printf '%s\n' "$run_out" | awk '$1 == "log_digest" { print $2 }')
+  [ "$got" = "$want" ] \
+    || { echo "check failed: perfbench $workload log_digest $got, pinned $want" >&2; exit 1; }
+done
+echo "perfbench digests: sim-gcp10 and sim-lifecycle at seed 3 match the pins"
+
+echo "check: build + tests + docs + observability/scenario + usage error + bench records + node + live scrape + trace analysis + multicore + tcp + verified tcp + gcp10 shim + node bench + perf smoke + perfbench digests OK"

@@ -107,6 +107,40 @@ let prop_reputation_supporters_canonical =
            (fun a -> Reputation.score r a = List.length (List.filter (List.mem a) kept))
            (List.init n Fun.id))
 
+(* A fixed observe/skip sequence — out-of-range and repeated supporters,
+   empty segments, skips, and more segments than the window holds — and
+   the exact bytes [write] produced for it before the window was stored
+   as bitsets. A checkpoint digest covers these bytes, so any change to
+   the encoding shows here first. *)
+let test_reputation_write_pinned () =
+  let r = Reputation.create ~n:11 ~window:5 ~staleness:3 ~enabled:true () in
+  for i = 0 to 12 do
+    let supporters =
+      match i mod 4 with
+      | 0 -> [ i mod 11; 10; 10; -1; 11 ]
+      | 1 -> []
+      | 2 -> [ 3; 1; 4; 1; 5; 9; 2; 6 ]
+      | _ -> [ (i * 7) mod 11; 0 ]
+    in
+    Reputation.observe_segment r ~anchor_round:(2 * i) ~supporters
+      ~node_positions:[ (2 * i, i mod 11); ((2 * i) - 1, (i + 5) mod 11) ];
+    if i mod 3 = 0 then Reputation.observe_skip r ~round:((2 * i) + 1) ~author:(i mod 11)
+  done;
+  let w = Shoalpp_codec.Wire.Writer.create () in
+  Reputation.write r w;
+  let blob = Shoalpp_codec.Wire.Writer.contents w in
+  let hex =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq blob)))
+  in
+  Alcotest.(check string) "write bytes"
+    ("0b02030202020202010202030b171910121416180f1113150b17191515151515001115190b"
+   ^ "01020101010101010101010502080a000701020304050609010002010a19")
+    hex;
+  let back = Reputation.create ~n:11 ~window:5 ~staleness:3 ~enabled:true () in
+  Reputation.read back (Shoalpp_codec.Wire.Reader.of_string blob);
+  checkb "read inverts write" true (Reputation.dump back = Reputation.dump r)
+
 let test_reputation_determinism () =
   let feed r =
     for round = 1 to 6 do
@@ -695,6 +729,7 @@ let suite =
         Alcotest.test_case "scores order" `Quick test_reputation_scores_order;
         Alcotest.test_case "window eviction" `Quick test_reputation_window_eviction;
         Alcotest.test_case "determinism" `Quick test_reputation_determinism;
+        Alcotest.test_case "write bytes pinned" `Quick test_reputation_write_pinned;
         QCheck_alcotest.to_alcotest prop_reputation_supporters_canonical;
       ] );
     ( "consensus.anchors",

@@ -780,6 +780,182 @@ let prop_store_counters_match_naive =
         (fun a -> Store.certified_refs s ~round:0 ~author:a = List.length authors)
         [ 0; 1; 2; 3 ])
 
+(* The traversals as they were written before they marked visits with
+   generation stamps: a fresh position-keyed table per call, and a sort of
+   the collected nodes. Kept here as the reference the store must match. *)
+module Reference_traversal = struct
+  let key store (r : Types.node_ref) = (r.Types.ref_round * Store.n store) + r.Types.ref_author
+
+  let causal_history store ~genesis root ~skip =
+    let lowest = Store.lowest_retained store in
+    let visited = Hashtbl.create 64 in
+    let missing = ref [] in
+    let collected = ref [] in
+    let rec visit (r : Types.node_ref) =
+      if r.Types.ref_round >= lowest && (not (Hashtbl.mem visited (key store r))) && not (skip r)
+      then begin
+        Hashtbl.replace visited (key store r) ();
+        match Store.get_by_ref store r with
+        | None -> if not (Digest32.equal r.Types.ref_digest genesis) then missing := r :: !missing
+        | Some cn ->
+          List.iter visit cn.Types.cn_node.Types.parents;
+          List.iter visit cn.Types.cn_node.Types.weak_parents;
+          collected := cn :: !collected
+      end
+    in
+    visit root;
+    if !missing <> [] then Error (List.sort_uniq Types.compare_ref !missing)
+    else
+      Ok
+        (List.sort
+           (fun (a : Types.certified_node) b ->
+             let c = Int.compare a.Types.cn_node.Types.round b.Types.cn_node.Types.round in
+             if c <> 0 then c
+             else Int.compare a.Types.cn_node.Types.author b.Types.cn_node.Types.author)
+           !collected)
+
+  let search store ~floor ~hit of_ =
+    let visited = Hashtbl.create 64 in
+    let rec go (r : Types.node_ref) =
+      if r.Types.ref_round < floor then false
+      else if hit r then true
+      else if Hashtbl.mem visited (key store r) then false
+      else begin
+        Hashtbl.replace visited (key store r) ();
+        match Store.get_by_ref store r with
+        | None -> false
+        | Some cn ->
+          List.exists go cn.Types.cn_node.Types.parents
+          || List.exists go cn.Types.cn_node.Types.weak_parents
+      end
+    in
+    go of_
+
+  let is_ancestor store ~ancestor ~of_ =
+    if Types.ref_equal ancestor of_ then true
+    else if ancestor.Types.ref_round >= of_.Types.ref_round then false
+    else search store ~floor:ancestor.Types.ref_round ~hit:(Types.ref_equal ancestor) of_
+
+  let position_ancestor store ~round ~author ~of_ =
+    if of_.Types.ref_round = round && of_.Types.ref_author = author then true
+    else if round >= of_.Types.ref_round then false
+    else
+      search store ~floor:round
+        ~hit:(fun (r : Types.node_ref) -> r.Types.ref_round = round && r.Types.ref_author = author)
+        of_
+end
+
+(* Random DAGs for the traversal property: positions left empty, nodes
+   never certified (proposals only, or nothing at all), parent refs whose
+   digest matches no node, genesis-digest refs, weak edges several rounds
+   down, and a GC floor that cuts the lower rounds off. A dark round stores
+   nothing, nor does the round above it, so the store holds no slot for it
+   and only weak edges reach it. *)
+let random_dag rng =
+  let n = 4 in
+  let genesis = committee.Committee.genesis in
+  let rounds = 2 + Shoalpp_support.Rng.int rng 7 in
+  let store = Store.create ~n ~genesis_digest:genesis in
+  let nodes = Array.make_matrix rounds n None in
+  let all_refs = ref [] in
+  let dark = Array.init rounds (fun r -> r > 0 && Shoalpp_support.Rng.int rng 4 = 0) in
+  let unseen round = dark.(round) || (round > 0 && dark.(round - 1)) in
+  let pick_ref ~round ~author =
+    match Shoalpp_support.Rng.int rng 10 with
+    | 0 -> { Types.ref_round = round; ref_author = author; ref_digest = Digest32.of_string "no such node" }
+    | 1 -> { Types.ref_round = round; ref_author = author; ref_digest = genesis }
+    | _ -> (
+      match nodes.(round).(author) with
+      | Some (node : Types.node) -> Types.ref_of_node node
+      | None ->
+        {
+          Types.ref_round = round;
+          ref_author = author;
+          ref_digest = Digest32.of_string (Printf.sprintf "absent %d/%d" round author);
+        })
+  in
+  for round = 0 to rounds - 1 do
+    for author = 0 to n - 1 do
+      if Shoalpp_support.Rng.int rng 6 > 0 then begin
+        let parents =
+          if round = 0 then []
+          else
+            List.filter_map
+              (fun a ->
+                if Shoalpp_support.Rng.int rng 4 > 0 then Some (pick_ref ~round:(round - 1) ~author:a)
+                else None)
+              [ 0; 1; 2; 3 ]
+        in
+        let weak_parents =
+          if round < 2 then []
+          else
+            List.init (Shoalpp_support.Rng.int rng 3) (fun _ ->
+                pick_ref
+                  ~round:(Shoalpp_support.Rng.int rng (round - 1))
+                  ~author:(Shoalpp_support.Rng.int rng n))
+        in
+        let node = make_node ~round ~author ~parents ~weak_parents () in
+        nodes.(round).(author) <- Some node;
+        all_refs := Types.ref_of_node node :: !all_refs;
+        match Shoalpp_support.Rng.int rng 8 with
+        | _ when unseen round -> ()
+        | 0 -> () (* never seen *)
+        | 1 -> ignore (Store.note_proposal store node) (* a slot without the node *)
+        | _ -> ignore (Store.add_certified store (certify node))
+      end
+    done
+  done;
+  if Shoalpp_support.Rng.bool rng then
+    ignore (Store.prune_below store ~round:(Shoalpp_support.Rng.int rng (rounds / 2 + 1)));
+  let probes =
+    List.init 6 (fun _ ->
+        pick_ref ~round:(Shoalpp_support.Rng.int rng rounds) ~author:(Shoalpp_support.Rng.int rng n))
+  in
+  let skipped = Array.init rounds (fun _ -> Array.init n (fun _ -> Shoalpp_support.Rng.int rng 5 = 0)) in
+  let skip (r : Types.node_ref) =
+    r.Types.ref_round >= 0 && r.Types.ref_round < rounds && skipped.(r.Types.ref_round).(r.Types.ref_author)
+  in
+  (store, !all_refs @ probes, skip)
+
+let same_history a b =
+  match (a, b) with
+  | Ok xs, Ok ys ->
+    List.length xs = List.length ys
+    && List.for_all2
+         (fun (x : Types.certified_node) (y : Types.certified_node) ->
+           Digest32.equal x.Types.cn_node.Types.digest y.Types.cn_node.Types.digest)
+         xs ys
+  | Error xs, Error ys -> List.length xs = List.length ys && List.for_all2 Types.ref_equal xs ys
+  | _ -> false
+
+(* Stamps are reused across calls, so every query below runs on a store
+   that earlier traversals have already marked. *)
+let prop_store_stamp_traversals_match_reference =
+  QCheck.Test.make ~name:"stamp traversals match the table reference" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Shoalpp_support.Rng.create seed in
+      let store, refs, skip = random_dag rng in
+      let genesis = committee.Committee.genesis in
+      let refs = Array.of_list refs in
+      let any () = refs.(Shoalpp_support.Rng.int rng (Array.length refs)) in
+      List.for_all
+        (fun _ ->
+          let root = any () and other = any () in
+          let skip = if Shoalpp_support.Rng.bool rng then skip else fun _ -> false in
+          same_history
+            (Store.causal_history store root ~skip)
+            (Reference_traversal.causal_history store ~genesis root ~skip)
+          && Bool.equal
+               (Store.is_ancestor store ~ancestor:other ~of_:root)
+               (Reference_traversal.is_ancestor store ~ancestor:other ~of_:root)
+          && Bool.equal
+               (Store.position_ancestor store ~round:other.Types.ref_round
+                  ~author:other.Types.ref_author ~of_:root)
+               (Reference_traversal.position_ancestor store ~round:other.Types.ref_round
+                  ~author:other.Types.ref_author ~of_:root))
+        (List.init 12 Fun.id))
+
 let prop_vote_preimage_matches_sprintf =
   QCheck.Test.make ~name:"vote preimage equals the sprintf form" ~count:200
     QCheck.(triple int int string)
@@ -847,5 +1023,5 @@ let suite =
         Alcotest.test_case "ancestor queries" `Quick test_store_ancestor_queries;
         Alcotest.test_case "prune" `Quick test_store_prune;
       ]
-      @ qsuite [ prop_store_counters_match_naive ] );
+      @ qsuite [ prop_store_counters_match_naive; prop_store_stamp_traversals_match_reference ] );
   ]

@@ -17,10 +17,11 @@ let checki = Alcotest.(check int)
 
 let test_heap_large_random () =
   let rng = Rng.create 99 in
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.create () in
   let n = 10_000 in
   for _ = 1 to n do
-    Heap.add h (Rng.int rng 1_000)
+    let v = Rng.int rng 1_000 in
+    Heap.add h ~at:(float_of_int v) v
   done;
   checki "size" n (Heap.length h);
   let rec drain prev count =

@@ -69,6 +69,13 @@ let test_sorted_iteration () =
   checki "iter/fold/to_seq flagged" 3 (count "sorted-iteration" diags);
   checki "Hashtbl.length not flagged" 3 (List.length diags)
 
+(* The int-keyed table is a [Hashtbl] specialization: renaming the module
+   must not lift the rule. *)
+let test_sorted_iteration_int_tbl () =
+  let diags = run_fixture "bad_sorted_int_tbl" in
+  checki "Int_tbl iter/fold/to_seq_keys flagged" 3 (count "sorted-iteration" diags);
+  checki "lookups and length not flagged" 3 (List.length diags)
+
 let test_poly_compare () =
   let diags = run_fixture "bad_polycmp" in
   (* bare [compare], Hashtbl.hash, tuple [=], string [<>]; the immediate
@@ -96,6 +103,13 @@ let test_shared_mutable_state () =
      forms stay silent. *)
   checki "shared mutable globals flagged" 4 (count "shared-mutable-state" diags);
   checki "nothing else flagged" 4 (List.length diags)
+
+let test_shared_queue_and_table () =
+  let diags = run_race "bad_shared_queue" in
+  (* Int_tbl.create, Shoalpp_support.Heap.create, Heap.create; the
+     guarded and function-local forms stay silent. *)
+  checki "shared tables and queues flagged" 3 (count "shared-mutable-state" diags);
+  checki "nothing else flagged" 3 (List.length diags)
 
 let test_lock_discipline () =
   let diags = run_race "bad_lock" in
@@ -271,6 +285,7 @@ let suite =
       [
         Alcotest.test_case "effect confinement" `Quick test_effect_confinement;
         Alcotest.test_case "sorted iteration" `Quick test_sorted_iteration;
+        Alcotest.test_case "sorted iteration over Int_tbl" `Quick test_sorted_iteration_int_tbl;
         Alcotest.test_case "poly compare" `Quick test_poly_compare;
         Alcotest.test_case "interface hygiene" `Quick test_interface_hygiene;
         Alcotest.test_case "parse error" `Quick test_parse_error;
@@ -278,6 +293,7 @@ let suite =
     ( "lint.race",
       [
         Alcotest.test_case "shared mutable state" `Quick test_shared_mutable_state;
+        Alcotest.test_case "shared tables and queues" `Quick test_shared_queue_and_table;
         Alcotest.test_case "lock discipline" `Quick test_lock_discipline;
         Alcotest.test_case "cross-domain effect" `Quick test_cross_domain_effect;
         Alcotest.test_case "ownership annotations" `Quick test_ownership_annotations;

@@ -182,7 +182,10 @@ let test_checkpoint_fold_segment_bytes () =
         (Printf.sprintf "fold %d/%d/%d" dag_id round author)
         true
         (Digest32.equal reference (Checkpoint.fold_segment st ~dag_id ~round ~author)))
-    [ (0, 0, 0); (2, 9, 10); (1, 99, 100); (0, 1600, 7); (9, 123_456_789, 49); (3, max_int, 0) ]
+    [
+      (0, 0, 0); (2, 9, 10); (1, 99, 100); (0, 1600, 7); (9, 123_456_789, 49); (3, max_int, 0);
+      (-1, -10, min_int); (10, -99, 9);
+    ]
 
 (* A checkpoint whose certificate does not verify must never authorize
    pruning — these are the refusal cases [Replica]'s adopt/install paths

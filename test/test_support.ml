@@ -151,63 +151,105 @@ let test_rng_sample_without_replacement () =
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+let add_int h x = Heap.add h ~at:(float_of_int x) x
+
 let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.create () in
   checkb "empty" true (Heap.is_empty h);
-  Heap.add h 3;
-  Heap.add h 1;
-  Heap.add h 2;
+  check (Alcotest.float 0.0) "empty min_at" infinity (Heap.min_at h);
+  add_int h 3;
+  add_int h 1;
+  add_int h 2;
   checki "len" 3 (Heap.length h);
   checki "peek" 1 (Option.get (Heap.peek h));
+  check (Alcotest.float 0.0) "min_at" 1.0 (Heap.min_at h);
   checki "pop1" 1 (Heap.pop_exn h);
   checki "pop2" 2 (Heap.pop_exn h);
   checki "pop3" 3 (Heap.pop_exn h);
   checkb "drained" true (Heap.pop h = None)
 
 let test_heap_pop_empty_raises () =
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.create () in
   Alcotest.check_raises "empty pop" (Invalid_argument "Heap.pop_exn: empty") (fun () ->
       ignore (Heap.pop_exn h))
 
 let test_heap_duplicates () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.add h) [ 5; 5; 5; 1; 1 ];
+  let h = Heap.create () in
+  List.iter (add_int h) [ 5; 5; 5; 1; 1 ];
   let drained = List.init 5 (fun _ -> Heap.pop_exn h) in
   check Alcotest.(list int) "sorted with dups" [ 1; 1; 5; 5; 5 ] drained
 
+(* The engine's, the executor's and the mempool's tie rule: two elements
+   due at the same time pop in the order they were added, including ones
+   added after pops and after the queue drained. *)
+let test_heap_seq_order () =
+  let h = Heap.create () in
+  List.iter (fun (at, v) -> Heap.add h ~at v) [ (5.0, "a"); (1.0, "b"); (5.0, "c"); (1.0, "d") ];
+  check Alcotest.string "first due, first added" "b" (Heap.pop_exn h);
+  Heap.add h ~at:1.0 "e";
+  Heap.add h ~at:5.0 "f";
+  let drained = List.init 5 (fun _ -> Heap.pop_exn h) in
+  check Alcotest.(list string) "ties in add order" [ "d"; "e"; "a"; "c"; "f" ] drained;
+  Heap.add h ~at:0.0 "g";
+  Heap.add h ~at:0.0 "h";
+  check Alcotest.(list string) "after draining" [ "g"; "h" ] (Heap.to_sorted_list h)
+
+(* Growth: capacity doubles from 16 while elements are interleaved with
+   pops; nothing is lost and the order holds across every resize. *)
+let test_heap_growth () =
+  let h = Heap.create () in
+  let model = ref [] in
+  for i = 0 to 999 do
+    let at = float_of_int ((i * 37) mod 101) in
+    Heap.add h ~at (at, i);
+    model := (at, i) :: !model;
+    if i mod 3 = 2 then begin
+      let sorted = List.sort compare !model in
+      check Alcotest.(pair (float 0.0) int) "pop during growth" (List.hd sorted) (Heap.pop_exn h);
+      model := List.tl sorted
+    end
+  done;
+  checki "length" (List.length !model) (Heap.length h);
+  check
+    Alcotest.(list (pair (float 0.0) int))
+    "drains in (due, seq) order" (List.sort compare !model) (Heap.to_sorted_list h);
+  checki "to_sorted_list is non-destructive" (List.length !model) (Heap.length h)
+
 let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.add h) [ 1; 2; 3 ];
+  let h = Heap.create () in
+  List.iter (add_int h) [ 1; 2; 3 ];
   Heap.clear h;
-  checkb "cleared" true (Heap.is_empty h)
+  checkb "cleared" true (Heap.is_empty h);
+  add_int h 4;
+  checki "usable after clear" 4 (Heap.pop_exn h)
 
-let test_heap_custom_order () =
-  (* Max-heap via inverted comparison. *)
-  let h = Heap.create ~cmp:(fun a b -> compare b a) in
-  List.iter (Heap.add h) [ 1; 9; 4 ];
-  checki "max first" 9 (Heap.pop_exn h)
-
+(* Elements carry their insertion index: a stable sort on the due time is
+   the (due time, seq) order. *)
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
+    QCheck.(list small_int)
     (fun l ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.add h) l;
-      Heap.to_sorted_list h = List.sort compare l)
+      let h = Heap.create () in
+      List.iteri (fun i x -> Heap.add h ~at:(float_of_int x) (x, i)) l;
+      Heap.to_sorted_list h
+      = List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.mapi (fun i x -> (x, i)) l))
 
 let prop_heap_interleaved =
   QCheck.Test.make ~name:"heap handles interleaved add/pop" ~count:200
     QCheck.(list (option small_int))
     (fun ops ->
-      (* Some x = push x; None = pop. Compare against a sorted-list model. *)
-      let h = Heap.create ~cmp:compare in
+      (* Some x = push x; None = pop. Compare against a sorted-list model
+         of (due time, insertion index). *)
+      let h = Heap.create () in
       let model = ref [] in
+      let added = ref 0 in
       List.for_all
         (fun op ->
           match op with
           | Some x ->
-            Heap.add h x;
-            model := List.sort compare (x :: !model);
+            Heap.add h ~at:(float_of_int x) (x, !added);
+            model := List.sort compare ((x, !added) :: !model);
+            incr added;
             true
           | None -> (
             match (Heap.pop h, !model) with
@@ -367,6 +409,15 @@ let test_varint_known () =
   check Alcotest.string "127" "\x7f" (enc 127);
   check Alcotest.string "128" "\x80\x01" (enc 128);
   check Alcotest.string "300" "\xac\x02" (enc 300);
+  (* [put]/[get] lay out and read back the same bytes at any position. *)
+  List.iter
+    (fun v ->
+      let b = Bytes.make 12 '\xff' in
+      let stop = Varint.put b 2 v in
+      checki "put length" (Varint.encoded_size v) (stop - 2);
+      check Alcotest.string "put bytes" (enc v) (Bytes.sub_string b 2 (stop - 2));
+      checki "get" v (Varint.get b 2))
+    [ 0; 127; 128; 300; max_int ];
   checki "size 0" 1 (Varint.encoded_size 0);
   checki "size 127" 1 (Varint.encoded_size 127);
   checki "size 128" 2 (Varint.encoded_size 128);
@@ -439,7 +490,8 @@ let suite =
         Alcotest.test_case "pop empty raises" `Quick test_heap_pop_empty_raises;
         Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
         Alcotest.test_case "clear" `Quick test_heap_clear;
-        Alcotest.test_case "custom order" `Quick test_heap_custom_order;
+        Alcotest.test_case "equal due times pop in seq order" `Quick test_heap_seq_order;
+        Alcotest.test_case "growth" `Quick test_heap_growth;
       ]
       @ qsuite [ prop_heap_sorts; prop_heap_interleaved ] );
     ( "support.stats",

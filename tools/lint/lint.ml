@@ -107,9 +107,23 @@ let effect_violation lid =
 
 let hashtbl_traversals = [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
 
+(* Hash tables whose traversals visit bindings in bucket order: the stdlib
+   one and the int-keyed specialization in lib/support, named bare or
+   through its library path. *)
+let hash_table_module = function
+  | [ "Hashtbl" ] | [ "Int_tbl" ] | [ "Shoalpp_support"; "Int_tbl" ] -> true
+  | _ -> false
+
+(* [M.f] as (M's path, f). *)
+let split_last lid =
+  match List.rev (Longident.flatten lid) with
+  | f :: rev_path -> Some (List.rev rev_path, f)
+  | [] -> None
+
 let sorted_violation lid =
-  match Longident.flatten lid with
-  | [ "Hashtbl"; f ] when List.mem f hashtbl_traversals -> Some ("Hashtbl." ^ f)
+  match split_last lid with
+  | Some (m, f) when hash_table_module m && List.mem f hashtbl_traversals ->
+    Some (String.concat "." (m @ [ f ]))
   | _ -> None
 
 let polycmp_ident_violation lid =
@@ -155,7 +169,7 @@ let ast_diagnostics ~path ~rules ast_kind source =
          add loc "sorted-iteration"
            (what
           ^ " visits bindings in hash order; this module feeds emitted bytes — use \
-             Shoalpp_support.Sorted_tbl")
+             Shoalpp_support.Sorted_tbl, or sort what the traversal collects")
        | None -> ());
     if rules.polycmp then
       match polycmp_ident_violation lid with Some msg -> add loc "poly-compare" msg | None -> ()
@@ -457,6 +471,10 @@ let classify_ctor lid =
   match Longident.flatten lid with
   | [ "ref" ] -> `Mutable "ref"
   | [ ("Hashtbl" | "Queue" | "Stack" | "Buffer") as m; "create" ] -> `Mutable (m ^ ".create")
+  (* the lib/support tables and due-time queue, bare or by library path *)
+  | ([ ("Int_tbl" | "Heap"); "create" ] | [ "Shoalpp_support"; ("Int_tbl" | "Heap"); "create" ])
+    as path ->
+    `Mutable (String.concat "." path)
   | [ "Bytes"; (("create" | "make" | "init" | "of_string") as f) ] -> `Mutable ("Bytes." ^ f)
   | [ "Array"; (("make" | "init" | "create_float" | "of_list" | "copy" | "append" | "concat"
                 | "sub" | "make_matrix") as f) ] ->
@@ -495,7 +513,10 @@ let find_mutable_shape ~mutable_labels (e : Parsetree.expression) =
    cross-domain mechanism). *)
 let mutating_call m f =
   match (m, f) with
-  | "Hashtbl", ("replace" | "add" | "remove" | "reset" | "clear" | "filter_map_inplace") -> true
+  | ("Hashtbl" | "Int_tbl"), ("replace" | "add" | "remove" | "reset" | "clear" | "filter_map_inplace")
+    ->
+    true
+  | "Heap", ("add" | "pop" | "pop_exn" | "clear") -> true
   | "Queue", ("push" | "add" | "pop" | "take" | "clear" | "transfer") -> true
   | "Stack", ("push" | "pop" | "clear") -> true
   | "Buffer", ("clear" | "reset") -> true
