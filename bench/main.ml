@@ -30,6 +30,7 @@
    records a paper-vs-measured comparison for every figure. *)
 
 module E = Shoalpp_baselines.Experiment
+module Faults = Shoalpp_sim.Faults
 module Report = Shoalpp_runtime.Report
 module Tablefmt = Shoalpp_support.Tablefmt
 module Json = Shoalpp_runtime.Export.Json
@@ -221,7 +222,10 @@ let fig7 () =
         List.concat_map
           (fun load ->
             let clean = E.run system { base_params with E.load_tps = load } in
-            let crashed = E.run system { base_params with E.load_tps = load; crashes = f } in
+            let crashed =
+              E.run system
+                { base_params with E.load_tps = load; scenario = Faults.crash ~count:f () }
+            in
             let ratio =
               crashed.E.report.Report.latency_p50 /. clean.E.report.Report.latency_p50
             in
@@ -255,7 +259,7 @@ let fig8 () =
       E.load_tps = 20_000.0;
       duration_ms = duration;
       warmup_ms = 2_000.0;
-      drop_spec = Some (droppers, 0.01, inject_at);
+      scenario = Faults.drop ~count:droppers ~rate:0.01 ~from_time:inject_at ();
     }
   in
   let outcomes =

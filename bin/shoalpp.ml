@@ -5,8 +5,8 @@
 
    Examples:
      dune exec bin/shoalpp.exe -- sim --system shoal++ -n 16 --load 2000
-     dune exec bin/shoalpp.exe -- sim --system mysticeti --drop 5,0.01,20000 --series
-     dune exec bin/shoalpp.exe -- sim --system bullshark --crashes 5 --duration 30000
+     dune exec bin/shoalpp.exe -- sim --system mysticeti --scenario drop:count=5,from=20000 --series
+     dune exec bin/shoalpp.exe -- sim --system bullshark --scenario crash:count=5 --duration 30000
      dune exec bin/shoalpp.exe -- sim --scenario byzantine:count=1,kind=equivocate
      dune exec bin/shoalpp.exe -- sim --scenario partition:from=8000,dur=20000 --series
      dune exec bin/shoalpp.exe -- sim --scenario crash-recover:at=5000,recover=15000
@@ -41,19 +41,7 @@ let scenario_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Shoalpp_sim.Faults.parse s) in
   Arg.conv (parse, Shoalpp_sim.Faults.pp)
 
-let drop_conv =
-  let parse s =
-    match String.split_on_char ',' s with
-    | [ k; rate; from ] -> (
-      match (int_of_string_opt k, float_of_string_opt rate, float_of_string_opt from) with
-      | Some k, Some rate, Some from -> Ok (k, rate, from)
-      | _ -> Error (`Msg "expected <replicas>,<rate>,<from-ms>"))
-    | _ -> Error (`Msg "expected <replicas>,<rate>,<from-ms>")
-  in
-  let print fmt (k, rate, from) = Format.fprintf fmt "%d,%g,%g" k rate from in
-  Arg.conv (parse, print)
-
-let run (c : Cli.common) system crashes scenario drop dags stagger series chrome_out =
+let run (c : Cli.common) system scenarios dags stagger series chrome_out =
   let params =
     {
       E.default_params with
@@ -62,9 +50,7 @@ let run (c : Cli.common) system crashes scenario drop dags stagger series chrome
       duration_ms = c.Cli.duration;
       warmup_ms = c.Cli.warmup;
       topology = Option.value c.Cli.topology ~default:E.default_params.E.topology;
-      crashes;
-      scenario;
-      drop_spec = drop;
+      scenario = Shoalpp_sim.Faults.combine scenarios;
       round_timeout_ms = c.Cli.timeout;
       num_dags = dags;
       stagger_ms = stagger;
@@ -107,23 +93,19 @@ let sim =
   let system =
     Arg.(value & opt system_conv E.Shoalpp & info [ "system"; "s" ] ~doc:"System to run.")
   in
-  let crashes =
-    Arg.(value & opt int 0 & info [ "crashes" ] ~doc:"Crash this many replicas at t=0.")
-  in
-  let scenario =
+  let scenarios =
     Arg.(
       value
-      & opt scenario_conv Shoalpp_sim.Faults.none
+      & opt_all scenario_conv []
       & info [ "scenario" ] ~docv:"SPEC"
           ~doc:
-            "Declarative fault scenario: none | byzantine | partition | crash-recover, \
-             optionally followed by :key=val,... — e.g. \
+            "Declarative fault scenario: none | byzantine | partition | crash-recover | crash \
+             | drop, optionally followed by :key=val,... — e.g. \
              byzantine:count=1,kind=equivocate|silent|delay, \
              partition:from=8000,dur=20000,minority=5, \
-             crash-recover:count=1,at=5000,recover=15000.")
-  in
-  let drop =
-    Arg.(value & opt (some drop_conv) None & info [ "drop" ] ~doc:"Egress drops: K,RATE,FROM_MS.")
+             crash-recover:count=1,at=5000,recover=15000, crash:count=5 (down from t=0), \
+             drop:count=1,rate=0.01,from=20000 (egress drops). Repeatable: the faults \
+             of every given scenario apply, in the order given.")
   in
   let dags = Arg.(value & opt (some int) None & info [ "dags" ] ~doc:"Parallel DAGs override.") in
   let stagger =
@@ -143,7 +125,7 @@ let sim =
       const run
       $ Cli.common ~n:16 ~load:1000.0 ~duration:30_000.0 ~warmup:3_000.0
           ~topology_doc:"Default gcp10."
-      $ system $ crashes $ scenario $ drop $ dags $ stagger $ series $ chrome_out)
+      $ system $ scenarios $ dags $ stagger $ series $ chrome_out)
 
 let () =
   exit

@@ -54,7 +54,7 @@ let () =
       load_tps = 1_000.0;
       duration_ms = 40_000.0;
       warmup_ms = 3_000.0;
-      drop_spec = Some (1, 0.01, 15_000.0);
+      scenario = Shoalpp_sim.Faults.drop ~from_time:15_000.0 ();
       verify_signatures = false;
     }
   in

@@ -3,7 +3,6 @@ module Harness = Shoalpp_runtime.Harness
 module Ledger = Shoalpp_runtime.Ledger
 module Report = Shoalpp_runtime.Report
 module Topology = Shoalpp_sim.Topology
-module Fault_schedule = Shoalpp_sim.Fault_schedule
 module Committee = Shoalpp_dag.Committee
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
@@ -43,9 +42,7 @@ type params = {
   duration_ms : float;
   warmup_ms : float;
   topology : Topology.t;
-  crashes : int;
   scenario : Shoalpp_sim.Faults.t;
-  drop_spec : (int * float * float) option;
   round_timeout_ms : float option;
   stagger_ms : float option;
   num_dags : int option;
@@ -66,9 +63,7 @@ let default_params =
     duration_ms = 30_000.0;
     warmup_ms = 3_000.0;
     topology = Topology.gcp10 ();
-    crashes = 0;
     scenario = Shoalpp_sim.Faults.none;
-    drop_spec = None;
     round_timeout_ms = None;
     stagger_ms = None;
     num_dags = None;
@@ -111,20 +106,6 @@ let median_one_way topology =
   match List.sort compare !delays with
   | [] -> Topology.one_way_ms topology 0 0
   | l -> List.nth l (List.length l / 2)
-
-let fault_of params =
-  let fault = Fault_schedule.none in
-  let fault =
-    if params.crashes > 0 then
-      Fault_schedule.crash_many fault
-        ~replicas:(List.init params.crashes (fun i -> params.n - 1 - i))
-        ~at:0.0
-    else fault
-  in
-  match params.drop_spec with
-  | None -> fault
-  | Some (k, rate, from_time) ->
-    Fault_schedule.drop_egress fault ~replicas:(List.init k Fun.id) ~rate ~from_time ()
 
 let dag_config system params =
   let committee = Committee.make ~n:params.n ~cluster_seed:params.seed () in
@@ -173,7 +154,6 @@ let run system params =
       Cluster.protocol;
       topology = params.topology;
       net_config = Option.value ~default:Shoalpp_sim.Netmodel.default_config params.net_config;
-      fault = fault_of params;
       scenario = params.scenario;
       load_tps = params.load_tps;
       tx_size = params.tx_size;

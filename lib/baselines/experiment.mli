@@ -40,14 +40,10 @@ type params = {
   topology : Shoalpp_sim.Topology.t;
       (** e.g. {!Shoalpp_sim.Topology.gcp10}, or any
           {!Shoalpp_sim.Topology.of_spec} *)
-  crashes : int;  (** crash this many replicas (highest ids) at t=0 *)
   scenario : Shoalpp_sim.Faults.t;
-      (** declarative fault scenario (Byzantine / partition+heal /
-          crash-recover), composed on top of [crashes]/[drop_spec];
-          default {!Shoalpp_sim.Faults.none} *)
-  drop_spec : (int * float * float) option;
-      (** (replica count, rate, from_ms): egress drops on the first k
-          replicas from a given time — Fig 8's disruption *)
+      (** the run's faults (crashed from t=0, egress drops, Byzantine,
+          partition+heal, crash-recover; {!Shoalpp_sim.Faults.combine}
+          joins several); default {!Shoalpp_sim.Faults.none} *)
   round_timeout_ms : float option;
   stagger_ms : float option;  (** default: the topology's median one-way delay *)
   num_dags : int option;

@@ -13,9 +13,7 @@ module Trace = Shoalpp_sim.Trace
 module Telemetry = Shoalpp_support.Telemetry
 module Signer = Shoalpp_crypto.Signer
 module Digest32 = Shoalpp_crypto.Digest32
-module Multisig = Shoalpp_crypto.Multisig
 module Checkpoint = Shoalpp_storage.Checkpoint
-module Validation = Shoalpp_dag.Validation
 module Sync = Shoalpp_sync.Sync
 module Seen = Shoalpp_support.Seen
 
@@ -23,16 +21,16 @@ type envelope = { dag_id : int; payload : Types.message }
 
 let envelope_size e = 1 + Types.message_size e.payload
 
+let send_on backend ~src ~dst ~dag_id payload =
+  let env = { dag_id; payload } in
+  Backend.send backend ~src ~dst ~size:(envelope_size env) env
+
 (* Control-plane envelopes (checkpoint votes) ride dag id 255: routed by the
    replica itself, never handed to a DAG instance. On the simulated backend
    they travel the out-of-band control transport, which draws no RNG and
    mutates no queue cursors — the reason commit sequences stay byte-identical
    with checkpointing on or off. *)
 let control_dag_id = 255
-
-(* How far (in global sequence numbers) ahead of local progress a
-   checkpoint vote may be and still be buffered rather than dropped. *)
-let ck_vote_horizon = 4096
 
 type ordered = { global_seq : int; segment : Driver.segment; ordered_at : float }
 
@@ -57,24 +55,6 @@ type dag_lane = {
   lane_wal : Wal.t; (* the shared replica WAL, or per-lane under lane_env *)
   server : Sync.Server.t; (* answers peers' catch-up requests from our store *)
   mutable sync_client : Sync.Client.t option; (* present while catching up *)
-  mutable ck_marks : int list; (* WAL segment ids opened at checkpoints, newest first *)
-}
-
-(* Checkpoint manager: runs at the Alg. 3 merge point (the only place the
-   global sequence exists), so it is owned by whichever domain owns the
-   merge — the main domain under [--domains N]. The certified-checkpoint
-   log is a {e separate} WAL device: interleaving its writes into the
-   protocol WAL would perturb the group-commit timing every vote/proposal
-   persist depends on. *)
-type ck_mgr = {
-  ck_interval : int; (* effective interval: > 0, multiple of num_dags *)
-  ck_wal : Wal.t; (* certified checkpoints only; always retains *)
-  mutable ck_state : Digest32.t; (* running commit-stream digest *)
-  ck_lane_latest : (int * string) option array; (* (anchor round, resume) per lane *)
-  mutable ck_candidate : Checkpoint.candidate option; (* ours, pending quorum *)
-  ck_votes : (int, (int * Digest32.t * Signer.signature) list ref) Hashtbl.t;
-  mutable ck_latest : Checkpoint.t option; (* newest certified checkpoint *)
-  mutable ck_main_marks : int list; (* shared-WAL rotation marks (no lane_env) *)
 }
 
 type t = {
@@ -96,11 +76,10 @@ type t = {
   (* Scenario-driven misbehaviour, queried at send time: None = honest. *)
   byzantine : float -> Faults.byz_kind option;
   mutable replaying : bool; (* WAL replay in progress: sends muted *)
-  ck : ck_mgr option; (* Some iff checkpoint_interval > 0 *)
+  ck : Ck_manager.t option; (* Some iff checkpoint_interval > 0 *)
   mutable base_seq : int; (* first global seq of the post-recovery log (audit offset) *)
   mutable catching_up : bool; (* peer sync in progress *)
   mutable syncing_lanes : int; (* lanes whose sync client has not finished *)
-  mutable ck_fetch_attempt : int; (* peer rotation for checkpoint adoption; -1 = idle *)
   on_caught_up : (unit -> unit) option;
   c_equivocations : Telemetry.counter option;
   c_withheld : Telemetry.counter option;
@@ -108,204 +87,6 @@ type t = {
   c_crashes : Telemetry.counter option;
   c_recoveries : Telemetry.counter option;
 }
-
-(* --- commit-certified checkpoints (tentpole of the bounded-memory
-   lifecycle): every [ck_interval] merged segments, fold the committed
-   stream into a running digest, form a candidate from the per-lane driver
-   snapshots, vote on its digest over the control plane, and certify on a
-   quorum of matching votes. Only a certified checkpoint authorizes WAL
-   rotation/truncation. All inputs are deterministic functions of the
-   committed prefix, so every correct replica votes for the same digest. *)
-
-let ck_truncate t m =
-  let rotate_one wal marks =
-    let seg = Wal.rotate wal in
-    let marks = seg :: marks in
-    (match marks with
-    | _cur :: prev :: _ ->
-      let dropped = Wal.truncate_below wal ~seg:prev in
-      if dropped > 0 then Obs.incr ~by:dropped t.obs "ck.wal_truncated_entries"
-    | _ -> ());
-    (* Two marks bound retention to the last two checkpoint windows: replay
-       starts from the latest checkpoint, and the window before it still
-       covers any round that was in flight when the boundary committed. *)
-    match marks with a :: b :: _ -> [ a; b ] | l -> l
-  in
-  match t.lane_env with
-  | None -> m.ck_main_marks <- rotate_one t.wal m.ck_main_marks
-  | Some env ->
-    (* Per-lane WALs belong to their lanes' domains; rotation is pure list
-       bookkeeping but must not race that domain's appends. *)
-    Array.iteri
-      (fun dag_id lane ->
-        ignore
-          (Backend.schedule (env.le_backend dag_id) ~after:0.0 (fun () ->
-               lane.ck_marks <- rotate_one lane.lane_wal lane.ck_marks)))
-      t.lanes
-
-(* Checkpoint-anchored physical pruning: raise each lane's retain gate to
-   [ck]'s per-lane resume floor, releasing the rounds whose deletion the
-   previous gate deferred. Ordering is untouched — the logical GC floor
-   advances with commit progress exactly as without checkpointing — but
-   physical deletion waits for certification, so a peer restoring from a
-   served checkpoint can always bridge from its floor to the live rounds.
-   Lane instances belong to their lanes' domains at [--domains N]. *)
-let ck_apply_gates t ck =
-  List.iter
-    (fun (l : Checkpoint.lane) ->
-      if l.Checkpoint.dag_id < Array.length t.lanes then begin
-        let lane = t.lanes.(l.Checkpoint.dag_id) in
-        match Driver.snapshot_floor l.Checkpoint.resume with
-        | floor when floor > 0 -> (
-          let apply () = Instance.set_retain_gate lane.instance ~round:floor in
-          match t.lane_env with
-          | None -> apply ()
-          | Some env ->
-            ignore (Backend.schedule (env.le_backend l.Checkpoint.dag_id) ~after:0.0 apply))
-        | _ -> ()
-        | exception Shoalpp_codec.Wire.Reader.Malformed _ -> ()
-      end)
-    (Checkpoint.lanes ck)
-
-let ck_install t m ck =
-  (* Gates advance to the {e superseded} checkpoint's floors: retention
-     always covers the last two certified checkpoints, so a peer that just
-     adopted the previous one can still pull every round it needs while we
-     certify the next. *)
-  (match m.ck_latest with Some prev -> ck_apply_gates t prev | None -> ());
-  m.ck_latest <- Some ck;
-  m.ck_candidate <- None;
-  let seq = Checkpoint.seq ck in
-  let doomed =
-    Hashtbl.fold (fun s _ acc -> if s <= seq then s :: acc else acc) m.ck_votes []
-  in
-  List.iter (Hashtbl.remove m.ck_votes) doomed;
-  Wal.append m.ck_wal ~size:(Checkpoint.wire_size ck) ~payload:(fun () -> Checkpoint.encode ck)
-    ignore;
-  Obs.incr t.obs "ck.certified";
-  Obs.set t.obs "ck.latest_seq" (float_of_int seq);
-  Obs.event t.obs ~time:(Backend.now t.backend)
-    (Trace.Checkpoint_certified { seq; signers = Multisig.num_signers (Checkpoint.cert ck) });
-  ck_truncate t m
-
-let ck_try_certify t m ~seq =
-  match m.ck_candidate with
-  | Some cand when cand.Checkpoint.seq = seq -> (
-    match Hashtbl.find_opt m.ck_votes seq with
-    | None -> ()
-    | Some votes ->
-      let digest = Checkpoint.digest cand in
-      let matching = List.filter (fun (_, d, _) -> Digest32.equal d digest) !votes in
-      let committee = t.cfg.Config.committee in
-      let quorum = Committee.quorum committee in
-      if List.length matching >= quorum then begin
-        let sigs =
-          List.sort
-            (fun (a, _) (b, _) -> Int.compare a b)
-            (List.map (fun (v, _, s) -> (v, s)) matching)
-        in
-        let ck = Checkpoint.certify ~n:committee.Shoalpp_dag.Committee.n cand sigs in
-        (* Refuse to prune on anything but a verified certificate. *)
-        if
-          Checkpoint.verify ~keys:committee.Shoalpp_dag.Committee.keys
-            ~quorum ck
-        then ck_install t m ck
-        else Obs.incr t.obs "ck.cert_rejected"
-      end)
-  | _ -> ()
-
-let handle_checkpoint_vote t vote ~ck_seq ~ck_digest ~ck_voter ~ck_signature =
-  match t.ck with
-  | None -> ()
-  | Some m ->
-    let stale =
-      match m.ck_latest with Some ck -> ck_seq <= Checkpoint.seq ck | None -> false
-    in
-    let committee = t.cfg.Config.committee in
-    (* Buffer votes for boundaries up to a fixed horizon ahead of whichever
-       is further along: our own merge position or the last certified
-       checkpoint. Anchoring the horizon to [ck_latest] matters under real
-       time: replicas drift by more than a few intervals of merge progress,
-       and a vote dropped here is never re-sent — a horizon relative only
-       to [global_seq] would let certification stall cluster-wide (and with
-       it checkpoint-anchored pruning). The buffer stays bounded at
-       [horizon / interval] boundaries of at most [n] votes each. *)
-    let horizon =
-      (match m.ck_latest with
-      | Some ck -> max t.global_seq (Checkpoint.seq ck + 1)
-      | None -> t.global_seq)
-      + ck_vote_horizon + (4 * m.ck_interval)
-    in
-    if
-      (not stale)
-      && ck_seq < horizon
-      && Committee.valid_replica committee ck_voter
-    then begin
-      if Validation.signatures_ok ~committee vote then begin
-        let votes =
-          match Hashtbl.find_opt m.ck_votes ck_seq with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.replace m.ck_votes ck_seq l;
-            l
-        in
-        if not (List.exists (fun (v, _, _) -> Int.equal v ck_voter) !votes) then begin
-          votes := (ck_voter, ck_digest, ck_signature) :: !votes;
-          ck_try_certify t m ~seq:ck_seq
-        end
-      end
-      else Obs.incr t.obs "ck.votes_rejected"
-    end
-
-let ck_boundary t m ~seq =
-  (* The interval is a multiple of the lane count, so by the time the merge
-     reaches a boundary every lane's last segment of the window carried a
-     driver snapshot (snapshot_every = interval / num_dags). *)
-  if Array.for_all Option.is_some m.ck_lane_latest then begin
-    let lanes =
-      Array.to_list
-        (Array.mapi
-           (fun dag_id latest ->
-             match latest with
-             | Some (round, resume) -> { Checkpoint.dag_id; round; resume }
-             | None -> assert false)
-           m.ck_lane_latest)
-    in
-    let cand = Checkpoint.candidate ~seq ~lanes ~state:m.ck_state in
-    m.ck_candidate <- Some cand;
-    if not t.replaying then begin
-      let committee = t.cfg.Config.committee in
-      let kp = Committee.keypair committee t.id in
-      let payload =
-        Types.Checkpoint_vote
-          {
-            ck_seq = seq;
-            ck_digest = Checkpoint.digest cand;
-            ck_voter = t.id;
-            ck_signature = Checkpoint.sign kp cand;
-          }
-      in
-      let env = { dag_id = control_dag_id; payload } in
-      Backend.control_broadcast t.backend ~src:t.id ~size:(envelope_size env) env
-    end;
-    (* faster peers' votes may already be buffered *)
-    ck_try_certify t m ~seq
-  end
-
-let ck_observe t ~seq (segment : Driver.segment) =
-  match t.ck with
-  | None -> ()
-  | Some m ->
-    let anchor = segment.Driver.anchor in
-    m.ck_state <-
-      Checkpoint.fold_segment m.ck_state ~dag_id:segment.Driver.dag_id
-        ~round:anchor.Types.ref_round ~author:anchor.Types.ref_author;
-    (match segment.Driver.resume with
-    | Some blob ->
-      m.ck_lane_latest.(segment.Driver.dag_id) <- Some (anchor.Types.ref_round, blob)
-    | None -> ());
-    if (seq + 1) mod m.ck_interval = 0 then ck_boundary t m ~seq
 
 (* Alg. 3: append exactly one available segment per DAG, cycling; stop at
    the first DAG whose next segment is not yet available. *)
@@ -346,7 +127,9 @@ let rec drain t =
                anchor = segment.Driver.anchor.Types.ref_author;
                txns = !ntx;
              });
-      ck_observe t ~seq segment;
+      (match t.ck with
+      | Some m -> Ck_manager.observe m ~replaying:t.replaying ~seq segment
+      | None -> ());
       (match t.on_ordered with
       | Some f -> f { global_seq = seq; segment; ordered_at }
       | None -> ());
@@ -462,10 +245,7 @@ let make_lane t dag_id =
     let env = { dag_id; payload } in
     Backend.broadcast t.backend ~src:t.id ~size:(envelope_size env) env
   in
-  let plain_send ~dst payload =
-    let env = { dag_id; payload } in
-    Backend.send t.backend ~src:t.id ~dst ~size:(envelope_size env) env
-  in
+  let plain_send ~dst payload = send_on t.backend ~src:t.id ~dst ~dag_id payload in
   (* Byzantine misbehaviour is injected at the send boundary so the instance
      and driver stay honest-path only; during WAL replay all sends are muted
      (a recovering replica must not re-broadcast history). *)
@@ -566,13 +346,9 @@ let make_lane t dag_id =
     lane_wal = wal;
     server =
       Sync.Server.create ~store
-        ~checkpoint:(fun () ->
-          match t.ck with
-          | Some m -> Option.map Checkpoint.encode m.ck_latest
-          | None -> None)
+        ~checkpoint:(fun () -> Option.bind t.ck Ck_manager.served_blob)
         ();
     sync_client = None;
-    ck_marks = [];
   }
 
 (* --- peer catch-up sync -------------------------------------------------
@@ -588,13 +364,8 @@ let make_lane t dag_id =
    lane count, so the boundary seq always lands on the last lane), each
    driver resumes from its snapshot blob, and each instance's store floor
    is raised to the driver's restored floor. *)
-let ck_restore_from t m ck =
-  m.ck_latest <- Some ck;
-  m.ck_candidate <- None;
-  Hashtbl.reset m.ck_votes;
-  m.ck_state <- Checkpoint.state ck;
-  Array.fill m.ck_lane_latest 0 (Array.length m.ck_lane_latest) None;
-  t.global_seq <- Checkpoint.seq ck + 1;
+let rewind t ~seq lanes =
+  t.global_seq <- seq + 1;
   t.base_seq <- t.global_seq;
   t.next_lane <- 0;
   List.iter
@@ -604,10 +375,7 @@ let ck_restore_from t m ck =
         let floor = Driver.restore lane.driver l.Checkpoint.resume in
         if floor > 0 then Instance.gc_upto lane.instance ~round:floor
       end)
-    (Checkpoint.lanes ck);
-  (* Everything below the restored floors is vouched for by the adopted
-     certificate; physical retention restarts there. *)
-  ck_apply_gates t ck
+    lanes
 
 let replay_wal t =
   t.replaying <- true;
@@ -642,9 +410,8 @@ let rec start_catch_up t =
         {
           Sync.Client.send =
             (fun ~dst req ->
-              let payload = Types.Sync_request { sq_requester = t.id; sq_req = req } in
-              let env = { dag_id; payload } in
-              Backend.send t.backend ~src:t.id ~dst ~size:(envelope_size env) env);
+              send_on t.backend ~src:t.id ~dst ~dag_id
+                (Types.Sync_request { sq_requester = t.id; sq_req = req }));
           ingest = (fun cn -> Instance.ingest_certified lane.instance cn);
           schedule = (fun ~after f -> ignore (Backend.schedule t.backend ~after f));
           on_caught_up = (fun () -> lane_caught_up t dag_id);
@@ -683,97 +450,31 @@ and lane_caught_up t dag_id =
     match t.on_caught_up with Some f -> f () | None -> ()
   end
 
-(* Deferred tail of a checkpoint-aware recovery: replay the retained WAL
-   through the fresh instances, then pull the missed history via the sync
-   protocol. Runs after the peer-checkpoint probe resolves (adopted, stale,
-   or given up) so that replayed commits can never land below a frontier
+(* The tail of every recovery: replay the retained WAL through the fresh
+   instances, then either pull the missed history via the sync protocol
+   ([sync]) or resume every lane at once. A checkpoint-aware recovery runs
+   it only after the peer-checkpoint probe resolves (adopted, stale, or
+   given up), so that replayed commits can never land below a frontier
    adopted afterwards — the ordered log stays contiguous from [base_seq]. *)
-let finish_recovery t =
+let finish_recovery t ~sync =
   let replayed = replay_wal t in
   Obs.event t.obs ~time:(Backend.now t.backend)
     (Trace.Replica_recovered { replica = t.id; replayed });
-  start_catch_up t
-
-(* Peer-checkpoint probe, run on every checkpoint-aware restart (not just
-   total disk loss): peers prune history below their own certified
-   checkpoints, so an outage longer than the retained window can only be
-   bridged by first adopting a frontier at least as new as the serving
-   peer's floor. Peers are asked in deterministic rotation with a retry on
-   silence; only a blob that verifies against the committee is adopted, and
-   only when strictly newer than local durable state. If every peer answers
-   [None] (the cluster never certified one), fall back to replay plus
-   syncing the full history from round 0. *)
-let rec ck_request_checkpoint t =
-  let n = Backend.n t.backend in
-  if t.ck_fetch_attempt >= 2 * n then begin
-    t.ck_fetch_attempt <- -1;
-    finish_recovery t
-  end
+  if sync then start_catch_up t
   else begin
-    let dst =
-      let p = (t.id + 1 + t.ck_fetch_attempt) mod n in
-      if p = t.id then (p + 1) mod n else p
-    in
-    let payload = Types.Sync_request { sq_requester = t.id; sq_req = Types.Get_checkpoint } in
-    let env = { dag_id = 0; payload } in
-    let attempt = t.ck_fetch_attempt in
-    Backend.send t.backend ~src:t.id ~dst ~size:(envelope_size env) env;
-    ignore
-      (Backend.schedule t.backend ~after:400.0 (fun () ->
-           if t.ck_fetch_attempt = attempt && not t.crashed then begin
-             t.ck_fetch_attempt <- attempt + 1;
-             ck_request_checkpoint t
-           end))
+    Array.iter (fun lane -> Instance.resume lane.instance) t.lanes;
+    match t.on_caught_up with Some f -> f () | None -> ()
   end
-
-and ck_adopt t m blob_opt =
-  match blob_opt with
-  | None ->
-    t.ck_fetch_attempt <- t.ck_fetch_attempt + 1;
-    ck_request_checkpoint t
-  | Some blob ->
-    let committee = t.cfg.Config.committee in
-    let quorum = Committee.quorum committee in
-    let ck =
-      match
-        Checkpoint.decode ~n:committee.Committee.n blob
-      with
-      | ck ->
-        if Checkpoint.verify ~keys:committee.Committee.keys ~quorum ck then
-          Some ck
-        else None
-      | exception Shoalpp_codec.Wire.Reader.Malformed _ -> None
-    in
-    (match ck with
-    | None ->
-      (* Unverifiable blob: never adopt — rotate to the next peer. *)
-      Obs.incr t.obs "ck.adopt_rejected";
-      t.ck_fetch_attempt <- t.ck_fetch_attempt + 1;
-      ck_request_checkpoint t
-    | Some ck ->
-      t.ck_fetch_attempt <- -1;
-      (* A peer frontier at or below our own adds nothing — keep local
-         state (its WAL coverage is contiguous with it) and move on. *)
-      if Checkpoint.seq ck + 1 > t.global_seq then begin
-        ck_restore_from t m ck;
-        Wal.append m.ck_wal ~size:(Checkpoint.wire_size ck)
-          ~payload:(fun () -> Checkpoint.encode ck)
-          ignore
-      end;
-      finish_recovery t)
 
 let handle_sync_request t ~dag_id ~src req =
-  let lane = t.lanes.(dag_id) in
-  let payload =
-    Types.Sync_response { sp_responder = t.id; sp_resp = Sync.Server.handle lane.server req }
-  in
-  let env = { dag_id; payload } in
-  Backend.send t.backend ~src:t.id ~dst:src ~size:(envelope_size env) env
+  send_on t.backend ~src:t.id ~dst:src ~dag_id
+    (Types.Sync_response
+       { sp_responder = t.id; sp_resp = Sync.Server.handle t.lanes.(dag_id).server req })
 
 let handle_sync_response t ~dag_id resp =
   match (resp, t.ck) with
-  | Types.Checkpoint_blob { cb_blob }, Some m when t.ck_fetch_attempt >= 0 ->
-    ck_adopt t m cb_blob
+  | Types.Checkpoint_blob { cb_blob }, Some m when Ck_manager.probing m ->
+    Ck_manager.on_blob m ~global_seq:t.global_seq cb_blob
   | _ -> (
     match t.lanes.(dag_id).sync_client with
     | Some c -> Sync.Client.handle_response c resp
@@ -786,8 +487,10 @@ let route t ~src (env : envelope) =
   if not t.crashed then begin
     if env.dag_id = control_dag_id then begin
       match env.payload with
-      | Types.Checkpoint_vote { ck_seq; ck_digest; ck_voter; ck_signature } as vote ->
-        handle_checkpoint_vote t vote ~ck_seq ~ck_digest ~ck_voter ~ck_signature
+      | Types.Checkpoint_vote _ as vote -> (
+        match t.ck with
+        | Some m -> Ck_manager.on_vote m ~global_seq:t.global_seq vote
+        | None -> ())
       | _ -> () (* only checkpoint votes ride the control plane *)
     end
     else if env.dag_id >= 0 && env.dag_id < Array.length t.lanes then begin
@@ -801,6 +504,41 @@ let route t ~src (env : envelope) =
 let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trace ?telemetry
     ?(byzantine = fun _ -> None) ?(retain_wal = false) ?lane_env () =
   let obs = Obs.make ?trace ?telemetry ~replica:replica_id ~instance:0 () in
+  (* The checkpoint manager's effects reach the replica built below. *)
+  let self = ref None in
+  let the_t () = Option.get !self in
+  let ck =
+    Ck_manager.create ~config ~replica_id ~obs ~timers:backend.Backend.timers
+      ~wal_devices:(match lane_env with None -> 1 | Some _ -> config.Config.num_dags)
+      {
+        Ck_manager.now = (fun () -> Backend.now backend);
+        broadcast_vote =
+          (fun payload ->
+            let env = { dag_id = control_dag_id; payload } in
+            Backend.control_broadcast backend ~src:replica_id ~size:(envelope_size env) env);
+        send_probe =
+          (fun ~dst ->
+            send_on backend ~src:replica_id ~dst ~dag_id:0
+              (Types.Sync_request { sq_requester = replica_id; sq_req = Types.Get_checkpoint }));
+        schedule =
+          (fun ~after f ->
+            ignore
+              (Backend.schedule backend ~after (fun () -> if not (the_t ()).crashed then f ())));
+        (* Lane instances and per-lane WALs belong to their lanes' domains
+           at [--domains N]; single-domain, everything is a direct call. *)
+        on_lane =
+          (match lane_env with
+          | None -> fun _ f -> f obs
+          | Some env ->
+            fun d f ->
+              ignore (Backend.schedule (env.le_backend d) ~after:0.0 (fun () -> f (env.le_obs d))));
+        set_gate = (fun d ~round -> Instance.set_retain_gate (the_t ()).lanes.(d).instance ~round);
+        wal =
+          (fun d ->
+            match lane_env with None -> (the_t ()).wal | Some _ -> (the_t ()).lanes.(d).lane_wal);
+        rewind = (fun ~seq lanes -> rewind (the_t ()) ~seq lanes);
+      }
+  in
   let t =
     {
       cfg = config;
@@ -822,30 +560,10 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
       crashed = false;
       byzantine;
       replaying = false;
-      ck =
-        (let interval = Config.effective_checkpoint_interval config in
-         if interval = 0 then None
-         else
-           Some
-             {
-               ck_interval = interval;
-               (* Separate always-retaining device: certified checkpoints
-                  must survive protocol-WAL truncation, and their writes
-                  must not perturb its group-commit timing. *)
-               ck_wal =
-                 Wal.create ~timers:backend.Backend.timers
-                   ~sync_latency_ms:config.Config.wal_sync_ms ~retain:true ();
-               ck_state = Digest32.zero;
-               ck_lane_latest = Array.make config.Config.num_dags None;
-               ck_candidate = None;
-               ck_votes = Hashtbl.create 8;
-               ck_latest = None;
-               ck_main_marks = [];
-             });
+      ck;
       base_seq = 0;
       catching_up = false;
       syncing_lanes = 0;
-      ck_fetch_attempt = -1;
       on_caught_up;
       c_equivocations = Obs.counter obs "fault.equivocations";
       c_withheld = Obs.counter obs "fault.withheld_proposals";
@@ -854,6 +572,7 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
       c_recoveries = Obs.counter obs "fault.recoveries";
     }
   in
+  self := Some t;
   t.lanes <- Array.init config.Config.num_dags (fun dag_id -> make_lane t dag_id);
   (* Under a lane_env the harness owns message routing (inbound messages
      must cross the verify pool and land on the right lane's domain), so
@@ -891,29 +610,6 @@ let crash t =
     Array.iter (fun lane -> Instance.crash lane.instance) t.lanes
   end
 
-(* Newest locally durable checkpoint that still verifies against the
-   committee: anything malformed or under-signed in the device is skipped,
-   never trusted. *)
-let latest_local_checkpoint t =
-  match t.ck with
-  | None -> None
-  | Some m ->
-    let committee = t.cfg.Config.committee in
-    let quorum = Committee.quorum committee in
-    List.fold_left
-      (fun acc blob ->
-        match
-          Checkpoint.decode ~n:committee.Committee.n blob
-        with
-        | ck ->
-          if
-            Checkpoint.verify ~keys:committee.Committee.keys ~quorum ck
-            && match acc with Some prev -> Checkpoint.seq ck > Checkpoint.seq prev | None -> true
-          then Some ck
-          else acc
-        | exception Shoalpp_codec.Wire.Reader.Malformed _ -> acc)
-      None (Wal.entries m.ck_wal)
-
 (* Restart after a crash: rebuild every lane from scratch, rewind to the
    newest certified checkpoint (if any), then replay the retained WAL
    entries through the fresh instances. Replay reconstructs the DAG stores,
@@ -933,40 +629,18 @@ let recover ?(wipe = false) t =
     t.global_seq <- 0;
     t.base_seq <- 0;
     if wipe then Wal.clear t.wal;
-    (match t.ck with
-    | Some m ->
-      if wipe then begin
-        Wal.clear m.ck_wal;
-        m.ck_latest <- None;
-        m.ck_main_marks <- []
-      end;
-      (* Vote state never survives a restart; the running digest restarts
-         from zero (or from the restored checkpoint's state below). *)
-      m.ck_candidate <- None;
-      Hashtbl.reset m.ck_votes;
-      m.ck_state <- Digest32.zero;
-      Array.fill m.ck_lane_latest 0 (Array.length m.ck_lane_latest) None
-    | None -> ());
     t.lanes <- Array.init t.cfg.Config.num_dags (fun dag_id -> make_lane t dag_id);
-    let ck = if wipe then None else latest_local_checkpoint t in
-    (match (t.ck, ck) with Some m, Some ck -> ck_restore_from t m ck | _ -> ());
+    Option.iter (Ck_manager.recover ~wipe) t.ck;
     Obs.incr_c t.c_recoveries;
     match t.ck with
-    | Some _ when Backend.n t.backend > 1 ->
+    | Some m when Backend.n t.backend > 1 ->
       (* Probe a peer for its newest certified checkpoint before replaying:
          peers prune below their own checkpoints, so a restart longer than
          the retained sync window is only bridgeable from an adopted
-         (newer) frontier. Replay and catch-up follow in [finish_recovery]
-         once the probe resolves. *)
-      t.catching_up <- true;
-      t.ck_fetch_attempt <- 0;
-      ck_request_checkpoint t
-    | _ ->
-      let replayed = replay_wal t in
-      Obs.event t.obs ~time:(Backend.now t.backend)
-        (Trace.Replica_recovered { replica = t.id; replayed });
-      Array.iter (fun lane -> Instance.resume lane.instance) t.lanes;
-      (match t.on_caught_up with Some f -> f () | None -> ())
+         (newer) frontier. Replay and catch-up follow once the probe
+         resolves. *)
+      Ck_manager.probe m ~on_done:(fun () -> finish_recovery t ~sync:true)
+    | _ -> finish_recovery t ~sync:false
   end
 
 let replica_id t = t.id
@@ -997,9 +671,11 @@ let wal t = t.wal
 let requeued t = t.requeued
 let pending_segments t = Array.fold_left (fun acc lane -> acc + Queue.length lane.ready) 0 t.lanes
 let base_seq t = t.base_seq
-let catching_up t = t.catching_up
-let latest_checkpoint t = match t.ck with Some m -> m.ck_latest | None -> None
-let checkpoint_wal t = Option.map (fun m -> m.ck_wal) t.ck
+
+let catching_up t =
+  t.catching_up || match t.ck with Some m -> Ck_manager.probing m | None -> false
+
+let latest_checkpoint t = Option.bind t.ck Ck_manager.latest
 
 let sync_stats t =
   Array.fold_left

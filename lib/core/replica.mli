@@ -13,14 +13,10 @@
       {!Shoalpp_backend.Backend} — the replica itself never touches the OS;
     - re-delivering an envelope already processed is harmless (duplicate
       votes/certificates are dropped, not double-counted);
-    - with [checkpoint_interval > 0] the commit sequence is byte-identical
-      to a run with checkpointing off: checkpoint votes travel the
-      out-of-band control plane (dag id {!control_dag_id}), which draws no
-      RNG and perturbs no protocol queue, and every checkpoint input is a
-      deterministic function of the committed prefix;
-    - pruning (WAL truncation, store GC below a checkpoint) happens only
-      under a certificate that passed
-      {!Shoalpp_storage.Checkpoint.verify} — never on local state alone. *)
+    - the checkpoint lifecycle (with [checkpoint_interval > 0]) is owned by
+      {!Ck_manager}, whose invariants say why it leaves the commit sequence
+      byte-identical and prunes only under a verified certificate; its
+      votes travel the control plane (dag id {!control_dag_id}). *)
 
 type envelope = { dag_id : int; payload : Shoalpp_dag.Types.message }
 (** What travels on the wire: one DAG instance's message, tagged. *)
@@ -92,12 +88,12 @@ val create :
     [on_ordered], through the runtime's latency ledger.
 
     When [config]'s [checkpoint_interval] is positive the replica runs the
-    bounded-memory lifecycle: every effective-interval merged segments it
-    folds the commit stream into a digest, votes on the resulting
-    checkpoint candidate over the control plane, and on a quorum of
-    matching votes certifies it, persists it to a dedicated
-    always-retaining WAL device, and truncates the protocol WAL to the
-    last two checkpoint windows. [on_caught_up] fires each time a
+    bounded-memory lifecycle through a {!Ck_manager}: every
+    effective-interval merged segments it folds the commit stream into a
+    digest, votes on the resulting checkpoint candidate over the control
+    plane, and on a quorum of matching votes certifies it, persists it to
+    a dedicated always-retaining WAL device, and truncates the protocol
+    WAL to the last two checkpoint windows. [on_caught_up] fires each time a
     {!recover} finishes — synchronously when recovery is purely local,
     or once peer catch-up sync completes on every lane.
 
@@ -145,14 +141,11 @@ val base_seq : t -> int
     comparing pre-crash and post-recovery logs must offset by this. *)
 
 val catching_up : t -> bool
-(** True while peer catch-up sync is in flight on any lane. *)
+(** True while the restart's peer-checkpoint probe is unresolved or peer
+    catch-up sync is in flight on any lane. *)
 
 val latest_checkpoint : t -> Shoalpp_storage.Checkpoint.t option
 (** Newest certified checkpoint this replica holds, if any. *)
-
-val checkpoint_wal : t -> Shoalpp_storage.Wal.t option
-(** The dedicated certified-checkpoint WAL device ([Some] iff
-    checkpointing is on). *)
 
 val sync_stats : t -> int * int
 (** [(requests_sent, certs_ingested)] summed over every lane's catch-up

@@ -13,7 +13,6 @@ type 'p gen_setup = {
   protocol : 'p;
   topology : Topology.t;
   net_config : Backend_sim.net_config;
-  fault : Fault_schedule.t;
   scenario : Faults.t;
   load_tps : float;
   tx_size : int;
@@ -30,7 +29,6 @@ let default_setup ~protocol =
     protocol;
     topology = Topology.gcp10 ();
     net_config = Backend_sim.default_net_config;
-    fault = Fault_schedule.none;
     scenario = Faults.none;
     load_tps = 1000.0;
     tx_size = Transaction.default_size;
@@ -55,7 +53,7 @@ type t = (Replica.envelope, Replica.t) gen
 let make (setup : _ gen_setup) ~name ~n ~num_dags ~hooks ~make_replica =
   (* Bind the abstract scenario to this cluster size; from here on a single
      Fault_schedule.t drives both the network and the scheduled replica events. *)
-  let fault = Faults.schedule setup.scenario ~n ~base:setup.fault in
+  let fault = Faults.schedule setup.scenario ~n in
   let assignment = Topology.assign_round_robin setup.topology ~n in
   let world =
     Backend_sim.make ~topology:setup.topology ~assignment ~fault ~config:setup.net_config

@@ -4,9 +4,9 @@
     Mysticeti baselines run on the same code through {!make}, contributing
     only their replicas and {!Harness.hooks}.
 
-    The declarative {!Shoalpp_sim.Faults} scenario is bound to the cluster
-    size here: its crashes/partitions/drops extend the base fault schedule,
-    its Byzantine roles become per-replica misbehaviour closures (built by
+    The declarative {!Shoalpp_sim.Faults} scenario is the run's one fault
+    input, bound to the cluster size here: its crashes/partitions/drops
+    become the network's fault schedule, its Byzantine roles become per-replica misbehaviour closures (built by
     each protocol's [make_replica]), and its timed events (mid-run crash,
     recovery, partition open/heal) are scheduled on the engine at {!start}
     — so one scenario value drives the network view and the replica view
@@ -32,10 +32,9 @@ type 'p gen_setup = {
   protocol : 'p;  (** the protocol's own parameters *)
   topology : Shoalpp_sim.Topology.t;
   net_config : Shoalpp_backend.Backend_sim.net_config;
-  fault : Shoalpp_sim.Fault_schedule.t;
   scenario : Shoalpp_sim.Faults.t;
       (** declarative fault scenario, materialized against this cluster's
-          size on {!make}; composes on top of [fault] *)
+          size on {!make} *)
   load_tps : float;  (** aggregate, split evenly over non-crashed-at-0 replicas *)
   tx_size : int;
   warmup_ms : float;
@@ -50,7 +49,7 @@ type 'p gen_setup = {
 type setup = Shoalpp_core.Config.t gen_setup
 
 val default_setup : protocol:'p -> 'p gen_setup
-(** gcp10 topology, default net config, no faults, no scenario, 1000 tps,
+(** gcp10 topology, default net config, no fault scenario, 1000 tps,
     paper tx size, 1 s warmup, seed 7, log tracking on, no trace. *)
 
 type ('msg, 'r) gen

@@ -4,8 +4,8 @@
    t=5s and recover them at t=15s", "partition a minority for 20s",
    "1 equivocating proposer") that is only bound to concrete replica ids
    when materialized against a cluster size n. Specs assign roles from the
-   highest replica ids downward, matching the --crashes convention, so
-   scenario runs compare directly against the existing crash experiments. *)
+   highest replica ids downward (drops excepted: they take the lowest), so
+   a crash preset and a crash-recover preset fail the same replicas. *)
 
 type byz_kind = Equivocate | Silent_anchor | Delay_votes of float
 
@@ -30,6 +30,19 @@ let partition ?(minority = 0) ?(from_time = 8_000.0) ?(duration = 20_000.0) () =
 
 let crash_recover ?(count = 1) ?(at = 5_000.0) ?(recover_at = 15_000.0) () =
   { name = "crash-recover"; specs = [ Crash { count; at; recover_at = Some recover_at } ] }
+
+let crash ?(count = 1) () =
+  { name = "crash"; specs = [ Crash { count; at = 0.0; recover_at = None } ] }
+
+let drop ?(count = 1) ?(rate = 0.01) ?(from_time = 0.0) () =
+  { name = "drop"; specs = [ Drop { count; rate; from_time; until_time = infinity } ] }
+
+let combine = function
+  | [] -> none
+  | [ t ] -> t
+  | ts ->
+    let specs = List.concat_map (fun t -> t.specs) ts in
+    { name = String.concat "+" (List.map (fun t -> t.name) ts); specs }
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: "name" or "name:key=val,key=val". *)
@@ -106,8 +119,18 @@ let parse spec_string =
     let* at = float_kv "at" 5_000.0 in
     let* recover_at = float_kv "recover" 15_000.0 in
     Ok (crash_recover ~count ~at ~recover_at ())
+  | "crash" ->
+    let* count = int_kv "count" 1 in
+    Ok (crash ~count ())
+  | "drop" ->
+    let* count = int_kv "count" 1 in
+    let* rate = float_kv "rate" 0.01 in
+    let* from_time = float_kv "from" 0.0 in
+    Ok (drop ~count ~rate ~from_time ())
   | other ->
-    Error (Printf.sprintf "unknown scenario %S (none|byzantine|partition|crash-recover)" other)
+    Error
+      (Printf.sprintf "unknown scenario %S (none|byzantine|partition|crash-recover|crash|drop)"
+         other)
 
 let pp_spec fmt = function
   | Crash { count; at; recover_at } -> (
@@ -140,7 +163,7 @@ let top_ids ~n count = List.init (min count n) (fun i -> n - 1 - i)
 
 let minority_size ~n minority = if minority > 0 then min minority (n - 1) else (n - 1) / 3
 
-let schedule t ~n ~base =
+let schedule t ~n =
   List.fold_left
     (fun fault spec ->
       match spec with
@@ -159,7 +182,7 @@ let schedule t ~n ~base =
       | Drop { count; rate; from_time; until_time } ->
         Fault_schedule.drop_egress fault ~replicas:(List.init (min count n) Fun.id) ~rate ~from_time
           ~until_time ())
-    base t.specs
+    Fault_schedule.none t.specs
 
 let byzantine_for t ~n ~replica =
   let specs =

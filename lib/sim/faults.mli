@@ -2,7 +2,8 @@
 
     A scenario is a named, size-independent description of the faults a run
     should inject — Byzantine proposers, a timed minority partition with a
-    heal, crash-then-recover with WAL replay — parsed from the
+    heal, crash-then-recover with WAL replay, replicas down from the start,
+    egress drops — parsed from the
     [--scenario name:key=val,...] CLI syntax. Binding to concrete replica
     ids happens only at {!schedule}/{!byzantine_for} time, against the
     actual cluster size [n], so one scenario string sweeps every system and
@@ -16,8 +17,11 @@
       always yield the same {!Fault_schedule.t} schedule and role assignment, keeping
       runs a deterministic function of the seed;
     - faulty roles are assigned from the highest replica ids downward
-      (matching the [--crashes] convention), and every preset keeps the
-      faulty count within [f = (n-1)/3];
+      (egress drops from the lowest upward), and every preset keeps the
+      faulty count within [f = (n-1)/3] at its default;
+    - a scenario is the only fault input of a simulated run: its specs
+      materialize in list order, so {!combine} fixes the order in which
+      scenarios compose;
     - {!Byzantine} specs never appear in the materialized {!Fault_schedule.t} — they
       are behavioural and injected at the replica layer via
       {!byzantine_for}. *)
@@ -40,7 +44,7 @@ type spec =
 type t = { name : string; specs : spec list }
 
 val none : t
-(** The empty scenario: no injected faults beyond the run's base schedule. *)
+(** The empty scenario: no injected faults. *)
 
 val byzantine :
   ?count:int -> ?kind:byz_kind -> ?from_time:float -> ?until_time:float -> unit -> t
@@ -55,21 +59,35 @@ val crash_recover : ?count:int -> ?at:float -> ?recover_at:float -> unit -> t
 (** Preset: crash [count] replicas (default 1) at [at] (default 5 s) and
     recover them — with WAL replay — at [recover_at] (default 15 s). *)
 
+val crash : ?count:int -> unit -> t
+(** Preset: [count] replicas (default 1) down from t=0 for the whole run
+    (Fig 7). *)
+
+val drop : ?count:int -> ?rate:float -> ?from_time:float -> unit -> t
+(** Preset: from [from_time] (default 0) on, each egress message of the
+    [count] lowest-id replicas (default 1) is dropped with probability
+    [rate] (default 0.01) — Fig 8's disruption. *)
+
+val combine : t list -> t
+(** All the given scenarios' faults together, their specs in list order;
+    named by joining their names with [+]. *)
+
 val parse : string -> (t, string) result
 (** Parse [--scenario] syntax: a preset name optionally followed by
     [:key=val,...] overrides. Recognised names: [none], [byzantine]
     (keys [count], [kind=equivocate|silent|delay], [delay], [from],
     [until]), [partition] (keys [minority], [from], [dur]),
-    [crash-recover] (keys [count], [at], [recover]). *)
+    [crash-recover] (keys [count], [at], [recover]), [crash] (key
+    [count]), [drop] (keys [count], [rate], [from]). *)
 
 val pp : Format.formatter -> t -> unit
 
 val name : t -> string
 
-val schedule : t -> n:int -> base:Fault_schedule.t -> Fault_schedule.t
-(** Materialize the scenario's crashes, recoveries, partitions and drops on
-    top of [base] for a cluster of [n] replicas. Byzantine specs are
-    excluded (see {!byzantine_for}). *)
+val schedule : t -> n:int -> Fault_schedule.t
+(** Materialize the scenario's crashes, recoveries, partitions and drops
+    for a cluster of [n] replicas. Byzantine specs are excluded (see
+    {!byzantine_for}). *)
 
 val byzantine_for : t -> n:int -> replica:int -> float -> byz_kind option
 (** [byzantine_for t ~n ~replica time] is the misbehaviour [replica] should

@@ -8,8 +8,10 @@
     Invariants:
     - [mem t id] is true iff [mark t id] was called since the last
       [reset] (or [create]);
-    - memory is one byte block covering ids up to the largest marked,
-      grown by doubling; nothing else is allocated per id. *)
+    - memory is one byte block covering ids up to the largest marked below
+      2^27, grown by doubling and never past 16 MiB; only ids at or above
+      2^27 (no client counter reaches them) take an entry each, in a side
+      table that [reset] empties. *)
 
 type t
 

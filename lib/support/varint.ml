@@ -44,6 +44,9 @@ let rec decode c len pos shift acc =
   if pos >= len then failwith "Varint.read: truncated input";
   if shift > 62 then failwith "Varint.read: varint too large";
   let b = Char.code (String.unsafe_get c.src pos) in
+  (* A ninth digit lands on bits 56..62, and bit 62 is an int's sign: past
+     [max_int], the value would decode negative. *)
+  if shift = 56 && b land 0x40 <> 0 then failwith "Varint.read: varint too large";
   let acc = acc lor ((b land 0x7f) lsl shift) in
   if b land 0x80 = 0 then begin
     c.pos <- pos + 1;

@@ -6,7 +6,9 @@
     - [write]/[read] round-trip every non-negative int, and [encoded_size]
       equals exactly the bytes [write] appends;
     - decoding stops at the terminating byte — it never reads past the
-      encoded value. *)
+      encoded value;
+    - decoding never yields a negative int: an input above [max_int] is
+      refused as too large. *)
 
 val encoded_size : int -> int
 (** Bytes needed to encode a non-negative int. *)
@@ -32,7 +34,8 @@ val read_cursor : cursor -> int
 (** Decode the value at [c.pos] and move [c.pos] past it, allocating
     nothing. The one decoder: {!read} is a wrapper.
     @raise Failure ["Varint.read: truncated input"] or
-    ["Varint.read: varint too large"]; [c.pos] is then unchanged. *)
+    ["Varint.read: varint too large"] (more than 63 bits, or a ninth byte
+    setting bit 62); [c.pos] is then unchanged. *)
 
 val read : string -> int -> int * int
 (** [read s pos] returns [(value, next_pos)].

@@ -11,7 +11,6 @@ module Report = Shoalpp_runtime.Report
 module Telemetry = Shoalpp_support.Telemetry
 module Committee = Shoalpp_dag.Committee
 module Topology = Shoalpp_sim.Topology
-module Fault_schedule = Shoalpp_sim.Fault_schedule
 module Faults = Shoalpp_sim.Faults
 
 let checkb = Alcotest.(check bool)
@@ -19,12 +18,10 @@ let checki = Alcotest.(check int)
 
 let committee = Committee.make ~n:4 ~cluster_seed:21 ()
 
-let run_setup protocol ~seed ?(fault = Fault_schedule.none) ?(scenario = Faults.none)
-    ?(load = 200.0) () =
+let run_setup protocol ~seed ?(scenario = Faults.none) ?(load = 200.0) () =
   {
     (Cluster.default_setup ~protocol) with
     Cluster.topology = Topology.clique ~regions:4 ~one_way_ms:20.0;
-    fault;
     scenario;
     load_tps = load;
     warmup_ms = 500.0;
@@ -89,8 +86,8 @@ let test_jolteon_reputation_excludes_crashed () =
     true (late_timeouts <= 12)
 
 let test_jolteon_crash_f_keeps_liveness () =
-  let fault = Fault_schedule.crash Fault_schedule.none ~replica:3 ~at:0.0 in
-  let c = Jolteon.create (jolteon_setup ~fault ()) in
+  let scenario = Faults.crash () in
+  let c = Jolteon.create (jolteon_setup ~scenario ()) in
   Cluster.run c ~duration_ms:15_000.0;
   let r = Cluster.report c ~duration_ms:15_000.0 in
   checkb "liveness with f crashed" true (r.Report.committed > 1000);
@@ -118,10 +115,10 @@ let test_mysticeti_rounds_fast () =
   checkb "many rounds" true (Mysticeti.rounds_reached c > 100)
 
 let test_mysticeti_drops_cause_critical_path_fetches () =
-  let fault = Fault_schedule.drop_egress Fault_schedule.none ~replicas:[ 0 ] ~rate:0.05 ~from_time:1_000.0 () in
+  let scenario = Faults.drop ~rate:0.05 ~from_time:1_000.0 () in
   let clean = Mysticeti.create (mysticeti_setup ()) in
   Cluster.run clean ~duration_ms:10_000.0;
-  let lossy = Mysticeti.create (mysticeti_setup ~fault ()) in
+  let lossy = Mysticeti.create (mysticeti_setup ~scenario ()) in
   Cluster.run lossy ~duration_ms:10_000.0;
   checkb "fetches happen under drops" true (Mysticeti.fetches_sent lossy > 0);
   checkb "blocks stall under drops" true (Mysticeti.blocks_stalled lossy > 0);
@@ -133,8 +130,8 @@ let test_mysticeti_drops_cause_critical_path_fetches () =
     true (l_lossy > l_clean)
 
 let test_mysticeti_crash_f_keeps_liveness () =
-  let fault = Fault_schedule.crash Fault_schedule.none ~replica:3 ~at:0.0 in
-  let c = Mysticeti.create (mysticeti_setup ~fault ()) in
+  let scenario = Faults.crash () in
+  let c = Mysticeti.create (mysticeti_setup ~scenario ()) in
   Cluster.run c ~duration_ms:12_000.0;
   let r = Cluster.report c ~duration_ms:12_000.0 in
   checkb "liveness with f crashed" true (r.Report.committed > 500);
@@ -144,10 +141,10 @@ let test_mysticeti_crash_latency_penalty_vs_shoalpp () =
   (* Fig 7's key contrast at miniature scale: with f crashed, Mysticeti has
      no reputation and keeps electing dead anchors (indirect resolutions),
      while Shoal++ routes around them. Compare latency degradation ratios. *)
-  let fault = Fault_schedule.crash Fault_schedule.none ~replica:3 ~at:0.0 in
+  let scenario = Faults.crash () in
   let myst_clean = Mysticeti.create (mysticeti_setup ()) in
   Cluster.run myst_clean ~duration_ms:12_000.0;
-  let myst_crash = Mysticeti.create (mysticeti_setup ~fault ()) in
+  let myst_crash = Mysticeti.create (mysticeti_setup ~scenario ()) in
   Cluster.run myst_crash ~duration_ms:12_000.0;
   let m0 = (Cluster.report myst_clean ~duration_ms:12_000.0).Report.latency_p50 in
   let m1 = (Cluster.report myst_crash ~duration_ms:12_000.0).Report.latency_p50 in

@@ -22,17 +22,17 @@ let checki = Alcotest.(check int)
 
 let committee = Committee.make ~n:4 ~cluster_seed:3 ()
 
-let small_setup ?(protocol = Config.shoalpp ~committee) ?(load = 200.0) ?(fault = Fault_schedule.none) () =
+let small_setup ?(protocol = Config.shoalpp ~committee) ?(load = 200.0) ?(scenario = Shoalpp_sim.Faults.none) () =
   {
     (Cluster.default_setup ~protocol) with
     Cluster.topology = Topology.clique ~regions:4 ~one_way_ms:20.0;
     load_tps = load;
     warmup_ms = 500.0;
-    fault;
+    scenario;
   }
 
-let run_small ?protocol ?load ?fault ~duration () =
-  let c = Cluster.create (small_setup ?protocol ?load ?fault ()) in
+let run_small ?protocol ?load ?scenario ~duration () =
+  let c = Cluster.create (small_setup ?protocol ?load ?scenario ()) in
   Cluster.run c ~duration_ms:duration;
   c
 
@@ -84,8 +84,7 @@ let test_cluster_all_fast_commits_in_good_network () =
     (report.Report.fast_commits > 10 * (report.Report.direct_commits + report.Report.indirect_commits + 1))
 
 let test_cluster_crash_f_replicas_stays_live () =
-  let fault = Fault_schedule.crash Fault_schedule.none ~replica:3 ~at:0.0 in
-  let c = run_small ~fault ~duration:8_000.0 () in
+  let c = run_small ~scenario:(Shoalpp_sim.Faults.crash ()) ~duration:8_000.0 () in
   let report = Cluster.report c ~duration_ms:8_000.0 in
   (* 3 of 4 clients still run: ~150 tps offered. *)
   checkb "still commits" true (report.Report.committed_tps > 100.0);
@@ -104,8 +103,8 @@ let test_cluster_crash_mid_run () =
   checkb "alive" true (r.Report.committed > 500)
 
 let test_cluster_message_drops_tolerated () =
-  let fault = Fault_schedule.drop_egress Fault_schedule.none ~replicas:[ 0 ] ~rate:0.05 ~from_time:1_000.0 () in
-  let c = run_small ~fault ~duration:8_000.0 () in
+  let scenario = Shoalpp_sim.Faults.drop ~rate:0.05 ~from_time:1_000.0 () in
+  let c = run_small ~scenario ~duration:8_000.0 () in
   let audit = Cluster.audit c in
   checkb "drops do not break safety" true audit.Cluster.consistent_prefixes;
   checki "no duplicates" 0 audit.Cluster.duplicate_orders;

@@ -83,14 +83,25 @@ let test_partition_reachability () =
 
 let test_schedule_materializes () =
   let scenario = Faults.crash_recover ~count:1 ~at:3000.0 ~recover_at:8000.0 () in
-  let f = Faults.schedule scenario ~n:4 ~base:Fault_schedule.none in
+  let f = Faults.schedule scenario ~n:4 in
   checkb "crashed mid-window" true (Fault_schedule.is_crashed f ~replica:3 ~time:5000.0);
   checkb "recovered" false (Fault_schedule.is_crashed f ~replica:3 ~time:9000.0);
-  match Faults.crash_recoveries scenario ~n:4 with
+  (match Faults.crash_recoveries scenario ~n:4 with
   | [ (3, at, rec_at) ] ->
     checkf "crash at" 3000.0 at;
     checkf "recover at" 8000.0 rec_at
-  | _ -> Alcotest.fail "expected one crash-recovery"
+  | _ -> Alcotest.fail "expected one crash-recovery");
+  (* The crash and drop presets: the highest ids down from t=0, the lowest
+     ids dropping from [from]; combined, both apply. *)
+  let crash = parse_ok "crash:count=2" and drop = parse_ok "drop:count=2,rate=0.5,from=100" in
+  let f = Faults.schedule (Faults.combine [ crash; drop ]) ~n:7 in
+  Alcotest.(check (list int)) "top ids down at t=0" [ 5; 6 ]
+    (List.sort Int.compare (Fault_schedule.crashed_replicas f ~time:0.0));
+  checkf "lowest ids drop" 0.5 (Fault_schedule.egress_drop_rate f ~src:1 ~time:100.0);
+  checkf "others do not" 0.0 (Fault_schedule.egress_drop_rate f ~src:2 ~time:100.0);
+  checkf "not before from" 0.0 (Fault_schedule.egress_drop_rate f ~src:0 ~time:99.0);
+  Alcotest.(check string) "combined name" "crash+drop" (Faults.name (Faults.combine [ crash; drop ]));
+  checkb "no recovery, no runtime event" true (Faults.crash_recoveries crash ~n:7 = [])
 
 (* ------------------------------------------------------------------ *)
 (* WAL retention: payloads become replayable only once synced. *)

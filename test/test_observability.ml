@@ -245,7 +245,7 @@ let test_crash_injection_yields_indirect () =
       duration_ms = 8_000.0;
       warmup_ms = 500.0;
       topology = Topology.clique ~regions:7 ~one_way_ms:15.0;
-      crashes = 2;
+      scenario = Shoalpp_sim.Faults.crash ~count:2 ();
       seed = 3;
       trace = true;
     }

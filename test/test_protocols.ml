@@ -182,7 +182,7 @@ let prop_safety_under_random_faults =
           duration_ms = 4_000.0;
           warmup_ms = 500.0;
           topology = Topology.clique ~regions:7 ~one_way_ms:15.0;
-          crashes;
+          scenario = Shoalpp_sim.Faults.crash ~count:crashes ();
           seed;
         }
       in
@@ -201,7 +201,7 @@ let prop_safety_under_random_drops =
           duration_ms = 4_000.0;
           warmup_ms = 500.0;
           topology = Topology.clique ~regions:4 ~one_way_ms:15.0;
-          drop_spec = Some (1, float_of_int drop_pct /. 100.0, 1_000.0);
+          scenario = Shoalpp_sim.Faults.drop ~rate:(float_of_int drop_pct /. 100.0) ~from_time:1_000.0 ();
           seed;
         }
       in

@@ -10,7 +10,9 @@
    - one broadcast over the TCP stack under the gcp10 shim is encoded
      once, and every peer decodes an equal message;
    - the harness's bitmap dedup counts a duplicate order, grows past its
-     initial size and resets on recover. *)
+     initial size and resets on recover;
+   - a varint past max_int (bit 62 set) is refused, so no negative id
+     decodes, and forged ids near 2^60 stay out of the dense bitmap. *)
 
 module Backend = Shoalpp_backend.Backend
 module Realtime = Shoalpp_backend.Backend_realtime
@@ -324,6 +326,52 @@ let test_bitmap_dedup () =
   order 0 [ 7 ];
   checki "and it counts again afterwards" 4 (dups ())
 
+(* A varint may not set bit 62: nine bytes past [max_int] would decode to
+   a negative int, and a negative transaction id off the wire would make
+   the audit's [Seen.mark] raise once the transaction is ordered. *)
+let test_varint_sign_bit () =
+  let enc v =
+    let w = Wire.Writer.create () in
+    Wire.Writer.uint w v;
+    Wire.Writer.contents w
+  in
+  let dec s = Wire.Reader.uint (Wire.Reader.of_string s) in
+  checki "max_int round-trips" max_int (dec (enc max_int));
+  let bad = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  checkb "bit 62 refused as Malformed" true
+    (match dec bad with _ -> false | exception Wire.Reader.Malformed _ -> true);
+  (* The same nine bytes as the transaction id of a proposal. *)
+  let frame = Types.encode_message (Types.Proposal (make_node ~author:1 [ max_int ])) in
+  let top = enc max_int in
+  let rec find i = if String.equal (String.sub frame i 9) top then i else find (i + 1) in
+  let at = find 0 in
+  let forged =
+    String.sub frame 0 at ^ bad ^ String.sub frame (at + 9) (String.length frame - at - 9)
+  in
+  checkb "the honest proposal decodes" true (Result.is_ok (Types.decode_message frame));
+  checkb "the forged id is refused" true (Result.is_error (Types.decode_message forged))
+
+(* Forged ids far past any client counter land in the side table, not in
+   the dense block, which never grows past 16 MiB. *)
+let test_seen_forged_ids () =
+  let module Seen = Shoalpp_support.Seen in
+  let s = Seen.create () in
+  let huge = 1 lsl 60 in
+  let bytes () = Obj.reachable_words (Obj.repr s) * (Sys.word_size / 8) in
+  checkb "fresh huge id" false (Seen.mark s huge);
+  checkb "fresh max_int" false (Seen.mark s max_int);
+  checkb "huge id remembered" true (Seen.mark s huge && Seen.mem s max_int);
+  checkb "neighbours absent" false (Seen.mem s (huge + 1) || Seen.mem s (max_int - 1));
+  checkb "dense id fresh" false (Seen.mark s 5);
+  checkb "dense id remembered" true (Seen.mem s 5);
+  checkb "block stays at its initial size" true (bytes () < 64 * 1024);
+  let top_dense = (1 lsl 27) - 1 in
+  checkb "top dense id fresh" false (Seen.mark s top_dense);
+  checkb "top dense id remembered" true (Seen.mem s top_dense);
+  checkb "block capped at 16 MiB" true (bytes () <= (16 * 1024 * 1024) + (64 * 1024));
+  Seen.reset s;
+  checkb "reset empties both" false (Seen.mem s huge || Seen.mem s max_int || Seen.mem s 5)
+
 let suite =
   [
     ( "wire.aggregate",
@@ -345,5 +393,7 @@ let suite =
         Alcotest.test_case "broadcast encoded once over tcp + gcp10 shim" `Quick
           test_broadcast_encoded_once;
         Alcotest.test_case "bitmap dedup: duplicates, growth, recover" `Quick test_bitmap_dedup;
+        Alcotest.test_case "varint refuses bit 62" `Quick test_varint_sign_bit;
+        Alcotest.test_case "forged huge ids stay sparse" `Quick test_seen_forged_ids;
       ] );
   ]

@@ -106,6 +106,9 @@ let default =
         "lib/sync/sync.ml";
         (* the driver's snapshot blob is part of a checkpoint-digest preimage *)
         "lib/consensus/driver.ml";
+        (* checkpoint votes feed a certificate and the certified-checkpoint
+           device *)
+        "lib/core/ck_manager.ml";
         (* socket emission: frame batches feed the wire, whose bytes the
            cross-transport golden test compares — iteration must be stable *)
         "lib/backend/tcp_transport.ml";
@@ -133,6 +136,9 @@ let default =
         "lib/sync/sync.ml";
         (* the driver's snapshot blob is part of a checkpoint-digest preimage *)
         "lib/consensus/driver.ml";
+        (* checkpoint votes are keyed by seq and voter and aggregate into a
+           certificate *)
+        "lib/core/ck_manager.ml";
         (* the shared run audit compares segment identities across replicas *)
         "lib/runtime/harness.ml";
       ];
@@ -204,6 +210,9 @@ let default =
         ("lib/workload/mempool.ml", [ Main; Lane ]);
         ("lib/dag/validation.ml", [ Lane; Pool ]);
         ("lib/core/replica.ml", [ Main; Lane ]);
+        (* the checkpoint lifecycle runs at the merge; it reaches lane state
+           only through the closures the replica hands it *)
+        ("lib/core/ck_manager.ml", [ Main ]);
       ];
     lock_wrappers = [ "with_mu"; "Mutex.protect" ];
   }
