@@ -736,12 +736,11 @@ let node_bench () =
    The same Shoal++ configuration and gcp10 placement is run twice per
    offered load: once on the deterministic simulator (the paper-facing
    numbers) and once as a real process over TCP sockets with the per-link
-   delay shim emulating the same region RTTs — with write coalescing off
-   and on. The table this prints (and BENCH_net.json) is the sim-vs-real
-   comparison EXPERIMENTS.md commits: latency should agree to within the
-   socket stack's overhead, and coalescing should cut flushes (syscalls)
-   without moving the commit latency. n defaults to 10, the paper's region
-   count; raise BENCH_N toward 50 for the scaling sweep. *)
+   delay shim emulating the same region RTTs. The table this prints (and
+   BENCH_net.json) is the sim-vs-real comparison EXPERIMENTS.md commits:
+   latency should agree to within the socket stack's overhead. n defaults
+   to 10, the paper's region count; raise BENCH_N toward 50 for the
+   scaling sweep. *)
 
 let net_bench () =
   section "net: sim vs realtime TCP under gcp10 (latency vs load)";
@@ -787,9 +786,9 @@ let net_bench () =
     in
     let o = E.run E.Shoalpp params in
     if not o.E.audit_ok then note "WARNING: sim audit failed at load %.0f\n" load;
-    row ~mode:"sim" ~load o.E.report [ "-"; "-" ] []
+    row ~mode:"sim" ~load o.E.report [ "-" ] []
   in
-  let realtime_run load coalesce_us =
+  let realtime_run load =
     let committee = Committee.make ~n ~cluster_seed:seed () in
     let protocol = Config.shoalpp ~committee in
     let setup =
@@ -799,7 +798,6 @@ let net_bench () =
         warmup_ms;
         seed;
         transport = Node.Tcp 0;
-        coalesce_us;
         delays_ms = Some (Topology.delay_matrix (Topology.gcp10 ()) ~n);
       }
     in
@@ -808,29 +806,22 @@ let net_bench () =
     let report = Node.report node ~duration_ms in
     let audit = Node.audit node in
     if not (Shoalpp_runtime.Harness.ok audit) then
-      note "WARNING: realtime audit failed at load %.0f coalesce %.0f\n" load coalesce_us;
-    let ns = Option.get (Node.tcp_net_stats node) in
-    let flushes = ns.Shoalpp_backend.Tcp_transport.flushes in
-    let coalesced = ns.Shoalpp_backend.Tcp_transport.coalesced_frames in
-    row
-      ~mode:(Printf.sprintf "tcp+gcp10/c%.0fus" coalesce_us)
-      ~load report
-      [ string_of_int flushes; string_of_int coalesced ]
+      note "WARNING: realtime audit failed at load %.0f\n" load;
+    let flushes = (Option.get (Node.tcp_net_stats node)).Shoalpp_backend.Tcp_transport.flushes in
+    row ~mode:"tcp+gcp10" ~load report [ string_of_int flushes ]
       [
-        ("coalesce_us", Json.Float coalesce_us);
         ("flushes", Json.Int flushes);
-        ("coalesced_frames", Json.Int coalesced);
         ("audit_consistent", Json.Bool audit.Node.consistent_prefixes);
         ("duplicate_orders", Json.Int audit.Node.duplicate_orders);
       ]
   in
   let results =
     List.concat_map
-      (fun load -> sim_run load :: List.map (realtime_run load) [ 0.0; 500.0 ])
+      (fun load -> [ sim_run load; realtime_run load ])
       [ 100.0; 300.0; 1_000.0 ]
   in
   Tablefmt.print
-    ~header:[ "load tx/s"; "mode"; "committed"; "tx/s"; "p50 ms"; "p75 ms"; "flushes"; "coalesced" ]
+    ~header:[ "load tx/s"; "mode"; "committed"; "tx/s"; "p50 ms"; "p75 ms"; "flushes" ]
     (List.map fst results);
   write_record "net" (List.map snd results)
 

@@ -5,7 +5,7 @@
 
    Examples:
      dune exec bin/shoalpp.exe -- node -n 4 --duration 2000 --load 200
-     dune exec bin/shoalpp.exe -- node --transport tcp --duration 2000
+     dune exec bin/shoalpp.exe -- node -n 10 --transport tcp --topology gcp10 --duration 2000
      dune exec bin/shoalpp.exe -- node --trace-out node.jsonl --metrics-out node.metrics.json *)
 
 module Node = Shoalpp_runtime.Node
@@ -24,8 +24,7 @@ type transport_arg = Inproc | Tcp
 
 let transport_conv = Arg.enum [ ("loopback", Inproc); ("inproc", Inproc); ("tcp", Tcp) ]
 
-let run (c : Cli.common) domains verify_delay restart transport tcp_port coalesce_us admin_port
-    ledger_tail =
+let run (c : Cli.common) domains verify_delay restart transport tcp_port admin_port ledger_tail =
   let n = c.Cli.n and duration = c.Cli.duration in
   let committee = Committee.make ~n ~cluster_seed:c.Cli.seed () in
   let protocol =
@@ -50,7 +49,6 @@ let run (c : Cli.common) domains verify_delay restart transport tcp_port coalesc
       warmup_ms = c.Cli.warmup;
       seed = c.Cli.seed;
       transport;
-      coalesce_us = Float.max 0.0 coalesce_us;
       delays_ms = Option.map (fun t -> Topology.delay_matrix t ~n) c.Cli.topology;
       trace;
       domains = max 1 domains;
@@ -74,16 +72,13 @@ let run (c : Cli.common) domains verify_delay restart transport tcp_port coalesc
       (Shoalpp_backend.Backend.schedule bk
          ~after:(Float.max 0.0 (Float.max crash_at recover_at))
          (fun () -> Node.recover_replica node i)));
-  Format.printf "shoalpp node: %d replicas, %s transport, %.0f tps for %.0f ms%s%s%s@." n
+  Format.printf "shoalpp node: %d replicas, %s transport, %.0f tps for %.0f ms%s%s@." n
     (match transport with
     | Node.Inproc -> "loopback"
     | Node.Tcp p -> Printf.sprintf "tcp:%d" p)
     c.Cli.load duration
     (if setup.Node.domains > 1 then
        Printf.sprintf ", %d domains (per-DAG executors + verify pool)" setup.Node.domains
-     else "")
-    (if setup.Node.coalesce_us > 0.0 then
-       Printf.sprintf ", coalesce %.0f us" setup.Node.coalesce_us
      else "")
     (match c.Cli.topology with Some t -> ", topology " ^ Topology.to_spec t | None -> "");
   (match Node.tcp_ports node with
@@ -143,9 +138,9 @@ let run (c : Cli.common) domains verify_delay restart transport tcp_port coalesc
   | None -> ());
   (match Node.tcp_net_stats node with
   | Some s ->
-    Format.printf "tcp: %d flushes, %d coalesced frames, %d reconnects, %d dial failures@."
-      s.Shoalpp_backend.Tcp_transport.flushes s.Shoalpp_backend.Tcp_transport.coalesced_frames
-      s.Shoalpp_backend.Tcp_transport.reconnects s.Shoalpp_backend.Tcp_transport.dial_failures
+    Format.printf "tcp: %d flushes, %d reconnects, %d dial failures@."
+      s.Shoalpp_backend.Tcp_transport.flushes s.Shoalpp_backend.Tcp_transport.reconnects
+      s.Shoalpp_backend.Tcp_transport.dial_failures
   | None -> ());
   if Ledger.recorded (Node.ledger node) > 0 then begin
     Format.printf "per-commit stage attribution (stage x rule x dag, ms):@.";
@@ -233,16 +228,6 @@ let cmd =
             "Base port for --transport tcp: replica i listens on PORT+i. 0 (default) lets the \
              kernel pick each port (printed at startup).")
   in
-  let coalesce_us =
-    Arg.(
-      value
-      & opt float 0.0
-      & info [ "coalesce-us" ] ~docv:"US"
-          ~doc:
-            "TCP write coalescing: aggregate frames to one peer for up to US microseconds (or \
-             64 KiB, whichever first) and flush them as a single write. 0 (default) flushes \
-             every frame immediately. TCP_NODELAY is always set.")
-  in
   let admin_port =
     Arg.(
       value
@@ -267,5 +252,4 @@ let cmd =
           ~topology_doc:
             "Applied as a geography shim: per-(src,dst) one-way delays added to every message, \
              over any transport. Default: no shim."
-      $ domains $ verify_delay $ restart $ transport $ tcp_port $ coalesce_us $ admin_port
-      $ ledger_tail)
+      $ domains $ verify_delay $ restart $ transport $ tcp_port $ admin_port $ ledger_tail)

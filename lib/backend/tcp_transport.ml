@@ -1,4 +1,4 @@
-(* The transport's state machines (per-peer coalescing buffers, reconnect
+(* The transport's state machines (per-peer write queues, reconnect
    backoff, the connection table) run exclusively on the executor's loop
    domain: every entry point is either a poller callback or posted via
    Backend_realtime.post. The floating attribute re-owns the module for
@@ -15,15 +15,11 @@
    are over 127.0.0.1 TCP sockets, with the two behaviours a real
    deployment needs and loopback hides:
 
-   - Per-peer WRITE COALESCING: frames bound for one destination are
-     appended to a pending buffer and flushed as a single aggregated write
-     when either a byte threshold is reached or a latency budget
-     ([coalesce_us]) expires. Small protocol messages (votes,
-     certificates) stop paying one syscall each — the real-time analogue
-     of the simulator's region-batched broadcast. TCP_NODELAY is set so
-     the kernel never adds a second (Nagle) coalescing delay on top of
-     ours; with [coalesce_us = 0] every frame is written immediately, and
-     the write queue holds the frame string itself — no copy.
+   - Per-peer WRITE QUEUES: each frame is queued on its destination's
+     connection as the frame string itself, shared by every destination
+     of a broadcast (no copy), and written at once while the kernel takes
+     it. TCP_NODELAY is set so the kernel never holds a frame back to
+     coalesce it (Nagle).
 
    - LAZY RECONNECT with capped exponential backoff: a send to a peer with
      no live connection dials it non-blockingly; a failed dial (or a
@@ -44,20 +40,15 @@ module Wire = Shoalpp_codec.Wire
 let backoff_base_ms = 10.0
 let backoff_cap_ms = 2000.0
 let max_out_buffered = 8 * 1024 * 1024
-let max_coalesce_bytes = 64 * 1024
 
 (* One live (or connecting) outbound connection. The write queue holds
-   frames, or aggregated batches of them, with their frame counts, so a
-   teardown can report dropped frames accurately; the head entry may be
-   partially written. *)
+   one frame per entry, so a teardown drops exactly its length in frames;
+   the head entry may be partially written. *)
 type conn = {
   c_fd : Unix.file_descr;
-  c_q : (string * int) Queue.t;
+  c_q : string Queue.t;
   mutable c_head_off : int;
-  mutable c_buffered : int; (* unwritten bytes: queue + pending buffer *)
-  c_pending : Buffer.t; (* frames coalescing toward one aggregated write *)
-  mutable c_pending_frames : int;
-  mutable c_flush_timer : Backend.timer option;
+  mutable c_buffered : int; (* unwritten bytes in the queue *)
   mutable c_connected : bool; (* false while connect() is in flight *)
 }
 
@@ -68,8 +59,7 @@ type peer = {
 }
 
 type net_stats = {
-  flushes : int; (* aggregated writes handed to the kernel *)
-  coalesced_frames : int; (* frames that shared a flush with at least one other *)
+  flushes : int; (* frames queued for writing, one write each *)
   reconnects : int; (* successful dials that followed a failure or teardown *)
   dial_failures : int;
 }
@@ -79,7 +69,6 @@ type t = {
   n : int;
   host : string;
   t_ports : int array;
-  coalesce_ms : float;
   handlers : (src:int -> string -> unit) option array;
   peers : peer array;
   listeners : Unix.file_descr option array;
@@ -88,7 +77,6 @@ type t = {
   mutable t_dropped : int;
   mutable t_bytes : float;
   mutable t_flushes : int;
-  mutable t_coalesced : int;
   mutable t_reconnects : int;
   mutable t_dial_failures : int;
 }
@@ -143,25 +131,15 @@ let listen_replica t i =
   fd
 
 (* ------------------------------------------------------------------ *)
-(* Outbound side: dial, coalesce, flush, back off. *)
-
-let cancel_flush_timer c =
-  match c.c_flush_timer with
-  | Some tm ->
-    Backend.cancel tm;
-    c.c_flush_timer <- None
-  | None -> ()
+(* Outbound side: dial, queue, write, back off. *)
 
 (* Tear the connection down and charge its undelivered frames as dropped.
    The peer re-dials on a later send, after its backoff deadline. *)
 let drop_conn t dst c =
   let p = t.peers.(dst) in
   Backend_realtime.remove_wpoller t.exec c.c_fd;
-  cancel_flush_timer c;
   close_quiet c.c_fd;
-  let lost = ref c.c_pending_frames in
-  Queue.iter (fun (_, frames) -> lost := !lost + frames) c.c_q;
-  t.t_dropped <- t.t_dropped + !lost;
+  t.t_dropped <- t.t_dropped + Queue.length c.c_q;
   p.p_conn <- None;
   t.t_dial_failures <- t.t_dial_failures + 1;
   p.p_retry_at_ms <- Backend_realtime.now_ms t.exec +. p.p_backoff_ms;
@@ -170,7 +148,7 @@ let drop_conn t dst c =
 let rec pump t dst c =
   if Queue.is_empty c.c_q then Backend_realtime.remove_wpoller t.exec c.c_fd
   else begin
-    let s, _ = Queue.peek c.c_q in
+    let s = Queue.peek c.c_q in
     let len = String.length s - c.c_head_off in
     match Unix.write c.c_fd (Bytes.unsafe_of_string s) c.c_head_off len with
     | n ->
@@ -189,21 +167,6 @@ let rec pump t dst c =
     | exception Unix.Unix_error _ -> drop_conn t dst c
   end
 
-(* Move the coalescing buffer's frames into the write queue as ONE
-   aggregated batch and push bytes while the kernel takes them. *)
-let flush_pending t dst c =
-  cancel_flush_timer c;
-  if Buffer.length c.c_pending > 0 then begin
-    let batch = Buffer.contents c.c_pending in
-    let frames = c.c_pending_frames in
-    Buffer.clear c.c_pending;
-    c.c_pending_frames <- 0;
-    Queue.add (batch, frames) c.c_q;
-    t.t_flushes <- t.t_flushes + 1;
-    if frames > 1 then t.t_coalesced <- t.t_coalesced + frames
-  end;
-  if c.c_connected then pump t dst c
-
 let finish_connect t dst c =
   Backend_realtime.remove_wpoller t.exec c.c_fd;
   match Unix.getsockopt_error c.c_fd with
@@ -213,7 +176,7 @@ let finish_connect t dst c =
     if p.p_backoff_ms > backoff_base_ms then t.t_reconnects <- t.t_reconnects + 1;
     p.p_backoff_ms <- backoff_base_ms;
     p.p_retry_at_ms <- 0.0;
-    flush_pending t dst c
+    pump t dst c
   | Some _ -> drop_conn t dst c
 
 let dial t dst =
@@ -226,9 +189,6 @@ let dial t dst =
       c_q = Queue.create ();
       c_head_off = 0;
       c_buffered = 0;
-      c_pending = Buffer.create 4096;
-      c_pending_frames = 0;
-      c_flush_timer = None;
       c_connected = connected;
     }
   in
@@ -269,37 +229,22 @@ let send t ~dst ~size frame =
       c.c_buffered <- c.c_buffered + String.length frame;
       t.t_sent <- t.t_sent + 1;
       t.t_bytes <- t.t_bytes +. float_of_int size;
-      if t.coalesce_ms <= 0.0 then begin
-        (* Uncoalesced: the frame string itself is queued, shared with
-           every other destination of the same broadcast. *)
-        Queue.add (frame, 1) c.c_q;
-        t.t_flushes <- t.t_flushes + 1;
-        if c.c_connected then pump t dst c
-      end
-      else begin
-        Buffer.add_string c.c_pending frame;
-        c.c_pending_frames <- c.c_pending_frames + 1;
-        if Buffer.length c.c_pending >= max_coalesce_bytes then flush_pending t dst c
-        else if c.c_flush_timer = None then
-          c.c_flush_timer <-
-            Some
-              ((Backend_realtime.timers t.exec).Backend.Timers.schedule ~after:t.coalesce_ms
-                 (fun () ->
-                   c.c_flush_timer <- None;
-                   flush_pending t dst c))
-      end
+      (* The frame string itself is queued, shared with every other
+         destination of the same broadcast. *)
+      Queue.add frame c.c_q;
+      t.t_flushes <- t.t_flushes + 1;
+      if c.c_connected then pump t dst c
     end
 
 (* ------------------------------------------------------------------ *)
 
-let create exec ~n ?(base_port = 0) ?(host = "127.0.0.1") ?(coalesce_us = 0.0) () =
+let create exec ~n ?(base_port = 0) ?(host = "127.0.0.1") () =
   let t =
     {
       exec;
       n;
       host;
       t_ports = Array.init n (fun i -> if base_port = 0 then 0 else base_port + i);
-      coalesce_ms = Float.max 0.0 coalesce_us /. 1000.0;
       handlers = Array.make n None;
       peers =
         Array.init n (fun _ ->
@@ -310,7 +255,6 @@ let create exec ~n ?(base_port = 0) ?(host = "127.0.0.1") ?(coalesce_us = 0.0) (
       t_dropped = 0;
       t_bytes = 0.0;
       t_flushes = 0;
-      t_coalesced = 0;
       t_reconnects = 0;
       t_dial_failures = 0;
     }
@@ -343,12 +287,7 @@ let transport t =
   }
 
 let net_stats t =
-  {
-    flushes = t.t_flushes;
-    coalesced_frames = t.t_coalesced;
-    reconnects = t.t_reconnects;
-    dial_failures = t.t_dial_failures;
-  }
+  { flushes = t.t_flushes; reconnects = t.t_reconnects; dial_failures = t.t_dial_failures }
 
 (* Test hooks: simulate replica [i]'s process dying (its listener and every
    connection it accepted vanish; peers' established connections to it hit
@@ -379,7 +318,6 @@ let shutdown t =
     (match t.peers.(i).p_conn with
     | Some c ->
       Backend_realtime.remove_wpoller t.exec c.c_fd;
-      cancel_flush_timer c;
       close_quiet c.c_fd;
       t.peers.(i).p_conn <- None
     | None -> ())

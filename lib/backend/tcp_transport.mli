@@ -1,4 +1,4 @@
-(** Length-prefixed TCP transport with per-peer write coalescing and lazy
+(** Length-prefixed TCP transport with per-peer write queues and lazy
     reconnect, for {!Backend_realtime}.
 
     Replica [i] listens on [host:(base_port + i)] ([base_port = 0] lets the
@@ -13,14 +13,10 @@
 
     Two behaviours a real deployment needs and the loopbacks hide:
 
-    - {b Write coalescing}: with [coalesce_us > 0], frames to one peer
-      accumulate in a pending buffer and are flushed as a single aggregated
-      write when 64 KiB accumulate or the latency budget expires, whichever
-      comes first — many small protocol messages per syscall, the real-time
-      analogue of the simulator's region-batched broadcast. [TCP_NODELAY]
-      is set so the kernel never stacks a Nagle delay on top. With
-      [coalesce_us = 0] each peer's write queue holds the frame string
-      itself, shared by every destination of a broadcast.
+    - {b Write queues}: each peer's write queue holds the frame string
+      itself, shared by every destination of a broadcast, and a queued
+      frame is written at once while the kernel takes it. [TCP_NODELAY] is
+      set so the kernel never holds a frame back (Nagle).
     - {b Lazy reconnect}: outbound connections are dialed non-blockingly on
       first use; a failed dial or torn-down stream drops the queued frames
       (counted in [stats.dropped]), doubles the peer's retry delay (10 ms
@@ -30,8 +26,8 @@
     Invariants:
     - [send] never blocks and never invokes a message handler inline: all
       socket I/O happens on the executor's select loop;
-    - per-(src, dst) frame order is preserved: coalescing concatenates in
-      send order, the stream preserves byte order, and the decoder yields
+    - per-(src, dst) frame order is preserved: the write queue is FIFO,
+      the stream preserves byte order, and the decoder yields
       frames in stream order (order restarts on reconnect — frames lost to
       a teardown are dropped, never reordered);
     - outbound memory per peer is bounded (8 MiB); frames beyond the cap
@@ -44,7 +40,6 @@ val create :
   n:int ->
   ?base_port:int ->
   ?host:string ->
-  ?coalesce_us:float ->
   unit ->
   t
 (** Create listeners for all [n] replicas in this process.
@@ -53,7 +48,7 @@ val create :
 
 val transport : t -> string Backend.Transport.t
 (** The {!Backend.Transport} view over frames: [send]/[broadcast] enqueue
-    (and coalesce) a {!Backend_realtime.Framing.frame} string, whose
+    a {!Backend_realtime.Framing.frame} string, whose
     sender id is the one the receiver sees; [set_handler] registers the
     per-replica inbound dispatch, which receives each complete frame;
     [stats] counts frames and declared payload bytes. *)
@@ -63,9 +58,7 @@ val ports : t -> int array
     [base_port = 0]). *)
 
 type net_stats = {
-  flushes : int;  (** aggregated writes handed to the kernel *)
-  coalesced_frames : int;
-      (** frames that shared a flush with at least one other frame *)
+  flushes : int;  (** frames queued for writing, one write each *)
   reconnects : int;
       (** successful dials that followed a failure or teardown *)
   dial_failures : int;  (** failed dials and mid-stream teardowns *)

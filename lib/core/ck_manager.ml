@@ -46,6 +46,7 @@ type t = {
   mutable votes : (int * Digest32.t * Signer.signature) list Int_map.t; (* by seq *)
   mutable latest : Checkpoint.t option; (* newest certified checkpoint *)
   mutable probe_attempt : int; (* peer rotation of the adoption probe; -1 = idle *)
+  mutable probe_gen : int; (* bumped by each [probe]: a retry armed by an older probe is void *)
   mutable on_probed : unit -> unit;
 }
 
@@ -68,6 +69,7 @@ let create ~config ~replica_id ~obs ~timers ~wal_devices fx =
         votes = Int_map.empty;
         latest = None;
         probe_attempt = -1;
+        probe_gen = 0;
         on_probed = ignore;
       }
 
@@ -281,10 +283,10 @@ let rec request m =
       let p = (m.id + 1 + m.probe_attempt) mod n in
       if p = m.id then (p + 1) mod n else p
     in
-    let attempt = m.probe_attempt in
+    let attempt = m.probe_attempt and gen = m.probe_gen in
     m.fx.send_probe ~dst;
     m.fx.schedule ~after:probe_retry_ms (fun () ->
-        if m.probe_attempt = attempt then next_peer m)
+        if m.probe_gen = gen && m.probe_attempt = attempt then next_peer m)
   end
 
 and next_peer m =
@@ -293,6 +295,7 @@ and next_peer m =
 
 let probe m ~on_done =
   m.on_probed <- on_done;
+  m.probe_gen <- m.probe_gen + 1;
   m.probe_attempt <- 0;
   request m
 

@@ -3,8 +3,8 @@
 
     The sealed build environment has no crypto libraries, so the repository
     carries its own implementation. It is used for content digests (node ids,
-    batch digests, Merkle trees) and as the PRF behind the simulated
-    signature scheme. The C kernel has two compression functions: a portable
+    batch digests) and as the PRF behind the simulated signature scheme.
+    The C kernel has two compression functions: a portable
     one, and on x86-64 one using the SHA extensions. The accelerated one is
     chosen once, at module initialisation (before any domain starts), when
     CPUID reports the extensions and a known-answer self-test passes.

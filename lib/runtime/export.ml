@@ -228,22 +228,9 @@ module Json = struct
 end
 
 (* One event per line: time/replica/instance identity plus the typed kind's
-   fields flattened into the same object. *)
-let json_of_event (e : Trace.event) =
-  Json.Obj
-    (("ts", Json.Float e.Trace.time)
-    :: ("replica", Json.Int e.Trace.replica)
-    :: ("instance", Json.Int e.Trace.instance)
-    :: ("tag", Json.Str (Trace.tag e.Trace.kind))
-    :: List.map
-         (fun (k, f) ->
-           (k, match f with Trace.I i -> Json.Int i | Trace.S s -> Json.Str s))
-         (Trace.fields e.Trace.kind))
-
-(* Serialize an event straight into [buf], byte-identical to
-   [Json.to_buf buf (json_of_event e)] but without materializing the
-   intermediate tree — traces run to millions of events and the tree was
-   the exporters' dominant allocation. *)
+   fields flattened into the same object, serialized straight into [buf]
+   with no intermediate JSON tree — traces run to millions of events.
+   {!events_of_jsonl} parses it back. *)
 let event_to_buf buf (e : Trace.event) =
   Buffer.add_string buf "{\"ts\":";
   Buffer.add_string buf (Json.float_repr e.Trace.time);
@@ -375,32 +362,9 @@ let category (e : Trace.event) =
     "fault"
   | Trace.Custom _ -> "custom"
 
-let chrome_json_of_event (e : Trace.event) =
-  Json.Obj
-    [
-      ("name", Json.Str (Trace.tag e.Trace.kind));
-      ("cat", Json.Str (category e));
-      ("ph", Json.Str "i");
-      ("s", Json.Str "t");
-      ("ts", Json.Float (e.Trace.time *. 1000.0)) (* simulated ms -> us *);
-      ("pid", Json.Int e.Trace.replica);
-      ("tid", Json.Int e.Trace.instance);
-      ( "args",
-        Json.Obj
-          (List.map
-             (fun (k, f) -> (k, match f with Trace.I i -> Json.Int i | Trace.S s -> Json.Str s))
-             (Trace.fields e.Trace.kind)) );
-    ]
-
-let chrome_trace_json events =
-  Json.Obj
-    [
-      ("traceEvents", Json.List (chrome_metadata events @ List.map chrome_json_of_event events));
-      ("displayTimeUnit", Json.Str "ms");
-    ]
-
-(* Byte-identical to [Json.to_buf buf (chrome_json_of_event e)], minus the
-   tree. *)
+(* One instant event: the tag as its name, its category, the time in
+   microseconds (simulated ms x 1000), pid = replica, tid = DAG instance,
+   and the kind's fields as [args]; serialized with no JSON tree. *)
 let chrome_event_to_buf buf (e : Trace.event) =
   Buffer.add_string buf "{\"name\":\"";
   Json.escape_into buf (Trace.tag e.Trace.kind);

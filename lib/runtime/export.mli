@@ -43,16 +43,12 @@ module Json : sig
   val to_string_opt : t -> string option
 end
 
-val json_of_event : Shoalpp_sim.Trace.event -> Json.t
-val event_of_json : Json.t -> Shoalpp_sim.Trace.event option
-
 val jsonl_of_events : Shoalpp_sim.Trace.event list -> string
 val events_of_jsonl : string -> Shoalpp_sim.Trace.event list
 (** Skips blank and malformed lines. *)
 
 val write_jsonl : out_channel -> Shoalpp_sim.Trace.event list -> unit
 
-val chrome_trace_json : Shoalpp_sim.Trace.event list -> Json.t
 val chrome_trace : Shoalpp_sim.Trace.event list -> string
 val write_chrome_trace : out_channel -> Shoalpp_sim.Trace.event list -> unit
 

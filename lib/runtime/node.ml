@@ -23,7 +23,6 @@ type setup = {
   warmup_ms : float;
   seed : int;
   transport : transport;
-  coalesce_us : float;
   delays_ms : float array array option;
   trace : Trace.t option;
   domains : int;
@@ -39,7 +38,6 @@ let default_setup ~protocol =
     warmup_ms = 0.0;
     seed = 1;
     transport = Inproc;
-    coalesce_us = 0.0;
     delays_ms = None;
     trace = None;
     domains = 1;
@@ -154,7 +152,7 @@ let create setup =
     | Inproc when mc_direct_loopback -> Realtime.multicore_loopback ~n ()
     | Inproc -> shim (Realtime.loopback exec ~n)
     | Tcp base_port ->
-      let h = Tcp.create exec ~n ~base_port ~coalesce_us:setup.coalesce_us () in
+      let h = Tcp.create exec ~n ~base_port () in
       tcp := Some h;
       (* The one codec step sits above the shim: a broadcast is encoded
          and framed once, and the shim delays that frame string. *)

@@ -30,8 +30,8 @@ type transport =
           one encode and one frame per send or broadcast, above the delay
           shim; one copy and an in-place decode per received frame; the
           replica then checks signatures and aggregates as received), with
-          per-peer write coalescing ([setup.coalesce_us]) and lazy
-          reconnect with capped backoff ({!Shoalpp_backend.Tcp_transport}). *)
+          per-peer write queues and lazy reconnect with capped backoff
+          ({!Shoalpp_backend.Tcp_transport}). *)
 
 type setup = {
   protocol : Shoalpp_core.Config.t;
@@ -40,9 +40,6 @@ type setup = {
   warmup_ms : float;
   seed : int;
   transport : transport;
-  coalesce_us : float;
-      (** TCP only: per-peer write-coalescing latency budget in
-          microseconds; [0] (default) flushes every frame immediately. *)
   delays_ms : float array array option;
       (** Optional geography shim: [d.(src).(dst)] one-way milliseconds
           added sender-side to every message, over any transport
@@ -138,7 +135,7 @@ val tcp_ports : t -> int array option
     [Tcp 0]. *)
 
 val tcp_net_stats : t -> Shoalpp_backend.Tcp_transport.net_stats option
-(** Coalescing / reconnect counters of the TCP transport ([None]
+(** Flush / reconnect counters of the TCP transport ([None]
     otherwise). *)
 
 val backend : t -> Shoalpp_core.Replica.envelope Shoalpp_backend.Backend.t

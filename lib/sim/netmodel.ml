@@ -1,6 +1,6 @@
 module Rng = Shoalpp_support.Rng
 
-type send_order = Fixed_order | Farthest_first | Random_order
+type send_order = Fixed_order | Farthest_first
 
 type config = {
   bandwidth_bytes_per_ms : float;
@@ -142,60 +142,75 @@ let set_handler t i f = t.handlers.(i) <- Some f
 let set_fault t fault = t.fault <- fault
 let base_delay_ms t ~src ~dst = base_delay t ~src ~dst
 
-let deliver t ~src ~dst ~size ~at msg =
-  let cb () =
-    if not (Fault_schedule.is_crashed t.fault ~replica:dst ~time:(Engine.now t.engine)) then begin
-      match t.handlers.(dst) with
-      | Some handler -> handler ~src msg
-      | None -> ()
-    end
-  in
-  (* Receiver CPU sequencing: processing begins when the core is free. *)
+(* Receiver CPU sequencing: processing of a message arriving [at] begins
+   when [dst]'s core is free; the finish time is left in
+   [t.cpu_free_at.(dst)], the message's delivery time. *)
+let[@inline] sequence_cpu t ~dst ~size ~at =
   let cost = t.config.cpu_fixed_ms +. (float_of_int size *. t.config.cpu_per_byte_ms) in
-  let start = Float.max at t.cpu_free_at.(dst) in
-  let done_at = start +. cost in
-  t.cpu_free_at.(dst) <- done_at;
-  ignore (Engine.schedule_at t.engine ~at:done_at cb)
+  t.cpu_free_at.(dst) <- Float.max at t.cpu_free_at.(dst) +. cost
+
+(* One timer for one sequenced message; the crash check is at delivery time. *)
+let schedule_delivery t ~src ~dst msg =
+  ignore
+    (Engine.schedule_at t.engine ~at:t.cpu_free_at.(dst) (fun () ->
+         if not (Fault_schedule.is_crashed t.fault ~replica:dst ~time:(Engine.now t.engine))
+         then begin
+           match t.handlers.(dst) with
+           | Some handler -> handler ~src msg
+           | None -> ()
+         end))
+
+let deliver_loopback t ~src ~dst ~size ~now msg =
+  t.sent <- t.sent + 1;
+  sequence_cpu t ~dst ~size ~at:(now +. t.config.loopback_ms);
+  schedule_delivery t ~src ~dst msg
+
+(* The one per-destination planner for a remote message sent at [now]:
+   egress serialization, the jitter/drop draws, the partition check, the
+   arrival time and receiver CPU sequencing. Returns [false] when the
+   message is lost; otherwise its delivery time is [t.cpu_free_at.(dst)].
+   [send] and [broadcast] differ only in how they schedule that delivery. *)
+let plan t ~src ~dst ~size ~now =
+  t.sent <- t.sent + 1;
+  t.bytes <- t.bytes +. float_of_int size;
+  let ser = float_of_int size /. t.config.bandwidth_bytes_per_ms in
+  let out_at = Float.max now t.egress_free_at.(src) +. ser in
+  t.egress_free_at.(src) <- out_at;
+  let rng = t.rngs.(src) in
+  let drop_rate = Fault_schedule.egress_drop_rate t.fault ~src ~time:out_at in
+  (* Sample jitter unconditionally so drop injection does not perturb the
+     random stream of surviving messages. *)
+  let jitter =
+    if t.config.jitter_ms <= 0.0 then 0.0
+    else Rng.lognormal rng ~mu:(log t.config.jitter_ms) ~sigma:0.5
+  in
+  let dropped = drop_rate > 0.0 && Rng.bernoulli rng drop_rate in
+  (* Partition evaluation is pure (no RNG), checked after jitter/drop
+     sampling so an active partition leaves surviving traffic's random
+     stream untouched. The message is charged for egress — the sender's
+     NIC transmits; the network eats it. *)
+  if not (Fault_schedule.reachable t.fault ~src ~dst ~time:out_at) then begin
+    t.partitioned <- t.partitioned + 1;
+    false
+  end
+  else if dropped then begin
+    t.dropped <- t.dropped + 1;
+    false
+  end
+  else begin
+    let at = out_at +. base_delay t ~src ~dst +. jitter +. extra_delay_ms t ~src ~time:out_at in
+    sequence_cpu t ~dst ~size ~at;
+    true
+  end
 
 let send t ~src ~dst ~size msg =
   let now = Engine.now t.engine in
   if Fault_schedule.is_crashed t.fault ~replica:src ~time:now then ()
-  else if src = dst then begin
-    t.sent <- t.sent + 1;
-    deliver t ~src ~dst ~size ~at:(now +. t.config.loopback_ms) msg
-  end
-  else begin
-    t.sent <- t.sent + 1;
-    t.bytes <- t.bytes +. float_of_int size;
-    let ser = float_of_int size /. t.config.bandwidth_bytes_per_ms in
-    let out_at = Float.max now t.egress_free_at.(src) +. ser in
-    t.egress_free_at.(src) <- out_at;
-    let rng = t.rngs.(src) in
-    let drop_rate = Fault_schedule.egress_drop_rate t.fault ~src ~time:out_at in
-    (* Sample jitter unconditionally so drop injection does not perturb the
-       random stream of surviving messages. *)
-    let jitter =
-      if t.config.jitter_ms <= 0.0 then 0.0
-      else Rng.lognormal rng ~mu:(log t.config.jitter_ms) ~sigma:0.5
-    in
-    let dropped = drop_rate > 0.0 && Rng.bernoulli rng drop_rate in
-    (* Partition evaluation is pure (no RNG), checked after jitter/drop
-       sampling so an active partition leaves surviving traffic's random
-       stream untouched. The message is charged for egress — the sender's
-       NIC transmits; the network eats it. *)
-    if not (Fault_schedule.reachable t.fault ~src ~dst ~time:out_at) then
-      t.partitioned <- t.partitioned + 1
-    else if dropped then t.dropped <- t.dropped + 1
-    else begin
-      let at =
-        out_at +. base_delay t ~src ~dst +. jitter +. extra_delay_ms t ~src ~time:out_at
-      in
-      deliver t ~src ~dst ~size ~at msg
-    end
-  end
+  else if src = dst then deliver_loopback t ~src ~dst ~size ~now msg
+  else if plan t ~src ~dst ~size ~now then schedule_delivery t ~src ~dst msg
 
 (* Fire the envelope's head delivery (crash checked at delivery time, like
-   [deliver]'s callback), then chain the timer to the next one. *)
+   [send]'s callback), then chain the timer to the next one. *)
 let fire_envelope t env =
   (match env.env_msg with
   | None -> ()
@@ -250,73 +265,41 @@ let sort_envelope env =
     env.env_dsts.(!j + 1) <- di
   done
 
-(* Batched fan-out. Per destination, the egress/jitter/drop/CPU math and the
-   RNG draw order are exactly [send]'s — only the engine scheduling differs:
-   surviving deliveries are grouped by destination region into pooled
-   envelopes, each driven by one chained timer. *)
+(* Batched fan-out. Per destination, the planning is [send]'s ([plan]) —
+   only the engine scheduling differs: surviving deliveries are grouped by
+   destination region into pooled envelopes, each driven by one chained
+   timer. *)
 let broadcast t ~src ~size ?(include_self = true) msg =
   let order =
     match t.config.send_order with
     | Farthest_first -> t.far_order.(src)
     | Fixed_order -> Array.init t.n (fun i -> i)
-    | Random_order ->
-      let arr = Array.init t.n (fun i -> i) in
-      Rng.shuffle t.rngs.(src) arr;
-      arr
   in
   let now = Engine.now t.engine in
   if Fault_schedule.is_crashed t.fault ~replica:src ~time:now then ()
   else begin
-    let ser = float_of_int size /. t.config.bandwidth_bytes_per_ms in
-    let cost = t.config.cpu_fixed_ms +. (float_of_int size *. t.config.cpu_per_byte_ms) in
     Array.iter
       (fun dst ->
         if dst = src then begin
-          if include_self then begin
-            t.sent <- t.sent + 1;
-            deliver t ~src ~dst ~size ~at:(now +. t.config.loopback_ms) msg
-          end
+          if include_self then deliver_loopback t ~src ~dst ~size ~now msg
         end
-        else begin
-          t.sent <- t.sent + 1;
-          t.bytes <- t.bytes +. float_of_int size;
-          let out_at = Float.max now t.egress_free_at.(src) +. ser in
-          t.egress_free_at.(src) <- out_at;
-          let rng = t.rngs.(src) in
-          let drop_rate = Fault_schedule.egress_drop_rate t.fault ~src ~time:out_at in
-          let jitter =
-            if t.config.jitter_ms <= 0.0 then 0.0
-            else Rng.lognormal rng ~mu:(log t.config.jitter_ms) ~sigma:0.5
+        else if plan t ~src ~dst ~size ~now then begin
+          let region = t.assignment.(dst) in
+          let env =
+            match t.group_env.(region) with
+            | Some env -> env
+            | None ->
+              let env = alloc_envelope t in
+              env.env_src <- src;
+              env.env_msg <- Some msg;
+              env.env_count <- 0;
+              env.env_index <- 0;
+              t.group_env.(region) <- Some env;
+              env
           in
-          let dropped = drop_rate > 0.0 && Rng.bernoulli rng drop_rate in
-          if not (Fault_schedule.reachable t.fault ~src ~dst ~time:out_at) then
-            t.partitioned <- t.partitioned + 1
-          else if dropped then t.dropped <- t.dropped + 1
-          else begin
-            let at =
-              out_at +. base_delay t ~src ~dst +. jitter +. extra_delay_ms t ~src ~time:out_at
-            in
-            (* Receiver CPU sequencing, eagerly, exactly as [deliver] does. *)
-            let start = Float.max at t.cpu_free_at.(dst) in
-            let done_at = start +. cost in
-            t.cpu_free_at.(dst) <- done_at;
-            let region = t.assignment.(dst) in
-            let env =
-              match t.group_env.(region) with
-              | Some env -> env
-              | None ->
-                let env = alloc_envelope t in
-                env.env_src <- src;
-                env.env_msg <- Some msg;
-                env.env_count <- 0;
-                env.env_index <- 0;
-                t.group_env.(region) <- Some env;
-                env
-            in
-            env.env_dsts.(env.env_count) <- dst;
-            env.env_times.(env.env_count) <- done_at;
-            env.env_count <- env.env_count + 1
-          end
+          env.env_dsts.(env.env_count) <- dst;
+          env.env_times.(env.env_count) <- t.cpu_free_at.(dst);
+          env.env_count <- env.env_count + 1
         end)
       order;
     for region = 0 to t.nregions - 1 do

@@ -27,7 +27,6 @@ type 'msg t
 type send_order =
   | Fixed_order  (** ascending replica id — the naive pattern §7 warns about *)
   | Farthest_first  (** distance-based priority broadcast (§7) *)
-  | Random_order
 
 type config = {
   bandwidth_bytes_per_ms : float;  (** egress pipe per replica; e.g. 1 Gbps = 125_000. *)

@@ -259,15 +259,15 @@ grep -Eq 'verify pool: [1-9][0-9]* jobs \([0-9]+ stolen, 0 exceptions\)' "$out/m
 grep -q 'commit sequence: consistent' "$out/mc_report.txt" \
   || { echo "check failed: multicore analyzer consistency line missing" >&2; exit 1; }
 
-# TCP transport smoke: the same 4-replica cluster over real TCP sockets
-# with write coalescing, on a FIXED base port (retrying a few bases, since
+# TCP transport smoke: the same 4-replica cluster over real TCP sockets,
+# on a FIXED base port (retrying a few bases, since
 # CI machines may hold ports) — the binary exits non-zero on a failed
 # audit, and the trace analyzer must find zero commit-sequence divergence,
 # i.e. the socket transport changed timing but never content.
 tcp_ok=""
 for base in 39140 39240 39340 39440 39540; do
   if ./_build/default/bin/shoalpp.exe node \
-      -n 4 --transport tcp --tcp-port "$base" --coalesce-us 500 \
+      -n 4 --transport tcp --tcp-port "$base" \
       --duration 4000 --load 300 --no-verify \
       --trace-out "$out/tcp.jsonl" > "$out/tcp.out" 2>&1; then
     tcp_ok=1; break
@@ -280,8 +280,8 @@ done
 [ -n "$tcp_ok" ] || { echo "check failed: no free tcp base port" >&2; exit 1; }
 grep -q 'audit: consistent logs, no duplicates' "$out/tcp.out" \
   || { echo "check failed: tcp node audit line missing" >&2; exit 1; }
-grep -Eq 'tcp: [1-9][0-9]* flushes, [1-9][0-9]* coalesced frames' "$out/tcp.out" \
-  || { echo "check failed: tcp coalescing never engaged" >&2; cat "$out/tcp.out" >&2; exit 1; }
+grep -Eq 'tcp: [1-9][0-9]* flushes,' "$out/tcp.out" \
+  || { echo "check failed: tcp transport never wrote a frame" >&2; cat "$out/tcp.out" >&2; exit 1; }
 ./_build/default/tools/trace/shoalpp_trace.exe "$out/tcp.jsonl" > "$out/tcp_report.txt" \
   || { echo "check failed: tcp commit sequences diverged" >&2; cat "$out/tcp_report.txt" >&2; exit 1; }
 grep -q 'commit sequence: consistent' "$out/tcp_report.txt" \
@@ -289,7 +289,7 @@ grep -q 'commit sequence: consistent' "$out/tcp_report.txt" \
 
 # Verified TCP smoke: the smoke above and the one below skip signature
 # checks, so this one checks every signature and certificate aggregate
-# that crossed a socket (n=4, no coalescing, kernel-assigned ports).
+# that crossed a socket (n=4, kernel-assigned ports).
 # Certificates carry their aggregate on the wire and are verified as
 # received, so a codec that lost or mangled it would stall the DAG: the
 # run must pass its audit and commit an anchor on every lane.
@@ -305,7 +305,7 @@ grep -Eq 'lanes [1-9][0-9]*,[1-9][0-9]*,[1-9][0-9]*$' "$out/tcpv.out" \
 # applied per link (kernel-assigned ports). The run must pass its safety
 # audit under realistic heterogeneous latencies; the exit code carries it.
 ./_build/default/bin/shoalpp.exe node \
-  -n 10 --transport tcp --topology gcp10 --coalesce-us 500 \
+  -n 10 --transport tcp --topology gcp10 \
   --duration 5000 --load 300 --no-verify > "$out/tcp10.out" 2>&1 \
   || { echo "check failed: n=10 tcp+gcp10 run failed" >&2; cat "$out/tcp10.out" >&2; exit 1; }
 grep -q 'audit: consistent logs, no duplicates' "$out/tcp10.out" \

@@ -4,7 +4,8 @@
      certifies exactly once; forged, duplicated, stale and beyond-horizon
      votes are refused; install raises the gates to the floors of the
      checkpoint it replaces; truncation keeps two marks per WAL device;
-     an unverifiable peer blob is never adopted;
+     an unverifiable peer blob is never adopted; a retry armed by an
+     earlier probe never moves a later one;
    - pinned end to end: a fixed-seed n=4, interval-12 simulated run with
      one crash and restart must certify the same checkpoints, in the same
      order, with the same digests, and truncate the same number of WAL
@@ -242,6 +243,21 @@ let test_unverifiable_blob_never_adopted () =
   checki "resolved once" 1 !done_;
   checkb "probe over" false (Ck_manager.probing fresh.m)
 
+(* A retry armed by one probe must not move a later probe at the same
+   attempt (a crash and a quick re-recover inside the retry window). *)
+let test_stale_retry_ignored () =
+  let f = fake 0 in
+  Ck_manager.recover f.m ~wipe:true;
+  Ck_manager.probe f.m ~on_done:ignore;
+  let stale = Queue.pop f.timers in
+  Ck_manager.recover f.m ~wipe:true;
+  Ck_manager.probe f.m ~on_done:ignore;
+  Alcotest.(check (list int)) "both probes asked peer 1" [ 1; 1 ] !(f.probes);
+  stale ();
+  Alcotest.(check (list int)) "the stale retry sends nothing" [ 1; 1 ] !(f.probes);
+  (Queue.pop f.timers) ();
+  Alcotest.(check (list int)) "the live retry moves on one peer" [ 2; 1; 1 ] !(f.probes)
+
 (* ------------------------------------------------------------------ *)
 (* The lifecycle pinned end to end.                                    *)
 
@@ -300,6 +316,7 @@ let suite =
         Alcotest.test_case "truncation keeps two marks" `Quick test_truncation_keeps_two_marks;
         Alcotest.test_case "unverifiable blob never adopted" `Quick
           test_unverifiable_blob_never_adopted;
+        Alcotest.test_case "stale probe retry ignored" `Quick test_stale_retry_ignored;
         Alcotest.test_case "lifecycle pin" `Quick test_lifecycle_pin;
       ] );
   ]

@@ -1,12 +1,10 @@
 (* Tests for the crypto substrate: SHA-256 against FIPS vectors, digests,
-   simulated signatures and multi-signatures, Merkle proofs, and the wire
-   codec. *)
+   simulated signatures and multi-signatures, and the wire codec. *)
 
 module Sha256 = Shoalpp_crypto.Sha256
 module Digest32 = Shoalpp_crypto.Digest32
 module Signer = Shoalpp_crypto.Signer
 module Multisig = Shoalpp_crypto.Multisig
-module Merkle = Shoalpp_crypto.Merkle
 module Bitset = Shoalpp_support.Bitset
 module Wire = Shoalpp_codec.Wire
 
@@ -352,60 +350,6 @@ let test_multisig_wire_size () =
   checki "48 + ceil(100/8)" (48 + 13) (Multisig.wire_size agg)
 
 (* ------------------------------------------------------------------ *)
-(* Merkle *)
-
-let leaves n = List.init n (fun i -> Digest32.of_string (Printf.sprintf "leaf-%d" i))
-
-let test_merkle_empty () =
-  let t = Merkle.of_leaves [] in
-  checkb "zero root" true (Digest32.equal (Merkle.root t) Digest32.zero);
-  checki "size" 0 (Merkle.size t)
-
-let test_merkle_single () =
-  let l = Digest32.of_string "only" in
-  let t = Merkle.of_leaves [ l ] in
-  checkb "root is leaf" true (Digest32.equal (Merkle.root t) l);
-  checkb "proof verifies" true
-    (Merkle.verify_proof ~root:(Merkle.root t) ~leaf:l ~index:0 ~size:1 (Merkle.prove t 0))
-
-let test_merkle_proofs_all_sizes () =
-  List.iter
-    (fun n ->
-      let ls = leaves n in
-      let t = Merkle.of_leaves ls in
-      List.iteri
-        (fun i leaf ->
-          checkb
-            (Printf.sprintf "n=%d i=%d" n i)
-            true
-            (Merkle.verify_proof ~root:(Merkle.root t) ~leaf ~index:i ~size:n (Merkle.prove t i)))
-        ls)
-    [ 2; 3; 4; 5; 7; 8; 9; 16; 33 ]
-
-let test_merkle_wrong_leaf_fails () =
-  let ls = leaves 8 in
-  let t = Merkle.of_leaves ls in
-  let proof = Merkle.prove t 3 in
-  checkb "wrong leaf" false
-    (Merkle.verify_proof ~root:(Merkle.root t) ~leaf:(Digest32.of_string "evil") ~index:3 ~size:8 proof);
-  checkb "wrong index" false
-    (Merkle.verify_proof ~root:(Merkle.root t) ~leaf:(List.nth ls 3) ~index:4 ~size:8 proof)
-
-let test_merkle_out_of_range () =
-  let t = Merkle.of_leaves (leaves 4) in
-  Alcotest.check_raises "oob" (Invalid_argument "Merkle.prove: index out of range") (fun () ->
-      ignore (Merkle.prove t 4))
-
-let prop_merkle_root_changes_with_leaf =
-  QCheck.Test.make ~name:"changing any leaf changes the root" ~count:50
-    QCheck.(pair (int_range 1 20) (int_bound 19))
-    (fun (n, i) ->
-      let i = i mod n in
-      let ls = leaves n in
-      let modified = List.mapi (fun j l -> if j = i then Digest32.of_string "tampered" else l) ls in
-      not (Digest32.equal (Merkle.root (Merkle.of_leaves ls)) (Merkle.root (Merkle.of_leaves modified))))
-
-(* ------------------------------------------------------------------ *)
 (* Wire codec *)
 
 let test_wire_scalars () =
@@ -506,15 +450,6 @@ let suite =
         Alcotest.test_case "forgery detected" `Quick test_multisig_forgery_detected;
         Alcotest.test_case "wire size" `Quick test_multisig_wire_size;
       ] );
-    ( "crypto.merkle",
-      [
-        Alcotest.test_case "empty" `Quick test_merkle_empty;
-        Alcotest.test_case "single" `Quick test_merkle_single;
-        Alcotest.test_case "proofs all sizes" `Quick test_merkle_proofs_all_sizes;
-        Alcotest.test_case "wrong leaf fails" `Quick test_merkle_wrong_leaf_fails;
-        Alcotest.test_case "out of range" `Quick test_merkle_out_of_range;
-      ]
-      @ qsuite [ prop_merkle_root_changes_with_leaf ] );
     ( "codec.wire",
       [
         Alcotest.test_case "scalars" `Quick test_wire_scalars;

@@ -3,11 +3,8 @@
 
    - framing survives arbitrary segmentation: a multi-megabyte frame that
      cannot clear the socket buffer in one write arrives intact and in
-     order behind the small frames sent before it;
-   - write coalescing: frames under the byte threshold flush when the
-     latency budget expires (without the timer they would sit forever),
-     and a burst past 64 KiB flushes on the threshold long before a large
-     budget could;
+     order behind the small frames sent before it, each frame its own
+     write;
    - crash + reconnect: a dead peer's writes drop and back off rather
      than blocking or killing the process, and a restarted peer is
      re-adopted with the drop/ dial-failure / reconnect counters telling
@@ -30,8 +27,8 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 (* A raw string-message transport: identity codec, per-replica inbox. *)
-let make ?coalesce_us ~n exec =
-  let h = Tcp.create exec ~n ?coalesce_us () in
+let make ~n exec =
+  let h = Tcp.create exec ~n () in
   let inboxes = Array.init n (fun _ -> ref []) in
   let tr =
     Realtime.framed
@@ -73,42 +70,7 @@ let test_tcp_delivery_and_partial_frames () =
   let stats = tr.Backend.Transport.stats () in
   checki "six sends counted (broadcast is per destination)" 6 stats.Backend.Transport.sent;
   checki "nothing dropped" 0 stats.Backend.Transport.dropped;
-  Tcp.shutdown h
-
-let test_tcp_coalescing_flush_on_budget () =
-  let exec = Realtime.create () in
-  (* 40 ms budget, frames far under the 64 KiB threshold: only the budget
-     timer can flush them — delivery itself proves the timer fired. *)
-  let h, tr, inbox = make ~coalesce_us:40_000.0 ~n:2 exec in
-  send tr ~src:0 ~dst:1 "one";
-  send tr ~src:0 ~dst:1 "two";
-  send tr ~src:0 ~dst:1 "three";
-  Realtime.run_for exec ~duration_ms:400.0;
-  Alcotest.(check (list (pair int string)))
-    "all frames delivered in order after the budget expired"
-    [ (0, "one"); (0, "two"); (0, "three") ]
-    (inbox 1);
-  let ns = Tcp.net_stats h in
-  checki "one aggregated flush" 1 ns.Tcp.flushes;
-  checki "all three frames shared it" 3 ns.Tcp.coalesced_frames;
-  Tcp.shutdown h
-
-let test_tcp_coalescing_flush_on_threshold () =
-  let exec = Realtime.create () in
-  (* A budget far beyond the test horizon: anything delivered got there
-     via the 64 KiB threshold flush. *)
-  let h, tr, inbox = make ~coalesce_us:60_000_000.0 ~n:2 exec in
-  let frame = String.make 1024 'z' in
-  for _ = 1 to 80 do
-    send tr ~src:0 ~dst:1 frame
-  done;
-  Realtime.run_for exec ~duration_ms:300.0;
-  let got = List.length (inbox 1) in
-  checkb (Printf.sprintf "threshold flushed the bulk (got %d)" got) true (got >= 60);
-  List.iter (fun (src, msg) -> checkb "frames intact" true (src = 0 && String.equal msg frame)) (inbox 1);
-  let ns = Tcp.net_stats h in
-  checkb "at least one aggregated flush" true (ns.Tcp.flushes >= 1);
-  checkb "coalescing counted" true (ns.Tcp.coalesced_frames >= got);
+  checki "one flush per frame" 6 (Tcp.net_stats h).Tcp.flushes;
   Tcp.shutdown h
 
 let test_tcp_crash_reconnect_backoff () =
@@ -146,8 +108,7 @@ let test_tcp_crash_reconnect_backoff () =
 (* ------------------------------------------------------------------ *)
 (* Acceptance gates: the transport never changes what commits. *)
 
-let run_cluster ~transport ?delays_ms ?(coalesce_us = 0.0) ?(n = 4) ?(duration_ms = 1_200.0)
-    ~seed () =
+let run_cluster ~transport ?delays_ms ?(n = 4) ?(duration_ms = 1_200.0) ~seed () =
   let committee = Committee.make ~n ~cluster_seed:seed () in
   let protocol = Config.without_signature_checks (Config.shoalpp ~committee) in
   let setup =
@@ -156,7 +117,6 @@ let run_cluster ~transport ?delays_ms ?(coalesce_us = 0.0) ?(n = 4) ?(duration_m
       Node.load_tps = 200.0;
       seed;
       transport;
-      coalesce_us;
       delays_ms;
     }
   in
@@ -171,15 +131,14 @@ let check_audit ~label node =
   checkb (label ^ ": progress") true (audit.Node.total_segments > 0)
 
 (* The golden cross-transport test: same seed, same protocol, two
-   transports — loopback and TCP (with coalescing, which batches writes
-   but must not reorder frames). The committed anchor sequences must agree
+   transports — loopback and TCP. The committed anchor sequences must agree
    on their common prefix; the transport may change timing, never
    content. *)
 let test_tcp_commit_sequence_matches_loopback () =
   let runs =
     [
       ("loopback", run_cluster ~transport:Node.Inproc ~seed:31 ());
-      ("tcp", run_cluster ~transport:(Node.Tcp 0) ~coalesce_us:500.0 ~seed:31 ());
+      ("tcp", run_cluster ~transport:(Node.Tcp 0) ~seed:31 ());
     ]
   in
   List.iter (fun (label, node) -> check_audit ~label node) runs;
@@ -208,8 +167,7 @@ let test_tcp_commit_sequence_matches_loopback () =
 let test_tcp_gcp10_delay_shim () =
   let delays_ms = Topology.delay_matrix (Topology.gcp10 ()) ~n:10 in
   let node =
-    run_cluster ~transport:(Node.Tcp 0) ~delays_ms ~coalesce_us:500.0 ~n:10
-      ~duration_ms:2_500.0 ~seed:33 ()
+    run_cluster ~transport:(Node.Tcp 0) ~delays_ms ~n:10 ~duration_ms:2_500.0 ~seed:33 ()
   in
   check_audit ~label:"tcp+gcp10" node;
   checkb "tcp ports resolved" true
@@ -220,10 +178,6 @@ let suite =
     ( "backend.tcp",
       [
         Alcotest.test_case "delivery + partial frames" `Quick test_tcp_delivery_and_partial_frames;
-        Alcotest.test_case "coalescing flush on budget expiry" `Quick
-          test_tcp_coalescing_flush_on_budget;
-        Alcotest.test_case "coalescing flush on byte threshold" `Quick
-          test_tcp_coalescing_flush_on_threshold;
         Alcotest.test_case "crash, backoff, reconnect" `Quick test_tcp_crash_reconnect_backoff;
         Alcotest.test_case "commit sequence matches loopback" `Slow
           test_tcp_commit_sequence_matches_loopback;
