@@ -1,6 +1,12 @@
 module Heap = Shoalpp_support.Heap
 module Wire = Shoalpp_codec.Wire
 
+(* CPU seconds of the calling thread (cpu_clock_stubs.c): an executor's
+   loop runs on one domain, so this is that loop's own CPU. *)
+external thread_cpu_s : unit -> (float[@unboxed])
+  = "shoalpp_thread_cpu_s" "shoalpp_thread_cpu_s_unboxed"
+[@@noalloc]
+
 (* [action] is written (cancelled) from posting domains and read by the
    loop; both under [mu] — see the guarded_by declarations on [t]. *)
 type rt_timer = {
@@ -30,6 +36,12 @@ type t = {
   mutable wfds : Unix.file_descr list; (* the keys of [wpollers] *)
   mutable turns : int; (* loop iterations: one select (or sleep) each *)
   mutable sleeps : int; (* turns whose select could block *)
+  mutable timeouts : int; (* selects that slept and returned with nothing ready *)
+  mutable select_cpu_s : float; (* loop-thread CPU inside select *)
+  mutable timer_s : float; (* wall time firing timers *)
+  mutable io_s : float; (* wall time in poller callbacks *)
+  mutable cpu_s : float; (* loop-thread CPU of finished [run_for] calls *)
+  mutable run_cpu0 : float; (* loop-thread CPU when the current [run_for] began *)
   (* Cross-domain wakeup: a byte written here makes a sleeping [select]
      return, so a timer armed from another domain is noticed immediately
      rather than at the next tick. *)
@@ -76,6 +88,12 @@ let create ?(max_tick_ms = 50.0) ?origin_of () =
       wfds = [];
       turns = 0;
       sleeps = 0;
+      timeouts = 0;
+      select_cpu_s = 0.0;
+      timer_s = 0.0;
+      io_s = 0.0;
+      cpu_s = 0.0;
+      run_cpu0 = Float.nan;
       wake_r;
       wake_w;
       owner = Atomic.make (-1);
@@ -95,12 +113,6 @@ let create ?(max_tick_ms = 50.0) ?origin_of () =
       drain ());
   t
 
-(* Only pay the pipe-write syscall when the loop is actually (about to be)
-   blocked: a busy loop re-reads its horizon every iteration anyway. The
-   flag is raised BEFORE the loop reads the heap for its next deadline, so
-   a poster that misses the flag is guaranteed to have its timer seen by
-   that read, and a poster that sees it wakes the select — no lost-wakeup
-   window. *)
 let wake_write t =
   let b = Bytes.make 1 '!' in
   match Unix.write t.wake_w b 0 1 with
@@ -171,8 +183,28 @@ let backend t transport =
   { Backend.clock = clock t; timers = timers t; transport; control = None }
 let events_fired t = t.fired
 let pending_timers t = with_mu t (fun () -> Heap.length t.heap)
-let loop_turns t = t.turns
-let loop_sleeps t = t.sleeps
+
+type loop_stats = {
+  turns : int;
+  sleeps : int;
+  timeouts : int;
+  select_cpu_us : float;
+  timer_us : float;
+  io_us : float;
+  cpu_us : float;
+}
+
+let loop_stats t =
+  let running = if Float.is_nan t.run_cpu0 then 0.0 else thread_cpu_s () -. t.run_cpu0 in
+  {
+    turns = t.turns;
+    sleeps = t.sleeps;
+    timeouts = t.timeouts;
+    select_cpu_us = 1e6 *. t.select_cpu_s;
+    timer_us = 1e6 *. t.timer_s;
+    io_us = 1e6 *. t.io_s;
+    cpu_us = 1e6 *. (t.cpu_s +. running);
+  }
 
 (* The select lists are rebuilt only when the set of descriptors changes:
    replacing a callback, or removing a descriptor that is not there (the
@@ -270,7 +302,10 @@ let run_for t ~duration_ms =
   Atomic.set t.stopping false;
   Atomic.set t.owner (Domain.self () :> int);
   let deadline = now_ms t +. duration_ms in
+  t.run_cpu0 <- thread_cpu_s ();
   let finish () =
+    t.cpu_s <- t.cpu_s +. (thread_cpu_s () -. t.run_cpu0);
+    t.run_cpu0 <- Float.nan;
     Atomic.set t.sleeping false;
     Atomic.set t.owner (-1);
     Atomic.set t.running false
@@ -294,10 +329,15 @@ let run_for t ~duration_ms =
            if rounds > 1 && now_ms t < slice_end then drain (rounds - 1)
          end
        in
+       let w0 = Unix.gettimeofday () in
        drain 64;
+       t.timer_s <- t.timer_s +. (Unix.gettimeofday () -. w0);
        (* One select per turn: it polls the sockets and sleeps until the
-          next timer (bounded by the tick), or returns at once when work is
-          already due — a drain cut short, or a firing that posted more.
+          next timer's wake (bounded by the tick), or returns at once when
+          work is already due — a drain cut short, or a firing that posted
+          more. The wake is the deadline rounded up to the next whole
+          millisecond of the executor's clock, so every timer due within
+          one millisecond slot fires on one wakeup, and none fires early.
           The sleeping flag goes up BEFORE the horizon is read: a foreign
           domain's timer armed after the read sees the flag and wakes the
           select, one armed before is already in the horizon. *)
@@ -306,24 +346,33 @@ let run_for t ~duration_ms =
          let now = now_ms t in
          let horizon =
            match with_mu t (fun () -> next_deadline t) with
-           | Some at -> at -. now
+           | Some at -> if at <= now then 0.0 else Float.ceil at -. now
            | None -> t.max_tick_ms
          in
          Float.max 0.0 (Float.min (Float.min horizon t.max_tick_ms) (deadline -. now))
        in
        if gap_ms > 0.0 then t.sleeps <- t.sleeps + 1;
        (* The wakeup pipe is always polled, so the lists are never empty. *)
-       (match Unix.select t.rfds t.wfds [] (gap_ms /. 1000.0) with
-       | readable, writable, _ ->
-         Atomic.set t.sleeping false;
+       let c0 = thread_cpu_s () in
+       let ready =
+         match Unix.select t.rfds t.wfds [] (gap_ms /. 1000.0) with
+         | readable, writable, _ -> Some (readable, writable)
+         | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
+       in
+       t.select_cpu_s <- t.select_cpu_s +. (thread_cpu_s () -. c0);
+       Atomic.set t.sleeping false;
+       (match ready with
+       | Some ([], []) -> if gap_ms > 0.0 then t.timeouts <- t.timeouts + 1
+       | Some (readable, writable) ->
+         let w0 = Unix.gettimeofday () in
          List.iter
            (fun fd -> match Hashtbl.find_opt t.pollers fd with Some f -> f () | None -> ())
            readable;
          List.iter
            (fun fd -> match Hashtbl.find_opt t.wpollers fd with Some f -> f () | None -> ())
-           writable
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-       Atomic.set t.sleeping false
+           writable;
+         t.io_s <- t.io_s +. (Unix.gettimeofday () -. w0)
+       | None -> ())
      done
    with e ->
      finish ();

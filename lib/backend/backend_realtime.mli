@@ -10,9 +10,15 @@
 
     Each executor's event loop is single-threaded: {!run_for} fires due
     timers in (due-time, scheduling-order) order and multiplexes socket
-    readiness with [select] between them — one [select] per turn, which
-    sleeps to the next deadline, over descriptor lists rebuilt only when a
-    poller is added or removed. [schedule]/[cancel] are
+    readiness with [select] between them — one [select] per turn, over
+    descriptor lists rebuilt only when a poller is added or removed. The
+    loop's wake resolution is 1 ms, the granularity of the Tokio timers
+    the paper's prototype runs on: a sleeping [select] waits until the
+    next deadline rounded up to the next whole millisecond of the
+    executor's clock, so every timer due within one millisecond slot
+    fires on one wakeup. Work already due never waits (a zero timeout),
+    no timer fires before its due time, and a cross-domain post still
+    wakes a sleeping loop at once. [schedule]/[cancel] are
     mutex-protected and cross-domain safe — arming a timer from a foreign
     domain pokes a wakeup pipe so a sleeping loop re-reads its horizon —
     but transport handlers and timer callbacks always run on the loop's
@@ -30,6 +36,8 @@
     - per-sender FIFO order is preserved by every transport (equal
       due-times fire in scheduling order; stream sockets preserve byte
       order);
+    - a timer fires no earlier than its due time and at most one
+      millisecond slot (plus scheduling delay) after it;
     - the first {!create} ignores [SIGPIPE] process-wide: a write into a
       reset connection must surface as [EPIPE] for the transports'
       teardown paths, never kill the process. *)
@@ -83,16 +91,36 @@ val stop_and_join : t -> unit
 val events_fired : t -> int
 val pending_timers : t -> int
 
-val loop_turns : t -> int
-(** Iterations of the {!run_for} loop so far. Each turn fires the due
-    timers, then makes exactly one [select], which both polls the sockets
-    and sleeps until the next timer. Read it on the loop's own domain (or
-    after the loop stopped). *)
+type loop_stats = {
+  turns : int;
+      (** iterations of the {!run_for} loop: each fires the due timers,
+          then makes exactly one [select], which polls the sockets and
+          sleeps until the next wake *)
+  sleeps : int;
+      (** turns whose [select] had a positive timeout, i.e. could block
+          until the next deadline's whole millisecond; [turns - sleeps]
+          turns found work already due and only polled *)
+  timeouts : int;
+      (** sleeping selects that returned with nothing ready: the wakeups
+          the timer horizon alone caused, at most one per millisecond
+          slot that holds a deadline *)
+  select_cpu_us : float;
+      (** CPU of the loop's thread spent inside [select] (its thread CPU
+          clock read around the call), at any number of domains *)
+  timer_us : float;  (** wall time firing due timers *)
+  io_us : float;  (** wall time in poller callbacks (reads, writable pumps, accepts) *)
+  cpu_us : float;
+      (** CPU of the loop's thread while {!run_for} ran, the current call
+          included: the denominator the three phases above are read
+          against *)
+}
+(** The loop's own attribution of where its time went. Phases do not
+    overlap: a socket write made by a timer callback counts in
+    [timer_us]. *)
 
-val loop_sleeps : t -> int
-(** Turns whose [select] had a positive timeout, i.e. could block: the
-    loop's wakeups. [loop_turns - loop_sleeps] counts turns that found
-    work already due after firing timers and only polled. *)
+val loop_stats : t -> loop_stats
+(** Read it on the loop's own domain (or after the loop stopped): a
+    running loop's [cpu_us] is read from the calling thread's clock. *)
 
 (** {2 I/O polling} — used by {!Tcp_transport} and the admin server.
     Callbacks run on the loop thread when the descriptor is readable

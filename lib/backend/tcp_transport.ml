@@ -59,8 +59,11 @@ type peer = {
 }
 
 type net_stats = {
-  flushes : int; (* frames queued for writing, one write each *)
-  reconnects : int; (* successful dials that followed a failure or teardown *)
+  flushes : int;
+  write_us : float;
+  read_us : float;
+  deliver_us : float;
+  reconnects : int;
   dial_failures : int;
 }
 
@@ -76,7 +79,10 @@ type t = {
   mutable t_sent : int;
   mutable t_dropped : int;
   mutable t_bytes : float;
-  mutable t_flushes : int;
+  mutable t_flushes : int; (* write(2) calls that moved bytes, partial ones included *)
+  mutable t_write_s : float; (* wall time in write(2), refused calls included *)
+  mutable t_read_s : float; (* wall time in read(2) *)
+  mutable t_deliver_s : float; (* wall time cutting frames and running the handlers *)
   mutable t_reconnects : int;
   mutable t_dial_failures : int;
 }
@@ -92,19 +98,28 @@ let forget_inbound t ~owner fd =
   close_quiet fd
 
 let on_readable t ~owner conn dec buf () =
-  match Unix.read conn buf 0 (Bytes.length buf) with
-  | 0 -> forget_inbound t ~owner conn
-  | len -> (
-    match Framing.feed dec buf len with
+  let w0 = Unix.gettimeofday () in
+  let got =
+    match Unix.read conn buf 0 (Bytes.length buf) with
+    | len -> Ok len
+    | exception Unix.Unix_error (e, _, _) -> Error e
+  in
+  let w1 = Unix.gettimeofday () in
+  t.t_read_s <- t.t_read_s +. (w1 -. w0);
+  match got with
+  | Ok 0 -> forget_inbound t ~owner conn
+  | Ok len ->
+    (match Framing.feed dec buf len with
     | frames -> (
       match t.handlers.(owner) with
       | Some h -> List.iter (fun (src, frame) -> h ~src frame) frames
       | None -> ())
     | exception Wire.Reader.Malformed _ ->
       t.t_dropped <- t.t_dropped + 1;
-      forget_inbound t ~owner conn)
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> forget_inbound t ~owner conn
+      forget_inbound t ~owner conn);
+    t.t_deliver_s <- t.t_deliver_s +. (Unix.gettimeofday () -. w1)
+  | Error (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR) -> ()
+  | Error _ -> forget_inbound t ~owner conn
 
 let listen_replica t i =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -145,26 +160,41 @@ let drop_conn t dst c =
   p.p_retry_at_ms <- Backend_realtime.now_ms t.exec +. p.p_backoff_ms;
   p.p_backoff_ms <- Float.min (2.0 *. p.p_backoff_ms) backoff_cap_ms
 
+(* One timed write(2) of the head frame's unwritten tail: [single_write]
+   makes exactly one system call (of at most 64 KiB), where [Unix.write]
+   would loop over several, so [t_flushes] counts the calls themselves. *)
+let write_head t c =
+  let s = Queue.peek c.c_q in
+  let w0 = Unix.gettimeofday () in
+  let r =
+    match
+      Unix.single_write c.c_fd (Bytes.unsafe_of_string s) c.c_head_off
+        (String.length s - c.c_head_off)
+    with
+    | n -> Ok n
+    | exception Unix.Unix_error (e, _, _) -> Error e
+  in
+  t.t_write_s <- t.t_write_s +. (Unix.gettimeofday () -. w0);
+  r
+
+(* Write until the queue is empty or the kernel refuses more; a refusal
+   waits for writability. *)
 let rec pump t dst c =
   if Queue.is_empty c.c_q then Backend_realtime.remove_wpoller t.exec c.c_fd
   else begin
-    let s = Queue.peek c.c_q in
-    let len = String.length s - c.c_head_off in
-    match Unix.write c.c_fd (Bytes.unsafe_of_string s) c.c_head_off len with
-    | n ->
+    match write_head t c with
+    | Ok n when n > 0 ->
+      t.t_flushes <- t.t_flushes + 1;
       c.c_buffered <- c.c_buffered - n;
-      if n = len then begin
+      c.c_head_off <- c.c_head_off + n;
+      if c.c_head_off = String.length (Queue.peek c.c_q) then begin
         ignore (Queue.pop c.c_q);
-        c.c_head_off <- 0;
-        pump t dst c
-      end
-      else begin
-        c.c_head_off <- c.c_head_off + n;
-        Backend_realtime.add_wpoller t.exec c.c_fd (fun () -> pump t dst c)
-      end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        c.c_head_off <- 0
+      end;
+      pump t dst c
+    | Ok _ | Error (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR) ->
       Backend_realtime.add_wpoller t.exec c.c_fd (fun () -> pump t dst c)
-    | exception Unix.Unix_error _ -> drop_conn t dst c
+    | Error _ -> drop_conn t dst c
   end
 
 let finish_connect t dst c =
@@ -232,7 +262,6 @@ let send t ~dst ~size frame =
       (* The frame string itself is queued, shared with every other
          destination of the same broadcast. *)
       Queue.add frame c.c_q;
-      t.t_flushes <- t.t_flushes + 1;
       if c.c_connected then pump t dst c
     end
 
@@ -255,6 +284,9 @@ let create exec ~n ?(base_port = 0) ?(host = "127.0.0.1") () =
       t_dropped = 0;
       t_bytes = 0.0;
       t_flushes = 0;
+      t_write_s = 0.0;
+      t_read_s = 0.0;
+      t_deliver_s = 0.0;
       t_reconnects = 0;
       t_dial_failures = 0;
     }
@@ -287,7 +319,14 @@ let transport t =
   }
 
 let net_stats t =
-  { flushes = t.t_flushes; reconnects = t.t_reconnects; dial_failures = t.t_dial_failures }
+  {
+    flushes = t.t_flushes;
+    write_us = 1e6 *. t.t_write_s;
+    read_us = 1e6 *. t.t_read_s;
+    deliver_us = 1e6 *. t.t_deliver_s;
+    reconnects = t.t_reconnects;
+    dial_failures = t.t_dial_failures;
+  }
 
 (* Test hooks: simulate replica [i]'s process dying (its listener and every
    connection it accepted vanish; peers' established connections to it hit

@@ -58,7 +58,14 @@ val ports : t -> int array
     [base_port = 0]). *)
 
 type net_stats = {
-  flushes : int;  (** frames queued for writing, one write each *)
+  flushes : int;
+      (** [write(2)] calls that moved bytes, partial writes included: a
+          frame too large for the socket buffer takes several *)
+  write_us : float;  (** wall time in [write(2)], refused ([EAGAIN]) calls included *)
+  read_us : float;  (** wall time in [read(2)] *)
+  deliver_us : float;
+      (** wall time cutting read bytes into frames and running the owners'
+          handlers (decode and protocol delivery) *)
   reconnects : int;
       (** successful dials that followed a failure or teardown *)
   dial_failures : int;  (** failed dials and mid-stream teardowns *)

@@ -45,6 +45,7 @@ type t = {
   mutable candidate : Checkpoint.candidate option; (* ours, pending quorum *)
   mutable votes : (int * Digest32.t * Signer.signature) list Int_map.t; (* by seq *)
   mutable latest : Checkpoint.t option; (* newest certified checkpoint *)
+  served : string option Atomic.t; (* [latest], encoded: read by lane domains *)
   mutable probe_attempt : int; (* peer rotation of the adoption probe; -1 = idle *)
   mutable probe_gen : int; (* bumped by each [probe]: a retry armed by an older probe is void *)
   mutable on_probed : unit -> unit;
@@ -68,6 +69,7 @@ let create ~config ~replica_id ~obs ~timers ~wal_devices fx =
         candidate = None;
         votes = Int_map.empty;
         latest = None;
+        served = Atomic.make None;
         probe_attempt = -1;
         probe_gen = 0;
         on_probed = ignore;
@@ -132,16 +134,26 @@ let apply_gates m ck =
         | exception Shoalpp_codec.Wire.Reader.Malformed _ -> ())
     (Checkpoint.lanes ck)
 
+(* The one writer of [latest]. Its encoding is published with it as one
+   immutable value, so a lane domain serving [Get_checkpoint] reads that
+   value instead of encoding merge-domain state; the blob is returned for
+   the checkpoint device. *)
+let set_latest m ck =
+  m.latest <- ck;
+  let blob = Option.map Checkpoint.encode ck in
+  Atomic.set m.served blob;
+  blob
+
 let install m ck =
   (* Gates advance to the {e superseded} checkpoint's floors: retention
      always covers the last two certified checkpoints, so a peer that just
      adopted the previous one can still pull every round it needs while we
      certify the next. *)
   Option.iter (apply_gates m) m.latest;
-  m.latest <- Some ck;
+  let blob = Option.get (set_latest m (Some ck)) in
   let seq = Checkpoint.seq ck in
   reset m ~upto:seq;
-  Wal.append m.wal ~size:(Checkpoint.wire_size ck) ~payload:(fun () -> Checkpoint.encode ck) ignore;
+  Wal.append m.wal ~size:(String.length blob) ~payload:(fun () -> blob) ignore;
   Obs.incr m.obs "ck.certified";
   Obs.set m.obs "ck.latest_seq" (float_of_int seq);
   Obs.event m.obs ~time:(m.fx.now ())
@@ -237,10 +249,11 @@ let observe m ~replaying ~seq (segment : Driver.segment) =
    below the restored floors is vouched for by the certificate, so
    physical retention restarts there. *)
 let restore m ck =
-  m.latest <- Some ck;
+  let blob = Option.get (set_latest m (Some ck)) in
   reset m ~upto:max_int ~fold:(Checkpoint.state ck);
   m.fx.rewind ~seq:(Checkpoint.seq ck) (Checkpoint.lanes ck);
-  apply_gates m ck
+  apply_gates m ck;
+  blob
 
 (* Newest locally durable checkpoint that still verifies: anything
    malformed or under-signed in the device is skipped, never trusted. *)
@@ -256,13 +269,13 @@ let newest_local m =
 let recover m ~wipe =
   if wipe then begin
     Wal.clear m.wal;
-    m.latest <- None;
+    ignore (set_latest m None);
     Array.fill m.marks 0 (Array.length m.marks) []
   end;
   (* Vote state never survives a restart; the running digest restarts
      from zero (or from the restored checkpoint's state). *)
   reset m ~upto:max_int ~fold:Digest32.zero;
-  if not wipe then Option.iter (restore m) (newest_local m)
+  if not wipe then Option.iter (fun ck -> ignore (restore m ck)) (newest_local m)
 
 (* Peer-checkpoint probe, run on every checkpoint-aware restart (not just
    total disk loss): peers prune history below their own certified
@@ -313,11 +326,10 @@ let on_blob m ~global_seq blob =
     (* A peer frontier at or below our own adds nothing — keep local
        state (its WAL coverage is contiguous with it) and move on. *)
     if Checkpoint.seq ck + 1 > global_seq then begin
-      restore m ck;
-      Wal.append m.wal ~size:(Checkpoint.wire_size ck) ~payload:(fun () -> Checkpoint.encode ck)
-        ignore
+      let blob = restore m ck in
+      Wal.append m.wal ~size:(String.length blob) ~payload:(fun () -> blob) ignore
     end;
     m.on_probed ()
 
 let latest m = m.latest
-let served_blob m = Option.map Checkpoint.encode m.latest
+let served_blob m = Atomic.get m.served

@@ -30,7 +30,9 @@
       certified seq), duplicates per voter, votes beyond the horizon and
       votes failing their signature check are refused;
     - each WAL device keeps at most two rotation marks, so replay covers
-      the last two checkpoint windows. *)
+      the last two checkpoint windows;
+    - {!served_blob} is the encoding of {!latest} at every moment the
+      merge domain is between calls: the two are set together. *)
 
 type effects = {
   now : unit -> float;  (** the replica's clock (trace timestamps) *)
@@ -95,4 +97,6 @@ val latest : t -> Shoalpp_storage.Checkpoint.t option
 (** Newest certified (or restored) checkpoint. *)
 
 val served_blob : t -> string option
-(** {!latest}, wire-encoded, as {!Shoalpp_sync.Sync.Server} serves it. *)
+(** {!latest}, wire-encoded, as {!Shoalpp_sync.Sync.Server} serves it:
+    encoded once wherever {!latest} changes and published through an
+    [Atomic], so any domain may read it. *)

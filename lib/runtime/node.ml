@@ -348,14 +348,38 @@ let now_ms t = Realtime.now_ms t.exec
 let domains t = t.setup.domains
 let verify_pool t = match t.mc with None -> None | Some m -> Some m.mc_pool
 
-(* The main loop's turn and sleep counters, added to a snapshot rather
-   than recorded into the registry: the loop itself touches no telemetry. *)
+(* The main loop's turn counters and CPU attribution, plus the TCP
+   transport's syscall split, added to a snapshot rather than recorded
+   into the registry: the loop itself touches no telemetry. Times are
+   whole microseconds. *)
 let with_loop_counters t (s : Telemetry.snapshot) =
+  let us x = int_of_float x in
+  let l = Realtime.loop_stats t.exec in
+  let tcp =
+    match t.tcp with
+    | None -> []
+    | Some h ->
+      let n = Tcp.net_stats h in
+      [
+        ("backend.tcp_deliver_us", us n.Tcp.deliver_us);
+        ("backend.tcp_flushes", n.Tcp.flushes);
+        ("backend.tcp_read_us", us n.Tcp.read_us);
+        ("backend.tcp_write_us", us n.Tcp.write_us);
+      ]
+  in
   let loop =
-    [
-      ("backend.loop_sleeps", Realtime.loop_sleeps t.exec);
-      ("backend.loop_turns", Realtime.loop_turns t.exec);
-    ]
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      ([
+         ("backend.io_us", us l.Realtime.io_us);
+         ("backend.loop_cpu_us", us l.Realtime.cpu_us);
+         ("backend.loop_sleeps", l.Realtime.sleeps);
+         ("backend.loop_timeouts", l.Realtime.timeouts);
+         ("backend.loop_turns", l.Realtime.turns);
+         ("backend.select_cpu_us", us l.Realtime.select_cpu_us);
+         ("backend.timer_us", us l.Realtime.timer_us);
+       ]
+      @ tcp)
   in
   {
     s with

@@ -162,15 +162,22 @@ val verify_pool : t -> Shoalpp_backend.Verify_pool.t option
 val telemetry_snapshot : t -> Shoalpp_support.Telemetry.snapshot
 (** The full end-of-run registry: the main registry merged with every
     lane domain's (counters add, histograms merge), plus the main loop's
-    [backend.loop_turns] and [backend.loop_sleeps]
-    ({!Shoalpp_backend.Backend_realtime.loop_turns}). Only meaningful
-    after {!run} has returned — mid-run scrapes should use
-    {!live_snapshot}. *)
+    counters in whole microseconds or counts
+    ({!Shoalpp_backend.Backend_realtime.loop_stats}):
+    [backend.loop_turns], [backend.loop_sleeps], [backend.loop_timeouts],
+    [backend.select_cpu_us], [backend.timer_us], [backend.io_us] and
+    [backend.loop_cpu_us]; over TCP also
+    ({!Shoalpp_backend.Tcp_transport.net_stats})
+    [backend.tcp_read_us], [backend.tcp_deliver_us],
+    [backend.tcp_flushes] and [backend.tcp_write_us]. The select and loop
+    CPU are the main loop thread's own, so at [domains > 1] they leave out
+    the lanes and the verify pool. Only meaningful after {!run} has
+    returned — mid-run scrapes should use {!live_snapshot}. *)
 
 val live_snapshot : t -> Shoalpp_support.Telemetry.snapshot
-(** The main registry plus the main loop's two counters: what the admin
-    endpoint serves mid-run, read on the loop's own domain without racing
-    the lane domains. *)
+(** The main registry plus the main loop's [backend.*] counters: what the
+    admin endpoint serves mid-run, read on the loop's own domain without
+    racing the lane domains. *)
 
 val trace_events : t -> Shoalpp_sim.Trace.event list
 (** All trace events — main ring plus the per-lane-domain rings — in one

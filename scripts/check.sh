@@ -178,15 +178,20 @@ body = urllib.request.urlopen(base + "/metrics", timeout=10).read().decode()
 type_re = re.compile(r'^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram)$')
 sample_re = re.compile(r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (-?[0-9][-0-9.eE+]*|NaN|[+-]Inf)$')
 names = set()
+values = {}
 for ln in body.splitlines():
     if not ln:
         continue
     assert type_re.match(ln) or sample_re.match(ln), f"malformed exposition line: {ln!r}"
     if not ln.startswith("#"):
         names.add(ln.split("{")[0].split(" ")[0])
+        values[ln.split(" ")[0]] = float(ln.split(" ")[-1])
 assert any(n.startswith("shoalpp_live_") for n in names), "live gauges missing mid-run"
 assert "shoalpp_commit_fast_direct" in names, "commit counters missing from scrape"
 assert "shoalpp_backend_loop_turns" in names, "loop turn counter missing from scrape"
+# The loop's CPU attribution rides along mid-run, like its turn counter.
+for c in ("loop_timeouts", "select_cpu_us", "timer_us", "io_us", "loop_cpu_us"):
+    assert values.get("shoalpp_backend_" + c, 0) > 0, f"backend.{c} missing or zero in scrape"
 # Histogram sanity: cumulative buckets closed by le="+Inf" equal to _count.
 buckets, counts = {}, {}
 for ln in body.splitlines():
@@ -222,9 +227,12 @@ grep -q 'per-commit stage attribution' "$out/node.out" \
 for f in node.jsonl node.metrics.json; do
   test -s "$out/$f" || { echo "check failed: $f missing or empty" >&2; exit 1; }
 done
-# The realtime loop's wakeup counters: every turn is one select, and the
-# sleeping ones are the node's wakeups.
-for c in backend.loop_turns backend.loop_sleeps; do
+# The realtime loop's wakeup counters and CPU attribution: every turn is
+# one select, the sleeping ones are the node's wakeups, the timed-out ones
+# the wakeups its timers caused; select CPU, timer, io and loop CPU time
+# say where the node's CPU went.
+for c in backend.loop_turns backend.loop_sleeps backend.loop_timeouts \
+         backend.select_cpu_us backend.timer_us backend.io_us backend.loop_cpu_us; do
   grep -Eq "\"$c\": *[1-9][0-9]*" "$out/node.metrics.json" \
     || { echo "check failed: $c missing or zero in node metrics" >&2; exit 1; }
 done
@@ -304,12 +312,18 @@ grep -Eq 'lanes [1-9][0-9]*,[1-9][0-9]*,[1-9][0-9]*$' "$out/tcpv.out" \
 # Geography smoke: n=10 over TCP with the paper's gcp10 delay matrix
 # applied per link (kernel-assigned ports). The run must pass its safety
 # audit under realistic heterogeneous latencies; the exit code carries it.
+# Its metrics must carry the TCP transport's syscall attribution.
 ./_build/default/bin/shoalpp.exe node \
   -n 10 --transport tcp --topology gcp10 \
-  --duration 5000 --load 300 --no-verify > "$out/tcp10.out" 2>&1 \
+  --duration 5000 --load 300 --no-verify --metrics-out "$out/tcp10.metrics.json" \
+  > "$out/tcp10.out" 2>&1 \
   || { echo "check failed: n=10 tcp+gcp10 run failed" >&2; cat "$out/tcp10.out" >&2; exit 1; }
 grep -q 'audit: consistent logs, no duplicates' "$out/tcp10.out" \
   || { echo "check failed: tcp+gcp10 audit line missing" >&2; exit 1; }
+for c in backend.tcp_read_us backend.tcp_deliver_us backend.tcp_flushes backend.tcp_write_us; do
+  grep -Eq "\"$c\": *[1-9][0-9]*" "$out/tcp10.metrics.json" \
+    || { echo "check failed: $c missing or zero in tcp+gcp10 metrics" >&2; exit 1; }
+done
 
 # Bounded-memory smoke: a longer checkpointed run must hold the live heap
 # under a fixed ceiling — scraped from /metrics MID-RUN, late in the run,

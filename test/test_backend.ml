@@ -5,7 +5,9 @@
      pure delegation), and a second seed must be deterministic across
      repeated runs, for Shoal++ and both baselines;
    - the wall-clock executor: timer ordering, cancellation, monotonic
-     clock, length-prefixed framing (incremental decode, corrupt input);
+     clock, its 1 ms wake resolution (never early, one wakeup per
+     millisecond slot, posts in the same turn, foreign posts wake it),
+     length-prefixed framing (incremental decode, corrupt input);
    - a short real-time cluster run (the same replicas the simulator runs,
      over the loopback transport) passing the safety audit with at least
      one committed anchor on every DAG lane. *)
@@ -98,7 +100,7 @@ let test_realtime_pollers_not_starved () =
   checkb "serviced promptly" true (Realtime.now_ms exec -. t0 < 1_000.0)
 
 (* A turn that fires a timer makes one select, which sleeps to the next
-   deadline: no zero-timeout poll follows a firing. Here the timer stops
+   deadline's wake: no zero-timeout poll follows a firing. Here the timer stops
    the loop, so the run is two turns — sleep to the timer, fire it and
    select once more (woken at once by the stop) — and both slept. *)
 let test_realtime_one_select_per_turn () =
@@ -107,9 +109,91 @@ let test_realtime_one_select_per_turn () =
   ignore (timers.Backend.Timers.schedule ~after:10.0 (fun () -> Realtime.stop exec));
   Realtime.run_for exec ~duration_ms:1_000.0;
   checki "the timer fired" 1 (Realtime.events_fired exec);
-  checkb "at least the two turns" true (Realtime.loop_turns exec >= 2);
-  checki "every turn's one select could sleep" (Realtime.loop_turns exec)
-    (Realtime.loop_sleeps exec)
+  let l = Realtime.loop_stats exec in
+  checkb "at least the two turns" true (l.Realtime.turns >= 2);
+  checki "every turn's one select could sleep" l.Realtime.turns l.Realtime.sleeps
+
+(* The loop's wake resolution: it sleeps to the next deadline rounded up
+   to a whole millisecond of the executor's clock. *)
+
+let test_realtime_never_early () =
+  let exec = Realtime.create () in
+  let timers = Realtime.timers exec in
+  let base = Realtime.now_ms exec in
+  let offsets = [ 0.05; 0.3; 0.999; 1.0; 1.001; 2.5; 3.7; 7.25; 12.0; 12.9 ] in
+  let fired = ref 0 and early = ref [] in
+  List.iter
+    (fun off ->
+      let at = base +. off in
+      ignore
+        (timers.Backend.Timers.schedule_at ~at (fun () ->
+             incr fired;
+             let now = Realtime.now_ms exec in
+             if now < at then early := (at, now) :: !early)))
+    offsets;
+  Realtime.run_for exec ~duration_ms:60.0;
+  checki "every timer fired" (List.length offsets) !fired;
+  checki "none before its due time" 0 (List.length !early)
+
+let test_realtime_one_wake_per_slot () =
+  let exec = Realtime.create () in
+  let timers = Realtime.timers exec in
+  let slot = Float.floor (Realtime.now_ms exec) +. 20.0 in
+  let fired = ref [] in
+  (* Armed out of due order: the heap restores it. *)
+  List.iter
+    (fun off ->
+      ignore
+        (timers.Backend.Timers.schedule_at ~at:(slot +. off) (fun () ->
+             let l = Realtime.loop_stats exec in
+             fired := (off, l.Realtime.turns, l.Realtime.timeouts) :: !fired)))
+    [ 0.7; 0.1; 0.9; 0.3; 0.5 ];
+  Realtime.run_for exec ~duration_ms:60.0;
+  let fired = List.rev !fired in
+  Alcotest.(check (list (float 0.0)))
+    "due order" [ 0.1; 0.3; 0.5; 0.7; 0.9 ]
+    (List.map (fun (off, _, _) -> off) fired);
+  match fired with
+  | (_, turn, timeouts) :: _ ->
+    checkb "all five in one turn" true (List.for_all (fun (_, t, _) -> t = turn) fired);
+    checki "that turn began with the one timeout wakeup" 1 timeouts
+  | [] -> Alcotest.fail "nothing fired"
+
+let test_realtime_post_runs_same_turn () =
+  let exec = Realtime.create () in
+  let timers = Realtime.timers exec in
+  let turns = ref [] in
+  let note () = turns := (Realtime.loop_stats exec).Realtime.turns :: !turns in
+  ignore
+    (timers.Backend.Timers.schedule ~after:3.0 (fun () ->
+         note ();
+         Realtime.post exec (fun () ->
+             note ();
+             Realtime.stop exec)));
+  Realtime.run_for exec ~duration_ms:1_000.0;
+  match !turns with
+  | [ posted; fired ] -> checki "the post ran in its poster's turn" fired posted
+  | l -> Alcotest.failf "expected two notes, got %d" (List.length l)
+
+(* A lane executor with a 2 s tick: only the wakeup pipe can end its sleep
+   early, so a prompt run shows a foreign-domain post still wakes it. *)
+let test_realtime_foreign_post_wakes () =
+  let exec = Realtime.create ~max_tick_ms:2_000.0 () in
+  Realtime.run_in_domain exec;
+  Unix.sleepf 0.05;
+  let ran = Atomic.make Float.nan in
+  let t0 = Realtime.now_ms exec in
+  Realtime.post exec (fun () -> Atomic.set ran (Realtime.now_ms exec));
+  let rec wait n =
+    if Float.is_nan (Atomic.get ran) && n > 0 then begin
+      Unix.sleepf 0.001;
+      wait (n - 1)
+    end
+  in
+  wait 1_500;
+  Realtime.stop_and_join exec;
+  let lag = Atomic.get ran -. t0 in
+  checkb (Printf.sprintf "woken at once (%.1f ms after the post)" lag) true (lag < 500.0)
 
 let test_realtime_clock_monotonic () =
   let exec = Realtime.create () in
@@ -365,6 +449,12 @@ let suite =
         Alcotest.test_case "pollers not starved by due timers" `Quick
           test_realtime_pollers_not_starved;
         Alcotest.test_case "one select per turn" `Quick test_realtime_one_select_per_turn;
+        Alcotest.test_case "no timer fires early" `Quick test_realtime_never_early;
+        Alcotest.test_case "one wakeup per millisecond slot" `Quick test_realtime_one_wake_per_slot;
+        Alcotest.test_case "zero-delay post runs in the same turn" `Quick
+          test_realtime_post_runs_same_turn;
+        Alcotest.test_case "foreign-domain post wakes the loop" `Quick
+          test_realtime_foreign_post_wakes;
         Alcotest.test_case "framing roundtrip" `Quick test_framing_roundtrip_chunked;
         Alcotest.test_case "framing rejects corrupt input" `Quick test_framing_rejects_corrupt_stream;
         Alcotest.test_case "cluster run + safety audit" `Quick test_realtime_cluster_run;

@@ -5,7 +5,8 @@
      votes are refused; install raises the gates to the floors of the
      checkpoint it replaces; truncation keeps two marks per WAL device;
      an unverifiable peer blob is never adopted; a retry armed by an
-     earlier probe never moves a later one;
+     earlier probe never moves a later one; the served blob is the
+     encoding of the latest checkpoint after install, restore and wipe;
    - pinned end to end: a fixed-seed n=4, interval-12 simulated run with
      one crash and restart must certify the same checkpoints, in the same
      order, with the same digests, and truncate the same number of WAL
@@ -61,6 +62,7 @@ type fake = {
   rewinds : int list ref; (* rewind seqs, newest first *)
   timers : (unit -> unit) Queue.t; (* scheduled closures, fired by hand *)
   wals : Wal.t array;
+  engine : Engine.t; (* drives the WAL devices' syncs *)
 }
 
 let fake ?(wal_devices = 1) id =
@@ -90,7 +92,7 @@ let fake ?(wal_devices = 1) id =
     Option.get
       (Ck_manager.create ~config ~replica_id:id ~obs ~timers ~wal_devices fx)
   in
-  { m; tel; votes; probes; gates; owners; rewinds; timers = pending; wals }
+  { m; tel; votes; probes; gates; owners; rewinds; timers = pending; wals; engine }
 
 (* Merge segments [from, upto] on every given manager: lane = seq mod 3,
    anchor round = seq, snapshot floor = [floor + lane]. *)
@@ -243,6 +245,31 @@ let test_unverifiable_blob_never_adopted () =
   checki "resolved once" 1 !done_;
   checkb "probe over" false (Ck_manager.probing fresh.m)
 
+(* The blob a lane domain serves is the encoding of [latest] after each
+   of its writers: install, restore (from the local device) and a wiping
+   recover. *)
+let test_served_blob_tracks_latest () =
+  let fs = cluster () in
+  let f = List.hd fs in
+  let served_ok what =
+    checkb what true
+      (Ck_manager.served_blob f.m = Option.map Checkpoint.encode (Ck_manager.latest f.m))
+  in
+  served_ok "nothing before a certificate";
+  feed fs ~from:0 ~upto:2 ~floor:10;
+  certify_all fs ~seq:2;
+  feed fs ~from:3 ~upto:5 ~floor:20;
+  certify_all fs ~seq:5;
+  checkb "installed" true (latest_seq f = Some 5);
+  served_ok "after install";
+  Engine.run f.engine;
+  Ck_manager.recover f.m ~wipe:false;
+  checkb "restored from the device" true (latest_seq f = Some 5 && !(f.rewinds) = [ 5 ]);
+  served_ok "after restore";
+  Ck_manager.recover f.m ~wipe:true;
+  checkb "wiped" true (Ck_manager.served_blob f.m = None);
+  served_ok "after a wiping recover"
+
 (* A retry armed by one probe must not move a later probe at the same
    attempt (a crash and a quick re-recover inside the retry window). *)
 let test_stale_retry_ignored () =
@@ -317,6 +344,7 @@ let suite =
         Alcotest.test_case "unverifiable blob never adopted" `Quick
           test_unverifiable_blob_never_adopted;
         Alcotest.test_case "stale probe retry ignored" `Quick test_stale_retry_ignored;
+        Alcotest.test_case "served blob tracks latest" `Quick test_served_blob_tracks_latest;
         Alcotest.test_case "lifecycle pin" `Quick test_lifecycle_pin;
       ] );
   ]

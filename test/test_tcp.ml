@@ -3,8 +3,8 @@
 
    - framing survives arbitrary segmentation: a multi-megabyte frame that
      cannot clear the socket buffer in one write arrives intact and in
-     order behind the small frames sent before it, each frame its own
-     write;
+     order behind the small frames sent before it, and every write that
+     moved bytes counts as a flush;
    - crash + reconnect: a dead peer's writes drop and back off rather
      than blocking or killing the process, and a restarted peer is
      re-adopted with the drop/ dial-failure / reconnect counters telling
@@ -70,7 +70,9 @@ let test_tcp_delivery_and_partial_frames () =
   let stats = tr.Backend.Transport.stats () in
   checki "six sends counted (broadcast is per destination)" 6 stats.Backend.Transport.sent;
   checki "nothing dropped" 0 stats.Backend.Transport.dropped;
-  checki "one flush per frame" 6 (Tcp.net_stats h).Tcp.flushes;
+  (* A flush is one write(2), of at most 64 KiB: the 3 MiB frame takes at
+     least 48, the five small ones one each. *)
+  checkb "one flush per write(2)" true ((Tcp.net_stats h).Tcp.flushes >= 53);
   Tcp.shutdown h
 
 let test_tcp_crash_reconnect_backoff () =
