@@ -1,9 +1,10 @@
 (* What the two subcommands of [shoalpp] share: one definition of each
-   common flag (only the defaults differ per subcommand), the topology
-   vocabulary, and one export-and-exit epilogue. *)
+   common flag (only the defaults differ per subcommand), the topology and
+   fault-scenario vocabularies, and one export-and-exit epilogue. *)
 
 module Export = Shoalpp_runtime.Export
 module Topology = Shoalpp_sim.Topology
+module Faults = Shoalpp_sim.Faults
 open Cmdliner
 
 type common = {
@@ -16,6 +17,7 @@ type common = {
   no_verify : bool;
   checkpoint_interval : int;
   topology : Topology.t option;  (** [None]: the subcommand's default *)
+  scenario : Faults.t;  (** every [--scenario] given, combined in order *)
   trace_out : string option;
   metrics_out : string option;
 }
@@ -24,9 +26,18 @@ let topology_arg =
   let parse s = Result.map_error (fun m -> `Msg m) (Topology.of_spec s) in
   Arg.conv (parse, fun fmt t -> Format.pp_print_string fmt (Topology.to_spec t))
 
-let common ~n ~load ~duration ~warmup ~topology_doc =
-  let mk n load duration warmup timeout seed no_verify checkpoint_interval topology trace_out
-      metrics_out =
+(* [check] refuses what the subcommand cannot run, as a parse error. *)
+let scenario_arg ~check =
+  let parse s =
+    Result.map_error
+      (fun m -> `Msg m)
+      (Result.bind (Faults.parse s) (fun t -> Result.map (fun () -> t) (check t)))
+  in
+  Arg.conv (parse, Faults.pp)
+
+let common ~n ~load ~duration ~warmup ~topology_doc ~scenario_check ~scenario_doc =
+  let mk n load duration warmup timeout seed no_verify checkpoint_interval topology scenarios
+      trace_out metrics_out =
     {
       n;
       load;
@@ -37,6 +48,7 @@ let common ~n ~load ~duration ~warmup ~topology_doc =
       no_verify;
       checkpoint_interval = max 0 checkpoint_interval;
       topology;
+      scenario = Faults.combine scenarios;
       trace_out;
       metrics_out;
     }
@@ -70,6 +82,14 @@ let common ~n ~load ~duration ~warmup ~topology_doc =
             ~doc:
               ("gcp10 (the paper's 10-region GCP RTT matrix, replicas placed round-robin) | \
                 uniform:MS | clique:K,MS (K regions, MS one-way between them). " ^ topology_doc))
+    $ Arg.(
+        value
+        & opt_all (scenario_arg ~check:scenario_check) []
+        & info [ "scenario" ] ~docv:"SPEC"
+            ~doc:
+              ("Declarative fault scenario: a preset name, optionally followed by \
+                :key=val,... Repeatable: the faults of every given scenario apply, in the \
+                order given. " ^ scenario_doc))
     $ file "trace-out" "Write the typed event trace as JSONL."
     $ file "metrics-out" "Write the telemetry snapshot (counters, stage histograms) as JSON.")
 

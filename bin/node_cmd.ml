@@ -18,13 +18,14 @@ module Config = Shoalpp_core.Config
 module Committee = Shoalpp_dag.Committee
 module Topology = Shoalpp_sim.Topology
 module Trace = Shoalpp_sim.Trace
+module Faults = Shoalpp_sim.Faults
 open Cmdliner
 
 type transport_arg = Inproc | Tcp
 
 let transport_conv = Arg.enum [ ("loopback", Inproc); ("inproc", Inproc); ("tcp", Tcp) ]
 
-let run (c : Cli.common) domains verify_delay restart transport tcp_port admin_port ledger_tail =
+let run (c : Cli.common) domains verify_delay transport tcp_port admin_port ledger_tail =
   let n = c.Cli.n and duration = c.Cli.duration in
   let committee = Committee.make ~n ~cluster_seed:c.Cli.seed () in
   let protocol =
@@ -33,11 +34,11 @@ let run (c : Cli.common) domains verify_delay restart transport tcp_port admin_p
     let p = Config.with_checkpoint_interval p c.Cli.checkpoint_interval in
     match c.Cli.timeout with Some ms -> Config.round_timeout p ms | None -> p
   in
-  (match restart with
-  | Some _ when domains > 1 ->
-    Printf.eprintf "shoalpp: --restart requires --domains 1\n";
+  (match Node.check_scenario ~domains c.Cli.scenario with
+  | Error msg ->
+    Printf.eprintf "shoalpp: --scenario: %s (use --domains 1)\n" msg;
     exit 1
-  | _ -> ());
+  | Ok () -> ());
   let transport = match transport with Inproc -> Node.Inproc | Tcp -> Node.Tcp tcp_port in
   let trace =
     if c.Cli.trace_out <> None then Some (Trace.create ~enabled:true ~capacity:65536 ()) else None
@@ -53,25 +54,10 @@ let run (c : Cli.common) domains verify_delay restart transport tcp_port admin_p
       trace;
       domains = max 1 domains;
       verify_delay_us = Float.max 0.0 verify_delay;
-      retain_wal = Option.is_some restart;
+      scenario = c.Cli.scenario;
     }
   in
   let node = Node.create setup in
-  (* Restart drill: crash the highest-id replica mid-run and bring it back
-     through the checkpoint-anchored recovery path (WAL replay + peer
-     catch-up sync when --checkpoint-interval is set). *)
-  (match restart with
-  | None -> ()
-  | Some (crash_at, recover_at) ->
-    let i = n - 1 in
-    let bk = Node.backend node in
-    ignore
-      (Shoalpp_backend.Backend.schedule bk ~after:(Float.max 0.0 crash_at) (fun () ->
-           Node.crash_replica node i));
-    ignore
-      (Shoalpp_backend.Backend.schedule bk
-         ~after:(Float.max 0.0 (Float.max crash_at recover_at))
-         (fun () -> Node.recover_replica node i)));
   Format.printf "shoalpp node: %d replicas, %s transport, %.0f tps for %.0f ms%s%s@." n
     (match transport with
     | Node.Inproc -> "loopback"
@@ -146,16 +132,15 @@ let run (c : Cli.common) domains verify_delay restart transport tcp_port admin_p
     Format.printf "per-commit stage attribution (stage x rule x dag, ms):@.";
     print_string (Ledger.breakdown_table report.Report.telemetry)
   end;
-  (match restart with
-  | None -> ()
-  | Some _ ->
-    let r = (Node.replicas node).(n - 1) in
-    let requests, certs = Shoalpp_core.Replica.sync_stats r in
-    Format.printf "restart: replica %d base_seq %d, catch-up %d sync requests, %d certs%s@."
-      (n - 1)
-      (Shoalpp_core.Replica.base_seq r)
-      requests certs
-      (if Node.catching_up node (n - 1) then " (still catching up)" else ""));
+  List.iter
+    (fun (i, _, _) ->
+      let r = (Node.replicas node).(i) in
+      let requests, certs = Shoalpp_core.Replica.sync_stats r in
+      Format.printf "restart: replica %d base_seq %d, catch-up %d sync requests, %d certs%s@." i
+        (Shoalpp_core.Replica.base_seq r)
+        requests certs
+        (if Node.catching_up node i then " (still catching up)" else ""))
+    (Faults.crash_recoveries c.Cli.scenario ~n);
   let audit = Node.audit node in
   Format.printf "audit: %s; %d segments (common prefix %d); lanes %s@."
     (if Harness.ok audit then "consistent logs, no duplicates" else "FAILED")
@@ -202,16 +187,6 @@ let cmd =
              on the verify pool's workers at --domains N, so the comparison varies only where \
              the cost lands.")
   in
-  let restart =
-    Arg.(
-      value
-      & opt (some (pair ~sep:',' float float)) None
-      & info [ "restart" ] ~docv:"CRASH_MS,RECOVER_MS"
-          ~doc:
-            "Restart drill: crash the highest-id replica at CRASH_MS and restart it at \
-             RECOVER_MS through WAL replay + checkpoint restore + peer catch-up sync. \
-             Requires --domains 1.")
-  in
   let transport =
     Arg.(
       value
@@ -252,4 +227,9 @@ let cmd =
           ~topology_doc:
             "Applied as a geography shim: per-(src,dst) one-way delays added to every message, \
              over any transport. Default: no shim."
-      $ domains $ verify_delay $ restart $ transport $ tcp_port $ admin_port $ ledger_tail)
+          ~scenario_check:(Node.check_scenario ~domains:1)
+          ~scenario_doc:
+            "The node realizes restarts only: crash-recover:count=1,at=5000,recover=15000 \
+             crashes the highest-id replicas at AT ms and restarts them at RECOVER ms through \
+             WAL replay, checkpoint restore and peer catch-up sync. Needs --domains 1."
+      $ domains $ verify_delay $ transport $ tcp_port $ admin_port $ ledger_tail)

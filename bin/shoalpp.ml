@@ -37,11 +37,7 @@ let system_conv =
   in
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (E.system_name s))
 
-let scenario_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Shoalpp_sim.Faults.parse s) in
-  Arg.conv (parse, Shoalpp_sim.Faults.pp)
-
-let run (c : Cli.common) system scenarios dags stagger series chrome_out =
+let run (c : Cli.common) system dags stagger series chrome_out =
   let params =
     {
       E.default_params with
@@ -50,7 +46,7 @@ let run (c : Cli.common) system scenarios dags stagger series chrome_out =
       duration_ms = c.Cli.duration;
       warmup_ms = c.Cli.warmup;
       topology = Option.value c.Cli.topology ~default:E.default_params.E.topology;
-      scenario = Shoalpp_sim.Faults.combine scenarios;
+      scenario = c.Cli.scenario;
       round_timeout_ms = c.Cli.timeout;
       num_dags = dags;
       stagger_ms = stagger;
@@ -93,20 +89,6 @@ let sim =
   let system =
     Arg.(value & opt system_conv E.Shoalpp & info [ "system"; "s" ] ~doc:"System to run.")
   in
-  let scenarios =
-    Arg.(
-      value
-      & opt_all scenario_conv []
-      & info [ "scenario" ] ~docv:"SPEC"
-          ~doc:
-            "Declarative fault scenario: none | byzantine | partition | crash-recover | crash \
-             | drop, optionally followed by :key=val,... — e.g. \
-             byzantine:count=1,kind=equivocate|silent|delay, \
-             partition:from=8000,dur=20000,minority=5, \
-             crash-recover:count=1,at=5000,recover=15000, crash:count=5 (down from t=0), \
-             drop:count=1,rate=0.01,from=20000 (egress drops). Repeatable: the faults \
-             of every given scenario apply, in the order given.")
-  in
   let dags = Arg.(value & opt (some int) None & info [ "dags" ] ~doc:"Parallel DAGs override.") in
   let stagger =
     Arg.(value & opt (some float) None & info [ "stagger" ] ~doc:"DAG stagger override, ms.")
@@ -124,8 +106,14 @@ let sim =
     Term.(
       const run
       $ Cli.common ~n:16 ~load:1000.0 ~duration:30_000.0 ~warmup:3_000.0
-          ~topology_doc:"Default gcp10."
-      $ system $ scenarios $ dags $ stagger $ series $ chrome_out)
+          ~topology_doc:"Default gcp10." ~scenario_check:(fun _ -> Ok ())
+          ~scenario_doc:
+            "Presets: none | byzantine | partition | crash-recover | crash | drop — e.g. \
+             byzantine:count=1,kind=equivocate|silent|delay, \
+             partition:from=8000,dur=20000,minority=5, \
+             crash-recover:count=1,at=5000,recover=15000, crash:count=5 (down from t=0), \
+             drop:count=1,rate=0.01,from=20000 (egress drops)."
+      $ system $ dags $ stagger $ series $ chrome_out)
 
 let () =
   exit

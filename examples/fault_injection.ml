@@ -23,12 +23,16 @@ let () =
   let protocol =
     Config.without_signature_checks { (Config.shoalpp ~committee) with Config.stagger_ms = 95.0 }
   in
-  let setup = { (Cluster.default_setup ~protocol) with Cluster.load_tps = 1_000.0 } in
+  (* Crashes take the top ids: replicas 11-15. *)
+  let setup =
+    {
+      (Cluster.default_setup ~protocol) with
+      Cluster.load_tps = 1_000.0;
+      scenario = Shoalpp_sim.Faults.crash ~count:5 ~at:10_000.0 ();
+    }
+  in
   let cluster = Cluster.create setup in
   Cluster.run cluster ~duration_ms:10_000.0;
-  for i = 11 to 15 do
-    Cluster.crash_now cluster i
-  done;
   Format.printf "crashed replicas 11-15 at t=10s...@.";
   Cluster.run cluster ~duration_ms:30_000.0;
   let report = Cluster.report cluster ~duration_ms:30_000.0 in

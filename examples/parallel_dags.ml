@@ -14,7 +14,7 @@ module Tablefmt = Shoalpp_support.Tablefmt
 module Engine = Shoalpp_sim.Engine
 module Topology = Shoalpp_sim.Topology
 module Netmodel = Shoalpp_sim.Netmodel
-module Fault_schedule = Shoalpp_sim.Fault_schedule
+module Faults = Shoalpp_sim.Faults
 module Committee = Shoalpp_dag.Committee
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
@@ -54,7 +54,7 @@ let () =
   let topology = Topology.clique ~regions:4 ~one_way_ms:20.0 in
   let assignment = Topology.assign_round_robin topology ~n:4 in
   let net =
-    Netmodel.create ~engine ~topology ~assignment ~fault:Fault_schedule.none
+    Netmodel.create ~engine ~topology ~assignment ~fault:(Faults.schedule Faults.none ~n:4)
       ~config:Netmodel.default_config ~seed:3 ()
   in
   let world = Shoalpp_backend.Backend_sim.of_net net in

@@ -10,7 +10,7 @@
 module Engine = Shoalpp_sim.Engine
 module Topology = Shoalpp_sim.Topology
 module Netmodel = Shoalpp_sim.Netmodel
-module Fault_schedule = Shoalpp_sim.Fault_schedule
+module Faults = Shoalpp_sim.Faults
 module Committee = Shoalpp_dag.Committee
 module Types = Shoalpp_dag.Types
 module Config = Shoalpp_core.Config
@@ -30,7 +30,7 @@ let () =
   let topology = Topology.clique ~regions:4 ~one_way_ms:25.0 in
   let assignment = Topology.assign_round_robin topology ~n:4 in
   let net =
-    Netmodel.create ~engine ~topology ~assignment ~fault:Fault_schedule.none
+    Netmodel.create ~engine ~topology ~assignment ~fault:(Faults.schedule Faults.none ~n:4)
       ~config:Netmodel.default_config ~seed:7 ()
   in
   let world = Shoalpp_backend.Backend_sim.of_net net in

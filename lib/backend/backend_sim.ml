@@ -89,6 +89,5 @@ let run_status ?until ?max_events t = Engine.run_status ?until ?max_events t.eng
 let events_fired t = Engine.events_fired t.engine
 let pending_events t = Engine.pending_events t.engine
 let schedule_at t ~at f = wrap_timer (Engine.schedule_at t.engine ~at f)
-let set_fault t fault = Netmodel.set_fault t.net fault
 let region_of t replica = Netmodel.region_of t.net replica
 let base_delay_ms t ~src ~dst = Netmodel.base_delay_ms t.net ~src ~dst

@@ -31,7 +31,7 @@ val default_net_config : net_config
 val make :
   topology:Shoalpp_sim.Topology.t ->
   assignment:int array ->
-  fault:Shoalpp_sim.Fault_schedule.t ->
+  fault:Shoalpp_sim.Faults.timeline ->
   config:net_config ->
   seed:int ->
   unit ->
@@ -55,9 +55,6 @@ val run_status : ?until:float -> ?max_events:int -> _ t -> Shoalpp_sim.Engine.st
 val events_fired : _ t -> int
 val pending_events : _ t -> int
 val schedule_at : _ t -> at:float -> (unit -> unit) -> Backend.timer
-
-val set_fault : _ t -> Shoalpp_sim.Fault_schedule.t -> unit
-(** Replace the fault schedule mid-run (time-series experiments). *)
 
 val region_of : _ t -> int -> int
 val base_delay_ms : _ t -> src:int -> dst:int -> float

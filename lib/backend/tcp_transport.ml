@@ -332,7 +332,7 @@ let net_stats t =
    connection it accepted vanish; peers' established connections to it hit
    ECONNRESET/EPIPE on their next write) and coming back on the same port. *)
 
-let crash_replica t i =
+let close_replica t i =
   (match t.listeners.(i) with
   | Some fd ->
     Backend_realtime.remove_poller t.exec fd;
@@ -346,14 +346,14 @@ let crash_replica t i =
     !(t.inbound.(i));
   t.inbound.(i) := []
 
-let restart_replica t i =
+let reopen_replica t i =
   match t.listeners.(i) with
   | Some _ -> ()
   | None -> t.listeners.(i) <- Some (listen_replica t i)
 
 let shutdown t =
   for i = 0 to t.n - 1 do
-    crash_replica t i;
+    close_replica t i;
     (match t.peers.(i).p_conn with
     | Some c ->
       Backend_realtime.remove_wpoller t.exec c.c_fd;

@@ -73,14 +73,14 @@ type net_stats = {
 
 val net_stats : t -> net_stats
 
-val crash_replica : t -> int -> unit
+val close_replica : t -> int -> unit
 (** Test hook: close replica [i]'s listener and every connection it has
     accepted, as if its process died. Peers' next writes fail and enter
     backoff. *)
 
-val restart_replica : t -> int -> unit
+val reopen_replica : t -> int -> unit
 (** Test hook: re-listen on replica [i]'s original port after
-    {!crash_replica}. Peers re-dial lazily once their backoff expires. *)
+    {!close_replica}. Peers re-dial lazily once their backoff expires. *)
 
 val shutdown : t -> unit
 (** Close every listener, accepted connection and outbound connection. *)

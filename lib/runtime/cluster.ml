@@ -1,8 +1,8 @@
 module Topology = Shoalpp_sim.Topology
 module Backend = Shoalpp_backend.Backend
 module Backend_sim = Shoalpp_backend.Backend_sim
-module Fault_schedule = Shoalpp_sim.Fault_schedule
 module Faults = Shoalpp_sim.Faults
+module Netmodel = Shoalpp_sim.Netmodel
 module Trace = Shoalpp_sim.Trace
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
@@ -45,19 +45,18 @@ type ('msg, 'r) gen = {
   world : 'msg Backend_sim.t;
   h : ('msg, 'r) Harness.t;
   mutable started : bool;
-  mutable fault : Fault_schedule.t;
 }
 
 type t = (Replica.envelope, Replica.t) gen
 
 let make (setup : _ gen_setup) ~name ~n ~num_dags ~hooks ~make_replica =
-  (* Bind the abstract scenario to this cluster size; from here on a single
-     Fault_schedule.t drives both the network and the scheduled replica events. *)
-  let fault = Faults.schedule setup.scenario ~n in
+  (* Bind the abstract scenario to this cluster size, once: the network
+     holds the one timeline, and {!start} arms the matching replica events
+     from the same scenario. *)
   let assignment = Topology.assign_round_robin setup.topology ~n in
   let world =
-    Backend_sim.make ~topology:setup.topology ~assignment ~fault ~config:setup.net_config
-      ~seed:setup.seed ()
+    Backend_sim.make ~topology:setup.topology ~assignment
+      ~fault:(Faults.schedule setup.scenario ~n) ~config:setup.net_config ~seed:setup.seed ()
   in
   let backend = Backend_sim.backend world in
   let telemetry = Telemetry.create () in
@@ -67,7 +66,7 @@ let make (setup : _ gen_setup) ~name ~n ~num_dags ~hooks ~make_replica =
       ~make_replica:(make_replica ~backend ~telemetry)
       ()
   in
-  { name; scenario = setup.scenario; trace = setup.trace; world; h; started = false; fault }
+  { name; scenario = setup.scenario; trace = setup.trace; world; h; started = false }
 
 let create (setup : setup) =
   let config = setup.protocol in
@@ -91,14 +90,6 @@ let metrics t = Harness.ledger t.h
 let telemetry t = Harness.telemetry t.h
 let ledger t = Harness.ledger t.h
 
-let set_fault t fault =
-  t.fault <- fault;
-  Backend_sim.set_fault t.world fault
-
-let recover_now t i =
-  set_fault t (Fault_schedule.recover t.fault ~replica:i ~at:(Backend.now (backend t)));
-  Harness.recover t.h i
-
 let partition_event t ~opened ~time ~minority =
   let groups = Printf.sprintf "minority=%d" minority in
   Telemetry.incr_named (telemetry t)
@@ -112,7 +103,7 @@ let partition_event t ~opened ~time ~minority =
 let schedule_scenario t =
   Faults.schedule_events t.scenario ~n:(Array.length (replicas t))
     ~schedule_at:(fun at f -> ignore (Backend.schedule_at (backend t) ~at f))
-    ~crash:(Harness.crash t.h) ~recover:(recover_now t) ~partition:(partition_event t)
+    ~crash:(Harness.crash t.h) ~recover:(Harness.recover t.h) ~partition:(partition_event t)
 
 let start t =
   if not t.started then begin
@@ -122,7 +113,7 @@ let start t =
       (fun i replica ->
         (* Clients at replicas crashed from t=0 are not started (the paper
            measures surviving clients). *)
-        if not (Fault_schedule.is_crashed t.fault ~replica:i ~time:0.0) then
+        if not (Faults.is_crashed (Netmodel.fault (net t)) ~replica:i ~time:0.0) then
           Harness.start_client t.h i;
         hooks.Harness.start replica)
       (replicas t);
@@ -132,10 +123,6 @@ let start t =
 let run t ~duration_ms =
   start t;
   Backend_sim.run ~until:duration_ms t.world
-
-let crash_now t i =
-  set_fault t (Fault_schedule.crash t.fault ~replica:i ~at:(Backend.now (backend t)));
-  Harness.crash t.h i
 
 type audit = Harness.audit = {
   consistent_prefixes : bool;

@@ -6,10 +6,11 @@
 
     The declarative {!Shoalpp_sim.Faults} scenario is the run's one fault
     input, bound to the cluster size here: its crashes/partitions/drops
-    become the network's fault schedule, its Byzantine roles become per-replica misbehaviour closures (built by
-    each protocol's [make_replica]), and its timed events (mid-run crash,
-    recovery, partition open/heal) are scheduled on the engine at {!start}
-    — so one scenario value drives the network view and the replica view
+    become the network's fault timeline, its Byzantine roles become
+    per-replica misbehaviour closures (built by each protocol's
+    [make_replica]), and its timed events (mid-run crash, recovery,
+    partition open/heal) are armed on the engine when the run starts — so
+    one scenario value drives the network view and the replica view
     consistently.
 
     The run is judged by the shared {!Harness} audit, the same code that
@@ -21,9 +22,9 @@
 
     Invariants:
     - the scenario is materialized exactly once, at {!make}, against this
-      cluster's size — the network fault view and the replica-side events
-      (crash, recovery, partition traces) derive from the same schedule and
-      cannot disagree;
+      cluster's size, into the network's timeline, which nothing changes
+      afterwards; the replica-side events (crash, recovery, partition
+      traces) derive from the same scenario and cannot disagree;
     - runs are a pure function of the setup (seed included): re-creating a
       cluster from equal setups and running to the same horizon yields
       identical logs, metrics and telemetry. *)
@@ -111,15 +112,6 @@ val ledger : ('msg, 'r) gen -> Ledger.t
 val run : ('msg, 'r) gen -> duration_ms:float -> unit
 (** Start everything (if not yet started) and run the simulation clock to
     [duration_ms]. Can be called repeatedly with increasing horizons. *)
-
-val crash_now : ('msg, 'r) gen -> int -> unit
-(** Crash a replica immediately (also updates the network fault view). *)
-
-val recover_now : ('msg, 'r) gen -> int -> unit
-(** Recover a crashed replica immediately: mark it reachable again, run
-    {!Harness.recover} (for Shoal++, a WAL replay through fresh DAG lanes;
-    for the baselines, a warm in-memory resume), and restart its client.
-    The pre-crash log is snapshotted for the [recovery_prefix_ok] audit. *)
 
 type audit = Harness.audit = {
   consistent_prefixes : bool;

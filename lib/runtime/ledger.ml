@@ -50,6 +50,7 @@ let pipeline =
   ]
 
 let stage_names = List.map (fun (stage, _, _) -> stage) pipeline
+let aggregate_names = List.map (fun (_, name, _) -> name) pipeline
 let deltas = Array.of_list (List.map (fun (_, _, delta) -> delta) pipeline)
 
 let rule_of_kind = function
@@ -119,7 +120,7 @@ let create ?telemetry ?(warmup_ms = 0.0) ?(num_dags = 1) () =
           {
             tel;
             aggregate =
-              Array.of_list (List.map (fun (_, name, _) -> Telemetry.histogram tel name) pipeline);
+              Array.of_list (List.map (Telemetry.histogram tel) aggregate_names);
             lanes = Hashtbl.create 4;
           }
         in

@@ -65,6 +65,9 @@ val stage_names : string list
     [stage.batch_to_proposal], [stage.proposal_to_commit],
     [stage.commit_to_order] and [latency.e2e]. *)
 
+val aggregate_names : string list
+(** Those five aggregate histogram names, in the same order. *)
+
 val rule_of_kind : Shoalpp_consensus.Driver.kind -> Shoalpp_consensus.Anchors.rule
 (** Committed segments map [Fast -> Fast_direct], [Direct ->
     Certified_direct], [Indirect -> Indirect_rule]; [Skipped] anchors never

@@ -1,6 +1,7 @@
 module Backend = Shoalpp_backend.Backend
 module Realtime = Shoalpp_backend.Backend_realtime
 module Trace = Shoalpp_sim.Trace
+module Faults = Shoalpp_sim.Faults
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
 module Types = Shoalpp_dag.Types
@@ -27,7 +28,7 @@ type setup = {
   trace : Trace.t option;
   domains : int;
   verify_delay_us : float;
-  retain_wal : bool;  (** keep synced WAL payloads so restart can replay *)
+  scenario : Faults.t;
 }
 
 let default_setup ~protocol =
@@ -42,7 +43,7 @@ let default_setup ~protocol =
     trace = None;
     domains = 1;
     verify_delay_us = 0.0;
-    retain_wal = false;
+    scenario = Faults.none;
   }
 
 (* Multicore execution state (--domains > 1): one executor domain per DAG
@@ -92,7 +93,24 @@ let read_envelope s ~pos =
 
 let decode_envelope ~cluster_seed:_ s = read_envelope s ~pos:0
 
+(* Real-time transports neither block nor drop traffic and replicas are
+   built honest, so a scenario's restarts are all the node realizes: crash
+   specs that recover, mid-run. Lane executors cannot be torn down
+   mid-run, so a restart needs the single-domain node. *)
+let check_scenario ~domains scenario =
+  let restart = function Faults.Crash { at; recover_at = Some _; _ } -> at > 0.0 | _ -> false in
+  if not (List.for_all restart scenario.Faults.specs) then
+    Error
+      (Format.asprintf "%a: the node runs crash-recover scenarios with at > 0 only" Faults.pp
+         scenario)
+  else if domains > 1 && Faults.has_recovery scenario then
+    Error "a crash-recover scenario needs a single-domain node"
+  else Ok ()
+
 let create setup =
+  (match check_scenario ~domains:setup.domains setup.scenario with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Node.create: " ^ msg));
   let committee = setup.protocol.Config.committee in
   let n = committee.Committee.n in
   let k = max 1 setup.protocol.Config.num_dags in
@@ -246,7 +264,9 @@ let create setup =
     in
     Replica.create ~config ~replica_id ~backend ~mempool
       ~on_ordered:(fun o -> on_commit (Harness.commit_of_ordered o))
-      ~on_caught_up ?trace:setup.trace ~telemetry ~retain_wal:setup.retain_wal ?lane_env ()
+      ~on_caught_up ?trace:setup.trace ~telemetry
+      ~retain_wal:(Faults.has_recovery setup.scenario)
+      ?lane_env ()
   in
   let h =
     Harness.create ~backend ~n ~num_dags:setup.protocol.Config.num_dags
@@ -301,7 +321,13 @@ let start t =
   if not t.started then begin
     t.started <- true;
     Array.iter Replica.start (Harness.replicas t.h);
-    Array.iteri (fun i _ -> Harness.start_client t.h i) (Harness.replicas t.h)
+    Array.iteri (fun i _ -> Harness.start_client t.h i) (Harness.replicas t.h);
+    (* The scenario's restarts, through the simulated cluster's own
+       recovery path; {!check_scenario} admitted nothing else. *)
+    Faults.schedule_events t.setup.scenario ~n:(Array.length (Harness.replicas t.h))
+      ~schedule_at:(fun at f -> ignore (Backend.schedule_at (Harness.backend t.h) ~at f))
+      ~crash:(Harness.crash t.h) ~recover:(Harness.recover t.h)
+      ~partition:(fun ~opened:_ ~time:_ ~minority:_ -> ())
   end
 
 let run t ~duration_ms =
@@ -323,17 +349,6 @@ let run t ~duration_ms =
     Verify_pool.shutdown m.mc_pool;
     Array.iter Realtime.stop_and_join m.mc_lane_execs;
     Realtime.run_for t.exec ~duration_ms:50.0
-
-(* Realtime crash/restart (single-domain only: lane executors cannot be
-   torn down mid-run) through the sim cluster's own recovery path,
-   {!Harness.recover}. *)
-let crash_replica t i =
-  if Option.is_some t.mc then invalid_arg "Node.crash_replica: single-domain only";
-  Harness.crash t.h i
-
-let recover_replica ?wipe t i =
-  if Option.is_some t.mc then invalid_arg "Node.recover_replica: single-domain only";
-  Harness.recover ?wipe t.h i
 
 let catching_up t i = Harness.recovering t.h i || Replica.catching_up (Harness.replicas t.h).(i)
 let executor t = t.exec

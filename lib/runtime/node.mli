@@ -66,14 +66,25 @@ type setup = {
           [domains > 1] — the same charge at every domain count, so
           throughput comparisons vary only where it is paid. Ignored when
           the protocol runs with signature checks off. *)
-  retain_wal : bool;
-      (** Keep synced WAL payloads in memory so {!recover_replica} can
-          replay them (default false). *)
+  scenario : Shoalpp_sim.Faults.t;
+      (** Fault scenario (default none). The node realizes its restarts
+          only (see {!check_scenario}): each crashes a replica and its
+          client, then restarts it through
+          {!Shoalpp_core.Replica.recover} — checkpoint restore and WAL
+          replay, then peer catch-up sync when checkpointing is on — with
+          the ledger and the duplicate audit muted until catch-up, and the
+          pre-crash log kept for the [recovery_prefix_ok] audit. WAL
+          payloads are retained iff it recovers a replica. *)
 }
 
 val default_setup : protocol:Shoalpp_core.Config.t -> setup
 (** 200 tps, paper tx size, no warmup, loopback transport, no trace, one
-    domain. *)
+    domain, no faults. *)
+
+val check_scenario : domains:int -> Shoalpp_sim.Faults.t -> (unit, string) result
+(** [Ok] iff the node can realize the scenario: every spec is a crash that
+    recovers, at a time after 0, and there is no recovery at
+    [domains > 1] (lane executors cannot be torn down mid-run). *)
 
 val write_envelope : Shoalpp_codec.Wire.Writer.t -> Shoalpp_core.Replica.envelope -> unit
 (** The socket wire format: one DAG-id byte, then the signed protocol
@@ -98,6 +109,8 @@ val decode_envelope : cluster_seed:int -> string -> Shoalpp_core.Replica.envelop
 type t
 
 val create : setup -> t
+(** Raises [Invalid_argument] if {!check_scenario} refuses
+    [setup.scenario]. *)
 
 val start : t -> unit
 (** Start replicas and clients (idempotent). Timers arm immediately but
@@ -109,20 +122,6 @@ val run : t -> duration_ms:float -> unit
     extend the run. With [domains > 1] this also spawns the lane domains
     on entry and quiesces them on exit (pool drained, lanes joined, merge
     backlog flushed) — after return no other domain is running. *)
-
-val crash_replica : t -> int -> unit
-(** Stop one replica and its client (realtime crash injection). Raises
-    [Invalid_argument] at [domains > 1] — lane executors cannot be torn
-    down mid-run. *)
-
-val recover_replica : ?wipe:bool -> t -> int -> unit
-(** Restart a crashed replica through {!Shoalpp_core.Replica.recover}:
-    checkpoint restore + WAL replay, then peer catch-up sync when
-    checkpointing is on. Requires [retain_wal]; the ledger and the
-    duplicate audit stay muted until catch-up completes, and the pre-crash log is
-    snapshotted for the [recovery_prefix_ok] audit. [wipe] simulates total disk
-    loss (peer checkpoint adoption). Single-domain only, like
-    {!crash_replica}. *)
 
 val catching_up : t -> int -> bool
 (** True while replica [i]'s recovery (replay or peer sync) is in flight. *)

@@ -3,61 +3,30 @@ module Tablefmt = Shoalpp_support.Tablefmt
 module Telemetry = Shoalpp_support.Telemetry
 module Anchors = Shoalpp_consensus.Anchors
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot rendering: the per-stage latency breakdown and commit-rule
-   mix of a raw telemetry snapshot, shared by the extended report below
-   and the realtime node's shutdown summary. *)
-
-let stage_names =
-  [
-    ("submit->batch", "stage.submit_to_batch");
-    ("batch->proposal", "stage.batch_to_proposal");
-    ("proposal->commit", "stage.proposal_to_commit");
-    ("commit->order", "stage.commit_to_order");
-    ("end-to-end", "latency.e2e");
-  ]
-
-let rule_mix_of_snapshot snap =
-  Anchors.mix
-    ~fast:(Telemetry.snap_counter snap (Anchors.counter_name Anchors.Fast_direct))
-    ~direct:(Telemetry.snap_counter snap (Anchors.counter_name Anchors.Certified_direct))
-    ~indirect:(Telemetry.snap_counter snap (Anchors.counter_name Anchors.Indirect_rule))
-    ~skipped:(Telemetry.snap_counter snap (Anchors.counter_name Anchors.Skipped))
+(* The stage latency rows, one per aggregate histogram of the ledger's
+   pipeline: [stage.batch_to_proposal] reads "batch->proposal", and the
+   closing [latency.e2e] reads "end-to-end". Rendering is total: a stage
+   with no samples (e.g. while every origin commit fell into a fault
+   window) prints an explicit zero row. *)
+let stage_label metric =
+  match String.split_on_char '.' metric with
+  | [ "stage"; stage ] ->
+    String.concat "" (List.map (function "to" -> "->" | w -> w) (String.split_on_char '_' stage))
+  | _ -> "end-to-end"
 
 let pp_stages fmt snap =
   Format.fprintf fmt "stage latency (ms, p50/p90/p99 of origin txns):";
   List.iter
-    (fun (label, metric) ->
-      match Telemetry.snap_histogram snap metric with
-      | Some h when h.Telemetry.hs_count > 0 ->
-        Format.fprintf fmt "@,  %-16s %7.1f /%7.1f /%7.1f  (mean %.1f, n=%d)" label h.hs_p50
-          h.hs_p90 h.hs_p99 h.hs_mean h.hs_count
-      | _ ->
-        (* Explicit zero row: a stage with no samples (e.g. while every
-           origin commit fell into a fault window) still renders. *)
-        Format.fprintf fmt "@,  %-16s %7.1f /%7.1f /%7.1f  (mean %.1f, n=%d)" label 0.0 0.0 0.0
-          0.0 0)
-    stage_names
-
-let pp_snapshot fmt snap =
-  Format.fprintf fmt "@[<v>commit rules:";
-  List.iter
-    (fun (rule, frac) ->
-      Format.fprintf fmt " %s=%.1f%%" (Anchors.rule_tag rule) (100.0 *. frac))
-    (rule_mix_of_snapshot snap);
-  Format.fprintf fmt "@,";
-  pp_stages fmt snap;
-  if snap.Telemetry.snap_counters <> [] then begin
-    Format.fprintf fmt "@,counters:";
-    List.iter (fun (k, v) -> Format.fprintf fmt "@,  %-28s %d" k v) snap.Telemetry.snap_counters
-  end;
-  List.iter
-    (fun (h : Telemetry.histogram_stats) ->
-      if not (List.exists (fun (_, m) -> m = h.hs_name) stage_names) then
-        Format.fprintf fmt "@,hist %-23s n=%d p50=%.1f p99=%.1f" h.hs_name h.hs_count h.hs_p50
-          h.hs_p99)
-    snap.Telemetry.snap_histograms;
-  Format.fprintf fmt "@]"
+    (fun metric ->
+      let p50, p90, p99, mean, count =
+        match Telemetry.snap_histogram snap metric with
+        | Some h when h.Telemetry.hs_count > 0 ->
+          (h.hs_p50, h.hs_p90, h.hs_p99, h.hs_mean, h.hs_count)
+        | _ -> (0.0, 0.0, 0.0, 0.0, 0)
+      in
+      Format.fprintf fmt "@,  %-16s %7.1f /%7.1f /%7.1f  (mean %.1f, n=%d)" (stage_label metric)
+        p50 p90 p99 mean count)
+    Ledger.aggregate_names
 
 type t = {
   name : string;

@@ -59,25 +59,6 @@ val rule_mix : t -> (Shoalpp_consensus.Anchors.rule * float) list
 (** Fractions of anchor resolutions per commit rule (fast-direct /
     certified-direct / indirect / skipped). *)
 
-(** {2 Snapshot rendering}
-
-    Human-readable views of a raw {!Shoalpp_support.Telemetry.snapshot},
-    independent of a full report — used by {!pp_extended} and by the
-    realtime node's shutdown summary. Rendering is total: a stage with no
-    samples prints an explicit zero row. *)
-
-val stage_names : (string * string) list
-(** [(label, metric name)] of the commit-path stage histograms, in pipeline
-    order, ending with end-to-end latency. *)
-
-val rule_mix_of_snapshot :
-  Shoalpp_support.Telemetry.snapshot -> (Shoalpp_consensus.Anchors.rule * float) list
-(** Fractions of anchor resolutions per commit rule, from the [commit.*]
-    counters (zeros when absent). *)
-
-val pp_stages : Format.formatter -> Shoalpp_support.Telemetry.snapshot -> unit
-val pp_snapshot : Format.formatter -> Shoalpp_support.Telemetry.snapshot -> unit
-
 val pp : Format.formatter -> t -> unit
 val pp_rule_mix : Format.formatter -> t -> unit
 

@@ -31,8 +31,8 @@ let partition ?(minority = 0) ?(from_time = 8_000.0) ?(duration = 20_000.0) () =
 let crash_recover ?(count = 1) ?(at = 5_000.0) ?(recover_at = 15_000.0) () =
   { name = "crash-recover"; specs = [ Crash { count; at; recover_at = Some recover_at } ] }
 
-let crash ?(count = 1) () =
-  { name = "crash"; specs = [ Crash { count; at = 0.0; recover_at = None } ] }
+let crash ?(count = 1) ?(at = 0.0) () =
+  { name = "crash"; specs = [ Crash { count; at; recover_at = None } ] }
 
 let drop ?(count = 1) ?(rate = 0.01) ?(from_time = 0.0) () =
   { name = "drop"; specs = [ Drop { count; rate; from_time; until_time = infinity } ] }
@@ -58,13 +58,20 @@ let byz_kind_name = function
   | Silent_anchor -> "silent"
   | Delay_votes _ -> "delay"
 
-let parse_kv s =
-  match String.index_opt s '=' with
-  | Some i -> Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  | None -> None
+(* Each preset's keys, for rejecting typos ([recovr=]) rather than running
+   silently on the default. *)
+let preset_keys = function
+  | "none" -> Some []
+  | "byzantine" -> Some [ "count"; "kind"; "delay"; "from"; "until" ]
+  | "partition" -> Some [ "minority"; "from"; "dur" ]
+  | "crash-recover" | "crash_recover" -> Some [ "count"; "at"; "recover" ]
+  | "crash" -> Some [ "count" ]
+  | "drop" -> Some [ "count"; "rate"; "from" ]
+  | _ -> None
 
 let parse spec_string =
-  let name, kvs =
+  let ( let* ) = Result.bind in
+  let name, tokens =
     match String.index_opt spec_string ':' with
     | None -> (spec_string, [])
     | Some i ->
@@ -72,30 +79,54 @@ let parse spec_string =
       ( String.sub spec_string 0 i,
         String.split_on_char ',' rest |> List.filter (fun s -> s <> "") )
   in
-  let kvs = List.filter_map parse_kv kvs in
-  let float_kv key default =
+  let name = String.lowercase_ascii name in
+  let* keys =
+    Option.to_result (preset_keys name)
+      ~none:
+        (Printf.sprintf "unknown scenario %S (none|byzantine|partition|crash-recover|crash|drop)"
+           name)
+  in
+  let* kvs =
+    List.fold_left
+      (fun acc tok ->
+        let* kvs = acc in
+        match String.index_opt tok '=' with
+        | None -> Error (Printf.sprintf "%s: expected key=value, got %S" name tok)
+        | Some i ->
+          let k = String.sub tok 0 i and v = String.sub tok (i + 1) (String.length tok - i - 1) in
+          if not (List.mem k keys) then
+            Error
+              (Printf.sprintf "%s: unknown key %S (keys: %s)" name k
+                 (if keys = [] then "none" else String.concat ", " keys))
+          else if List.mem_assoc k kvs then Error (Printf.sprintf "%s: key %S given twice" name k)
+          else Ok ((k, v) :: kvs))
+      (Ok []) tokens
+  in
+  let value key default conv what =
     match List.assoc_opt key kvs with
     | None -> Ok default
-    | Some v -> (
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "%s: expected a number, got %S" key v))
+    | Some v ->
+      Option.to_result (conv v) ~none:(Printf.sprintf "%s: expected %s, got %S" key what v)
+  in
+  let check ok msg = if ok then Ok () else Error (name ^ ": " ^ msg) in
+  (* [not (x >= 0)] also refuses nan. *)
+  let non_negative key x = check (x >= 0.0) (Printf.sprintf "%s must be >= 0, got %g" key x) in
+  let float_kv key default =
+    let* x = value key default float_of_string_opt "a number" in
+    let* () = non_negative key x in
+    Ok x
   in
   let int_kv key default =
-    match List.assoc_opt key kvs with
-    | None -> Ok default
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "%s: expected an integer, got %S" key v))
+    let* c = value key default int_of_string_opt "an integer" in
+    let* () = non_negative key (float_of_int c) in
+    Ok c
   in
-  let ( let* ) = Result.bind in
-  match String.lowercase_ascii name with
-  | "none" -> Ok none
+  match name with
   | "byzantine" ->
     let* count = int_kv "count" 1 in
     let* from_time = float_kv "from" 0.0 in
     let* until_time = float_kv "until" infinity in
+    let* () = check (until_time >= from_time) "until must not precede from" in
     let* kind =
       match List.assoc_opt "kind" kvs with
       | None -> Ok Equivocate
@@ -118,19 +149,23 @@ let parse spec_string =
     let* count = int_kv "count" 1 in
     let* at = float_kv "at" 5_000.0 in
     let* recover_at = float_kv "recover" 15_000.0 in
+    let* () =
+      check (recover_at > at)
+        (Printf.sprintf "recover (%g) must come after at (%g)" recover_at at)
+    in
     Ok (crash_recover ~count ~at ~recover_at ())
   | "crash" ->
     let* count = int_kv "count" 1 in
     Ok (crash ~count ())
   | "drop" ->
     let* count = int_kv "count" 1 in
-    let* rate = float_kv "rate" 0.01 in
+    let* rate = value "rate" 0.01 float_of_string_opt "a number" in
+    let* () =
+      check (rate >= 0.0 && rate <= 1.0) (Printf.sprintf "rate must be in [0, 1], got %g" rate)
+    in
     let* from_time = float_kv "from" 0.0 in
     Ok (drop ~count ~rate ~from_time ())
-  | other ->
-    Error
-      (Printf.sprintf "unknown scenario %S (none|byzantine|partition|crash-recover|crash|drop)"
-         other)
+  | _ (* "none" *) -> Ok none
 
 let pp_spec fmt = function
   | Crash { count; at; recover_at } -> (
@@ -163,26 +198,59 @@ let top_ids ~n count = List.init (min count n) (fun i -> n - 1 - i)
 
 let minority_size ~n minority = if minority > 0 then min minority (n - 1) else (n - 1) / 3
 
+(* The timeline is three flat lists, each queried by a scan: a run has a
+   handful of faults, and an empty list costs nothing on the hot path. *)
+type timeline = {
+  downs : (int * float * bool) list;  (** (replica, time, is a recovery) *)
+  drops : (int list * float * float * float) list;  (** (replicas, rate, from, until) *)
+  cuts : (int list * float * float) list;  (** (minority side, from, until) *)
+}
+
 let schedule t ~n =
+  let add tl = function
+    | Crash { count; at; recover_at } ->
+      let replicas = top_ids ~n count in
+      let downs = List.fold_left (fun d r -> (r, at, false) :: d) tl.downs replicas in
+      let downs =
+        match recover_at with
+        | None -> downs
+        | Some up -> List.fold_left (fun d r -> (r, up, true) :: d) downs replicas
+      in
+      { tl with downs }
+    | Partition { minority; from_time; until_time } ->
+      let cut = top_ids ~n (minority_size ~n minority) in
+      { tl with cuts = (cut, from_time, until_time) :: tl.cuts }
+    | Byzantine _ -> tl (* behavioural; injected at the replica layer *)
+    | Drop { count; rate; from_time; until_time } ->
+      let replicas = List.init (min count n) Fun.id in
+      { tl with drops = (replicas, rate, from_time, until_time) :: tl.drops }
+  in
+  List.fold_left add { downs = []; drops = []; cuts = [] } t.specs
+
+(* The latest event at or before [time] decides; a recovery wins a tie. *)
+let is_crashed tl ~replica ~time =
+  let rec latest at up = function
+    | [] -> not up
+    | (r, t, u) :: rest when r = replica && t <= time && (t > at || (t = at && u)) ->
+      latest t u rest
+    | _ :: rest -> latest at up rest
+  in
+  latest neg_infinity true tl.downs
+
+let egress_drop_rate tl ~src ~time =
   List.fold_left
-    (fun fault spec ->
-      match spec with
-      | Crash { count; at; recover_at } ->
-        let replicas = top_ids ~n count in
-        let fault = Fault_schedule.crash_many fault ~replicas ~at in
-        (match recover_at with
-        | None -> fault
-        | Some r -> List.fold_left (fun f replica -> Fault_schedule.recover f ~replica ~at:r) fault replicas)
-      | Partition { minority; from_time; until_time } ->
-        let m = minority_size ~n minority in
-        let cut = top_ids ~n m in
-        let rest = List.filter (fun i -> not (List.mem i cut)) (List.init n Fun.id) in
-        Fault_schedule.partition fault ~groups:[ rest; cut ] ~from_time ~until_time
-      | Byzantine _ -> fault (* behavioural; injected at the replica layer *)
-      | Drop { count; rate; from_time; until_time } ->
-        Fault_schedule.drop_egress fault ~replicas:(List.init (min count n) Fun.id) ~rate ~from_time
-          ~until_time ())
-    Fault_schedule.none t.specs
+    (fun acc (replicas, rate, from_time, until_time) ->
+      if time >= from_time && time < until_time && List.mem src replicas then
+        1.0 -. ((1.0 -. acc) *. (1.0 -. rate))
+      else acc)
+    0.0 tl.drops
+
+let reachable tl ~src ~dst ~time =
+  src = dst
+  || List.for_all
+       (fun (cut, from_time, until_time) ->
+         time < from_time || time >= until_time || List.mem src cut = List.mem dst cut)
+       tl.cuts
 
 let byzantine_for t ~n ~replica =
   let specs =
@@ -201,8 +269,6 @@ let byzantine_for t ~n ~replica =
         (fun (kind, from_time, until_time) ->
           if time >= from_time && time < until_time then Some kind else None)
         specs
-
-let has_byzantine t = List.exists (function Byzantine _ -> true | _ -> false) t.specs
 
 let crash_recoveries t ~n =
   List.concat_map

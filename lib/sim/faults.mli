@@ -1,30 +1,35 @@
-(** Declarative fault scenarios (§8 "failures" experiments).
+(** Declarative fault scenarios (§8 "failures" experiments), and the
+    concrete timeline each one materializes into.
 
     A scenario is a named, size-independent description of the faults a run
     should inject — Byzantine proposers, a timed minority partition with a
-    heal, crash-then-recover with WAL replay, replicas down from the start,
-    egress drops — parsed from the
+    heal, crash-then-recover with WAL replay, replicas down from the start
+    or from a later instant, egress drops — parsed from the
     [--scenario name:key=val,...] CLI syntax. Binding to concrete replica
     ids happens only at {!schedule}/{!byzantine_for} time, against the
     actual cluster size [n], so one scenario string sweeps every system and
     committee size in [bench/main.ml]. {!schedule} materializes a scenario
-    into a concrete {!Fault_schedule.t} timeline — the network and the
-    cluster harness both consume that single materialization, never the
-    scenario itself, so their fault views cannot disagree.
+    into a {!timeline}: the per-replica crash windows, egress drop rules
+    and partition windows, answered by pure point-in-time queries
+    ({!is_crashed}, {!egress_drop_rate}, {!reachable}).
 
     Invariants:
     - parsing and materialization are pure: the same spec string and [n]
-      always yield the same {!Fault_schedule.t} schedule and role assignment, keeping
-      runs a deterministic function of the seed;
+      always yield the same timeline and role assignment, keeping runs a
+      deterministic function of the seed; timeline queries never draw
+      randomness, so injecting a fault cannot perturb a random stream;
     - faulty roles are assigned from the highest replica ids downward
       (egress drops from the lowest upward), and every preset keeps the
       faulty count within [f = (n-1)/3] at its default;
-    - a scenario is the only fault input of a simulated run: its specs
-      materialize in list order, so {!combine} fixes the order in which
-      scenarios compose;
-    - {!Byzantine} specs never appear in the materialized {!Fault_schedule.t} — they
-      are behavioural and injected at the replica layer via
-      {!byzantine_for}. *)
+    - a scenario is the only fault input of a run, simulated or real-time:
+      its specs materialize in list order, so {!combine} fixes the order
+      in which scenarios compose, and a timeline is never changed after
+      {!schedule} builds it;
+    - a replica's up/down state is the parity of its crash/recover events:
+      crashed at [t] iff the latest event at or before [t] is a crash
+      (same-instant recovery wins);
+    - {!Byzantine} specs never appear in the timeline — they are
+      behavioural and injected at the replica layer via {!byzantine_for}. *)
 
 (** How a Byzantine replica misbehaves:
     - [Equivocate] — send conflicting proposals for the same round to
@@ -59,9 +64,9 @@ val crash_recover : ?count:int -> ?at:float -> ?recover_at:float -> unit -> t
 (** Preset: crash [count] replicas (default 1) at [at] (default 5 s) and
     recover them — with WAL replay — at [recover_at] (default 15 s). *)
 
-val crash : ?count:int -> unit -> t
-(** Preset: [count] replicas (default 1) down from t=0 for the whole run
-    (Fig 7). *)
+val crash : ?count:int -> ?at:float -> unit -> t
+(** Preset: [count] replicas (default 1) down from [at] (default 0, Fig 7)
+    for the rest of the run. *)
 
 val drop : ?count:int -> ?rate:float -> ?from_time:float -> unit -> t
 (** Preset: from [from_time] (default 0) on, each egress message of the
@@ -78,23 +83,42 @@ val parse : string -> (t, string) result
     (keys [count], [kind=equivocate|silent|delay], [delay], [from],
     [until]), [partition] (keys [minority], [from], [dur]),
     [crash-recover] (keys [count], [at], [recover]), [crash] (key
-    [count]), [drop] (keys [count], [rate], [from]). *)
+    [count]), [drop] (keys [count], [rate], [from]). An unknown or
+    repeated key, a token without [=], a negative count, time or
+    duration, a rate outside [\[0, 1\]], an [until] before [from] and a
+    [recover] not after [at] are errors. *)
 
 val pp : Format.formatter -> t -> unit
 
 val name : t -> string
 
-val schedule : t -> n:int -> Fault_schedule.t
+(** {2 Materialized timeline} *)
+
+type timeline
+(** A scenario bound to a cluster size: who is down when, who drops what
+    share of its egress when, and which partitions are open when. *)
+
+val schedule : t -> n:int -> timeline
 (** Materialize the scenario's crashes, recoveries, partitions and drops
     for a cluster of [n] replicas. Byzantine specs are excluded (see
     {!byzantine_for}). *)
+
+val is_crashed : timeline -> replica:int -> time:float -> bool
+
+val egress_drop_rate : timeline -> src:int -> time:float -> float
+(** Combined drop probability for messages leaving [src] at [time]:
+    independent rules combine as [1 - (1-a)(1-b)]. *)
+
+val reachable : timeline -> src:int -> dst:int -> time:float -> bool
+(** False iff some open partition places [src] and [dst] on different
+    sides at [time]. Loopback ([src = dst]) is always reachable. *)
+
+(** {2 Runtime events} *)
 
 val byzantine_for : t -> n:int -> replica:int -> float -> byz_kind option
 (** [byzantine_for t ~n ~replica time] is the misbehaviour [replica] should
     exhibit at [time], or [None] if it is honest (then or always). The
     partial application per replica is cheap and pure. *)
-
-val has_byzantine : t -> bool
 
 val crash_recoveries : t -> n:int -> (int * float * float) list
 (** [(replica, crash_at, recover_at)] for every crash spec with a recovery —
@@ -122,6 +146,6 @@ val schedule_events :
     harness's start-up path), a [recover] for each of
     {!crash_recoveries}, and per partition window a [partition ~opened:true]
     at its start and, if it heals, a [partition ~opened:false] at its end.
-    Every system's harness arms its scenario through this one function,
-    and the timers are always scheduled in that order, so the engine
-    breaks ties between them the same way for every system. *)
+    Every harness, simulated or real-time, arms its scenario through this
+    one function, and the timers are always scheduled in that order, so
+    the engine breaks ties between them the same way for every system. *)

@@ -46,7 +46,7 @@ type 'msg t = {
   engine : Engine.t;
   topology : Topology.t;
   assignment : int array;
-  mutable fault : Fault_schedule.t;
+  fault : Faults.timeline;
   config : config;
   n : int;
   nregions : int;
@@ -139,7 +139,7 @@ let n t = t.n
 let engine t = t.engine
 let region_of t i = t.assignment.(i)
 let set_handler t i f = t.handlers.(i) <- Some f
-let set_fault t fault = t.fault <- fault
+let fault t = t.fault
 let base_delay_ms t ~src ~dst = base_delay t ~src ~dst
 
 (* Receiver CPU sequencing: processing of a message arriving [at] begins
@@ -153,7 +153,7 @@ let[@inline] sequence_cpu t ~dst ~size ~at =
 let schedule_delivery t ~src ~dst msg =
   ignore
     (Engine.schedule_at t.engine ~at:t.cpu_free_at.(dst) (fun () ->
-         if not (Fault_schedule.is_crashed t.fault ~replica:dst ~time:(Engine.now t.engine))
+         if not (Faults.is_crashed t.fault ~replica:dst ~time:(Engine.now t.engine))
          then begin
            match t.handlers.(dst) with
            | Some handler -> handler ~src msg
@@ -177,7 +177,7 @@ let plan t ~src ~dst ~size ~now =
   let out_at = Float.max now t.egress_free_at.(src) +. ser in
   t.egress_free_at.(src) <- out_at;
   let rng = t.rngs.(src) in
-  let drop_rate = Fault_schedule.egress_drop_rate t.fault ~src ~time:out_at in
+  let drop_rate = Faults.egress_drop_rate t.fault ~src ~time:out_at in
   (* Sample jitter unconditionally so drop injection does not perturb the
      random stream of surviving messages. *)
   let jitter =
@@ -189,7 +189,7 @@ let plan t ~src ~dst ~size ~now =
      sampling so an active partition leaves surviving traffic's random
      stream untouched. The message is charged for egress — the sender's
      NIC transmits; the network eats it. *)
-  if not (Fault_schedule.reachable t.fault ~src ~dst ~time:out_at) then begin
+  if not (Faults.reachable t.fault ~src ~dst ~time:out_at) then begin
     t.partitioned <- t.partitioned + 1;
     false
   end
@@ -205,7 +205,7 @@ let plan t ~src ~dst ~size ~now =
 
 let send t ~src ~dst ~size msg =
   let now = Engine.now t.engine in
-  if Fault_schedule.is_crashed t.fault ~replica:src ~time:now then ()
+  if Faults.is_crashed t.fault ~replica:src ~time:now then ()
   else if src = dst then deliver_loopback t ~src ~dst ~size ~now msg
   else if plan t ~src ~dst ~size ~now then schedule_delivery t ~src ~dst msg
 
@@ -216,7 +216,7 @@ let fire_envelope t env =
   | None -> ()
   | Some msg ->
     let dst = env.env_dsts.(env.env_index) in
-    if not (Fault_schedule.is_crashed t.fault ~replica:dst ~time:(Engine.now t.engine)) then (
+    if not (Faults.is_crashed t.fault ~replica:dst ~time:(Engine.now t.engine)) then (
       match t.handlers.(dst) with
       | Some handler -> handler ~src:env.env_src msg
       | None -> ()));
@@ -276,7 +276,7 @@ let broadcast t ~src ~size ?(include_self = true) msg =
     | Fixed_order -> Array.init t.n (fun i -> i)
   in
   let now = Engine.now t.engine in
-  if Fault_schedule.is_crashed t.fault ~replica:src ~time:now then ()
+  if Faults.is_crashed t.fault ~replica:src ~time:now then ()
   else begin
     Array.iter
       (fun dst ->
@@ -328,15 +328,15 @@ let oob_pad_ms = 0.25
 
 let send_oob t ~src ~dst msg =
   let now = Engine.now t.engine in
-  if Fault_schedule.is_crashed t.fault ~replica:src ~time:now then ()
-  else if not (Fault_schedule.reachable t.fault ~src ~dst ~time:now) then
+  if Faults.is_crashed t.fault ~replica:src ~time:now then ()
+  else if not (Faults.reachable t.fault ~src ~dst ~time:now) then
     t.oob_blocked <- t.oob_blocked + 1
   else begin
     t.oob_sent <- t.oob_sent + 1;
     let at = now +. base_delay t ~src ~dst +. oob_pad_ms in
     ignore
       (Engine.schedule_at t.engine ~at (fun () ->
-           if not (Fault_schedule.is_crashed t.fault ~replica:dst ~time:(Engine.now t.engine))
+           if not (Faults.is_crashed t.fault ~replica:dst ~time:(Engine.now t.engine))
            then begin
              match t.handlers.(dst) with
              | Some handler -> handler ~src msg

@@ -54,7 +54,7 @@ val create :
   engine:Engine.t ->
   topology:Topology.t ->
   assignment:int array ->
-  fault:Fault_schedule.t ->
+  fault:Faults.timeline ->
   config:config ->
   seed:int ->
   unit ->
@@ -68,8 +68,8 @@ val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 (** Install the receive callback for a replica. Messages arriving for a
     replica with no handler are counted and discarded. *)
 
-val set_fault : 'msg t -> Fault_schedule.t -> unit
-(** Replace the fault schedule mid-run (used by time-series experiments). *)
+val fault : _ t -> Faults.timeline
+(** The fault timeline fixed at {!create}; nothing changes it later. *)
 
 val send : 'msg t -> src:int -> dst:int -> size:int -> 'msg -> unit
 (** Queue one message. Crashed senders send nothing; messages to crashed

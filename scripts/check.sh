@@ -86,6 +86,17 @@ set -e
 [ "$bad_topo" -eq 124 ] \
   || { echo "check failed: --topology clique:0,15 exited $bad_topo, not 124" >&2; cat "$out/bad_topo.out" >&2; exit 1; }
 
+# So is a scenario the subcommand cannot run: a misspelt key (never a run
+# on the default), and on the node anything but a mid-run restart.
+for args in "sim --scenario crash-recover:recovr=6000" "node --scenario partition"; do
+  set +e
+  ./_build/default/bin/shoalpp.exe $args -n 4 --duration 100 > "$out/bad_scenario.out" 2>&1
+  bad_scenario=$?
+  set -e
+  [ "$bad_scenario" -eq 124 ] \
+    || { echo "check failed: $args exited $bad_scenario, not 124" >&2; cat "$out/bad_scenario.out" >&2; exit 1; }
+done
+
 # Fault-scenario smoke: a crash-recover run must stay safe (the sim exits
 # non-zero on a failed audit) and record the injected faults in telemetry.
 dune exec bin/shoalpp.exe -- sim \
@@ -367,13 +378,14 @@ wait "$mem_pid" || { echo "check failed: mem smoke run failed" >&2; cat "$out/me
 grep -q 'audit: consistent logs, no duplicates' "$out/mem.out" \
   || { echo "check failed: mem smoke audit line missing" >&2; exit 1; }
 
-# Lag-then-catch-up smoke: kill one replica mid-run, restart it, and
-# require that it rejoined from a certified checkpoint (base_seq > 0 — it
-# did NOT replay from genesis) with an O(gap) number of sync requests,
-# and that the cluster audit still passes (the binary's exit code).
+# Lag-then-catch-up smoke: a crash-recover scenario kills the top replica
+# mid-run and restarts it; require that it rejoined from a certified
+# checkpoint (base_seq > 0 — it did NOT replay from genesis) with an
+# O(gap) number of sync requests, and that the cluster audit still passes
+# (the binary's exit code).
 ./_build/default/bin/shoalpp.exe node \
   -n 4 --duration 10000 --load 300 --no-verify \
-  --checkpoint-interval 12 --restart 3000,6000 > "$out/catchup.out" 2>&1 \
+  --checkpoint-interval 12 --scenario crash-recover:at=3000,recover=6000 > "$out/catchup.out" 2>&1 \
   || { echo "check failed: restart run failed" >&2; cat "$out/catchup.out" >&2; exit 1; }
 grep -q 'audit: consistent logs, no duplicates' "$out/catchup.out" \
   || { echo "check failed: restart audit line missing" >&2; exit 1; }

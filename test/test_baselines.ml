@@ -59,9 +59,7 @@ let test_jolteon_latency_about_5md () =
 let test_jolteon_crashed_leader_recovers () =
   (* Crash one replica at t=2s: rounds it leads time out, then reputation
      drops it from the schedule and progress returns to responsive pace. *)
-  let c = Jolteon.create (jolteon_setup ()) in
-  Cluster.run c ~duration_ms:2_000.0;
-  Cluster.crash_now c 1;
+  let c = Jolteon.create (jolteon_setup ~scenario:(Faults.crash ~at:2_000.0 ()) ()) in
   Cluster.run c ~duration_ms:20_000.0;
   let r = Cluster.report c ~duration_ms:20_000.0 in
   checkb "timeouts fired for dead leader" true (Jolteon.timeouts_fired c > 0);
@@ -71,9 +69,7 @@ let test_jolteon_crashed_leader_recovers () =
 let test_jolteon_reputation_excludes_crashed () =
   (* After recovery, rounds advance without further timeouts: measure the
      tail of the run separately by counting timeouts before/after. *)
-  let c = Jolteon.create (jolteon_setup ()) in
-  Cluster.run c ~duration_ms:1_000.0;
-  Cluster.crash_now c 2;
+  let c = Jolteon.create (jolteon_setup ~scenario:(Faults.crash ~at:1_000.0 ()) ()) in
   Cluster.run c ~duration_ms:15_000.0;
   let timeouts_at_15s = Jolteon.timeouts_fired c in
   Cluster.run c ~duration_ms:30_000.0;

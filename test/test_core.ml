@@ -14,7 +14,7 @@ module Instance = Shoalpp_dag.Instance
 module Anchors = Shoalpp_consensus.Anchors
 module Driver = Shoalpp_consensus.Driver
 module Topology = Shoalpp_sim.Topology
-module Fault_schedule = Shoalpp_sim.Fault_schedule
+module Faults = Shoalpp_sim.Faults
 module Transaction = Shoalpp_workload.Transaction
 
 let checkb = Alcotest.(check bool)
@@ -22,7 +22,8 @@ let checki = Alcotest.(check int)
 
 let committee = Committee.make ~n:4 ~cluster_seed:3 ()
 
-let small_setup ?(protocol = Config.shoalpp ~committee) ?(load = 200.0) ?(scenario = Shoalpp_sim.Faults.none) () =
+let small_setup ?(protocol = Config.shoalpp ~committee) ?(load = 200.0) ?(scenario = Faults.none)
+    () =
   {
     (Cluster.default_setup ~protocol) with
     Cluster.topology = Topology.clique ~regions:4 ~one_way_ms:20.0;
@@ -84,17 +85,14 @@ let test_cluster_all_fast_commits_in_good_network () =
     (report.Report.fast_commits > 10 * (report.Report.direct_commits + report.Report.indirect_commits + 1))
 
 let test_cluster_crash_f_replicas_stays_live () =
-  let c = run_small ~scenario:(Shoalpp_sim.Faults.crash ()) ~duration:8_000.0 () in
+  let c = run_small ~scenario:(Faults.crash ()) ~duration:8_000.0 () in
   let report = Cluster.report c ~duration_ms:8_000.0 in
   (* 3 of 4 clients still run: ~150 tps offered. *)
   checkb "still commits" true (report.Report.committed_tps > 100.0);
   checkb "consistent" true (Cluster.audit c).Cluster.consistent_prefixes
 
 let test_cluster_crash_mid_run () =
-  let c = Cluster.create (small_setup ()) in
-  Cluster.run c ~duration_ms:2_000.0;
-  Cluster.crash_now c 2;
-  Cluster.run c ~duration_ms:8_000.0;
+  let c = run_small ~scenario:(Faults.crash ~at:2_000.0 ()) ~duration:8_000.0 () in
   let audit = Cluster.audit c in
   checkb "consistent after mid-run crash" true audit.Cluster.consistent_prefixes;
   checki "no duplicates" 0 audit.Cluster.duplicate_orders;
@@ -103,7 +101,7 @@ let test_cluster_crash_mid_run () =
   checkb "alive" true (r.Report.committed > 500)
 
 let test_cluster_message_drops_tolerated () =
-  let scenario = Shoalpp_sim.Faults.drop ~rate:0.05 ~from_time:1_000.0 () in
+  let scenario = Faults.drop ~rate:0.05 ~from_time:1_000.0 () in
   let c = run_small ~scenario ~duration:8_000.0 () in
   let audit = Cluster.audit c in
   checkb "drops do not break safety" true audit.Cluster.consistent_prefixes;
@@ -134,7 +132,8 @@ let test_replica_on_ordered_round_robin_dags () =
   let topology = Topology.clique ~regions:4 ~one_way_ms:15.0 in
   let assignment = Topology.assign_round_robin topology ~n:4 in
   let net =
-    Shoalpp_sim.Netmodel.create ~engine ~topology ~assignment ~fault:Fault_schedule.none
+    Shoalpp_sim.Netmodel.create ~engine ~topology ~assignment
+      ~fault:(Faults.schedule Faults.none ~n:4)
       ~config:Shoalpp_sim.Netmodel.default_config ~seed:5 ()
   in
   let world = Shoalpp_backend.Backend_sim.of_net net in

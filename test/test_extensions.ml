@@ -11,7 +11,7 @@ module Anchors = Shoalpp_consensus.Anchors
 module Engine = Shoalpp_sim.Engine
 module Topology = Shoalpp_sim.Topology
 module Netmodel = Shoalpp_sim.Netmodel
-module Fault_schedule = Shoalpp_sim.Fault_schedule
+module Faults = Shoalpp_sim.Faults
 module Wal = Shoalpp_storage.Wal
 module Wire = Shoalpp_codec.Wire
 module E = Shoalpp_baselines.Experiment
@@ -192,7 +192,8 @@ let first_broadcast_targets order =
     { Netmodel.default_config with Netmodel.send_order = order; jitter_ms = 0.0; epoch_ms = 0.0 }
   in
   let net =
-    Netmodel.create ~engine ~topology ~assignment ~fault:Fault_schedule.none ~config ~seed:4 ()
+    Netmodel.create ~engine ~topology ~assignment ~fault:(Faults.schedule Faults.none ~n:10) ~config
+      ~seed:4 ()
   in
   let arrivals = ref [] in
   for i = 0 to 9 do

@@ -7,7 +7,6 @@
    The liveness assertion mirrors the acceptance criterion: commits resume
    within 5 simulated seconds of the heal / recovery. *)
 
-module Fault_schedule = Shoalpp_sim.Fault_schedule
 module Faults = Shoalpp_sim.Faults
 module Engine = Shoalpp_sim.Engine
 module Wal = Shoalpp_storage.Wal
@@ -57,35 +56,42 @@ let test_parse_errors () =
   bad "nonsense";
   bad "byzantine:kind=weird";
   bad "partition:dur=abc";
-  bad "crash-recover:count="
+  bad "crash-recover:count=";
+  bad "crash-recover:recovr=6000";
+  bad "crash-recover:at=3000,oops";
+  bad "byzantine:count=-1";
+  bad "drop:rate=2";
+  bad "partition:dur=-5";
+  bad "crash-recover:recover=2000,at=3000"
 
 (* ------------------------------------------------------------------ *)
-(* Interval-based fault schedule. *)
+(* Interval-based fault timeline. *)
 
 let test_crash_intervals () =
-  let f = Fault_schedule.crash Fault_schedule.none ~replica:1 ~at:1000.0 in
-  let f = Fault_schedule.recover f ~replica:1 ~at:2000.0 in
-  checkb "before crash" false (Fault_schedule.is_crashed f ~replica:1 ~time:999.0);
-  checkb "during downtime" true (Fault_schedule.is_crashed f ~replica:1 ~time:1500.0);
-  checkb "after recovery" false (Fault_schedule.is_crashed f ~replica:1 ~time:2500.0);
-  checkb "other replica unaffected" false (Fault_schedule.is_crashed f ~replica:0 ~time:1500.0)
+  (* Replica 3, the top id, is down over [1000, 2000). *)
+  let f = Faults.schedule (Faults.crash_recover ~at:1000.0 ~recover_at:2000.0 ()) ~n:4 in
+  checkb "before crash" false (Faults.is_crashed f ~replica:3 ~time:999.0);
+  checkb "during downtime" true (Faults.is_crashed f ~replica:3 ~time:1500.0);
+  checkb "after recovery" false (Faults.is_crashed f ~replica:3 ~time:2500.0);
+  checkb "other replica unaffected" false (Faults.is_crashed f ~replica:0 ~time:1500.0)
 
 let test_partition_reachability () =
+  (* Sides {0, 1} and {2, 3} over [1000, 2000). *)
   let f =
-    Fault_schedule.partition Fault_schedule.none ~groups:[ [ 0; 1 ]; [ 2; 3 ] ] ~from_time:1000.0
-      ~until_time:2000.0
+    Faults.schedule (Faults.partition ~minority:2 ~from_time:1000.0 ~duration:1000.0 ()) ~n:4
   in
-  checkb "same group" true (Fault_schedule.reachable f ~src:0 ~dst:1 ~time:1500.0);
-  checkb "cross group cut" false (Fault_schedule.reachable f ~src:0 ~dst:2 ~time:1500.0);
-  checkb "before window" true (Fault_schedule.reachable f ~src:0 ~dst:2 ~time:500.0);
-  checkb "after heal" true (Fault_schedule.reachable f ~src:0 ~dst:2 ~time:2500.0);
-  checkb "loopback always" true (Fault_schedule.reachable f ~src:2 ~dst:2 ~time:1500.0)
+  checkb "same group" true (Faults.reachable f ~src:0 ~dst:1 ~time:1500.0);
+  checkb "same minority group" true (Faults.reachable f ~src:2 ~dst:3 ~time:1500.0);
+  checkb "cross group cut" false (Faults.reachable f ~src:0 ~dst:2 ~time:1500.0);
+  checkb "before window" true (Faults.reachable f ~src:0 ~dst:2 ~time:500.0);
+  checkb "after heal" true (Faults.reachable f ~src:0 ~dst:2 ~time:2500.0);
+  checkb "loopback always" true (Faults.reachable f ~src:2 ~dst:2 ~time:1500.0)
 
 let test_schedule_materializes () =
   let scenario = Faults.crash_recover ~count:1 ~at:3000.0 ~recover_at:8000.0 () in
   let f = Faults.schedule scenario ~n:4 in
-  checkb "crashed mid-window" true (Fault_schedule.is_crashed f ~replica:3 ~time:5000.0);
-  checkb "recovered" false (Fault_schedule.is_crashed f ~replica:3 ~time:9000.0);
+  checkb "crashed mid-window" true (Faults.is_crashed f ~replica:3 ~time:5000.0);
+  checkb "recovered" false (Faults.is_crashed f ~replica:3 ~time:9000.0);
   (match Faults.crash_recoveries scenario ~n:4 with
   | [ (3, at, rec_at) ] ->
     checkf "crash at" 3000.0 at;
@@ -96,10 +102,10 @@ let test_schedule_materializes () =
   let crash = parse_ok "crash:count=2" and drop = parse_ok "drop:count=2,rate=0.5,from=100" in
   let f = Faults.schedule (Faults.combine [ crash; drop ]) ~n:7 in
   Alcotest.(check (list int)) "top ids down at t=0" [ 5; 6 ]
-    (List.sort Int.compare (Fault_schedule.crashed_replicas f ~time:0.0));
-  checkf "lowest ids drop" 0.5 (Fault_schedule.egress_drop_rate f ~src:1 ~time:100.0);
-  checkf "others do not" 0.0 (Fault_schedule.egress_drop_rate f ~src:2 ~time:100.0);
-  checkf "not before from" 0.0 (Fault_schedule.egress_drop_rate f ~src:0 ~time:99.0);
+    (List.filter (fun r -> Faults.is_crashed f ~replica:r ~time:0.0) (List.init 7 Fun.id));
+  checkf "lowest ids drop" 0.5 (Faults.egress_drop_rate f ~src:1 ~time:100.0);
+  checkf "others do not" 0.0 (Faults.egress_drop_rate f ~src:2 ~time:100.0);
+  checkf "not before from" 0.0 (Faults.egress_drop_rate f ~src:0 ~time:99.0);
   Alcotest.(check string) "combined name" "crash+drop" (Faults.name (Faults.combine [ crash; drop ]));
   checkb "no recovery, no runtime event" true (Faults.crash_recoveries crash ~n:7 = [])
 

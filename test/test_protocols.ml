@@ -12,7 +12,6 @@ module Types = Shoalpp_dag.Types
 module Engine = Shoalpp_sim.Engine
 module Topology = Shoalpp_sim.Topology
 module Netmodel = Shoalpp_sim.Netmodel
-module Fault_schedule = Shoalpp_sim.Fault_schedule
 module Signer = Shoalpp_crypto.Signer
 module Digest32 = Shoalpp_crypto.Digest32
 module Batch = Shoalpp_workload.Batch

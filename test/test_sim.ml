@@ -5,7 +5,7 @@
 module Engine = Shoalpp_sim.Engine
 module Topology = Shoalpp_sim.Topology
 module Netmodel = Shoalpp_sim.Netmodel
-module Fault_schedule = Shoalpp_sim.Fault_schedule
+module Faults = Shoalpp_sim.Faults
 module Trace = Shoalpp_sim.Trace
 module Wal = Shoalpp_storage.Wal
 module Kvstore = Shoalpp_storage.Kvstore
@@ -181,10 +181,11 @@ let quiet_config =
     cpu_per_byte_ms = 0.0;
   }
 
-let make_net ?(config = quiet_config) ?(fault = Fault_schedule.none) ?(n = 4) () =
+let make_net ?(config = quiet_config) ?(scenario = Faults.none) ?(n = 4) () =
   let engine = Engine.create () in
   let topology = Topology.clique ~regions:n ~one_way_ms:10.0 in
   let assignment = Topology.assign_round_robin topology ~n in
+  let fault = Faults.schedule scenario ~n in
   let net = Netmodel.create ~engine ~topology ~assignment ~fault ~config ~seed:3 () in
   (engine, net)
 
@@ -235,23 +236,22 @@ let test_net_broadcast_include_self () =
   checki "others got two" 2 seen.(1)
 
 let test_net_crash_semantics () =
-  let fault = Fault_schedule.crash Fault_schedule.none ~replica:1 ~at:5.0 in
-  let engine, net = make_net ~fault () in
+  (* Replica 3, the top id, is down from t=5. *)
+  let engine, net = make_net ~scenario:(Faults.crash ~at:5.0 ()) () in
   let got = ref 0 in
-  Netmodel.set_handler net 1 (fun ~src:_ () -> incr got);
+  Netmodel.set_handler net 3 (fun ~src:_ () -> incr got);
   Netmodel.set_handler net 2 (fun ~src:_ () -> incr got);
   (* Sent before the crash but delivered after: must vanish. *)
-  Netmodel.send net ~src:0 ~dst:1 ~size:0 ();
+  Netmodel.send net ~src:0 ~dst:3 ~size:0 ();
   Engine.run engine;
   checki "late delivery suppressed" 0 !got;
   (* A crashed sender sends nothing. *)
-  Netmodel.send net ~src:1 ~dst:2 ~size:0 ();
+  Netmodel.send net ~src:3 ~dst:2 ~size:0 ();
   Engine.run engine;
   checki "crashed sender suppressed" 0 !got
 
 let test_net_drop_rate () =
-  let fault = Fault_schedule.drop_egress Fault_schedule.none ~replicas:[ 0 ] ~rate:0.5 ~from_time:0.0 () in
-  let engine, net = make_net ~fault () in
+  let engine, net = make_net ~scenario:(Faults.drop ~rate:0.5 ()) () in
   let got = ref 0 in
   Netmodel.set_handler net 1 (fun ~src:_ () -> incr got);
   for _ = 1 to 2000 do
@@ -306,27 +306,30 @@ let test_net_extra_delay_epochs () =
   checkb "non-negative" true (d1 >= 0.0)
 
 (* ------------------------------------------------------------------ *)
-(* Fault_schedule (materialized fault timelines) *)
+(* Fault timelines, materialized from scenarios *)
+
+let crashed_at f ~n ~time =
+  List.filter (fun r -> Faults.is_crashed f ~replica:r ~time) (List.init n Fun.id)
 
 let test_fault_crash_window () =
-  let f = Fault_schedule.crash Fault_schedule.none ~replica:2 ~at:100.0 in
-  checkb "before" false (Fault_schedule.is_crashed f ~replica:2 ~time:99.0);
-  checkb "at" true (Fault_schedule.is_crashed f ~replica:2 ~time:100.0);
-  checkb "other replica" false (Fault_schedule.is_crashed f ~replica:1 ~time:200.0);
-  Alcotest.(check (list int)) "crashed list" [ 2 ] (Fault_schedule.crashed_replicas f ~time:150.0)
+  let f = Faults.schedule (Faults.crash ~at:100.0 ()) ~n:3 in
+  checkb "before" false (Faults.is_crashed f ~replica:2 ~time:99.0);
+  checkb "at" true (Faults.is_crashed f ~replica:2 ~time:100.0);
+  checkb "other replica" false (Faults.is_crashed f ~replica:1 ~time:200.0);
+  Alcotest.(check (list int)) "crashed list" [ 2 ] (crashed_at f ~n:3 ~time:150.0)
 
 let test_fault_drop_combination () =
-  let f =
-    Fault_schedule.drop_egress Fault_schedule.none ~replicas:[ 0 ] ~rate:0.5 ~from_time:0.0 ~until_time:100.0 ()
-  in
-  let f = Fault_schedule.drop_egress f ~replicas:[ 0 ] ~rate:0.5 ~from_time:0.0 ~until_time:100.0 () in
-  checkf "combines independently" 0.75 (Fault_schedule.egress_drop_rate f ~src:0 ~time:50.0);
-  checkf "outside window" 0.0 (Fault_schedule.egress_drop_rate f ~src:0 ~time:150.0);
-  checkf "other replica" 0.0 (Fault_schedule.egress_drop_rate f ~src:1 ~time:50.0)
+  let drop = Faults.drop ~rate:0.5 ~from_time:100.0 () in
+  let f = Faults.schedule (Faults.combine [ drop; drop ]) ~n:4 in
+  checkf "combines independently" 0.75 (Faults.egress_drop_rate f ~src:0 ~time:150.0);
+  checkf "outside window" 0.0 (Faults.egress_drop_rate f ~src:0 ~time:50.0);
+  checkf "other replica" 0.0 (Faults.egress_drop_rate f ~src:1 ~time:150.0)
 
 let test_fault_earliest_crash_wins () =
-  let f = Fault_schedule.crash (Fault_schedule.crash Fault_schedule.none ~replica:1 ~at:50.0) ~replica:1 ~at:20.0 in
-  Alcotest.(check (option (float 1e-9))) "earliest" (Some 20.0) (Fault_schedule.crash_time f ~replica:1)
+  let late = Faults.crash ~at:50.0 () and early = Faults.crash ~at:20.0 () in
+  let f = Faults.schedule (Faults.combine [ late; early ]) ~n:2 in
+  checkb "up before the earliest" false (Faults.is_crashed f ~replica:1 ~time:19.0);
+  checkb "down from the earliest" true (Faults.is_crashed f ~replica:1 ~time:20.0)
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)

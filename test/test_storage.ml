@@ -489,7 +489,7 @@ let test_replica_vote_matches_sign () =
     Shoalpp_backend.Backend_sim.make
       ~topology:(Topology.clique ~regions:2 ~one_way_ms:20.0)
       ~assignment:(Array.init 4 (fun i -> i mod 2))
-      ~fault:Shoalpp_sim.Fault_schedule.none
+      ~fault:(Faults.schedule Faults.none ~n:4)
       ~config:Shoalpp_backend.Backend_sim.default_net_config ~seed:3 ()
   in
   let base = Shoalpp_backend.Backend_sim.backend world in
@@ -616,12 +616,9 @@ let test_node_restart_recovery_audit () =
         Node.load_tps = 300.0;
         seed = 5;
         delays_ms = Some (Topology.delay_matrix (Topology.uniform ~delay_ms:20.0) ~n:4);
-        retain_wal = true;
+        scenario = Faults.crash_recover ~at:1_000.0 ~recover_at:2_000.0 ();
       }
   in
-  let backend = Node.backend node in
-  ignore (Shoalpp_backend.Backend.schedule backend ~after:1_000.0 (fun () -> Node.crash_replica node 3));
-  ignore (Shoalpp_backend.Backend.schedule backend ~after:2_000.0 (fun () -> Node.recover_replica node 3));
   Node.run node ~duration_ms:4_000.0;
   let audit = Node.audit node in
   checkb "prefixes consistent" true audit.Node.consistent_prefixes;
@@ -630,6 +627,22 @@ let test_node_restart_recovery_audit () =
   let r = (Node.replicas node).(3) in
   checkb "caught up" false (Node.catching_up node 3);
   checkb "restarted replica orders again" true (Replica.log_length r > Replica.base_seq r)
+
+(* The node realizes a scenario's restarts and nothing else: a partition
+   is refused, and so is a restart on the multicore node. *)
+let test_node_refuses_unrealizable_scenarios () =
+  let protocol = Config.shoalpp ~committee:(Committee.make ~n:4 ()) in
+  let refused name setup =
+    match Node.create setup with
+    | _ -> Alcotest.failf "%s: Node.create accepted the scenario" name
+    | exception Invalid_argument _ -> ()
+  in
+  let setup = Node.default_setup ~protocol in
+  refused "partition" { setup with Node.scenario = Faults.partition () };
+  refused "restart at domains = 2"
+    { setup with Node.scenario = Faults.crash_recover (); domains = 2 };
+  checkb "a restart at domains = 1 is accepted" true
+    (Node.check_scenario ~domains:1 (Faults.crash_recover ()) = Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Golden determinism: the ordered commit stream is byte-identical with
@@ -694,6 +707,8 @@ let suite =
         Alcotest.test_case "replica vote = Checkpoint.sign" `Quick test_replica_vote_matches_sign;
         Alcotest.test_case "recovery audit verdicts" `Quick test_recovery_audit_verdicts;
         Alcotest.test_case "node restart: recovery audited" `Slow test_node_restart_recovery_audit;
+        Alcotest.test_case "node refuses unrealizable scenarios" `Quick
+          test_node_refuses_unrealizable_scenarios;
         Alcotest.test_case "determinism: checkpointing on vs off" `Slow test_golden_determinism_on_vs_off;
       ] );
   ]

@@ -84,7 +84,7 @@ let test_tcp_crash_reconnect_backoff () =
   (* Replica 1 dies: its listener and accepted connections vanish. The
      sender's next writes hit a reset stream, tear the connection down,
      and enter capped backoff — dropping, never blocking. *)
-  Tcp.crash_replica h 1;
+  Tcp.close_replica h 1;
   for i = 0 to 29 do
     send tr ~src:0 ~dst:1 (Printf.sprintf "lost-%d" i);
     Realtime.run_for exec ~duration_ms:10.0
@@ -95,7 +95,7 @@ let test_tcp_crash_reconnect_backoff () =
   checkb "frames to the dead peer dropped" true (stats.Backend.Transport.dropped >= 1);
   (* Replica 1 comes back on the same port: once the sender's backoff
      deadline passes, a send re-dials and delivery resumes. *)
-  Tcp.restart_replica h 1;
+  Tcp.reopen_replica h 1;
   let delivered () = List.exists (fun (_, m) -> String.length m >= 5 && String.sub m 0 5 = "back-") (inbox 1) in
   let i = ref 0 in
   while (not (delivered ())) && !i < 400 do
