@@ -649,7 +649,7 @@ let mem () =
      so no point's live words include the values an earlier one verified. *)
   let on_fresh_domain n interval = Domain.join (Domain.spawn (fun () -> run_one n interval)) in
   write_record "mem"
-    (List.concat_map (fun n -> List.map (on_fresh_domain n) [ 0; 12; 48 ]) (replicas [ 4; 50 ]))
+    (List.concat_map (fun n -> List.map (on_fresh_domain n) [ 0; 12; 48 ]) (replicas [ 4; 20; 50 ]))
 
 (* ------------------------------------------------------------------ *)
 (* node: the real-time multicore node, ordered throughput vs --domains,

@@ -71,10 +71,12 @@ let common ~n ~load ~duration ~warmup ~topology_doc ~scenario_check ~scenario_do
         & opt int 0
         & info [ "checkpoint-interval" ] ~docv:"C"
             ~doc:
-              "Certify a checkpoint (and prune history below it) every C committed anchors; 0 \
-               (default) disables the bounded-memory lifecycle. Rounded up to a multiple of the \
-               DAG count so the boundary always lands on the round-robin merge seam. Commit \
-               sequences are identical at any value.")
+              "Turn on the bounded-memory lifecycle (certify a checkpoint, prune history below \
+               it); 0 (default) disables it. C is rounded up to a multiple of the DAG count k. \
+               Every C merged anchors (C/k per DAG) is a merge seam that carries each DAG's \
+               driver snapshot; the replicas vote on a seam only when lane 0's anchor round has \
+               entered a new bucket of R = C/k rounds, so one checkpoint is voted per R lane-0 \
+               rounds. Commit sequences are identical at any value.")
     $ Arg.(
         value
         & opt (some topology_arg) None

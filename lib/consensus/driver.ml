@@ -14,12 +14,13 @@ type segment = {
   kind : kind;
   nodes : Types.certified_node list;
   committed_at : float;
-  resume : string option;
+  resume : string Lazy.t option;
       (* Checkpoint snapshot of the driver's post-segment state, attached to
          every [snapshot_every]-th emitted segment. A pure function of the
          committed prefix (no clocks, no local DAG progress), so replicas
          with equal prefixes attach byte-equal blobs — which is what lets
-         the checkpoint digest cover it. *)
+         the checkpoint digest cover it. The state is copied at emission
+         and encoded only when forced: most seams are never voted. *)
 }
 
 type config = {
@@ -136,19 +137,20 @@ let positions_prune p ~below =
   p.size <- p.size - !dropped;
   !dropped
 
-(* Append the packed keys [round * n + author] of every position at or
-   above [from], count-prefixed and ascending: the bytes
-   [Wire.Writer.list] would write for the sorted key list. *)
-let positions_write p w ~from =
+(* The rows of every position at or above [from], copied: the first
+   row is round [from]. *)
+let positions_window p ~from =
   let from = max from p.lo in
-  let count = ref 0 in
-  for round = from to p.hi do
-    count := !count + Bitset.count (row p round)
-  done;
-  Wire.Writer.uint w !count;
-  for round = from to p.hi do
-    Bitset.iter (fun author -> Wire.Writer.uint w ((round * p.n) + author)) (row p round)
-  done
+  (from, Array.init (max 0 (p.hi - from + 1)) (fun i -> Bitset.copy (row p (from + i))))
+
+(* Append a window's packed keys [round * n + author], count-prefixed and
+   ascending: the bytes [Wire.Writer.list] would write for the sorted key
+   list. *)
+let window_write ~n (from, rows) w =
+  Wire.Writer.uint w (Array.fold_left (fun acc r -> acc + Bitset.count r) 0 rows);
+  Array.iteri
+    (fun i r -> Bitset.iter (fun author -> Wire.Writer.uint w (((from + i) * n) + author)) r)
+    rows
 
 type t = {
   cfg : config;
@@ -341,19 +343,28 @@ let resolve_candidate t ~round ~author =
 
    Varints are unsigned; fields that can be -1 are shifted by one. *)
 
-let snapshot t =
-  let w = Wire.Writer.create ~initial:256 () in
-  Wire.Writer.uint w t.cur_round;
-  Wire.Writer.list w (fun a -> Wire.Writer.uint w a) t.pending;
-  Wire.Writer.uint w t.segments;
-  Wire.Writer.uint w t.skipped_anchors;
-  let floor = Store.lowest_retained t.store in
-  Wire.Writer.uint w floor;
-  (* The round walk yields keys ascending: no table order reaches the
-     (digested) blob. *)
-  positions_write t.ordered w ~from:floor;
-  Reputation.write t.rep w;
-  Wire.Writer.contents w
+(* Copy the state a snapshot encodes, and defer the encoding: only a voted
+   seam's snapshot is ever forced. The copies make the blob the same
+   whenever (and on whichever domain) it is forced. *)
+let capture t =
+  let cur_round = t.cur_round and pending = t.pending and segments = t.segments in
+  let skipped = t.skipped_anchors and floor = Store.lowest_retained t.store in
+  let window = positions_window t.ordered ~from:floor and rep = Reputation.copy t.rep in
+  let n = t.ordered.n in
+  lazy
+    (let w = Wire.Writer.create ~initial:256 () in
+     Wire.Writer.uint w cur_round;
+     Wire.Writer.list w (fun a -> Wire.Writer.uint w a) pending;
+     Wire.Writer.uint w segments;
+     Wire.Writer.uint w skipped;
+     Wire.Writer.uint w floor;
+     (* The round walk yields keys ascending: no table order reaches the
+        (digested) blob. *)
+     window_write ~n window w;
+     Reputation.write rep w;
+     Wire.Writer.contents w)
+
+let snapshot t = Lazy.force (capture t)
 
 let restore t blob =
   let rd = Wire.Reader.of_string blob in
@@ -457,7 +468,7 @@ let output_segment t ~round ~author ~kind ~finish =
       let deferred = finish () in
       let resume =
         if t.cfg.snapshot_every > 0 && t.segments mod t.cfg.snapshot_every = 0 then
-          Some (snapshot t)
+          Some (capture t)
         else None
       in
       t.hooks.on_segment

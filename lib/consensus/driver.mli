@@ -41,11 +41,14 @@ type segment = {
   kind : kind;
   nodes : Shoalpp_dag.Types.certified_node list;
   committed_at : float;
-  resume : string option;
+  resume : string Lazy.t option;
       (** Opaque driver snapshot, present on every [snapshot_every]-th
           segment (checkpointing enabled). A deterministic function of the
           committed prefix: byte-identical at every correct replica emitting
-          the same segment, and accepted by {!restore}. *)
+          the same segment, and accepted by {!restore}. The driver state is
+          copied when the segment is emitted and encoded when the blob is
+          first forced, so the bytes are those of {!snapshot} at emission
+          however much later, and on whichever one domain, it is forced. *)
 }
 
 type config = {
@@ -136,7 +139,9 @@ val reputation : t -> Reputation.t
       bits), [ordered_size] is O(1), and a restored driver's bounds come
       from its blob, not from round 0;
     - [snapshot] writes the reputation window from bytes encoded once per
-      observed segment, so a snapshot costs O(n + window) appends. *)
+      observed segment, so a snapshot costs O(n + window) appends; a
+      {!segment.resume} copies the same state (the ordered rounds above
+      the floor and the reputation arrays) and defers the appends. *)
 
 val snapshot : t -> string
 (** The {!segment.resume} blob for the driver's current state. Its

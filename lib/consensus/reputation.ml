@@ -150,6 +150,17 @@ let dump t =
 let wint w v = Wire.Writer.uint w (v + 1)
 let rint rd = Wire.Reader.uint rd - 1
 
+let copy t =
+  {
+    t with
+    scores = Array.copy t.scores;
+    last_round = Array.copy t.last_round;
+    last_support = Array.copy t.last_support;
+    ring = Bytes.copy t.ring;
+    lens = Array.copy t.lens;
+    miss = Array.copy t.miss;
+  }
+
 let write t w =
   let ints arr =
     Wire.Writer.uint w (Array.length arr);

@@ -82,6 +82,11 @@ type dump = {
 
 val dump : t -> dump
 
+val copy : t -> t
+(** An independent copy: later {!observe_segment}s on either leave the
+    other as it was, so a copy taken at a segment still {!write}s that
+    segment's state. *)
+
 val write : t -> Shoalpp_codec.Wire.Writer.t -> unit
 (** Append the state's checkpoint encoding: the four n-sized arrays and the
     highest anchor round as count-prefixed varints shifted by one, and the

@@ -6,6 +6,7 @@ module Checkpoint = Shoalpp_storage.Checkpoint
 module Wal = Shoalpp_storage.Wal
 module Obs = Shoalpp_sim.Obs
 module Trace = Shoalpp_sim.Trace
+module Telemetry = Shoalpp_support.Telemetry
 module Digest32 = Shoalpp_crypto.Digest32
 module Signer = Shoalpp_crypto.Signer
 module Multisig = Shoalpp_crypto.Multisig
@@ -36,13 +37,19 @@ type t = {
   committee : Committee.t;
   id : int;
   interval : int; (* effective interval: > 0, multiple of num_dags *)
+  rounds : int; (* R = interval / num_dags: lane-0 rounds per voted seam *)
   obs : Obs.t;
+  (* Registered at creation, so a run shows them even at 0. *)
+  c_boundaries : Telemetry.counter option; (* voted seams *)
+  c_superseded : Telemetry.counter option; (* own candidates replaced uncertified *)
+  c_certified : Telemetry.counter option;
   fx : effects;
   wal : Wal.t; (* certified checkpoints only; always retains *)
   marks : int list array; (* per protocol WAL device: segments opened at checkpoints, newest first *)
   mutable state : Digest32.t; (* running commit-stream digest *)
-  lane_latest : (int * string) option array; (* (anchor round, resume) per lane *)
+  lane_latest : (int * string Lazy.t) option array; (* per lane: anchor round, resume *)
   mutable candidate : Checkpoint.candidate option; (* ours, pending quorum *)
+  mutable voted_bucket : int; (* lane-0 round / [rounds] at the last voted seam; -1 = none *)
   mutable votes : (int * Digest32.t * Signer.signature) list Int_map.t; (* by seq *)
   mutable latest : Checkpoint.t option; (* newest certified checkpoint *)
   served : string option Atomic.t; (* [latest], encoded: read by lane domains *)
@@ -60,13 +67,18 @@ let create ~config ~replica_id ~obs ~timers ~wal_devices fx =
         committee = config.Config.committee;
         id = replica_id;
         interval;
+        rounds = interval / config.Config.num_dags;
         obs;
+        c_boundaries = Obs.counter obs "ck.boundaries";
+        c_superseded = Obs.counter obs "ck.superseded";
+        c_certified = Obs.counter obs "ck.certified";
         fx;
         wal = Wal.create ~timers ~sync_latency_ms:config.Config.wal_sync_ms ~retain:true ();
         marks = Array.make wal_devices [];
         state = Digest32.zero;
         lane_latest = Array.make config.Config.num_dags None;
         candidate = None;
+        voted_bucket = -1;
         votes = Int_map.empty;
         latest = None;
         served = Atomic.make None;
@@ -76,14 +88,16 @@ let create ~config ~replica_id ~obs ~timers ~wal_devices fx =
       }
 
 (* The one reset of vote and fold state: forget the candidate and every
-   vote buffered at or below [upto]; with [fold], also restart the running
-   digest from it and forget each lane's resume blob. *)
+   vote buffered at or below [upto]; with [fold], also restart the fold
+   over the log from it — the running digest and the bucket of the last
+   voted seam — and forget each lane's resume blob. *)
 let reset ?fold m ~upto =
   m.candidate <- None;
   m.votes <- (let _, _, above = Int_map.split upto m.votes in above);
   match fold with
-  | Some state ->
+  | Some (state, bucket) ->
     m.state <- state;
+    m.voted_bucket <- bucket;
     Array.fill m.lane_latest 0 (Array.length m.lane_latest) None
   | None -> ()
 
@@ -154,7 +168,7 @@ let install m ck =
   let seq = Checkpoint.seq ck in
   reset m ~upto:seq;
   Wal.append m.wal ~size:(String.length blob) ~payload:(fun () -> blob) ignore;
-  Obs.incr m.obs "ck.certified";
+  Obs.incr_c m.c_certified;
   Obs.set m.obs "ck.latest_seq" (float_of_int seq);
   Obs.event m.obs ~time:(m.fx.now ())
     (Trace.Checkpoint_certified { seq; signers = Multisig.num_signers (Checkpoint.cert ck) });
@@ -207,20 +221,30 @@ let on_vote m ~global_seq vote =
     end
   | _ -> ()
 
+(* A seam is every [interval]-th merge position: the interval is a
+   multiple of the lane count, so there every lane's last segment carried
+   a driver snapshot (snapshot_every = interval / num_dags). A seam is
+   voted only if it is the first at which lane 0's anchor round enters a
+   new bucket of [rounds] rounds. Multi-anchor rounds commit several
+   segments per round, so voting every seam would open candidates faster
+   than a vote round trip and supersede most of them. The rule reads the
+   ordered log alone, so every replica votes the same seams. *)
 let boundary m ~replaying ~seq =
-  (* The interval is a multiple of the lane count, so by the time the merge
-     reaches a boundary every lane's last segment of the window carried a
-     driver snapshot (snapshot_every = interval / num_dags). *)
-  if Array.for_all Option.is_some m.lane_latest then begin
+  match m.lane_latest.(0) with
+  | Some (round0, _)
+    when round0 / m.rounds > m.voted_bucket && Array.for_all Option.is_some m.lane_latest ->
+    m.voted_bucket <- round0 / m.rounds;
     let lanes =
       List.mapi
         (fun dag_id latest ->
           let round, resume = Option.get latest in
-          { Checkpoint.dag_id; round; resume })
+          { Checkpoint.dag_id; round; resume = Lazy.force resume })
         (Array.to_list m.lane_latest)
     in
     let cand = Checkpoint.candidate ~seq ~lanes ~state:m.state in
+    if Option.is_some m.candidate then Obs.incr_c m.c_superseded;
     m.candidate <- Some cand;
+    Obs.incr_c m.c_boundaries;
     if not replaying then
       m.fx.broadcast_vote
         (Types.Checkpoint_vote
@@ -232,7 +256,7 @@ let boundary m ~replaying ~seq =
            });
     (* faster peers' votes may already be buffered *)
     try_certify m ~seq
-  end
+  | _ -> ()
 
 let observe m ~replaying ~seq (segment : Driver.segment) =
   let anchor = segment.Driver.anchor in
@@ -244,13 +268,20 @@ let observe m ~replaying ~seq (segment : Driver.segment) =
   | None -> ());
   if (seq + 1) mod m.interval = 0 then boundary m ~replaying ~seq
 
-(* Rewind to a certified checkpoint: the running digest restarts from its
-   state, the replica rewinds the merge and every lane, and everything
-   below the restored floors is vouched for by the certificate, so
-   physical retention restarts there. *)
+(* The bucket [boundary] recorded when it voted [ck]'s seam. *)
+let bucket_of m ck =
+  let lane0 (l : Checkpoint.lane) = l.Checkpoint.dag_id = 0 in
+  match List.find_opt lane0 (Checkpoint.lanes ck) with
+  | Some l -> l.Checkpoint.round / m.rounds
+  | None -> -1
+
+(* Rewind to a certified checkpoint: the fold over the log restarts from
+   its state and its lane-0 round bucket, the replica rewinds the merge
+   and every lane, and everything below the restored floors is vouched for
+   by the certificate, so physical retention restarts there. *)
 let restore m ck =
   let blob = Option.get (set_latest m (Some ck)) in
-  reset m ~upto:max_int ~fold:(Checkpoint.state ck);
+  reset m ~upto:max_int ~fold:(Checkpoint.state ck, bucket_of m ck);
   m.fx.rewind ~seq:(Checkpoint.seq ck) (Checkpoint.lanes ck);
   apply_gates m ck;
   blob
@@ -272,9 +303,9 @@ let recover m ~wipe =
     ignore (set_latest m None);
     Array.fill m.marks 0 (Array.length m.marks) []
   end;
-  (* Vote state never survives a restart; the running digest restarts
-     from zero (or from the restored checkpoint's state). *)
-  reset m ~upto:max_int ~fold:Digest32.zero;
+  (* Vote state never survives a restart; the fold over the log restarts
+     from genesis (or from the restored checkpoint). *)
+  reset m ~upto:max_int ~fold:(Digest32.zero, -1);
   if not wipe then Option.iter (fun ck -> ignore (restore m ck)) (newest_local m)
 
 (* Peer-checkpoint probe, run on every checkpoint-aware restart (not just

@@ -1,11 +1,17 @@
 (** The bounded-memory checkpoint lifecycle of one Shoal++ replica: vote,
     certify, install, truncate, gate, restore and peer adoption.
 
-    Every [interval] merged segments (Alg. 3's global sequence) the
-    replica hands the manager the segments it merged ({!observe}); the
-    manager folds them into a running digest, forms a candidate from each
-    lane's latest driver snapshot, votes on its digest over the control
-    plane, and certifies it on a quorum of matching votes. A certified
+    The replica hands the manager every segment it merges ({!observe},
+    Alg. 3's global sequence), and the manager folds them into a running
+    digest. Every [interval] merged segments is a seam at which each
+    lane's latest segment carried a driver snapshot. A seam is voted only
+    if it is the first at which lane 0's anchor round enters a new bucket
+    of R = [interval / num_dags] rounds: there the manager forms a
+    candidate from the lanes' snapshots, votes on its digest over the
+    control plane, and certifies it on a quorum of matching votes.
+    Multi-anchor rounds commit several segments per round, so bucketing by
+    round bounds candidates by the round rate and leaves a vote round trip
+    before the next voted seam. A certified
     checkpoint is persisted to a dedicated always-retaining WAL device,
     rotates and truncates the protocol WAL devices, and raises each lane's
     retain gate. After a crash the manager restores the newest verified
@@ -21,11 +27,17 @@
       out-of-band control plane, which draws no RNG and perturbs no
       protocol queue, and every checkpoint input is a deterministic
       function of the committed prefix;
+    - which seams are voted is a function of the ordered log alone: the
+      bucket of the last voted seam is part of the fold, restarted at -1
+      from genesis and re-derived from the checkpoint's lane-0 round on a
+      restore or adoption, so every replica votes the same seams;
     - pruning (WAL truncation, the lanes' retain gates) happens only under
       a certificate that passed {!Shoalpp_storage.Checkpoint.verify} —
       never on local state alone; a blob read back from the local device
       or received from a peer is adopted only after the same check;
-    - at most one candidate is pending: a boundary overwrites it;
+    - at most one candidate is pending: a voted seam replaces it (counted
+      in [ck.superseded] if it was not certified), a seam that is not
+      voted leaves it alone;
     - buffered votes are bounded: stale ones (at or below the latest
       certified seq), duplicates per voter, votes beyond the horizon and
       votes failing their signature check are refused;
@@ -69,8 +81,9 @@ val create :
     single-domain mode, one per lane under multicore placement. *)
 
 val observe : t -> replaying:bool -> seq:int -> Shoalpp_consensus.Driver.segment -> unit
-(** The segment merged at global sequence [seq]. At a boundary, form the
-    candidate, vote on it unless [replaying], and try to certify. *)
+(** The segment merged at global sequence [seq]. At a voted seam, form
+    the candidate (counted in [ck.boundaries]), vote on it unless
+    [replaying], and try to certify. *)
 
 val on_vote : t -> global_seq:int -> Shoalpp_dag.Types.message -> unit
 (** An inbound control-plane [Checkpoint_vote] (anything else is ignored);

@@ -34,10 +34,13 @@ type t = {
   fetch_delay_ms : float;
   gc_depth : int;
   checkpoint_interval : int;
-      (** commit-certified checkpoint every this many committed anchors in
-          the merged sequence (0 = checkpointing and pruning-to-checkpoint
-          off). Rounded up to a multiple of [num_dags] — see
-          {!effective_checkpoint_interval}. *)
+      (** C, the checkpoint cadence (0 = checkpointing and
+          pruning-to-checkpoint off). Rounded up to a multiple of
+          [num_dags] = k — see {!effective_checkpoint_interval}. Every C
+          merged anchors is a seam carrying each lane's driver snapshot; a
+          seam is voted only where lane 0's anchor round enters a new
+          bucket of R = C/k rounds, so one commit-certified checkpoint is
+          voted per R lane-0 rounds. *)
   seed : int;
 }
 
@@ -61,12 +64,14 @@ val round_timeout : t -> float -> t
 (** Replace the wait-policy timeout, keeping the policy's shape. *)
 
 val with_checkpoint_interval : t -> int -> t
-(** Enable checkpointing every [interval] committed anchors (0 disables). *)
+(** Enable checkpointing at cadence [interval] (0 disables): one voted
+    checkpoint per [interval / num_dags] lane-0 rounds. *)
 
 val effective_checkpoint_interval : t -> int
 (** The configured interval rounded up to a multiple of [num_dags], so a
-    checkpoint boundary in the merged (Alg. 3) sequence corresponds to a
-    whole number of segments in every lane. 0 when disabled. *)
+    seam in the merged (Alg. 3) sequence corresponds to a whole number of
+    segments in every lane; divided by [num_dags] it is R, the lane-0
+    rounds per voted seam. 0 when disabled. *)
 
 val instance_config : t -> replica:int -> dag_id:int -> Shoalpp_dag.Instance.config
 val driver_config : t -> dag_id:int -> Shoalpp_consensus.Driver.config

@@ -392,14 +392,9 @@ let sync_response_size = function
     1 + 2 + 4
     + List.fold_left (fun acc cn -> acc + node_size cn.cn_node + cert_size cn.cn_cert) 0 sc_certs
   | Checkpoint_blob { cb_blob } -> (
-    (* A blob is charged as the candidate plus its signer list: like the
-       certificates above, its aggregate's cost is a modeling choice, not
-       its stand-in bytes, and the blob's model has never charged one. *)
-    1 + 1
-    +
-    match cb_blob with
-    | None -> 0
-    | Some blob -> max 0 (String.length blob - Multisig.combined_size))
+    (* A blob is charged its encoded bytes: the candidate, its signer list
+       and its aggregate, as the codec writes them. *)
+    1 + 1 + match cb_blob with None -> 0 | Some blob -> String.length blob)
 
 let message_size = function
   | Proposal n -> node_size n

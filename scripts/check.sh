@@ -531,7 +531,7 @@ fi
 # repository benchmark at seed 3 must order the pinned commit stream. The
 # digests are a function of the seed only, so any change to them is a
 # change of behaviour and must be re-pinned on purpose.
-for pin in sim-gcp10:2944a3ef9715988bb326ed0e9847ca95 sim-lifecycle:87a4f2277c97ff1c4307d36e7844cffe; do
+for pin in sim-gcp10:2944a3ef9715988bb326ed0e9847ca95 sim-lifecycle:b192db2d2f4f6d414848323bf5f3f934; do
   workload=${pin%%:*}
   want=${pin#*:}
   run_out=$(timeout 300 python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 --trace 0) \

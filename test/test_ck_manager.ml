@@ -7,6 +7,9 @@
      an unverifiable peer blob is never adopted; a retry armed by an
      earlier probe never moves a later one; the served blob is the
      encoding of the latest checkpoint after install, restore and wipe;
+   - the vote rule: only the first seam whose lane-0 round enters a new
+     bucket of R rounds is voted, and a replica restarted from a certified
+     checkpoint votes the same seams as its peers;
    - pinned end to end: a fixed-seed n=4, interval-12 simulated run with
      one crash and restart must certify the same checkpoints, in the same
      order, with the same digests, and truncate the same number of WAL
@@ -15,6 +18,7 @@
 module Types = Shoalpp_dag.Types
 module Committee = Shoalpp_dag.Committee
 module Driver = Shoalpp_consensus.Driver
+module Store = Shoalpp_dag.Store
 module Wal = Shoalpp_storage.Wal
 module Wire = Shoalpp_codec.Wire
 module Engine = Shoalpp_sim.Engine
@@ -38,8 +42,9 @@ let checks = Alcotest.(check string)
 
 let committee = Committee.make ~n:4 ~cluster_seed:9 ()
 
-(* Interval 3 with 3 lanes: a boundary every 3 merged segments, one per
-   lane, each carrying a driver snapshot. *)
+(* Interval 3 with 3 lanes: a seam every 3 merged segments, one per lane,
+   each carrying a driver snapshot; a seam is voted when lane 0's anchor
+   round enters a new bucket of R = 3 / 3 = 1 round. *)
 let config = Config.with_checkpoint_interval (Config.shoalpp ~committee) 3
 
 (* The prefix of a driver snapshot that [Driver.snapshot_floor] reads. *)
@@ -95,18 +100,21 @@ let fake ?(wal_devices = 1) id =
   { m; tel; votes; probes; gates; owners; rewinds; timers = pending; wals; engine }
 
 (* Merge segments [from, upto] on every given manager: lane = seq mod 3,
-   anchor round = seq, snapshot floor = [floor + lane]. *)
+   anchor round = seq / 6 (two anchors per lane and round, as multi-anchor
+   rounds commit), snapshot floor = [floor + lane]. The seams are 2, 5, 8,
+   ...; lane 0's round enters a new bucket at seams 2, 8, 14, ..., so
+   those are voted and 5, 11, 17, ... are not. *)
 let feed fs ~from ~upto ~floor =
   for seq = from to upto do
     let dag_id = seq mod 3 in
     let segment =
       {
         Driver.dag_id;
-        anchor = { Types.ref_round = seq; ref_author = seq mod 4; ref_digest = Digest32.zero };
+        anchor = { Types.ref_round = seq / 6; ref_author = seq mod 4; ref_digest = Digest32.zero };
         kind = Driver.Fast;
         nodes = [];
         committed_at = 0.0;
-        resume = Some (resume ~floor:(floor + dag_id));
+        resume = Some (Lazy.from_val (resume ~floor:(floor + dag_id)));
       }
     in
     List.iter (fun f -> Ck_manager.observe f.m ~replaying:false ~seq segment) fs
@@ -118,6 +126,10 @@ let vote_of f ~seq =
     !(f.votes)
 
 let counter f name = Telemetry.get_counter f.tel name
+
+(* The seqs a replica voted on, oldest first. *)
+let vote_seqs f =
+  List.rev_map (function Types.Checkpoint_vote { ck_seq; _ } -> ck_seq | _ -> -1) !(f.votes)
 let latest_seq f = Option.map Checkpoint.seq (Ck_manager.latest f.m)
 
 let cluster () = List.init 4 (fun id -> fake id)
@@ -184,9 +196,9 @@ let test_install_gates_previous_floors () =
   feed fs ~from:0 ~upto:2 ~floor:10;
   certify_all fs ~seq:2;
   checkb "first install: no gate" true (!(m0.gates) = []);
-  feed fs ~from:3 ~upto:5 ~floor:20;
-  certify_all fs ~seq:5;
-  checkb "second install certified" true (latest_seq m0 = Some 5);
+  feed fs ~from:3 ~upto:8 ~floor:20;
+  certify_all fs ~seq:8;
+  checkb "second install certified" true (latest_seq m0 = Some 8);
   Alcotest.(check (list (pair int int)))
     "gates at the replaced checkpoint's floors" [ (0, 10); (1, 11); (2, 12) ]
     (List.rev !(m0.gates))
@@ -197,9 +209,9 @@ let test_truncation_keeps_two_marks () =
   List.iteri
     (fun k seq ->
       Array.iter (fun w -> Wal.append w ~size:1 ignore) m0.wals;
-      feed fs ~from:(seq - 2) ~upto:seq ~floor:(10 * (k + 1));
+      feed fs ~from:(max 0 (seq - 5)) ~upto:seq ~floor:(10 * (k + 1));
       certify_all fs ~seq)
-    [ 2; 5; 8; 11 ];
+    [ 2; 8; 14; 20 ];
   checki "four installs" 4 (counter m0 "ck.certified");
   Array.iteri
     (fun d w ->
@@ -258,17 +270,62 @@ let test_served_blob_tracks_latest () =
   served_ok "nothing before a certificate";
   feed fs ~from:0 ~upto:2 ~floor:10;
   certify_all fs ~seq:2;
-  feed fs ~from:3 ~upto:5 ~floor:20;
-  certify_all fs ~seq:5;
-  checkb "installed" true (latest_seq f = Some 5);
+  feed fs ~from:3 ~upto:8 ~floor:20;
+  certify_all fs ~seq:8;
+  checkb "installed" true (latest_seq f = Some 8);
   served_ok "after install";
   Engine.run f.engine;
   Ck_manager.recover f.m ~wipe:false;
-  checkb "restored from the device" true (latest_seq f = Some 5 && !(f.rewinds) = [ 5 ]);
+  checkb "restored from the device" true (latest_seq f = Some 8 && !(f.rewinds) = [ 8 ]);
   served_ok "after restore";
   Ck_manager.recover f.m ~wipe:true;
   checkb "wiped" true (Ck_manager.served_blob f.m = None);
   served_ok "after a wiping recover"
+
+(* The vote rule: a seam is voted only where lane 0's round enters a new
+   bucket, and a seam that is not voted neither votes nor replaces the
+   pending candidate. *)
+let test_votes_on_round_buckets () =
+  let fs = cluster () in
+  let m0 = List.hd fs in
+  feed fs ~from:0 ~upto:5 ~floor:10;
+  Alcotest.(check (list int)) "seam 5 stays in round 0: not voted" [ 2 ] (vote_seqs m0);
+  certify_all fs ~seq:2;
+  checkb "the candidate of seam 2 outlived seam 5" true (latest_seq m0 = Some 2);
+  feed fs ~from:6 ~upto:14 ~floor:20;
+  Alcotest.(check (list int)) "rounds 1 and 2 each vote their first seam" [ 2; 8; 14 ]
+    (vote_seqs m0);
+  checki "three boundaries" 3 (counter m0 "ck.boundaries");
+  checki "seam 14 superseded the uncertified seam 8" 1 (counter m0 "ck.superseded");
+  certify_all fs ~seq:14;
+  checkb "the newest candidate certifies" true (latest_seq m0 = Some 14);
+  checki "one superseded in all" 1 (counter m0 "ck.superseded")
+
+(* A replica that restarts from a certified checkpoint — read back from
+   its own device, or adopted from a peer — re-derives the bucket of the
+   last voted seam from the checkpoint's lane-0 round, and then votes
+   exactly the seams its peers vote. Restarting the bucket from genesis
+   instead would vote seam 5. *)
+let test_restarted_votes_peer_seams () =
+  let fs = cluster () in
+  feed fs ~from:0 ~upto:2 ~floor:10;
+  certify_all fs ~seq:2;
+  let good = Option.get (Ck_manager.served_blob (List.nth fs 1).m) in
+  let restarted = List.nth fs 3 in
+  Engine.run restarted.engine;
+  Ck_manager.recover restarted.m ~wipe:false;
+  checkb "restored from the device" true (latest_seq restarted = Some 2);
+  let adopted = fake 3 in
+  Ck_manager.recover adopted.m ~wipe:true;
+  Ck_manager.probe adopted.m ~on_done:ignore;
+  Ck_manager.on_blob adopted.m ~global_seq:0 (Some good);
+  checkb "adopted from a peer" true (latest_seq adopted = Some 2);
+  List.iter (fun f -> f.votes := []) fs;
+  feed (adopted :: fs) ~from:3 ~upto:20 ~floor:20;
+  let peer = vote_seqs (List.hd fs) in
+  Alcotest.(check (list int)) "peers vote the next buckets' first seams" [ 8; 14; 20 ] peer;
+  Alcotest.(check (list int)) "restored from the device: same seams" peer (vote_seqs restarted);
+  Alcotest.(check (list int)) "adopted from a peer: same seams" peer (vote_seqs adopted)
 
 (* A retry armed by one probe must not move a later probe at the same
    attempt (a crash and a quick re-recover inside the retry window). *)
@@ -324,13 +381,105 @@ let test_lifecycle_pin () =
   done;
   let seen = List.rev !seen in
   let tel = Telemetry.snapshot (Cluster.telemetry cluster) in
-  (* 142 certifications plus the restart's restore from the local device. *)
-  checki "checkpoints observed" 143 (List.length seen);
+  (* 43 certifications plus the restarted replica's one restore. Seams
+     are voted once per R = 12 / 3 = 4 lane-0 rounds, and every voted
+     seam certifies: no candidate is superseded, even across the crash. *)
+  checki "checkpoints observed" 44 (List.length seen);
   checks "digest of the certified sequence"
-    "290341cd4325ef2341c64759faae530d398fcbda34cff5c0b4602797067e36dc"
+    "58b763ef4d6b1f56ab6d6a9985ed11438cf1acde7a9ccb569d75a76eaa911ade"
     (Digest32.hex (Digest32.of_string (String.concat ";" seen)));
-  checki "ck.certified" 142 (Telemetry.snap_counter tel "ck.certified");
-  checki "ck.wal_truncated_entries" 3750 (Telemetry.snap_counter tel "ck.wal_truncated_entries")
+  checki "ck.certified" 43 (Telemetry.snap_counter tel "ck.certified");
+  checki "ck.boundaries" 43 (Telemetry.snap_counter tel "ck.boundaries");
+  checki "ck.superseded" 0 (Telemetry.snap_counter tel "ck.superseded");
+  checki "ck.wal_truncated_entries" 3438 (Telemetry.snap_counter tel "ck.wal_truncated_entries")
+
+(* ------------------------------------------------------------------ *)
+(* Liveness of the lifecycle at any segment rate.                      *)
+
+(* Lane-0 rounds a certificate may trail the merge by, beyond R: a seam
+   lands up to one round past its bucket's start, and one vote round trip
+   and the commit pipeline between a lane's driver and the merge add up to
+   three more. *)
+let lag_slack = 4
+
+(* A fault-free checkpointed run at a generated n, load, interval, link
+   delay and seed, sampled every 10 simulated ms on every replica:
+   - certification keeps advancing: the merge's lane-0 round never runs
+     more than one checkpoint window, W = R + [lag_slack] lane-0 rounds,
+     past the newest certified checkpoint's lane-0 round (round 0 before
+     the first certificate);
+   - the physical floor ([Store.lowest_stored]) trails the logical floor
+     ([Store.lowest_retained]) by at most two windows on every lane: the
+     retain gate sits at the floors of the checkpoint before the newest,
+     and a lane's logical floor follows its own driver, ahead of the
+     merge;
+   - no candidate is superseded, and at most one per replica is still
+     pending when the run ends. *)
+let prop_certification_advances =
+  QCheck.Test.make ~name:"certification advances, physical floor follows" ~count:10
+    QCheck.(
+      quad (oneofl [ 4; 10 ]) (int_range 100 4_000) (oneofl [ 3; 6; 12; 24; 48 ])
+        (pair (oneofl [ 2.0; 20.0; 50.0 ]) (int_bound 1_000)))
+    (fun (n, load, interval, (one_way_ms, seed)) ->
+      let committee = Committee.make ~n ~cluster_seed:9 () in
+      let protocol =
+        Config.with_checkpoint_interval
+          (Config.without_signature_checks (Config.shoalpp ~committee))
+          interval
+      in
+      let rounds = Config.effective_checkpoint_interval protocol / protocol.Config.num_dags in
+      let window = rounds + lag_slack in
+      let setup =
+        {
+          (Cluster.default_setup ~protocol) with
+          Cluster.topology = Topology.clique ~regions:2 ~one_way_ms;
+          load_tps = float_of_int load;
+          seed;
+          track_logs = false;
+        }
+      in
+      let cluster = Cluster.create setup in
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg ->
+            QCheck.Test.fail_reportf "n=%d load=%d C=%d delay=%.0f seed=%d: %s" n load interval
+              one_way_ms seed msg)
+          fmt
+      in
+      for tick = 1 to 600 do
+        Cluster.run cluster ~duration_ms:(10.0 *. float_of_int tick);
+        Array.iteri
+          (fun i r ->
+            let certified0 =
+              match Replica.latest_checkpoint r with
+              | Some ck -> (List.hd (Checkpoint.lanes ck)).Checkpoint.round
+              | None -> 0
+            in
+            (* Lane 0's round r is merged only once every lane has
+               committed its matching segment, so the slowest lane's
+               driver round stands for the merge's lane-0 position. *)
+            let merged0 =
+              List.fold_left min max_int
+                (List.init protocol.Config.num_dags (fun dag_id ->
+                     Driver.current_anchor_round (Replica.driver r ~dag_id)))
+            in
+            let lag = merged0 - certified0 in
+            if lag > window then fail "replica %d: certificate %d lane-0 rounds behind" i lag;
+            for dag_id = 0 to protocol.Config.num_dags - 1 do
+              let store = Replica.store r ~dag_id in
+              let gap = Store.lowest_retained store - Store.lowest_stored store in
+              if gap > 2 * window then
+                fail "replica %d lane %d: physical floor %d rounds below logical" i dag_id gap
+            done)
+          (Cluster.replicas cluster)
+      done;
+      let tel = Telemetry.snapshot (Cluster.telemetry cluster) in
+      let counter = Telemetry.snap_counter tel in
+      if counter "ck.superseded" > 0 then fail "%d candidates superseded" (counter "ck.superseded");
+      if counter "ck.boundaries" - counter "ck.certified" > n then
+        fail "%d boundaries, %d certified" (counter "ck.boundaries") (counter "ck.certified");
+      if counter "ck.certified" = 0 then fail "nothing certified";
+      true)
 
 let suite =
   [
@@ -345,6 +494,10 @@ let suite =
           test_unverifiable_blob_never_adopted;
         Alcotest.test_case "stale probe retry ignored" `Quick test_stale_retry_ignored;
         Alcotest.test_case "served blob tracks latest" `Quick test_served_blob_tracks_latest;
+        Alcotest.test_case "votes on round buckets" `Quick test_votes_on_round_buckets;
+        Alcotest.test_case "restarted replica votes its peers' seams" `Quick
+          test_restarted_votes_peer_seams;
         Alcotest.test_case "lifecycle pin" `Quick test_lifecycle_pin;
+        QCheck_alcotest.to_alcotest prop_certification_advances;
       ] );
   ]

@@ -532,6 +532,9 @@ type lifecycle = {
   ldriver : Driver.t;
   model : (int, unit) Hashtbl.t; (* reference ordered set: round * 4 + author *)
   mutable blobs : string list; (* newest first *)
+  mutable deferred : (string Lazy.t * string) list;
+      (* each segment's [resume], unforced, with the eager snapshot taken
+         when it was emitted *)
   mutable log : (int * int * (int * int) list) list; (* newest first *)
 }
 
@@ -551,8 +554,9 @@ let lifecycle_driver ?(window = 64) () =
     in
     List.iter (fun (r, a) -> Hashtbl.replace l.model ((r * 4) + a) ()) nodes;
     l.log <- (seg.Driver.anchor.Types.ref_round, seg.Driver.anchor.Types.ref_author, nodes) :: l.log;
-    let blob = Option.get seg.Driver.resume in
+    let blob = Driver.snapshot l.ldriver in
     l.blobs <- blob :: l.blobs;
+    l.deferred <- (Option.get seg.Driver.resume, blob) :: l.deferred;
     Alcotest.(check string) "snapshot = reference encoder" (reference_snapshot l.lstore l.ldriver ~blob)
       blob;
     let floor, window = snapshot_window blob in
@@ -590,7 +594,16 @@ let lifecycle_driver ?(window = 64) () =
       }
       ~store
   in
-  let l = { lstore = store; ldriver = driver; model = Hashtbl.create 64; blobs = []; log = [] } in
+  let l =
+    {
+      lstore = store;
+      ldriver = driver;
+      model = Hashtbl.create 64;
+      blobs = [];
+      deferred = [];
+      log = [];
+    }
+  in
   self := Some l;
   l
 
@@ -615,6 +628,16 @@ let seeded_rounds ~seed ~rounds =
       in
       prev := List.map (fun cn -> Types.ref_of_node cn.Types.cn_node) cns;
       cns)
+
+(* Every segment's [resume], forced only now that its driver has moved on
+   (more segments, reputation updates, prunes), still encodes the state at
+   its emission. *)
+let check_deferred l =
+  checkb "deferred snapshots taken" true (l.deferred <> []);
+  List.iter
+    (fun (resume, blob) ->
+      Alcotest.(check string) "forced late = snapshot at emission" blob (Lazy.force resume))
+    l.deferred
 
 let feed l cns =
   List.iter
@@ -658,7 +681,9 @@ let test_driver_snapshot_and_prune_bounds () =
   checkb "restored driver emits" true (List.length b.log > mark_b);
   checkb "same segments after restore" true (since mark_a a.log = since mark_b b.log);
   checkb "same snapshots after restore" true
-    (since mark_a a.blobs = since mark_b b.blobs)
+    (since mark_a a.blobs = since mark_b b.blobs);
+  check_deferred a;
+  check_deferred b
 
 (* Three lanes over independently seeded DAGs, fed round-robin, with a
    reputation window short enough to evict: every emitted snapshot (checked
@@ -715,7 +740,9 @@ let test_driver_snapshot_matches_reference_multi_lane () =
       checkb "restored lane emits" true (count restored.(i) > mark_b);
       checkb "same snapshots as the original lane" true
         (newest drivers.(i) mark_a = newest restored.(i) mark_b))
-    marks
+    marks;
+  Array.iter check_deferred drivers;
+  Array.iter check_deferred restored
 
 let suite =
   [
