@@ -73,10 +73,10 @@ let common ~n ~load ~duration ~warmup ~topology_doc ~scenario_check ~scenario_do
             ~doc:
               "Turn on the bounded-memory lifecycle (certify a checkpoint, prune history below \
                it); 0 (default) disables it. C is rounded up to a multiple of the DAG count k. \
-               Every C merged anchors (C/k per DAG) is a merge seam that carries each DAG's \
-               driver snapshot; the replicas vote on a seam only when lane 0's anchor round has \
-               entered a new bucket of R = C/k rounds, so one checkpoint is voted per R lane-0 \
-               rounds. Commit sequences are identical at any value.")
+               One seam per R = C/k merged rounds: the merge finishing every R-th anchor round \
+               is a seam, where each DAG's driver snapshot is taken as the DAG closes that \
+               round, and the replicas vote on it if every DAG closed it explicitly. Commit \
+               sequences are identical at any value.")
     $ Arg.(
         value
         & opt (some topology_arg) None

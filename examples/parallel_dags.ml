@@ -3,8 +3,9 @@
    Sweeps the number of concurrent DAG instances k on the same deployment
    and prints how queuing latency falls (proposal opportunities every
    round/k) while the interleaving of per-DAG logs keeps a single total
-   order. Also demonstrates the round-robin interleave invariant directly:
-   the global log's segments rotate dag 0,1,2,0,1,2,...
+   order. Also demonstrates the interleave invariant directly: the global
+   log is round-major — each anchor round's segments of dag 0, then dag 1,
+   then dag 2, then the next round.
 
      dune exec examples/parallel_dags.exe *)
 
@@ -42,13 +43,13 @@ let () =
   in
   Tablefmt.print ~header:Report.table_header rows;
   Format.printf
-    "@.queuing latency falls with k (proposals every round/k) but round-robin@.\
-     interleaving buffers segments of the fastest DAG; at low load the two@.\
-     roughly cancel, and the k=3 win is throughput (smaller, more frequent@.\
-     batches) -- exactly the trade-off the paper reports in Fig 6.@.";
+    "@.queuing latency falls with k (proposals every round/k); the merge holds@.\
+     a lane's segments only until the lanes before it close the same anchor@.\
+     round, so the staggered lanes' queuing gain reaches the end-to-end@.\
+     latency (the paper's Fig 6).@.";
 
   (* The interleave invariant, observed directly. *)
-  Format.printf "@.=== global log rotates across DAGs ===@.";
+  Format.printf "@.=== global log is round-major across DAGs ===@.";
   let committee = Committee.make ~n:4 () in
   let engine = Engine.create () in
   let topology = Topology.clique ~regions:4 ~one_way_ms:20.0 in
@@ -70,14 +71,21 @@ let () =
             (if replica_id = 0 then
                Some
                  (fun (o : Replica.ordered) ->
-                   ids := o.Replica.segment.Shoalpp_consensus.Driver.dag_id :: !ids)
+                   let seg = o.Replica.segment in
+                   ids :=
+                     ( seg.Shoalpp_consensus.Driver.anchor.Shoalpp_dag.Types.ref_round,
+                       seg.Shoalpp_consensus.Driver.dag_id )
+                     :: !ids)
              else None)
           ())
   in
   Array.iter Replica.start replicas;
   Engine.run ~until:2_000.0 engine;
   let ids = List.rev !ids in
-  Format.printf "first segments' dag ids: %s ...@."
-    (String.concat " " (List.map string_of_int (List.filteri (fun i _ -> i < 18) ids)));
-  let ok = List.for_all2 (fun i dag -> dag = i mod 3) (List.init (List.length ids) Fun.id) ids in
-  Format.printf "strict round-robin: %b@." ok
+  Format.printf "first segments' (round, dag): %s ...@."
+    (String.concat " "
+       (List.map
+          (fun (r, d) -> Printf.sprintf "(%d,%d)" r d)
+          (List.filteri (fun i _ -> i < 18) ids)));
+  let rec sorted = function a :: (b :: _ as rest) -> compare a b <= 0 && sorted rest | _ -> true in
+  Format.printf "round-major: %b@." (sorted ids)

@@ -485,6 +485,30 @@ let delayed t ~delay_ms (inner : 'msg Backend.Transport.t) =
         done);
   }
 
+(* A sender's own messages never reach [inner]: a send to itself, and the
+   self copy of a broadcast, are delivered by a zero-delay [post] on this
+   loop, as {!loopback} delivers every message. They are not encoded,
+   framed or written, and [inner]'s stats do not count them. *)
+let self_loopback t (inner : 'msg Backend.Transport.t) =
+  let handlers = Array.make inner.Backend.Transport.n None in
+  let to_self ~src msg =
+    post t (fun () -> match handlers.(src) with Some h -> h ~src msg | None -> ())
+  in
+  {
+    inner with
+    Backend.Transport.send =
+      (fun ~src ~dst ~size msg ->
+        if dst = src then to_self ~src msg else inner.Backend.Transport.send ~src ~dst ~size msg);
+    broadcast =
+      (fun ~src ~size ~include_self msg ->
+        inner.Backend.Transport.broadcast ~src ~size ~include_self:false msg;
+        if include_self then to_self ~src msg);
+    set_handler =
+      (fun replica h ->
+        handlers.(replica) <- Some h;
+        inner.Backend.Transport.set_handler replica h);
+  }
+
 module Framing = struct
   let max_body = 1 lsl 26 (* 64 MiB: far above any protocol message *)
 

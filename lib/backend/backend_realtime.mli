@@ -161,6 +161,14 @@ val delayed :
     stats are the inner transport's. A zero or negative delay sends
     immediately with no timer hop. *)
 
+val self_loopback : t -> 'msg Backend.Transport.t -> 'msg Backend.Transport.t
+(** A sender's own messages skip the wrapped transport: [send] with
+    [dst = src], and the self copy of a [broadcast] with [include_self],
+    are delivered by a zero-delay {!post} on this executor (per-sender
+    FIFO), never encoded or written. Every other message goes to the inner
+    transport unchanged; stats are the inner transport's, so they exclude
+    self deliveries. Drive it from the executor's own domain. *)
+
 module Framing : sig
   (** Length-prefixed frames over a byte stream: a 4-byte big-endian body
       length, then the body [uint src] followed by the payload, which runs

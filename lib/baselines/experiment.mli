@@ -55,9 +55,9 @@ type params = {
   tx_size : int;
   batch_cap : int;
   checkpoint_interval : int;
-      (** certify a checkpoint (and prune below it) every this many
-          committed anchors; 0 (default) disables the bounded-memory
-          lifecycle. Rounded up to a multiple of the DAG count — see
+      (** C: certify a checkpoint (and prune below it) once per C/k
+          merged anchor rounds, k the DAG count; 0 (default) disables the
+          bounded-memory lifecycle. Rounded up to a multiple of k — see
           {!Shoalpp_core.Config.effective_checkpoint_interval}. *)
   seed : int;
   trace : bool;  (** record a typed event trace (see {!outcome.events}) *)

@@ -14,13 +14,18 @@ type segment = {
   kind : kind;
   nodes : Types.certified_node list;
   committed_at : float;
+  closes : bool;
+      (* The anchor round's candidate vector is exhausted after this
+         segment. The vector is a function of the committed prefix, so
+         every replica sets the same flag. *)
   resume : string Lazy.t option;
       (* Checkpoint snapshot of the driver's post-segment state, attached to
-         every [snapshot_every]-th emitted segment. A pure function of the
-         committed prefix (no clocks, no local DAG progress), so replicas
-         with equal prefixes attach byte-equal blobs — which is what lets
-         the checkpoint digest cover it. The state is copied at emission
-         and encoded only when forced: most seams are never voted. *)
+         the segment that closes a round r with (r + 1) mod
+         [snapshot_rounds] = 0. A pure function of the committed prefix (no
+         clocks, no local DAG progress), so replicas with equal prefixes
+         attach byte-equal blobs — which is what lets the checkpoint digest
+         cover it. The state is copied at emission and encoded only when
+         forced: a seam is voted only if every lane closed its round. *)
 }
 
 type config = {
@@ -33,10 +38,10 @@ type config = {
   reputation_window : int;
   staleness : int;
   gc_depth : int;
-  snapshot_every : int;
-      (** attach a resume blob to every k-th emitted segment; 0 = never.
-          Set to [checkpoint_interval / num_dags] so blobs land exactly on
-          checkpoint boundaries of the merged stream. *)
+  snapshot_rounds : int;
+      (** attach a resume blob where a round r with (r + 1) mod this = 0
+          closes; 0 = never. Set to [checkpoint_interval / num_dags], so
+          blobs land on the checkpoint seams of the merged stream. *)
 }
 
 let default_config ~committee =
@@ -50,7 +55,7 @@ let default_config ~committee =
     reputation_window = 64;
     staleness = 8;
     gc_depth = 12;
-    snapshot_every = 0;
+    snapshot_rounds = 0;
   }
 
 let bullshark_config ~committee =
@@ -336,10 +341,10 @@ let resolve_candidate t ~round ~author =
 (* Checkpoint snapshot blob.
 
    Everything the driver needs to resume ordering mid-history: the current
-   candidate round and its remaining vector, the per-lane segment count
-   (keeps snapshot cadence aligned after restore), the ordered-position
-   window at or above the store's retained floor, and the full reputation
-   state. All of it is a deterministic function of the committed prefix.
+   candidate round and its remaining vector, the per-lane segment count,
+   the ordered-position window at or above the store's retained floor, and
+   the full reputation state. All of it is a deterministic function of the
+   committed prefix.
 
    Varints are unsigned; fields that can be -1 are shifted by one. *)
 
@@ -466,8 +471,9 @@ let output_segment t ~round ~author ~kind ~finish =
         Obs.event t.obs ~time (Trace.Segment_committed { round; anchor = author; nodes = count })
       end;
       let deferred = finish () in
+      let closes = t.pending = [] in
       let resume =
-        if t.cfg.snapshot_every > 0 && t.segments mod t.cfg.snapshot_every = 0 then
+        if closes && t.cfg.snapshot_rounds > 0 && (round + 1) mod t.cfg.snapshot_rounds = 0 then
           Some (capture t)
         else None
       in
@@ -478,6 +484,7 @@ let output_segment t ~round ~author ~kind ~finish =
           kind;
           nodes;
           committed_at = t.hooks.now ();
+          closes;
           resume;
         };
       if round - t.cfg.gc_depth > 0 then t.hooks.request_gc ~round:(round - t.cfg.gc_depth);

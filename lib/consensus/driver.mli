@@ -31,7 +31,11 @@
     - resolution is a deterministic function of the local DAG contents:
       replicas with the same DAG emit identical segment sequences;
     - reputation observes exactly the emitted segment / skip sequence, in
-      order, so eligible vectors stay identical at all correct replicas. *)
+      order, so eligible vectors stay identical at all correct replicas;
+    - segment anchor rounds never decrease, a segment that does not close
+      its round is followed by one of the same round or of a higher one
+      ([Skip_to]), and a round is closed explicitly by at most one
+      segment. *)
 
 type kind = Fast | Direct | Indirect
 
@@ -41,9 +45,17 @@ type segment = {
   kind : kind;
   nodes : Shoalpp_dag.Types.certified_node list;
   committed_at : float;
+  closes : bool;
+      (** The segment's anchor round has no candidate left after it: this
+          lane's output for that round is complete. A function of the
+          committed prefix, so every correct replica emitting the segment
+          sets the same flag. A round the driver leaves without such a
+          segment (an empty vector, or a [Skip_to] target above it) is
+          closed implicitly, by the next segment's higher round. *)
   resume : string Lazy.t option;
-      (** Opaque driver snapshot, present on every [snapshot_every]-th
-          segment (checkpointing enabled). A deterministic function of the
+      (** Opaque driver snapshot, present on the segment that closes a
+          round r with (r + 1) mod [snapshot_rounds] = 0 (checkpointing
+          enabled). A deterministic function of the
           committed prefix: byte-identical at every correct replica emitting
           the same segment, and accepted by {!restore}. The driver state is
           copied when the segment is emitted and encoded when the blob is
@@ -65,9 +77,10 @@ type config = {
   reputation_window : int;
   staleness : int;
   gc_depth : int;  (** rounds of history kept below the committed anchor *)
-  snapshot_every : int;
-      (** emit a {!segment.resume} snapshot every this many segments
-          (0 = never; checkpointing off). *)
+  snapshot_rounds : int;
+      (** attach a {!segment.resume} snapshot to the segment that closes
+          round r when (r + 1) mod this = 0 (0 = never; checkpointing
+          off). *)
 }
 
 val default_config : committee:Shoalpp_dag.Committee.t -> config

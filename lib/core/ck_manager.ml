@@ -37,7 +37,6 @@ type t = {
   committee : Committee.t;
   id : int;
   interval : int; (* effective interval: > 0, multiple of num_dags *)
-  rounds : int; (* R = interval / num_dags: lane-0 rounds per voted seam *)
   obs : Obs.t;
   (* Registered at creation, so a run shows them even at 0. *)
   c_boundaries : Telemetry.counter option; (* voted seams *)
@@ -49,7 +48,6 @@ type t = {
   mutable state : Digest32.t; (* running commit-stream digest *)
   lane_latest : (int * string Lazy.t) option array; (* per lane: anchor round, resume *)
   mutable candidate : Checkpoint.candidate option; (* ours, pending quorum *)
-  mutable voted_bucket : int; (* lane-0 round / [rounds] at the last voted seam; -1 = none *)
   mutable votes : (int * Digest32.t * Signer.signature) list Int_map.t; (* by seq *)
   mutable latest : Checkpoint.t option; (* newest certified checkpoint *)
   served : string option Atomic.t; (* [latest], encoded: read by lane domains *)
@@ -67,7 +65,6 @@ let create ~config ~replica_id ~obs ~timers ~wal_devices fx =
         committee = config.Config.committee;
         id = replica_id;
         interval;
-        rounds = interval / config.Config.num_dags;
         obs;
         c_boundaries = Obs.counter obs "ck.boundaries";
         c_superseded = Obs.counter obs "ck.superseded";
@@ -78,7 +75,6 @@ let create ~config ~replica_id ~obs ~timers ~wal_devices fx =
         state = Digest32.zero;
         lane_latest = Array.make config.Config.num_dags None;
         candidate = None;
-        voted_bucket = -1;
         votes = Int_map.empty;
         latest = None;
         served = Atomic.make None;
@@ -88,16 +84,14 @@ let create ~config ~replica_id ~obs ~timers ~wal_devices fx =
       }
 
 (* The one reset of vote and fold state: forget the candidate and every
-   vote buffered at or below [upto]; with [fold], also restart the fold
-   over the log from it — the running digest and the bucket of the last
-   voted seam — and forget each lane's resume blob. *)
+   vote buffered at or below [upto]; with [fold], also restart the running
+   digest over the log from it and forget each lane's resume blob. *)
 let reset ?fold m ~upto =
   m.candidate <- None;
   m.votes <- (let _, _, above = Int_map.split upto m.votes in above);
   match fold with
-  | Some (state, bucket) ->
+  | Some state ->
     m.state <- state;
-    m.voted_bucket <- bucket;
     Array.fill m.lane_latest 0 (Array.length m.lane_latest) None
   | None -> ()
 
@@ -221,19 +215,16 @@ let on_vote m ~global_seq vote =
     end
   | _ -> ()
 
-(* A seam is every [interval]-th merge position: the interval is a
-   multiple of the lane count, so there every lane's last segment carried
-   a driver snapshot (snapshot_every = interval / num_dags). A seam is
-   voted only if it is the first at which lane 0's anchor round enters a
-   new bucket of [rounds] rounds. Multi-anchor rounds commit several
-   segments per round, so voting every seam would open candidates faster
-   than a vote round trip and supersede most of them. The rule reads the
-   ordered log alone, so every replica votes the same seams. *)
-let boundary m ~replaying ~seq =
-  match m.lane_latest.(0) with
-  | Some (round0, _)
-    when round0 / m.rounds > m.voted_bucket && Array.for_all Option.is_some m.lane_latest ->
-    m.voted_bucket <- round0 / m.rounds;
+(* A seam is the merge finishing a round r in which every lane's segment
+   closing r carried a driver snapshot. The drivers attach one where they
+   close a round r with (r + 1) mod R = 0 (snapshot_rounds = R =
+   interval / num_dags); a lane that left r only by committing a higher
+   round has none there, and the seam is not voted. Both facts read the
+   ordered log alone, so every replica votes the same seams, one per R
+   merged rounds at most: the round rate, not the segment rate. *)
+let round_merged m ~replaying ~seq ~round =
+  let closed = function Some (r, _) -> r = round | None -> false in
+  if Array.for_all closed m.lane_latest then begin
     let lanes =
       List.mapi
         (fun dag_id latest ->
@@ -256,32 +247,24 @@ let boundary m ~replaying ~seq =
            });
     (* faster peers' votes may already be buffered *)
     try_certify m ~seq
-  | _ -> ()
+  end
 
-let observe m ~replaying ~seq (segment : Driver.segment) =
+let observe m (segment : Driver.segment) =
   let anchor = segment.Driver.anchor in
   m.state <-
     Checkpoint.fold_segment m.state ~dag_id:segment.Driver.dag_id ~round:anchor.Types.ref_round
       ~author:anchor.Types.ref_author;
-  (match segment.Driver.resume with
+  match segment.Driver.resume with
   | Some blob -> m.lane_latest.(segment.Driver.dag_id) <- Some (anchor.Types.ref_round, blob)
-  | None -> ());
-  if (seq + 1) mod m.interval = 0 then boundary m ~replaying ~seq
-
-(* The bucket [boundary] recorded when it voted [ck]'s seam. *)
-let bucket_of m ck =
-  let lane0 (l : Checkpoint.lane) = l.Checkpoint.dag_id = 0 in
-  match List.find_opt lane0 (Checkpoint.lanes ck) with
-  | Some l -> l.Checkpoint.round / m.rounds
-  | None -> -1
+  | None -> ()
 
 (* Rewind to a certified checkpoint: the fold over the log restarts from
-   its state and its lane-0 round bucket, the replica rewinds the merge
+   its state, the replica rewinds the merge (to the round after the seam)
    and every lane, and everything below the restored floors is vouched for
    by the certificate, so physical retention restarts there. *)
 let restore m ck =
   let blob = Option.get (set_latest m (Some ck)) in
-  reset m ~upto:max_int ~fold:(Checkpoint.state ck, bucket_of m ck);
+  reset m ~upto:max_int ~fold:(Checkpoint.state ck);
   m.fx.rewind ~seq:(Checkpoint.seq ck) (Checkpoint.lanes ck);
   apply_gates m ck;
   blob
@@ -305,7 +288,7 @@ let recover m ~wipe =
   end;
   (* Vote state never survives a restart; the fold over the log restarts
      from genesis (or from the restored checkpoint). *)
-  reset m ~upto:max_int ~fold:(Digest32.zero, -1);
+  reset m ~upto:max_int ~fold:Digest32.zero;
   if not wipe then Option.iter (fun ck -> ignore (restore m ck)) (newest_local m)
 
 (* Peer-checkpoint probe, run on every checkpoint-aware restart (not just

@@ -3,15 +3,16 @@
 
     The replica hands the manager every segment it merges ({!observe},
     Alg. 3's global sequence), and the manager folds them into a running
-    digest. Every [interval] merged segments is a seam at which each
-    lane's latest segment carried a driver snapshot. A seam is voted only
-    if it is the first at which lane 0's anchor round enters a new bucket
-    of R = [interval / num_dags] rounds: there the manager forms a
-    candidate from the lanes' snapshots, votes on its digest over the
-    control plane, and certifies it on a quorum of matching votes.
-    Multi-anchor rounds commit several segments per round, so bucketing by
-    round bounds candidates by the round rate and leaves a vote round trip
-    before the next voted seam. A certified
+    digest. The merge runs one anchor round at a time ({!round_merged}
+    marks the end of each round). The lanes' drivers attach a snapshot to
+    the segment that closes every R-th round (R = [interval / num_dags]),
+    and a merged round is a voted seam if every lane's segment closing it
+    carried one (no lane closed it only implicitly): there
+    the manager forms a candidate from the lanes' snapshots, votes on its
+    digest over the control plane, and certifies it on a quorum of
+    matching votes. Seams come at the round rate, so a vote round trip
+    fits between two of them even though multi-anchor rounds commit
+    several segments per round. A certified
     checkpoint is persisted to a dedicated always-retaining WAL device,
     rotates and truncates the protocol WAL devices, and raises each lane's
     retain gate. After a crash the manager restores the newest verified
@@ -27,10 +28,10 @@
       out-of-band control plane, which draws no RNG and perturbs no
       protocol queue, and every checkpoint input is a deterministic
       function of the committed prefix;
-    - which seams are voted is a function of the ordered log alone: the
-      bucket of the last voted seam is part of the fold, restarted at -1
-      from genesis and re-derived from the checkpoint's lane-0 round on a
-      restore or adoption, so every replica votes the same seams;
+    - which seams are voted is a function of the ordered log alone (the
+      merged round and each lane's explicit close of it), so every
+      replica votes the same seams, a restored or adopting one included:
+      its merge resumes at the round after the checkpoint's seam;
     - pruning (WAL truncation, the lanes' retain gates) happens only under
       a certificate that passed {!Shoalpp_storage.Checkpoint.verify} —
       never on local state alone; a blob read back from the local device
@@ -62,8 +63,9 @@ type effects = {
       (** raise lane [i]'s retain gate; called only from [on_lane i] *)
   wal : int -> Shoalpp_storage.Wal.t;  (** protocol WAL device [i] *)
   rewind : seq:int -> Shoalpp_storage.Checkpoint.lane list -> unit;
-      (** rewind the merge to [seq + 1] and each listed lane's driver and
-          instance to its resume blob *)
+      (** rewind the merge to [seq + 1], its cursor to lane 0 of the
+          round after the lanes' seam round, and each listed lane's driver
+          and instance to its resume blob *)
 }
 
 type t
@@ -80,9 +82,14 @@ val create :
     protocol WAL devices are [0 .. wal_devices - 1]: the one shared WAL in
     single-domain mode, one per lane under multicore placement. *)
 
-val observe : t -> replaying:bool -> seq:int -> Shoalpp_consensus.Driver.segment -> unit
-(** The segment merged at global sequence [seq]. At a voted seam, form
-    the candidate (counted in [ck.boundaries]), vote on it unless
+val observe : t -> Shoalpp_consensus.Driver.segment -> unit
+(** The next merged segment: fold it into the running digest and keep
+    its driver snapshot, if it carries one. *)
+
+val round_merged : t -> replaying:bool -> seq:int -> round:int -> unit
+(** The merge has finished anchor round [round]; [seq] is the global
+    sequence of the last merged segment. At a voted seam, form the
+    candidate (counted in [ck.boundaries]), vote on it unless
     [replaying], and try to certify. *)
 
 val on_vote : t -> global_seq:int -> Shoalpp_dag.Types.message -> unit

@@ -42,10 +42,8 @@ let base ~committee ~name =
     seed = 42;
   }
 
-(* The Alg. 3 merge consumes one segment per lane per k-step cycle, so a
-   boundary that every lane reaches simultaneously must be a multiple of the
-   lane count: round the requested interval up so "every C committed
-   anchors" is also "every C/k segments of each lane". *)
+(* Round the requested interval up to a multiple of the lane count, so
+   R = C/k merged rounds per checkpoint seam is a whole number. *)
 let effective_checkpoint_interval t =
   if t.checkpoint_interval <= 0 then 0
   else
@@ -118,7 +116,5 @@ let driver_config t ~dag_id =
     reputation_window = 64;
     staleness = 8;
     gc_depth = t.gc_depth;
-    snapshot_every =
-      (let c = effective_checkpoint_interval t in
-       if c = 0 then 0 else c / t.num_dags);
+    snapshot_rounds = effective_checkpoint_interval t / t.num_dags;
   }

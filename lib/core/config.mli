@@ -36,11 +36,12 @@ type t = {
   checkpoint_interval : int;
       (** C, the checkpoint cadence (0 = checkpointing and
           pruning-to-checkpoint off). Rounded up to a multiple of
-          [num_dags] = k — see {!effective_checkpoint_interval}. Every C
-          merged anchors is a seam carrying each lane's driver snapshot; a
-          seam is voted only where lane 0's anchor round enters a new
-          bucket of R = C/k rounds, so one commit-certified checkpoint is
-          voted per R lane-0 rounds. *)
+          [num_dags] = k — see {!effective_checkpoint_interval}. One seam
+          per R = C/k merged rounds: the Alg. 3 merge finishing every
+          R-th anchor round is a seam, carrying each lane's driver
+          snapshot taken where the lane closed that round, and it is voted
+          if every lane closed the round explicitly. So one
+          commit-certified checkpoint is voted per R merged rounds. *)
   seed : int;
 }
 
@@ -64,14 +65,13 @@ val round_timeout : t -> float -> t
 (** Replace the wait-policy timeout, keeping the policy's shape. *)
 
 val with_checkpoint_interval : t -> int -> t
-(** Enable checkpointing at cadence [interval] (0 disables): one voted
-    checkpoint per [interval / num_dags] lane-0 rounds. *)
+(** Enable checkpointing at cadence [interval] (0 disables): one seam per
+    [interval / num_dags] merged rounds. *)
 
 val effective_checkpoint_interval : t -> int
-(** The configured interval rounded up to a multiple of [num_dags], so a
-    seam in the merged (Alg. 3) sequence corresponds to a whole number of
-    segments in every lane; divided by [num_dags] it is R, the lane-0
-    rounds per voted seam. 0 when disabled. *)
+(** The configured interval rounded up to a multiple of [num_dags];
+    divided by [num_dags] it is R, the merged anchor rounds per checkpoint
+    seam. 0 when disabled. *)
 
 val instance_config : t -> replica:int -> dag_id:int -> Shoalpp_dag.Instance.config
 val driver_config : t -> dag_id:int -> Shoalpp_consensus.Driver.config

@@ -51,7 +51,6 @@ type dag_lane = {
   store : Store.t;
   instance : Instance.t;
   driver : Driver.t;
-  ready : Driver.segment Queue.t; (* committed, awaiting interleave *)
   lane_wal : Wal.t; (* the shared replica WAL, or per-lane under lane_env *)
   server : Sync.Server.t; (* answers peers' catch-up requests from our store *)
   mutable sync_client : Sync.Client.t option; (* present while catching up *)
@@ -67,7 +66,7 @@ type t = {
   mutable lanes : dag_lane array;
   on_ordered : (ordered -> unit) option;
   obs : Obs.t;
-  mutable next_lane : int; (* round-robin cursor of Alg. 3 *)
+  merge : Merge.t; (* Alg. 3: the lanes' committed segments, by anchor round *)
   mutable global_seq : int;
   mutable txns_ordered : int;
   mutable requeued : int;
@@ -88,16 +87,22 @@ type t = {
   c_recoveries : Telemetry.counter option;
 }
 
-(* Alg. 3: append exactly one available segment per DAG, cycling; stop at
-   the first DAG whose next segment is not yet available. *)
+(* Alg. 3: append the lanes' committed segments in {!Merge}'s round-major
+   order, as far as they go. The end of every merged round is offered to
+   the checkpoint manager as a possible seam. *)
 let rec drain t =
   if not t.crashed then begin
-    let lane = t.lanes.(t.next_lane) in
-    if not (Queue.is_empty lane.ready) then begin
-      let segment = Queue.pop lane.ready in
+    let on_round round =
+      Option.iter
+        (fun m ->
+          Ck_manager.round_merged m ~replaying:t.replaying ~seq:(t.global_seq - 1) ~round)
+        t.ck
+    in
+    match Merge.pop t.merge ~on_round with
+    | None -> ()
+    | Some segment ->
       let seq = t.global_seq in
       t.global_seq <- t.global_seq + 1;
-      t.next_lane <- (t.next_lane + 1) mod Array.length t.lanes;
       let ordered_at = Backend.now t.backend in
       let ntx = ref 0 in
       (* Own-origin transactions only ever travel in our own nodes (the
@@ -127,14 +132,11 @@ let rec drain t =
                anchor = segment.Driver.anchor.Types.ref_author;
                txns = !ntx;
              });
-      (match t.ck with
-      | Some m -> Ck_manager.observe m ~replaying:t.replaying ~seq segment
-      | None -> ());
+      Option.iter (fun m -> Ck_manager.observe m segment) t.ck;
       (match t.on_ordered with
       | Some f -> f { global_seq = seq; segment; ordered_at }
       | None -> ());
       drain t
-    end
   end
 
 (* Equivocation twin: same round and parent edges, but an empty batch —
@@ -174,7 +176,6 @@ let make_lane t dag_id =
       Wal.create ~timers:lane_bk.Backend.timers ~sync_latency_ms:cfg.Config.wal_sync_ms ()
   in
   let store = Store.create ~n:committee.Shoalpp_dag.Committee.n ~genesis_digest:committee.Shoalpp_dag.Committee.genesis in
-  let ready = Queue.create () in
   (* The instance and driver reference each other; tie the knot with
      mutable options resolved before use. *)
   let instance_ref = ref None in
@@ -191,12 +192,12 @@ let make_lane t dag_id =
         request_fetch = (fun node_ref -> Instance.fetch_missing (the_instance ()) node_ref);
         on_segment =
           (fun segment ->
-            (* Cross-lane state (ready queues, the round-robin cursor, the
+            (* Cross-lane state (ready queues, the merge cursor, the
                global sequence) belongs to the merge domain: the segment
-               is enqueued and interleaved there, by sequence, never by
-               arrival order across lanes. *)
+               is enqueued and interleaved there, by round and lane, never
+               by arrival order across lanes. *)
             post_main (fun () ->
-                Queue.push segment ready;
+                Merge.push t.merge segment;
                 drain t));
         request_gc =
           (fun ~round ->
@@ -342,7 +343,6 @@ let make_lane t dag_id =
     store;
     instance;
     driver;
-    ready;
     lane_wal = wal;
     server =
       Sync.Server.create ~store
@@ -360,14 +360,15 @@ let make_lane t dag_id =
    regime where golden determinism is not asserted. *)
 
 (* Rewind the merge and every lane to a certified checkpoint: global
-   sequencing resumes at seq+1 on lane 0 (the interval is a multiple of the
-   lane count, so the boundary seq always lands on the last lane), each
-   driver resumes from its snapshot blob, and each instance's store floor
-   is raised to the driver's restored floor. *)
+   sequencing resumes at seq+1 with the cursor at lane 0 of the round after
+   the seam (every lane closed the seam round there), each driver resumes
+   from its snapshot blob, and each instance's store floor is raised to
+   the driver's restored floor. *)
 let rewind t ~seq lanes =
   t.global_seq <- seq + 1;
   t.base_seq <- t.global_seq;
-  t.next_lane <- 0;
+  Merge.restart t.merge
+    ~round:(1 + List.fold_left (fun r (l : Checkpoint.lane) -> max r l.Checkpoint.round) 0 lanes);
   List.iter
     (fun (l : Checkpoint.lane) ->
       if l.Checkpoint.dag_id < Array.length t.lanes then begin
@@ -552,7 +553,7 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
       lanes = [||];
       on_ordered;
       obs;
-      next_lane = 0;
+      merge = Merge.create ~lanes:config.Config.num_dags;
       global_seq = 0;
       txns_ordered = 0;
       requeued = 0;
@@ -625,7 +626,7 @@ let crash t =
 let recover ?(wipe = false) t =
   if t.crashed then begin
     t.crashed <- false;
-    t.next_lane <- 0;
+    Merge.restart t.merge ~round:0;
     t.global_seq <- 0;
     t.base_seq <- 0;
     if wipe then Wal.clear t.wal;
@@ -669,7 +670,7 @@ let current_rounds t =
 
 let wal t = t.wal
 let requeued t = t.requeued
-let pending_segments t = Array.fold_left (fun acc lane -> acc + Queue.length lane.ready) 0 t.lanes
+let pending_segments t = Merge.pending t.merge
 let base_seq t = t.base_seq
 
 let catching_up t =

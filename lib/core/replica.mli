@@ -1,14 +1,15 @@
 (** A full Shoal++ replica: [k] staggered certified-DAG instances, each with
     its own embedded-consensus driver, their committed segments interleaved
-    round-robin into one total order (Alg. 3 of the paper).
+    into one total order one anchor round at a time ({!Merge}, Alg. 3 of
+    the paper).
 
     The same type runs Bullshark and Shoal (and their "More DAGs" variants)
     by preset — see {!Config}.
 
     Invariants:
-    - the interleaved total order is a deterministic round-robin function of
-      the per-DAG committed segment sequences (Alg. 3): same segments in,
-      same order out, on every replica;
+    - the interleaved total order is a deterministic round-major function
+      of the per-DAG committed segment sequences (Alg. 3): same segments
+      in, same order out, on every replica;
     - all effects (timers, sends, persistence waits) go through the injected
       {!Shoalpp_backend.Backend} — the replica itself never touches the OS;
     - re-delivering an envelope already processed is harmless (duplicate
@@ -48,7 +49,7 @@ type lane_env = {
 (** Multicore placement for the realtime node's [--domains] mode: one DAG
     lane per executor domain. The commit interleave stays on the merge
     domain — lanes hand segments over via [le_post_main], and the
-    round-robin merge consumes them by per-lane sequence, so the global
+    merge consumes them by anchor round and lane, so the global
     order is the same deterministic function of the per-lane segment
     sequences as in single-domain mode. Without a [lane_env] nothing
     changes: all closures collapse to the single-domain behaviour. *)
@@ -88,10 +89,11 @@ val create :
     [on_ordered], through the runtime's latency ledger.
 
     When [config]'s [checkpoint_interval] is positive the replica runs the
-    bounded-memory lifecycle through a {!Ck_manager}: every
-    effective-interval merged segments it folds the commit stream into a
-    digest, votes on the resulting checkpoint candidate over the control
-    plane, and on a quorum of matching votes certifies it, persists it to
+    bounded-memory lifecycle through a {!Ck_manager}: it folds the commit
+    stream into a digest, at the end of every R-th merged anchor round
+    (R = effective interval / k) votes on the resulting checkpoint
+    candidate over the control plane, and on a quorum of matching votes
+    certifies it, persists it to
     a dedicated always-retaining WAL device, and truncates the protocol
     WAL to the last two checkpoint windows. [on_caught_up] fires each time a
     {!recover} finishes — synchronously when recovery is purely local,

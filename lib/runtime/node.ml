@@ -173,8 +173,11 @@ let create setup =
       let h = Tcp.create exec ~n ~base_port () in
       tcp := Some h;
       (* The one codec step sits above the shim: a broadcast is encoded
-         and framed once, and the shim delays that frame string. *)
-      Realtime.framed ~encode:write_envelope ~decode:read_envelope (shim (Tcp.transport h))
+         and framed once, and the shim delays that frame string. A
+         replica's messages to itself skip all three, as on the
+         in-process loopback. *)
+      Realtime.self_loopback exec
+        (Realtime.framed ~encode:write_envelope ~decode:read_envelope (shim (Tcp.transport h)))
   in
   let transport =
     if Option.is_none mc || mc_direct_loopback then shimmed else post_to_main shimmed

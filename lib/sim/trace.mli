@@ -34,7 +34,7 @@ type kind =
   | Anchor_skipped of { round : int; anchor : int }
   | Segment_committed of { round : int; anchor : int; nodes : int }
   | Segment_interleaved of { global_seq : int; round : int; anchor : int; txns : int }
-      (** a committed segment entered the round-robin global log (Alg. 3) *)
+      (** a committed segment entered the round-major global log (Alg. 3) *)
   | Timeout_fired of { round : int }
   | Fetch_requested of { round : int; author : int }
   | Gc_pruned of { below : int }

@@ -156,6 +156,22 @@ for sys in jolteon mysticeti; do
     || { echo "check failed: $sys crash-recover audit" >&2; cat "$out/$sys.recover.out" >&2; exit 1; }
 done
 
+# Alg. 3 merge-wait guard: the k lanes are merged one anchor round at a
+# time, so a committed segment waits at the merge only until the lanes
+# before it close its round. On the paper's setting (n=16, gcp10, 5k tx/s,
+# seed 3) the mean commit->order wait must stay under 20 ms; merging one
+# segment per lane per cycle instead held it at about 120 ms.
+dune exec bin/shoalpp.exe -- sim -n 16 --topology gcp10 --load 5000 --seed 3 \
+  --duration 8000 --warmup 3000 --metrics-out "$out/merge.metrics.json" > "$out/merge.out"
+python3 - "$out/merge.metrics.json" <<'EOF'
+import json, sys
+h = json.load(open(sys.argv[1]))["histograms"]["stage.commit_to_order"]
+if h["count"] == 0 or h["mean"] >= 20.0:
+    sys.exit(f"check failed: commit->order mean {h['mean']:.1f} ms over {h['count']} txns "
+             "(bound 20 ms)")
+print(f"merge wait: commit->order mean {h['mean']:.1f} ms over {h['count']} txns (bound 20 ms)")
+EOF
+
 # Real-time node smoke: the same replicas on a wall clock (sans-I/O seam),
 # run in the background with the live admin plane up so /health and
 # /metrics are scraped MID-RUN — the endpoint must serve while consensus is
@@ -531,7 +547,7 @@ fi
 # repository benchmark at seed 3 must order the pinned commit stream. The
 # digests are a function of the seed only, so any change to them is a
 # change of behaviour and must be re-pinned on purpose.
-for pin in sim-gcp10:2944a3ef9715988bb326ed0e9847ca95 sim-lifecycle:b192db2d2f4f6d414848323bf5f3f934; do
+for pin in sim-gcp10:d48fb4611f4b39366294c3bb9515df1b sim-lifecycle:3471d792f10ddf349fdae50860c3db76; do
   workload=${pin%%:*}
   want=${pin#*:}
   run_out=$(timeout 300 python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 --trace 0) \
@@ -542,4 +558,4 @@ for pin in sim-gcp10:2944a3ef9715988bb326ed0e9847ca95 sim-lifecycle:b192db2d2f4f
 done
 echo "perfbench digests: sim-gcp10 and sim-lifecycle at seed 3 match the pins"
 
-echo "check: build + tests + docs + observability/scenario + usage error + bench records + node + live scrape + trace analysis + multicore + tcp + verified tcp + gcp10 shim + node bench + perf smoke + perfbench digests OK"
+echo "check: build + tests + docs + observability/scenario + usage error + merge wait + bench records + node + live scrape + trace analysis + multicore + tcp + verified tcp + gcp10 shim + node bench + perf smoke + perfbench digests OK"

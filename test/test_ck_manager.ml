@@ -7,9 +7,10 @@
      an unverifiable peer blob is never adopted; a retry armed by an
      earlier probe never moves a later one; the served blob is the
      encoding of the latest checkpoint after install, restore and wipe;
-   - the vote rule: only the first seam whose lane-0 round enters a new
-     bucket of R rounds is voted, and a replica restarted from a certified
-     checkpoint votes the same seams as its peers;
+   - the vote rule: the end of every R-th merged round is a seam, voted
+     only if every lane closed that round explicitly, and a replica
+     restarted from a certified checkpoint votes the same seams as its
+     peers;
    - pinned end to end: a fixed-seed n=4, interval-12 simulated run with
      one crash and restart must certify the same checkpoints, in the same
      order, with the same digests, and truncate the same number of WAL
@@ -42,9 +43,8 @@ let checks = Alcotest.(check string)
 
 let committee = Committee.make ~n:4 ~cluster_seed:9 ()
 
-(* Interval 3 with 3 lanes: a seam every 3 merged segments, one per lane,
-   each carrying a driver snapshot; a seam is voted when lane 0's anchor
-   round enters a new bucket of R = 3 / 3 = 1 round. *)
+(* Interval 3 with 3 lanes: R = 3 / 3 = 1, so the end of every merged
+   round is a seam. *)
 let config = Config.with_checkpoint_interval (Config.shoalpp ~committee) 3
 
 (* The prefix of a driver snapshot that [Driver.snapshot_floor] reads. *)
@@ -70,7 +70,7 @@ type fake = {
   engine : Engine.t; (* drives the WAL devices' syncs *)
 }
 
-let fake ?(wal_devices = 1) id =
+let fake ?(config = config) ?(wal_devices = 1) id =
   let engine = Engine.create () in
   let timers = Shoalpp_backend.Backend_sim.timers engine in
   let tel = Telemetry.create () in
@@ -99,25 +99,43 @@ let fake ?(wal_devices = 1) id =
   in
   { m; tel; votes; probes; gates; owners; rewinds; timers = pending; wals; engine }
 
-(* Merge segments [from, upto] on every given manager: lane = seq mod 3,
-   anchor round = seq / 6 (two anchors per lane and round, as multi-anchor
-   rounds commit), snapshot floor = [floor + lane]. The seams are 2, 5, 8,
-   ...; lane 0's round enters a new bucket at seams 2, 8, 14, ..., so
-   those are voted and 5, 11, 17, ... are not. *)
+(* Merge anchor round [round] on every given manager from global seq
+   [seq]: [segs] lists each merged segment's lane and whether it closes
+   the round, in merge order. As the drivers do every R-th round, a
+   closing segment carries a snapshot with floor [floor + lane] where
+   (round + 1) mod [r] = 0. Returns the next seq. *)
+let merge_round ?(r = 1) fs ~seq ~round ~floor segs =
+  let seam = (round + 1) mod r = 0 in
+  List.iteri
+    (fun i (dag_id, closes) ->
+      let segment =
+        {
+          Driver.dag_id;
+          anchor = { Types.ref_round = round; ref_author = (seq + i) mod 4; ref_digest = Digest32.zero };
+          kind = Driver.Fast;
+          nodes = [];
+          committed_at = 0.0;
+          closes;
+          resume =
+            (if closes && seam then Some (Lazy.from_val (resume ~floor:(floor + dag_id)))
+             else None);
+        }
+      in
+      List.iter (fun f -> Ck_manager.observe f.m segment) fs)
+    segs;
+  let last = seq + List.length segs - 1 in
+  List.iter (fun f -> Ck_manager.round_merged f.m ~replaying:false ~seq:last ~round) fs;
+  last + 1
+
+(* Two anchors per lane, each lane closing the round, as multi-anchor
+   rounds commit. *)
+let burst = [ (0, false); (0, true); (1, false); (1, true); (2, false); (2, true) ]
+
+(* Merge rounds [from, upto] as bursts: round r is seqs 6r .. 6r + 5, so
+   with R = 1 its seam is seq 6r + 5. *)
 let feed fs ~from ~upto ~floor =
-  for seq = from to upto do
-    let dag_id = seq mod 3 in
-    let segment =
-      {
-        Driver.dag_id;
-        anchor = { Types.ref_round = seq / 6; ref_author = seq mod 4; ref_digest = Digest32.zero };
-        kind = Driver.Fast;
-        nodes = [];
-        committed_at = 0.0;
-        resume = Some (Lazy.from_val (resume ~floor:(floor + dag_id)));
-      }
-    in
-    List.iter (fun f -> Ck_manager.observe f.m ~replaying:false ~seq segment) fs
+  for round = from to upto do
+    ignore (merge_round fs ~seq:(6 * round) ~round ~floor burst)
   done
 
 let vote_of f ~seq =
@@ -137,14 +155,14 @@ let cluster () = List.init 4 (fun id -> fake id)
 let test_quorum_certifies_once () =
   let fs = cluster () in
   let m0 = List.hd fs in
-  feed fs ~from:0 ~upto:2 ~floor:10;
+  feed fs ~from:0 ~upto:0 ~floor:10;
   checki "every replica voted once" 4 (List.length (List.concat_map (fun f -> !(f.votes)) fs));
-  let deliver voter = Ck_manager.on_vote m0.m ~global_seq:3 (vote_of (List.nth fs voter) ~seq:2) in
+  let deliver voter = Ck_manager.on_vote m0.m ~global_seq:6 (vote_of (List.nth fs voter) ~seq:5) in
   deliver 0;
   deliver 1;
   checkb "two votes do not certify" true (latest_seq m0 = None);
   deliver 2;
-  checkb "a quorum certifies" true (latest_seq m0 = Some 2);
+  checkb "a quorum certifies" true (latest_seq m0 = Some 5);
   deliver 3;
   checki "certified exactly once" 1 (counter m0 "ck.certified");
   checkb "the certificate verifies" true
@@ -154,32 +172,32 @@ let test_quorum_certifies_once () =
 let test_bad_votes_refused () =
   let fs = cluster () in
   let m0 = List.hd fs in
-  feed fs ~from:0 ~upto:2 ~floor:10;
-  let vote voter = vote_of (List.nth fs voter) ~seq:2 in
+  feed fs ~from:0 ~upto:0 ~floor:10;
+  let vote voter = vote_of (List.nth fs voter) ~seq:5 in
   let forge = function
     | Types.Checkpoint_vote v -> Types.Checkpoint_vote { v with ck_voter = (v.ck_voter + 1) mod 4 }
     | m -> m
   in
   (* Replica 1's signature claimed for replica 2. *)
-  Ck_manager.on_vote m0.m ~global_seq:3 (forge (vote 1));
+  Ck_manager.on_vote m0.m ~global_seq:6 (forge (vote 1));
   checki "forged vote rejected" 1 (counter m0 "ck.votes_rejected");
-  Ck_manager.on_vote m0.m ~global_seq:3 (vote 0);
-  Ck_manager.on_vote m0.m ~global_seq:3 (vote 0);
-  Ck_manager.on_vote m0.m ~global_seq:3 (vote 1);
+  Ck_manager.on_vote m0.m ~global_seq:6 (vote 0);
+  Ck_manager.on_vote m0.m ~global_seq:6 (vote 0);
+  Ck_manager.on_vote m0.m ~global_seq:6 (vote 1);
   checkb "a duplicate does not make a quorum" true (latest_seq m0 = None);
   (* Beyond the horizon (4096 + 4 intervals past the merge position) a
      vote is dropped unchecked: a forgery there is not even counted, and
      an honest one is not buffered for the boundary. *)
-  let far = -4096 - 12 + 2 in
+  let far = -4096 - 12 + 5 in
   Ck_manager.on_vote m0.m ~global_seq:far (forge (vote 3));
   checki "beyond the horizon: refused before the signature check" 1
     (counter m0 "ck.votes_rejected");
   Ck_manager.on_vote m0.m ~global_seq:far (vote 2);
   checkb "beyond the horizon: not counted" true (latest_seq m0 = None);
-  Ck_manager.on_vote m0.m ~global_seq:3 (vote 2);
-  checkb "within the horizon: certifies" true (latest_seq m0 = Some 2);
+  Ck_manager.on_vote m0.m ~global_seq:6 (vote 2);
+  checkb "within the horizon: certifies" true (latest_seq m0 = Some 5);
   (* At or below the certified seq a vote is stale: refused unchecked. *)
-  Ck_manager.on_vote m0.m ~global_seq:3 (forge (vote 3));
+  Ck_manager.on_vote m0.m ~global_seq:6 (forge (vote 3));
   checki "stale: refused before the signature check" 1 (counter m0 "ck.votes_rejected");
   checki "certified once" 1 (counter m0 "ck.certified")
 
@@ -193,12 +211,12 @@ let certify_all fs ~seq =
 let test_install_gates_previous_floors () =
   let fs = cluster () in
   let m0 = List.hd fs in
-  feed fs ~from:0 ~upto:2 ~floor:10;
-  certify_all fs ~seq:2;
+  feed fs ~from:0 ~upto:0 ~floor:10;
+  certify_all fs ~seq:5;
   checkb "first install: no gate" true (!(m0.gates) = []);
-  feed fs ~from:3 ~upto:8 ~floor:20;
-  certify_all fs ~seq:8;
-  checkb "second install certified" true (latest_seq m0 = Some 8);
+  feed fs ~from:1 ~upto:1 ~floor:20;
+  certify_all fs ~seq:11;
+  checkb "second install certified" true (latest_seq m0 = Some 11);
   Alcotest.(check (list (pair int int)))
     "gates at the replaced checkpoint's floors" [ (0, 10); (1, 11); (2, 12) ]
     (List.rev !(m0.gates))
@@ -206,12 +224,12 @@ let test_install_gates_previous_floors () =
 let test_truncation_keeps_two_marks () =
   let fs = List.init 4 (fun id -> fake ~wal_devices:2 id) in
   let m0 = List.hd fs in
-  List.iteri
-    (fun k seq ->
+  List.iter
+    (fun round ->
       Array.iter (fun w -> Wal.append w ~size:1 ignore) m0.wals;
-      feed fs ~from:(max 0 (seq - 5)) ~upto:seq ~floor:(10 * (k + 1));
-      certify_all fs ~seq)
-    [ 2; 8; 14; 20 ];
+      feed fs ~from:round ~upto:round ~floor:(10 * (round + 1));
+      certify_all fs ~seq:((6 * round) + 5))
+    [ 0; 1; 2; 3 ];
   checki "four installs" 4 (counter m0 "ck.certified");
   Array.iteri
     (fun d w ->
@@ -225,8 +243,8 @@ let test_truncation_keeps_two_marks () =
 
 let test_unverifiable_blob_never_adopted () =
   let fs = cluster () in
-  feed fs ~from:0 ~upto:2 ~floor:10;
-  certify_all fs ~seq:2;
+  feed fs ~from:0 ~upto:0 ~floor:10;
+  certify_all fs ~seq:5;
   let good = Option.get (Ck_manager.served_blob (List.nth fs 1).m) in
   let fresh = fake 0 in
   let done_ = ref 0 in
@@ -252,8 +270,8 @@ let test_unverifiable_blob_never_adopted () =
   Queue.iter (fun f -> f ()) due;
   Alcotest.(check (list int)) "retried on the next peer" [ 1; 3; 2; 1 ] !(fresh.probes);
   Ck_manager.on_blob fresh.m ~global_seq:0 (Some good);
-  checkb "a verified blob is adopted" true (latest_seq fresh = Some 2);
-  Alcotest.(check (list int)) "merge rewound to it" [ 2 ] !(fresh.rewinds);
+  checkb "a verified blob is adopted" true (latest_seq fresh = Some 5);
+  Alcotest.(check (list int)) "merge rewound to it" [ 5 ] !(fresh.rewinds);
   checki "resolved once" 1 !done_;
   checkb "probe over" false (Ck_manager.probing fresh.m)
 
@@ -268,64 +286,86 @@ let test_served_blob_tracks_latest () =
       (Ck_manager.served_blob f.m = Option.map Checkpoint.encode (Ck_manager.latest f.m))
   in
   served_ok "nothing before a certificate";
-  feed fs ~from:0 ~upto:2 ~floor:10;
-  certify_all fs ~seq:2;
-  feed fs ~from:3 ~upto:8 ~floor:20;
-  certify_all fs ~seq:8;
-  checkb "installed" true (latest_seq f = Some 8);
+  feed fs ~from:0 ~upto:0 ~floor:10;
+  certify_all fs ~seq:5;
+  feed fs ~from:1 ~upto:1 ~floor:20;
+  certify_all fs ~seq:11;
+  checkb "installed" true (latest_seq f = Some 11);
   served_ok "after install";
   Engine.run f.engine;
   Ck_manager.recover f.m ~wipe:false;
-  checkb "restored from the device" true (latest_seq f = Some 8 && !(f.rewinds) = [ 8 ]);
+  checkb "restored from the device" true (latest_seq f = Some 11 && !(f.rewinds) = [ 11 ]);
   served_ok "after restore";
   Ck_manager.recover f.m ~wipe:true;
   checkb "wiped" true (Ck_manager.served_blob f.m = None);
   served_ok "after a wiping recover"
 
-(* The vote rule: a seam is voted only where lane 0's round enters a new
-   bucket, and a seam that is not voted neither votes nor replaces the
-   pending candidate. *)
+(* The vote rule at R = 6 / 3 = 2: the seams end rounds 1, 3, 5, ...; a
+   seam is voted only if every lane closed its round explicitly, and a
+   seam that is not voted neither votes nor replaces the pending
+   candidate. *)
 let test_votes_on_round_buckets () =
-  let fs = cluster () in
+  let config = Config.with_checkpoint_interval (Config.shoalpp ~committee) 6 in
+  let fs = List.init 4 (fun id -> fake ~config id) in
   let m0 = List.hd fs in
-  feed fs ~from:0 ~upto:5 ~floor:10;
-  Alcotest.(check (list int)) "seam 5 stays in round 0: not voted" [ 2 ] (vote_seqs m0);
-  certify_all fs ~seq:2;
-  checkb "the candidate of seam 2 outlived seam 5" true (latest_seq m0 = Some 2);
-  feed fs ~from:6 ~upto:14 ~floor:20;
-  Alcotest.(check (list int)) "rounds 1 and 2 each vote their first seam" [ 2; 8; 14 ]
+  let seq = ref 0 in
+  let merge round segs = seq := merge_round ~r:2 fs ~seq:!seq ~round ~floor:(10 * round) segs in
+  merge 0 burst;
+  Alcotest.(check (list int)) "round 0 is no seam" [] (vote_seqs m0);
+  merge 1 burst;
+  Alcotest.(check (list int)) "round 1's seam is voted" [ 11 ] (vote_seqs m0);
+  merge 2 burst;
+  (* Lane 1 leaves round 3 open (a [Skip_to] above it), lane 2 commits
+     nothing there: both close it only by committing a higher round. *)
+  merge 3 [ (0, false); (0, true); (1, false) ];
+  Alcotest.(check (list int)) "a seam with an implicit close is not voted" [ 11 ]
     (vote_seqs m0);
+  certify_all fs ~seq:11;
+  checkb "the candidate of round 1 outlived round 3's seam" true (latest_seq m0 = Some 11);
+  merge 4 burst;
+  merge 5 burst;
+  merge 6 burst;
+  merge 7 burst;
+  Alcotest.(check (list int)) "rounds 5 and 7 vote their seams" [ 11; 32; 44 ] (vote_seqs m0);
   checki "three boundaries" 3 (counter m0 "ck.boundaries");
-  checki "seam 14 superseded the uncertified seam 8" 1 (counter m0 "ck.superseded");
-  certify_all fs ~seq:14;
-  checkb "the newest candidate certifies" true (latest_seq m0 = Some 14);
-  checki "one superseded in all" 1 (counter m0 "ck.superseded")
+  checki "seam 44 superseded the uncertified seam 32" 1 (counter m0 "ck.superseded");
+  certify_all fs ~seq:44;
+  checkb "the newest candidate certifies" true (latest_seq m0 = Some 44);
+  checki "one superseded in all" 1 (counter m0 "ck.superseded");
+  Alcotest.(check (list int)) "every lane's snapshot is from the seam round" [ 7; 7; 7 ]
+    (List.map
+       (fun (l : Checkpoint.lane) -> l.Checkpoint.round)
+       (Checkpoint.lanes (Option.get (Ck_manager.latest m0.m))))
 
 (* A replica that restarts from a certified checkpoint — read back from
-   its own device, or adopted from a peer — re-derives the bucket of the
-   last voted seam from the checkpoint's lane-0 round, and then votes
-   exactly the seams its peers vote. Restarting the bucket from genesis
-   instead would vote seam 5. *)
+   its own device, or adopted from a peer — forgets the lanes' snapshots
+   and the running digest of the log before it, and then votes exactly
+   the seams its peers vote, with the same digests. *)
 let test_restarted_votes_peer_seams () =
   let fs = cluster () in
-  feed fs ~from:0 ~upto:2 ~floor:10;
-  certify_all fs ~seq:2;
+  feed fs ~from:0 ~upto:0 ~floor:10;
+  certify_all fs ~seq:5;
   let good = Option.get (Ck_manager.served_blob (List.nth fs 1).m) in
   let restarted = List.nth fs 3 in
   Engine.run restarted.engine;
   Ck_manager.recover restarted.m ~wipe:false;
-  checkb "restored from the device" true (latest_seq restarted = Some 2);
+  checkb "restored from the device" true (latest_seq restarted = Some 5);
   let adopted = fake 3 in
   Ck_manager.recover adopted.m ~wipe:true;
   Ck_manager.probe adopted.m ~on_done:ignore;
   Ck_manager.on_blob adopted.m ~global_seq:0 (Some good);
-  checkb "adopted from a peer" true (latest_seq adopted = Some 2);
+  checkb "adopted from a peer" true (latest_seq adopted = Some 5);
   List.iter (fun f -> f.votes := []) fs;
-  feed (adopted :: fs) ~from:3 ~upto:20 ~floor:20;
+  feed (adopted :: fs) ~from:1 ~upto:3 ~floor:20;
   let peer = vote_seqs (List.hd fs) in
-  Alcotest.(check (list int)) "peers vote the next buckets' first seams" [ 8; 14; 20 ] peer;
+  Alcotest.(check (list int)) "peers vote the next rounds' seams" [ 11; 17; 23 ] peer;
   Alcotest.(check (list int)) "restored from the device: same seams" peer (vote_seqs restarted);
-  Alcotest.(check (list int)) "adopted from a peer: same seams" peer (vote_seqs adopted)
+  Alcotest.(check (list int)) "adopted from a peer: same seams" peer (vote_seqs adopted);
+  let digests f =
+    List.map (function Types.Checkpoint_vote { ck_digest; _ } -> ck_digest | _ -> Digest32.zero) !(f.votes)
+  in
+  checkb "restored: same digests" true (digests restarted = digests (List.hd fs));
+  checkb "adopted: same digests" true (digests adopted = digests (List.hd fs))
 
 (* A retry armed by one probe must not move a later probe at the same
    attempt (a crash and a quick re-recover inside the retry window). *)
@@ -381,33 +421,32 @@ let test_lifecycle_pin () =
   done;
   let seen = List.rev !seen in
   let tel = Telemetry.snapshot (Cluster.telemetry cluster) in
-  (* 43 certifications plus the restarted replica's one restore. Seams
-     are voted once per R = 12 / 3 = 4 lane-0 rounds, and every voted
-     seam certifies: no candidate is superseded, even across the crash. *)
-  checki "checkpoints observed" 44 (List.length seen);
+  (* 35 certifications plus the restarted replica's one restore. A seam
+     ends every R = 12 / 3 = 4 merged rounds, and every voted seam
+     certifies: no candidate is superseded, even across the crash. *)
+  checki "checkpoints observed" 36 (List.length seen);
   checks "digest of the certified sequence"
-    "58b763ef4d6b1f56ab6d6a9985ed11438cf1acde7a9ccb569d75a76eaa911ade"
+    "51380332c0cf903344c5b94a0f1fa9127294d2c9a3eaf8b36c66751b6a421d8d"
     (Digest32.hex (Digest32.of_string (String.concat ";" seen)));
-  checki "ck.certified" 43 (Telemetry.snap_counter tel "ck.certified");
-  checki "ck.boundaries" 43 (Telemetry.snap_counter tel "ck.boundaries");
+  checki "ck.certified" 35 (Telemetry.snap_counter tel "ck.certified");
+  checki "ck.boundaries" 35 (Telemetry.snap_counter tel "ck.boundaries");
   checki "ck.superseded" 0 (Telemetry.snap_counter tel "ck.superseded");
-  checki "ck.wal_truncated_entries" 3438 (Telemetry.snap_counter tel "ck.wal_truncated_entries")
+  checki "ck.wal_truncated_entries" 3428 (Telemetry.snap_counter tel "ck.wal_truncated_entries")
 
 (* ------------------------------------------------------------------ *)
 (* Liveness of the lifecycle at any segment rate.                      *)
 
-(* Lane-0 rounds a certificate may trail the merge by, beyond R: a seam
-   lands up to one round past its bucket's start, and one vote round trip
-   and the commit pipeline between a lane's driver and the merge add up to
-   three more. *)
+(* Rounds a certificate may trail the merge by, beyond the R rounds
+   between two seams: one vote round trip and the commit pipeline between
+   a lane's driver and the merge, with a round to spare. *)
 let lag_slack = 4
 
 (* A fault-free checkpointed run at a generated n, load, interval, link
    delay and seed, sampled every 10 simulated ms on every replica:
-   - certification keeps advancing: the merge's lane-0 round never runs
-     more than one checkpoint window, W = R + [lag_slack] lane-0 rounds,
-     past the newest certified checkpoint's lane-0 round (round 0 before
-     the first certificate);
+   - certification keeps advancing: the merge's round never runs more
+     than one checkpoint window, W = R + [lag_slack] rounds, past the
+     newest certified checkpoint's seam round (round 0 before the first
+     certificate);
    - the physical floor ([Store.lowest_stored]) trails the logical floor
      ([Store.lowest_retained]) by at most two windows on every lane: the
      retain gate sits at the floors of the checkpoint before the newest,
@@ -455,16 +494,16 @@ let prop_certification_advances =
               | Some ck -> (List.hd (Checkpoint.lanes ck)).Checkpoint.round
               | None -> 0
             in
-            (* Lane 0's round r is merged only once every lane has
-               committed its matching segment, so the slowest lane's
-               driver round stands for the merge's lane-0 position. *)
+            (* The merge finishes round r only once every lane has
+               closed it, so the slowest lane's driver round stands for
+               the merge's position. *)
             let merged0 =
               List.fold_left min max_int
                 (List.init protocol.Config.num_dags (fun dag_id ->
                      Driver.current_anchor_round (Replica.driver r ~dag_id)))
             in
             let lag = merged0 - certified0 in
-            if lag > window then fail "replica %d: certificate %d lane-0 rounds behind" i lag;
+            if lag > window then fail "replica %d: certificate %d rounds behind" i lag;
             for dag_id = 0 to protocol.Config.num_dags - 1 do
               let store = Replica.store r ~dag_id in
               let gap = Store.lowest_retained store - Store.lowest_stored store in

@@ -536,6 +536,7 @@ type lifecycle = {
       (* each segment's [resume], unforced, with the eager snapshot taken
          when it was emitted *)
   mutable log : (int * int * (int * int) list) list; (* newest first *)
+  mutable last_close : (int * bool) option; (* last segment's round and [closes] *)
 }
 
 let lifecycle_driver ?(window = 64) () =
@@ -554,9 +555,19 @@ let lifecycle_driver ?(window = 64) () =
     in
     List.iter (fun (r, a) -> Hashtbl.replace l.model ((r * 4) + a) ()) nodes;
     l.log <- (seg.Driver.anchor.Types.ref_round, seg.Driver.anchor.Types.ref_author, nodes) :: l.log;
+    let round = seg.Driver.anchor.Types.ref_round in
+    (* A closed round is never committed again; an open one continues, or
+       is left for a higher round ([Skip_to]). *)
+    (match l.last_close with
+    | Some (prev, true) -> checkb "a closed round is left behind" true (round > prev)
+    | Some (prev, false) -> checkb "rounds never regress" true (round >= prev)
+    | None -> ());
+    l.last_close <- Some (round, seg.Driver.closes);
+    (* snapshot_rounds = 1: every explicit close carries a snapshot. *)
+    checkb "resume iff the round closes" seg.Driver.closes (Option.is_some seg.Driver.resume);
     let blob = Driver.snapshot l.ldriver in
     l.blobs <- blob :: l.blobs;
-    l.deferred <- (Option.get seg.Driver.resume, blob) :: l.deferred;
+    Option.iter (fun resume -> l.deferred <- (resume, blob) :: l.deferred) seg.Driver.resume;
     Alcotest.(check string) "snapshot = reference encoder" (reference_snapshot l.lstore l.ldriver ~blob)
       blob;
     let floor, window = snapshot_window blob in
@@ -576,7 +587,7 @@ let lifecycle_driver ?(window = 64) () =
     {
       (Driver.default_config ~committee) with
       Driver.gc_depth = 3;
-      snapshot_every = 1;
+      snapshot_rounds = 1;
       reputation_window = window;
     }
   in
@@ -602,6 +613,7 @@ let lifecycle_driver ?(window = 64) () =
       blobs = [];
       deferred = [];
       log = [];
+      last_close = None;
     }
   in
   self := Some l;

@@ -13,6 +13,7 @@ module Committee = Shoalpp_dag.Committee
 module Instance = Shoalpp_dag.Instance
 module Anchors = Shoalpp_consensus.Anchors
 module Driver = Shoalpp_consensus.Driver
+module Types = Shoalpp_dag.Types
 module Topology = Shoalpp_sim.Topology
 module Faults = Shoalpp_sim.Faults
 module Transaction = Shoalpp_workload.Transaction
@@ -127,7 +128,9 @@ let test_multi_dag_interleave_round_robin () =
   ignore !seen
 
 let test_replica_on_ordered_round_robin_dags () =
-  (* Direct observer: dag ids in the global log must rotate 0,1,2,0,1,2... *)
+  (* Direct observer: the global log is round-major — anchor round r's
+     output of lane 0, then lane 1, then lane 2, then round r+1 — and a
+     lane's output for a round ends at the segment that closes it. *)
   let engine = Shoalpp_sim.Engine.create () in
   let topology = Topology.clique ~regions:4 ~one_way_ms:15.0 in
   let assignment = Topology.assign_round_robin topology ~n:4 in
@@ -143,8 +146,11 @@ let test_replica_on_ordered_round_robin_dags () =
   let replicas =
     Array.init 4 (fun replica_id ->
         let on_ordered (o : Replica.ordered) =
+          let seg = o.Replica.segment in
           if replica_id = 0 then
-            dag_ids := o.Replica.segment.Driver.dag_id :: !dag_ids
+            dag_ids :=
+              (seg.Driver.anchor.Types.ref_round, seg.Driver.dag_id, seg.Driver.closes)
+              :: !dag_ids
         in
         Replica.create ~config:protocol ~replica_id
           ~backend:(Shoalpp_backend.Backend_sim.backend world)
@@ -155,9 +161,23 @@ let test_replica_on_ordered_round_robin_dags () =
   Shoalpp_sim.Engine.run ~until:3_000.0 engine;
   let ids = List.rev !dag_ids in
   checkb "log nonempty" true (List.length ids > 10);
-  List.iteri
-    (fun i dag -> checki (Printf.sprintf "position %d" i) (i mod 3) dag)
-    ids
+  List.iter
+    (fun dag ->
+      checkb (Printf.sprintf "lane %d merged" dag) true
+        (List.exists (fun (_, d, _) -> d = dag) ids))
+    [ 0; 1; 2 ];
+  ignore
+    (List.fold_left
+       (fun (i, prev) ((round, dag, _) as cur) ->
+         (match prev with
+         | Some (r, d, closes) ->
+           checkb
+             (Printf.sprintf "position %d: (round %d, lane %d) after (%d, %d)" i round dag r d)
+             true
+             (compare (round, dag) (r, d) > 0 || ((round, dag) = (r, d) && not closes))
+         | None -> ());
+         (i + 1, Some cur))
+       (0, None) ids)
 
 let test_interleaved_log_lengths_match () =
   let c = run_small ~duration:6_000.0 () in
@@ -303,6 +323,165 @@ let test_experiment_runs_dag_system () =
   checkb "commits" true (o.E.report.Report.committed > 200);
   checkb "series populated" true (List.length o.E.throughput_series > 2)
 
+(* ------------------------------------------------------------------ *)
+(* The Alg. 3 merge on synthetic lane streams.                          *)
+
+module Merge = Shoalpp_core.Merge
+
+(* A lane's segment: (anchor round, anchor author, closes). *)
+let lane_segment ~dag (round, author, closes) =
+  {
+    Driver.dag_id = dag;
+    anchor = { Types.ref_round = round; ref_author = author; ref_digest = Shoalpp_crypto.Digest32.zero };
+    kind = Driver.Fast;
+    nodes = [];
+    committed_at = 0.0;
+    closes;
+    resume = None;
+  }
+
+type merged = Seg of int * int * int (* lane, round, author *) | Round_end of int
+
+(* Push [arrivals] one at a time, popping all that merges after each:
+   the merged segments and round ends, in order. *)
+let run_merge ~lanes arrivals =
+  let m = Merge.create ~lanes in
+  let out = ref [] in
+  let rec drain () =
+    match Merge.pop m ~on_round:(fun r -> out := Round_end r :: !out) with
+    | Some s ->
+      out := Seg (s.Driver.dag_id, s.Driver.anchor.Types.ref_round, s.Driver.anchor.Types.ref_author) :: !out;
+      drain ()
+    | None -> ()
+  in
+  List.iter
+    (fun s ->
+      Merge.push m s;
+      drain ())
+    arrivals;
+  (List.rev !out, Merge.pending m)
+
+let segs_of out = List.filter_map (function Seg (d, r, a) -> Some (d, r, a) | Round_end _ -> None) out
+
+(* The specification: every lane's stream, stably sorted by (anchor round,
+   lane). *)
+let round_major streams =
+  List.stable_sort
+    (fun (d, r, _) (d', r', _) -> compare (r, d) (r', d'))
+    (List.concat (List.mapi (fun d l -> List.map (fun (r, a, _) -> (d, r, a)) l) streams))
+
+let test_merge_round_major () =
+  (* Lane 0 leaves round 3 open and skips to round 5 (round 4 empty);
+     lane 1 commits nothing in round 3; lane 2 nothing in rounds 2 and 5.
+     Rounds 1 and 4 are multi-segment bursts. *)
+  let lane0 = [ (1, 0, false); (1, 1, true); (2, 0, true); (3, 0, false); (5, 2, true); (6, 0, true) ] in
+  let lane1 = [ (1, 1, true); (2, 0, false); (2, 2, true); (4, 1, true); (5, 0, true); (6, 1, true) ] in
+  let lane2 =
+    [ (1, 2, false); (1, 3, true); (3, 0, true); (4, 0, false); (4, 1, false); (4, 3, true); (6, 2, true) ]
+  in
+  let streams = [ lane0; lane1; lane2 ] in
+  let by_lane = List.concat (List.mapi (fun dag l -> List.map (lane_segment ~dag) l) streams) in
+  let out, pending = run_merge ~lanes:3 by_lane in
+  Alcotest.(check (list (triple int int int)))
+    "round-major"
+    [
+      (0, 1, 0); (0, 1, 1); (1, 1, 1); (2, 1, 2); (2, 1, 3);
+      (0, 2, 0); (1, 2, 0); (1, 2, 2);
+      (0, 3, 0); (2, 3, 0);
+      (1, 4, 1); (2, 4, 0); (2, 4, 1); (2, 4, 3);
+      (0, 5, 2); (1, 5, 0);
+      (0, 6, 0); (1, 6, 1); (2, 6, 2);
+    ]
+    (segs_of out);
+  checkb "= the stable (round, lane) sort" true (segs_of out = round_major streams);
+  checki "nothing left queued" 0 pending;
+  let ends = List.filter_map (function Round_end r -> Some r | Seg _ -> None) out in
+  Alcotest.(check (list int)) "every round ends once, in order" [ 0; 1; 2; 3; 4; 5; 6 ] ends;
+  (* Round 0 ends only once every lane has committed above it; with lane
+     1's round 1 only, round 2 waits at lane 1. *)
+  let lane0_only = List.map (lane_segment ~dag:0) lane0 in
+  let out, pending = run_merge ~lanes:3 lane0_only in
+  checkb "lane 0 alone merges nothing" true (segs_of out = [] && pending = 6);
+  let head n l = List.filteri (fun i _ -> i < n) l in
+  let out, pending =
+    run_merge ~lanes:3
+      (lane0_only
+      @ List.map (lane_segment ~dag:1) (head 1 lane1)
+      @ List.map (lane_segment ~dag:2) (head 2 lane2))
+  in
+  Alcotest.(check (list (triple int int int)))
+    "round 2 waits at lane 1"
+    [ (0, 1, 0); (0, 1, 1); (1, 1, 1); (2, 1, 2); (2, 1, 3); (0, 2, 0) ]
+    (segs_of out);
+  checki "lane 0's later rounds stay queued" 3 pending;
+  (* One lane: the merge is the identity. *)
+  let out, _ = run_merge ~lanes:1 (List.map (lane_segment ~dag:0) lane2) in
+  Alcotest.(check (list (triple int int int))) "k = 1 is the identity"
+    (List.map (fun (r, a, _) -> (0, r, a)) lane2)
+    (segs_of out)
+
+(* Per-lane streams at k in 1..4: rounds 1..8, each empty or a burst of
+   up to 3 segments whose last one closes the round or (a [Skip_to]) does
+   not; every stream ends with a closing segment in round 9, so the whole
+   input merges. The arrival order across lanes comes from [choices]. *)
+let gen_merge_input =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun k ->
+    list_repeat k
+      (list_repeat 8 (pair (int_bound 3) (frequency [ (3, return true); (1, return false) ])))
+    >>= fun shapes ->
+    list_repeat 200 (int_bound 3) >>= fun choices -> return (k, shapes, choices))
+
+let streams_of_shapes shapes =
+  List.map
+    (fun shape ->
+      List.concat
+        (List.mapi
+           (fun i (count, closes) ->
+             List.init count (fun a -> (i + 1, a, a = count - 1 && closes)))
+           shape)
+      @ [ (9, 0, true) ])
+    shapes
+
+(* Interleave the lanes' streams, each in its own order, picking the next
+   lane from [choices] (wrapping, skipping exhausted lanes). *)
+let interleave_arrivals streams choices =
+  let queues = Array.of_list (List.mapi (fun dag l -> List.map (lane_segment ~dag) l) streams) in
+  let k = Array.length queues in
+  let out = ref [] in
+  let choices = ref choices in
+  while Array.exists (fun q -> q <> []) queues do
+    let c = match !choices with c :: rest -> choices := rest; c | [] -> 0 in
+    let rec pick d = if queues.(d mod k) <> [] then d mod k else pick (d + 1) in
+    let d = pick c in
+    (match queues.(d) with s :: rest -> out := s :: !out; queues.(d) <- rest | [] -> ());
+  done;
+  List.rev !out
+
+let prop_merge_arrival_independent =
+  QCheck.Test.make ~name:"any arrival order merges to the same sequence" ~count:300
+    (QCheck.make gen_merge_input)
+    (fun (k, shapes, choices) ->
+      let streams = streams_of_shapes shapes in
+      let lane_order =
+        List.concat (List.mapi (fun dag l -> List.map (lane_segment ~dag) l) streams)
+      in
+      let reference, _ = run_merge ~lanes:k lane_order in
+      let out, pending = run_merge ~lanes:k (interleave_arrivals streams choices) in
+      (* Each round's end comes after all of its segments and before any
+         of a higher round. *)
+      let rec ends_ok seen = function
+        | [] -> true
+        | Seg (_, r, _) :: rest -> ends_ok (r :: seen) rest
+        | Round_end r :: rest ->
+          List.for_all (fun r' -> r' <= r) seen
+          && List.for_all (function Seg (_, r', _) -> r' > r | Round_end _ -> true) rest
+          && ends_ok seen rest
+      in
+      out = reference && pending = 0
+      && segs_of out = round_major streams
+      && ends_ok [] out)
+
 let suite =
   [
     ( "core.config",
@@ -319,6 +498,8 @@ let suite =
         Alcotest.test_case "message drops tolerated" `Quick test_cluster_message_drops_tolerated;
         Alcotest.test_case "interleaver keeps up" `Quick test_multi_dag_interleave_round_robin;
         Alcotest.test_case "round-robin dag ids" `Quick test_replica_on_ordered_round_robin_dags;
+        Alcotest.test_case "merge is round-major" `Quick test_merge_round_major;
+        QCheck_alcotest.to_alcotest prop_merge_arrival_independent;
         Alcotest.test_case "log lengths close" `Quick test_interleaved_log_lengths_match;
         Alcotest.test_case "presets run" `Slow test_shoal_and_bullshark_presets_run;
         Alcotest.test_case "latency ordering" `Slow test_shoalpp_beats_shoal_beats_bullshark;

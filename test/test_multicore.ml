@@ -12,14 +12,14 @@
      runs with the same seed, one at [--domains 1] and one at
      [--domains 4], commit byte-identical segment sequences up to the
      shorter run's length — the commit interleave is a deterministic
-     round-robin merge by per-lane sequence number, never completion or
+     round-major merge by anchor round and lane, never completion or
      arrival order;
 
    - the same claim under a fault: with one replica crashed from birth
      (n = 4 tolerates f = 1) both domain counts still make progress,
      pass the safety audit, and preserve the structural merge invariant
-     (position [p] of every log holds a lane-[p mod k] segment with
-     strictly increasing rounds per lane). Cross-run byte equality is
+     (every log is sorted by anchor round, then lane, and rounds never
+     regress within a lane). Cross-run byte equality is
      not asserted here: which rounds time out under a fault is
      wall-clock-dependent by design. *)
 
@@ -233,17 +233,26 @@ let run_node ~domains ?(crash = false) ?timeout_ms ?(duration_ms = 1_200.0) ~see
   Node.run node ~duration_ms;
   (node, Node.audit node, protocol.Config.num_dags)
 
-(* Structural invariant of Alg. 3's merge: position [p] holds a segment of
-   lane [p mod k], and rounds within a lane never go backwards (a round
-   can repeat — a round may certify more than one anchor — but commit
-   order follows the DAG's round order). True at any domain count and
-   under faults — the merge is by per-lane sequence number, so arrival
-   timing can stall it but never reorder it. *)
+(* Structural invariant of Alg. 3's merge: the log is round-major — every
+   segment of anchor round r precedes every segment of round r+1, and
+   within a round lane 0's segments precede lane 1's, and so on — and
+   rounds within a lane never go backwards (a round can repeat — a round
+   may certify more than one anchor — but commit order follows the DAG's
+   round order). True at any domain count and under faults — the merge
+   is by anchor round and lane, so arrival timing can stall it but never
+   reorder it. *)
 let check_round_robin_merge ~label ~k ids =
-  List.iteri
-    (fun p (dag, _, _) ->
-      checki (Printf.sprintf "%s: position %d is lane %d" label p (p mod k)) (p mod k) dag)
-    ids;
+  ignore
+    (List.fold_left
+       (fun (p, (r0, d0)) (dag, round, _) ->
+         checkb
+           (Printf.sprintf "%s: position %d (round %d, lane %d) after (%d, %d)" label p round dag
+              r0 d0)
+           true
+           (compare (round, dag) (r0, d0) >= 0);
+         (p + 1, (round, dag)))
+       (0, (-1, -1))
+       ids);
   let last_round = Array.make k (-1) in
   List.iter
     (fun (dag, round, _) ->

@@ -5,6 +5,8 @@
      cannot clear the socket buffer in one write arrives intact and in
      order behind the small frames sent before it, and every write that
      moved bytes counts as a flush;
+   - a replica's own messages skip the socket: delivered by a zero-delay
+     post, never written or counted;
    - crash + reconnect: a dead peer's writes drop and back off rather
      than blocking or killing the process, and a restarted peer is
      re-adopted with the drop/ dial-failure / reconnect counters telling
@@ -73,6 +75,43 @@ let test_tcp_delivery_and_partial_frames () =
   (* A flush is one write(2), of at most 64 KiB: the 3 MiB frame takes at
      least 48, the five small ones one each. *)
   checkb "one flush per write(2)" true ((Tcp.net_stats h).Tcp.flushes >= 53);
+  Tcp.shutdown h
+
+(* A replica's own messages skip the socket: a self-addressed send and the
+   self copy of a broadcast arrive without a write(2), and the transport's
+   stats count only the frames that went to peers. *)
+let test_self_messages_skip_socket () =
+  let exec = Realtime.create () in
+  let h = Tcp.create exec ~n:3 () in
+  let inboxes = Array.init 3 (fun _ -> ref []) in
+  let tr =
+    Realtime.self_loopback exec
+      (Realtime.framed
+         ~encode:(fun w msg -> Wire.Writer.raw w msg)
+         ~decode:(fun frame ~pos -> Some (String.sub frame pos (String.length frame - pos)))
+         (Tcp.transport h))
+  in
+  for r = 0 to 2 do
+    tr.Backend.Transport.set_handler r (fun ~src msg ->
+        inboxes.(r) := (src, msg) :: !(inboxes.(r)))
+  done;
+  let inbox r = List.rev !(inboxes.(r)) in
+  send tr ~src:0 ~dst:0 "self-1";
+  send tr ~src:0 ~dst:0 "self-2";
+  checkb "not delivered inside send" true (inbox 0 = []);
+  Realtime.run_for exec ~duration_ms:50.0;
+  Alcotest.(check (list (pair int string)))
+    "self-addressed envelopes delivered in order" [ (0, "self-1"); (0, "self-2") ] (inbox 0);
+  checki "no socket write" 0 (Tcp.net_stats h).Tcp.flushes;
+  checki "no frame counted" 0 (tr.Backend.Transport.stats ()).Backend.Transport.sent;
+  tr.Backend.Transport.broadcast ~src:1 ~size:5 ~include_self:true "bcast";
+  Realtime.run_for exec ~duration_ms:200.0;
+  List.iter
+    (fun r ->
+      checkb (Printf.sprintf "broadcast reached %d" r) true (List.mem (1, "bcast") (inbox r)))
+    [ 0; 1; 2 ];
+  checki "only the peers' copies counted" 2 (tr.Backend.Transport.stats ()).Backend.Transport.sent;
+  checki "one write per peer" 2 (Tcp.net_stats h).Tcp.flushes;
   Tcp.shutdown h
 
 let test_tcp_crash_reconnect_backoff () =
@@ -181,6 +220,7 @@ let suite =
       [
         Alcotest.test_case "delivery + partial frames" `Quick test_tcp_delivery_and_partial_frames;
         Alcotest.test_case "crash, backoff, reconnect" `Quick test_tcp_crash_reconnect_backoff;
+        Alcotest.test_case "self messages skip the socket" `Quick test_self_messages_skip_socket;
         Alcotest.test_case "commit sequence matches loopback" `Slow
           test_tcp_commit_sequence_matches_loopback;
         Alcotest.test_case "n=10 under the gcp10 delay shim" `Slow test_tcp_gcp10_delay_shim;

@@ -279,6 +279,7 @@ let segment ~round ids =
     kind = Driver.Fast;
     nodes = [ honest node ];
     committed_at = 0.0;
+    closes = true;
     resume = None;
   }
 
