@@ -44,7 +44,6 @@ type t = {
   c_certified : Telemetry.counter option;
   fx : effects;
   wal : Wal.t; (* certified checkpoints only; always retains *)
-  marks : int list array; (* per protocol WAL device: segments opened at checkpoints, newest first *)
   mutable state : Digest32.t; (* running commit-stream digest *)
   lane_latest : (int * string Lazy.t) option array; (* per lane: anchor round, resume *)
   mutable candidate : Checkpoint.candidate option; (* ours, pending quorum *)
@@ -56,7 +55,7 @@ type t = {
   mutable on_probed : unit -> unit;
 }
 
-let create ~config ~replica_id ~obs ~timers ~wal_devices fx =
+let create ~config ~replica_id ~obs ~timers fx =
   let interval = Config.effective_checkpoint_interval config in
   if interval = 0 then None
   else
@@ -71,7 +70,6 @@ let create ~config ~replica_id ~obs ~timers ~wal_devices fx =
         c_certified = Obs.counter obs "ck.certified";
         fx;
         wal = Wal.create ~timers ~sync_latency_ms:config.Config.wal_sync_ms ~retain:true ();
-        marks = Array.make wal_devices [];
         state = Digest32.zero;
         lane_latest = Array.make config.Config.num_dags None;
         candidate = None;
@@ -105,25 +103,22 @@ let of_blob m blob =
   | ck -> if verified m ck then Some ck else None
   | exception Shoalpp_codec.Wire.Reader.Malformed _ -> None
 
-(* Rotate every protocol WAL device and truncate below its previous mark.
-   Two marks bound retention to the last two checkpoint windows: replay
-   starts from the latest checkpoint, and the window before it still
-   covers any round that was in flight when the boundary committed. A
-   device belongs to its owner's domain, so the rotation runs there. *)
-let truncate m =
-  Array.iteri
-    (fun d _ ->
-      let wal = m.fx.wal d in
-      m.fx.on_lane d (fun obs ->
-          let seg = Wal.rotate wal in
-          m.marks.(d) <-
-            (match seg :: m.marks.(d) with
-            | cur :: prev :: _ ->
-              let dropped = Wal.truncate_below wal ~seg:prev in
-              if dropped > 0 then Obs.incr ~by:dropped obs "ck.wal_truncated_entries";
-              [ cur; prev ]
-            | l -> l)))
-    m.marks
+(* Persist [ck]'s blob on the checkpoint device (never truncated, so its
+   entry key is a placeholder). Once it is durable, {!newest_local}
+   restores at least [ck], whose rewind resumes each lane above its seam
+   round, so no replay needs a protocol WAL entry of lane d below that
+   round: the sync callback truncates each lane there. A lane's WAL
+   device belongs to its owner's domain, so its truncation runs there. *)
+let persist m ck blob =
+  Wal.append m.wal ~entry:{ Wal.lane = 0; round = 0; payload = (fun () -> blob) } (fun () ->
+      List.iter
+        (fun (l : Checkpoint.lane) ->
+          let d = l.Checkpoint.dag_id in
+          if d < Array.length m.lane_latest then
+            m.fx.on_lane d (fun obs ->
+                let dropped = Wal.truncate_below (m.fx.wal d) ~lane:d ~round:l.Checkpoint.round in
+                if dropped > 0 then Obs.incr ~by:dropped obs "ck.wal_truncated_entries"))
+        (Checkpoint.lanes ck))
 
 (* Checkpoint-anchored physical pruning: raise each lane's retain gate to
    [ck]'s per-lane resume floor, releasing the rounds whose deletion the
@@ -161,12 +156,11 @@ let install m ck =
   let blob = Option.get (set_latest m (Some ck)) in
   let seq = Checkpoint.seq ck in
   reset m ~upto:seq;
-  Wal.append m.wal ~size:(String.length blob) ~payload:(fun () -> blob) ignore;
+  persist m ck blob;
   Obs.incr_c m.c_certified;
   Obs.set m.obs "ck.latest_seq" (float_of_int seq);
   Obs.event m.obs ~time:(m.fx.now ())
-    (Trace.Checkpoint_certified { seq; signers = Multisig.num_signers (Checkpoint.cert ck) });
-  truncate m
+    (Trace.Checkpoint_certified { seq; signers = Multisig.num_signers (Checkpoint.cert ck) })
 
 let try_certify m ~seq =
   match (m.candidate, Int_map.find_opt seq m.votes) with
@@ -273,7 +267,7 @@ let restore m ck =
    malformed or under-signed in the device is skipped, never trusted. *)
 let newest_local m =
   List.fold_left
-    (fun acc blob ->
+    (fun acc (_, blob) ->
       match (of_blob m blob, acc) with
       | Some ck, Some prev when Checkpoint.seq ck <= Checkpoint.seq prev -> acc
       | Some ck, _ -> Some ck
@@ -283,8 +277,7 @@ let newest_local m =
 let recover m ~wipe =
   if wipe then begin
     Wal.clear m.wal;
-    ignore (set_latest m None);
-    Array.fill m.marks 0 (Array.length m.marks) []
+    ignore (set_latest m None)
   end;
   (* Vote state never survives a restart; the fold over the log restarts
      from genesis (or from the restored checkpoint). *)
@@ -339,10 +332,7 @@ let on_blob m ~global_seq blob =
     m.probe_attempt <- -1;
     (* A peer frontier at or below our own adds nothing — keep local
        state (its WAL coverage is contiguous with it) and move on. *)
-    if Checkpoint.seq ck + 1 > global_seq then begin
-      let blob = restore m ck in
-      Wal.append m.wal ~size:(String.length blob) ~payload:(fun () -> blob) ignore
-    end;
+    if Checkpoint.seq ck + 1 > global_seq then persist m ck (restore m ck);
     m.on_probed ()
 
 let latest m = m.latest

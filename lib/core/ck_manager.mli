@@ -12,11 +12,12 @@
     digest over the control plane, and certifies it on a quorum of
     matching votes. Seams come at the round rate, so a vote round trip
     fits between two of them even though multi-anchor rounds commit
-    several segments per round. A certified
-    checkpoint is persisted to a dedicated always-retaining WAL device,
-    rotates and truncates the protocol WAL devices, and raises each lane's
-    retain gate. After a crash the manager restores the newest verified
-    local checkpoint and can probe peers for a newer one.
+    several segments per round. A certified checkpoint is persisted to a
+    dedicated always-retaining WAL device; once that write is durable,
+    each lane's protocol WAL entries below the checkpoint's seam round for
+    that lane are truncated. Install also raises each lane's retain gate.
+    After a crash the manager restores the newest verified local
+    checkpoint and can probe peers for a newer one.
 
     The manager runs on the merge domain. It never touches a lane: every
     effect on the replica — sends, timers, lane gates, WAL devices and the
@@ -42,8 +43,10 @@
     - buffered votes are bounded: stale ones (at or below the latest
       certified seq), duplicates per voter, votes beyond the horizon and
       votes failing their signature check are refused;
-    - each WAL device keeps at most two rotation marks, so replay covers
-      the last two checkpoint windows;
+    - a lane's protocol WAL is truncated only below that lane's seam round
+      in a checkpoint whose blob is durable on the checkpoint device, so a
+      restart restores that checkpoint or a newer one and replays every
+      retained round above its seams, whatever the lanes' phase;
     - {!served_blob} is the encoding of {!latest} at every moment the
       merge domain is between calls: the two are set together. *)
 
@@ -61,7 +64,10 @@ type effects = {
           mode, so no event is added *)
   set_gate : int -> round:int -> unit;
       (** raise lane [i]'s retain gate; called only from [on_lane i] *)
-  wal : int -> Shoalpp_storage.Wal.t;  (** protocol WAL device [i] *)
+  wal : int -> Shoalpp_storage.Wal.t;
+      (** the protocol WAL device holding lane [i]'s entries: the one
+          shared WAL in single-domain mode, lane [i]'s own under multicore
+          placement *)
   rewind : seq:int -> Shoalpp_storage.Checkpoint.lane list -> unit;
       (** rewind the merge to [seq + 1], its cursor to lane 0 of the
           round after the lanes' seam round, and each listed lane's driver
@@ -75,12 +81,9 @@ val create :
   replica_id:int ->
   obs:Shoalpp_sim.Obs.t ->
   timers:Shoalpp_backend.Backend.Timers.t ->
-  wal_devices:int ->
   effects ->
   t option
-(** [None] when [config]'s effective checkpoint interval is 0. The
-    protocol WAL devices are [0 .. wal_devices - 1]: the one shared WAL in
-    single-domain mode, one per lane under multicore placement. *)
+(** [None] when [config]'s effective checkpoint interval is 0. *)
 
 val observe : t -> Shoalpp_consensus.Driver.segment -> unit
 (** The next merged segment: fold it into the running digest and keep
@@ -99,8 +102,8 @@ val on_vote : t -> global_seq:int -> Shoalpp_dag.Types.message -> unit
 
 val recover : t -> wipe:bool -> unit
 (** After a crash: forget votes and the running digest; with [wipe], also
-    the checkpoint device and the rotation marks. Otherwise restore the
-    newest local checkpoint that verifies, if any. *)
+    the checkpoint device. Otherwise restore the newest local checkpoint
+    that verifies, if any. *)
 
 val probe : t -> on_done:(unit -> unit) -> unit
 (** Ask peers in rotation (400 ms retry on silence, up to two passes) for

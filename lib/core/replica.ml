@@ -313,16 +313,17 @@ let make_lane t dag_id =
              (the voted table was rebuilt before this point, and the muted
              send layer swallows the re-externalized votes). *)
           if t.replaying then cb ()
-          else begin
-            let size = Types.message_size msg in
-            if Wal.retains wal then
-              (* Encoded only if a recovery ever replays it. *)
-              let payload () =
-                String.make 1 (Char.chr (dag_id land 0xff)) ^ Types.encode_message msg
-              in
-              Wal.append wal ~size ~payload cb
-            else Wal.append wal ~size cb
-          end);
+          else if Wal.retains wal then
+            let round =
+              match msg with
+              | Types.Proposal node -> node.Types.round
+              | Types.Certificate c -> c.Types.cert_ref.Types.ref_round
+              | _ -> invalid_arg "Replica: only proposals and certificates are persisted"
+            in
+            (* Encoded only if a recovery ever replays it. *)
+            let payload () = Types.encode_message msg in
+            Wal.append wal ~entry:{ Wal.lane = dag_id; round; payload } cb
+          else Wal.append wal cb);
       on_proposal_noted = (fun _node -> Driver.notify (the_driver ()));
       on_certified = (fun _cn -> Driver.notify (the_driver ()));
       on_cert_meta = (fun _ref -> Driver.notify (the_driver ()));
@@ -382,21 +383,17 @@ let replay_wal t =
   t.replaying <- true;
   let replayed = ref 0 in
   List.iter
-    (fun entry ->
-      if String.length entry > 1 then begin
-        let dag_id = Char.code entry.[0] in
-        if dag_id < Array.length t.lanes then begin
-          match Types.decode_message ~pos:1 entry with
-          | Ok msg ->
-            incr replayed;
-            (* Proposals must appear to come from their author (the
-               src/author check of handle_proposal); everything else is
-               our own durable state. *)
-            let src = match msg with Types.Proposal node -> node.Types.author | _ -> t.id in
-            Instance.handle_message t.lanes.(dag_id).instance ~src msg
-          | Error _ -> ()
-        end
-      end)
+    (fun (dag_id, entry) ->
+      if dag_id < Array.length t.lanes then
+        match Types.decode_message entry with
+        | Ok msg ->
+          incr replayed;
+          (* Proposals must appear to come from their author (the
+             src/author check of handle_proposal); everything else is
+             our own durable state. *)
+          let src = match msg with Types.Proposal node -> node.Types.author | _ -> t.id in
+          Instance.handle_message t.lanes.(dag_id).instance ~src msg
+        | Error _ -> ())
     (Wal.entries t.wal);
   t.replaying <- false;
   !replayed
@@ -510,7 +507,6 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
   let the_t () = Option.get !self in
   let ck =
     Ck_manager.create ~config ~replica_id ~obs ~timers:backend.Backend.timers
-      ~wal_devices:(match lane_env with None -> 1 | Some _ -> config.Config.num_dags)
       {
         Ck_manager.now = (fun () -> Backend.now backend);
         broadcast_vote =

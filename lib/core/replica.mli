@@ -93,9 +93,9 @@ val create :
     stream into a digest, at the end of every R-th merged anchor round
     (R = effective interval / k) votes on the resulting checkpoint
     candidate over the control plane, and on a quorum of matching votes
-    certifies it, persists it to
-    a dedicated always-retaining WAL device, and truncates the protocol
-    WAL to the last two checkpoint windows. [on_caught_up] fires each time a
+    certifies it, persists it to a dedicated always-retaining WAL device,
+    and once that is durable truncates each lane's protocol WAL entries
+    below the lane's seam round in it. [on_caught_up] fires each time a
     {!recover} finishes — synchronously when recovery is purely local,
     or once peer catch-up sync completes on every lane.
 

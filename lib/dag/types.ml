@@ -45,8 +45,6 @@ type sync_request =
   | Get_certificates_in_range of { sr_from : round; sr_to : round; sr_cursor : int }
       (** Certified nodes with [sr_from <= round <= sr_to], paged from
           [sr_cursor] (an opaque position the server handed back). *)
-  | Get_missing_certificates of { sm_from : round; sm_to : round; sm_known : node_ref list }
-      (** Range query minus refs the requester already holds. *)
   | Get_checkpoint  (** The responder's latest certified checkpoint blob. *)
 
 type sync_response =
@@ -221,11 +219,6 @@ let write_sync_request w = function
     Wire.Writer.uint w sr_from;
     Wire.Writer.uint w sr_to;
     Wire.Writer.uint w sr_cursor
-  | Get_missing_certificates { sm_from; sm_to; sm_known } ->
-    Wire.Writer.u8 w 3;
-    Wire.Writer.uint w sm_from;
-    Wire.Writer.uint w sm_to;
-    Wire.Writer.list w (write_ref w) sm_known
   | Get_checkpoint -> Wire.Writer.u8 w 4
 
 let read_sync_request rd =
@@ -236,13 +229,8 @@ let read_sync_request rd =
     let sr_to = Wire.Reader.uint rd in
     let sr_cursor = Wire.Reader.uint rd in
     Get_certificates_in_range { sr_from; sr_to; sr_cursor }
-  | 3 ->
-    let sm_from = Wire.Reader.uint rd in
-    let sm_to = Wire.Reader.uint rd in
-    let sm_known = Wire.Reader.list rd read_ref in
-    Get_missing_certificates { sm_from; sm_to; sm_known }
   | 4 -> Get_checkpoint
-  | tag -> failwith (Printf.sprintf "unknown sync request tag %d" tag)
+  | tag -> raise (Wire.Reader.Malformed (Printf.sprintf "unknown sync request tag %d" tag))
 
 let write_sync_response w = function
   | Highest_round { hr_highest; hr_lowest } ->
@@ -383,7 +371,6 @@ let cert_size (c : certificate) = ref_size + Multisig.wire_size c.multisig
 let sync_request_size = function
   | Get_highest_round -> 1
   | Get_certificates_in_range _ -> 1 + 4 + 4 + 4
-  | Get_missing_certificates { sm_known; _ } -> 1 + 4 + 4 + 2 + (List.length sm_known * ref_size)
   | Get_checkpoint -> 1
 
 let sync_response_size = function

@@ -56,8 +56,6 @@ type sync_request =
   | Get_certificates_in_range of { sr_from : round; sr_to : round; sr_cursor : int }
       (** Certified nodes with [sr_from <= round <= sr_to], paged from
           [sr_cursor] (an opaque position the server handed back). *)
-  | Get_missing_certificates of { sm_from : round; sm_to : round; sm_known : node_ref list }
-      (** Range query minus refs the requester already holds. *)
   | Get_checkpoint  (** The responder's latest certified checkpoint blob. *)
 
 type sync_response =

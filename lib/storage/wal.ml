@@ -1,14 +1,8 @@
 module Backend = Shoalpp_backend.Backend
+module Int_map = Map.Make (Int)
 
-(* A retained payload is a thunk: the record is encoded only if it is ever
-   replayed ({!entries}), not on every append. *)
-type pending = { cb : unit -> unit; payload : (unit -> string) option }
-
-type segment = {
-  seg_id : int;
-  mutable seg_entries : (unit -> string) list; (* synced retained payloads, reversed *)
-  mutable seg_count : int;
-}
+type entry = { lane : int; round : int; payload : unit -> string }
+type pending = { cb : unit -> unit; entry : entry option }
 
 type t = {
   timers : Backend.Timers.t;
@@ -17,83 +11,32 @@ type t = {
   retain : bool;
   mutable device_busy : bool;
   mutable queue : pending list; (* reversed arrival order *)
-  mutable segments : segment list; (* newest first; never empty *)
-  mutable next_seg : int;
+  mutable retained : entry list; (* synced, newest first *)
   mutable appends : int;
   mutable syncs : int;
-  mutable bytes : float;
-  mutable rotations : int;
-  mutable truncated_segments : int;
-  mutable truncated_entries : int;
 }
 
-let fresh_segment t =
-  let seg = { seg_id = t.next_seg; seg_entries = []; seg_count = 0 } in
-  t.next_seg <- t.next_seg + 1;
-  seg
-
 let create ~timers ~sync_latency_ms ?(group_commit = true) ?(retain = false) () =
-  let t =
-    {
-      timers;
-      sync_latency_ms;
-      group_commit;
-      retain;
-      device_busy = false;
-      queue = [];
-      segments = [];
-      next_seg = 0;
-      appends = 0;
-      syncs = 0;
-      bytes = 0.0;
-      rotations = 0;
-      truncated_segments = 0;
-      truncated_entries = 0;
-    }
-  in
-  t.segments <- [ fresh_segment t ];
-  t
+  {
+    timers;
+    sync_latency_ms;
+    group_commit;
+    retain;
+    device_busy = false;
+    queue = [];
+    retained = [];
+    appends = 0;
+    syncs = 0;
+  }
 
-let current_segment t = (List.hd t.segments).seg_id
+let truncate_below t ~lane ~round =
+  let before = List.length t.retained in
+  t.retained <- List.filter (fun e -> e.lane <> lane || e.round >= round) t.retained;
+  before - List.length t.retained
 
-let rotate t =
-  t.rotations <- t.rotations + 1;
-  let seg = fresh_segment t in
-  t.segments <- seg :: t.segments;
-  seg.seg_id
-
-let truncate_below t ~seg =
-  (* Drop whole segments with id < [seg]; the current segment always
-     survives even if its id is below the floor, so an over-eager caller
-     cannot lose in-flight durability. *)
-  match t.segments with
-  | [] -> 0
-  | current :: older ->
-    let dropped = ref 0 in
-    let kept =
-      List.filter
-        (fun s ->
-          if s.seg_id < seg then (
-            dropped := !dropped + s.seg_count;
-            t.truncated_segments <- t.truncated_segments + 1;
-            false)
-          else true)
-        older
-    in
-    t.segments <- current :: kept;
-    t.truncated_entries <- t.truncated_entries + !dropped;
-    !dropped
-
-let clear t =
-  (* Simulated total disk loss: every retained segment vanishes, in-flight
-     appends keep their callbacks (the device still completes the sync) but
-     their payloads land in the fresh post-wipe segment. *)
-  List.iter
-    (fun s ->
-      t.truncated_entries <- t.truncated_entries + s.seg_count;
-      t.truncated_segments <- t.truncated_segments + 1)
-    t.segments;
-  t.segments <- [ fresh_segment t ]
+(* Simulated total disk loss: in-flight appends keep their callbacks (the
+   device still completes the sync) and are retained when it does. *)
+let clear t = t.retained <- []
 
 let rec start_sync t =
   match t.queue with
@@ -108,38 +51,28 @@ let rec start_sync t =
       (t.timers.Backend.Timers.schedule ~after:t.sync_latency_ms (fun () ->
            List.iter
              (fun p ->
-               (* A payload is durable (replayable on recovery) only once its
-                  sync completes — appends lost mid-sync model a real crash.
-                  It lands in the segment current at completion time, so a
-                  rotation racing an in-flight sync keeps the record in the
-                  retained (newer) segment. *)
-               (match p.payload with
-               | Some payload when t.retain ->
-                 let seg = List.hd t.segments in
-                 seg.seg_entries <- payload :: seg.seg_entries;
-                 seg.seg_count <- seg.seg_count + 1
+               (* An entry is durable (replayable on recovery) only once its
+                  sync completes — appends lost mid-sync model a real crash. *)
+               (match p.entry with
+               | Some e when t.retain -> t.retained <- e :: t.retained
                | _ -> ());
                p.cb ())
              batch;
            start_sync t))
 
-let append t ~size ?payload cb =
+let append t ?entry cb =
   t.appends <- t.appends + 1;
-  t.bytes <- t.bytes +. float_of_int size;
-  t.queue <- { cb; payload } :: t.queue;
+  t.queue <- { cb; entry } :: t.queue;
   if not t.device_busy then start_sync t
 
-let entries t =
-  List.fold_left (fun acc seg -> List.rev_append seg.seg_entries acc) [] t.segments
-  |> List.map (fun payload -> payload ())
+let entries t = List.rev_map (fun e -> (e.lane, e.payload ())) t.retained
 
 let segments t =
-  List.rev_map (fun s -> (s.seg_id, s.seg_count)) t.segments
+  Int_map.bindings
+    (List.fold_left
+       (fun acc e -> Int_map.update e.lane (fun c -> Some (1 + Option.value c ~default:0)) acc)
+       Int_map.empty t.retained)
 
 let retains t = t.retain
 let appends t = t.appends
 let syncs t = t.syncs
-let bytes_written t = t.bytes
-let rotations t = t.rotations
-let truncated_entries t = t.truncated_entries
-let truncated_segments t = t.truncated_segments

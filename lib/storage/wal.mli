@@ -1,4 +1,4 @@
-(** Simulated write-ahead log with segment rotation.
+(** Simulated write-ahead log, retained per DAG lane and round.
 
     Stands in for the RocksDB consensus store of the paper's prototype: what
     matters to consensus latency is that certificate persistence costs a
@@ -7,13 +7,14 @@
     sync is in flight coalesce into the next sync (group commit), which is
     how production WALs keep persistence off the throughput critical path.
 
-    Retained payloads live in {e segments}. A checkpoint certification
-    rotates the log ({!rotate}) and truncates segments below the previous
-    checkpoint's rotation point ({!truncate_below}), so replay after a crash
-    starts from the latest checkpoint window instead of genesis. Rotation
-    and truncation are pure list operations — they schedule no timers and
-    never touch the device queue, so enabling them cannot perturb the sync
-    timing of protocol records.
+    Every retained entry carries the [(lane, round)] of the record it holds
+    (a proposal or a certificate). Retention is garbage-collected by round,
+    as Narwhal/Bullshark do: {!truncate_below} drops one lane's entries
+    below a round — the seam round of the newest durable certified
+    checkpoint — so replay after a crash starts at the checkpoint instead
+    of genesis, whatever the lanes' phase. Truncation is a pure list
+    operation — it schedules no timers and never touches the device queue,
+    so enabling it cannot perturb the sync timing of protocol records.
 
     Sync completion is driven by a {!Shoalpp_backend.Backend.Timers}
     handle, so the same log runs under the simulator or the wall-clock
@@ -23,14 +24,20 @@
     - a record is reported durable (its sync callback fires) only after the
       modeled device delay has elapsed; callbacks fire in append order;
     - group commit coalesces syncs but never reorders or drops records —
-      replay after a crash returns exactly the durable prefix of retained
-      segments, in order;
-    - a retained payload lands in the segment that is current when its sync
-      {e completes}; [truncate_below] never drops the current segment, so an
-      in-flight append cannot lose durability to a concurrent truncation;
+      replay after a crash returns exactly the durable retained entries,
+      in append order;
+    - [truncate_below ~lane ~round] drops exactly the durable entries of
+      [lane] with a round below [round]: other lanes, and an append still
+      in flight (it becomes durable afterwards), are untouched;
     - all timing flows through the injected backend timers (no wall clock). *)
 
 type t
+
+type entry = { lane : int; round : int; payload : unit -> string }
+(** A record retained for replay: the DAG lane and round it belongs to, and
+    a thunk producing its bytes — called only by {!entries}, so a record
+    that is never replayed is never encoded. It must return the same bytes
+    whenever it is called. *)
 
 val create :
   timers:Shoalpp_backend.Backend.Timers.t ->
@@ -41,46 +48,35 @@ val create :
   t
 (** [sync_latency_ms] = 0 models the in-memory configuration (the paper's
     Mysticeti baseline forgoes persistence). [group_commit] defaults to
-    true. [retain] (default false) keeps synced payloads in memory so a
+    true. [retain] (default false) keeps synced entries in memory so a
     recovering replica can replay them ({!entries}); crash-recovery
-    scenarios enable it. A fresh log has one empty segment (id 0). *)
+    scenarios enable it. *)
 
-val append : t -> size:int -> ?payload:(unit -> string) -> (unit -> unit) -> unit
-(** Schedule a durable write of [size] bytes; the callback fires when the
+val append : t -> ?entry:entry -> (unit -> unit) -> unit
+(** Schedule a durable write; the callback fires when the
     write has synced. With zero latency the callback fires on the next
     engine step (never synchronously, so callers can rely on async order).
-    [payload] is retained for replay only if the log was created with
+    [entry] is retained for replay only if the log was created with
     [retain] — and only once its sync completes, so appends in flight at a
-    crash are lost, exactly as on a real device. It is a thunk producing
-    the record's bytes, called only by {!entries}: a record that is never
-    replayed is never encoded. It must return the same bytes whenever it
-    is called. *)
+    crash are lost, exactly as on a real device. *)
 
-val rotate : t -> int
-(** Seal the current segment and open a fresh one; returns the new
-    segment's id. Ids are monotonic. Pure bookkeeping: no device traffic. *)
-
-val truncate_below : t -> seg:int -> int
-(** Drop retained segments with id < [seg]; returns the number of entries
-    dropped. The current (newest) segment is never dropped. Callers keep
-    the rotation point of the previous certified checkpoint as [seg], which
-    retains the last two checkpoint windows — enough to cover any record a
-    restart could still need, provided the checkpoint interval exceeds the
-    commit pipeline depth (gc_depth rounds per lane). *)
+val truncate_below : t -> lane:int -> round:int -> int
+(** Drop the retained entries of [lane] with a round below [round]; returns
+    the number dropped. Callers pass the seam round of a certified
+    checkpoint whose blob is durable, so no replay can need what is
+    dropped. *)
 
 val clear : t -> unit
 (** Simulated total disk loss (recovery-from-peers tests): every retained
-    segment is dropped and a fresh empty segment opened. In-flight appends
-    still complete into the fresh segment. *)
+    entry is dropped. In-flight appends still complete and are retained. *)
 
-val entries : t -> string list
-(** Synced retained payloads across all retained segments, oldest first
-    (empty unless [retain]); each payload thunk is called here. *)
+val entries : t -> (int * string) list
+(** Synced retained entries as [(lane, bytes)], oldest first (empty unless
+    [retain]); each payload thunk is called here. *)
 
 val segments : t -> (int * int) list
-(** Retained [(segment id, entry count)] pairs, oldest first. *)
-
-val current_segment : t -> int
+(** Retained [(lane, entry count)] pairs, by lane; lanes with no retained
+    entry are absent. *)
 
 val retains : t -> bool
 (** Whether this log retains payloads (callers skip encoding otherwise). *)
@@ -89,8 +85,3 @@ val appends : t -> int
 val syncs : t -> int
 (** Number of device sync operations; < [appends] when group commit
     coalesces. *)
-
-val bytes_written : t -> float
-val rotations : t -> int
-val truncated_entries : t -> int
-val truncated_segments : t -> int

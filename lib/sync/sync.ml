@@ -22,7 +22,7 @@ module Server = struct
      differs); a page stops before the round that would overflow it, except
      that the first round of a page is always included — progress is
      guaranteed even when one round alone exceeds the page budget. *)
-  let certs_page t ~from_ ~to_ ~cursor ~keep =
+  let certs_page t ~from_ ~to_ ~cursor =
     let r0 = max (max from_ cursor) (Store.lowest_stored t.store) in
     let r1 = min to_ (Store.highest_round t.store) in
     let acc = ref [] in
@@ -30,7 +30,7 @@ module Server = struct
     let r = ref r0 in
     let full = ref false in
     while (not !full) && !r <= r1 do
-      let nodes = List.filter keep (Store.nodes_at t.store ~round:!r) in
+      let nodes = Store.nodes_at t.store ~round:!r in
       let k = List.length nodes in
       if !count > 0 && !count + k > t.page then full := true
       else begin
@@ -51,19 +51,7 @@ module Server = struct
           hr_lowest = Store.lowest_stored t.store;
         }
     | Types.Get_certificates_in_range { sr_from; sr_to; sr_cursor } ->
-      let certs, has_more, next =
-        certs_page t ~from_:sr_from ~to_:sr_to ~cursor:sr_cursor ~keep:(fun _ -> true)
-      in
-      t.certs_served <- t.certs_served + List.length certs;
-      Types.Certificates { sc_certs = certs; sc_has_more = has_more; sc_next = next }
-    | Types.Get_missing_certificates { sm_from; sm_to; sm_known } ->
-      let keep (cn : Types.certified_node) =
-        let r = Types.ref_of_node cn.Types.cn_node in
-        not (List.exists (fun k -> Types.ref_equal k r) sm_known)
-      in
-      let certs, has_more, next =
-        certs_page t ~from_:sm_from ~to_:sm_to ~cursor:sm_from ~keep
-      in
+      let certs, has_more, next = certs_page t ~from_:sr_from ~to_:sr_to ~cursor:sr_cursor in
       t.certs_served <- t.certs_served + List.length certs;
       Types.Certificates { sc_certs = certs; sc_has_more = has_more; sc_next = next }
     | Types.Get_checkpoint -> Types.Checkpoint_blob { cb_blob = t.checkpoint () }

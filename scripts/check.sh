@@ -124,7 +124,7 @@ grep -q '"fault.equivocations":[1-9]' "$out/byz.metrics.json" \
 # replica restores a certified checkpoint and then replays the WAL records
 # retained since it. Those records are payload thunks, encoded only here
 # on replay and decoded again, so the run must pass its audit and replay a
-# nonzero number of entries (42 for this command).
+# nonzero number of entries (136 for this command).
 dune exec bin/shoalpp.exe -- sim \
   -n 4 --checkpoint-interval 12 --scenario crash-recover:at=3000,recover=6000 --no-verify \
   --trace-out "$out/ck_recover.jsonl" > "$out/ck_recover.out"
@@ -397,8 +397,10 @@ grep -q 'audit: consistent logs, no duplicates' "$out/mem.out" \
 # Lag-then-catch-up smoke: a crash-recover scenario kills the top replica
 # mid-run and restarts it; require that it rejoined from a certified
 # checkpoint (base_seq > 0 — it did NOT replay from genesis) with an
-# O(gap) number of sync requests, and that the cluster audit still passes
-# (the binary's exit code).
+# O(gap) number of sync requests, that the cluster audit still passes
+# (the binary's exit code), and that it caught up fully: the audit's
+# common prefix equals its segment count, so the restarted replica orders
+# again rather than stalling at its base.
 ./_build/default/bin/shoalpp.exe node \
   -n 4 --duration 10000 --load 300 --no-verify \
   --checkpoint-interval 12 --scenario crash-recover:at=3000,recover=6000 > "$out/catchup.out" 2>&1 \
@@ -413,7 +415,12 @@ reqs=$(printf '%s' "$restart_line" | sed -n 's/.*catch-up \([0-9]*\) sync reques
   || { echo "check failed: restarted replica replayed from genesis (base_seq=$base_seq)" >&2; exit 1; }
 [ -n "$reqs" ] && [ "$reqs" -ge 3 ] && [ "$reqs" -le 60 ] \
   || { echo "check failed: catch-up sync requests not O(gap) ($reqs)" >&2; exit 1; }
-echo "catch-up smoke: $restart_line"
+audit_line=$(grep '^audit: ' "$out/catchup.out")
+total=$(printf '%s' "$audit_line" | sed -n 's/.*; \([0-9]*\) segments (common prefix \([0-9]*\)).*/\1/p')
+common=$(printf '%s' "$audit_line" | sed -n 's/.*; \([0-9]*\) segments (common prefix \([0-9]*\)).*/\2/p')
+[ -n "$total" ] && [ "$common" = "$total" ] \
+  || { echo "check failed: restarted replica did not catch up ($audit_line)" >&2; exit 1; }
+echo "catch-up smoke: $restart_line; $audit_line"
 
 # Bench records: perf, mem, node and net all write one record (schema,
 # kind, machine block, runs), and check_record below is the one validator
@@ -547,7 +554,7 @@ fi
 # repository benchmark at seed 3 must order the pinned commit stream. The
 # digests are a function of the seed only, so any change to them is a
 # change of behaviour and must be re-pinned on purpose.
-for pin in sim-gcp10:d48fb4611f4b39366294c3bb9515df1b sim-lifecycle:3471d792f10ddf349fdae50860c3db76; do
+for pin in sim-gcp10:d48fb4611f4b39366294c3bb9515df1b sim-lifecycle:c76ffdf06fe008a819c2492a4c8e65eb; do
   workload=${pin%%:*}
   want=${pin#*:}
   run_out=$(timeout 300 python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 --trace 0) \

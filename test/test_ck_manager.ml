@@ -3,7 +3,8 @@
    - [Ck_manager] alone, with fake effects and no cluster: a quorum
      certifies exactly once; forged, duplicated, stale and beyond-horizon
      votes are refused; install raises the gates to the floors of the
-     checkpoint it replaces; truncation keeps two marks per WAL device;
+     checkpoint it replaces; each lane's WAL is truncated below its seam
+     round, only once the checkpoint's blob is durable;
      an unverifiable peer blob is never adopted; a retry armed by an
      earlier probe never moves a later one; the served blob is the
      encoding of the latest checkpoint after install, restore and wipe;
@@ -66,18 +67,21 @@ type fake = {
   owners : int list ref; (* devices and lanes run "on their owner", newest first *)
   rewinds : int list ref; (* rewind seqs, newest first *)
   timers : (unit -> unit) Queue.t; (* scheduled closures, fired by hand *)
-  wals : Wal.t array;
+  wals : Wal.t array; (* one retaining protocol WAL per lane *)
   engine : Engine.t; (* drives the WAL devices' syncs *)
 }
 
-let fake ?(config = config) ?(wal_devices = 1) id =
+let fake ?(config = config) id =
   let engine = Engine.create () in
   let timers = Shoalpp_backend.Backend_sim.timers engine in
   let tel = Telemetry.create () in
   let obs = Obs.make ~telemetry:tel ~replica:id ~instance:0 () in
   let votes = ref [] and probes = ref [] and gates = ref [] and owners = ref [] in
   let rewinds = ref [] and pending = Queue.create () in
-  let wals = Array.init wal_devices (fun _ -> Wal.create ~timers ~sync_latency_ms:0.0 ()) in
+  let wals =
+    Array.init config.Config.num_dags (fun _ ->
+        Wal.create ~timers ~sync_latency_ms:0.0 ~retain:true ())
+  in
   let fx =
     {
       Ck_manager.now = (fun () -> 0.0);
@@ -95,7 +99,7 @@ let fake ?(config = config) ?(wal_devices = 1) id =
   in
   let m =
     Option.get
-      (Ck_manager.create ~config ~replica_id:id ~obs ~timers ~wal_devices fx)
+      (Ck_manager.create ~config ~replica_id:id ~obs ~timers fx)
   in
   { m; tel; votes; probes; gates; owners; rewinds; timers = pending; wals; engine }
 
@@ -221,25 +225,34 @@ let test_install_gates_previous_floors () =
     "gates at the replaced checkpoint's floors" [ (0, 10); (1, 11); (2, 12) ]
     (List.rev !(m0.gates))
 
-let test_truncation_keeps_two_marks () =
-  let fs = List.init 4 (fun id -> fake ~wal_devices:2 id) in
+(* The lanes run out of phase: lane 1's WAL holds rounds up to 40 past the
+   seam. Each lane is truncated below its own seam round in the certified
+   checkpoint (round 10 in every lane here), on its owner, and only once
+   the checkpoint's blob is durable on the checkpoint device. *)
+let test_truncation_at_seam_rounds () =
+  let fs = cluster () in
   let m0 = List.hd fs in
-  List.iter
-    (fun round ->
-      Array.iter (fun w -> Wal.append w ~size:1 ignore) m0.wals;
-      feed fs ~from:round ~upto:round ~floor:(10 * (round + 1));
-      certify_all fs ~seq:((6 * round) + 5))
-    [ 0; 1; 2; 3 ];
-  checki "four installs" 4 (counter m0 "ck.certified");
+  let top = [| 12; 50; 12 |] in
   Array.iteri
     (fun d w ->
-      checki (Printf.sprintf "device %d rotated per install" d) 4 (Wal.rotations w);
-      Alcotest.(check (list int))
-        (Printf.sprintf "device %d keeps the last two marks" d)
-        [ 3; 4 ] (List.map fst (Wal.segments w)))
+      for round = 0 to top.(d) do
+        Wal.append w ~entry:{ Wal.lane = d; round; payload = (fun () -> string_of_int round) } ignore
+      done)
     m0.wals;
-  checkb "each device rotated on its owner" true
-    (List.for_all (fun d -> List.length (List.filter (Int.equal d) !(m0.owners)) >= 4) [ 0; 1 ])
+  Engine.run ~until:1.0 m0.engine;
+  feed fs ~from:0 ~upto:10 ~floor:10;
+  certify_all fs ~seq:65;
+  checkb "certified at the round-10 seam" true (latest_seq m0 = Some 65);
+  let rounds d = List.map (fun (_, s) -> int_of_string s) (Wal.entries m0.wals.(d)) in
+  checki "nothing truncated before the blob's sync" 13 (List.length (rounds 0));
+  checki "no truncation counted yet" 0 (counter m0 "ck.wal_truncated_entries");
+  Engine.run ~until:(Engine.now m0.engine +. 50.0) m0.engine;
+  Alcotest.(check (list int))
+    "the leading lane keeps every round from its seam" (List.init 41 (fun i -> 10 + i)) (rounds 1);
+  Alcotest.(check (list int)) "lane 0 keeps rounds 10 to 12" [ 10; 11; 12 ] (rounds 0);
+  checki "ck.wal_truncated_entries" 30 (counter m0 "ck.wal_truncated_entries");
+  checkb "each lane truncated on its owner" true
+    (List.for_all (fun d -> List.mem d !(m0.owners)) [ 0; 1; 2 ])
 
 let test_unverifiable_blob_never_adopted () =
   let fs = cluster () in
@@ -426,12 +439,12 @@ let test_lifecycle_pin () =
      certifies: no candidate is superseded, even across the crash. *)
   checki "checkpoints observed" 36 (List.length seen);
   checks "digest of the certified sequence"
-    "51380332c0cf903344c5b94a0f1fa9127294d2c9a3eaf8b36c66751b6a421d8d"
+    "121ab8a926aa6123ed0009546e0fbaf2f5206bd0a4eac093e210877b04664a8e"
     (Digest32.hex (Digest32.of_string (String.concat ";" seen)));
   checki "ck.certified" 35 (Telemetry.snap_counter tel "ck.certified");
   checki "ck.boundaries" 35 (Telemetry.snap_counter tel "ck.boundaries");
   checki "ck.superseded" 0 (Telemetry.snap_counter tel "ck.superseded");
-  checki "ck.wal_truncated_entries" 3428 (Telemetry.snap_counter tel "ck.wal_truncated_entries")
+  checki "ck.wal_truncated_entries" 3634 (Telemetry.snap_counter tel "ck.wal_truncated_entries")
 
 (* ------------------------------------------------------------------ *)
 (* Liveness of the lifecycle at any segment rate.                      *)
@@ -528,7 +541,7 @@ let suite =
         Alcotest.test_case "bad votes refused" `Quick test_bad_votes_refused;
         Alcotest.test_case "install gates the replaced floors" `Quick
           test_install_gates_previous_floors;
-        Alcotest.test_case "truncation keeps two marks" `Quick test_truncation_keeps_two_marks;
+        Alcotest.test_case "truncation at the seam rounds" `Quick test_truncation_at_seam_rounds;
         Alcotest.test_case "unverifiable blob never adopted" `Quick
           test_unverifiable_blob_never_adopted;
         Alcotest.test_case "stale probe retry ignored" `Quick test_stale_retry_ignored;

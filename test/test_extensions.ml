@@ -226,7 +226,7 @@ let test_wal_no_group_commit () =
   let wal = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:5.0 ~group_commit:false () in
   let times = ref [] in
   for i = 1 to 3 do
-    Wal.append wal ~size:1 (fun () -> times := (i, Engine.now engine) :: !times)
+    Wal.append wal (fun () -> times := (i, Engine.now engine) :: !times)
   done;
   Engine.run engine;
   checki "three syncs" 3 (Wal.syncs wal);

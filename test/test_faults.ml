@@ -115,14 +115,16 @@ let test_schedule_materializes () =
 let test_wal_retention () =
   let engine = Engine.create () in
   let wal = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:5.0 ~retain:true () in
-  Wal.append wal ~size:10 ~payload:(fun () -> "first") (fun () -> ());
+  let entry lane s = { Wal.lane; round = 1; payload = (fun () -> s) } in
+  Wal.append wal ~entry:(entry 0 "first") (fun () -> ());
   checki "nothing before sync" 0 (List.length (Wal.entries wal));
   Engine.run ~until:100.0 engine;
-  Wal.append wal ~size:10 ~payload:(fun () -> "second") (fun () -> ());
+  Wal.append wal ~entry:(entry 2 "second") (fun () -> ());
   (* The second append is in flight — a crash now would lose it. *)
-  Alcotest.(check (list string)) "only synced payloads" [ "first" ] (Wal.entries wal);
+  Alcotest.(check (list (pair int string))) "only synced payloads" [ (0, "first") ] (Wal.entries wal);
   Engine.run ~until:200.0 engine;
-  Alcotest.(check (list string)) "both after sync" [ "first"; "second" ] (Wal.entries wal);
+  Alcotest.(check (list (pair int string)))
+    "both after sync, with their lanes" [ (0, "first"); (2, "second") ] (Wal.entries wal);
   let plain = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:0.0 () in
   checkb "no retain by default" false (Wal.retains plain)
 

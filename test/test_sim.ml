@@ -417,7 +417,7 @@ let test_wal_sync_latency () =
   let engine = Engine.create () in
   let wal = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:5.0 () in
   let done_at = ref nan in
-  Wal.append wal ~size:100 (fun () -> done_at := Engine.now engine);
+  Wal.append wal (fun () -> done_at := Engine.now engine);
   Engine.run engine;
   checkf "synced after latency" 5.0 !done_at;
   checki "appends" 1 (Wal.appends wal);
@@ -428,10 +428,10 @@ let test_wal_group_commit () =
   let wal = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:5.0 () in
   let finished = ref [] in
   (* First append starts a sync; the next three coalesce into one. *)
-  Wal.append wal ~size:1 (fun () -> finished := (1, Engine.now engine) :: !finished);
-  Wal.append wal ~size:1 (fun () -> finished := (2, Engine.now engine) :: !finished);
-  Wal.append wal ~size:1 (fun () -> finished := (3, Engine.now engine) :: !finished);
-  Wal.append wal ~size:1 (fun () -> finished := (4, Engine.now engine) :: !finished);
+  Wal.append wal (fun () -> finished := (1, Engine.now engine) :: !finished);
+  Wal.append wal (fun () -> finished := (2, Engine.now engine) :: !finished);
+  Wal.append wal (fun () -> finished := (3, Engine.now engine) :: !finished);
+  Wal.append wal (fun () -> finished := (4, Engine.now engine) :: !finished);
   Engine.run engine;
   checki "two syncs for four appends" 2 (Wal.syncs wal);
   (match List.assoc_opt 1 (List.rev !finished) with
@@ -445,7 +445,7 @@ let test_wal_callback_never_synchronous () =
   let engine = Engine.create () in
   let wal = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:0.0 () in
   let fired = ref false in
-  Wal.append wal ~size:1 (fun () -> fired := true);
+  Wal.append wal (fun () -> fired := true);
   checkb "async even at zero latency" false !fired;
   Engine.run engine;
   checkb "then fires" true !fired

@@ -1,6 +1,6 @@
-(* Bounded-memory lifecycle tests: WAL segment rotation/truncation edge
-   cases, commit-certified checkpoint certification and forgery refusal,
-   the store's logical-vs-physical pruning floors, the catch-up sync
+(* Bounded-memory lifecycle tests: WAL retention keyed on (lane, round),
+   commit-certified checkpoint certification and forgery refusal, the
+   store's logical-vs-physical pruning floors, the catch-up sync
    protocol's paging and peer rotation, and the end-to-end properties the
    lifecycle promises — a checkpointed crash-recover that restarts from
    the latest certified checkpoint in O(gap) sync messages, and commit
@@ -34,63 +34,59 @@ module Topology = Shoalpp_sim.Topology
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-let check_sl = Alcotest.(check (list string))
 
 (* ------------------------------------------------------------------ *)
-(* WAL segment rotation and truncation.                                *)
+(* WAL retention keyed on (lane, round).                               *)
 
 let make_wal engine = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:5.0 ~retain:true ()
+let entry ~lane ~round s = { Wal.lane; round; payload = (fun () -> s) }
 
-let append_synced engine wal payload =
-  Wal.append wal ~size:(String.length payload) ~payload:(fun () -> payload) (fun () -> ());
+let append_synced engine wal ~lane ~round s =
+  Wal.append wal ~entry:(entry ~lane ~round s) (fun () -> ());
   Engine.run ~until:(Engine.now engine +. 50.0) engine
 
-let test_wal_segment_boundary_replay () =
-  let engine = Engine.create () in
-  let wal = make_wal engine in
-  append_synced engine wal "a";
-  append_synced engine wal "b";
-  checki "first rotation opens segment 1" 1 (Wal.rotate wal);
-  append_synced engine wal "c";
-  append_synced engine wal "d";
-  checki "second rotation opens segment 2" 2 (Wal.rotate wal);
-  append_synced engine wal "e";
-  (* Replay crosses both segment boundaries, in append order. *)
-  check_sl "replay spans all segments" [ "a"; "b"; "c"; "d"; "e" ] (Wal.entries wal);
-  Alcotest.(check (list (pair int int)))
-    "segments hold their own windows"
-    [ (0, 2); (1, 2); (2, 1) ]
-    (Wal.segments wal);
-  checki "truncation below seg 1 drops seg 0 only" 2 (Wal.truncate_below wal ~seg:1);
-  check_sl "replay resumes at the kept window" [ "c"; "d"; "e" ] (Wal.entries wal);
-  (* The current segment survives any truncation point. *)
-  checki "over-eager truncation spares current" 2 (Wal.truncate_below wal ~seg:99);
-  check_sl "current window intact" [ "e" ] (Wal.entries wal)
+let check_entries = Alcotest.(check (list (pair int string)))
 
-let test_wal_crash_mid_rotation () =
+(* The lanes run out of phase: lane 1 is 40 rounds ahead of the seam round
+   10 that all three share. Truncating each lane below its seam round keeps
+   every entry at or above it, on the leading lane too, and a lane's cut
+   never touches another lane. *)
+let test_wal_leading_lane_keeps_its_rounds () =
   let engine = Engine.create () in
   let wal = make_wal engine in
-  append_synced engine wal "old1";
-  append_synced engine wal "old2";
-  (* An append still in flight when the checkpoint rotates: its sync
-     completes after the rotation, so it must land in the new segment —
-     a truncation of the old window can never lose it. *)
-  Wal.append wal ~size:3 ~payload:(fun () -> "new") (fun () -> ());
-  ignore (Wal.rotate wal);
+  for round = 8 to 50 do
+    List.iter
+      (fun lane ->
+        if lane = 1 || round <= 12 then
+          append_synced engine wal ~lane ~round (Printf.sprintf "%d.%d" lane round))
+      [ 0; 1; 2 ]
+  done;
+  checki "lane 0 below its seam" 2 (Wal.truncate_below wal ~lane:0 ~round:10);
+  Alcotest.(check (list (pair int int))) "other lanes untouched" [ (0, 3); (1, 43); (2, 5) ] (Wal.segments wal);
+  checki "lane 1 below its seam" 2 (Wal.truncate_below wal ~lane:1 ~round:10);
+  checki "lane 2 below its seam" 2 (Wal.truncate_below wal ~lane:2 ~round:10);
+  let kept lane = List.filter_map (fun (l, s) -> if l = lane then Some s else None) (Wal.entries wal) in
+  Alcotest.(check (list string))
+    "the leading lane keeps rounds 10 to 50"
+    (List.init 41 (fun i -> Printf.sprintf "1.%d" (10 + i)))
+    (kept 1);
+  Alcotest.(check (list string)) "lane 0 keeps rounds 10 to 12" [ "0.10"; "0.11"; "0.12" ] (kept 0);
+  checki "truncation is idempotent" 0 (Wal.truncate_below wal ~lane:1 ~round:10)
+
+(* An append in flight when a truncation runs is not yet retained, so the
+   truncation cannot drop it: it lands when its sync completes, whatever
+   its round. *)
+let test_wal_inflight_survives_truncation () =
+  let engine = Engine.create () in
+  let wal = make_wal engine in
+  append_synced engine wal ~lane:0 ~round:3 "old";
+  Wal.append wal ~entry:(entry ~lane:0 ~round:4 "in-flight") (fun () -> ());
+  checki "only the durable entry is dropped" 1 (Wal.truncate_below wal ~lane:0 ~round:10);
   Engine.run ~until:(Engine.now engine +. 50.0) engine;
-  Alcotest.(check (list (pair int int)))
-    "in-flight append lands in the rotated-to segment"
-    [ (0, 2); (1, 1) ]
-    (Wal.segments wal);
-  (* Crash between rotation and truncation: both windows are still
-     retained, so replay sees a superset of the certified window — safe
-     (re-orders are idempotent), never a gap. *)
-  check_sl "both windows replayable before truncation" [ "old1"; "old2"; "new" ] (Wal.entries wal);
-  checki "completing the interrupted truncation" 2 (Wal.truncate_below wal ~seg:1);
-  check_sl "post-truncation replay" [ "new" ] (Wal.entries wal)
+  check_entries "the in-flight append landed" [ (0, "in-flight") ] (Wal.entries wal)
 
 (* A retained record is encoded only when it is replayed: appending,
-   syncing, rotating and truncating never call its payload thunk. *)
+   syncing and truncating never call its payload thunk. *)
 let test_wal_payload_encoded_on_replay () =
   let engine = Engine.create () in
   let wal = make_wal engine in
@@ -99,15 +95,45 @@ let test_wal_payload_encoded_on_replay () =
     incr calls;
     s
   in
-  Wal.append wal ~size:1 ~payload:(payload "a") (fun () -> ());
+  Wal.append wal ~entry:{ Wal.lane = 0; round = 1; payload = payload "a" } (fun () -> ());
   Engine.run ~until:50.0 engine;
-  ignore (Wal.rotate wal);
-  Wal.append wal ~size:1 ~payload:(payload "b") (fun () -> ());
+  Wal.append wal ~entry:{ Wal.lane = 1; round = 1; payload = payload "b" } (fun () -> ());
   Engine.run ~until:100.0 engine;
-  ignore (Wal.truncate_below wal ~seg:0);
+  ignore (Wal.truncate_below wal ~lane:0 ~round:1);
   checki "nothing encoded before replay" 0 !calls;
-  check_sl "replay" [ "a"; "b" ] (Wal.entries wal);
+  check_entries "replay" [ (0, "a"); (1, "b") ] (Wal.entries wal);
   checki "each record encoded once per replay" 2 !calls
+
+(* Random durable appends interleaved with per-lane truncations: the
+   retained entries are always the appends filtered by every truncation so
+   far, in append order (so each lane keeps its own order), and
+   [truncate_below] reports exactly what it removed. *)
+let prop_wal_retention_is_the_filter =
+  let op =
+    QCheck.(
+      map
+        (fun (trunc, lane, round) -> if trunc then `Truncate (lane, round) else `Append (lane, round))
+        (triple (frequency [ (1, always true); (3, always false) ]) (int_bound 2) (int_bound 30)))
+  in
+  QCheck.Test.make ~name:"wal retention is the round filter" ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 80) op)
+    (fun ops ->
+      let engine = Engine.create () in
+      let wal = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:0.0 ~retain:true () in
+      let model = ref [] (* (lane, round, id), oldest first *) in
+      List.iteri
+        (fun id -> function
+          | `Append (lane, round) ->
+            Wal.append wal ~entry:(entry ~lane ~round (string_of_int id)) (fun () -> ());
+            Engine.run ~until:(Engine.now engine +. 1.0) engine;
+            model := !model @ [ (lane, round, id) ]
+          | `Truncate (lane, round) ->
+            let keep, dropped = List.partition (fun (l, r, _) -> l <> lane || r >= round) !model in
+            model := keep;
+            if Wal.truncate_below wal ~lane ~round <> List.length dropped then
+              QCheck.Test.fail_report "truncate_below miscounted")
+        ops;
+      Wal.entries wal = List.map (fun (l, _, id) -> (l, string_of_int id)) !model)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint certification: roundtrip, forgery refusal.               *)
@@ -338,14 +364,6 @@ let test_sync_server_pages_whole_rounds () =
     checkb "more to come" true sc_has_more;
     checki "cursor is a round number" 6 sc_next
   | _ -> Alcotest.fail "expected Certificates");
-  (* Known refs are filtered out of a missing-certs page. *)
-  let known = [ Types.ref_of_node (make_certified ~round:4 ~author:0).Types.cn_node ] in
-  (match
-     Sync.Server.handle server
-       (Types.Get_missing_certificates { sm_from = 4; sm_to = 4; sm_known = known })
-   with
-  | Types.Certificates { sc_certs; _ } -> checki "known ref excluded" (n - 1) (List.length sc_certs)
-  | _ -> Alcotest.fail "expected Certificates");
   match Sync.Server.handle server Types.Get_checkpoint with
   | Types.Checkpoint_blob { cb_blob } ->
     Alcotest.(check (option string)) "checkpoint blob served" (Some "ckblob") cb_blob
@@ -473,6 +491,63 @@ let test_checkpointed_crash_recover () =
     Array.fold_left (fun acc r -> acc + Replica.sync_requests_served r) 0 (Cluster.replicas cluster)
   in
   checkb "peers served the requests" true (served >= requests)
+
+(* The restarted replica must order again, whatever the lanes' phase. The
+   setup is the node catch-up drill's (n=4, zero-delay links, 300 tx/s,
+   interval 12, a crash at 3 s and a restart at 6 s) on the simulator,
+   built through [Experiment] params. Its lanes start [stagger_ms] apart,
+   so they commit rounds far apart; a WAL cut at a point in time rather
+   than at each lane's seam round dropped a leading lane's rounds above
+   the restored checkpoint, and the replica stalled at its base. *)
+let restart_twin ?net_config ~stagger_ms ~seed () =
+  let params =
+    {
+      E.default_params with
+      E.n = 4;
+      load_tps = 300.0;
+      duration_ms = 10_000.0;
+      topology = Topology.uniform ~delay_ms:0.0;
+      scenario = Faults.crash_recover ~count:1 ~at:3_000.0 ~recover_at:6_000.0 ();
+      stagger_ms = Some stagger_ms;
+      net_config;
+      verify_signatures = false;
+      checkpoint_interval = 12;
+      seed;
+    }
+  in
+  let cluster =
+    Cluster.create
+      {
+        (Cluster.default_setup ~protocol:(E.dag_config E.Shoalpp params)) with
+        Cluster.topology = params.E.topology;
+        net_config = Option.value params.E.net_config ~default:Shoalpp_sim.Netmodel.default_config;
+        scenario = params.E.scenario;
+        load_tps = params.E.load_tps;
+        warmup_ms = params.E.warmup_ms;
+        seed;
+      }
+  in
+  Cluster.run cluster ~duration_ms:params.E.duration_ms;
+  let label = Printf.sprintf "stagger %.0f ms, seed %d" stagger_ms seed in
+  let replicas = Cluster.replicas cluster in
+  let restarted = 3 in
+  let ends = Array.map Replica.log_length replicas in
+  let others = Array.fold_left min max_int (Array.sub ends 0 restarted) in
+  checkb (label ^ ": audit") true (Harness.ok (Cluster.audit cluster));
+  checkb (label ^ ": caught up") false (Replica.catching_up replicas.(restarted));
+  (* A stalled replica sits at its base, hundreds of segments behind; one
+     that orders again trails the others only by what is in flight. *)
+  checkb
+    (Printf.sprintf "%s: restarted log (base %d, end %d) reaches the others' common prefix %d"
+       label (Replica.base_seq replicas.(restarted)) ends.(restarted) others)
+    true
+    (ends.(restarted) >= others - (2 * params.E.checkpoint_interval))
+
+let test_restarted_replica_orders_again () =
+  List.iter
+    (fun seed -> restart_twin ~net_config:E.clean_net_config ~stagger_ms:80.0 ~seed ())
+    [ 3; 5; 8 ];
+  restart_twin ~stagger_ms:1_000.0 ~seed:5 ()
 
 (* A replica's checkpoint vote carries exactly the digest and signature
    [Checkpoint] derives from the candidate: the stored digest changes no
@@ -689,9 +764,11 @@ let suite =
   [
     ( "storage.lifecycle",
       [
-        Alcotest.test_case "wal replay across segment boundary" `Quick test_wal_segment_boundary_replay;
-        Alcotest.test_case "wal crash mid-rotation" `Quick test_wal_crash_mid_rotation;
+        Alcotest.test_case "wal leading lane keeps its rounds" `Quick test_wal_leading_lane_keeps_its_rounds;
+        Alcotest.test_case "wal in-flight append survives truncation" `Quick
+          test_wal_inflight_survives_truncation;
         Alcotest.test_case "wal payload encoded on replay" `Quick test_wal_payload_encoded_on_replay;
+        QCheck_alcotest.to_alcotest prop_wal_retention_is_the_filter;
         Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
         Alcotest.test_case "checkpoint digest stored" `Quick test_checkpoint_digest_stored;
         Alcotest.test_case "checkpoint fold bytes" `Quick test_checkpoint_fold_segment_bytes;
@@ -704,6 +781,7 @@ let suite =
         Alcotest.test_case "sync client O(gap) requests" `Quick test_sync_client_o_gap_requests;
         Alcotest.test_case "sync client rotates on no-progress" `Quick test_sync_client_rotates_on_no_progress;
         Alcotest.test_case "checkpointed crash-recover" `Slow test_checkpointed_crash_recover;
+        Alcotest.test_case "restarted replica orders again" `Slow test_restarted_replica_orders_again;
         Alcotest.test_case "replica vote = Checkpoint.sign" `Quick test_replica_vote_matches_sign;
         Alcotest.test_case "recovery audit verdicts" `Quick test_recovery_audit_verdicts;
         Alcotest.test_case "node restart: recovery audited" `Slow test_node_restart_recovery_audit;

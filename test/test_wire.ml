@@ -327,6 +327,20 @@ let test_bitmap_dedup () =
   order 0 [ 7 ];
   checki "and it counts again afterwards" 4 (dups ())
 
+(* Sync request tag 3 is retired (a range query minus known refs that no
+   client sent): a frame carrying it decodes as malformed, and the other
+   requests keep their tags and bytes. *)
+let test_retired_sync_tag () =
+  let frame sq_req = Types.encode_message (Types.Sync_request { sq_requester = 2; sq_req }) in
+  Alcotest.(check string) "highest-round probe" "\x07\x02\x01" (frame Types.Get_highest_round);
+  Alcotest.(check string)
+    "range request" "\x07\x02\x02\x04\x09\x05"
+    (frame (Types.Get_certificates_in_range { sr_from = 4; sr_to = 9; sr_cursor = 5 }));
+  Alcotest.(check string) "checkpoint probe" "\x07\x02\x04" (frame Types.Get_checkpoint);
+  Alcotest.(check (result reject string))
+    "tag 3 is malformed" (Error "unknown sync request tag 3")
+    (Types.decode_message "\x07\x02\x03\x04\x04\x00")
+
 (* A varint may not set bit 62: nine bytes past [max_int] would decode to
    a negative int, and a negative transaction id off the wire would make
    the audit's [Seen.mark] raise once the transaction is ordered. *)
@@ -395,6 +409,7 @@ let suite =
           test_broadcast_encoded_once;
         Alcotest.test_case "bitmap dedup: duplicates, growth, recover" `Quick test_bitmap_dedup;
         Alcotest.test_case "varint refuses bit 62" `Quick test_varint_sign_bit;
+        Alcotest.test_case "retired sync tag is malformed" `Quick test_retired_sync_tag;
         Alcotest.test_case "forged huge ids stay sparse" `Quick test_seen_forged_ids;
       ] );
   ]
