@@ -16,23 +16,15 @@ module Int_map = Map.Make (Int)
    checkpoint vote may be and still be buffered rather than dropped. *)
 let vote_horizon = 4096
 
-(* Silence from a probed peer for this long moves the probe on. *)
-let probe_retry_ms = 400.0
-
 type effects = {
   now : unit -> float;
   broadcast_vote : Types.message -> unit;
-  send_probe : dst:int -> unit;
-  schedule : after:float -> (unit -> unit) -> unit;
   on_lane : int -> (Obs.t -> unit) -> unit;
   set_gate : int -> round:int -> unit;
   wal : int -> Wal.t;
   rewind : seq:int -> Checkpoint.lane list -> unit;
 }
 
-(* The certified-checkpoint log is a {e separate} WAL device: interleaving
-   its writes into the protocol WAL would perturb the group-commit timing
-   every vote/proposal persist depends on. *)
 type t = {
   committee : Committee.t;
   id : int;
@@ -43,19 +35,16 @@ type t = {
   c_superseded : Telemetry.counter option; (* own candidates replaced uncertified *)
   c_certified : Telemetry.counter option;
   fx : effects;
-  wal : Wal.t; (* certified checkpoints only; always retains *)
+  wal : Wal.t; (* certified checkpoint blobs, keyed by seq: the newest durable one *)
   mutable state : Digest32.t; (* running commit-stream digest *)
   lane_latest : (int * string Lazy.t) option array; (* per lane: anchor round, resume *)
   mutable candidate : Checkpoint.candidate option; (* ours, pending quorum *)
   mutable votes : (int * Digest32.t * Signer.signature) list Int_map.t; (* by seq *)
   mutable latest : Checkpoint.t option; (* newest certified checkpoint *)
   served : string option Atomic.t; (* [latest], encoded: read by lane domains *)
-  mutable probe_attempt : int; (* peer rotation of the adoption probe; -1 = idle *)
-  mutable probe_gen : int; (* bumped by each [probe]: a retry armed by an older probe is void *)
-  mutable on_probed : unit -> unit;
 }
 
-let create ~config ~replica_id ~obs ~timers fx =
+let create ~config ~replica_id ~obs ~device fx =
   let interval = Config.effective_checkpoint_interval config in
   if interval = 0 then None
   else
@@ -69,16 +58,13 @@ let create ~config ~replica_id ~obs ~timers fx =
         c_superseded = Obs.counter obs "ck.superseded";
         c_certified = Obs.counter obs "ck.certified";
         fx;
-        wal = Wal.create ~timers ~sync_latency_ms:config.Config.wal_sync_ms ~retain:true ();
+        wal = device;
         state = Digest32.zero;
         lane_latest = Array.make config.Config.num_dags None;
         candidate = None;
         votes = Int_map.empty;
         latest = None;
         served = Atomic.make None;
-        probe_attempt = -1;
-        probe_gen = 0;
-        on_probed = ignore;
       }
 
 (* The one reset of vote and fold state: forget the candidate and every
@@ -103,14 +89,16 @@ let of_blob m blob =
   | ck -> if verified m ck then Some ck else None
   | exception Shoalpp_codec.Wire.Reader.Malformed _ -> None
 
-(* Persist [ck]'s blob on the checkpoint device (never truncated, so its
-   entry key is a placeholder). Once it is durable, {!newest_local}
-   restores at least [ck], whose rewind resumes each lane above its seam
-   round, so no replay needs a protocol WAL entry of lane d below that
-   round: the sync callback truncates each lane there. A lane's WAL
+(* Persist [ck]'s blob on the checkpoint device, keyed by its seq. Once it
+   is durable, {!newest_local} restores at least [ck], so the sync callback
+   drops every older blob from the device, and, as [ck]'s rewind resumes
+   each lane above its seam round, no replay needs a protocol WAL entry of
+   lane d below that round: each lane is truncated there. A lane's WAL
    device belongs to its owner's domain, so its truncation runs there. *)
 let persist m ck blob =
-  Wal.append m.wal ~entry:{ Wal.lane = 0; round = 0; payload = (fun () -> blob) } (fun () ->
+  let seq = Checkpoint.seq ck in
+  Wal.append m.wal ~entry:{ Wal.lane = 0; round = seq; payload = (fun () -> blob) } (fun () ->
+      ignore (Wal.truncate_below m.wal ~lane:0 ~round:seq);
       List.iter
         (fun (l : Checkpoint.lane) ->
           let d = l.Checkpoint.dag_id in
@@ -284,56 +272,22 @@ let recover m ~wipe =
   reset m ~upto:max_int ~fold:Digest32.zero;
   if not wipe then Option.iter (fun ck -> ignore (restore m ck)) (newest_local m)
 
-(* Peer-checkpoint probe, run on every checkpoint-aware restart (not just
-   total disk loss): peers prune history below their own certified
-   checkpoints, so an outage longer than the retained window can only be
-   bridged by first adopting a frontier at least as new as the serving
-   peer's floor. Peers are asked in deterministic rotation with a retry on
-   silence; only a blob that verifies against the committee is adopted, and
-   only when strictly newer than local durable state. If every peer answers
-   [None] (the cluster never certified one), the probe resolves without. *)
-let rec request m =
-  let n = m.committee.Committee.n in
-  if m.probe_attempt >= 2 * n then begin
-    m.probe_attempt <- -1;
-    m.on_probed ()
-  end
-  else begin
-    let dst =
-      let p = (m.id + 1 + m.probe_attempt) mod n in
-      if p = m.id then (p + 1) mod n else p
-    in
-    let attempt = m.probe_attempt and gen = m.probe_gen in
-    m.fx.send_probe ~dst;
-    m.fx.schedule ~after:probe_retry_ms (fun () ->
-        if m.probe_gen = gen && m.probe_attempt = attempt then next_peer m)
-  end
-
-and next_peer m =
-  m.probe_attempt <- m.probe_attempt + 1;
-  request m
-
-let probe m ~on_done =
-  m.on_probed <- on_done;
-  m.probe_gen <- m.probe_gen + 1;
-  m.probe_attempt <- 0;
-  request m
-
-let probing m = m.probe_attempt >= 0
-
-let on_blob m ~global_seq blob =
+(* A peer's answer to the restart's checkpoint request. Peers prune
+   history below their own certified checkpoints, so an outage longer than
+   the retained window can only be bridged from an adopted frontier at
+   least as new as the serving peer's floor. Only a blob that verifies
+   against the committee is used (true), and it is adopted only when
+   strictly newer than the merge position: a frontier at or below our own
+   adds nothing, and local state's WAL coverage is contiguous with it. *)
+let adopt m ~global_seq blob =
   match Option.map (of_blob m) blob with
-  | None -> next_peer m
+  | None -> false
   | Some None ->
-    (* Unverifiable blob: never adopt — rotate to the next peer. *)
     Obs.incr m.obs "ck.adopt_rejected";
-    next_peer m
+    false
   | Some (Some ck) ->
-    m.probe_attempt <- -1;
-    (* A peer frontier at or below our own adds nothing — keep local
-       state (its WAL coverage is contiguous with it) and move on. *)
     if Checkpoint.seq ck + 1 > global_seq then persist m ck (restore m ck);
-    m.on_probed ()
+    true
 
 let latest m = m.latest
 let served_blob m = Atomic.get m.served

@@ -13,15 +13,18 @@
     matching votes. Seams come at the round rate, so a vote round trip
     fits between two of them even though multi-anchor rounds commit
     several segments per round. A certified checkpoint is persisted to a
-    dedicated always-retaining WAL device; once that write is durable,
-    each lane's protocol WAL entries below the checkpoint's seam round for
-    that lane are truncated. Install also raises each lane's retain gate.
-    After a crash the manager restores the newest verified local
-    checkpoint and can probe peers for a newer one.
+    dedicated WAL device; once that write is durable, the device drops
+    every older blob, and each lane's protocol WAL entries below the
+    checkpoint's seam round for that lane are truncated. Install also
+    raises each lane's retain gate. After a crash the manager restores the
+    newest verified local checkpoint, and {!adopt} takes a newer one from
+    a peer's answer to the restart's catch-up loop
+    ({!Shoalpp_sync.Sync.Client}, which asks the peers).
 
     The manager runs on the merge domain. It never touches a lane: every
-    effect on the replica — sends, timers, lane gates, WAL devices and the
-    rewind of the merge and the lanes — is one of the {!effects} closures.
+    effect on the replica — the vote broadcast, lane gates, WAL devices
+    and the rewind of the merge and the lanes — is one of the {!effects}
+    closures. It sends no request and arms no timer of its own.
 
     Invariants:
     - with checkpointing on, the replica's commit sequence is
@@ -47,6 +50,8 @@
       in a checkpoint whose blob is durable on the checkpoint device, so a
       restart restores that checkpoint or a newer one and replays every
       retained round above its seams, whatever the lanes' phase;
+    - the checkpoint device holds at most one durable blob once a write
+      has synced: the newest, which {!recover} restores;
     - {!served_blob} is the encoding of {!latest} at every moment the
       merge domain is between calls: the two are set together. *)
 
@@ -54,10 +59,6 @@ type effects = {
   now : unit -> float;  (** the replica's clock (trace timestamps) *)
   broadcast_vote : Shoalpp_dag.Types.message -> unit;
       (** broadcast our own [Checkpoint_vote] on the control plane *)
-  send_probe : dst:int -> unit;  (** send a [Get_checkpoint] request to [dst] *)
-  schedule : after:float -> (unit -> unit) -> unit;
-      (** run later on the merge domain; dropped if the replica crashed
-          in the meantime *)
   on_lane : int -> (Shoalpp_sim.Obs.t -> unit) -> unit;
       (** run on the domain that owns lane [i] (and WAL device [i]), with
           that domain's observability sink: a direct call in single-domain
@@ -80,10 +81,13 @@ val create :
   config:Config.t ->
   replica_id:int ->
   obs:Shoalpp_sim.Obs.t ->
-  timers:Shoalpp_backend.Backend.Timers.t ->
+  device:Shoalpp_storage.Wal.t ->
   effects ->
   t option
-(** [None] when [config]'s effective checkpoint interval is 0. *)
+(** [None] when [config]'s effective checkpoint interval is 0. [device] is
+    the checkpoint device: a retaining WAL of its own, as interleaving
+    blob writes into the protocol WAL would perturb the group-commit
+    timing every vote and proposal persist depends on. *)
 
 val observe : t -> Shoalpp_consensus.Driver.segment -> unit
 (** The next merged segment: fold it into the running digest and keep
@@ -103,18 +107,15 @@ val on_vote : t -> global_seq:int -> Shoalpp_dag.Types.message -> unit
 val recover : t -> wipe:bool -> unit
 (** After a crash: forget votes and the running digest; with [wipe], also
     the checkpoint device. Otherwise restore the newest local checkpoint
-    that verifies, if any. *)
+    that verifies, if any (rewinding the merge and the lanes to it). A
+    peer's newer one comes later, through {!adopt}. *)
 
-val probe : t -> on_done:(unit -> unit) -> unit
-(** Ask peers in rotation (400 ms retry on silence, up to two passes) for
-    their newest certified checkpoint; adopt one that verifies and is
-    newer than the merge position, then call [on_done]. *)
-
-val probing : t -> bool
-(** True while a {!probe} is unresolved. *)
-
-val on_blob : t -> global_seq:int -> string option -> unit
-(** A peer's answer to the probe; call only while {!probing}. *)
+val adopt : t -> global_seq:int -> string option -> bool
+(** A peer's answer to a [Get_checkpoint] request. True iff it is a blob
+    that verifies: then, if it is newer than the merge position
+    [global_seq], it is restored (the merge and the lanes rewind to it) and
+    persisted. False for [None] or an unverifiable blob (counted in
+    [ck.adopt_rejected]), on which the caller asks the next peer. *)
 
 val latest : t -> Shoalpp_storage.Checkpoint.t option
 (** Newest certified (or restored) checkpoint. *)

@@ -53,7 +53,6 @@ type dag_lane = {
   driver : Driver.t;
   lane_wal : Wal.t; (* the shared replica WAL, or per-lane under lane_env *)
   server : Sync.Server.t; (* answers peers' catch-up requests from our store *)
-  mutable sync_client : Sync.Client.t option; (* present while catching up *)
 }
 
 type t = {
@@ -77,8 +76,7 @@ type t = {
   mutable replaying : bool; (* WAL replay in progress: sends muted *)
   ck : Ck_manager.t option; (* Some iff checkpoint_interval > 0 *)
   mutable base_seq : int; (* first global seq of the post-recovery log (audit offset) *)
-  mutable catching_up : bool; (* peer sync in progress *)
-  mutable syncing_lanes : int; (* lanes whose sync client has not finished *)
+  sync : Sync.Client.t option; (* the catch-up loop: Some iff [ck] is, with peers *)
   on_caught_up : (unit -> unit) option;
   c_equivocations : Telemetry.counter option;
   c_withheld : Telemetry.counter option;
@@ -349,13 +347,13 @@ let make_lane t dag_id =
       Sync.Server.create ~store
         ~checkpoint:(fun () -> Option.bind t.ck Ck_manager.served_blob)
         ();
-    sync_client = None;
   }
 
-(* --- peer catch-up sync -------------------------------------------------
-   After a restart the local WAL only covers the retained window; everything
-   committed cluster-wide since our last certified checkpoint (or since we
-   went down) is pulled from peers in O(gap) messages: one round-probe plus
+(* --- peer catch-up -------------------------------------------------------
+   After a restart the local WAL only covers the retained window; what the
+   cluster committed since our last certified checkpoint (or since we went
+   down) is pulled from peers by the one catch-up loop, {!Sync.Client}: a
+   peer's newer checkpoint if there is one, then the WAL replay, then
    ceil(gap/page) range requests per lane. Requests/responses ride normal
    per-lane envelopes — they only flow while a replica is recovering, a
    regime where golden determinism is not asserted. *)
@@ -396,87 +394,64 @@ let replay_wal t =
         | Error _ -> ())
     (Wal.entries t.wal);
   t.replaying <- false;
-  !replayed
-
-let rec start_catch_up t =
-  t.catching_up <- true;
-  t.syncing_lanes <- Array.length t.lanes;
-  let from_round0 = ref 0 in
-  Array.iteri
-    (fun dag_id lane ->
-      let hooks =
-        {
-          Sync.Client.send =
-            (fun ~dst req ->
-              send_on t.backend ~src:t.id ~dst ~dag_id
-                (Types.Sync_request { sq_requester = t.id; sq_req = req }));
-          ingest = (fun cn -> Instance.ingest_certified lane.instance cn);
-          schedule = (fun ~after f -> ignore (Backend.schedule t.backend ~after f));
-          on_caught_up = (fun () -> lane_caught_up t dag_id);
-        }
-      in
-      let client = Sync.Client.create ~n:(Backend.n t.backend) ~self:t.id hooks in
-      lane.sync_client <- Some client;
-      (* Resume wherever local knowledge ends: the restored checkpoint
-         floor, or the highest round the WAL replay reconstructed. *)
-      let from =
-        max 0 (max (Instance.lowest_round lane.instance) (Store.highest_round lane.store))
-      in
-      if dag_id = 0 then from_round0 := from;
-      Sync.Client.start client ~from)
-    t.lanes;
   Obs.event t.obs ~time:(Backend.now t.backend)
-    (Trace.Sync_started { replica = t.id; from_round = !from_round0 })
+    (Trace.Replica_recovered { replica = t.id; replayed = !replayed })
 
-and lane_caught_up t dag_id =
-  Instance.resume t.lanes.(dag_id).instance;
-  t.syncing_lanes <- t.syncing_lanes - 1;
-  if t.syncing_lanes = 0 then begin
-    t.catching_up <- false;
-    let requests, certs =
-      Array.fold_left
-        (fun (rq, cs) lane ->
-          match lane.sync_client with
-          | Some c -> (rq + Sync.Client.requests_sent c, cs + Sync.Client.certs_ingested c)
-          | None -> (rq, cs))
-        (0, 0) t.lanes
-    in
-    if requests > 0 then Obs.incr ~by:requests t.obs "sync.requests";
-    if certs > 0 then Obs.incr ~by:certs t.obs "sync.certs_ingested";
-    Obs.event t.obs ~time:(Backend.now t.backend)
-      (Trace.Sync_completed { replica = t.id; certs; requests });
-    match t.on_caught_up with Some f -> f () | None -> ()
-  end
+let caught_up t = match t.on_caught_up with Some f -> f () | None -> ()
 
-(* The tail of every recovery: replay the retained WAL through the fresh
-   instances, then either pull the missed history via the sync protocol
-   ([sync]) or resume every lane at once. A checkpoint-aware recovery runs
-   it only after the peer-checkpoint probe resolves (adopted, stale, or
-   given up), so that replayed commits can never land below a frontier
-   adopted afterwards — the ordered log stays contiguous from [base_seq]. *)
-let finish_recovery t ~sync =
-  let replayed = replay_wal t in
-  Obs.event t.obs ~time:(Backend.now t.backend)
-    (Trace.Replica_recovered { replica = t.id; replayed });
-  if sync then start_catch_up t
-  else begin
-    Array.iter (fun lane -> Instance.resume lane.instance) t.lanes;
-    match t.on_caught_up with Some f -> f () | None -> ()
-  end
+let sync_stats t =
+  match t.sync with
+  | Some c -> (Sync.Client.requests_sent c, Sync.Client.certs_ingested c)
+  | None -> (0, 0)
+
+(* The catch-up loop's effects. The WAL replay waits for the adopt phase
+   to resolve (adopted, stale, or given up), so that replayed commits can
+   never land below a frontier adopted afterwards — the ordered log stays
+   contiguous from [base_seq]. Timers are dropped while crashed. *)
+let sync_hooks the_t m =
+  {
+    Sync.Client.send =
+      (fun ~dst ~lane req ->
+        let t = the_t () in
+        send_on t.backend ~src:t.id ~dst ~dag_id:lane
+          (Types.Sync_request { sq_requester = t.id; sq_req = req }));
+    schedule =
+      (fun ~after f ->
+        let t = the_t () in
+        ignore (Backend.schedule t.backend ~after (fun () -> if not t.crashed then f ())));
+    adopt = (fun blob -> Ck_manager.adopt m ~global_seq:(the_t ()).global_seq blob);
+    replay =
+      (fun () ->
+        let t = the_t () in
+        replay_wal t;
+        (* Resume wherever local knowledge ends: the restored checkpoint
+           floor, or the highest round the WAL replay reconstructed. *)
+        let from =
+          Array.map
+            (fun lane ->
+              max 0 (max (Instance.lowest_round lane.instance) (Store.highest_round lane.store)))
+            t.lanes
+        in
+        Obs.event t.obs ~time:(Backend.now t.backend)
+          (Trace.Sync_started { replica = t.id; from_round = from.(0) });
+        from);
+    ingest = (fun ~lane cn -> Instance.ingest_certified (the_t ()).lanes.(lane).instance cn);
+    lane_done = (fun d -> Instance.resume (the_t ()).lanes.(d).instance);
+    on_caught_up =
+      (fun () ->
+        let t = the_t () in
+        let requests, certs = sync_stats t in
+        if requests > 0 then Obs.incr ~by:requests t.obs "sync.requests";
+        if certs > 0 then Obs.incr ~by:certs t.obs "sync.certs_ingested";
+        Obs.event t.obs ~time:(Backend.now t.backend)
+          (Trace.Sync_completed { replica = t.id; certs; requests });
+        caught_up t);
+  }
 
 let handle_sync_request t ~dag_id ~src req =
   send_on t.backend ~src:t.id ~dst:src ~dag_id
     (Types.Sync_response
        { sp_responder = t.id; sp_resp = Sync.Server.handle t.lanes.(dag_id).server req })
-
-let handle_sync_response t ~dag_id resp =
-  match (resp, t.ck) with
-  | Types.Checkpoint_blob { cb_blob }, Some m when Ck_manager.probing m ->
-    Ck_manager.on_blob m ~global_seq:t.global_seq cb_blob
-  | _ -> (
-    match t.lanes.(dag_id).sync_client with
-    | Some c -> Sync.Client.handle_response c resp
-    | None -> ())
 
 (* Single inbound dispatch for every transport: control-plane envelopes
    (dag 255) carry checkpoint votes, lane envelopes carry either sync
@@ -494,7 +469,8 @@ let route t ~src (env : envelope) =
     else if env.dag_id >= 0 && env.dag_id < Array.length t.lanes then begin
       match env.payload with
       | Types.Sync_request { sq_req; _ } -> handle_sync_request t ~dag_id:env.dag_id ~src sq_req
-      | Types.Sync_response { sp_resp; _ } -> handle_sync_response t ~dag_id:env.dag_id sp_resp
+      | Types.Sync_response { sp_resp; _ } ->
+        Option.iter (fun c -> Sync.Client.handle_response c ~lane:env.dag_id sp_resp) t.sync
       | payload -> Instance.handle_message t.lanes.(env.dag_id).instance ~src payload
     end
   end
@@ -506,21 +482,16 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
   let self = ref None in
   let the_t () = Option.get !self in
   let ck =
-    Ck_manager.create ~config ~replica_id ~obs ~timers:backend.Backend.timers
+    Ck_manager.create ~config ~replica_id ~obs
+      ~device:
+        (Wal.create ~timers:backend.Backend.timers ~sync_latency_ms:config.Config.wal_sync_ms
+           ~retain:true ())
       {
         Ck_manager.now = (fun () -> Backend.now backend);
         broadcast_vote =
           (fun payload ->
             let env = { dag_id = control_dag_id; payload } in
             Backend.control_broadcast backend ~src:replica_id ~size:(envelope_size env) env);
-        send_probe =
-          (fun ~dst ->
-            send_on backend ~src:replica_id ~dst ~dag_id:0
-              (Types.Sync_request { sq_requester = replica_id; sq_req = Types.Get_checkpoint }));
-        schedule =
-          (fun ~after f ->
-            ignore
-              (Backend.schedule backend ~after (fun () -> if not (the_t ()).crashed then f ())));
         (* Lane instances and per-lane WALs belong to their lanes' domains
            at [--domains N]; single-domain, everything is a direct call. *)
         on_lane =
@@ -559,8 +530,13 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
       replaying = false;
       ck;
       base_seq = 0;
-      catching_up = false;
-      syncing_lanes = 0;
+      sync =
+        (match ck with
+        | Some m when Backend.n backend > 1 ->
+          Some
+            (Sync.Client.create ~n:(Backend.n backend) ~self:replica_id
+               ~lanes:config.Config.num_dags (sync_hooks the_t m))
+        | _ -> None);
       on_caught_up;
       c_equivocations = Obs.counter obs "fault.equivocations";
       c_withheld = Obs.counter obs "fault.withheld_proposals";
@@ -613,12 +589,12 @@ let crash t =
    the vote-once table (so we cannot double-vote positions we voted before
    the crash), and — via the drivers — the committed suffix, which is a
    pure function of the replayed DAG above the checkpoint. Sends are muted
-   while [replaying] is set. With peers and a checkpoint manager, recovery
-   then pulls the missed history via the sync protocol; instances resume
-   lane-by-lane as their catch-up completes and [on_caught_up] fires once
-   all lanes are live. [wipe] simulates total disk loss: both WAL devices
-   are cleared and the replica adopts a peer's certified checkpoint before
-   syncing. *)
+   while [replaying] is set. With peers and a checkpoint manager, the
+   catch-up loop first asks peers for a newer certified checkpoint, then
+   replays and pulls the missed history; instances resume lane-by-lane as
+   their catch-up completes and [on_caught_up] fires once all lanes are
+   live. [wipe] simulates total disk loss: both WAL devices are cleared,
+   so the adopt phase is what restores a frontier. *)
 let recover ?(wipe = false) t =
   if t.crashed then begin
     t.crashed <- false;
@@ -629,15 +605,12 @@ let recover ?(wipe = false) t =
     t.lanes <- Array.init t.cfg.Config.num_dags (fun dag_id -> make_lane t dag_id);
     Option.iter (Ck_manager.recover ~wipe) t.ck;
     Obs.incr_c t.c_recoveries;
-    match t.ck with
-    | Some m when Backend.n t.backend > 1 ->
-      (* Probe a peer for its newest certified checkpoint before replaying:
-         peers prune below their own checkpoints, so a restart longer than
-         the retained sync window is only bridgeable from an adopted
-         (newer) frontier. Replay and catch-up follow once the probe
-         resolves. *)
-      Ck_manager.probe m ~on_done:(fun () -> finish_recovery t ~sync:true)
-    | _ -> finish_recovery t ~sync:false
+    match t.sync with
+    | Some c -> Sync.Client.start c
+    | None ->
+      replay_wal t;
+      Array.iter (fun lane -> Instance.resume lane.instance) t.lanes;
+      caught_up t
   end
 
 let replica_id t = t.id
@@ -669,18 +642,8 @@ let requeued t = t.requeued
 let pending_segments t = Merge.pending t.merge
 let base_seq t = t.base_seq
 
-let catching_up t =
-  t.catching_up || match t.ck with Some m -> Ck_manager.probing m | None -> false
-
+let catching_up t = match t.sync with Some c -> Sync.Client.active c | None -> false
 let latest_checkpoint t = Option.bind t.ck Ck_manager.latest
-
-let sync_stats t =
-  Array.fold_left
-    (fun (reqs, certs) lane ->
-      match lane.sync_client with
-      | Some c -> (reqs + Sync.Client.requests_sent c, certs + Sync.Client.certs_ingested c)
-      | None -> (reqs, certs))
-    (0, 0) t.lanes
 
 let sync_requests_served t =
   Array.fold_left (fun acc lane -> acc + Sync.Server.requests_served lane.server) 0 t.lanes

@@ -128,14 +128,14 @@ val recover : ?wipe:bool -> t -> unit
     replay the retained WAL entries through the fresh instances (requires
     [retain_wal]). Replay rebuilds the stores, the vote-once table and the
     committed suffix without sending a byte. With checkpointing on and
-    peers present, the replica then pulls the history it missed through
-    the {!Shoalpp_sync.Sync} protocol — O(gap) messages per lane — and
-    resumes proposing lane-by-lane as catch-up completes; {!catching_up}
-    is true until every lane is live. [wipe] (default false) simulates
-    total disk loss: both WAL devices are cleared and the replica adopts a
-    peer's certified checkpoint (verified before trust) before syncing,
-    falling back to a full-history sync when no peer has one. No-op if
-    not crashed. *)
+    peers present, one catch-up loop ({!Shoalpp_sync.Sync.Client}) first
+    asks peers for a newer certified checkpoint (verified before trust),
+    then replays and pulls the history it missed — O(gap) messages per
+    lane — and the replica resumes proposing lane-by-lane as catch-up
+    completes; {!catching_up} is true until every lane is live. [wipe]
+    (default false) simulates total disk loss: both WAL devices are
+    cleared, so the frontier comes from a peer's checkpoint, or from a
+    full-history sync when no peer has one. No-op if not crashed. *)
 
 val base_seq : t -> int
 (** First global sequence number of the post-recovery log: 0 normally, or
@@ -143,15 +143,14 @@ val base_seq : t -> int
     comparing pre-crash and post-recovery logs must offset by this. *)
 
 val catching_up : t -> bool
-(** True while the restart's peer-checkpoint probe is unresolved or peer
-    catch-up sync is in flight on any lane. *)
+(** True from {!recover} until the catch-up loop has finished every lane. *)
 
 val latest_checkpoint : t -> Shoalpp_storage.Checkpoint.t option
 (** Newest certified checkpoint this replica holds, if any. *)
 
 val sync_stats : t -> int * int
-(** [(requests_sent, certs_ingested)] summed over every lane's catch-up
-    client, across all recoveries so far. *)
+(** [(requests_sent, certs_ingested)] of the catch-up loop since the last
+    {!recover}; requests include [Get_checkpoint] and retries. *)
 
 val sync_requests_served : t -> int
 (** Peer catch-up requests this replica answered, summed over lanes. *)

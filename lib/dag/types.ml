@@ -36,26 +36,23 @@ type certificate = { cert_ref : node_ref; multisig : Multisig.t }
 
 type certified_node = { cn_node : node; cn_cert : certificate }
 
-(* Catch-up sync protocol (checkpointed-lifecycle PR): a lagging or
-   recovering replica pulls certified history from peers instead of
-   replaying from genesis. Shapes follow the modal-sequencer DAG_SYNC
-   design: probe a peer's retained range, then page certificates. *)
+(* Catch-up sync protocol: a lagging or recovering replica pulls certified
+   history from peers instead of replaying from genesis. Shapes follow the
+   modal-sequencer DAG_SYNC design: paged certificates, the first page
+   carrying the responder's highest round. Request tags 1 and 3 and
+   response tag 1 are retired. *)
 type sync_request =
-  | Get_highest_round
   | Get_certificates_in_range of { sr_from : round; sr_to : round; sr_cursor : int }
-      (** Certified nodes with [sr_from <= round <= sr_to], paged from
-          [sr_cursor] (an opaque position the server handed back). *)
-  | Get_checkpoint  (** The responder's latest certified checkpoint blob. *)
+  | Get_checkpoint
 
 type sync_response =
-  | Highest_round of { hr_highest : round; hr_lowest : round }
-      (** Responder's retained window: highest round seen, lowest retained
-          (certificates below it are pruned). *)
-  | Certificates of { sc_certs : certified_node list; sc_has_more : bool; sc_next : int }
-      (** One page; [sc_next] is the cursor to resume from iff
-          [sc_has_more]. *)
+  | Certificates of {
+      sc_certs : certified_node list;
+      sc_has_more : bool;
+      sc_next : int;
+      sc_highest : round;
+    }
   | Checkpoint_blob of { cb_blob : string option }
-      (** Wire-encoded {!Shoalpp_storage.Checkpoint.t}, if one exists. *)
 
 type message =
   | Proposal of node
@@ -213,7 +210,6 @@ let read_certified rd =
   { cn_node; cn_cert }
 
 let write_sync_request w = function
-  | Get_highest_round -> Wire.Writer.u8 w 1
   | Get_certificates_in_range { sr_from; sr_to; sr_cursor } ->
     Wire.Writer.u8 w 2;
     Wire.Writer.uint w sr_from;
@@ -223,7 +219,6 @@ let write_sync_request w = function
 
 let read_sync_request rd =
   match Wire.Reader.u8 rd with
-  | 1 -> Get_highest_round
   | 2 ->
     let sr_from = Wire.Reader.uint rd in
     let sr_to = Wire.Reader.uint rd in
@@ -233,11 +228,7 @@ let read_sync_request rd =
   | tag -> raise (Wire.Reader.Malformed (Printf.sprintf "unknown sync request tag %d" tag))
 
 let write_sync_response w = function
-  | Highest_round { hr_highest; hr_lowest } ->
-    Wire.Writer.u8 w 1;
-    Wire.Writer.uint w hr_highest;
-    Wire.Writer.uint w hr_lowest
-  | Certificates { sc_certs; sc_has_more; sc_next } ->
+  | Certificates { sc_certs; sc_has_more; sc_next; sc_highest } ->
     Wire.Writer.u8 w 2;
     Wire.Writer.list w
       (fun cn ->
@@ -245,7 +236,8 @@ let write_sync_response w = function
         write_cert w cn.cn_cert)
       sc_certs;
     Wire.Writer.u8 w (if sc_has_more then 1 else 0);
-    Wire.Writer.uint w sc_next
+    Wire.Writer.uint w sc_next;
+    Wire.Writer.uint w sc_highest
   | Checkpoint_blob { cb_blob } -> (
     Wire.Writer.u8 w 3;
     match cb_blob with
@@ -299,15 +291,12 @@ let encode_message msg =
 
 let read_sync_response rd =
   match Wire.Reader.u8 rd with
-  | 1 ->
-    let hr_highest = Wire.Reader.uint rd in
-    let hr_lowest = Wire.Reader.uint rd in
-    Highest_round { hr_highest; hr_lowest }
   | 2 ->
     let sc_certs = Wire.Reader.list rd read_certified in
     let sc_has_more = Wire.Reader.u8 rd = 1 in
     let sc_next = Wire.Reader.uint rd in
-    Certificates { sc_certs; sc_has_more; sc_next }
+    let sc_highest = Wire.Reader.uint rd in
+    Certificates { sc_certs; sc_has_more; sc_next; sc_highest }
   | 3 ->
     let cb_blob =
       match Wire.Reader.u8 rd with 0 -> None | _ -> Some (Wire.Reader.bytes rd)
@@ -369,14 +358,12 @@ let node_size (n : node) =
 let cert_size (c : certificate) = ref_size + Multisig.wire_size c.multisig
 
 let sync_request_size = function
-  | Get_highest_round -> 1
   | Get_certificates_in_range _ -> 1 + 4 + 4 + 4
   | Get_checkpoint -> 1
 
 let sync_response_size = function
-  | Highest_round _ -> 1 + 4 + 4
   | Certificates { sc_certs; _ } ->
-    1 + 2 + 4
+    1 + 2 + 4 + 4
     + List.fold_left (fun acc cn -> acc + node_size cn.cn_node + cert_size cn.cn_cert) 0 sc_certs
   | Checkpoint_blob { cb_blob } -> (
     (* A blob is charged its encoded bytes: the candidate, its signer list

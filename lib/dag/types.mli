@@ -50,21 +50,25 @@ type certified_node = { cn_node : node; cn_cert : certificate }
 
 (** Catch-up sync protocol: a lagging or recovering replica pulls certified
     history from peers instead of replaying from genesis (modal-sequencer
-    DAG_SYNC shape). Serviced out of the DAG store's retained window. *)
+    DAG_SYNC shape). Serviced out of the DAG store's retained window.
+    Request tags 1 (a round probe, now carried by the first page) and 3
+    and response tag 1 are retired: they decode as malformed. *)
 type sync_request =
-  | Get_highest_round
   | Get_certificates_in_range of { sr_from : round; sr_to : round; sr_cursor : int }
       (** Certified nodes with [sr_from <= round <= sr_to], paged from
           [sr_cursor] (an opaque position the server handed back). *)
   | Get_checkpoint  (** The responder's latest certified checkpoint blob. *)
 
 type sync_response =
-  | Highest_round of { hr_highest : round; hr_lowest : round }
-      (** Responder's retained window: highest round seen, lowest retained
-          (certificates below it are pruned). *)
-  | Certificates of { sc_certs : certified_node list; sc_has_more : bool; sc_next : int }
+  | Certificates of {
+      sc_certs : certified_node list;
+      sc_has_more : bool;
+      sc_next : int;
+      sc_highest : round;
+    }
       (** One page; [sc_next] is the cursor to resume from iff
-          [sc_has_more]. *)
+          [sc_has_more]; [sc_highest] is the responder's highest round,
+          which a client's first page pins as its target. *)
   | Checkpoint_blob of { cb_blob : string option }
       (** Wire-encoded {!Shoalpp_storage.Checkpoint.t}, if one exists. *)
 

@@ -86,6 +86,7 @@ let net t = t.world.Backend_sim.net
 let backend t = Harness.backend t.h
 let events_fired t = Backend_sim.events_fired t.world
 let replicas t = Harness.replicas t.h
+let harness t = t.h
 let metrics t = Harness.ledger t.h
 let telemetry t = Harness.telemetry t.h
 let ledger t = Harness.ledger t.h

@@ -94,6 +94,10 @@ val events_fired : ('msg, 'r) gen -> int
 
 val replicas : ('msg, 'r) gen -> 'r array
 
+val harness : ('msg, 'r) gen -> ('msg, 'r) Harness.t
+(** The run harness, for faults a scenario does not describe (a restart
+    with wiped disks: [Harness.recover ~wipe:true]). *)
+
 val metrics : ('msg, 'r) gen -> Metrics.t
 (** The same value as {!ledger}. *)
 

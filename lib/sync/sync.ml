@@ -2,7 +2,9 @@ module Types = Shoalpp_dag.Types
 module Store = Shoalpp_dag.Store
 
 let default_page = 128
-let default_retry_ms = 400.0
+
+(* Silence from the asked peer for this long moves a request on. *)
+let retry_ms = 400.0
 
 module Server = struct
   type t = {
@@ -10,18 +12,19 @@ module Server = struct
     checkpoint : unit -> string option;
     page : int;
     mutable requests_served : int;
-    mutable certs_served : int;
   }
 
   let create ?(page = default_page) ~store ~checkpoint () =
     if page < 1 then invalid_arg "Sync.Server.create: need page >= 1";
-    { store; checkpoint; page; requests_served = 0; certs_served = 0 }
+    { store; checkpoint; page; requests_served = 0 }
 
   (* Rounds are served whole (the cursor is a round number, so the
      requester can resume even against a different server whose paging
      differs); a page stops before the round that would overflow it, except
      that the first round of a page is always included — progress is
-     guaranteed even when one round alone exceeds the page budget. *)
+     guaranteed even when one round alone exceeds the page budget. Rounds
+     below the physical floor are pruned under a certified checkpoint, so
+     a page asked from below it starts there. *)
   let certs_page t ~from_ ~to_ ~cursor =
     let r0 = max (max from_ cursor) (Store.lowest_stored t.store) in
     let r1 = min to_ (Store.highest_round t.store) in
@@ -44,144 +47,148 @@ module Server = struct
   let handle t (req : Types.sync_request) : Types.sync_response =
     t.requests_served <- t.requests_served + 1;
     match req with
-    | Types.Get_highest_round ->
-      Types.Highest_round
-        {
-          hr_highest = Store.highest_round t.store;
-          hr_lowest = Store.lowest_stored t.store;
-        }
     | Types.Get_certificates_in_range { sr_from; sr_to; sr_cursor } ->
       let certs, has_more, next = certs_page t ~from_:sr_from ~to_:sr_to ~cursor:sr_cursor in
-      t.certs_served <- t.certs_served + List.length certs;
-      Types.Certificates { sc_certs = certs; sc_has_more = has_more; sc_next = next }
+      Types.Certificates
+        {
+          sc_certs = certs;
+          sc_has_more = has_more;
+          sc_next = next;
+          sc_highest = Store.highest_round t.store;
+        }
     | Types.Get_checkpoint -> Types.Checkpoint_blob { cb_blob = t.checkpoint () }
 
   let requests_served t = t.requests_served
-  let certs_served t = t.certs_served
 end
 
 module Client = struct
   type hooks = {
-    send : dst:int -> Types.sync_request -> unit;
-    ingest : Types.certified_node -> unit;
+    send : dst:int -> lane:int -> Types.sync_request -> unit;
     schedule : after:float -> (unit -> unit) -> unit;
+    adopt : string option -> bool;
+    replay : unit -> int array;
+    ingest : lane:int -> Types.certified_node -> unit;
+    lane_done : int -> unit;
     on_caught_up : unit -> unit;
   }
 
-  type fetching = { target : int; mutable cursor : int }
-  type phase = Idle | Probing | Fetching of fetching | Done
+  type lane = {
+    mutable from_ : int; (* the local frontier paging starts at *)
+    mutable target : int; (* pinned by the first page; max_int until then *)
+    mutable cursor : int;
+    mutable waiting : int; (* generation of the request awaited; -1 = none *)
+  }
 
   type t = {
     n : int;
     self : int;
-    retry_ms : float;
     hooks : hooks;
-    mutable phase : phase;
-    mutable from_ : int;
-    mutable attempt : int; (* deterministic peer-rotation counter *)
-    mutable gen : int; (* request generation; stale retry timers check it *)
+    lanes : lane array; (* the adopt phase's request waits in lane 0 *)
+    mutable adopting : bool;
+    mutable open_lanes : int; (* lanes still paging *)
+    mutable attempt : int; (* the one deterministic peer rotation *)
+    mutable gen : int; (* request generation; a retry fires only for the newest *)
     mutable requests_sent : int;
-    mutable responses_handled : int;
     mutable certs_ingested : int;
-    mutable retries : int;
   }
 
-  let create ~n ~self ?(retry_ms = default_retry_ms) hooks =
+  let create ~n ~self ~lanes hooks =
+    if n < 2 then invalid_arg "Sync.Client.create: need a peer";
     {
       n;
       self;
-      retry_ms;
       hooks;
-      phase = Idle;
-      from_ = 0;
+      lanes = Array.init lanes (fun _ -> { from_ = 0; target = max_int; cursor = 0; waiting = -1 });
+      adopting = false;
+      open_lanes = 0;
       attempt = 0;
       gen = 0;
       requests_sent = 0;
-      responses_handled = 0;
       certs_ingested = 0;
-      retries = 0;
     }
 
   let peer t =
     let p = (t.self + 1 + t.attempt) mod t.n in
     if p = t.self then (p + 1) mod t.n else p
 
-  let awaiting t = match t.phase with Probing | Fetching _ -> true | Idle | Done -> false
-
-  let rec send_req t req =
+  let rec send t ~lane req =
+    let l = t.lanes.(lane) in
     t.requests_sent <- t.requests_sent + 1;
-    t.hooks.send ~dst:(peer t) req;
     t.gen <- t.gen + 1;
     let g = t.gen in
-    t.hooks.schedule ~after:t.retry_ms (fun () ->
-        if t.gen = g && awaiting t then begin
-          t.retries <- t.retries + 1;
+    l.waiting <- g;
+    t.hooks.send ~dst:(peer t) ~lane req;
+    t.hooks.schedule ~after:retry_ms (fun () ->
+        if l.waiting = g then begin
           t.attempt <- t.attempt + 1;
-          resend t
+          if t.adopting then ask_checkpoint t else page t lane
         end)
 
-  and resend t =
-    match t.phase with
-    | Probing -> send_req t Types.Get_highest_round
-    | Fetching f ->
-      send_req t
-        (Types.Get_certificates_in_range
-           { sr_from = t.from_; sr_to = f.target; sr_cursor = f.cursor })
-    | Idle | Done -> ()
+  (* Phase 1: a [None] answer, an unverifiable blob or silence moves to the
+     next peer; after two passes over the committee, page without. *)
+  and ask_checkpoint t =
+    if t.attempt < 2 * t.n then send t ~lane:0 Types.Get_checkpoint else begin_paging t
 
-  let finish t =
-    t.phase <- Done;
-    t.hooks.on_caught_up ()
+  (* Phase 2: every lane pages from its frontier, the first page open-ended. *)
+  and begin_paging t =
+    t.adopting <- false;
+    let frontiers = t.hooks.replay () in
+    t.open_lanes <- Array.length t.lanes;
+    Array.iteri
+      (fun d l ->
+        l.from_ <- max 0 frontiers.(d);
+        l.target <- max_int;
+        l.cursor <- l.from_;
+        page t d)
+      t.lanes
 
-  let start t ~from =
-    t.from_ <- max 0 from;
-    if t.n <= 1 then finish t
-    else begin
-      t.phase <- Probing;
-      send_req t Types.Get_highest_round
-    end
+  and page t lane =
+    let l = t.lanes.(lane) in
+    send t ~lane
+      (Types.Get_certificates_in_range { sr_from = l.from_; sr_to = l.target; sr_cursor = l.cursor })
 
-  let handle_response t (resp : Types.sync_response) =
-    match (t.phase, resp) with
-    | Probing, Types.Highest_round { hr_highest; hr_lowest } ->
-      t.responses_handled <- t.responses_handled + 1;
-      if hr_highest < t.from_ then finish t
+  let start t =
+    Array.iter (fun l -> l.waiting <- -1) t.lanes;
+    t.adopting <- true;
+    t.open_lanes <- 0;
+    t.attempt <- 0;
+    t.requests_sent <- 0;
+    t.certs_ingested <- 0;
+    ask_checkpoint t
+
+  let handle_response t ~lane (resp : Types.sync_response) =
+    match resp with
+    | Types.Checkpoint_blob { cb_blob } when t.adopting ->
+      if t.hooks.adopt cb_blob then begin_paging t
       else begin
-        (* Rounds below the peer's floor are pruned cluster-wide: the
-           certified checkpoint covers them, so skipping ahead is safe. *)
-        t.from_ <- max t.from_ hr_lowest;
-        let f = { target = hr_highest; cursor = t.from_ } in
-        t.phase <- Fetching f;
-        send_req t
-          (Types.Get_certificates_in_range
-             { sr_from = t.from_; sr_to = f.target; sr_cursor = f.cursor })
+        t.attempt <- t.attempt + 1;
+        ask_checkpoint t
       end
-    | Fetching f, Types.Certificates { sc_certs; sc_has_more; sc_next } ->
-      t.responses_handled <- t.responses_handled + 1;
+    | Types.Certificates { sc_certs; sc_has_more; sc_next; sc_highest }
+      when (not t.adopting) && lane >= 0 && lane < Array.length t.lanes
+           && t.lanes.(lane).waiting >= 0 ->
+      let l = t.lanes.(lane) in
       List.iter
         (fun cn ->
           t.certs_ingested <- t.certs_ingested + 1;
-          t.hooks.ingest cn)
+          t.hooks.ingest ~lane cn)
         sc_certs;
-      if not sc_has_more then finish t
-      else if sc_next > f.cursor then begin
-        f.cursor <- sc_next;
-        send_req t
-          (Types.Get_certificates_in_range
-             { sr_from = t.from_; sr_to = f.target; sr_cursor = sc_next })
+      if l.target = max_int then l.target <- sc_highest;
+      if not sc_has_more then begin
+        l.waiting <- -1;
+        t.open_lanes <- t.open_lanes - 1;
+        t.hooks.lane_done lane;
+        if t.open_lanes = 0 then t.hooks.on_caught_up ()
       end
       else begin
-        (* A page that advances nothing (responder pruned the range since
-           probing, or is lagging us): rotate to another peer. *)
-        t.attempt <- t.attempt + 1;
-        resend t
+        (* A page that advances nothing (the responder pruned the range or
+           lags us): rotate to another peer. *)
+        if sc_next > l.cursor then l.cursor <- sc_next else t.attempt <- t.attempt + 1;
+        page t lane
       end
-    | (Idle | Done | Probing | Fetching _), _ -> ()
+    | Types.Checkpoint_blob _ | Types.Certificates _ -> ()
 
-  let phase t = t.phase
-  let finished t = match t.phase with Done -> true | _ -> false
+  let active t = t.adopting || t.open_lanes > 0
   let requests_sent t = t.requests_sent
-  let responses_handled t = t.responses_handled
   let certs_ingested t = t.certs_ingested
-  let retries t = t.retries
 end

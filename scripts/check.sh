@@ -554,7 +554,7 @@ fi
 # repository benchmark at seed 3 must order the pinned commit stream. The
 # digests are a function of the seed only, so any change to them is a
 # change of behaviour and must be re-pinned on purpose.
-for pin in sim-gcp10:d48fb4611f4b39366294c3bb9515df1b sim-lifecycle:c76ffdf06fe008a819c2492a4c8e65eb; do
+for pin in sim-gcp10:d48fb4611f4b39366294c3bb9515df1b sim-lifecycle:2fa843544cc7e5b431cbc7aea03bf00d; do
   workload=${pin%%:*}
   want=${pin#*:}
   run_out=$(timeout 300 python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 --trace 0) \

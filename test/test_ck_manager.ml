@@ -4,10 +4,12 @@
      certifies exactly once; forged, duplicated, stale and beyond-horizon
      votes are refused; install raises the gates to the floors of the
      checkpoint it replaces; each lane's WAL is truncated below its seam
-     round, only once the checkpoint's blob is durable;
-     an unverifiable peer blob is never adopted; a retry armed by an
-     earlier probe never moves a later one; the served blob is the
-     encoding of the latest checkpoint after install, restore and wipe;
+     round, only once the checkpoint's blob is durable; the checkpoint
+     device keeps only the newest durable blob; an unverifiable peer blob
+     is never adopted through the restart's catch-up loop, and a retry
+     armed before a restart never moves the next one; the served blob is
+     the encoding of the latest checkpoint after install, restore and
+     wipe;
    - the vote rule: the end of every R-th merged round is a seam, voted
      only if every lane closed that round explicitly, and a replica
      restarted from a certified checkpoint votes the same seams as its
@@ -34,6 +36,7 @@ module Cluster = Shoalpp_runtime.Cluster
 module Config = Shoalpp_core.Config
 module Replica = Shoalpp_core.Replica
 module Telemetry = Shoalpp_support.Telemetry
+module Sync = Shoalpp_sync.Sync
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -59,15 +62,15 @@ let resume ~floor =
   Wire.Writer.contents w
 
 type fake = {
+  id : int;
   m : Ck_manager.t;
   tel : Telemetry.t;
   votes : Types.message list ref; (* broadcast, newest first *)
-  probes : int list ref; (* probe destinations, newest first *)
   gates : (int * int) list ref; (* (lane, round), newest first *)
   owners : int list ref; (* devices and lanes run "on their owner", newest first *)
   rewinds : int list ref; (* rewind seqs, newest first *)
-  timers : (unit -> unit) Queue.t; (* scheduled closures, fired by hand *)
   wals : Wal.t array; (* one retaining protocol WAL per lane *)
+  device : Wal.t; (* the checkpoint device *)
   engine : Engine.t; (* drives the WAL devices' syncs *)
 }
 
@@ -76,18 +79,14 @@ let fake ?(config = config) id =
   let timers = Shoalpp_backend.Backend_sim.timers engine in
   let tel = Telemetry.create () in
   let obs = Obs.make ~telemetry:tel ~replica:id ~instance:0 () in
-  let votes = ref [] and probes = ref [] and gates = ref [] and owners = ref [] in
-  let rewinds = ref [] and pending = Queue.create () in
-  let wals =
-    Array.init config.Config.num_dags (fun _ ->
-        Wal.create ~timers ~sync_latency_ms:0.0 ~retain:true ())
-  in
+  let votes = ref [] and gates = ref [] and owners = ref [] and rewinds = ref [] in
+  let retaining () = Wal.create ~timers ~sync_latency_ms:0.0 ~retain:true () in
+  let wals = Array.init config.Config.num_dags (fun _ -> retaining ()) in
+  let device = retaining () in
   let fx =
     {
       Ck_manager.now = (fun () -> 0.0);
       broadcast_vote = (fun v -> votes := v :: !votes);
-      send_probe = (fun ~dst -> probes := dst :: !probes);
-      schedule = (fun ~after:_ f -> Queue.push f pending);
       on_lane =
         (fun i f ->
           owners := i :: !owners;
@@ -97,11 +96,8 @@ let fake ?(config = config) id =
       rewind = (fun ~seq _ -> rewinds := seq :: !rewinds);
     }
   in
-  let m =
-    Option.get
-      (Ck_manager.create ~config ~replica_id:id ~obs ~timers fx)
-  in
-  { m; tel; votes; probes; gates; owners; rewinds; timers = pending; wals; engine }
+  let m = Option.get (Ck_manager.create ~config ~replica_id:id ~obs ~device fx) in
+  { id; m; tel; votes; gates; owners; rewinds; wals; device; engine }
 
 (* Merge anchor round [round] on every given manager from global seq
    [seq]: [segs] lists each merged segment's lane and whether it closes
@@ -254,18 +250,54 @@ let test_truncation_at_seam_rounds () =
   checkb "each lane truncated on its owner" true
     (List.for_all (fun d -> List.mem d !(m0.owners)) [ 0; 1; 2 ])
 
+(* The restart's catch-up loop over a fake manager, as the replica wires
+   it: [asked] logs each request's destination (newest first), [timers]
+   queues the retry closures to be fired by hand, and [replayed] counts
+   the ends of the adopt phase. *)
+type catch_up = {
+  client : Sync.Client.t;
+  asked : (int * Types.sync_request) list ref;
+  timers : (unit -> unit) Queue.t;
+  replayed : int ref;
+}
+
+let catch_up f =
+  let asked = ref [] and timers = Queue.create () and replayed = ref 0 in
+  let client =
+    Sync.Client.create ~n:4 ~self:f.id ~lanes:config.Config.num_dags
+      {
+        Sync.Client.send = (fun ~dst ~lane:_ req -> asked := (dst, req) :: !asked);
+        schedule = (fun ~after:_ g -> Queue.push g timers);
+        adopt = Ck_manager.adopt f.m ~global_seq:0;
+        replay =
+          (fun () ->
+            incr replayed;
+            Array.make config.Config.num_dags 0);
+        ingest = (fun ~lane:_ _ -> ());
+        lane_done = ignore;
+        on_caught_up = ignore;
+      }
+  in
+  { client; asked; timers; replayed }
+
+(* The peers asked for a checkpoint, newest first. *)
+let ck_asks c =
+  List.filter_map (function dst, Types.Get_checkpoint -> Some dst | _ -> None) !(c.asked)
+
+let answer c blob = Sync.Client.handle_response c.client ~lane:0 (Types.Checkpoint_blob { cb_blob = blob })
+
 let test_unverifiable_blob_never_adopted () =
   let fs = cluster () in
   feed fs ~from:0 ~upto:0 ~floor:10;
   certify_all fs ~seq:5;
   let good = Option.get (Ck_manager.served_blob (List.nth fs 1).m) in
   let fresh = fake 0 in
-  let done_ = ref 0 in
   Ck_manager.recover fresh.m ~wipe:true;
-  Ck_manager.probe fresh.m ~on_done:(fun () -> incr done_);
-  checkb "probing" true (Ck_manager.probing fresh.m);
-  Alcotest.(check (list int)) "first peer asked" [ 1 ] !(fresh.probes);
-  Ck_manager.on_blob fresh.m ~global_seq:0 (Some "garbage");
+  let c = catch_up fresh in
+  Sync.Client.start c.client;
+  checkb "catching up" true (Sync.Client.active c.client);
+  Alcotest.(check (list int)) "first peer asked" [ 1 ] (ck_asks c);
+  answer c (Some "garbage");
   (* A real checkpoint with one byte of its aggregate flipped. *)
   let tampered =
     Bytes.to_string
@@ -273,20 +305,25 @@ let test_unverifiable_blob_never_adopted () =
          (fun i c -> if i = String.length good - 1 then Char.chr (Char.code c lxor 1) else c)
          (Bytes.of_string good))
   in
-  Ck_manager.on_blob fresh.m ~global_seq:0 (Some tampered);
+  answer c (Some tampered);
   checki "both rejected" 2 (counter fresh "ck.adopt_rejected");
   checkb "nothing adopted" true (latest_seq fresh = None && !(fresh.rewinds) = []);
-  Alcotest.(check (list int)) "rotated to the next peers" [ 3; 2; 1 ] !(fresh.probes);
-  (* Silence moves the probe on too; only the newest retry timer is live. *)
-  let due = Queue.copy fresh.timers in
-  Queue.clear fresh.timers;
-  Queue.iter (fun f -> f ()) due;
-  Alcotest.(check (list int)) "retried on the next peer" [ 1; 3; 2; 1 ] !(fresh.probes);
-  Ck_manager.on_blob fresh.m ~global_seq:0 (Some good);
+  Alcotest.(check (list int)) "rotated to the next peers" [ 3; 2; 1 ] (ck_asks c);
+  (* Silence moves the loop on too; only the newest retry timer is live. *)
+  let due = Queue.copy c.timers in
+  Queue.clear c.timers;
+  Queue.iter (fun g -> g ()) due;
+  Alcotest.(check (list int)) "retried on the next peer" [ 1; 3; 2; 1 ] (ck_asks c);
+  answer c (Some good);
   checkb "a verified blob is adopted" true (latest_seq fresh = Some 5);
   Alcotest.(check (list int)) "merge rewound to it" [ 5 ] !(fresh.rewinds);
-  checki "resolved once" 1 !done_;
-  checkb "probe over" false (Ck_manager.probing fresh.m)
+  checki "resolved once" 1 !(c.replayed);
+  answer c (Some good);
+  checkb "adopt phase over: every lane pages from the answering peer" true
+    (List.length (ck_asks c) = 4
+    && List.for_all
+         (function 1, Types.Get_certificates_in_range _ -> true | _ -> false)
+         (List.filteri (fun i _ -> i < config.Config.num_dags) !(c.asked)))
 
 (* The blob a lane domain serves is the encoding of [latest] after each
    of its writers: install, restore (from the local device) and a wiping
@@ -365,8 +402,8 @@ let test_restarted_votes_peer_seams () =
   checkb "restored from the device" true (latest_seq restarted = Some 5);
   let adopted = fake 3 in
   Ck_manager.recover adopted.m ~wipe:true;
-  Ck_manager.probe adopted.m ~on_done:ignore;
-  Ck_manager.on_blob adopted.m ~global_seq:0 (Some good);
+  checkb "a verified blob ends the adopt phase" true
+    (Ck_manager.adopt adopted.m ~global_seq:0 (Some good));
   checkb "adopted from a peer" true (latest_seq adopted = Some 5);
   List.iter (fun f -> f.votes := []) fs;
   feed (adopted :: fs) ~from:1 ~upto:3 ~floor:20;
@@ -380,20 +417,38 @@ let test_restarted_votes_peer_seams () =
   checkb "restored: same digests" true (digests restarted = digests (List.hd fs));
   checkb "adopted: same digests" true (digests adopted = digests (List.hd fs))
 
-(* A retry armed by one probe must not move a later probe at the same
-   attempt (a crash and a quick re-recover inside the retry window). *)
+(* A retry armed before a restart must not move the next restart's
+   request at the same attempt (a crash and a quick re-recover inside the
+   retry window). *)
 let test_stale_retry_ignored () =
   let f = fake 0 in
+  let c = catch_up f in
   Ck_manager.recover f.m ~wipe:true;
-  Ck_manager.probe f.m ~on_done:ignore;
-  let stale = Queue.pop f.timers in
+  Sync.Client.start c.client;
+  let stale = Queue.pop c.timers in
   Ck_manager.recover f.m ~wipe:true;
-  Ck_manager.probe f.m ~on_done:ignore;
-  Alcotest.(check (list int)) "both probes asked peer 1" [ 1; 1 ] !(f.probes);
+  Sync.Client.start c.client;
+  Alcotest.(check (list int)) "both restarts asked peer 1" [ 1; 1 ] (ck_asks c);
   stale ();
-  Alcotest.(check (list int)) "the stale retry sends nothing" [ 1; 1 ] !(f.probes);
-  (Queue.pop f.timers) ();
-  Alcotest.(check (list int)) "the live retry moves on one peer" [ 2; 1; 1 ] !(f.probes)
+  Alcotest.(check (list int)) "the stale retry sends nothing" [ 1; 1 ] (ck_asks c);
+  (Queue.pop c.timers) ();
+  Alcotest.(check (list int)) "the live retry moves on one peer" [ 2; 1; 1 ] (ck_asks c)
+
+(* The checkpoint device keeps only the newest durable blob: each blob's
+   sync drops the older ones, and a restart restores the newest. *)
+let test_device_keeps_newest_blob () =
+  let fs = cluster () in
+  let f = List.hd fs in
+  List.iteri
+    (fun i seq ->
+      feed fs ~from:i ~upto:i ~floor:(10 * (i + 1));
+      certify_all fs ~seq;
+      Engine.run f.engine)
+    [ 5; 11; 17 ];
+  checkb "three installs" true (latest_seq f = Some 17);
+  checki "the device holds one blob" 1 (List.length (Wal.entries f.device));
+  Ck_manager.recover f.m ~wipe:false;
+  checkb "restart restores the newest" true (latest_seq f = Some 17 && !(f.rewinds) = [ 17 ])
 
 (* ------------------------------------------------------------------ *)
 (* The lifecycle pinned end to end.                                    *)
@@ -439,7 +494,7 @@ let test_lifecycle_pin () =
      certifies: no candidate is superseded, even across the crash. *)
   checki "checkpoints observed" 36 (List.length seen);
   checks "digest of the certified sequence"
-    "121ab8a926aa6123ed0009546e0fbaf2f5206bd0a4eac093e210877b04664a8e"
+    "0c260ad0e29cd88a616b696ad184e044a2d34d928f85cf7d57d55fc1c867e43d"
     (Digest32.hex (Digest32.of_string (String.concat ";" seen)));
   checki "ck.certified" 35 (Telemetry.snap_counter tel "ck.certified");
   checki "ck.boundaries" 35 (Telemetry.snap_counter tel "ck.boundaries");
@@ -546,6 +601,7 @@ let suite =
           test_unverifiable_blob_never_adopted;
         Alcotest.test_case "stale probe retry ignored" `Quick test_stale_retry_ignored;
         Alcotest.test_case "served blob tracks latest" `Quick test_served_blob_tracks_latest;
+        Alcotest.test_case "device keeps the newest blob" `Quick test_device_keeps_newest_blob;
         Alcotest.test_case "votes on round buckets" `Quick test_votes_on_round_buckets;
         Alcotest.test_case "restarted replica votes its peers' seams" `Quick
           test_restarted_votes_peer_seams;

@@ -347,23 +347,29 @@ let test_store_retain_gate () =
 (* ------------------------------------------------------------------ *)
 (* Sync protocol: paging, floors, O(gap) requests, peer rotation.      *)
 
+(* A first page: open-ended, from [from]. *)
+let first_page ~from = Types.Get_certificates_in_range { sr_from = from; sr_to = max_int; sr_cursor = from }
+
+let page_of = function
+  | Types.Certificates { sc_certs; sc_has_more; sc_next; sc_highest } ->
+    (sc_certs, sc_has_more, sc_next, sc_highest)
+  | Types.Checkpoint_blob _ -> Alcotest.fail "expected Certificates"
+
+let rounds_of certs =
+  List.sort_uniq Int.compare (List.map (fun cn -> cn.Types.cn_node.Types.round) certs)
+
 let test_sync_server_pages_whole_rounds () =
   let store = filled_store ~rounds:10 in
   let server = Sync.Server.create ~page:8 ~store ~checkpoint:(fun () -> Some "ckblob") () in
-  (match Sync.Server.handle server Types.Get_highest_round with
-  | Types.Highest_round { hr_highest; hr_lowest } ->
-    checki "highest" 9 hr_highest;
-    checki "lowest" 0 hr_lowest
-  | _ -> Alcotest.fail "expected Highest_round");
-  (match
-     Sync.Server.handle server
-       (Types.Get_certificates_in_range { sr_from = 4; sr_to = 9; sr_cursor = 4 })
-   with
-  | Types.Certificates { sc_certs; sc_has_more; sc_next } ->
-    checki "page holds whole rounds" 8 (List.length sc_certs);
-    checkb "more to come" true sc_has_more;
-    checki "cursor is a round number" 6 sc_next
-  | _ -> Alcotest.fail "expected Certificates");
+  let certs, has_more, next, highest =
+    page_of
+      (Sync.Server.handle server
+         (Types.Get_certificates_in_range { sr_from = 4; sr_to = 9; sr_cursor = 4 }))
+  in
+  checki "page holds whole rounds" 8 (List.length certs);
+  checkb "more to come" true has_more;
+  checki "cursor is a round number" 6 next;
+  checki "the responder's highest round rides on the page" 9 highest;
   match Sync.Server.handle server Types.Get_checkpoint with
   | Types.Checkpoint_blob { cb_blob } ->
     Alcotest.(check (option string)) "checkpoint blob served" (Some "ckblob") cb_blob
@@ -374,78 +380,146 @@ let test_sync_server_respects_physical_floor () =
   ignore (Store.set_retain_gate store ~round:0);
   ignore (Store.prune_below store ~round:4);
   let server = Sync.Server.create ~store ~checkpoint:(fun () -> None) () in
+  let first () = page_of (Sync.Server.handle server (first_page ~from:0)) in
   (* Gate defers deletion: the logically-pruned window is still served. *)
-  (match Sync.Server.handle server Types.Get_highest_round with
-  | Types.Highest_round { hr_lowest; _ } -> checki "serves gated window" 0 hr_lowest
-  | _ -> Alcotest.fail "expected Highest_round");
+  let certs, _, _, _ = first () in
+  checki "serves gated window" 0 (List.hd (rounds_of certs));
   ignore (Store.set_retain_gate store ~round:4);
-  match Sync.Server.handle server Types.Get_highest_round with
-  | Types.Highest_round { hr_lowest; _ } -> checki "floor after sweep" 4 hr_lowest
-  | _ -> Alcotest.fail "expected Highest_round"
+  let certs, has_more, _, highest = first () in
+  Alcotest.(check (list int)) "floor after sweep" [ 4; 5; 6; 7; 8; 9 ] (rounds_of certs);
+  checkb "one page" false has_more;
+  checki "highest" 9 highest
+
+(* A one-lane catch-up loop whose peers all answer from [server] at once,
+   [between] running after each answer (the cluster moving on between
+   pages). The adopt phase ends on the first answer and the lane pages
+   from [from]; [sent] logs (destination, request), newest first. *)
+type sync_run = {
+  client : Sync.Client.t;
+  sent : (int * Types.sync_request) list ref;
+  ingested : Types.certified_node list ref;
+  caught_up : int ref;
+}
+
+let sync_run ?(answer = true) ?(between = ignore) ~server ~from () =
+  let client = ref None in
+  let sent = ref [] and ingested = ref [] and caught_up = ref 0 in
+  let hooks =
+    {
+      Sync.Client.send =
+        (fun ~dst ~lane req ->
+          sent := (dst, req) :: !sent;
+          if answer then begin
+            let resp = Sync.Server.handle server req in
+            between ();
+            Sync.Client.handle_response (Option.get !client) ~lane resp
+          end);
+      schedule = (fun ~after:_ _ -> () (* no silence: retries never fire *));
+      adopt = (fun _ -> true);
+      replay = (fun () -> [| from |]);
+      ingest = (fun ~lane:_ cn -> ingested := cn :: !ingested);
+      lane_done = ignore;
+      on_caught_up = (fun () -> incr caught_up);
+    }
+  in
+  let c = Sync.Client.create ~n ~self:0 ~lanes:1 hooks in
+  client := Some c;
+  { client = c; sent; ingested; caught_up }
+
+let pages run =
+  List.filter (function _, Types.Get_certificates_in_range _ -> true | _ -> false) !(run.sent)
 
 let test_sync_client_o_gap_requests () =
   let store = filled_store ~rounds:10 in
   let server = Sync.Server.create ~page:8 ~store ~checkpoint:(fun () -> None) () in
-  let ingested = ref 0 in
-  let client_ref = ref None in
-  let caught_up = ref false in
-  let hooks =
-    {
-      Sync.Client.send =
-        (fun ~dst:_ req ->
-          let resp = Sync.Server.handle server req in
-          match !client_ref with
-          | Some c -> Sync.Client.handle_response c resp
-          | None -> Alcotest.fail "client not ready");
-      ingest = (fun _ -> incr ingested);
-      schedule = (fun ~after:_ _ -> () (* no silence: retries never fire *));
-      on_caught_up = (fun () -> caught_up := true);
-    }
-  in
-  let client = Sync.Client.create ~n ~self:0 hooks in
-  client_ref := Some client;
-  Sync.Client.start client ~from:4;
-  checkb "caught up" true !caught_up;
-  (* Gap = rounds 4..9 (24 certs): one probe + 3 pages of 8 — O(gap),
-     not O(history). *)
-  checki "requests are O(gap)" 4 (Sync.Client.requests_sent client);
-  checki "exactly the gap ingested" 24 !ingested;
-  checki "client counts ingests" 24 (Sync.Client.certs_ingested client)
+  let run = sync_run ~server ~from:4 () in
+  Sync.Client.start run.client;
+  checki "caught up once" 1 !(run.caught_up);
+  checkb "no longer active" false (Sync.Client.active run.client);
+  (* Gap = rounds 4..9 (24 certs): 3 pages of 8, the first carrying the
+     target — O(gap), not O(history), with no round probe. *)
+  checki "pages are O(gap)" 3 (List.length (pages run));
+  checki "one checkpoint request, then the pages" 4 (Sync.Client.requests_sent run.client);
+  checki "exactly the gap ingested" 24 (List.length !(run.ingested));
+  checki "client counts ingests" 24 (Sync.Client.certs_ingested run.client)
+
+(* The first page asked from below the peer's physical floor starts at the
+   floor: the rounds below are vouched for by its certified checkpoint. *)
+let test_sync_first_page_from_floor () =
+  let store = filled_store ~rounds:10 in
+  ignore (Store.set_retain_gate store ~round:6);
+  ignore (Store.prune_below store ~round:6);
+  let server = Sync.Server.create ~page:8 ~store ~checkpoint:(fun () -> None) () in
+  let run = sync_run ~server ~from:0 () in
+  Sync.Client.start run.client;
+  checki "caught up" 1 !(run.caught_up);
+  Alcotest.(check (list int)) "from the floor to the top" [ 6; 7; 8; 9 ] (rounds_of !(run.ingested));
+  checki "two pages" 2 (List.length (pages run))
 
 let test_sync_client_rotates_on_no_progress () =
-  let sent = ref [] in
-  let client_ref = ref None in
-  let hooks =
-    {
-      Sync.Client.send = (fun ~dst req -> sent := (dst, req) :: !sent);
-      ingest = ignore;
-      schedule = (fun ~after:_ _ -> ());
-      on_caught_up = ignore;
-    }
-  in
-  let client = Sync.Client.create ~n ~self:0 hooks in
-  client_ref := Some client;
-  ignore !client_ref;
-  Sync.Client.start client ~from:0;
-  (match !sent with [ (dst, Types.Get_highest_round) ] -> checki "probe to first peer" 1 dst | _ -> Alcotest.fail "expected one probe");
-  Sync.Client.handle_response client
-    (Types.Highest_round { hr_highest = 5; hr_lowest = 0 });
+  let server = Sync.Server.create ~store:(filled_store ~rounds:1) ~checkpoint:(fun () -> None) () in
+  let run = sync_run ~answer:false ~server ~from:0 () in
+  Sync.Client.start run.client;
+  (match !(run.sent) with
+  | [ (dst, Types.Get_checkpoint) ] -> checki "checkpoint asked of the first peer" 1 dst
+  | _ -> Alcotest.fail "expected one checkpoint request");
+  Sync.Client.handle_response run.client ~lane:0 (Types.Checkpoint_blob { cb_blob = None });
+  (match !(run.sent) with
+  | (dst, Types.Get_certificates_in_range { sr_to; _ }) :: _ ->
+    checki "first page to the same peer" 1 dst;
+    checki "first page open-ended" max_int sr_to
+  | _ -> Alcotest.fail "expected a first page");
+  Sync.Client.handle_response run.client ~lane:0
+    (Types.Certificates { sc_certs = []; sc_has_more = true; sc_next = 5; sc_highest = 9 });
   (* A page that advances nothing: the responder pruned the range or lags;
      the client must rotate to another peer rather than loop. *)
-  Sync.Client.handle_response client
-    (Types.Certificates { sc_certs = []; sc_has_more = true; sc_next = 0 });
-  (match !sent with
-  | (dst, Types.Get_certificates_in_range _) :: _ -> checki "rotated to next peer" 2 dst
-  | _ -> Alcotest.fail "expected a re-sent range request");
-  (* The probe's floor fast-forwards the client past pruned history. *)
-  let client2 = Sync.Client.create ~n ~self:0 hooks in
-  Sync.Client.start client2 ~from:0;
-  Sync.Client.handle_response client2
-    (Types.Highest_round { hr_highest = 9; hr_lowest = 6 });
-  match !sent with
-  | (_, Types.Get_certificates_in_range { sr_from; _ }) :: _ ->
-    checki "skips certificate-vouched prefix" 6 sr_from
-  | _ -> Alcotest.fail "expected a range request"
+  Sync.Client.handle_response run.client ~lane:0
+    (Types.Certificates { sc_certs = []; sc_has_more = true; sc_next = 0; sc_highest = 12 });
+  match !(run.sent) with
+  | (dst, Types.Get_certificates_in_range { sr_to; sr_cursor; _ }) :: _ ->
+    checki "rotated to next peer" 2 dst;
+    checki "cursor kept" 5 sr_cursor;
+    checki "target pinned by the first page" 9 sr_to
+  | _ -> Alcotest.fail "expected a re-sent range request"
+
+(* Catch-up ends whether the cluster makes rounds faster or slower than
+   the pages arrive: after every answer the peer's store gains [grow]
+   rounds, and the client still finishes at the first page's highest
+   round, with every certificate up to it ingested. *)
+let prop_sync_ends_at_pinned_target =
+  QCheck.Test.make ~name:"sync ends at the pinned target" ~count:200
+    QCheck.(quad (int_range 1 12) (int_range 0 12) (int_range 0 4) (int_range 1 16))
+    (fun (rounds, from, grow, page) ->
+      let store = filled_store ~rounds in
+      let top = ref (rounds - 1) in
+      let between () =
+        for _ = 1 to grow do
+          incr top;
+          for author = 0 to n - 1 do
+            ignore (Store.add_certified store (make_certified ~round:!top ~author))
+          done
+        done
+      in
+      let server = Sync.Server.create ~page ~store ~checkpoint:(fun () -> None) () in
+      let run = sync_run ~between ~server ~from () in
+      Sync.Client.start run.client;
+      (* The checkpoint answer came first; the first page was served
+         after the store's first growth. *)
+      let target = rounds - 1 + grow in
+      let want = List.init (max 0 (target - from + 1)) (fun i -> from + i) in
+      let got = rounds_of !(run.ingested) in
+      let every_author =
+        List.for_all
+          (fun r ->
+            List.length (List.filter (fun cn -> cn.Types.cn_node.Types.round = r) !(run.ingested))
+            >= n)
+          want
+      in
+      if !(run.caught_up) <> 1 then QCheck.Test.fail_report "did not finish exactly once"
+      else if not (List.for_all (fun r -> List.mem r got) want && every_author) then
+        QCheck.Test.fail_report "a certificate up to the target is missing"
+      else if List.exists (fun r -> r > target) got then QCheck.Test.fail_report "paged past the target"
+      else true)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: checkpointed crash-recover restarts from the latest
@@ -483,14 +557,54 @@ let test_checkpointed_crash_recover () =
   let requests, certs = Replica.sync_stats r in
   let lanes = List.length (Replica.driver_stats r) in
   checkb "sync ran on every lane" true (requests >= lanes);
-  (* O(gap): a probe plus a handful of pages per lane — far below the
-     full-history certificate count. *)
+  (* O(gap): a checkpoint request plus a handful of pages per lane — far
+     below the full-history certificate count. *)
   checkb "requests O(gap)" true (requests <= 10 * lanes);
   checkb "certs ingested" true (certs > 0);
   let served =
     Array.fold_left (fun acc r -> acc + Replica.sync_requests_served r) 0 (Cluster.replicas cluster)
   in
   checkb "peers served the requests" true (served >= requests)
+
+(* Total disk loss: replica 3 crashes and restarts with both WAL devices
+   wiped, so only a peer's certified checkpoint, adopted through the
+   catch-up loop, can give it a frontier. The restart goes through the
+   run harness, whose audit checks the rebuilt log against the pre-crash
+   one. *)
+let test_wiped_restart_adopts_peer_checkpoint () =
+  let committee = Committee.make ~n:4 ~cluster_seed:9 () in
+  let protocol =
+    Config.with_checkpoint_interval
+      (Config.without_signature_checks (Config.shoalpp ~committee))
+      12
+  in
+  let cluster =
+    Cluster.create
+      {
+        (Cluster.default_setup ~protocol) with
+        Cluster.topology = Topology.clique ~regions:2 ~one_way_ms:20.0;
+        load_tps = 300.0;
+        seed = 3;
+      }
+  in
+  let h = Cluster.harness cluster in
+  let at ms f = ignore (Shoalpp_backend.Backend.schedule_at (Cluster.backend cluster) ~at:ms f) in
+  at 3_000.0 (fun () -> Harness.crash h 3);
+  at 6_000.0 (fun () -> Harness.recover ~wipe:true h 3);
+  Cluster.run cluster ~duration_ms:10_000.0;
+  let r = (Cluster.replicas cluster).(3) in
+  checkb "restarted from a peer's checkpoint" true (Replica.base_seq r > 0);
+  checkb "the adopted checkpoint verifies" true
+    (match Replica.latest_checkpoint r with
+    | Some ck ->
+      Checkpoint.verify ~keys:committee.Committee.keys ~quorum:(Committee.quorum committee) ck
+    | None -> false);
+  checkb "caught up" false (Replica.catching_up r);
+  let requests, certs = Replica.sync_stats r in
+  checkb "pages followed the checkpoint" true (requests > 1 && certs > 0);
+  let audit = Cluster.audit cluster in
+  checkb "recovery prefix ok" true audit.Cluster.recovery_prefix_ok;
+  checkb "audit" true (Harness.ok audit)
 
 (* The restarted replica must order again, whatever the lanes' phase. The
    setup is the node catch-up drill's (n=4, zero-delay links, 300 tx/s,
@@ -780,8 +894,12 @@ let suite =
         Alcotest.test_case "sync server respects physical floor" `Quick test_sync_server_respects_physical_floor;
         Alcotest.test_case "sync client O(gap) requests" `Quick test_sync_client_o_gap_requests;
         Alcotest.test_case "sync client rotates on no-progress" `Quick test_sync_client_rotates_on_no_progress;
+        Alcotest.test_case "sync first page starts at the floor" `Quick test_sync_first_page_from_floor;
+        QCheck_alcotest.to_alcotest prop_sync_ends_at_pinned_target;
         Alcotest.test_case "checkpointed crash-recover" `Slow test_checkpointed_crash_recover;
         Alcotest.test_case "restarted replica orders again" `Slow test_restarted_replica_orders_again;
+        Alcotest.test_case "wiped restart adopts a peer's checkpoint" `Slow
+          test_wiped_restart_adopts_peer_checkpoint;
         Alcotest.test_case "replica vote = Checkpoint.sign" `Quick test_replica_vote_matches_sign;
         Alcotest.test_case "recovery audit verdicts" `Quick test_recovery_audit_verdicts;
         Alcotest.test_case "node restart: recovery audited" `Slow test_node_restart_recovery_audit;

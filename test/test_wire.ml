@@ -120,7 +120,12 @@ let cases cn =
           sp_responder = 2;
           sp_resp =
             Types.Certificates
-              { sc_certs = [ honest (make_node ~author:0 [ 7 ]); cn ]; sc_has_more = false; sc_next = 0 };
+              {
+                sc_certs = [ honest (make_node ~author:0 [ 7 ]); cn ];
+                sc_has_more = false;
+                sc_next = 0;
+                sc_highest = 41;
+              };
         } );
   ]
 
@@ -327,19 +332,40 @@ let test_bitmap_dedup () =
   order 0 [ 7 ];
   checki "and it counts again afterwards" 4 (dups ())
 
-(* Sync request tag 3 is retired (a range query minus known refs that no
-   client sent): a frame carrying it decodes as malformed, and the other
-   requests keep their tags and bytes. *)
+(* Sync request tags 1 (the round probe, now carried by the first page)
+   and 3 (a range query minus known refs that no client sent) are retired,
+   as is response tag 1 (the probe's answer): a frame carrying one decodes
+   as malformed, and the other messages keep their tags and bytes. A page
+   round-trips with the responder's highest round. *)
 let test_retired_sync_tag () =
   let frame sq_req = Types.encode_message (Types.Sync_request { sq_requester = 2; sq_req }) in
-  Alcotest.(check string) "highest-round probe" "\x07\x02\x01" (frame Types.Get_highest_round);
   Alcotest.(check string)
     "range request" "\x07\x02\x02\x04\x09\x05"
     (frame (Types.Get_certificates_in_range { sr_from = 4; sr_to = 9; sr_cursor = 5 }));
-  Alcotest.(check string) "checkpoint probe" "\x07\x02\x04" (frame Types.Get_checkpoint);
+  Alcotest.(check string) "checkpoint request" "\x07\x02\x04" (frame Types.Get_checkpoint);
   Alcotest.(check (result reject string))
-    "tag 3 is malformed" (Error "unknown sync request tag 3")
-    (Types.decode_message "\x07\x02\x03\x04\x04\x00")
+    "request tag 1 is malformed" (Error "unknown sync request tag 1")
+    (Types.decode_message "\x07\x02\x01");
+  Alcotest.(check (result reject string))
+    "request tag 3 is malformed" (Error "unknown sync request tag 3")
+    (Types.decode_message "\x07\x02\x03\x04\x04\x00");
+  Alcotest.(check (result reject string))
+    "response tag 1 is malformed" (Error "unknown sync response tag 1")
+    (Types.decode_message "\x08\x02\x01\x09\x00");
+  let page =
+    Types.Sync_response
+      {
+        sp_responder = 2;
+        sp_resp = Types.Certificates { sc_certs = []; sc_has_more = true; sc_next = 6; sc_highest = 300 };
+      }
+  in
+  Alcotest.(check string)
+    "empty page" "\x08\x02\x02\x00\x01\x06\xac\x02" (Types.encode_message page);
+  match Types.decode_message (Types.encode_message page) with
+  | Ok (Types.Sync_response { sp_resp = Types.Certificates { sc_highest; sc_next; _ }; _ }) ->
+    checki "highest round-trips" 300 sc_highest;
+    checki "cursor round-trips" 6 sc_next
+  | _ -> Alcotest.fail "a page must decode"
 
 (* A varint may not set bit 62: nine bytes past [max_int] would decode to
    a negative int, and a negative transaction id off the wire would make
