@@ -117,9 +117,8 @@ let run (c : Cli.common) domains verify_delay transport tcp_port admin_port ledg
     (max 0 (report.Report.submitted - report.Report.committed));
   (match Node.verify_pool node with
   | Some pool ->
-    Format.printf "verify pool: %d jobs (%d stolen, %d exceptions)@."
+    Format.printf "verify pool: %d jobs, %d exceptions@."
       (Shoalpp_backend.Verify_pool.executed pool)
-      (Shoalpp_backend.Verify_pool.stolen pool)
       (Shoalpp_backend.Verify_pool.work_exceptions pool)
   | None -> ());
   (match Node.tcp_net_stats node with

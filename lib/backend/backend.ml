@@ -36,7 +36,6 @@ let schedule t ~after f = t.timers.Timers.schedule ~after f
 let schedule_at t ~at f = t.timers.Timers.schedule_at ~at f
 let cancel (timer : timer) = timer.cancel ()
 let is_pending (timer : timer) = timer.is_pending ()
-let cancel_opt = function None -> () | Some timer -> cancel timer
 let n t = t.transport.Transport.n
 let send t ~src ~dst ~size msg = t.transport.Transport.send ~src ~dst ~size msg
 
@@ -45,11 +44,6 @@ let broadcast t ~src ~size ?(include_self = true) msg =
 
 let set_handler t replica f = t.transport.Transport.set_handler replica f
 let stats t = t.transport.Transport.stats ()
-
-let control_send t ~src ~dst ~size msg =
-  match t.control with
-  | Some c -> c.Transport.send ~src ~dst ~size msg
-  | None -> t.transport.Transport.send ~src ~dst ~size msg
 
 let control_broadcast t ~src ~size ?(include_self = true) msg =
   match t.control with

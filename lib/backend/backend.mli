@@ -92,9 +92,6 @@ val schedule_at : _ t -> at:float -> (unit -> unit) -> timer
 val cancel : timer -> unit
 val is_pending : timer -> bool
 
-val cancel_opt : timer option -> unit
-(** [cancel_opt None] is a no-op. *)
-
 val n : _ t -> int
 val send : 'msg t -> src:int -> dst:int -> size:int -> 'msg -> unit
 
@@ -103,10 +100,6 @@ val broadcast : 'msg t -> src:int -> size:int -> ?include_self:bool -> 'msg -> u
 
 val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 val stats : _ t -> Transport.stats
-
-val control_send : 'msg t -> src:int -> dst:int -> size:int -> 'msg -> unit
-(** Send on the control plane, falling back to the data transport when the
-    executor supplies none. *)
 
 val control_broadcast : 'msg t -> src:int -> size:int -> ?include_self:bool -> 'msg -> unit
 

@@ -422,42 +422,6 @@ let loopback t ~n =
         { Backend.Transport.sent = !sent; dropped = 0; partitioned = 0; bytes = !bytes });
   }
 
-(* Multicore in-process transport: counters are atomic and delivery invokes
-   the destination handler synchronously ON THE CALLING DOMAIN — no timer
-   hop through the main loop. Safe only when every handler is itself
-   cross-domain safe and free of protocol re-entrancy; the multicore node's
-   handlers just enqueue a verify-pool job (the protocol runs later, on the
-   destination lane's executor), which is exactly that. Handlers must be
-   installed before any foreign domain sends — publication happens-before
-   is the [Domain.spawn] of the lane executors. *)
-let multicore_loopback ~n () =
-  let handlers = Array.make n None in
-  let sent = Atomic.make 0 in
-  let bytes = Atomic.make 0 in
-  let post ~src ~dst ~size msg =
-    Atomic.incr sent;
-    ignore (Atomic.fetch_and_add bytes size);
-    match handlers.(dst) with Some h -> h ~src msg | None -> ()
-  in
-  {
-    Backend.Transport.n;
-    send = (fun ~src ~dst ~size msg -> post ~src ~dst ~size msg);
-    broadcast =
-      (fun ~src ~size ~include_self msg ->
-        for dst = 0 to n - 1 do
-          if include_self || dst <> src then post ~src ~dst ~size msg
-        done);
-    set_handler = (fun replica f -> handlers.(replica) <- Some f);
-    stats =
-      (fun () ->
-        {
-          Backend.Transport.sent = Atomic.get sent;
-          dropped = 0;
-          partitioned = 0;
-          bytes = float_of_int (Atomic.get bytes);
-        });
-  }
-
 (* Per-link delay shim: emulate a geography over any transport by holding
    each message on a sender-side timer for the link's one-way delay before
    handing it to the inner transport. Constant per-(src,dst) delays plus

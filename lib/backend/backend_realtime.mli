@@ -138,16 +138,6 @@ val loopback : t -> n:int -> 'msg Backend.Transport.t
     destination handler. Nothing is serialized; [size] is
     charged to the byte counter as declared. *)
 
-val multicore_loopback : n:int -> unit -> 'msg Backend.Transport.t
-(** In-process transport for the multicore node: delivery invokes the
-    destination handler synchronously {e on the calling domain}, and the
-    byte/message counters are atomics, so any domain may send without a
-    timer hop through a shared loop. Use only when every handler is itself
-    cross-domain safe and never re-enters the protocol inline — the
-    multicore node's handlers only enqueue a {!Verify_pool} job. Install
-    all handlers before the first foreign-domain send (the lane executors'
-    [Domain.spawn] is the publication point). *)
-
 val delayed :
   t ->
   delay_ms:(src:int -> dst:int -> float) ->

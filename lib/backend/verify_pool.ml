@@ -1,9 +1,8 @@
-(* Work-stealing verification pool.
+(* Verification pool.
 
    Jobs are (lane, closure) pairs; each closure is a CPU-bound check (in
    practice: signature/certificate verification of one inbound message).
-   Workers are OCaml domains pulling from per-worker FIFO queues, stealing
-   from the next worker's queue when their own is empty.
+   Workers are OCaml domains pulling from one shared FIFO queue.
 
    The ordering contract is the whole point: completions are delivered per
    lane IN SUBMISSION ORDER, no matter which worker finished which job
@@ -35,13 +34,11 @@ type lane = {
 type t = {
   mu : Mutex.t;
   cond : Condition.t;
-  queues : job Queue.t array; [@shoalpp.guarded_by "mu"] (* one per worker *)
-  mutable rr : int; [@shoalpp.guarded_by "mu"] (* round-robin submission cursor *)
+  queue : job Queue.t; [@shoalpp.guarded_by "mu"]
   mutable closing : bool; [@shoalpp.guarded_by "mu"]
   mutable inflight : int; [@shoalpp.guarded_by "mu"]
   lanes : lane array; [@shoalpp.guarded_by "mu"]
   mutable executed : int; [@shoalpp.guarded_by "mu"]
-  mutable stolen : int; [@shoalpp.guarded_by "mu"]
   mutable work_exns : int; [@shoalpp.guarded_by "mu"]
   mutable sink_exns : int; [@shoalpp.guarded_by "mu"]
   mutable domains : unit Domain.t array;
@@ -96,34 +93,23 @@ let complete t j ~ok ~raised =
       Hashtbl.replace t.lanes.(j.j_lane).l_ready j.j_seq (ok, j.j_k);
       deliver t t.lanes.(j.j_lane))
 
-(* Find work for worker [w]: own queue first, then sweep the others
-   (FIFO steal). Blocks on the condition until work arrives or the pool
-   closes; returns [None] only when closing with every queue empty.
+(* The oldest queued job. Blocks on the condition until work arrives or
+   the pool closes; returns [None] only when closing with the queue empty.
    Called and returns with the mutex held. *)
-let rec take t w =
-  let nq = Array.length t.queues in
-  let found = ref None in
-  let i = ref 0 in
-  while !found = None && !i < nq do
-    let q = t.queues.((w + !i) mod nq) in
-    if not (Queue.is_empty q) then found := Some (Queue.pop q, !i <> 0);
-    incr i
-  done;
-  match !found with
-  | Some (j, was_steal) ->
-    if was_steal then t.stolen <- t.stolen + 1;
-    Some j
+let rec take t =
+  match Queue.take_opt t.queue with
+  | Some _ as j -> j
   | None ->
     if t.closing then None
     else begin
       Condition.wait t.cond t.mu;
-      take t w
+      take t
     end
 [@@shoalpp.requires_lock "mu"]
 
-let worker t w () =
+let worker t () =
   let rec loop () =
-    match with_mu t (fun () -> take t w) with
+    match with_mu t (fun () -> take t) with
     | None -> ()
     | Some j ->
       let ok, raised = (try (j.j_work (), false) with _ -> (false, true)) in
@@ -138,8 +124,7 @@ let create ~workers ~lanes =
     {
       mu = Mutex.create ();
       cond = Condition.create ();
-      queues = Array.init (max 1 workers) (fun _ -> Queue.create ());
-      rr = 0;
+      queue = Queue.create ();
       closing = false;
       inflight = 0;
       lanes =
@@ -151,13 +136,12 @@ let create ~workers ~lanes =
               l_delivering = false;
             });
       executed = 0;
-      stolen = 0;
       work_exns = 0;
       sink_exns = 0;
       domains = [||];
     }
   in
-  t.domains <- Array.init workers (fun w -> Domain.spawn (worker t w));
+  t.domains <- Array.init workers (fun _ -> Domain.spawn (worker t));
   t
 
 let run_inline t ~work ~k =
@@ -195,8 +179,7 @@ let submit t ~lane ~work ~k =
             let ln = t.lanes.(lane) in
             let j = { j_lane = lane; j_seq = ln.l_next_seq; j_work = work; j_k = k } in
             ln.l_next_seq <- ln.l_next_seq + 1;
-            Queue.add j t.queues.(t.rr);
-            t.rr <- (t.rr + 1) mod Array.length t.queues;
+            Queue.add j t.queue;
             t.inflight <- t.inflight + 1;
             Condition.signal t.cond;
             true
@@ -211,14 +194,13 @@ let shutdown t =
       Condition.broadcast t.cond);
   Array.iter Domain.join t.domains;
   t.domains <- [||]
-  (* Workers drain every queue before exiting and each completion delivers
+  (* Workers drain the queue before exiting and each completion delivers
      its lane's contiguous prefix, so after the joins nothing is queued,
      in flight, or parked: [inflight = 0] and every sink has run. *)
 
 let closed t = with_mu t (fun () -> t.closing)
 let workers t = Array.length t.domains
 let executed t = with_mu t (fun () -> t.executed)
-let stolen t = with_mu t (fun () -> t.stolen)
 let work_exceptions t = with_mu t (fun () -> t.work_exns)
 let sink_exceptions t = with_mu t (fun () -> t.sink_exns)
 let inflight t = with_mu t (fun () -> t.inflight)

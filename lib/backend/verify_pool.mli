@@ -1,11 +1,10 @@
-(** Work-stealing pool for CPU-bound verification with per-lane in-order
-    completion.
+(** Pool for CPU-bound verification with per-lane in-order completion.
 
     The multicore node verifies inbound message signatures off the hot
     path: each message becomes a job [(lane, work, k)] where [work] is the
     verification closure and [k] receives its verdict. Worker domains pull
-    jobs from per-worker FIFO queues and steal from their neighbours'
-    queues when idle, so a burst on one lane spreads across every core.
+    jobs from one FIFO queue under the pool's mutex, so a burst on one
+    lane spreads across every core.
 
     The contract that keeps consensus deterministic: {b completions are
     delivered per lane in submission order}, regardless of which worker
@@ -63,9 +62,6 @@ val workers : t -> int
 
 val executed : t -> int
 (** Jobs whose [work] has run (including inline and raised ones). *)
-
-val stolen : t -> int
-(** Jobs a worker took from another worker's queue. *)
 
 val work_exceptions : t -> int
 (** Jobs whose [work] raised (delivered with verdict [false]). *)

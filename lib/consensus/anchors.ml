@@ -18,11 +18,6 @@ let instance_anchor reputation ~round =
   | a :: _ -> a
   | [] -> 0 (* unreachable: eligible never returns empty for n >= 1 *)
 
-let pp_mode fmt = function
-  | Every_other_round -> Format.pp_print_string fmt "every-other-round"
-  | One_per_round -> Format.pp_print_string fmt "one-per-round"
-  | All_eligible -> Format.pp_print_string fmt "all-eligible"
-
 type rule = Fast_direct | Certified_direct | Indirect_rule | Skipped
 
 let all_rules = [ Fast_direct; Certified_direct; Indirect_rule; Skipped ]

@@ -29,8 +29,6 @@ val instance_anchor : Reputation.t -> round:int -> int
     that indirect resolution is deterministic (§5.2 "Skipping Anchor
     Candidates"). *)
 
-val pp_mode : Format.formatter -> mode -> unit
-
 (** How an anchor candidate was resolved — the commit-rule taxonomy used
     by telemetry counters and the run report's rule mix. *)
 type rule =

@@ -58,17 +58,6 @@ let default_config ~committee =
     snapshot_rounds = 0;
   }
 
-let bullshark_config ~committee =
-  {
-    (default_config ~committee) with
-    mode = Anchors.Every_other_round;
-    fast_commit = false;
-    reputation_enabled = false;
-  }
-
-let shoal_config ~committee =
-  { (default_config ~committee) with mode = Anchors.One_per_round; fast_commit = false }
-
 type hooks = {
   now : unit -> float;
   cert_ref : round:int -> author:int -> Types.node_ref option;

@@ -86,8 +86,6 @@ type config = {
 val default_config : committee:Shoalpp_dag.Committee.t -> config
 (** Shoal++ preset: all-eligible anchors, fast commit, reputation on. *)
 
-val bullshark_config : committee:Shoalpp_dag.Committee.t -> config
-val shoal_config : committee:Shoalpp_dag.Committee.t -> config
 
 type hooks = {
   now : unit -> float;

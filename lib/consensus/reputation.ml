@@ -117,7 +117,6 @@ let observe_skip t ~round:_ ~author =
 
 let miss_streak t a = t.miss.(a)
 let score t a = t.scores.(a)
-let last_ordered_round t a = t.last_round.(a)
 
 let is_active t ~round a =
   t.miss.(a) < t.miss_threshold

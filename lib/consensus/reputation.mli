@@ -66,8 +66,6 @@ val miss_streak : t -> int -> int
 
 val score : t -> int -> int
 val is_active : t -> round:int -> int -> bool
-val last_ordered_round : t -> int -> int
-(** -1 if never ordered. *)
 
 type dump = {
   d_scores : int list;

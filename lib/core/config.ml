@@ -80,7 +80,6 @@ let with_dags t k =
   if k < 1 then invalid_arg "Config.with_dags: need k >= 1";
   { t with num_dags = k; name = (if k > 1 then Printf.sprintf "%s-%ddags" t.name k else t.name) }
 
-let with_name t name = { t with name }
 let without_signature_checks t = { t with verify_signatures = false }
 
 let round_timeout t timeout =

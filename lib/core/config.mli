@@ -57,7 +57,6 @@ val with_all_to_all : t -> t
 val with_dags : t -> int -> t
 (** Run [k] staggered DAG instances of the given protocol ("More DAGs"). *)
 
-val with_name : t -> string -> t
 val without_signature_checks : t -> t
 (** For large benchmark sweeps; tests keep verification on. *)
 

@@ -13,14 +13,12 @@ type ctx = Bytes.t
 external init : unit -> ctx = "shoalpp_sha256_init"
 
 external feed_string_raw : ctx -> string -> bool = "shoalpp_sha256_feed" [@@noalloc]
-external feed_bytes_raw : ctx -> bytes -> bool = "shoalpp_sha256_feed" [@@noalloc]
 
 external finalize_into : ctx -> bytes -> bool = "shoalpp_sha256_finalize" [@@noalloc]
 
 let already_finalized () = invalid_arg "Sha256: context already finalized"
 
 let feed_string ctx s = if not (feed_string_raw ctx s) then already_finalized ()
-let feed_bytes ctx b = if not (feed_bytes_raw ctx b) then already_finalized ()
 
 let finalize ctx =
   let out = Bytes.create 32 in

@@ -21,7 +21,6 @@ type ctx
 
 val init : unit -> ctx
 val feed_string : ctx -> string -> unit
-val feed_bytes : ctx -> bytes -> unit
 
 val finalize : ctx -> string
 (** 32-byte raw digest. The context must not be reused afterwards. *)

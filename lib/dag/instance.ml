@@ -646,8 +646,6 @@ let resume t =
     propose t (highest + 1)
   end
 
-let timeout_backoff t = t.timeout_backoff
-
 let ingest_certified t cn = if t.alive then handle_fetch_response t cn
 
 let lowest_round t = t.lowest_round

@@ -95,12 +95,6 @@ val resume : t -> unit
     restarted replica re-joins without double-proposing. Equivalent to
     {!start} on an empty log. *)
 
-val timeout_backoff : t -> float
-(** Current adaptive multiplier on the round timeout: 1.0 while rounds make
-    progress, doubling (capped at 8.0) each time the round timer fires
-    without any advancement — e.g. on the minority side of a partition or
-    under repeated anchor misses. Reset by the next successful proposal. *)
-
 val handle_message : t -> src:int -> Types.message -> unit
 
 val crash : t -> unit

@@ -115,10 +115,6 @@ let compare_ref a b =
 
 let pp_ref fmt r = Format.fprintf fmt "(r%d,a%d,%a)" r.ref_round r.ref_author Digest32.pp r.ref_digest
 
-let pp_node fmt n =
-  Format.fprintf fmt "node(r%d,a%d,%a,%d txns,%d parents)" n.round n.author Digest32.pp n.digest
-    (Batch.length n.batch) (List.length n.parents)
-
 (* ------------------------------------------------------------------ *)
 (* Wire encoding.                                                      *)
 

@@ -115,7 +115,6 @@ val vote_preimage : round:round -> author:replica -> digest:Shoalpp_crypto.Diges
 val ref_equal : node_ref -> node_ref -> bool
 val compare_ref : node_ref -> node_ref -> int
 val pp_ref : Format.formatter -> node_ref -> unit
-val pp_node : Format.formatter -> node -> unit
 
 (** Modeled wire sizes in bytes, derived from the binary encodings. The
     network charges bandwidth and CPU for these. *)

@@ -211,14 +211,8 @@ let on_commit t replica_id (c : commit) =
     c.batches
 
 let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs ~telemetry
-    ?client_group ~hooks ~make_replica () =
-  let group =
-    match client_group with
-    | Some f -> f
-    | None ->
-      let shared = Mempool.group ~clock:backend.Backend.clock () in
-      fun _ -> shared
-  in
+    ~hooks ~make_replica () =
+  let group = Mempool.group ~clock:backend.Backend.clock () in
   let t =
     {
       backend;
@@ -229,7 +223,7 @@ let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs
       seed;
       track_logs;
       replicas = [||];
-      mempools = Array.init n (fun i -> Mempool.create ~group:(group i) ());
+      mempools = Array.init n (fun _ -> Mempool.create ~group ());
       clients = Array.make n None;
       telemetry;
       ledger = Ledger.create ~telemetry ~warmup_ms ~num_dags ();

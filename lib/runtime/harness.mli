@@ -126,7 +126,6 @@ val create :
   warmup_ms:float ->
   track_logs:bool ->
   telemetry:Shoalpp_support.Telemetry.t ->
-  ?client_group:(int -> Shoalpp_workload.Mempool.group) ->
   hooks:'r hooks ->
   make_replica:
     (int ->
@@ -139,10 +138,9 @@ val create :
 (** Build the per-replica state, then each replica via [make_replica i],
     which must wire the given mempool and callbacks into it. [load_tps] is
     split evenly over the [n] clients; [track_logs = false] skips the logs
-    and the dedup (the audit then sees empty logs). [client_group i] is
-    the arrival group of replica [i]'s mempool (its clock and id counter);
-    by default every mempool joins one group on [backend]'s clock, so all
-    clients share one counter with stride 1. A ledger
+    and the dedup (the audit then sees empty logs). Every mempool joins
+    one arrival group on [backend]'s clock, so all clients share one id
+    counter. A ledger
     is registered on [telemetry], with [warmup_ms] as its warmup cut and
     one [dag<k>.*] pair per lane. *)
 

@@ -50,15 +50,12 @@ let default_setup ~protocol =
    lane (shared clock origin with the main loop), per-lane-domain
    telemetry registries and trace rings (each touched by exactly one
    domain, merged at report time), and the verify pool whose workers do
-   the signature checks the instances then skip. [mc_rejects] slots are
-   per pool lane; a slot is only written by that lane's (serialized)
-   completion deliveries. *)
+   the signature checks the instances then skip. *)
 type multicore = {
   mc_lane_execs : Realtime.t array;
   mc_lane_telemetry : Telemetry.t array;
   mc_lane_traces : Trace.t array;
   mc_pool : Verify_pool.t;
-  mc_rejects : int array;
 }
 
 type t = {
@@ -129,14 +126,12 @@ let create setup =
           mc_lane_traces =
             Array.init k (fun _ -> Trace.create ~enabled:(Option.is_some setup.trace) ());
           mc_pool = Verify_pool.create ~workers:setup.domains ~lanes:(n * k);
-          mc_rejects = Array.make (n * k) 0;
         }
   in
-  (* Transports with single-domain state (the socket poller, the delay
-     shim) are wrapped so lane domains hand each send to the main loop;
-     the zero-delay multicore loopback instead dispatches on the calling
-     domain — its counters are atomic and the multicore handlers only
-     enqueue verify-pool jobs, so no protocol code runs inline. *)
+  (* Every transport owns single-domain state (the loopback's counters and
+     timers, the socket poller, the delay shim, the codec's scratch
+     writer), so lane domains hand each send to the main loop, and every
+     handler runs there. *)
   let post_to_main (raw : Replica.envelope Backend.Transport.t) =
     {
       Backend.Transport.n = raw.Backend.Transport.n;
@@ -152,11 +147,6 @@ let create setup =
     }
   in
   let tcp = ref None in
-  (* The multicore zero-delay loopback is the one transport safe to call
-     from a lane domain directly; anything else (socket pollers, the delay
-     shim's timers, the codec's scratch writer) owns single-domain state
-     and must be reached through [post_to_main]. *)
-  let mc_direct_loopback = Option.is_some mc && setup.delays_ms = None in
   (* Geography shim: per-(src,dst) one-way delays applied sender-side over
      whatever transport is underneath. The timers live on the main loop, so
      under [post_to_main] the delayed send itself already runs there. *)
@@ -167,7 +157,6 @@ let create setup =
   in
   let shimmed =
     match setup.transport with
-    | Inproc when mc_direct_loopback -> Realtime.multicore_loopback ~n ()
     | Inproc -> shim (Realtime.loopback exec ~n)
     | Tcp base_port ->
       let h = Tcp.create exec ~n ~base_port () in
@@ -179,9 +168,7 @@ let create setup =
       Realtime.self_loopback exec
         (Realtime.framed ~encode:write_envelope ~decode:read_envelope (shim (Tcp.transport h)))
   in
-  let transport =
-    if Option.is_none mc || mc_direct_loopback then shimmed else post_to_main shimmed
-  in
+  let transport = if Option.is_none mc then shimmed else post_to_main shimmed in
   (* Modeled verification service time ({!Crypto_cost}), charged per
      SIGNATURE rather than per message: one for the header / vote /
      certificate check, plus one per transaction carried in a proposal's
@@ -219,19 +206,6 @@ let create setup =
   in
   let backend = Realtime.backend exec transport in
   let telemetry = Telemetry.create () in
-  (* Multicore: each mempool is its own arrival group, caught up under its
-     own mutex by whichever domain touches it (its lanes' proposers, the
-     main domain's requeues and client stops). Disjoint stride-[n] id
-     spaces replace the shared counter, which would otherwise serialize
-     every lane domain on one lock. *)
-  let client_group =
-    Option.map
-      (fun m i ->
-        Shoalpp_workload.Mempool.group
-          ~clock:(Realtime.clock m.mc_lane_execs.(i mod k))
-          ~next_id:i ~stride:n ())
-      mc
-  in
   let make_replica replica_id ~mempool ~on_commit ~on_caught_up =
     let config, lane_env =
       match mc with
@@ -274,12 +248,12 @@ let create setup =
   let h =
     Harness.create ~backend ~n ~num_dags:setup.protocol.Config.num_dags
       ~load_tps:setup.load_tps ~tx_size:setup.tx_size ~seed:setup.seed
-      ~warmup_ms:setup.warmup_ms ~track_logs:true ~telemetry ?client_group
+      ~warmup_ms:setup.warmup_ms ~track_logs:true ~telemetry
       ~hooks:Harness.replica_hooks ~make_replica ()
   in
   (* Multicore inbound routing: the transport delivers on the main domain;
      each message is verified on the pool (one pool lane per
-     (replica, dag) so per-stream FIFO order survives the steal), and the
+     (replica, dag), so each stream is delivered in FIFO order), and the
      survivors are posted to their DAG lane's executor. *)
   (match mc with
   | None -> ()
@@ -290,19 +264,18 @@ let create setup =
         Backend.set_handler backend rid (fun ~src env ->
             let dag_id = env.Replica.dag_id in
             (* Control-plane envelopes (checkpoint votes) bypass the verify
-               pool and land on the merge domain, which owns the checkpoint
-               manager; their signature is checked inside the handler. *)
+               pool: the handler already runs on the merge domain, which
+               owns the checkpoint manager, and checks their signature. *)
             if dag_id = Replica.control_dag_id then
-              Realtime.post exec (fun () ->
-                  Replica.deliver replica ~dag_id ~src env.Replica.payload)
+              Replica.deliver replica ~dag_id ~src env.Replica.payload
             else if dag_id >= 0 && dag_id < k then begin
               let payload = env.Replica.payload in
               let pool_lane = (rid * k) + dag_id in
-              (* The quiesce window: transports can still deliver after
-                 {!Verify_pool.shutdown} began — the direct multicore
-                 loopback even on a lane domain, racing the main domain's
-                 shutdown — and a late submit raises by contract. Such a
-                 message is dropped like any other still in flight. *)
+              (* The quiesce window: the main loop's final drain still
+                 delivers sends the lanes posted before they stopped, after
+                 {!Verify_pool.shutdown}, and a late submit raises by
+                 contract. Such a message is dropped like any other still
+                 in flight. *)
               try
                 Verify_pool.submit m.mc_pool ~lane:pool_lane
                   ~work:(fun () ->
@@ -313,8 +286,7 @@ let create setup =
                   ~k:(fun ok ->
                     if ok then
                       Realtime.post m.mc_lane_execs.(dag_id) (fun () ->
-                          Replica.deliver replica ~dag_id ~src payload)
-                    else m.mc_rejects.(pool_lane) <- m.mc_rejects.(pool_lane) + 1)
+                          Replica.deliver replica ~dag_id ~src payload))
               with Invalid_argument _ when Verify_pool.closed m.mc_pool -> ()
             end))
       (Harness.replicas h));

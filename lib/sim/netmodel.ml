@@ -1,7 +1,5 @@
 module Rng = Shoalpp_support.Rng
 
-type send_order = Fixed_order | Farthest_first
-
 type config = {
   bandwidth_bytes_per_ms : float;
   jitter_ms : float;
@@ -10,7 +8,6 @@ type config = {
   cpu_fixed_ms : float;
   cpu_per_byte_ms : float;
   loopback_ms : float;
-  send_order : send_order;
 }
 
 let default_config =
@@ -22,7 +19,6 @@ let default_config =
     cpu_fixed_ms = 0.002;
     cpu_per_byte_ms = 0.0000004;
     loopback_ms = 0.01;
-    send_order = Farthest_first;
   }
 
 (* A broadcast's deliveries to one destination region, sorted by delivery
@@ -270,11 +266,7 @@ let sort_envelope env =
    destination region into pooled envelopes, each driven by one chained
    timer. *)
 let broadcast t ~src ~size ?(include_self = true) msg =
-  let order =
-    match t.config.send_order with
-    | Farthest_first -> t.far_order.(src)
-    | Fixed_order -> Array.init t.n (fun i -> i)
-  in
+  let order = t.far_order.(src) in
   let now = Engine.now t.engine in
   if Faults.is_crashed t.fault ~replica:src ~time:now then ()
   else begin

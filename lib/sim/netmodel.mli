@@ -24,10 +24,6 @@
 
 type 'msg t
 
-type send_order =
-  | Fixed_order  (** ascending replica id — the naive pattern §7 warns about *)
-  | Farthest_first  (** distance-based priority broadcast (§7) *)
-
 type config = {
   bandwidth_bytes_per_ms : float;  (** egress pipe per replica; e.g. 1 Gbps = 125_000. *)
   jitter_ms : float;  (** lognormal jitter scale added to propagation; 0 disables. *)
@@ -40,12 +36,11 @@ type config = {
   cpu_fixed_ms : float;  (** receiver cost per message. *)
   cpu_per_byte_ms : float;  (** receiver cost per payload byte. *)
   loopback_ms : float;  (** self-delivery latency. *)
-  send_order : send_order;
 }
 
 val default_config : config
 (** 1 Gbps egress, 2 ms jitter scale (typical WAN), 2 s slow epochs with
-    8 ms mean extra delay, 2 µs + 0.4 ns/byte CPU, farthest-first sends. *)
+    8 ms mean extra delay, 2 µs + 0.4 ns/byte CPU. *)
 
 val extra_delay_ms : _ t -> src:int -> time:float -> float
 (** The slow-epoch extra delay in force for [src] at [time] (for tests). *)
@@ -78,7 +73,9 @@ val send : 'msg t -> src:int -> dst:int -> size:int -> 'msg -> unit
     perturbing the jitter/drop random streams. *)
 
 val broadcast : 'msg t -> src:int -> size:int -> ?include_self:bool -> 'msg -> unit
-(** Send to every replica in the configured send order. [include_self]
+(** Send to every replica, farthest first: a sender's egress slots go to
+    the destinations in descending {!base_delay_ms} order, ties by replica
+    id (the distance-based priority broadcast of §7). [include_self]
     (default true) delivers a loopback copy without consuming egress.
 
     Internally the fan-out is batched: surviving deliveries are grouped by

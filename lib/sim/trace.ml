@@ -186,7 +186,7 @@ let detail kind =
 type event = { time : float; replica : int; instance : int; kind : kind }
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   capacity : int;
   buf : event option array;
   mutable next : int;
@@ -198,7 +198,6 @@ let create ?(enabled = false) ?(capacity = 4096) () =
   { enabled; capacity; buf = Array.make capacity None; next = 0; total = 0 }
 
 let enabled t = t.enabled
-let set_enabled t v = t.enabled <- v
 
 let record_event t ~time ~replica ?(instance = 0) kind =
   if t.enabled then begin

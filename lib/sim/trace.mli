@@ -76,7 +76,6 @@ type t
 
 val create : ?enabled:bool -> ?capacity:int -> unit -> t
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val record_event : t -> time:float -> replica:int -> ?instance:int -> kind -> unit
 

@@ -7,7 +7,6 @@ type pending = { cb : unit -> unit; entry : entry option }
 type t = {
   timers : Backend.Timers.t;
   sync_latency_ms : float;
-  group_commit : bool;
   retain : bool;
   mutable device_busy : bool;
   mutable queue : pending list; (* reversed arrival order *)
@@ -16,11 +15,10 @@ type t = {
   mutable syncs : int;
 }
 
-let create ~timers ~sync_latency_ms ?(group_commit = true) ?(retain = false) () =
+let create ~timers ~sync_latency_ms ?(retain = false) () =
   {
     timers;
     sync_latency_ms;
-    group_commit;
     retain;
     device_busy = false;
     queue = [];
@@ -44,8 +42,8 @@ let rec start_sync t =
   | pending ->
     t.device_busy <- true;
     (* Group commit: one sync covers everything queued right now. *)
-    let batch = if t.group_commit then List.rev pending else [ List.hd (List.rev pending) ] in
-    t.queue <- (if t.group_commit then [] else List.rev (List.tl (List.rev pending)));
+    let batch = List.rev pending in
+    t.queue <- [];
     t.syncs <- t.syncs + 1;
     ignore
       (t.timers.Backend.Timers.schedule ~after:t.sync_latency_ms (fun () ->

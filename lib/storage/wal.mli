@@ -42,15 +42,14 @@ type entry = { lane : int; round : int; payload : unit -> string }
 val create :
   timers:Shoalpp_backend.Backend.Timers.t ->
   sync_latency_ms:float ->
-  ?group_commit:bool ->
   ?retain:bool ->
   unit ->
   t
 (** [sync_latency_ms] = 0 models the in-memory configuration (the paper's
-    Mysticeti baseline forgoes persistence). [group_commit] defaults to
-    true. [retain] (default false) keeps synced entries in memory so a
-    recovering replica can replay them ({!entries}); crash-recovery
-    scenarios enable it. *)
+    Mysticeti baseline forgoes persistence). Every sync is a group commit:
+    it covers everything queued when it starts. [retain] (default false)
+    keeps synced entries in memory so a recovering replica can replay them
+    ({!entries}); crash-recovery scenarios enable it. *)
 
 val append : t -> ?entry:entry -> (unit -> unit) -> unit
 (** Schedule a durable write; the callback fires when the

@@ -55,7 +55,6 @@ let unit_float t =
   bits *. (1.0 /. 9007199254740992.0)
 
 let float t bound = unit_float t *. bound
-let float_in t lo hi = lo +. (unit_float t *. (hi -. lo))
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = unit_float t < p
 

@@ -38,9 +38,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val float_in : t -> float -> float -> float
-(** [float_in t lo hi] is uniform in [\[lo, hi)]. *)
-
 val bool : t -> bool
 
 val bernoulli : t -> float -> bool

@@ -142,7 +142,6 @@ let gauge t name =
     g
 
 let set g v = g.g_value <- v
-let gauge_value g = g.g_value
 
 let histogram t name =
   match Hashtbl.find_opt t.histograms name with

@@ -90,7 +90,6 @@ val counter_name : counter -> string
 
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : t -> string -> Histogram.t
 val observe : Histogram.t -> float -> unit

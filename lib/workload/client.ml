@@ -16,4 +16,3 @@ let start ~mempool ~origin ~rate_tps ?(tx_size = Transaction.default_size) ?(see
 
 let stop = Mempool.detach
 let generated = Mempool.generated
-let exhausted = Mempool.exhausted

@@ -18,10 +18,7 @@
       a group — ids, whenever the pools happen to be read;
     - no transaction is due after {!stop}, and every one due before it is
       delivered; no executor event or timer is involved at any point;
-    - transaction ids never repeat: stride-sharded id spaces stay disjoint
-      across groups at any horizon — a client whose next id would
-      overflow [max_int] submits the last representable id and stops
-      ({!exhausted}) rather than wrapping into another group's space. *)
+    - transaction ids never repeat within a group. *)
 
 type t
 
@@ -44,8 +41,3 @@ val stop : t -> unit
 
 val generated : t -> int
 (** Arrivals so far, counted up to now. *)
-
-val exhausted : t -> bool
-(** True once the client stopped itself because the next id would have
-    overflowed [max_int] (the last representable id was submitted, none
-    were wrapped). Never true in practice at realistic horizons. *)

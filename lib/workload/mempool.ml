@@ -4,11 +4,10 @@ module Rng = Shoalpp_support.Rng
 
 (* One mutex per arrival group covers the group's id counter, its
    clients' schedules and every member pool's queue: an operation on any
-   pool catches up the whole group and then acts, atomically. The
-   simulator and the single-domain node put every pool in one group (one
-   shared id counter) and pay an uncontended lock. The multicore node
-   gives each pool its own group, so a lane domain's pull and the main
-   domain's requeue or client stop serialize on that pool's mutex only. *)
+   pool catches up the whole group and then acts, atomically. Every run
+   puts all its pools in one group (one shared id counter); the multicore
+   node's lane domains pull under that mutex while the main domain
+   requeues and stops clients. *)
 
 (* One open-loop client. [next_at] is the due time of its next arrival;
    the group's due-time queue holds it once, under the [next_at] it had
@@ -24,13 +23,11 @@ type source = {
   mutable next_at : float; [@shoalpp.guarded_by "mu"]
   mutable generated : int; [@shoalpp.guarded_by "mu"]
   mutable live : bool; [@shoalpp.guarded_by "mu"]
-  mutable exhausted : bool; [@shoalpp.guarded_by "mu"]
 }
 
 and group = {
   mu : Mutex.t;
   clock : Backend.Clock.t option; (* [None]: a pool that never gets clients *)
-  stride : int;
   mutable next_id : int; [@shoalpp.guarded_by "mu"]
   (* Due-time ties break in scheduling order, as the engine's timers do. *)
   due : source Heap.t; [@shoalpp.guarded_by "mu"]
@@ -44,24 +41,11 @@ and t = {
   mutable rejected : int; [@shoalpp.guarded_by "mu"]
 }
 
-let make_group ?clock ~next_id ~stride () =
-  {
-    mu = Mutex.create ();
-    clock;
-    stride;
-    next_id;
-    due = Heap.create ();
-  }
-
-let group ~clock ?(next_id = 0) ?(stride = 1) () =
-  if stride < 1 then invalid_arg "Mempool.group: stride must be >= 1";
-  if next_id < 0 then invalid_arg "Mempool.group: next_id must be >= 0";
-  make_group ~clock ~next_id ~stride ()
+let make_group clock = { mu = Mutex.create (); clock; next_id = 0; due = Heap.create () }
+let group ~clock () = make_group (Some clock)
 
 let create ?(max_pending = max_int) ?group () =
-  let group =
-    match group with Some g -> g | None -> make_group ~next_id:0 ~stride:1 ()
-  in
+  let group = match group with Some g -> g | None -> make_group None in
   { group; q = Queue.create (); max_pending; submitted = 0; rejected = 0 }
 
 let push t tx =
@@ -80,25 +64,16 @@ let schedule g src =
   Heap.add g.due ~at:src.next_at src
 [@@shoalpp.requires_lock "mu"]
 
-(* The arrival due at [src.next_at], stamped with that due time. Id
-   overflow guard: advancing past [max_int - stride] would wrap the id
-   space into another group's stride, so the last representable id is
-   submitted and the client retires instead. *)
+(* The arrival due at [src.next_at], stamped with that due time. *)
 let arrive g src =
   let id = g.next_id in
-  if id > max_int - g.stride then begin
-    src.live <- false;
-    src.exhausted <- true
-  end
-  else g.next_id <- id + g.stride;
+  g.next_id <- id + 1;
   ignore
     (push src.pool
        (Transaction.make ~id ~size:src.tx_size ~submitted_at:src.next_at ~origin:src.origin ()));
   src.generated <- src.generated + 1;
-  if src.live then begin
-    src.next_at <- src.next_at +. Rng.exponential src.rng src.mean_gap_ms;
-    schedule g src
-  end
+  src.next_at <- src.next_at +. Rng.exponential src.rng src.mean_gap_ms;
+  schedule g src
 [@@shoalpp.requires_lock "mu"]
 
 (* Materialize every arrival of the group due at or before now, in
@@ -168,7 +143,6 @@ let attach t ~origin ~mean_gap_ms ~tx_size ~rng =
             next_at = clock.Backend.Clock.now () +. Rng.exponential rng mean_gap_ms;
             generated = 0;
             live = true;
-            exhausted = false;
           }
         in
         schedule t.group src;
@@ -178,4 +152,3 @@ let detach src =
   with_mu src.pool (fun () -> src.live <- false)
 
 let generated src = with_mu src.pool (fun () -> src.generated)
-let exhausted src = with_mu src.pool (fun () -> src.exhausted)

@@ -21,10 +21,9 @@
     - every transaction a client contributes has [submitted_at] equal to
       its due time, and is in the queue before any operation at or after
       that time returns;
-    - ids come from the group's one counter, assigned in (due time,
-      scheduling order) across all the group's clients: ids never repeat
-      within a group, and groups with distinct residues modulo a common
-      stride never share an id;
+    - ids come from the group's one counter, 0, 1, 2, ... assigned in
+      (due time, scheduling order) across all the group's clients: ids
+      never repeat within a group;
     - catch-up is O(1) when nothing is due (one read of the group queue's
       head due time) and O(log clients) per materialized arrival;
     - a pull returns at most the requested batch size, and a bounded pool
@@ -41,13 +40,9 @@ type group
     and one clock, and are caught up together: an operation on any member
     materializes the due arrivals of every member. *)
 
-val group : clock:Shoalpp_backend.Backend.Clock.t -> ?next_id:int -> ?stride:int -> unit -> group
-(** A new group whose ids start at [next_id] (default 0) and advance by
-    [stride] (default 1). One group with the defaults keeps ids globally
-    unique across every replica of one domain; the multicore node gives
-    pool [i] its own group starting at [i] with [stride = n], so the id
-    spaces are disjoint without any cross-domain sharing.
-    @raise Invalid_argument when [stride < 1] or [next_id < 0]. *)
+val group : clock:Shoalpp_backend.Backend.Clock.t -> unit -> group
+(** A new group whose ids start at 0. One group keeps ids unique across
+    every replica of a run. *)
 
 val create : ?max_pending:int -> ?group:group -> unit -> t
 (** [max_pending] bounds the queue (default unbounded); beyond it,
@@ -83,6 +78,3 @@ val detach : source -> unit
 
 val generated : source -> int
 (** Arrivals materialized so far (after catching up to now). *)
-
-val exhausted : source -> bool
-(** The source retired itself at the group's last representable id. *)

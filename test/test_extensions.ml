@@ -182,15 +182,13 @@ let test_direct_guard_blocks_commit () =
   checkb "guard released, commits flow" true (!segments > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Broadcast send orders. *)
+(* Broadcast send order. *)
 
-let first_broadcast_targets order =
+let test_farthest_first_order () =
   let engine = Engine.create () in
   let topology = Topology.gcp10 () in
   let assignment = Topology.assign_round_robin topology ~n:10 in
-  let config =
-    { Netmodel.default_config with Netmodel.send_order = order; jitter_ms = 0.0; epoch_ms = 0.0 }
-  in
+  let config = { Netmodel.default_config with Netmodel.jitter_ms = 0.0; epoch_ms = 0.0 } in
   let net =
     Netmodel.create ~engine ~topology ~assignment ~fault:(Faults.schedule Faults.none ~n:10) ~config
       ~seed:4 ()
@@ -200,39 +198,25 @@ let first_broadcast_targets order =
     Netmodel.set_handler net i (fun ~src:_ () ->
         arrivals := (i, Engine.now engine) :: !arrivals)
   done;
-  (* Large messages so egress serialization separates send slots. *)
+  (* Large messages so egress serialization separates send slots: with no
+     jitter, a delivery's time less its link's propagation delay is the
+     end of its egress slot (plus a receiver CPU cost equal for all). *)
   Netmodel.broadcast net ~src:0 ~size:1_250_000 ~include_self:false ();
   Engine.run engine;
-  List.sort (fun (_, a) (_, b) -> compare a b) (List.rev !arrivals)
-
-let test_farthest_first_order () =
-  (* With farthest-first, distant replicas get earlier egress slots, which
-     compresses the arrival spread vs fixed order. *)
-  let spread arrivals =
-    match (arrivals, List.rev arrivals) with
-    | (_, first) :: _, (_, last) :: _ -> last -. first
-    | _ -> nan
+  let delay dst = Netmodel.base_delay_ms net ~src:0 ~dst in
+  let slots =
+    List.sort
+      (fun (_, a) (_, b) -> Float.compare a b)
+      (List.map (fun (dst, at) -> (dst, at -. delay dst)) !arrivals)
   in
-  let far = spread (first_broadcast_targets Netmodel.Farthest_first) in
-  let fixed = spread (first_broadcast_targets Netmodel.Fixed_order) in
-  checkb (Printf.sprintf "farthest-first compresses arrivals (%.1f < %.1f)" far fixed) true
-    (far < fixed)
-
-(* ------------------------------------------------------------------ *)
-(* WAL without group commit. *)
-
-let test_wal_no_group_commit () =
-  let engine = Engine.create () in
-  let wal = Wal.create ~timers:(Shoalpp_backend.Backend_sim.timers engine) ~sync_latency_ms:5.0 ~group_commit:false () in
-  let times = ref [] in
-  for i = 1 to 3 do
-    Wal.append wal (fun () -> times := (i, Engine.now engine) :: !times)
-  done;
-  Engine.run engine;
-  checki "three syncs" 3 (Wal.syncs wal);
-  (match List.assoc_opt 3 !times with
-  | Some t -> checkf "third serialized" 15.0 t
-  | None -> Alcotest.fail "lost append")
+  checki "every peer received the broadcast" 9 (List.length slots);
+  let farthest = List.fold_left (fun acc dst -> Float.max acc (delay dst)) 0.0 (List.init 9 succ) in
+  (match slots with
+  | (first, _) :: _ -> checkf "first target is a farthest peer" farthest (delay first)
+  | [] -> Alcotest.fail "broadcast reached no peer");
+  let delays = List.map (fun (dst, _) -> delay dst) slots in
+  checkb "egress slots go out in descending distance" true
+    (delays = List.sort (fun a b -> Float.compare b a) delays)
 
 (* ------------------------------------------------------------------ *)
 (* Codec bounds. *)
@@ -265,8 +249,6 @@ let suite =
       [ Alcotest.test_case "direct guard blocks" `Quick test_direct_guard_blocks_commit ] );
     ( "extensions.netmodel",
       [ Alcotest.test_case "farthest-first order" `Quick test_farthest_first_order ] );
-    ( "extensions.wal",
-      [ Alcotest.test_case "no group commit" `Quick test_wal_no_group_commit ] );
     ( "extensions.codec",
       [ Alcotest.test_case "reader list bound" `Quick test_reader_list_bound ] );
     ( "extensions.experiment",

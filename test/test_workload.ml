@@ -61,10 +61,8 @@ let test_mempool_oldest_waiting () =
   Alcotest.(check (option (float 1e-9))) "head arrival" (Some 42.0) (Mempool.oldest_waiting m)
 
 (* A pool in its own arrival group on [engine]'s clock. *)
-let pool ?next_id ?stride engine =
-  Mempool.create
-    ~group:(Mempool.group ~clock:(Shoalpp_backend.Backend_sim.clock engine) ?next_id ?stride ())
-    ()
+let pool engine =
+  Mempool.create ~group:(Mempool.group ~clock:(Shoalpp_backend.Backend_sim.clock engine) ()) ()
 
 let test_client_rate () =
   let engine = Engine.create () in
@@ -111,13 +109,10 @@ let test_client_timestamps_are_submission_times () =
       checkb "timestamp in run" true (t.Transaction.submitted_at > 0.0 && t.Transaction.submitted_at <= 2_000.0))
     (Mempool.pull m ~max:max_int)
 
-(* The open-loop guards: a rate must be finite and positive, shard
-   parameters must describe a real id space, and the id space never wraps
-   — a client whose next id would overflow submits the last representable
-   id and stops itself instead of colliding with another group's stride. *)
+(* The open-loop guards: a rate must be finite and positive, and a client
+   needs a pool that belongs to an arrival group. *)
 let test_client_rejects_bad_parameters () =
   let engine = Engine.create () in
-  let clock = Shoalpp_backend.Backend_sim.clock engine in
   let m = pool engine in
   let expect_invalid label f =
     match f () with
@@ -134,26 +129,8 @@ let test_client_rejects_bad_parameters () =
       ("nan rate", Float.nan);
       ("infinite rate", Float.infinity);
     ];
-  expect_invalid "zero stride" (fun () -> ignore (Mempool.group ~clock ~stride:0 ()));
-  expect_invalid "negative stride" (fun () -> ignore (Mempool.group ~clock ~stride:(-3) ()));
-  expect_invalid "negative next_id" (fun () -> ignore (Mempool.group ~clock ~next_id:(-1) ()));
   expect_invalid "pool without a group" (fun () ->
       ignore (Client.start ~mempool:(Mempool.create ()) ~origin:0 ~rate_tps:10.0 ()))
-
-let test_client_id_overflow_stops_lane () =
-  let engine = Engine.create () in
-  let stride = 4 in
-  (* Two arrivals from exhaustion: the guard must submit the last
-     representable id of this lane, then stop — never wrap. *)
-  let start = max_int - stride - 1 in
-  let m = pool ~next_id:start ~stride engine in
-  let c = Client.start ~mempool:m ~origin:0 ~rate_tps:1000.0 ~seed:3 () in
-  Engine.run ~until:60_000.0 engine;
-  checkb "lane stopped itself" true (Client.exhausted c);
-  let ids = List.map (fun (t : Transaction.t) -> t.Transaction.id) (Mempool.pull m ~max:max_int) in
-  checki "exactly the representable ids" 2 (List.length ids);
-  Alcotest.(check (list int)) "last id submitted, none wrapped" [ start; start + stride ] ids;
-  checkb "no negative (wrapped) ids" true (List.for_all (fun id -> id >= 0) ids)
 
 (* ------------------------------------------------------------------ *)
 (* Lazy arrivals: a client is a schedule, materialized by mempool reads. *)
@@ -238,8 +215,7 @@ let test_sim_events_drop_by_arrivals () =
 (* Equivalence with the timer model: whatever the mempool operations and
    client stop/restart times, every pool yields exactly the arrivals the
    Poisson recurrence gives, with ids in global due-time order (one
-   shared counter) or in per-pool stride sequences (one group per pool,
-   as the multicore node builds them). *)
+   shared counter). *)
 type action = Op of int * int * int | Stop of int | Restart of int
 
 let horizon = 1000.0
@@ -248,7 +224,6 @@ let gen_case =
   let open QCheck.Gen in
   let* n = oneofl [ 1; 4; 16 ] in
   let* seed = int_bound 10_000 in
-  let* strided = bool in
   let* ops =
     list_size (int_range 0 40)
       (pair (float_bound_inclusive horizon) (triple (int_bound 15) (int_bound 4) (int_range 1 8)))
@@ -256,10 +231,10 @@ let gen_case =
   let* windows =
     list_repeat n (opt (pair (float_bound_inclusive horizon) (opt (float_bound_inclusive 500.0))))
   in
-  return (n, seed, strided, ops, windows)
+  return (n, seed, ops, windows)
 
-let print_case (n, seed, strided, ops, windows) =
-  Printf.sprintf "n=%d seed=%d strided=%b ops=[%s] windows=[%s]" n seed strided
+let print_case (n, seed, ops, windows) =
+  Printf.sprintf "n=%d seed=%d ops=[%s] windows=[%s]" n seed
     (String.concat "; " (List.map (fun (at, (p, k, m)) -> Printf.sprintf "%.3f:%d/%d/%d" at p k m) ops))
     (String.concat "; "
        (List.map
@@ -272,16 +247,11 @@ let print_case (n, seed, strided, ops, windows) =
 let prop_lazy_arrivals_match_reference =
   QCheck.Test.make ~name:"lazy arrivals equal the Poisson reference" ~count:150
     (QCheck.make ~print:print_case gen_case)
-    (fun (n, seed, strided, ops, windows) ->
+    (fun (n, seed, ops, windows) ->
       let rate_tps = 40.0 in
       let now, clock = manual_clock () in
-      let shared = Mempool.group ~clock () in
-      let pools =
-        Array.init n (fun i ->
-            Mempool.create
-              ~group:(if strided then Mempool.group ~clock ~next_id:i ~stride:n () else shared)
-              ())
-      in
+      let group = Mempool.group ~clock () in
+      let pools = Array.init n (fun _ -> Mempool.create ~group ()) in
       let start i = Client.start ~mempool:pools.(i) ~origin:i ~rate_tps ~seed () in
       let clients = Array.init n start in
       let windows = Array.of_list windows in
@@ -321,7 +291,7 @@ let prop_lazy_arrivals_match_reference =
       now := horizon;
       Array.iteri (fun i m -> take i (Mempool.pull m ~max:max_int)) pools;
       (* The reference: every client window's due times, ids assigned in
-         due order from the counter each pool draws from. *)
+         due order from the group's one counter. *)
       let dues i =
         let ref_dues ~from ~until = reference_dues ~seed ~origin:i ~rate_tps ~from ~until in
         match windows.(i) with
@@ -332,16 +302,12 @@ let prop_lazy_arrivals_match_reference =
           @ if s +. d <= horizon then ref_dues ~from:(s +. d) ~until:horizon else []
       in
       let expected =
-        if strided then
-          Array.init n (fun i -> List.mapi (fun k at -> (i + (k * n), i, at)) (dues i))
-        else begin
-          let all =
-            List.concat (List.init n (fun i -> List.map (fun at -> (at, i)) (dues i)))
-            |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
-          in
-          let numbered = List.mapi (fun id (at, i) -> (id, i, at)) all in
-          Array.init n (fun i -> List.filter (fun (_, o, _) -> o = i) numbered)
-        end
+        let all =
+          List.concat (List.init n (fun i -> List.map (fun at -> (at, i)) (dues i)))
+          |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+        in
+        let numbered = List.mapi (fun id (at, i) -> (id, i, at)) all in
+        Array.init n (fun i -> List.filter (fun (_, o, _) -> o = i) numbered)
       in
       let actual =
         Array.map
@@ -367,7 +333,6 @@ let suite =
         Alcotest.test_case "client stop" `Quick test_client_stop;
         Alcotest.test_case "client timestamps" `Quick test_client_timestamps_are_submission_times;
         Alcotest.test_case "client rejects bad parameters" `Quick test_client_rejects_bad_parameters;
-        Alcotest.test_case "client id overflow stops lane" `Quick test_client_id_overflow_stops_lane;
         Alcotest.test_case "arrival stamped with due time" `Quick test_arrival_stamped_with_due_time;
         Alcotest.test_case "requeue keeps fifo place" `Quick test_requeue_keeps_fifo_place;
         Alcotest.test_case "sim events drop by arrivals" `Quick test_sim_events_drop_by_arrivals;
