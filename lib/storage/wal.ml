@@ -1,8 +1,20 @@
 module Backend = Shoalpp_backend.Backend
 module Int_map = Map.Make (Int)
+module Int_tbl = Shoalpp_support.Int_tbl
 
 type entry = { lane : int; round : int; payload : unit -> string }
 type pending = { cb : unit -> unit; entry : entry option }
+
+(* One lane's retained entries, bucketed by round so that a truncation
+   drops whole rounds from the low end and never copies what it keeps.
+   Each entry carries its append sequence number, which restores the
+   append order across lanes and rounds on replay. *)
+type lane_log = {
+  rounds : (int * entry) list Int_tbl.t; (* round -> (seq, entry), newest first *)
+  mutable low : int; (* no retained entry below this round *)
+  mutable high : int; (* nor above this one *)
+  mutable count : int;
+}
 
 type t = {
   timers : Backend.Timers.t;
@@ -10,7 +22,8 @@ type t = {
   retain : bool;
   mutable device_busy : bool;
   mutable queue : pending list; (* reversed arrival order *)
-  mutable retained : entry list; (* synced, newest first *)
+  mutable lanes : lane_log Int_map.t;
+  mutable next_seq : int; (* append sequence of the next retained entry *)
   mutable appends : int;
   mutable syncs : int;
 }
@@ -22,19 +35,47 @@ let create ~timers ~sync_latency_ms ?(retain = false) () =
     retain;
     device_busy = false;
     queue = [];
-    retained = [];
+    lanes = Int_map.empty;
+    next_seq = 0;
     appends = 0;
     syncs = 0;
   }
 
+let retain_entry t (e : entry) =
+  let log =
+    match Int_map.find_opt e.lane t.lanes with
+    | Some log -> log
+    | None ->
+      let log = { rounds = Int_tbl.create 16; low = max_int; high = min_int; count = 0 } in
+      t.lanes <- Int_map.add e.lane log t.lanes;
+      log
+  in
+  let prev = Option.value ~default:[] (Int_tbl.find_opt log.rounds e.round) in
+  Int_tbl.replace log.rounds e.round ((t.next_seq, e) :: prev);
+  t.next_seq <- t.next_seq + 1;
+  if e.round < log.low then log.low <- e.round;
+  if e.round > log.high then log.high <- e.round;
+  log.count <- log.count + 1
+
 let truncate_below t ~lane ~round =
-  let before = List.length t.retained in
-  t.retained <- List.filter (fun e -> e.lane <> lane || e.round >= round) t.retained;
-  before - List.length t.retained
+  match Int_map.find_opt lane t.lanes with
+  | None -> 0
+  | Some log ->
+    let dropped = ref 0 in
+    for r = log.low to min log.high (round - 1) do
+      match Int_tbl.find_opt log.rounds r with
+      | Some l ->
+        dropped := !dropped + List.length l;
+        Int_tbl.remove log.rounds r
+      | None -> ()
+    done;
+    if round > log.low then log.low <- round;
+    log.count <- log.count - !dropped;
+    !dropped
 
 (* Simulated total disk loss: in-flight appends keep their callbacks (the
    device still completes the sync) and are retained when it does. *)
-let clear t = t.retained <- []
+let clear t = t.lanes <- Int_map.empty
 
 let rec start_sync t =
   match t.queue with
@@ -52,7 +93,7 @@ let rec start_sync t =
                (* An entry is durable (replayable on recovery) only once its
                   sync completes — appends lost mid-sync model a real crash. *)
                (match p.entry with
-               | Some e when t.retain -> t.retained <- e :: t.retained
+               | Some e when t.retain -> retain_entry t e
                | _ -> ());
                p.cb ())
              batch;
@@ -63,13 +104,22 @@ let append t ?entry cb =
   t.queue <- { cb; entry } :: t.queue;
   if not t.device_busy then start_sync t
 
-let entries t = List.rev_map (fun e -> (e.lane, e.payload ())) t.retained
+let entries t =
+  let all = ref [] in
+  Int_map.iter
+    (fun _ log ->
+      for r = log.low to log.high do
+        match Int_tbl.find_opt log.rounds r with
+        | Some l -> all := List.rev_append l !all
+        | None -> ()
+      done)
+    t.lanes;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !all
+  |> List.map (fun (_, e) -> (e.lane, e.payload ()))
 
 let segments t =
-  Int_map.bindings
-    (List.fold_left
-       (fun acc e -> Int_map.update e.lane (fun c -> Some (1 + Option.value c ~default:0)) acc)
-       Int_map.empty t.retained)
+  Int_map.fold (fun lane log acc -> if log.count > 0 then (lane, log.count) :: acc else acc) t.lanes []
+  |> List.rev
 
 let retains t = t.retain
 let appends t = t.appends

@@ -12,9 +12,12 @@
     as Narwhal/Bullshark do: {!truncate_below} drops one lane's entries
     below a round — the seam round of the newest durable certified
     checkpoint — so replay after a crash starts at the checkpoint instead
-    of genesis, whatever the lanes' phase. Truncation is a pure list
-    operation — it schedules no timers and never touches the device queue,
-    so enabling it cannot perturb the sync timing of protocol records.
+    of genesis, whatever the lanes' phase. Each lane keeps its entries in
+    per-round buckets, so a truncation drops whole rounds from the lane's
+    low end: it walks only the rounds it drops and copies nothing it
+    keeps. Truncation schedules no timers and never touches the device
+    queue, so enabling it cannot perturb the sync timing of protocol
+    records.
 
     Sync completion is driven by a {!Shoalpp_backend.Backend.Timers}
     handle, so the same log runs under the simulator or the wall-clock
