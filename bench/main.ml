@@ -98,7 +98,6 @@ let t1 () =
       E.topology = Topology.uniform ~delay_ms:md;
       load_tps = 50.0 *. float_of_int bench_n;
       duration_ms = Float.max 20_000.0 bench_duration_ms;
-      stagger_ms = Some md;
       (* Noise-free network: measured latency divides exactly into message
          delays. *)
       net_config = Some E.clean_net_config;

@@ -37,7 +37,7 @@ let system_conv =
   in
   Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (E.system_name s))
 
-let run (c : Cli.common) system dags stagger series chrome_out =
+let run (c : Cli.common) system dags series chrome_out =
   let params =
     {
       E.default_params with
@@ -49,7 +49,6 @@ let run (c : Cli.common) system dags stagger series chrome_out =
       scenario = c.Cli.scenario;
       round_timeout_ms = c.Cli.timeout;
       num_dags = dags;
-      stagger_ms = stagger;
       verify_signatures = not c.Cli.no_verify;
       checkpoint_interval = c.Cli.checkpoint_interval;
       seed = c.Cli.seed;
@@ -90,9 +89,6 @@ let sim =
     Arg.(value & opt system_conv E.Shoalpp & info [ "system"; "s" ] ~doc:"System to run.")
   in
   let dags = Arg.(value & opt (some int) None & info [ "dags" ] ~doc:"Parallel DAGs override.") in
-  let stagger =
-    Arg.(value & opt (some float) None & info [ "stagger" ] ~doc:"DAG stagger override, ms.")
-  in
   let series = Arg.(value & flag & info [ "series" ] ~doc:"Print per-second time series.") in
   let chrome_out =
     Arg.(
@@ -113,7 +109,7 @@ let sim =
              partition:from=8000,dur=20000,minority=5, \
              crash-recover:count=1,at=5000,recover=15000, crash:count=5 (down from t=0), \
              drop:count=1,rate=0.01,from=20000 (egress drops)."
-      $ system $ dags $ stagger $ series $ chrome_out)
+      $ system $ dags $ series $ chrome_out)
 
 let () =
   exit

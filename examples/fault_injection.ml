@@ -21,7 +21,7 @@ let () =
   Format.printf "=== crash faults: Shoal++ with f=5 of 16 replicas crashed at t=10s ===@.";
   let committee = Committee.make ~n:16 () in
   let protocol =
-    Config.without_signature_checks { (Config.shoalpp ~committee) with Config.stagger_ms = 95.0 }
+    Config.without_signature_checks (Config.shoalpp ~committee)
   in
   (* Crashes take the top ids: replicas 11-15. *)
   let setup =

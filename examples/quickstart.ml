@@ -35,9 +35,10 @@ let () =
   in
   let world = Shoalpp_backend.Backend_sim.of_net net in
 
-  (* 3. Four Shoal++ replicas. Replica 0 prints every segment appended to
-     its totally ordered log. *)
-  let protocol = { (Config.shoalpp ~committee) with Config.stagger_ms = 25.0 } in
+  (* 3. Four Shoal++ replicas, k = 3 DAG lanes kept about a third of a
+     round apart by the phase gate. Replica 0 prints every segment appended
+     to its totally ordered log. *)
+  let protocol = Config.shoalpp ~committee in
   let mempools = Array.init 4 (fun _ -> Mempool.create ()) in
   let print_segment (o : Replica.ordered) =
     let s = o.Replica.segment in

@@ -44,7 +44,6 @@ type params = {
   topology : Topology.t;
   scenario : Shoalpp_sim.Faults.t;
   round_timeout_ms : float option;
-  stagger_ms : float option;
   num_dags : int option;
   net_config : Shoalpp_sim.Netmodel.config option;
   verify_signatures : bool;
@@ -65,7 +64,6 @@ let default_params =
     topology = Topology.gcp10 ();
     scenario = Shoalpp_sim.Faults.none;
     round_timeout_ms = None;
-    stagger_ms = None;
     num_dags = None;
     net_config = None;
     verify_signatures = true;
@@ -95,18 +93,6 @@ type outcome = {
   events : Shoalpp_sim.Trace.event list;
 }
 
-let median_one_way topology =
-  let k = Topology.num_regions topology in
-  let delays = ref [] in
-  for i = 0 to k - 1 do
-    for j = 0 to k - 1 do
-      if i <> j then delays := Topology.one_way_ms topology i j :: !delays
-    done
-  done;
-  match List.sort compare !delays with
-  | [] -> Topology.one_way_ms topology 0 0
-  | l -> List.nth l (List.length l / 2)
-
 let dag_config system params =
   let committee = Committee.make ~n:params.n ~cluster_seed:params.seed () in
   let base =
@@ -134,10 +120,6 @@ let dag_config system params =
   let base =
     match params.round_timeout_ms with Some ms -> Config.round_timeout base ms | None -> base
   in
-  let stagger =
-    match params.stagger_ms with Some s -> s | None -> median_one_way params.topology
-  in
-  let base = { base with Config.stagger_ms = stagger } in
   let base = Config.with_checkpoint_interval base params.checkpoint_interval in
   if params.verify_signatures then base else Config.without_signature_checks base
 

@@ -45,7 +45,6 @@ type params = {
           partition+heal, crash-recover; {!Shoalpp_sim.Faults.combine}
           joins several); default {!Shoalpp_sim.Faults.none} *)
   round_timeout_ms : float option;
-  stagger_ms : float option;  (** default: the topology's median one-way delay *)
   num_dags : int option;
   net_config : Shoalpp_sim.Netmodel.config option;
       (** [None] = {!Shoalpp_sim.Netmodel.default_config}. Use
@@ -90,7 +89,6 @@ type outcome = {
 }
 
 val run : system -> params -> outcome
-val median_one_way : Shoalpp_sim.Topology.t -> float
 val dag_config : system -> params -> Shoalpp_core.Config.t
 (** The concrete configuration a DAG-family system resolves to.
     @raise Invalid_argument for [Jolteon] / [Mysticeti]. *)

@@ -27,7 +27,7 @@ let base ~committee ~name =
     committee;
     name;
     num_dags = 1;
-    stagger_ms = 80.0;
+    stagger_ms = 0.0;
     batch_cap = 500;
     wait_policy = Instance.All_or_timeout 600.0;
     all_to_all_votes = false;

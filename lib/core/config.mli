@@ -8,7 +8,7 @@
       reputation, liveness timeout on the round's anchor, k=1.
     - {!shoal}: anchors every round, reputation, k=1.
     - {!shoalpp}: all three Shoal++ augmentations — fast direct commit,
-      all-eligible anchors with lockstep timeout, k=3 staggered DAGs.
+      all-eligible anchors with lockstep timeout, k=3 DAGs kept in phase.
     - [with_dags]: the paper's "Bullshark/Shoal More DAGs" variants.
 
     Invariants:
@@ -22,7 +22,12 @@ type t = {
   committee : Shoalpp_dag.Committee.t;
   name : string;
   num_dags : int;
-  stagger_ms : float;  (** offset between consecutive DAG instances (§5.3) *)
+  stagger_ms : float;
+      (** extra start skew between consecutive DAG lanes, ms; default 0.
+          The lanes' phase (§5.3: k DAGs about a round/k apart) is kept by
+          {!Replica}'s phase gate, not by this offset, and the gate never
+          pulls a late lane forward: a positive skew (a test knob) keeps
+          the lanes that far apart. *)
   batch_cap : int;
   wait_policy : Shoalpp_dag.Instance.wait_policy;
   all_to_all_votes : bool;  (** §5.4 variant: quadratic vote broadcast, saves 1 md *)

@@ -47,6 +47,72 @@ type lane_env = {
   le_post_main : (unit -> unit) -> unit; (* run on the merge domain *)
 }
 
+(* The lanes' phase (the paper's third augmentation runs the k DAGs about a
+   round/k apart). Each lane publishes the round it last entered and when;
+   lane 0 also publishes P, the round period: an EWMA (weight 1/8) of its
+   interval between round entries, divided by the rounds skipped. The
+   lanes form a cycle: lane j >= 1 may enter round r no earlier than
+   3/4 P/k after lane j-1 entered r, and lane 0 may enter r no earlier
+   than 3/4 P/k after lane k-1 entered r-1. No lane is held more than P
+   past the moment it became ready. In phase, lane k-1 enters a round
+   (k-1) 3/4 P/k after lane 0, so lane 0's own round (P) always outlasts
+   its wait (3/4 P) and it is never held; it is held only while a lane
+   has fallen a round behind, which is the only way that lane gets back
+   in phase, since rounds are network-bound. The gate only times
+   proposals: what the lanes commit and how {!Merge} orders it do not
+   depend on it. A phase is written by its lane's domain only and read by
+   its neighbours', hence the atomics. *)
+type phase = { round : int; at : float; period : float }
+
+let no_phase = { round = -1; at = 0.0; period = 0.0 }
+
+let phase_earliest phases dag_id ~round ~ready =
+  let k = Array.length phases in
+  (* P, but no more than this lane's own latest round (entry to
+     readiness): when rounds speed up (a crashed peer returns) the EWMA
+     lags, and a hold sized by it would outlast the predecessor's next
+     round and push this lane a round behind. *)
+  let own = Atomic.get phases.(dag_id) in
+  let p = Float.min (Atomic.get phases.(0)).period (ready -. own.at) in
+  if k = 1 || p <= 0.0 then neg_infinity
+  else
+    let prev, round =
+      if dag_id = 0 then (Atomic.get phases.(k - 1), round - 1)
+      else (Atomic.get phases.(dag_id - 1), round)
+    in
+    if prev.round > round then neg_infinity
+    else
+      let opens = if prev.round = round then prev.at +. (0.75 *. p /. float_of_int k) else infinity in
+      Float.min opens (ready +. p)
+
+(* Lane [dag_id] entered [round] at [now], [held] ms after it was ready
+   to. Lane 0's entries update P and sample the lanes' round offset. *)
+let phase_entered phases dag_id ~obs ~now ~round ~held =
+  let last = Atomic.get phases.(dag_id) in
+  let period =
+    if dag_id > 0 || last.round < 0 || round <= last.round then last.period
+    else
+      let sample = (now -. last.at) /. float_of_int (round - last.round) in
+      if last.period <= 0.0 then sample else last.period +. ((sample -. last.period) /. 8.0)
+  in
+  Atomic.set phases.(dag_id) { round; at = now; period };
+  if Array.length phases > 1 then begin
+    if held > 0.0 then Obs.observe obs "lane.gate_held_ms" held;
+    if dag_id = 0 then begin
+      if period > 0.0 then Obs.observe obs "lane.period_ms" period;
+      let lo = ref round and hi = ref round in
+      Array.iter
+        (fun ph ->
+          let r = (Atomic.get ph).round in
+          if r >= 0 then begin
+            lo := min !lo r;
+            hi := max !hi r
+          end)
+        phases;
+      Obs.observe obs "lane.round_offset" (float_of_int (!hi - !lo))
+    end
+  end
+
 type dag_lane = {
   store : Store.t;
   instance : Instance.t;
@@ -63,6 +129,7 @@ type t = {
   wal : Wal.t;
   lane_env : lane_env option;
   mutable lanes : dag_lane array;
+  phases : phase Atomic.t array; (* by lane *)
   on_ordered : (ordered -> unit) option;
   obs : Obs.t;
   merge : Merge.t; (* Alg. 3: the lanes' committed segments, by anchor round *)
@@ -325,6 +392,21 @@ let make_lane t dag_id =
       on_proposal_noted = (fun _node -> Driver.notify (the_driver ()));
       on_certified = (fun _cn -> Driver.notify (the_driver ()));
       on_cert_meta = (fun _ref -> Driver.notify (the_driver ()));
+      earliest = (fun ~round ~ready -> phase_earliest t.phases dag_id ~round ~ready);
+      entered =
+        (fun ~round ~held ->
+          phase_entered t.phases dag_id ~obs:lane_obs ~now:(Backend.now lane_bk) ~round ~held;
+          (* Wake the successor the gate may hold for this entry, on its
+             own domain. *)
+          let k = cfg.Config.num_dags in
+          let next = (dag_id + 1) mod k in
+          if k > 1 then
+            match t.lane_env with
+            | None -> Instance.poke t.lanes.(next).instance
+            | Some env ->
+              ignore
+                (Backend.schedule (env.le_backend next) ~after:0.0 (fun () ->
+                     Instance.poke t.lanes.(next).instance)));
     }
   in
   let instance =
@@ -518,6 +600,7 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
           ~sync_latency_ms:config.Config.wal_sync_ms ~retain:retain_wal ();
       lane_env;
       lanes = [||];
+      phases = Array.init config.Config.num_dags (fun _ -> Atomic.make no_phase);
       on_ordered;
       obs;
       merge = Merge.create ~lanes:config.Config.num_dags;
@@ -599,6 +682,7 @@ let recover ?(wipe = false) t =
   if t.crashed then begin
     t.crashed <- false;
     Merge.restart t.merge ~round:0;
+    Array.iter (fun ph -> Atomic.set ph no_phase) t.phases;
     t.global_seq <- 0;
     t.base_seq <- 0;
     if wipe then Wal.clear t.wal;

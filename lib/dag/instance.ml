@@ -46,6 +46,8 @@ type callbacks = {
   on_proposal_noted : Types.node -> unit;
   on_certified : Types.certified_node -> unit;
   on_cert_meta : Types.node_ref -> unit;
+  earliest : round:int -> ready:float -> float;
+  entered : round:int -> held:float -> unit;
 }
 
 (* Vote accumulation for this replica's own proposal of a round. *)
@@ -72,6 +74,8 @@ type t = {
   mutable proposed_round : int;
   mutable round_started_at : float;
   mutable round_timer : Backend.timer option;
+  mutable ready_at : float option; (* since when the next round may be proposed *)
+  mutable gate_timer : (float * Backend.timer) option; (* the phase gate's target time *)
   mutable timeout_backoff : float; (* multiplier on the round timeout *)
   mutable lowest_round : int; (* GC horizon *)
   mutable table_low : int;
@@ -124,6 +128,8 @@ let create ?(obs = Obs.none) cfg cb ~store =
     proposed_round = -1;
     round_started_at = 0.0;
     round_timer = None;
+    ready_at = None;
+    gate_timer = None;
     timeout_backoff = 1.0;
     lowest_round = 0;
     table_low = 0;
@@ -227,7 +233,12 @@ let round_wait_satisfied t round =
 
 let rec propose t round =
   t.proposed_round <- round;
-  t.round_started_at <- t.cb.now ();
+  let now = t.cb.now () in
+  t.round_started_at <- now;
+  let held = match t.ready_at with Some at -> now -. at | None -> 0.0 in
+  t.ready_at <- None;
+  (match t.gate_timer with Some (_, timer) -> Backend.cancel timer | None -> ());
+  t.gate_timer <- None;
   (* Progress: any successful proposal resets the adaptive backoff. *)
   t.timeout_backoff <- 1.0;
   (match t.round_timer with Some timer -> Backend.cancel timer | None -> ());
@@ -281,9 +292,10 @@ let rec propose t round =
   t.cb.broadcast (Types.Proposal node);
   (* Arm the round timeout so the wait policy re-fires even with no new
      certificate arrivals. *)
-  match t.cfg.wait_policy with
+  (match t.cfg.wait_policy with
   | Quorum_only -> ()
-  | Anchors_or_timeout timeout | All_or_timeout timeout -> arm_round_timer t timeout
+  | Anchors_or_timeout timeout | All_or_timeout timeout -> arm_round_timer t timeout);
+  t.cb.entered ~round ~held
 
 and arm_round_timer t timeout =
   t.round_timer <-
@@ -301,8 +313,9 @@ and arm_round_timer t timeout =
                 no certificate quorum, e.g. the minority side of a
                 partition or repeated anchor misses — double the timer
                 (capped) before re-arming, so a cut-off replica doesn't
-                spin hot while the network is unreachable. *)
-             if t.alive && t.proposed_round = before then begin
+                spin hot while the network is unreachable. A round held
+                by the phase gate has progressed: its gate timer fires. *)
+             if t.alive && t.proposed_round = before && Option.is_none t.gate_timer then begin
                t.timeout_backoff <- Float.min 8.0 (t.timeout_backoff *. 2.0);
                arm_round_timer t timeout
              end
@@ -321,9 +334,32 @@ and maybe_advance t =
       end
     in
     match best t.proposed_round None with
-    | Some r when r >= t.proposed_round && round_wait_satisfied t r -> propose t (r + 1)
+    | Some r when r >= t.proposed_round && round_wait_satisfied t r -> gate t (r + 1)
     | _ -> ()
   end
+
+(* The phase gate: once the wait policy lets the lane advance, it proposes
+   when [earliest] allows. A held lane keeps one timer, at the earliest
+   target seen since it became ready. *)
+and gate t round =
+  let now = t.cb.now () in
+  let ready = match t.ready_at with Some at -> at | None -> now in
+  t.ready_at <- Some ready;
+  let at = t.cb.earliest ~round ~ready in
+  (* The tolerance lets a gate timer that fired at its target propose,
+     whatever the rounding of [now + (at - now)]. *)
+  if at <= now +. 1e-6 then propose t round
+  else
+    match t.gate_timer with
+    | Some (target, _) when target <= at -> ()
+    | armed ->
+      Option.iter (fun (_, timer) -> Backend.cancel timer) armed;
+      t.gate_timer <-
+        Some
+          ( at,
+            t.cb.schedule ~after:(at -. now) (fun () ->
+                t.gate_timer <- None;
+                maybe_advance t) )
 
 (* ---------------------------------------------------------------- *)
 (* Certified-node delivery.                                          *)
@@ -421,7 +457,7 @@ let handle_proposal t ~src (node : Types.node) =
   if src <> node.Types.author then t.invalid_dropped <- t.invalid_dropped + 1
   else begin
     match
-      Validation.validate_proposal ~committee:t.cfg.committee
+      Validation.validate_proposal ~lane:t.cfg.dag_id ~committee:t.cfg.committee
         ~verify_signatures:t.cfg.verify_signatures node
     with
     | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
@@ -563,7 +599,7 @@ let handle_vote t (v : Types.vote) =
 
 let handle_certificate t (cert : Types.certificate) =
   match
-    Validation.validate_certificate ~committee:t.cfg.committee
+    Validation.validate_certificate ~lane:t.cfg.dag_id ~committee:t.cfg.committee
       ~verify_signatures:t.cfg.verify_signatures cert
   with
   | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
@@ -585,7 +621,7 @@ let handle_fetch_request t ~src (wanted : Types.node_ref) =
 
 let handle_fetch_response t (cn : Types.certified_node) =
   match
-    Validation.validate_certified_node ~committee:t.cfg.committee
+    Validation.validate_certified_node ~lane:t.cfg.dag_id ~committee:t.cfg.committee
       ~verify_signatures:t.cfg.verify_signatures cn
   with
   | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
@@ -627,6 +663,8 @@ let handle_message t ~src msg =
 
 let start t =
   if t.alive && t.proposed_round < 0 then propose t 0
+
+let poke t = maybe_advance t
 
 (* Post-replay restart: propose strictly above everything the replayed WAL
    reconstructed — our own highest proposal voted on (the [voted] table is

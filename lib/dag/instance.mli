@@ -20,7 +20,9 @@
     - at most one vote per (round, author) ever leaves this replica, and a
       certificate is formed only from n-f distinct signers;
     - the current round only advances (monotone), and only when the round's
-      waiting policy is satisfied;
+      waiting policy is satisfied and the phase gate ([earliest]) has
+      opened; at most one gate timer is armed, and it is cancelled by the
+      proposal it waited for;
     - garbage collection never drops state at or above the collection
       round, and re-delivered messages for collected rounds are ignored;
     - every round- or position-keyed table is an identity-hashed
@@ -77,6 +79,14 @@ type callbacks = {
   on_certified : Types.certified_node -> unit;  (** store gained a node *)
   on_cert_meta : Types.node_ref -> unit;
       (** a certificate became known (node data possibly still missing) *)
+  earliest : round:int -> ready:float -> float;
+      (** the phase gate: the earliest time this lane may propose [round],
+          given the time [ready] it became ready to advance (its wait
+          policy satisfied). A time not after now proposes at once;
+          [neg_infinity] never holds. Only timing depends on it. *)
+  entered : round:int -> held:float -> unit;
+      (** this lane proposed [round] (it entered the round), [held] ms
+          after it became ready to (0 when the gate did not hold it) *)
 }
 
 type t
@@ -96,6 +106,11 @@ val resume : t -> unit
     {!start} on an empty log. *)
 
 val handle_message : t -> src:int -> Types.message -> unit
+
+val poke : t -> unit
+(** Re-evaluate round advancement now: a lane held by its phase gate
+    proposes if [earliest] has come (or moved earlier). A no-op on a
+    crashed or unstarted instance. *)
 
 val crash : t -> unit
 (** Stop all activity (timers become no-ops); used by fault injection. *)

@@ -21,14 +21,17 @@
       node, the certificate, the checkpoint-vote message) under the very
       registry ([committee.keys]) it passed under, so a forged twin
       sharing a field with an honest value still takes the full check.
-      Only passes are stored; the structural checks run on every call;
+      Only passes are stored; the structural checks run on every call.
+      [?lane] (default 0) is the DAG lane the value arrived on: each lane
+      has its own slots, since the lanes' round-0 nodes and certificates
+      are byte-identical twins when their batches are empty;
     - the memo is one direct-mapped table per domain, with no lock: each
       domain replays only verdicts it reached itself, so every function
       here is safe to call from any domain. A decoded copy is a distinct
       value, so the realtime node checks every copy in full. *)
 
 val validate_proposal :
-  committee:Committee.t -> verify_signatures:bool -> Types.node -> (unit, string) result
+  ?lane:int -> committee:Committee.t -> verify_signatures:bool -> Types.node -> (unit, string) result
 (** Checks: author in range, round >= 0, parents structure — round 0 nodes
     have no parents, later rounds have >= n-f parents, all from round-1 with
     distinct valid authors —, digest binds content, author signature. *)
@@ -37,13 +40,21 @@ val validate_vote :
   committee:Committee.t -> verify_signatures:bool -> Types.vote -> (unit, string) result
 
 val validate_certificate :
-  committee:Committee.t -> verify_signatures:bool -> Types.certificate -> (unit, string) result
+  ?lane:int ->
+  committee:Committee.t ->
+  verify_signatures:bool ->
+  Types.certificate ->
+  (unit, string) result
 (** Checks: >= n-f distinct signers and multisig validity over the vote
     preimage — of the aggregate as carried by the certificate, which for a
     decoded message is the one the sender put on the wire. *)
 
 val validate_certified_node :
-  committee:Committee.t -> verify_signatures:bool -> Types.certified_node -> (unit, string) result
+  ?lane:int ->
+  committee:Committee.t ->
+  verify_signatures:bool ->
+  Types.certified_node ->
+  (unit, string) result
 (** Node and certificate valid, and the certificate matches the node. *)
 
 val signatures_ok : committee:Committee.t -> Types.message -> bool

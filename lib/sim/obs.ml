@@ -31,6 +31,9 @@ let incr ?by t name =
 let set t name v =
   match t.telemetry with Some reg -> Telemetry.set_named reg name v | None -> ()
 
+let observe t name v =
+  match t.telemetry with Some reg -> Telemetry.observe_named reg name v | None -> ()
+
 (* Cached-handle access for hot paths: [None] when telemetry is off. *)
 let counter t name = Option.map (fun reg -> Telemetry.counter reg name) t.telemetry
 let incr_c ?by c = match c with Some c -> Telemetry.incr ?by c | None -> ()

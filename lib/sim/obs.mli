@@ -33,6 +33,7 @@ val tracing : t -> bool
 val event : t -> time:float -> Trace.kind -> unit
 val incr : ?by:int -> t -> string -> unit
 val set : t -> string -> float -> unit
+val observe : t -> string -> float -> unit
 
 (** Cached-handle access for hot paths ([None] when telemetry is off). *)
 

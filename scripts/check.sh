@@ -263,6 +263,19 @@ for c in backend.loop_turns backend.loop_sleeps backend.loop_timeouts \
   grep -Eq "\"$c\": *[1-9][0-9]*" "$out/node.metrics.json" \
     || { echo "check failed: $c missing or zero in node metrics" >&2; exit 1; }
 done
+# The lanes' round-phase gate reports through the shared telemetry: the
+# lanes' round offset (sampled at each lane-0 round entry), the gate's
+# holds and the round period P it measures must all be in the metrics.
+python3 - "$out/node.metrics.json" <<'EOF'
+import json, sys
+h = json.load(open(sys.argv[1]))["histograms"]
+for name in ("lane.round_offset", "lane.gate_held_ms", "lane.period_ms"):
+    if name not in h or h[name]["count"] == 0:
+        sys.exit(f"check failed: {name} missing or empty in node metrics")
+o, p = h["lane.round_offset"], h["lane.period_ms"]
+print(f"phase gate: lane round offset mean {o['mean']:.2f} (max {o['max']:.0f}), "
+      f"P p50 {p['p50']:.1f} ms, {h['lane.gate_held_ms']['count']} held proposals")
+EOF
 
 # Cross-replica trace analysis: join the smoke run's per-replica logs and
 # fail on commit-sequence divergence (the analyzer exits 1 on divergence).
@@ -554,7 +567,7 @@ fi
 # repository benchmark at seed 3 must order the pinned commit stream. The
 # digests are a function of the seed only, so any change to them is a
 # change of behaviour and must be re-pinned on purpose.
-for pin in sim-gcp10:d48fb4611f4b39366294c3bb9515df1b sim-lifecycle:2fa843544cc7e5b431cbc7aea03bf00d; do
+for pin in sim-gcp10:44dcabb6b33634f848ddf3c7fa7e8675 sim-lifecycle:1bb19f7275963f838ee79965838755c0; do
   workload=${pin%%:*}
   want=${pin#*:}
   run_out=$(timeout 300 python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 --trace 0) \

@@ -35,10 +35,11 @@ let run_digest system ~seed =
    the hot-path optimizations; neither may move them. The shoal++ digest
    was re-taken when the Alg. 3 merge went from one segment per lane per
    cycle to one lane's output per anchor round, which reorders its commit
-   stream. *)
+   stream, and again when a round-phase gate replaced the lanes' fixed
+   start stagger, which retimes its lanes' proposals. *)
 let seed11 =
   [
-    ("shoal++", E.Shoalpp, "4b5189fc3cd745f0f920bbad16cbbf999520bf13cd01a298063d2ea1cd359ff3");
+    ("shoal++", E.Shoalpp, "1ea883e68fe407dc645460ab4d7aa018b348144c67be4256e7723b07b1af4248");
     ("jolteon", E.Jolteon, "2a5c05b857fd76d4c69cb435246f01d94b1cd9068b56808e11bc7991646f01f6");
     ("mysticeti", E.Mysticeti, "c2dc2dda8eeb7a9e265243ef23ca96245e446352a399bb63c347d4308e450efe");
   ]

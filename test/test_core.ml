@@ -39,6 +39,132 @@ let run_small ?protocol ?load ?scenario ~duration () =
   c
 
 (* ------------------------------------------------------------------ *)
+(* The lanes' round-phase gate *)
+
+module Telemetry = Shoalpp_support.Telemetry
+module Trace = Shoalpp_sim.Trace
+
+let lane_hist c name =
+  match Telemetry.get_histogram (Cluster.telemetry c) name with
+  | Some h -> h
+  | None -> Alcotest.failf "%s was never recorded" name
+
+(* On a clean uniform network every lane's rounds last alike, so the gate
+   alone orders the lanes: at every replica lane j proposes round r no
+   earlier than lane j-1 did, and no hold outlasts one P. *)
+let test_gate_orders_lanes () =
+  let trace = Trace.create ~enabled:true ~capacity:1_000_000 () in
+  let c =
+    Cluster.create
+      {
+        (Cluster.default_setup ~protocol:(Config.shoalpp ~committee)) with
+        Cluster.topology = Topology.uniform ~delay_ms:25.0;
+        net_config = E.clean_net_config;
+        load_tps = 400.0;
+        warmup_ms = 500.0;
+        trace = Some trace;
+      }
+  in
+  Cluster.run c ~duration_ms:5_000.0;
+  let entered = Hashtbl.create 4096 in
+  List.iter
+    (fun (e : Trace.event) ->
+      match e.Trace.kind with
+      | Trace.Proposal_created { round; _ } ->
+        Hashtbl.replace entered (e.Trace.replica, e.Trace.instance, round) e.Trace.time
+      | _ -> ())
+    (Trace.events trace);
+  let checked = ref 0 in
+  Hashtbl.iter
+    (fun (replica, lane, round) at ->
+      if lane > 0 then begin
+        incr checked;
+        match Hashtbl.find_opt entered (replica, lane - 1, round) with
+        | Some before when before <= at -> ()
+        | Some before ->
+          Alcotest.failf "replica %d: lane %d entered round %d at %.2f, lane %d at %.2f" replica
+            lane round at (lane - 1) before
+        | None ->
+          Alcotest.failf "replica %d: lane %d entered round %d, lane %d never did" replica lane
+            round (lane - 1)
+      end)
+    entered;
+  checkb (Printf.sprintf "%d lane entries checked" !checked) true (!checked > 400);
+  let held = lane_hist c "lane.gate_held_ms" and period = lane_hist c "lane.period_ms" in
+  checkb "the gate held lanes" true (Telemetry.Histogram.count held > 0);
+  checkb
+    (Printf.sprintf "longest hold %.2f ms <= longest P %.2f ms" (Telemetry.Histogram.max held)
+       (Telemetry.Histogram.max period))
+    true
+    (Telemetry.Histogram.max held <= Telemetry.Histogram.max period)
+
+(* The lanes stay in the same round, a fraction of a round apart, at the
+   benchmark's two simulator settings: [lane.round_offset], sampled at
+   every lane-0 entry, never exceeds 1, and no lane carries more than 0.55
+   of the ordered transactions. *)
+let gate_run ~n ~topology ~net_config ~load_tps ~checkpoint_interval ~scenario ~duration_ms =
+  let committee = Committee.make ~n ~cluster_seed:3 () in
+  let protocol =
+    Config.with_checkpoint_interval
+      (Config.without_signature_checks (Config.shoalpp ~committee))
+      checkpoint_interval
+  in
+  let c =
+    Cluster.create
+      {
+        (Cluster.default_setup ~protocol) with
+        Cluster.topology;
+        net_config;
+        load_tps;
+        warmup_ms = 1_000.0;
+        scenario;
+        seed = 3;
+      }
+  in
+  Cluster.run c ~duration_ms;
+  let snap = Telemetry.snapshot (Cluster.telemetry c) in
+  let txns = List.init 3 (fun d -> Telemetry.snap_counter snap (Printf.sprintf "dag%d.txns" d)) in
+  let total = List.fold_left ( + ) 0 txns in
+  List.iteri
+    (fun d x ->
+      let share = float_of_int x /. float_of_int (max 1 total) in
+      checkb (Printf.sprintf "lane %d carries %.2f of the transactions" d share) true (share <= 0.55))
+    txns;
+  lane_hist c "lane.round_offset"
+
+let gcp10_setting () =
+  gate_run ~n:16 ~topology:(Topology.gcp10 ()) ~net_config:Shoalpp_sim.Netmodel.default_config
+    ~load_tps:5_000.0 ~checkpoint_interval:0 ~scenario:Faults.none ~duration_ms:5_000.0
+
+let lifecycle_setting scenario =
+  gate_run ~n:10
+    ~topology:(Topology.clique ~regions:4 ~one_way_ms:25.0)
+    ~net_config:{ Shoalpp_sim.Netmodel.default_config with jitter_ms = 0.0; epoch_ms = 0.0 }
+    ~load_tps:2_000.0 ~checkpoint_interval:12 ~scenario ~duration_ms:12_000.0
+
+let test_gate_round_offset_pinned () =
+  List.iter
+    (fun (label, h) ->
+      checkb (label ^ ": offset sampled") true (Telemetry.Histogram.count h > 100);
+      checkb
+        (Printf.sprintf "%s: lane round offset max %.0f" label (Telemetry.Histogram.max h))
+        true
+        (Telemetry.Histogram.max h <= 1.0))
+    [ ("gcp10", gcp10_setting ()); ("lifecycle, fault-free", lifecycle_setting Faults.none) ];
+  (* With the benchmark's crash (4 s) and restart (7 s), the lanes leave
+     their phase while one replica is down, and the gate brings them back:
+     the offset is 1 at the median (in the histogram bucket holding 1) and
+     under 1.1 on average. *)
+  let h =
+    lifecycle_setting (Faults.crash_recover ~count:1 ~at:4_000.0 ~recover_at:7_000.0 ())
+  in
+  checkb
+    (Printf.sprintf "lifecycle, crash: offset p50 %.2f, mean %.3f" (Telemetry.Histogram.quantile h 0.5)
+       (Telemetry.Histogram.mean h))
+    true
+    (Float.round (Telemetry.Histogram.quantile h 0.5) = 1.0 && Telemetry.Histogram.mean h < 1.1)
+
+(* ------------------------------------------------------------------ *)
 (* Config presets *)
 
 let test_config_presets () =
@@ -140,7 +266,7 @@ let test_replica_on_ordered_round_robin_dags () =
       ~config:Shoalpp_sim.Netmodel.default_config ~seed:5 ()
   in
   let world = Shoalpp_backend.Backend_sim.of_net net in
-  let protocol = { (Config.shoalpp ~committee) with Config.stagger_ms = 15.0 } in
+  let protocol = (Config.shoalpp ~committee) in
   let mempools = Array.init 4 (fun _ -> Shoalpp_workload.Mempool.create ()) in
   let dag_ids = ref [] in
   let replicas =
@@ -201,7 +327,7 @@ let test_shoalpp_beats_shoal_beats_bullshark () =
     let c = run_small ~protocol ~duration:10_000.0 () in
     (Cluster.report c ~duration_ms:10_000.0).Report.latency_p50
   in
-  let spp = latency { (Config.shoalpp ~committee) with Config.stagger_ms = 20.0 } in
+  let spp = latency (Config.shoalpp ~committee) in
   let sh = latency (Config.shoal ~committee) in
   let bs = latency (Config.bullshark ~committee) in
   checkb (Printf.sprintf "shoal++ (%.0f) < shoal (%.0f)" spp sh) true (spp < sh);
@@ -215,9 +341,9 @@ let test_all_to_all_faster_fewer_md () =
       (Cluster.audit c).Cluster.consistent_prefixes;
     r.Report.latency_p50
   in
-  let star = latency { (Config.shoalpp ~committee) with Config.stagger_ms = 20.0 } in
+  let star = latency (Config.shoalpp ~committee) in
   let a2a =
-    latency (Config.with_all_to_all { (Config.shoalpp ~committee) with Config.stagger_ms = 20.0 })
+    latency (Config.with_all_to_all (Config.shoalpp ~committee))
   in
   checkb (Printf.sprintf "a2a faster (%.0f < %.0f)" a2a star) true (a2a < star)
 
@@ -506,6 +632,11 @@ let suite =
         Alcotest.test_case "all-to-all variant" `Slow test_all_to_all_faster_fewer_md;
         Alcotest.test_case "determinism" `Quick test_determinism_same_seed;
         Alcotest.test_case "wal active" `Quick test_wal_active;
+      ] );
+    ( "core.phase_gate",
+      [
+        Alcotest.test_case "lanes enter rounds in order" `Quick test_gate_orders_lanes;
+        Alcotest.test_case "round offset pinned" `Slow test_gate_round_offset_pinned;
       ] );
     ( "runtime.metrics",
       [

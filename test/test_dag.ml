@@ -583,7 +583,10 @@ let test_memo_decoded_copies_checked_in_full () =
    certificate broadcast is checked natively about once, while every
    receiver still validates its delivery. The allowance covers slot
    collisions and the few certificates that reach a replica again later
-   (fetch responses): 5% of the certificates formed, plus 16. *)
+   (fetch responses): 5% of the certificates formed, plus 16. A
+   certificate formed in the run's last few hundred ms may still be in
+   flight when it stops, so the lower bounds count the certificates formed
+   by 2 s, which gcp10's delays have delivered everywhere by 2.5 s. *)
 let test_memo_one_native_check_per_certificate () =
   let module Cluster = Shoalpp_runtime.Cluster in
   let module Replica = Shoalpp_core.Replica in
@@ -598,24 +601,29 @@ let test_memo_one_native_check_per_certificate () =
     }
   in
   let cluster = Cluster.create setup in
-  let hits, full =
-    counted Validation.Certificate_multisig (fun () -> Cluster.run cluster ~duration_ms:2_500.0)
-  in
-  let formed =
+  let formed () =
     Array.fold_left
       (fun acc r ->
         List.fold_left (fun acc (_, _, certs, _) -> acc + certs) acc (Replica.instance_stats r))
       0 (Cluster.replicas cluster)
   in
-  checkb "certificates formed" true (formed > 100);
+  let settled = ref 0 in
+  let hits, full =
+    counted Validation.Certificate_multisig (fun () ->
+        Cluster.run cluster ~duration_ms:2_000.0;
+        settled := formed ();
+        Cluster.run cluster ~duration_ms:2_500.0)
+  in
+  let settled = !settled and formed = formed () in
+  checkb "certificates formed" true (settled > 100);
   checkb
-    (Printf.sprintf "%d native checks for %d certificates" full formed)
+    (Printf.sprintf "%d native checks for %d certificates (%d by 2 s)" full formed settled)
     true
-    (full >= formed && full <= formed + (formed / 20) + 16);
+    (full >= settled && full <= formed + (formed / 20) + 16);
   checkb
-    (Printf.sprintf "%d deliveries for %d certificates" (hits + full) formed)
+    (Printf.sprintf "%d deliveries for %d certificates formed by 2 s" (hits + full) settled)
     true
-    (hits + full >= 15 * formed)
+    (hits + full >= 15 * settled)
 
 (* ------------------------------------------------------------------ *)
 (* Store *)

@@ -88,6 +88,8 @@ let make_harness ?(wait_policy = Instance.All_or_timeout 600.0) ?(delay = 10.0) 
                   (replica, cn.Types.cn_node.Types.round, cn.Types.cn_node.Types.author)
                   :: h.certified_events);
             on_cert_meta = (fun _ -> ());
+            earliest = (fun ~round:_ ~ready:_ -> neg_infinity);
+            entered = (fun ~round:_ ~held:_ -> ());
           }
         in
         Instance.create cfg callbacks ~store:stores.(replica))
@@ -328,6 +330,8 @@ let lone_instance ?telemetry () =
       on_proposal_noted = (fun _ -> ());
       on_certified = (fun _ -> ());
       on_cert_meta = (fun _ -> ());
+      earliest = (fun ~round:_ ~ready:_ -> neg_infinity);
+      entered = (fun ~round:_ ~held:_ -> ());
     }
   in
   (engine, store, Instance.create ~obs cfg callbacks ~store)

@@ -212,7 +212,7 @@ let prop_safety_under_random_drops =
 
 let test_gc_bounds_state () =
   let committee = Committee.make ~n:4 ~cluster_seed:5 () in
-  let protocol = { (Config.shoalpp ~committee) with Config.stagger_ms = 20.0 } in
+  let protocol = (Config.shoalpp ~committee) in
   let setup =
     {
       (Cluster.default_setup ~protocol) with

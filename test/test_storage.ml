@@ -609,8 +609,9 @@ let test_wiped_restart_adopts_peer_checkpoint () =
 (* The restarted replica must order again, whatever the lanes' phase. The
    setup is the node catch-up drill's (n=4, zero-delay links, 300 tx/s,
    interval 12, a crash at 3 s and a restart at 6 s) on the simulator,
-   built through [Experiment] params. Its lanes start [stagger_ms] apart,
-   so they commit rounds far apart; a WAL cut at a point in time rather
+   built through [Experiment] params. Its lanes start [stagger_ms] apart:
+   the phase gate never pulls a late lane forward, so a 1 s skew keeps
+   them committing rounds far apart; a WAL cut at a point in time rather
    than at each lane's seam round dropped a leading lane's rounds above
    the restored checkpoint, and the replica stalled at its base. *)
 let restart_twin ?net_config ~stagger_ms ~seed () =
@@ -622,7 +623,6 @@ let restart_twin ?net_config ~stagger_ms ~seed () =
       duration_ms = 10_000.0;
       topology = Topology.uniform ~delay_ms:0.0;
       scenario = Faults.crash_recover ~count:1 ~at:3_000.0 ~recover_at:6_000.0 ();
-      stagger_ms = Some stagger_ms;
       net_config;
       verify_signatures = false;
       checkpoint_interval = 12;
@@ -632,7 +632,9 @@ let restart_twin ?net_config ~stagger_ms ~seed () =
   let cluster =
     Cluster.create
       {
-        (Cluster.default_setup ~protocol:(E.dag_config E.Shoalpp params)) with
+        (Cluster.default_setup
+           ~protocol:{ (E.dag_config E.Shoalpp params) with Config.stagger_ms })
+        with
         Cluster.topology = params.E.topology;
         net_config = Option.value params.E.net_config ~default:Shoalpp_sim.Netmodel.default_config;
         scenario = params.E.scenario;
@@ -659,7 +661,7 @@ let restart_twin ?net_config ~stagger_ms ~seed () =
 
 let test_restarted_replica_orders_again () =
   List.iter
-    (fun seed -> restart_twin ~net_config:E.clean_net_config ~stagger_ms:80.0 ~seed ())
+    (fun seed -> restart_twin ~net_config:E.clean_net_config ~stagger_ms:0.0 ~seed ())
     [ 3; 5; 8 ];
   restart_twin ~stagger_ms:1_000.0 ~seed:5 ()
 
