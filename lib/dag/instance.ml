@@ -74,7 +74,7 @@ type t = {
   mutable proposed_round : int;
   mutable round_started_at : float;
   mutable round_timer : Backend.timer option;
-  mutable ready_at : float option; (* since when the next round may be proposed *)
+  mutable ready_at : float option; (* ready to advance since, while the gate holds it *)
   mutable gate_timer : (float * Backend.timer) option; (* the phase gate's target time *)
   mutable timeout_backoff : float; (* multiplier on the round timeout *)
   mutable lowest_round : int; (* GC horizon *)
@@ -231,11 +231,9 @@ let round_wait_satisfied t round =
     | All_or_timeout timeout -> t.cb.now () >= t.round_started_at +. timeout
   end
 
-let rec propose t round =
+let rec propose ?(held = 0.0) t round =
   t.proposed_round <- round;
-  let now = t.cb.now () in
-  t.round_started_at <- now;
-  let held = match t.ready_at with Some at -> now -. at | None -> 0.0 in
+  t.round_started_at <- t.cb.now ();
   t.ready_at <- None;
   (match t.gate_timer with Some (_, timer) -> Backend.cancel timer | None -> ());
   t.gate_timer <- None;
@@ -343,13 +341,13 @@ and maybe_advance t =
    target seen since it became ready. *)
 and gate t round =
   let now = t.cb.now () in
-  let ready = match t.ready_at with Some at -> at | None -> now in
-  t.ready_at <- Some ready;
+  let ready = Option.value t.ready_at ~default:now in
   let at = t.cb.earliest ~round ~ready in
   (* The tolerance lets a gate timer that fired at its target propose,
      whatever the rounding of [now + (at - now)]. *)
-  if at <= now +. 1e-6 then propose t round
-  else
+  if at <= now +. 1e-6 then propose ~held:(now -. ready) t round
+  else begin
+    t.ready_at <- Some ready;
     match t.gate_timer with
     | Some (target, _) when target <= at -> ()
     | armed ->
@@ -360,6 +358,7 @@ and gate t round =
             t.cb.schedule ~after:(at -. now) (fun () ->
                 t.gate_timer <- None;
                 maybe_advance t) )
+  end
 
 (* ---------------------------------------------------------------- *)
 (* Certified-node delivery.                                          *)
