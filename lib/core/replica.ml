@@ -48,49 +48,51 @@ type lane_env = {
 }
 
 (* The lanes' phase (the paper's third augmentation runs the k DAGs about a
-   round/k apart). Each lane publishes the round it last entered and when;
-   lane 0 also publishes P, the round period: an EWMA (weight 1/8) of its
-   interval between round entries, divided by the rounds skipped. The
-   lanes form a cycle: lane j >= 1 may enter round r no earlier than
-   3/4 P/k after lane j-1 entered r, and lane 0 may enter r no earlier
-   than 3/4 P/k after lane k-1 entered r-1. No lane is held more than P
-   past the moment it became ready. In phase, lane k-1 enters a round
-   (k-1) 3/4 P/k after lane 0, so lane 0's own round (P) always outlasts
-   its wait (3/4 P) and it is never held; it is held only while a lane
-   has fallen a round behind, which is the only way that lane gets back
-   in phase, since rounds are network-bound. The gate only times
-   proposals: what the lanes commit and how {!Merge} orders it do not
-   depend on it. A phase is written by its lane's domain only and read by
-   its neighbours', hence the atomics. *)
+   round/k apart). Each lane publishes the round it last entered, when, and
+   its round period: an EWMA (weight 1/8) of its interval between round
+   entries, divided by the rounds skipped. P, the round period the gate
+   uses, is the largest of the lanes' periods: the lanes share one
+   network, so when rounds slow down (a peer crashes and rounds run to
+   their timeout) the first lane to see it spaces the others at once,
+   not a lane-0 round later. The lanes form a cycle: lane j >= 1 may
+   enter round r no earlier than 3/4 P/k after lane j-1 entered r, and
+   lane 0 may enter r no earlier than 3/4 P/k after lane k-1 entered
+   r-1. No lane is held more than P past the moment it became ready. In
+   phase, lane k-1 enters a round (k-1) 3/4 P/k after lane 0, so lane
+   0's own round (P) always outlasts its wait (3/4 P) and it is never
+   held; it is held only while a lane has fallen a round behind, which is
+   the only way that lane gets back in phase, since rounds are
+   network-bound. The gate only times proposals: what the lanes commit
+   and how {!Merge} orders it do not depend on it. A phase is written by
+   its lane's domain only and read by the others', hence the atomics. *)
 type phase = { round : int; at : float; period : float }
 
 let no_phase = { round = -1; at = 0.0; period = 0.0 }
 
 let phase_earliest phases dag_id ~round ~ready =
   let k = Array.length phases in
+  let prev, round =
+    if dag_id = 0 then (Atomic.get phases.(k - 1), round - 1)
+    else (Atomic.get phases.(dag_id - 1), round)
+  in
   (* P, but no more than this lane's own latest round (entry to
      readiness): when rounds speed up (a crashed peer returns) the EWMA
      lags, and a hold sized by it would outlast the predecessor's next
      round and push this lane a round behind. *)
-  let own = Atomic.get phases.(dag_id) in
-  let p = Float.min (Atomic.get phases.(0)).period (ready -. own.at) in
-  if k = 1 || p <= 0.0 then neg_infinity
+  let slowest = Array.fold_left (fun acc ph -> Float.max acc (Atomic.get ph).period) 0.0 phases in
+  let p = Float.min slowest (ready -. (Atomic.get phases.(dag_id)).at) in
+  if k = 1 || p <= 0.0 || prev.round > round then neg_infinity
   else
-    let prev, round =
-      if dag_id = 0 then (Atomic.get phases.(k - 1), round - 1)
-      else (Atomic.get phases.(dag_id - 1), round)
-    in
-    if prev.round > round then neg_infinity
-    else
-      let opens = if prev.round = round then prev.at +. (0.75 *. p /. float_of_int k) else infinity in
-      Float.min opens (ready +. p)
+    let opens = if prev.round = round then prev.at +. (0.75 *. p /. float_of_int k) else infinity in
+    Float.min opens (ready +. p)
 
 (* Lane [dag_id] entered [round] at [now], [held] ms after it was ready
-   to. Lane 0's entries update P and sample the lanes' round offset. *)
+   to. Every entry updates the lane's period; lane 0's entries also sample
+   the lanes' round offset. *)
 let phase_entered phases dag_id ~obs ~now ~round ~held =
   let last = Atomic.get phases.(dag_id) in
   let period =
-    if dag_id > 0 || last.round < 0 || round <= last.round then last.period
+    if last.round < 0 || round <= last.round then last.period
     else
       let sample = (now -. last.at) /. float_of_int (round - last.round) in
       if last.period <= 0.0 then sample else last.period +. ((sample -. last.period) /. 8.0)
@@ -98,8 +100,8 @@ let phase_entered phases dag_id ~obs ~now ~round ~held =
   Atomic.set phases.(dag_id) { round; at = now; period };
   if Array.length phases > 1 then begin
     if held > 0.0 then Obs.observe obs "lane.gate_held_ms" held;
+    if period > 0.0 then Obs.observe obs "lane.period_ms" period;
     if dag_id = 0 then begin
-      if period > 0.0 then Obs.observe obs "lane.period_ms" period;
       let lo = ref round and hi = ref round in
       Array.iter
         (fun ph ->

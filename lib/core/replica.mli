@@ -120,16 +120,16 @@ val start : t -> unit
     that defaults to 0). From round 1 on a phase gate keeps the lanes in
     the paper's stagger: lane j >= 1 enters round r no earlier than
     3/4 P/k after lane j-1 entered r, and lane 0 enters r no earlier
-    than 3/4 P/k after lane k-1 entered r-1, P the round period that
-    lane 0 measures (an EWMA, weight 1/8, of its interval between round
-    entries per round; a lane uses no more than its own latest round).
-    No lane is held more than P past the moment it became ready; in
-    phase lane 0 is never held, and at k = 1 nothing is. The gate
-    decides only timing. Each replica reports [lane.round_offset]
-    (max minus min of its lanes' rounds, sampled at each lane-0 entry),
-    [lane.gate_held_ms] (one sample per held proposal; the sum is the
-    total hold) and [lane.period_ms] (P at each lane-0 entry), all
-    histograms, when k > 1. *)
+    than 3/4 P/k after lane k-1 entered r-1, P the largest of the
+    lanes' round periods (each an EWMA, weight 1/8, of the lane's
+    interval between round entries per round; a lane uses no more than
+    its own latest round). No lane is held more than P past the moment
+    it became ready; in phase lane 0 is never held, and at k = 1
+    nothing is. The gate decides only timing. Each replica reports
+    [lane.round_offset] (max minus min of its lanes' rounds, sampled at
+    each lane-0 entry), [lane.gate_held_ms] (one sample per held
+    proposal; the sum is the total hold) and [lane.period_ms] (a lane's
+    period at each of its round entries), all histograms, when k > 1. *)
 
 val crash : t -> unit
 (** Stop all lanes and drop the network handler's deliveries. Idempotent;

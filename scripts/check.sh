@@ -567,7 +567,7 @@ fi
 # repository benchmark at seed 3 must order the pinned commit stream. The
 # digests are a function of the seed only, so any change to them is a
 # change of behaviour and must be re-pinned on purpose.
-for pin in sim-gcp10:44dcabb6b33634f848ddf3c7fa7e8675 sim-lifecycle:1bb19f7275963f838ee79965838755c0; do
+for pin in sim-gcp10:d926891614a2b0c7682206277e7793aa sim-lifecycle:4d208c85ced24ad212ec8488cddec44d; do
   workload=${pin%%:*}
   want=${pin#*:}
   run_out=$(timeout 300 python3 perfbench/run.py --workload "$workload" --seed 3 --seconds 1 --trace 0) \

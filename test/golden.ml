@@ -35,11 +35,13 @@ let run_digest system ~seed =
    the hot-path optimizations; neither may move them. The shoal++ digest
    was re-taken when the Alg. 3 merge went from one segment per lane per
    cycle to one lane's output per anchor round, which reorders its commit
-   stream, and again when a round-phase gate replaced the lanes' fixed
-   start stagger, which retimes its lanes' proposals. *)
+   stream, again when a round-phase gate replaced the lanes' fixed start
+   stagger, which retimes its lanes' proposals, and again when the gate's
+   round period became the largest of the lanes' periods instead of lane
+   0's alone. *)
 let seed11 =
   [
-    ("shoal++", E.Shoalpp, "1ea883e68fe407dc645460ab4d7aa018b348144c67be4256e7723b07b1af4248");
+    ("shoal++", E.Shoalpp, "7eb4cd71037a3deb7821967d6b49da91547b8d7fb3c191da5e5860075b975420");
     ("jolteon", E.Jolteon, "2a5c05b857fd76d4c69cb435246f01d94b1cd9068b56808e11bc7991646f01f6");
     ("mysticeti", E.Mysticeti, "c2dc2dda8eeb7a9e265243ef23ca96245e446352a399bb63c347d4308e450efe");
   ]
