@@ -63,9 +63,10 @@ type replica = {
   driver : Driver.t;
   kp : Signer.keypair;
   rng : Rng.t;
-  (* Blocks received but not processable: all blocks by digest, plus per
-     missing ancestor, the digests blocked on it. *)
-  received : Types.node Shoalpp_storage.Kvstore.t;
+  (* Every valid block received, by digest (served to fetchers); the
+     blocks not yet processable, plus per missing ancestor, the digests
+     blocked on it. *)
+  received : (Digest32.t, Types.node) Hashtbl.t;
   waiting : (Digest32.t, Types.node) Hashtbl.t; (* unprocessed, by own digest *)
   missing_count : (Digest32.t, int ref) Hashtbl.t; (* per waiting block *)
   dependents : (Digest32.t, Digest32.t list ref) Hashtbl.t; (* parent -> blocked *)
@@ -275,7 +276,7 @@ let on_block r (node : Types.node) =
     with
     | Error _ -> ()
     | Ok () ->
-      Shoalpp_storage.Kvstore.put r.received node.Types.digest node;
+      Hashtbl.replace r.received node.Types.digest node;
       let missing =
         List.filter (fun p -> not (Store.mem_ref r.store p)) node.Types.parents
       in
@@ -299,7 +300,7 @@ let handle_message r msg =
     match msg with
     | Block node -> on_block r node
     | Fetch_req { wanted; requester } -> (
-      match Shoalpp_storage.Kvstore.get r.received wanted.Types.ref_digest with
+      match Hashtbl.find_opt r.received wanted.Types.ref_digest with
       | Some node -> send r ~dst:requester (Fetch_resp node)
       | None -> ())
     | Fetch_resp node -> on_block r node
@@ -394,7 +395,7 @@ let make_replica (run : setup Cluster.gen_setup) ~backend ~telemetry id ~mempool
       driver;
       kp = Committee.keypair committee id;
       rng = Rng.create (run.Cluster.seed + (id * 131));
-      received = Shoalpp_storage.Kvstore.create ();
+      received = Hashtbl.create 256;
       waiting = Hashtbl.create 64;
       missing_count = Hashtbl.create 64;
       dependents = Hashtbl.create 64;

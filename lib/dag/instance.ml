@@ -50,11 +50,11 @@ type callbacks = {
   entered : round:int -> held:float -> unit;
 }
 
-(* Vote accumulation for this replica's own proposal of a round. *)
-type vote_acc = {
+(* Votes gathered toward one digest's certificate at one position. *)
+type tally = {
   digest : Digest32.t;
   mutable sigs : (int * Signer.signature) list;
-  mutable cert_done : bool;
+  mutable formed : bool; (* the certificate was formed; [sigs] is emptied *)
 }
 
 type t = {
@@ -83,22 +83,19 @@ type t = {
          round: GC walks the rounds from here to its new floor. It trails
          [lowest_round] only when an entry lands under the floor (an own
          proposal's late loopback). *)
-  own_votes : vote_acc Int_tbl.t; (* by round *)
   (* Position-keyed tables below pack (round, author) into the int
      [round * n + author]: these are touched on every received message, and
      int keys make lookups allocation-free (tuple keys cost 3 words each). *)
-  (* All-to-all mode: vote accumulators for every position. *)
-  a2a_votes : (Digest32.t, (int * Signer.signature) list ref) Hashtbl.t Int_tbl.t;
+  votes : tally list Int_tbl.t;
+      (* one tally per digest voted on (two only under equivocation). Star
+         mode holds only its own positions, all-to-all mode every one. *)
   voted : Digest32.t Int_tbl.t; (* position -> digest voted *)
-  data : Types.node Shoalpp_storage.Kvstore.t; (* proposals by digest *)
-  data_rounds : Digest32.t list Int_tbl.t; (* round -> digests in [data] *)
-  mutable data_low : int; (* no [data_rounds] entry under this round *)
   cert_meta : Types.node_ref Int_tbl.t;
   (* Certificates no node we have seen references yet — candidates for weak
      edges in our next proposal (DAG-Rider validity mechanism). *)
   unreferenced : Types.node_ref Int_tbl.t;
   certs_per_round : int Int_tbl.t;
-  awaiting_data : (Digest32.t, Types.certificate) Hashtbl.t;
+  awaiting_data : Types.certificate Int_tbl.t; (* certified, data not yet here *)
   (* Refs the consensus driver needs but whose certificates never reached us
      (e.g. the certificate broadcast itself was dropped). *)
   fetching_refs : unit Int_tbl.t;
@@ -133,16 +130,12 @@ let create ?(obs = Obs.none) cfg cb ~store =
     timeout_backoff = 1.0;
     lowest_round = 0;
     table_low = 0;
-    own_votes = Int_tbl.create 32;
-    a2a_votes = Int_tbl.create 64;
+    votes = Int_tbl.create 64;
     voted = Int_tbl.create 256;
-    data = Shoalpp_storage.Kvstore.create ();
-    data_rounds = Int_tbl.create 32;
-    data_low = 0;
     cert_meta = Int_tbl.create 256;
     unreferenced = Int_tbl.create 64;
     certs_per_round = Int_tbl.create 32;
-    awaiting_data = Hashtbl.create 16;
+    awaiting_data = Int_tbl.create 16;
     fetching_refs = Int_tbl.create 16;
     proposals_made = 0;
     votes_cast = 0;
@@ -167,34 +160,6 @@ let invalid_dropped t = t.invalid_dropped
 let crash t = t.alive <- false
 
 let quorum t = Committee.quorum t.cfg.committee
-
-(* Keep a received proposal, indexed by round for GC. A fetched node may
-   land under the current floor; the index walk still reaches it. *)
-let put_data t (node : Types.node) =
-  let digest = node.Types.digest and round = node.Types.round in
-  if not (Shoalpp_storage.Kvstore.mem t.data digest) then begin
-    let prev = Option.value ~default:[] (Int_tbl.find_opt t.data_rounds round) in
-    Int_tbl.replace t.data_rounds round (digest :: prev);
-    if round < t.data_low then t.data_low <- round
-  end;
-  Shoalpp_storage.Kvstore.put t.data digest node
-
-(* Drop proposal data for rounds below [floor]; returns entries dropped. *)
-let prune_data t ~floor =
-  let dropped = ref 0 in
-  for round = t.data_low to floor - 1 do
-    match Int_tbl.find_opt t.data_rounds round with
-    | Some digests ->
-      List.iter
-        (fun d ->
-          Shoalpp_storage.Kvstore.remove t.data d;
-          incr dropped)
-        digests;
-      Int_tbl.remove t.data_rounds round
-    | None -> ()
-  done;
-  if floor > t.data_low then t.data_low <- floor;
-  !dropped
 
 let mark_referenced t (node : Types.node) =
   let unref (p : Types.node_ref) =
@@ -365,38 +330,40 @@ and gate t round =
 
 let try_deliver t (cert : Types.certificate) =
   let r = cert.Types.cert_ref in
-  match Shoalpp_storage.Kvstore.get t.data r.Types.ref_digest with
+  match Store.proposal t.store r with
   | Some node ->
-    Hashtbl.remove t.awaiting_data r.Types.ref_digest;
+    Int_tbl.remove t.awaiting_data (pos t ~round:r.Types.ref_round ~author:r.Types.ref_author);
     if Store.add_certified t.store { Types.cn_node = node; cn_cert = cert } then
       t.cb.on_certified { Types.cn_node = node; cn_cert = cert };
     true
   | None -> false
 
-let rec arm_fetch t (cert : Types.certificate) =
-  (* Off-critical-path fetch (§7): ask one of the f+1 correct signers that
-     must hold the data; rotate targets on retry to balance load. *)
+(* Off-critical-path fetch (§7): ask one of the f+1 correct signers that
+   must hold the data; rotate targets on retry to balance load. Polling
+   stops once the data lands or GC passes the round (which drops the
+   entry: the data is never needed again, and peers may have pruned it). *)
+(* A certificate that arrived before [node]'s data may be waiting for it. *)
+let deliver_awaiting t (node : Types.node) =
+  match Int_tbl.find_opt t.awaiting_data (pos t ~round:node.Types.round ~author:node.Types.author) with
+  | Some cert -> ignore (try_deliver t cert)
+  | None -> ()
+
+let rec arm_fetch t ~key (cert : Types.certificate) =
   ignore
     (t.cb.schedule ~after:t.cfg.fetch_delay_ms (fun () ->
-         let digest = cert.Types.cert_ref.Types.ref_digest in
-         if t.alive && Hashtbl.mem t.awaiting_data digest then
-           if cert.Types.cert_ref.Types.ref_round < t.lowest_round then
-             (* GC passed the round: its data is never needed again (and
-                peers may have pruned it), so stop polling. *)
-             Hashtbl.remove t.awaiting_data digest
-           else begin
-             let signers = Shoalpp_support.Bitset.to_list (Multisig.signers cert.Types.multisig) in
-             let candidates = List.filter (fun s -> s <> t.cfg.replica) signers in
-             (match candidates with
-             | [] -> ()
-             | _ ->
-               let target = List.nth candidates (Rng.int t.rng (List.length candidates)) in
-               t.fetches_sent <- t.fetches_sent + 1;
-               Obs.incr_c t.c_fetches;
-               t.cb.send ~dst:target
-                 (Types.Fetch_request { wanted = cert.Types.cert_ref; requester = t.cfg.replica }));
-             arm_fetch t cert
-           end))
+         if t.alive && Int_tbl.mem t.awaiting_data key then begin
+           let signers = Shoalpp_support.Bitset.to_list (Multisig.signers cert.Types.multisig) in
+           let candidates = List.filter (fun s -> s <> t.cfg.replica) signers in
+           (match candidates with
+           | [] -> ()
+           | _ ->
+             let target = List.nth candidates (Rng.int t.rng (List.length candidates)) in
+             t.fetches_sent <- t.fetches_sent + 1;
+             Obs.incr_c t.c_fetches;
+             t.cb.send ~dst:target
+               (Types.Fetch_request { wanted = cert.Types.cert_ref; requester = t.cfg.replica }));
+           arm_fetch t ~key cert
+         end))
 
 (* Recover a node we know only by reference (a parent edge of some received
    node): ask random peers until the certified node arrives. At least f+1
@@ -442,8 +409,8 @@ let accept_certificate t (cert : Types.certificate) =
     (* Persist the certificate (group-committed; does not gate progress). *)
     t.cb.persist (Types.Certificate cert) (fun () -> ());
     if not (try_deliver t cert) then begin
-      Hashtbl.replace t.awaiting_data r.Types.ref_digest cert;
-      arm_fetch t cert
+      Int_tbl.replace t.awaiting_data key cert;
+      arm_fetch t ~key cert
     end;
     t.cb.on_cert_meta r;
     maybe_advance t
@@ -463,7 +430,6 @@ let handle_proposal t ~src (node : Types.node) =
     | Ok () ->
       if node.Types.round >= t.lowest_round then begin
         let key = pos t ~round:node.Types.round ~author:node.Types.author in
-        put_data t node;
         mark_referenced t node;
         (* Weak votes: only the first proposal per (round, author). *)
         if Store.note_proposal t.store node then begin
@@ -481,9 +447,7 @@ let handle_proposal t ~src (node : Types.node) =
             node.Types.parents
         end;
         (* A certificate may have arrived before the data. *)
-        (match Hashtbl.find_opt t.awaiting_data node.Types.digest with
-        | Some cert -> ignore (try_deliver t cert)
-        | None -> ());
+        deliver_awaiting t node;
         (* Vote at most once per position; equivocating second proposals
            are ignored (§3.1 step 2). The vote is externalized only after
            the proposal is durably persisted. *)
@@ -513,85 +477,48 @@ let handle_proposal t ~src (node : Types.node) =
       end
   end
 
-(* All-to-all certification (§5.4): every replica aggregates every
-   position's certificate locally from broadcast votes — no certificate
-   forwarding step, saving one message delay per round. *)
-let handle_vote_a2a t (v : Types.vote) =
-  let key = pos t ~round:v.Types.vote_round ~author:v.Types.vote_author in
-  if (not (Int_tbl.mem t.cert_meta key)) && v.Types.vote_round >= t.lowest_round then begin
-    match
-      Validation.validate_vote ~committee:t.cfg.committee
-        ~verify_signatures:t.cfg.verify_signatures v
-    with
-    | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
-    | Ok () ->
-      let per_pos =
-        match Int_tbl.find_opt t.a2a_votes key with
-        | Some h -> h
-        | None ->
-          let h = Hashtbl.create 4 in
-          Int_tbl.replace t.a2a_votes key h;
-          h
-      in
-      let sigs =
-        match Hashtbl.find_opt per_pos v.Types.vote_digest with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.replace per_pos v.Types.vote_digest l;
-          l
-      in
-      if not (List.mem_assoc v.Types.voter !sigs) then begin
-        sigs := (v.Types.voter, v.Types.vote_signature) :: !sigs;
-        if List.length !sigs >= quorum t then begin
-          t.certs_formed <- t.certs_formed + 1;
-          Obs.incr_c t.c_certs_formed;
-          Obs.event t.obs ~time:(t.cb.now ())
-            (Trace.Cert_formed { round = v.Types.vote_round; author = v.Types.vote_author });
-          Int_tbl.remove t.a2a_votes key;
-          let multisig = Multisig.aggregate ~n:t.cfg.committee.Committee.n !sigs in
-          let cert_ref =
-            {
-              Types.ref_round = v.Types.vote_round;
-              ref_author = v.Types.vote_author;
-              ref_digest = v.Types.vote_digest;
-            }
-          in
-          accept_certificate t { Types.cert_ref; multisig }
-        end
-      end
-  end
-
+(* One tally per position and digest. Star mode takes votes only on the
+   digest it voted for at its own position (registered when its proposal
+   loops back) and broadcasts the certificate; all-to-all mode (§5.4)
+   takes every position's votes and installs the certificate locally,
+   saving the forwarding step, one message delay per round. *)
 let handle_vote t (v : Types.vote) =
-  if t.cfg.all_to_all_votes then handle_vote_a2a t v
-  else if v.Types.vote_author = t.cfg.replica then begin
+  let a2a = t.cfg.all_to_all_votes in
+  let round = v.Types.vote_round and author = v.Types.vote_author in
+  let key = pos t ~round ~author in
+  let wanted =
+    if a2a then (not (Int_tbl.mem t.cert_meta key)) && round >= t.lowest_round
+    else author = t.cfg.replica
+  in
+  if wanted then begin
     match
       Validation.validate_vote ~committee:t.cfg.committee
         ~verify_signatures:t.cfg.verify_signatures v
     with
     | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
     | Ok () -> (
-      match Int_tbl.find_opt t.own_votes v.Types.vote_round with
-      | Some acc
-        when Digest32.equal acc.digest v.Types.vote_digest
-             && (not acc.cert_done)
-             && not (List.mem_assoc v.Types.voter acc.sigs) ->
-        acc.sigs <- (v.Types.voter, v.Types.vote_signature) :: acc.sigs;
-        if List.length acc.sigs >= quorum t then begin
-          acc.cert_done <- true;
+      let tallies = Option.value ~default:[] (Int_tbl.find_opt t.votes key) in
+      let tally =
+        match List.find_opt (fun x -> Digest32.equal x.digest v.Types.vote_digest) tallies with
+        | None when a2a ->
+          let x = { digest = v.Types.vote_digest; sigs = []; formed = false } in
+          Int_tbl.replace t.votes key (x :: tallies);
+          Some x
+        | found -> found
+      in
+      match tally with
+      | Some x when (not x.formed) && not (List.mem_assoc v.Types.voter x.sigs) ->
+        x.sigs <- (v.Types.voter, v.Types.vote_signature) :: x.sigs;
+        if List.length x.sigs >= quorum t then begin
+          let multisig = Multisig.aggregate ~n:t.cfg.committee.Committee.n x.sigs in
+          x.formed <- true;
+          x.sigs <- [];
           t.certs_formed <- t.certs_formed + 1;
           Obs.incr_c t.c_certs_formed;
-          Obs.event t.obs ~time:(t.cb.now ())
-            (Trace.Cert_formed { round = v.Types.vote_round; author = t.cfg.replica });
-          let multisig = Multisig.aggregate ~n:t.cfg.committee.Committee.n acc.sigs in
-          let cert_ref =
-            {
-              Types.ref_round = v.Types.vote_round;
-              ref_author = t.cfg.replica;
-              ref_digest = acc.digest;
-            }
-          in
-          t.cb.broadcast (Types.Certificate { Types.cert_ref; multisig })
+          Obs.event t.obs ~time:(t.cb.now ()) (Trace.Cert_formed { round; author });
+          let cert_ref = { Types.ref_round = round; ref_author = author; ref_digest = x.digest } in
+          let cert = { Types.cert_ref; multisig } in
+          if a2a then accept_certificate t cert else t.cb.broadcast (Types.Certificate cert)
         end
       | _ -> ())
   end
@@ -626,25 +553,24 @@ let handle_fetch_response t (cn : Types.certified_node) =
   | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
   | Ok () ->
     let node = cn.Types.cn_node in
-    put_data t node;
     mark_referenced t node;
     if Store.note_proposal t.store node then t.cb.on_proposal_noted node;
     accept_certificate t cn.Types.cn_cert;
-    (match Hashtbl.find_opt t.awaiting_data node.Types.digest with
-    | Some cert -> ignore (try_deliver t cert)
-    | None -> ())
+    deliver_awaiting t node
 
 let handle_message t ~src msg =
   if t.alive then begin
     match msg with
     | Types.Proposal node ->
       handle_proposal t ~src node;
-      (* The author votes for its own proposal like everyone else; register
-         our vote accumulator when the loopback copy arrives. *)
-      if node.Types.author = t.cfg.replica && not (Int_tbl.mem t.own_votes node.Types.round)
+      (* The author votes for its own proposal like everyone else; in star
+         mode, register its tally when the loopback copy arrives. *)
+      let key = pos t ~round:node.Types.round ~author:node.Types.author in
+      if
+        node.Types.author = t.cfg.replica && (not t.cfg.all_to_all_votes)
+        && not (Int_tbl.mem t.votes key)
       then begin
-        Int_tbl.replace t.own_votes node.Types.round
-          { digest = node.Types.digest; sigs = []; cert_done = false };
+        Int_tbl.replace t.votes key [ { digest = node.Types.digest; sigs = []; formed = false } ];
         if node.Types.round < t.table_low then t.table_low <- node.Types.round
       end
     | Types.Vote v -> handle_vote t v
@@ -687,30 +613,27 @@ let ingest_certified t cn = if t.alive then handle_fetch_response t cn
 
 let lowest_round t = t.lowest_round
 
-let awaiting_data t = Hashtbl.length t.awaiting_data
+let awaiting_data t = Int_tbl.length t.awaiting_data
 
 let set_retain_gate t ~round =
-  let swept = Store.set_retain_gate t.store ~round in
+  let swept, pruned_data = Store.set_retain_gate t.store ~round in
   if swept > 0 then begin
-    let floor = Store.lowest_stored t.store in
-    let pruned_data = prune_data t ~floor in
     Obs.incr ~by:swept t.obs "gc.pruned_vertices";
     Obs.incr ~by:pruned_data t.obs "gc.pruned_data";
     Obs.set t.obs "gc.retained_rounds"
-      (float_of_int (max 0 (Store.highest_round t.store - floor + 1)))
+      (float_of_int (max 0 (Store.highest_round t.store - Store.lowest_stored t.store + 1)))
   end
 
 let gc_upto t ~round =
   if round > t.lowest_round then begin
     t.lowest_round <- round;
     Obs.event t.obs ~time:(t.cb.now ()) (Trace.Gc_pruned { below = round });
-    let pruned_vertices = Store.prune_below t.store ~round in
-    (* Proposal data deletes at the {e physical} floor, like the store: a
+    (* Proposals go with their round at the {e physical} floor: a
        checkpoint retain gate keeps rounds (with their batches, which the
        sync server ships whole) serveable after the logical floor has
        passed them. *)
+    let pruned_vertices, pruned_data = Store.prune_below t.store ~round in
     let floor = Store.lowest_stored t.store in
-    let pruned_data = prune_data t ~floor in
     Obs.incr ~by:pruned_vertices t.obs "gc.pruned_vertices";
     Obs.incr ~by:pruned_data t.obs "gc.pruned_data";
     Obs.set t.obs "gc.floor" (float_of_int round);
@@ -724,10 +647,10 @@ let gc_upto t ~round =
         Int_tbl.remove t.cert_meta k;
         Int_tbl.remove t.unreferenced k;
         Int_tbl.remove t.voted k;
-        Int_tbl.remove t.a2a_votes k
+        Int_tbl.remove t.votes k;
+        Int_tbl.remove t.awaiting_data k
       done;
-      Int_tbl.remove t.certs_per_round r;
-      Int_tbl.remove t.own_votes r
+      Int_tbl.remove t.certs_per_round r
     done;
     t.table_low <- round
   end

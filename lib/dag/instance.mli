@@ -25,9 +25,10 @@
       proposal it waited for;
     - garbage collection never drops state at or above the collection
       round, and re-delivered messages for collected rounds are ignored;
-    - every round- or position-keyed table is an identity-hashed
-      [Int_tbl]; what is read out of one in table order (weak-edge
-      candidates, the resume round) is sorted or reduced by [max] first. *)
+    - every table is keyed by round or by position, an identity-hashed
+      [Int_tbl]; proposals live in the {!Store}'s round slots. What is read
+      out of a table in table order (weak-edge candidates, the resume
+      round) is sorted or reduced by [max] first. *)
 
 (** What, beyond an n-f certificate quorum, a replica waits for before
     advancing its round. The timeout always runs from the round's start. *)
@@ -130,24 +131,24 @@ val fetch_missing : t -> Types.node_ref -> unit
 val certs_known_at : t -> round:int -> int
 
 val gc_upto : t -> round:int -> unit
-(** Drop instance and store state below [round] — including the
-    proposal-data KV — walking only the rounds between the previous floor
+(** Drop instance and store state below [round] — the store's proposals
+    with their rounds — walking only the rounds between the previous floor
     (or the lowest round a late entry landed in since) and [round], and
-    publish [gc.pruned_vertices] / [gc.pruned_data]
+    publish [gc.pruned_vertices] / [gc.pruned_data] (proposals dropped)
     counters and [gc.floor] / [gc.retained_rounds] gauges. With a retain
-    gate installed ({!set_retain_gate}) the store and KV delete only below
-    the gate; ordering still ignores everything below the logical floor. *)
+    gate installed ({!set_retain_gate}) the store deletes only below the
+    gate; ordering still ignores everything below the logical floor. *)
 
 val set_retain_gate : t -> round:int -> unit
 (** Checkpoint-anchored physical pruning: monotonically raise the store's
     retain gate to [round] (the latest certified checkpoint's resume floor)
-    and sweep store rounds plus proposal data whose deletion the previous
-    gate deferred. Installing a gate of 0 at startup defers all physical
+    and sweep the store rounds, proposals included, whose deletion the
+    previous gate deferred. Installing a gate of 0 at startup defers all physical
     deletion until a first checkpoint certifies. *)
 
 val awaiting_data : t -> int
-(** Certificates whose node data is still being fetched. An entry is
-    dropped once GC passes its round; fetching for it stops then. *)
+(** Certificates whose node data is still being fetched. GC drops the
+    entries below its floor; fetching for them stops then. *)
 
 val lowest_round : t -> int
 (** Current GC floor: rounds below it are pruned and their messages

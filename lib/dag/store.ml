@@ -5,7 +5,9 @@ type round_slot = {
   nodes : Types.certified_node option array; (* by author *)
   cert_refs : int array; (* certified round+1 references to (this round, author) *)
   weak : int array; (* weak votes: round+1 proposals referencing (this round, author) *)
-  proposal_seen : bool array; (* first-proposal dedup for authors of THIS round *)
+  proposals : Types.node list array;
+      (* proposals seen from each author of THIS round, one per digest;
+         two only under equivocation. The first counts for weak votes. *)
   stamp : int array; (* generation of the last traversal that visited (this round, author) *)
 }
 
@@ -52,7 +54,7 @@ let slot t round =
         nodes = Array.make t.n None;
         cert_refs = Array.make t.n 0;
         weak = Array.make t.n 0;
-        proposal_seen = Array.make t.n false;
+        proposals = Array.make t.n [];
         stamp = Array.make t.n 0;
       }
     in
@@ -84,14 +86,19 @@ let add_certified t (cn : Types.certified_node) =
     bump_parent_counters t node `Cert;
     true
 
+let same_digest (node : Types.node) (p : Types.node) = Digest32.equal p.Types.digest node.Types.digest
+
+(* A copy of a stored digest replaces it (the newest copy is kept). *)
 let note_proposal t (node : Types.node) =
   let s = slot t node.Types.round in
-  if s.proposal_seen.(node.Types.author) then false
-  else begin
-    s.proposal_seen.(node.Types.author) <- true;
+  match s.proposals.(node.Types.author) with
+  | [] ->
+    s.proposals.(node.Types.author) <- [ node ];
     bump_parent_counters t node `Weak;
     true
-  end
+  | seen ->
+    s.proposals.(node.Types.author) <- node :: List.filter (fun p -> not (same_digest node p)) seen;
+    false
 
 let get t ~round ~author =
   match slot_opt t round with
@@ -104,6 +111,14 @@ let get_by_ref t (r : Types.node_ref) =
   | _ -> None
 
 let mem_ref t r = Option.is_some (get_by_ref t r)
+
+let proposal t (r : Types.node_ref) =
+  match slot_opt t r.Types.ref_round with
+  | Some s when r.Types.ref_author >= 0 && r.Types.ref_author < t.n ->
+    List.find_opt
+      (fun (p : Types.node) -> Digest32.equal p.Types.digest r.Types.ref_digest)
+      s.proposals.(r.Types.ref_author)
+  | _ -> None
 
 let nodes_at t ~round =
   match slot_opt t round with
@@ -218,17 +233,18 @@ let position_ancestor t ~round ~author ~of_ =
    walking the rounds from the lowest slot up. *)
 let sweep t ~below =
   let below = min below t.lowest in
-  let dropped = ref 0 in
+  let nodes = ref 0 and proposals = ref 0 in
   for r = t.low_slot to below - 1 do
     match slot_opt t r with
     | Some s ->
-      Array.iter (fun n -> if Option.is_some n then incr dropped) s.nodes;
+      Array.iter (fun n -> if Option.is_some n then incr nodes) s.nodes;
+      Array.iter (fun l -> proposals := !proposals + List.length l) s.proposals;
       Int_tbl.remove t.rounds r
     | None -> ()
   done;
   if below > t.low_slot then t.low_slot <- below;
   if below > t.stored then t.stored <- below;
-  !dropped
+  (!nodes, !proposals)
 
 let prune_below t ~round =
   if round > t.lowest then t.lowest <- round;

@@ -1,7 +1,9 @@
 (** A replica's local view of one certified DAG.
 
-    Besides the (round, author) grid of certified nodes, the store maintains
-    the two reference counters consensus needs in O(1):
+    Everything is kept by position, (round, author): the certified node,
+    the proposals seen there (certified or not, so a certificate finds its
+    data whichever arrives first), and the two reference counters
+    consensus needs in O(1):
 
     - {e certified references}: for position (r, a), how many {e certified}
       nodes of round r+1 list (r, a) among their parents — the input to
@@ -28,9 +30,12 @@
       (round, author) would;
     - rounds are kept in an int-keyed table ([Int_tbl]) walked only by
       round number, never iterated;
-    - GC below round r removes only state strictly below r, and every
-      slot below it — a slot opened under an earlier floor included — by
-      walking the rounds from the lowest slot up, never the table. *)
+    - a round slot holds at most one proposal per (author, digest): at
+      most two per author, and two only under equivocation;
+    - GC below round r removes only state strictly below r — certified
+      nodes and proposals alike — and every slot below it, a slot opened
+      under an earlier floor included, by walking the rounds from the
+      lowest slot up, never the table. *)
 
 type t
 
@@ -46,9 +51,15 @@ val add_certified : t -> Types.certified_node -> bool
     duplicate is idempotent. Updates certified-reference counters. *)
 
 val note_proposal : t -> Types.node -> bool
-(** Record a proposal for weak-vote accounting. Returns [true] iff this was
-    the first proposal seen from its author for its round (only first
-    proposals count, Alg. 2 line 24). Does {e not} insert into the DAG. *)
+(** Keep a proposal in its round slot (a second copy of a stored digest
+    replaces it) and count its weak votes if it is the first seen at its
+    position. Returns [true] iff it was the first proposal seen from its
+    author for its round (only first proposals count, Alg. 2 line 24).
+    Does {e not} insert into the DAG. *)
+
+val proposal : t -> Types.node_ref -> Types.node option
+(** The stored proposal with the ref's position and digest, certified or
+    not. *)
 
 val get : t -> round:int -> author:int -> Types.certified_node option
 val get_by_ref : t -> Types.node_ref -> Types.certified_node option
@@ -88,15 +99,17 @@ val position_ancestor : t -> round:int -> author:int -> of_:Types.node_ref -> bo
     anchors are positions, and a certified DAG has at most one node per
     position, so this is unambiguous. *)
 
-val prune_below : t -> round:int -> int
+val prune_below : t -> round:int -> int * int
 (** Raise the logical GC floor to [round] — ordering and causal traversal
     ignore everything below it from this point on — and physically delete
     rounds below [min round gate] (below [round] when no retain gate is
-    set). Returns the number of nodes dropped. *)
+    set). Returns the numbers of certified nodes and of proposals
+    dropped. *)
 
-val set_retain_gate : t -> round:int -> int
+val set_retain_gate : t -> round:int -> int * int
 (** Install (or monotonically raise) the physical-deletion gate and sweep
-    any rounds whose deletion it had deferred; returns the nodes dropped.
+    any rounds whose deletion it had deferred; returns the certified nodes
+    and the proposals dropped.
     With the bounded-memory lifecycle on, the gate tracks the latest
     commit-certified checkpoint's resume floor, so rounds a catching-up
     peer may still request stay serveable even after the logical floor has

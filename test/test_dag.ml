@@ -762,7 +762,7 @@ let test_store_prune () =
   List.iter (fun cn -> ignore (Store.add_certified s cn)) r0;
   let r1 = full_round ~round:1 ~parents:(refs_of r0) () in
   List.iter (fun cn -> ignore (Store.add_certified s cn)) r1;
-  checki "dropped" 4 (Store.prune_below s ~round:1);
+  checki "dropped" 4 (fst (Store.prune_below s ~round:1));
   checki "lowest" 1 (Store.lowest_retained s);
   checki "round 0 gone" 0 (Store.count_at s ~round:0);
   checki "round 1 kept" 4 (Store.count_at s ~round:1);

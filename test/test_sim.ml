@@ -8,7 +8,6 @@ module Netmodel = Shoalpp_sim.Netmodel
 module Faults = Shoalpp_sim.Faults
 module Trace = Shoalpp_sim.Trace
 module Wal = Shoalpp_storage.Wal
-module Kvstore = Shoalpp_storage.Kvstore
 module Digest32 = Shoalpp_crypto.Digest32
 
 let checkb = Alcotest.(check bool)
@@ -450,22 +449,6 @@ let test_wal_callback_never_synchronous () =
   Engine.run engine;
   checkb "then fires" true !fired
 
-(* ------------------------------------------------------------------ *)
-(* Kvstore *)
-
-let test_kvstore_basic () =
-  let kv = Kvstore.create () in
-  let k1 = Digest32.of_string "k1" and k2 = Digest32.of_string "k2" in
-  Kvstore.put kv k1 "v1";
-  checkb "mem" true (Kvstore.mem kv k1);
-  Alcotest.(check (option string)) "get" (Some "v1") (Kvstore.get kv k1);
-  Alcotest.(check (option string)) "missing" None (Kvstore.get kv k2);
-  Kvstore.put kv k1 "v1b";
-  Alcotest.(check (option string)) "replace" (Some "v1b") (Kvstore.get kv k1);
-  checki "size" 1 (Kvstore.size kv);
-  Kvstore.remove kv k1;
-  checki "removed" 0 (Kvstore.size kv)
-
 let suite =
   [
     ( "sim.engine",
@@ -519,5 +502,4 @@ let suite =
         Alcotest.test_case "group commit" `Quick test_wal_group_commit;
         Alcotest.test_case "never synchronous" `Quick test_wal_callback_never_synchronous;
       ] );
-    ( "storage.kvstore", [ Alcotest.test_case "basic" `Quick test_kvstore_basic ] );
   ]

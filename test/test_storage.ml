@@ -317,30 +317,40 @@ let filled_store ~rounds =
   let store = Store.create ~n ~genesis_digest:(Digest32.of_string "genesis") in
   for round = 0 to rounds - 1 do
     for author = 0 to n - 1 do
-      ignore (Store.add_certified store (make_certified ~round ~author))
+      let cn = make_certified ~round ~author in
+      ignore (Store.note_proposal store cn.Types.cn_node);
+      ignore (Store.add_certified store cn)
     done
   done;
   store
 
+let checkp = Alcotest.(check (pair int int))
+
+(* Each round of [filled_store] holds n certified nodes and their n
+   proposals; a sweep drops both and reports (nodes, proposals). *)
 let test_store_retain_gate () =
   (* No gate: pruning deletes immediately (the pre-checkpoint behavior). *)
   let plain = filled_store ~rounds:6 in
-  checki "ungated prune deletes" (3 * n) (Store.prune_below plain ~round:3);
+  checkp "ungated prune deletes" (3 * n, 3 * n) (Store.prune_below plain ~round:3);
   checki "ungated floors coincide" 3 (Store.lowest_stored plain);
   (* Gate at 0 (installed at startup when checkpointing is on): the
      logical floor advances, physical deletion is deferred. *)
   let gated = filled_store ~rounds:6 in
-  checki "gate install sweeps nothing" 0 (Store.set_retain_gate gated ~round:0);
-  checki "gated prune deletes nothing" 0 (Store.prune_below gated ~round:3);
+  checkp "gate install sweeps nothing" (0, 0) (Store.set_retain_gate gated ~round:0);
+  checkp "gated prune deletes nothing" (0, 0) (Store.prune_below gated ~round:3);
   checki "logical floor advanced" 3 (Store.lowest_retained gated);
   checki "physical floor held" 0 (Store.lowest_stored gated);
   checkb "gated rounds still serveable" true (Store.nodes_at gated ~round:1 <> []);
+  let first = (make_certified ~round:1 ~author:0).Types.cn_node in
+  checkb "and their proposals" true (Option.is_some (Store.proposal gated (Types.ref_of_node first)));
   (* Raising the gate (a checkpoint certified) sweeps the deferred rounds. *)
-  checki "gate raise sweeps deferred rounds" (2 * n) (Store.set_retain_gate gated ~round:2);
+  checkp "gate raise sweeps deferred rounds" (2 * n, 2 * n) (Store.set_retain_gate gated ~round:2);
+  checkb "proposals go with their round" true
+    (Option.is_none (Store.proposal gated (Types.ref_of_node first)));
   checki "physical floor at gate" 2 (Store.lowest_stored gated);
   (* The gate never deletes above the logical floor, even when the
      certified frontier is ahead of it. *)
-  checki "gate beyond floor sweeps to floor only" n (Store.set_retain_gate gated ~round:5);
+  checkp "gate beyond floor sweeps to floor only" (n, n) (Store.set_retain_gate gated ~round:5);
   checki "physical floor capped at logical" 3 (Store.lowest_stored gated);
   checkb "rounds above logical floor intact" true (Store.nodes_at gated ~round:3 <> [])
 
