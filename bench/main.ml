@@ -845,7 +845,7 @@ let micro () =
   let kp = Shoalpp_dag.Committee.keypair committee 0 in
   let node =
     let digest =
-      Types.node_digest ~round:0 ~author:0 ~batch_digest:batch.Batch.digest ~parents:[]
+      Types.node_digest ~lane:0 ~round:0 ~author:0 ~batch_digest:batch.Batch.digest ~parents:[]
         ~weak_parents:[]
     in
     {
@@ -907,7 +907,7 @@ let micro () =
         Test.make ~name:"multisig-verify-11"
           (Staged.stage (fun () -> ignore (Shoalpp_crypto.Multisig.verify keys aggregate "m")));
         Test.make ~name:"decode-certificate-11"
-          (Staged.stage (fun () -> ignore (Types.decode_message encoded_cert)));
+          (Staged.stage (fun () -> ignore (Types.decode_message ~lane:0 encoded_cert)));
         Test.make ~name:"ck-candidate-digest"
           (Staged.stage (fun () -> ignore (Checkpoint.digest ck_candidate)));
         Test.make ~name:"ck-fold"
@@ -916,7 +916,7 @@ let micro () =
         Test.make ~name:"encode-proposal-500tx"
           (Staged.stage (fun () -> ignore (Types.encode_message (Types.Proposal node))));
         Test.make ~name:"decode-proposal-500tx"
-          (Staged.stage (fun () -> ignore (Types.decode_message encoded)));
+          (Staged.stage (fun () -> ignore (Types.decode_message ~lane:0 encoded)));
       ]
   in
   let instances = Instance.[ monotonic_clock ] in

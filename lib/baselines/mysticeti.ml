@@ -113,7 +113,7 @@ let rec propose r round =
   let created_at = Backend.now r.backend in
   let batch = Batch.make ~txns ~created_at in
   let digest =
-    Types.node_digest ~round ~author:r.id ~batch_digest:batch.Batch.digest ~parents
+    Types.node_digest ~lane:0 ~round ~author:r.id ~batch_digest:batch.Batch.digest ~parents
       ~weak_parents:[]
   in
   let node =
@@ -147,7 +147,7 @@ let rec propose r round =
        rather than a total halt. *)
     let twin_batch = Batch.make ~txns:[] ~created_at in
     let twin_digest =
-      Types.node_digest ~round ~author:r.id ~batch_digest:twin_batch.Batch.digest ~parents
+      Types.node_digest ~lane:0 ~round ~author:r.id ~batch_digest:twin_batch.Batch.digest ~parents
         ~weak_parents:[]
     in
     let twin =

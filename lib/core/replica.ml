@@ -208,14 +208,14 @@ let rec drain t =
 
 (* Equivocation twin: same round and parent edges, but an empty batch —
    hence a different digest — re-signed with our own key, so it passes
-   proposal validation at every correct replica. Skipped when the original
-   batch is already empty (the digests would coincide). *)
-let equivocation_twin t (node : Types.node) =
+   proposal validation at every correct replica of its [lane]. Skipped
+   when the original batch is already empty (the digests would coincide). *)
+let equivocation_twin t ~lane (node : Types.node) =
   if node.Types.batch.Batch.txns = [] then None
   else begin
     let batch = Batch.make ~txns:[] ~created_at:node.Types.batch.Batch.created_at in
     let digest =
-      Types.node_digest ~round:node.Types.round ~author:node.Types.author
+      Types.node_digest ~lane ~round:node.Types.round ~author:node.Types.author
         ~batch_digest:batch.Batch.digest ~parents:node.Types.parents
         ~weak_parents:node.Types.weak_parents
     in
@@ -328,7 +328,7 @@ let make_lane t dag_id =
         Obs.event t.obs ~time:now (Trace.Anchor_withheld { round = node.Types.round });
         plain_send ~dst:t.id payload
       | Types.Proposal node, Some Faults.Equivocate when node.Types.author = t.id -> (
-        match equivocation_twin t node with
+        match equivocation_twin t ~lane:dag_id node with
         | None -> plain_broadcast payload
         | Some twin ->
           Obs.incr_c t.c_equivocations;
@@ -467,7 +467,7 @@ let replay_wal t =
   List.iter
     (fun (dag_id, entry) ->
       if dag_id < Array.length t.lanes then
-        match Types.decode_message entry with
+        match Types.decode_message ~lane:dag_id entry with
         | Ok msg ->
           incr replayed;
           (* Proposals must appear to come from their author (the

@@ -232,8 +232,8 @@ let rec propose ?(held = 0.0) t round =
   let created_at = t.cb.now () in
   let batch = Batch.make ~txns ~created_at in
   let digest =
-    Types.node_digest ~round ~author:t.cfg.replica ~batch_digest:batch.Batch.digest ~parents
-      ~weak_parents
+    Types.node_digest ~lane:t.cfg.dag_id ~round ~author:t.cfg.replica
+      ~batch_digest:batch.Batch.digest ~parents ~weak_parents
   in
   let node =
     {
@@ -525,7 +525,7 @@ let handle_vote t (v : Types.vote) =
 
 let handle_certificate t (cert : Types.certificate) =
   match
-    Validation.validate_certificate ~lane:t.cfg.dag_id ~committee:t.cfg.committee
+    Validation.validate_certificate ~committee:t.cfg.committee
       ~verify_signatures:t.cfg.verify_signatures cert
   with
   | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1

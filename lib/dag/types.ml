@@ -71,8 +71,9 @@ type message =
 
 let ref_of_node n = { ref_round = n.round; ref_author = n.author; ref_digest = n.digest }
 
-let node_digest ~round ~author ~batch_digest ~parents ~weak_parents =
+let node_digest ~lane ~round ~author ~batch_digest ~parents ~weak_parents =
   let w = Wire.Writer.create () in
+  Wire.Writer.uint w lane;
   Wire.Writer.uint w round;
   Wire.Writer.uint w author;
   Wire.Writer.digest w batch_digest;
@@ -154,7 +155,7 @@ let write_node w (n : node) =
   Wire.Writer.list w (write_ref w) n.weak_parents;
   Wire.Writer.raw w (Signer.raw n.signature)
 
-let read_node rd =
+let read_node ~lane rd =
   let round = Wire.Reader.uint rd in
   let author = Wire.Reader.uint rd in
   let created_at = Wire.Reader.float rd in
@@ -164,7 +165,7 @@ let read_node rd =
   let signature_raw = Wire.Reader.raw rd 32 in
   let batch = Batch.make ~txns ~created_at in
   let digest =
-    node_digest ~round ~author ~batch_digest:batch.Batch.digest ~parents ~weak_parents
+    node_digest ~lane ~round ~author ~batch_digest:batch.Batch.digest ~parents ~weak_parents
   in
   {
     round;
@@ -200,8 +201,8 @@ let read_cert rd =
   | multisig -> { cert_ref; multisig }
   | exception Invalid_argument m -> raise (Wire.Reader.Malformed m)
 
-let read_certified rd =
-  let cn_node = read_node rd in
+let read_certified ~lane rd =
+  let cn_node = read_node ~lane rd in
   let cn_cert = read_cert rd in
   { cn_node; cn_cert }
 
@@ -285,10 +286,10 @@ let encode_message msg =
   write_message w msg;
   Wire.Writer.contents w
 
-let read_sync_response rd =
+let read_sync_response ~lane rd =
   match Wire.Reader.u8 rd with
   | 2 ->
-    let sc_certs = Wire.Reader.list rd read_certified in
+    let sc_certs = Wire.Reader.list rd (read_certified ~lane) in
     let sc_has_more = Wire.Reader.u8 rd = 1 in
     let sc_next = Wire.Reader.uint rd in
     let sc_highest = Wire.Reader.uint rd in
@@ -300,12 +301,12 @@ let read_sync_response rd =
     Checkpoint_blob { cb_blob }
   | tag -> failwith (Printf.sprintf "unknown sync response tag %d" tag)
 
-let decode_message ?pos s =
+let decode_message ?pos ~lane s =
   let rd = Wire.Reader.of_string ?pos s in
   try
     let msg =
       match Wire.Reader.u8 rd with
-      | 1 -> Proposal (read_node rd)
+      | 1 -> Proposal (read_node ~lane rd)
       | 2 ->
         let vote_round = Wire.Reader.uint rd in
         let vote_author = Wire.Reader.uint rd in
@@ -318,7 +319,7 @@ let decode_message ?pos s =
         let wanted = read_ref rd in
         let requester = Wire.Reader.uint rd in
         Fetch_request { wanted; requester }
-      | 5 -> Fetch_response (read_certified rd)
+      | 5 -> Fetch_response (read_certified ~lane rd)
       | 6 ->
         let ck_seq = Wire.Reader.uint rd in
         let ck_digest = Wire.Reader.digest rd in
@@ -330,7 +331,7 @@ let decode_message ?pos s =
         Sync_request { sq_requester; sq_req = read_sync_request rd }
       | 8 ->
         let sp_responder = Wire.Reader.uint rd in
-        Sync_response { sp_responder; sp_resp = read_sync_response rd }
+        Sync_response { sp_responder; sp_resp = read_sync_response ~lane rd }
       | tag -> failwith (Printf.sprintf "unknown message tag %d" tag)
     in
     Wire.Reader.expect_end rd;

@@ -28,7 +28,8 @@ type node = {
           certified nodes from rounds [< round - 1] that would otherwise be
           orphaned — they join the causal history (and thus get ordered) but
           do {e not} count as votes for commit rules *)
-  digest : Shoalpp_crypto.Digest32.t;  (** binds round, author, batch digest and parents *)
+  digest : Shoalpp_crypto.Digest32.t;
+      (** binds the lane, round, author, batch digest and parents *)
   signature : Shoalpp_crypto.Signer.signature;  (** author's signature over [digest] *)
   created_at : float;  (** local creation time; informational, not signed *)
 }
@@ -98,13 +99,18 @@ type message =
 val ref_of_node : node -> node_ref
 
 val node_digest :
+  lane:int ->
   round:round ->
   author:replica ->
   batch_digest:Shoalpp_crypto.Digest32.t ->
   parents:node_ref list ->
   weak_parents:node_ref list ->
   Shoalpp_crypto.Digest32.t
-(** The canonical signing preimage of a node. *)
+(** The canonical signing preimage of a node. It binds the DAG lane the
+    node is proposed in, so a node, and every vote and certificate on its
+    digest, names one lane: the lanes' otherwise identical nodes (round 0
+    with empty batches) have distinct digests, and a value replayed into
+    another lane fails its digest binding there. *)
 
 val max_weak_parents : int
 (** Per-node cap on weak edges (validation rejects more). *)
@@ -130,9 +136,11 @@ val encode_message : message -> string
     passes values in memory and charges for [message_size] bytes). A
     certificate carries its signer list and its 32-byte aggregate. *)
 
-val decode_message : ?pos:int -> string -> (message, string) result
+val decode_message : ?pos:int -> lane:int -> string -> (message, string) result
 (** Decode the message that starts at offset [pos] (default 0) and runs to
-    the end of the string, and validate its structure. Signatures and
+    the end of the string, and validate its structure. [lane] is the DAG
+    lane it arrived on (the envelope's tag, the WAL entry's lane): a node's
+    digest is recomputed for that lane. Signatures and
     aggregates are kept as received and are not checked here; a signer
     bitmap claiming a capacity above {!Shoalpp_crypto.Multisig.max_capacity}
     is an [Error], found before anything is allocated for it. *)

@@ -80,14 +80,14 @@ type check = Binding | Proposal_signature | Certificate_multisig | Checkpoint_vo
 
 type entry =
   | Empty
-  | Bound of Types.node
+  | Bound of Types.node * int (* the lane the binding held for *)
   | Signed of Types.node * Signer.registry
   | Certified of Types.certificate * Signer.registry
   | Ck_signed of Types.message * Signer.registry
 
 let same a b =
   match (a, b) with
-  | Bound x, Bound y -> x == y
+  | Bound (x, l), Bound (y, l') -> x == y && Int.equal l l'
   | Signed (x, k), Signed (y, k') -> x == y && k == k'
   | Certified (x, k), Certified (y, k') -> x == y && k == k'
   | Ck_signed (x, k), Ck_signed (y, k') -> x == y && k == k'
@@ -103,14 +103,11 @@ let index = function Binding -> 0 | Proposal_signature -> 1 | Certificate_multis
 
 let memo_counts check = let m = memo () in (m.hits.(index check), m.misses.(index check))
 
-(* [full ()] runs only on a miss. Each check, and each DAG lane, has its own
-   offset, so a node's binding, signature and certificate (one digest) do not
-   evict each other, nor do the lanes' byte-identical twins: the k lanes'
-   round-0 nodes and certificates share their digests when their batches are
-   empty. Lane 0's slots are the single-lane table's. *)
-let memoized ?(lane = 0) check ~hash entry full =
+(* [full ()] runs only on a miss. Each check has its own offset, so a node's
+   binding, signature and certificate (one digest) do not evict each other. *)
+let memoized check ~hash entry full =
   let m = memo () and k = index check in
-  let i = (hash + ((k + (4 * lane)) * 0x9E3779B1)) land (Array.length m.slots - 1) in
+  let i = (hash + (k * 0x9E3779B1)) land (Array.length m.slots - 1) in
   let hit = same m.slots.(i) entry in
   if hit then m.hits.(k) <- m.hits.(k) + 1 else m.misses.(k) <- m.misses.(k) + 1;
   let ok = hit || full () in
@@ -118,18 +115,18 @@ let memoized ?(lane = 0) check ~hash entry full =
   ok
 
 let binding_holds ~lane (node : Types.node) =
-  memoized ~lane Binding ~hash:(Digest32.hash node.Types.digest) (Bound node) (fun () ->
+  memoized Binding ~hash:(Digest32.hash node.Types.digest) (Bound (node, lane)) (fun () ->
       Digest32.equal node.Types.digest
-        (Types.node_digest ~round:node.Types.round ~author:node.Types.author
+        (Types.node_digest ~lane ~round:node.Types.round ~author:node.Types.author
            ~batch_digest:node.Types.batch.Shoalpp_workload.Batch.digest
            ~parents:node.Types.parents ~weak_parents:node.Types.weak_parents))
 
 (* Shared by the inline validators below and by {!signatures_ok}, the
    entry point the verify pool uses to run just the cryptographic part of
    validation on a worker domain. *)
-let proposal_signature_ok ?lane ~committee (node : Types.node) =
+let proposal_signature_ok ~committee (node : Types.node) =
   let keys = committee.Committee.keys and d = node.Types.digest in
-  memoized ?lane Proposal_signature ~hash:(Digest32.hash d) (Signed (node, keys)) (fun () ->
+  memoized Proposal_signature ~hash:(Digest32.hash d) (Signed (node, keys)) (fun () ->
       Signer.verify keys node.Types.author (Digest32.raw d) node.Types.signature)
 
 (* Not memoized: a vote is unicast, so no value reaches a second receiver. *)
@@ -139,9 +136,9 @@ let vote_signature_ok ~committee (v : Types.vote) =
        ~digest:v.Types.vote_digest)
     v.Types.vote_signature
 
-let certificate_signature_ok ?lane ~committee (c : Types.certificate) =
+let certificate_signature_ok ~committee (c : Types.certificate) =
   let keys = committee.Committee.keys and r = c.Types.cert_ref in
-  memoized ?lane Certificate_multisig ~hash:(Digest32.hash r.Types.ref_digest) (Certified (c, keys))
+  memoized Certificate_multisig ~hash:(Digest32.hash r.Types.ref_digest) (Certified (c, keys))
     (fun () ->
       Multisig.verify keys c.Types.multisig
         (Types.vote_preimage ~round:r.Types.ref_round ~author:r.Types.ref_author
@@ -179,7 +176,7 @@ let validate_proposal ?(lane = 0) ~committee ~verify_signatures (node : Types.no
        runs still reject tampered content (see dag.validation "digest
        binding"), only signature verification is elided. *)
     if not (binding_holds ~lane node) then fail "digest mismatch"
-    else if verify_signatures && not (proposal_signature_ok ~lane ~committee node) then
+    else if verify_signatures && not (proposal_signature_ok ~committee node) then
       fail "bad author signature"
     else Ok ()
 
@@ -191,7 +188,7 @@ let validate_vote ~committee ~verify_signatures (v : Types.vote) =
     fail "bad vote signature"
   else Ok ()
 
-let validate_certificate ?lane ~committee ~verify_signatures (c : Types.certificate) =
+let validate_certificate ~committee ~verify_signatures (c : Types.certificate) =
   let cap = Multisig.capacity c.Types.multisig in
   let nsig = Multisig.num_signers c.Types.multisig in
   if cap <> committee.Committee.n then
@@ -200,13 +197,13 @@ let validate_certificate ?lane ~committee ~verify_signatures (c : Types.certific
     fail "certificate has %d signers, need >= %d" nsig (Committee.quorum committee)
   else if not (Committee.valid_replica committee c.Types.cert_ref.Types.ref_author) then
     fail "certified author out of range"
-  else if verify_signatures && not (certificate_signature_ok ?lane ~committee c) then
+  else if verify_signatures && not (certificate_signature_ok ~committee c) then
     fail "bad certificate multisig"
   else Ok ()
 
 let validate_certified_node ?lane ~committee ~verify_signatures (cn : Types.certified_node) =
   let* () = validate_proposal ?lane ~committee ~verify_signatures cn.Types.cn_node in
-  let* () = validate_certificate ?lane ~committee ~verify_signatures cn.Types.cn_cert in
+  let* () = validate_certificate ~committee ~verify_signatures cn.Types.cn_cert in
   if Types.ref_equal (Types.ref_of_node cn.Types.cn_node) cn.Types.cn_cert.Types.cert_ref then
     Ok ()
   else fail "certificate does not match node"

@@ -22,9 +22,9 @@
       registry ([committee.keys]) it passed under, so a forged twin
       sharing a field with an honest value still takes the full check.
       Only passes are stored; the structural checks run on every call.
-      [?lane] (default 0) is the DAG lane the value arrived on: each lane
-      has its own slots, since the lanes' round-0 nodes and certificates
-      are byte-identical twins when their batches are empty;
+      A binding entry also records the lane it held for: the digest binds
+      the DAG lane ({!Types.node_digest}), so the same node checked for
+      another lane takes the full check, and fails it;
     - the memo is one direct-mapped table per domain, with no lock: each
       domain replays only verdicts it reached itself, so every function
       here is safe to call from any domain. A decoded copy is a distinct
@@ -34,13 +34,13 @@ val validate_proposal :
   ?lane:int -> committee:Committee.t -> verify_signatures:bool -> Types.node -> (unit, string) result
 (** Checks: author in range, round >= 0, parents structure — round 0 nodes
     have no parents, later rounds have >= n-f parents, all from round-1 with
-    distinct valid authors —, digest binds content, author signature. *)
+    distinct valid authors —, digest binds content and [lane] (default 0,
+    the DAG lane the node arrived on), author signature. *)
 
 val validate_vote :
   committee:Committee.t -> verify_signatures:bool -> Types.vote -> (unit, string) result
 
 val validate_certificate :
-  ?lane:int ->
   committee:Committee.t ->
   verify_signatures:bool ->
   Types.certificate ->
@@ -55,7 +55,8 @@ val validate_certified_node :
   verify_signatures:bool ->
   Types.certified_node ->
   (unit, string) result
-(** Node and certificate valid, and the certificate matches the node. *)
+(** Node (for [lane], default 0) and certificate valid, and the
+    certificate matches the node. *)
 
 val signatures_ok : committee:Committee.t -> Types.message -> bool
 (** Just the cryptographic checks of a message — author signature for a

@@ -84,8 +84,9 @@ let encode_envelope e =
 let read_envelope s ~pos =
   if pos >= String.length s then None
   else
-    match Types.decode_message ~pos:(pos + 1) s with
-    | Ok payload -> Some { Replica.dag_id = Char.code s.[pos]; payload }
+    let dag_id = Char.code s.[pos] in
+    match Types.decode_message ~pos:(pos + 1) ~lane:dag_id s with
+    | Ok payload -> Some { Replica.dag_id; payload }
     | Error _ -> None
 
 let decode_envelope ~cluster_seed:_ s = read_envelope s ~pos:0

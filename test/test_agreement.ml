@@ -19,7 +19,7 @@ let committee = Committee.make ~n:4 ~cluster_seed:44 ()
 let make_node ~round ~author ~parents =
   let batch = Shoalpp_workload.Batch.empty ~created_at:0.0 in
   let digest =
-    Types.node_digest ~round ~author ~batch_digest:batch.Shoalpp_workload.Batch.digest ~parents
+    Types.node_digest ~lane:0 ~round ~author ~batch_digest:batch.Shoalpp_workload.Batch.digest ~parents
       ~weak_parents:[]
   in
   {
@@ -214,7 +214,7 @@ let prop_decoder_never_crashes =
       let pos = pos mod String.length encoded in
       let mutated = Bytes.of_string encoded in
       Bytes.set mutated pos (Char.chr byte);
-      match Types.decode_message (Bytes.to_string mutated) with
+      match Types.decode_message ~lane:0 (Bytes.to_string mutated) with
       | Ok _ | Error _ -> true)
 
 let prop_random_bytes_rejected =
@@ -223,7 +223,7 @@ let prop_random_bytes_rejected =
     (fun (seed, len) ->
       let rng = Rng.create seed in
       let junk = String.init len (fun _ -> Char.chr (Rng.int rng 256)) in
-      match Types.decode_message junk with
+      match Types.decode_message ~lane:0 junk with
       | Error _ -> true
       | Ok (Types.Proposal _) | Ok (Types.Fetch_response _) ->
         false (* a random blob must not parse into a signed node *)

@@ -197,7 +197,7 @@ let test_instance_anchor_is_head () =
 let make_node ?(weak_parents = []) ~round ~author ~parents () =
   let batch = Shoalpp_workload.Batch.empty ~created_at:0.0 in
   let digest =
-    Types.node_digest ~round ~author
+    Types.node_digest ~lane:0 ~round ~author
       ~batch_digest:batch.Shoalpp_workload.Batch.digest ~parents ~weak_parents
   in
   let kp = Committee.keypair committee author in

@@ -26,10 +26,10 @@ let make_batch ids =
     ~txns:(List.map (fun id -> Transaction.make ~id ~submitted_at:0.0 ~origin:0 ()) ids)
     ~created_at:0.0
 
-let make_node ?(committee = committee) ?(batch = make_batch []) ?(weak_parents = []) ~round
-    ~author ~parents () =
+let make_node ?(committee = committee) ?(lane = 0) ?(batch = make_batch []) ?(weak_parents = [])
+    ~round ~author ~parents () =
   let digest =
-    Types.node_digest ~round ~author ~batch_digest:batch.Batch.digest ~parents ~weak_parents
+    Types.node_digest ~lane ~round ~author ~batch_digest:batch.Batch.digest ~parents ~weak_parents
   in
   let kp = Committee.keypair committee author in
   {
@@ -118,7 +118,7 @@ let test_weak_parents_in_digest () =
   checkb "weak parents bound" false (Digest32.equal a.Types.digest b.Types.digest)
 
 let roundtrip msg =
-  match Types.decode_message (Types.encode_message msg) with
+  match Types.decode_message ~lane:0 (Types.encode_message msg) with
   | Ok decoded -> decoded
   | Error e -> Alcotest.failf "decode failed: %s" e
 
@@ -173,11 +173,11 @@ let test_encode_decode_vote_and_cert () =
 
 let test_decode_garbage () =
   checkb "garbage rejected" true
-    (match Types.decode_message "\x09not-a-message" with
+    (match Types.decode_message ~lane:0 "\x09not-a-message" with
     | Error _ -> true
     | Ok _ -> false);
   checkb "empty rejected" true
-    (match Types.decode_message "" with Error _ -> true | Ok _ -> false)
+    (match Types.decode_message ~lane:0 "" with Error _ -> true | Ok _ -> false)
 
 let test_message_sizes_scale () =
   let small = Types.Proposal (make_node ~round:0 ~author:0 ~parents:[] ()) in
@@ -349,6 +349,73 @@ let test_validation_certificate_foreign_signers () =
     (Multisig.verify committee.Committee.keys cert.Types.multisig preimage);
   checkb "verify-pool check refuses it" false
     (Validation.signatures_ok ~committee (Types.Certificate cert))
+
+(* A value of one DAG lane is refused in another. The lanes' round-0
+   nodes with empty batches are otherwise identical, so unless the digest
+   binds the lane, a lane-0 proposal, the votes on it and its certificate
+   all pass in lane 1. Replica 0's lane-1 instance is driven by hand. *)
+let test_validation_lane_replay_refused () =
+  let module Instance = Shoalpp_dag.Instance in
+  let module Engine = Shoalpp_sim.Engine in
+  let lane0 = make_node ~round:0 ~author:0 ~parents:[] () in
+  let proposal ~lane node = Validation.validate_proposal ~lane ~committee ~verify_signatures:true node in
+  checkb "a proposal passes in its own lane" true (Result.is_ok (proposal ~lane:0 lane0));
+  expect_invalid "a lane-0 proposal in lane 1" (proposal ~lane:1 lane0);
+  expect_invalid "a lane-0 certified node in lane 1"
+    (Validation.validate_certified_node ~lane:1 ~committee ~verify_signatures:true (certify lane0));
+  let engine = Engine.create () in
+  let store = Store.create ~n:4 ~genesis_digest:committee.Committee.genesis in
+  let sent = ref [] in
+  let callbacks =
+    {
+      Instance.broadcast = (fun m -> sent := m :: !sent);
+      send = (fun ~dst:_ m -> sent := m :: !sent);
+      now = (fun () -> Engine.now engine);
+      schedule = (Shoalpp_backend.Backend_sim.timers engine).Shoalpp_backend.Backend.Timers.schedule;
+      pull_batch = (fun ~max:_ -> []);
+      anchors_of_round = (fun _ -> []);
+      persist = (fun _ k -> k ());
+      on_proposal_noted = ignore;
+      on_certified = ignore;
+      on_cert_meta = ignore;
+      earliest = (fun ~round:_ ~ready:_ -> neg_infinity);
+      entered = (fun ~round:_ ~held:_ -> ());
+    }
+  in
+  let cfg = { (Instance.default_config ~committee ~replica:0) with Instance.dag_id = 1 } in
+  let inst = Instance.create cfg callbacks ~store in
+  Instance.start inst;
+  let own =
+    match !sent with [ Types.Proposal node ] -> node | _ -> Alcotest.fail "one round-0 proposal"
+  in
+  Instance.handle_message inst ~src:0 (Types.Proposal own);
+  checkb "the lanes' round-0 twins differ" false (Digest32.equal own.Types.digest lane0.Types.digest);
+  let vote_for (node : Types.node) voter =
+    let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:node.Types.digest in
+    Types.Vote
+      {
+        Types.vote_round = 0;
+        vote_author = 0;
+        vote_digest = node.Types.digest;
+        voter;
+        vote_signature = Signer.sign (Committee.keypair committee voter) preimage;
+      }
+  in
+  List.iter (fun v -> Instance.handle_message inst ~src:v (vote_for lane0 v)) [ 1; 2; 3 ];
+  checki "lane-0 votes certify nothing in lane 1" 0 (Instance.certs_formed inst);
+  List.iter (fun v -> Instance.handle_message inst ~src:v (vote_for own v)) [ 1; 2; 3 ];
+  checki "its own lane's votes do" 1 (Instance.certs_formed inst);
+  (* Author 1's lane-1 proposal arrives, then the certificate of its
+     lane-0 twin: it certifies no lane-1 node. *)
+  Instance.handle_message inst ~src:1
+    (Types.Proposal (make_node ~lane:1 ~round:0 ~author:1 ~parents:[] ()));
+  let cn1 = certify (make_node ~round:0 ~author:1 ~parents:[] ()) in
+  Instance.handle_message inst ~src:1 (Types.Certificate cn1.Types.cn_cert);
+  checkb "a lane-0 certificate stores no lane-1 node" true
+    (Option.is_none (Store.get store ~round:0 ~author:1));
+  let refused = Instance.invalid_dropped inst in
+  Instance.handle_message inst ~src:1 (Types.Fetch_response cn1);
+  checki "a lane-0 fetch response is refused" (refused + 1) (Instance.invalid_dropped inst)
 
 (* Every rejection names its rule: the message of each check, pinned. *)
 let test_validation_rejection_messages () =
@@ -1005,6 +1072,7 @@ let suite =
         Alcotest.test_case "certificate rules" `Quick test_validation_certificate_rules;
         Alcotest.test_case "certificate foreign signers" `Quick
           test_validation_certificate_foreign_signers;
+        Alcotest.test_case "lane replay refused" `Quick test_validation_lane_replay_refused;
       ] );
     ( "dag.validation_memo",
       [

@@ -132,7 +132,7 @@ let test_direct_guard_blocks_commit () =
   let make_node ~round ~author ~parents =
     let batch = Shoalpp_workload.Batch.empty ~created_at:0.0 in
     let digest =
-      Types.node_digest ~round ~author ~batch_digest:batch.Shoalpp_workload.Batch.digest
+      Types.node_digest ~lane:0 ~round ~author ~batch_digest:batch.Shoalpp_workload.Batch.digest
         ~parents ~weak_parents:[]
     in
     {

@@ -191,7 +191,7 @@ let test_equivocation_single_vote () =
         ~created_at:0.0
     in
     let digest =
-      Types.node_digest ~round:0 ~author:1 ~batch_digest:batch.Batch.digest ~parents:[]
+      Types.node_digest ~lane:0 ~round:0 ~author:1 ~batch_digest:batch.Batch.digest ~parents:[]
         ~weak_parents:[]
     in
     {
@@ -216,7 +216,7 @@ let test_invalid_proposals_dropped () =
   (* Author mismatch: src 2 relaying author 1's proposal. *)
   let batch = Batch.empty ~created_at:0.0 in
   let digest =
-    Types.node_digest ~round:0 ~author:1 ~batch_digest:batch.Batch.digest ~parents:[]
+    Types.node_digest ~lane:0 ~round:0 ~author:1 ~batch_digest:batch.Batch.digest ~parents:[]
       ~weak_parents:[]
   in
   let node =

@@ -134,7 +134,7 @@ let make_node ~round ~author ~parents () =
       ~created_at:0.0
   in
   let digest =
-    Types.node_digest ~round ~author ~batch_digest:batch.Shoalpp_workload.Batch.digest ~parents
+    Types.node_digest ~lane:0 ~round ~author ~batch_digest:batch.Shoalpp_workload.Batch.digest ~parents
       ~weak_parents:[]
   in
   let kp = Committee.keypair committee author in

@@ -33,7 +33,7 @@ let make_byz_node ~committee ~round ~author ~parents ~tag =
       ~created_at:0.0
   in
   let digest =
-    Types.node_digest ~round ~author ~batch_digest:batch.Batch.digest ~parents ~weak_parents:[]
+    Types.node_digest ~lane:0 ~round ~author ~batch_digest:batch.Batch.digest ~parents ~weak_parents:[]
   in
   let kp = Committee.keypair committee author in
   {

@@ -283,7 +283,7 @@ let make_batch ids =
 let make_certified ~round ~author =
   let batch = make_batch [] in
   let digest =
-    Types.node_digest ~round ~author ~batch_digest:batch.Batch.digest ~parents:[]
+    Types.node_digest ~lane:0 ~round ~author ~batch_digest:batch.Batch.digest ~parents:[]
       ~weak_parents:[]
   in
   let kp = Committee.keypair committee author in

@@ -45,11 +45,12 @@ let committee = Committee.make ~n ~cluster_seed:19 ()
 let txns ids =
   List.map (fun id -> Transaction.make ~id ~submitted_at:1.5 ~origin:(id mod n) ()) ids
 
-(* A round-0 node (no parents needed) with a valid author signature. *)
-let make_node ~author ids =
+(* A round-0 node (no parents needed) with a valid author signature, for
+   DAG lane [lane] (by default 1, the lane [over_wire] carries it on). *)
+let make_node ?(lane = 1) ~author ids =
   let batch = Batch.make ~txns:(txns ids) ~created_at:2.0 in
   let digest =
-    Types.node_digest ~round:0 ~author ~batch_digest:batch.Batch.digest ~parents:[]
+    Types.node_digest ~lane ~round:0 ~author ~batch_digest:batch.Batch.digest ~parents:[]
       ~weak_parents:[]
   in
   {
@@ -100,11 +101,12 @@ let accepted payload =
     | Types.Certificate c ->
       Result.is_ok (Validation.validate_certificate ~committee ~verify_signatures:true c)
     | Types.Fetch_response cn ->
-      Result.is_ok (Validation.validate_certified_node ~committee ~verify_signatures:true cn)
+      Result.is_ok (Validation.validate_certified_node ~lane:1 ~committee ~verify_signatures:true cn)
     | Types.Sync_response { sp_resp = Types.Certificates { sc_certs; _ }; _ } ->
       List.for_all
         (fun cn ->
-          Result.is_ok (Validation.validate_certified_node ~committee ~verify_signatures:true cn))
+          Result.is_ok
+            (Validation.validate_certified_node ~lane:1 ~committee ~verify_signatures:true cn))
         sc_certs
     | _ -> Alcotest.fail "unexpected message kind"
   in
@@ -208,7 +210,7 @@ let test_capacity_ceiling () =
   checki "the old frame is 42 bytes" 42 (String.length short);
   List.iter
     (fun (label, frame) ->
-      let r, bytes = allocated_during (fun () -> Types.decode_message frame) in
+      let r, bytes = allocated_during (fun () -> Types.decode_message ~lane:0 frame) in
       checkb (label ^ ": refused") true (Result.is_error r);
       checkb (Printf.sprintf "%s: no bitmap allocated (%.0f bytes)" label bytes) true
         (bytes < 65536.0))
@@ -252,7 +254,8 @@ let test_broadcast_encoded_once () =
   for r = 0 to n - 1 do
     tr.Backend.Transport.set_handler r (fun ~src env -> inbox.(r) <- (src, env) :: inbox.(r))
   done;
-  let env = { Replica.dag_id = 2; payload = Types.Fetch_response (honest (make_node ~author:3 [ 4; 5 ])) } in
+  let payload = Types.Fetch_response (honest (make_node ~lane:2 ~author:3 [ 4; 5 ])) in
+  let env = { Replica.dag_id = 2; payload } in
   tr.Backend.Transport.broadcast ~src:3 ~size:100 ~include_self:false env;
   let max_delay = Array.fold_left (fun acc row -> Array.fold_left Float.max acc row) 0.0 delays in
   Realtime.run_for exec ~duration_ms:(max_delay +. 400.0);
@@ -345,13 +348,13 @@ let test_retired_sync_tag () =
   Alcotest.(check string) "checkpoint request" "\x07\x02\x04" (frame Types.Get_checkpoint);
   Alcotest.(check (result reject string))
     "request tag 1 is malformed" (Error "unknown sync request tag 1")
-    (Types.decode_message "\x07\x02\x01");
+    (Types.decode_message ~lane:0 "\x07\x02\x01");
   Alcotest.(check (result reject string))
     "request tag 3 is malformed" (Error "unknown sync request tag 3")
-    (Types.decode_message "\x07\x02\x03\x04\x04\x00");
+    (Types.decode_message ~lane:0 "\x07\x02\x03\x04\x04\x00");
   Alcotest.(check (result reject string))
     "response tag 1 is malformed" (Error "unknown sync response tag 1")
-    (Types.decode_message "\x08\x02\x01\x09\x00");
+    (Types.decode_message ~lane:0 "\x08\x02\x01\x09\x00");
   let page =
     Types.Sync_response
       {
@@ -361,7 +364,7 @@ let test_retired_sync_tag () =
   in
   Alcotest.(check string)
     "empty page" "\x08\x02\x02\x00\x01\x06\xac\x02" (Types.encode_message page);
-  match Types.decode_message (Types.encode_message page) with
+  match Types.decode_message ~lane:0 (Types.encode_message page) with
   | Ok (Types.Sync_response { sp_resp = Types.Certificates { sc_highest; sc_next; _ }; _ }) ->
     checki "highest round-trips" 300 sc_highest;
     checki "cursor round-trips" 6 sc_next
@@ -389,8 +392,8 @@ let test_varint_sign_bit () =
   let forged =
     String.sub frame 0 at ^ bad ^ String.sub frame (at + 9) (String.length frame - at - 9)
   in
-  checkb "the honest proposal decodes" true (Result.is_ok (Types.decode_message frame));
-  checkb "the forged id is refused" true (Result.is_error (Types.decode_message forged))
+  checkb "the honest proposal decodes" true (Result.is_ok (Types.decode_message ~lane:0 frame));
+  checkb "the forged id is refused" true (Result.is_error (Types.decode_message ~lane:0 forged))
 
 (* Forged ids far past any client counter land in the side table, not in
    the dense block, which never grows past 16 MiB. *)
