@@ -7,7 +7,6 @@ type t = {
   committee : Committee.t;
   name : string;
   num_dags : int;
-  stagger_ms : float;
   batch_cap : int;
   wait_policy : Instance.wait_policy;
   all_to_all_votes : bool;
@@ -27,7 +26,6 @@ let base ~committee ~name =
     committee;
     name;
     num_dags = 1;
-    stagger_ms = 0.0;
     batch_cap = 500;
     wait_policy = Instance.All_or_timeout 600.0;
     all_to_all_votes = false;

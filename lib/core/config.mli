@@ -22,12 +22,8 @@ type t = {
   committee : Shoalpp_dag.Committee.t;
   name : string;
   num_dags : int;
-  stagger_ms : float;
-      (** extra start skew between consecutive DAG lanes, ms; default 0.
-          The lanes' phase (§5.3: k DAGs about a round/k apart) is kept by
-          {!Replica}'s phase gate, not by this offset, and the gate never
-          pulls a late lane forward: a positive skew (a test knob) keeps
-          the lanes that far apart. *)
+      (** k, the DAG lanes. They start together; their phase (§5.3: k DAGs
+          about a round/k apart) is kept by {!Replica}'s phase gate. *)
   batch_cap : int;
   wait_policy : Shoalpp_dag.Instance.wait_policy;
   all_to_all_votes : bool;  (** §5.4 variant: quadratic vote broadcast, saves 1 md *)

@@ -642,22 +642,17 @@ let create ~config ~replica_id ~backend ~mempool ?on_ordered ?on_caught_up ?trac
 
 let deliver t ~dag_id ~src payload = route t ~src { dag_id; payload }
 
+(* Under a [lane_env] the start is scheduled: Instance.start must run on
+   the lane's own domain, not the caller's. *)
 let start t =
   Array.iteri
     (fun dag_id lane ->
-      let delay = float_of_int dag_id *. t.cfg.Config.stagger_ms in
       match t.lane_env with
       | Some env ->
-        (* Even an undelayed start is scheduled: Instance.start must run on
-           the lane's own domain, not the caller's. *)
         ignore
-          (Backend.schedule (env.le_backend dag_id) ~after:(Float.max 0.0 delay) (fun () ->
+          (Backend.schedule (env.le_backend dag_id) ~after:0.0 (fun () ->
                Instance.start lane.instance))
-      | None ->
-        if delay <= 0.0 then Instance.start lane.instance
-        else
-          ignore
-            (Backend.schedule t.backend ~after:delay (fun () -> Instance.start lane.instance)))
+      | None -> Instance.start lane.instance)
     t.lanes
 
 let crash t =

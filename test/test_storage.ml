@@ -619,12 +619,11 @@ let test_wiped_restart_adopts_peer_checkpoint () =
 (* The restarted replica must order again, whatever the lanes' phase. The
    setup is the node catch-up drill's (n=4, zero-delay links, 300 tx/s,
    interval 12, a crash at 3 s and a restart at 6 s) on the simulator,
-   built through [Experiment] params. Its lanes start [stagger_ms] apart:
-   the phase gate never pulls a late lane forward, so a 1 s skew keeps
-   them committing rounds far apart; a WAL cut at a point in time rather
-   than at each lane's seam round dropped a leading lane's rounds above
-   the restored checkpoint, and the replica stalled at its base. *)
-let restart_twin ?net_config ~stagger_ms ~seed () =
+   built through [Experiment] params, with the lanes starting together
+   (a WAL cut at a point in time rather than at each lane's seam round
+   dropped a leading lane's rounds above the restored checkpoint, and the
+   replica stalled at its base). *)
+let restart_twin ?net_config ~seed () =
   let params =
     {
       E.default_params with
@@ -642,9 +641,7 @@ let restart_twin ?net_config ~stagger_ms ~seed () =
   let cluster =
     Cluster.create
       {
-        (Cluster.default_setup
-           ~protocol:{ (E.dag_config E.Shoalpp params) with Config.stagger_ms })
-        with
+        (Cluster.default_setup ~protocol:(E.dag_config E.Shoalpp params)) with
         Cluster.topology = params.E.topology;
         net_config = Option.value params.E.net_config ~default:Shoalpp_sim.Netmodel.default_config;
         scenario = params.E.scenario;
@@ -654,7 +651,9 @@ let restart_twin ?net_config ~stagger_ms ~seed () =
       }
   in
   Cluster.run cluster ~duration_ms:params.E.duration_ms;
-  let label = Printf.sprintf "stagger %.0f ms, seed %d" stagger_ms seed in
+  let label =
+    Printf.sprintf "%s noise, seed %d" (if Option.is_some net_config then "clean" else "default") seed
+  in
   let replicas = Cluster.replicas cluster in
   let restarted = 3 in
   let ends = Array.map Replica.log_length replicas in
@@ -671,9 +670,9 @@ let restart_twin ?net_config ~stagger_ms ~seed () =
 
 let test_restarted_replica_orders_again () =
   List.iter
-    (fun seed -> restart_twin ~net_config:E.clean_net_config ~stagger_ms:0.0 ~seed ())
+    (fun seed -> restart_twin ~net_config:E.clean_net_config ~seed ())
     [ 3; 5; 8 ];
-  restart_twin ~stagger_ms:1_000.0 ~seed:5 ()
+  restart_twin ~seed:5 ()
 
 (* A replica's checkpoint vote carries exactly the digest and signature
    [Checkpoint] derives from the candidate: the stored digest changes no
