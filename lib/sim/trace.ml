@@ -2,8 +2,7 @@
 
    Events carry a structured [kind] (commit-path attribution: which rule
    fired, which round, which DAG instance) instead of pre-rendered strings,
-   so exporters and tests can consume them without parsing. A compat string
-   renderer ([tag] / [detail] / [pp_event]) keeps the old textual view. *)
+   so exporters and tests can consume them without parsing. *)
 
 type kind =
   | Proposal_created of { round : int; txns : int }
@@ -171,18 +170,6 @@ let kind_of_fields ~tag:t fs =
     let detail = Option.value ~default:"" (str "detail") in
     Some (Custom { tag; detail })
 
-let detail kind =
-  match kind with
-  | Custom { detail; _ } -> detail
-  | _ ->
-    String.concat " "
-      (List.map
-         (fun (k, v) ->
-           match v with
-           | I i -> Printf.sprintf "%s=%d" k i
-           | S s -> Printf.sprintf "%s=%s" k s)
-         (fields kind))
-
 type event = { time : float; replica : int; instance : int; kind : kind }
 
 type t = {
@@ -206,20 +193,6 @@ let record_event t ~time ~replica ?(instance = 0) kind =
     t.total <- t.total + 1
   end
 
-let record t ~time ~replica ~tag detail =
-  record_event t ~time ~replica (Custom { tag; detail })
-
-(* Disabled tracing must not pay for formatting: [ikfprintf] consumes the
-   format arguments without rendering them, against a sink formatter that
-   discards everything (never [std_formatter] — sharing its pretty-printer
-   state would not be benign). *)
-let null_formatter = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
-
-let recordf t ~time ~replica ~tag fmt =
-  if t.enabled then
-    Format.kasprintf (fun detail -> record t ~time ~replica ~tag detail) fmt
-  else Format.ikfprintf (fun _ -> ()) null_formatter fmt
-
 (* Only the last [capacity] events are retained; older ones are dropped
    (see [dropped]). Walk exactly the retained window, oldest first. *)
 let events t =
@@ -233,13 +206,3 @@ let events t =
 let count t = t.total
 let retained t = min t.total t.capacity
 let dropped t = max 0 (t.total - t.capacity)
-let find t ~tag:wanted = List.filter (fun e -> String.equal (tag e.kind) wanted) (events t)
-
-let clear t =
-  Array.fill t.buf 0 t.capacity None;
-  t.next <- 0;
-  t.total <- 0
-
-let pp_event fmt e =
-  Format.fprintf fmt "[%8.2fms r%d/d%d %s] %s" e.time e.replica e.instance (tag e.kind)
-    (detail e.kind)

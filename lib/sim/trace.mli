@@ -8,7 +8,6 @@
     Events carry a structured {!kind} — the commit-path taxonomy of the
     paper's latency accounting — rather than pre-rendered strings, so the
     JSONL / Chrome-trace exporters and tests consume them without parsing.
-    {!tag}, {!detail} and {!pp_event} provide the compat string view.
 
     Invariants:
     - recording never drops silently: when the ring is full the oldest
@@ -55,13 +54,11 @@ type kind =
   | Anchor_withheld of { round : int }
       (** a Byzantine replica suppressed its own proposal for [round] *)
   | Votes_delayed of { round : int; delay_ms : int }
-  | Custom of { tag : string; detail : string }  (** compat escape hatch *)
+  | Custom of { tag : string; detail : string }
+      (** what {!kind_of_fields} decodes an unknown tag to *)
 
 val tag : kind -> string
 (** Stable snake_case name of the variant ([Custom] returns its tag). *)
-
-val detail : kind -> string
-(** Human-readable field rendering ("round=5 anchor=2"). *)
 
 (** Structured field view for exporters; [kind_of_fields] inverts it
     (unknown tags decode as [Custom]). *)
@@ -79,15 +76,6 @@ val enabled : t -> bool
 
 val record_event : t -> time:float -> replica:int -> ?instance:int -> kind -> unit
 
-val record : t -> time:float -> replica:int -> tag:string -> string -> unit
-(** Compat: records a [Custom] event with [instance] 0. *)
-
-val recordf :
-  t -> time:float -> replica:int -> tag:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted compat variant; when tracing is disabled the format arguments
-    are consumed without rendering (no formatting work, no shared-formatter
-    side effects). *)
-
 val events : t -> event list
 (** Oldest first; exactly the retained window (the last
     [min count capacity] events). *)
@@ -98,7 +86,3 @@ val count : t -> int
 val retained : t -> int
 val dropped : t -> int
 (** [count - retained]: events evicted by ring-buffer wraparound. *)
-
-val find : t -> tag:string -> event list
-val clear : t -> unit
-val pp_event : Format.formatter -> event -> unit

@@ -333,32 +333,38 @@ let test_fault_earliest_crash_wins () =
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
+(* Timeouts of rounds [1..count], recorded at times [1..count]. *)
+let record_timeouts t count =
+  for round = 1 to count do
+    Trace.record_event t ~time:(float_of_int round) ~replica:0 (Trace.Timeout_fired { round })
+  done
+
+let rounds_of events =
+  List.map
+    (fun (e : Trace.event) ->
+      match e.Trace.kind with Trace.Timeout_fired { round } -> round | _ -> -1)
+    events
+
 let test_trace_disabled_is_noop () =
   let t = Trace.create () in
-  Trace.record t ~time:1.0 ~replica:0 ~tag:"x" "y";
+  record_timeouts t 1;
   checki "nothing recorded" 0 (Trace.count t)
 
 let test_trace_ring_buffer () =
   let t = Trace.create ~enabled:true ~capacity:3 () in
-  for i = 1 to 5 do
-    Trace.record t ~time:(float_of_int i) ~replica:0 ~tag:"t" (string_of_int i)
-  done;
+  record_timeouts t 5;
   checki "total" 5 (Trace.count t);
   checki "retained" 3 (Trace.retained t);
   checki "dropped" 2 (Trace.dropped t);
   let kept = Trace.events t in
   checki "capacity" 3 (List.length kept);
-  Alcotest.(check (list string)) "keeps most recent" [ "3"; "4"; "5" ]
-    (List.map (fun (e : Trace.event) -> Trace.detail e.Trace.kind) kept)
+  Alcotest.(check (list int)) "keeps most recent" [ 3; 4; 5 ] (rounds_of kept)
 
 let test_trace_events_before_wraparound () =
   let t = Trace.create ~enabled:true ~capacity:8 () in
-  for i = 1 to 3 do
-    Trace.record t ~time:(float_of_int i) ~replica:0 ~tag:"t" (string_of_int i)
-  done;
+  record_timeouts t 3;
   checki "dropped" 0 (Trace.dropped t);
-  Alcotest.(check (list string)) "all retained, oldest first" [ "1"; "2"; "3" ]
-    (List.map (fun (e : Trace.event) -> Trace.detail e.Trace.kind) (Trace.events t))
+  Alcotest.(check (list int)) "all retained, oldest first" [ 1; 2; 3 ] (rounds_of (Trace.events t))
 
 let test_trace_typed_events () =
   let t = Trace.create ~enabled:true () in
@@ -368,11 +374,11 @@ let test_trace_typed_events () =
   (match Trace.events t with
   | [ a; b ] ->
     Alcotest.(check string) "tag" "anchor_direct_fast" (Trace.tag a.Trace.kind);
-    Alcotest.(check string) "detail" "round=5 anchor=3" (Trace.detail a.Trace.kind);
+    checkb "fields" true (Trace.fields a.Trace.kind = [ ("round", Trace.I 5); ("anchor", Trace.I 3) ]);
     checki "instance" 1 a.Trace.instance;
+    Alcotest.(check string) "second tag" "timeout_fired" (Trace.tag b.Trace.kind);
     checki "default instance" 0 b.Trace.instance
-  | _ -> Alcotest.fail "expected two events");
-  checki "find typed" 1 (List.length (Trace.find t ~tag:"timeout_fired"))
+  | _ -> Alcotest.fail "expected two events")
 
 let test_trace_fields_roundtrip () =
   let kinds =
@@ -399,15 +405,6 @@ let test_trace_fields_roundtrip () =
       | Some back -> checkb (Trace.tag kind) true (back = kind)
       | None -> Alcotest.fail (Trace.tag kind ^ ": no decode"))
     kinds
-
-let test_trace_find_and_clear () =
-  let t = Trace.create ~enabled:true () in
-  Trace.record t ~time:1.0 ~replica:0 ~tag:"a" "1";
-  Trace.record t ~time:2.0 ~replica:1 ~tag:"b" "2";
-  Trace.recordf t ~time:3.0 ~replica:2 ~tag:"a" "%d-%s" 3 "x";
-  checki "find a" 2 (List.length (Trace.find t ~tag:"a"));
-  Trace.clear t;
-  checki "cleared" 0 (List.length (Trace.events t))
 
 (* ------------------------------------------------------------------ *)
 (* Wal *)
@@ -494,7 +491,6 @@ let suite =
         Alcotest.test_case "events before wraparound" `Quick test_trace_events_before_wraparound;
         Alcotest.test_case "typed events" `Quick test_trace_typed_events;
         Alcotest.test_case "fields roundtrip" `Quick test_trace_fields_roundtrip;
-        Alcotest.test_case "find and clear" `Quick test_trace_find_and_clear;
       ] );
     ( "storage.wal",
       [
