@@ -110,7 +110,7 @@ grep -q '"fault.recoveries"' "$out/faults.metrics.json" \
 # conflicting proposals, and each simulated broadcast is checked once per
 # physical value (Validation's memo), so every receiver must still refuse
 # what it should. The run must pass its audit and count the equivocations
-# it injected (89 for this command).
+# it injected (112 for this command).
 dune exec bin/shoalpp.exe -- sim \
   -n 4 --topology clique:4,15 --load 200 --duration 4000 --warmup 500 \
   --scenario byzantine:count=1,kind=equivocate \
@@ -124,7 +124,7 @@ grep -q '"fault.equivocations":[1-9]' "$out/byz.metrics.json" \
 # replica restores a certified checkpoint and then replays the WAL records
 # retained since it. Those records are payload thunks, encoded only here
 # on replay and decoded again, so the run must pass its audit and replay a
-# nonzero number of entries (136 for this command).
+# nonzero number of entries (62 for this command).
 dune exec bin/shoalpp.exe -- sim \
   -n 4 --checkpoint-interval 12 --scenario crash-recover:at=3000,recover=6000 --no-verify \
   --trace-out "$out/ck_recover.jsonl" > "$out/ck_recover.out"
@@ -413,11 +413,22 @@ grep -q 'audit: consistent logs, no duplicates' "$out/mem.out" \
 # O(gap) number of sync requests, that the cluster audit still passes
 # (the binary's exit code), and that it caught up fully: the audit's
 # common prefix equals its segment count, so the restarted replica orders
-# again rather than stalling at its base.
+# again rather than stalling at its base. The k lanes must stay in phase
+# through it: the median lane.round_offset sample is 1 round (the lanes'
+# staggered entries into one round). Its maximum is no bound: when the
+# restarted replica returns, each lane at its peers leaves its 600 ms
+# timeout round at that round's own timeout, so the first lane runs 10-17
+# fast rounds ahead for ~130 ms, and ~1 drill in 20 peaks at 74-75.
 ./_build/default/bin/shoalpp.exe node \
   -n 4 --duration 10000 --load 300 --no-verify \
-  --checkpoint-interval 12 --scenario crash-recover:at=3000,recover=6000 > "$out/catchup.out" 2>&1 \
+  --checkpoint-interval 12 --scenario crash-recover:at=3000,recover=6000 \
+  --metrics-out "$out/catchup.metrics.json" > "$out/catchup.out" 2>&1 \
   || { echo "check failed: restart run failed" >&2; cat "$out/catchup.out" >&2; exit 1; }
+python3 - "$out/catchup.metrics.json" <<'EOF' || { echo "check failed: lanes out of phase in the restart drill" >&2; exit 1; }
+import json, sys
+h = json.load(open(sys.argv[1]))["histograms"]["lane.round_offset"]
+assert h["count"] > 0 and h["p50"] <= 1.5, f"lane.round_offset {h}"
+EOF
 grep -q 'audit: consistent logs, no duplicates' "$out/catchup.out" \
   || { echo "check failed: restart audit line missing" >&2; exit 1; }
 restart_line=$(grep '^restart: replica' "$out/catchup.out") \
