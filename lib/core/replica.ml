@@ -520,10 +520,13 @@ let sync_hooks the_t m =
           (Trace.Sync_started { replica = t.id; from_round = from.(0) });
         from);
     ingest = (fun ~lane cn -> Instance.ingest_certified (the_t ()).lanes.(lane).instance cn);
-    lane_done = (fun d -> Instance.resume (the_t ()).lanes.(d).instance);
     on_caught_up =
       (fun () ->
         let t = the_t () in
+        (* Every lane resumes at once, so the lanes rejoin in phase: a lane
+           resumed on its own last page would run live rounds while the
+           others still catch up. *)
+        Array.iter (fun lane -> Instance.resume lane.instance) t.lanes;
         let requests, certs = sync_stats t in
         if requests > 0 then Obs.incr ~by:requests t.obs "sync.requests";
         if certs > 0 then Obs.incr ~by:certs t.obs "sync.certs_ingested";
@@ -671,10 +674,10 @@ let crash t =
    pure function of the replayed DAG above the checkpoint. Sends are muted
    while [replaying] is set. With peers and a checkpoint manager, the
    catch-up loop first asks peers for a newer certified checkpoint, then
-   replays and pulls the missed history; instances resume lane-by-lane as
-   their catch-up completes and [on_caught_up] fires once all lanes are
-   live. [wipe] simulates total disk loss: both WAL devices are cleared,
-   so the adopt phase is what restores a frontier. *)
+   replays and pulls the missed history; once every lane's history is in,
+   all lanes resume together and [on_caught_up] fires. [wipe] simulates
+   total disk loss: both WAL devices are cleared, so the adopt phase is
+   what restores a frontier. *)
 let recover ?(wipe = false) t =
   if t.crashed then begin
     t.crashed <- false;

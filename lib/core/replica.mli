@@ -143,8 +143,9 @@ val recover : ?wipe:bool -> t -> unit
     peers present, one catch-up loop ({!Shoalpp_sync.Sync.Client}) first
     asks peers for a newer certified checkpoint (verified before trust),
     then replays and pulls the history it missed — O(gap) messages per
-    lane — and the replica resumes proposing lane-by-lane as catch-up
-    completes; {!catching_up} is true until every lane is live. [wipe]
+    lane — and the replica resumes proposing on every lane at once when
+    the last lane's catch-up completes; {!catching_up} is true until
+    then. [wipe]
     (default false) simulates total disk loss: both WAL devices are
     cleared, so the frontier comes from a peer's checkpoint, or from a
     full-history sync when no peer has one. No-op if not crashed. *)

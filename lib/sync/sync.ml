@@ -68,7 +68,6 @@ module Client = struct
     adopt : string option -> bool;
     replay : unit -> int array;
     ingest : lane:int -> Types.certified_node -> unit;
-    lane_done : int -> unit;
     on_caught_up : unit -> unit;
   }
 
@@ -177,7 +176,6 @@ module Client = struct
       if not sc_has_more then begin
         l.waiting <- -1;
         t.open_lanes <- t.open_lanes - 1;
-        t.hooks.lane_done lane;
         if t.open_lanes = 0 then t.hooks.on_caught_up ()
       end
       else begin

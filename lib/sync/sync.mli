@@ -72,8 +72,8 @@ module Client : sig
     ingest : lane:int -> Shoalpp_dag.Types.certified_node -> unit;
         (** deliver one fetched certificate to that lane's DAG instance
             (validated there; idempotent on duplicates) *)
-    lane_done : int -> unit;  (** a lane's last page arrived *)
-    on_caught_up : unit -> unit;  (** every lane is done; once per {!start} *)
+    on_caught_up : unit -> unit;
+        (** every lane's last page arrived; once per {!start} *)
   }
 
   type t

@@ -274,7 +274,6 @@ let catch_up f =
             incr replayed;
             Array.make config.Config.num_dags 0);
         ingest = (fun ~lane:_ _ -> ());
-        lane_done = ignore;
         on_caught_up = ignore;
       }
   in

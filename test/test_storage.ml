@@ -428,7 +428,6 @@ let sync_run ?(answer = true) ?(between = ignore) ~server ~from () =
       adopt = (fun _ -> true);
       replay = (fun () -> [| from |]);
       ingest = (fun ~lane:_ cn -> ingested := cn :: !ingested);
-      lane_done = ignore;
       on_caught_up = (fun () -> incr caught_up);
     }
   in
