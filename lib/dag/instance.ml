@@ -338,16 +338,17 @@ let try_deliver t (cert : Types.certificate) =
     true
   | None -> false
 
+(* A certificate that arrived before [node]'s data may be waiting for it. *)
+let deliver_awaiting t (node : Types.node) =
+  let key = pos t ~round:node.Types.round ~author:node.Types.author in
+  match Int_tbl.find_opt t.awaiting_data key with
+  | Some cert -> ignore (try_deliver t cert)
+  | None -> ()
+
 (* Off-critical-path fetch (§7): ask one of the f+1 correct signers that
    must hold the data; rotate targets on retry to balance load. Polling
    stops once the data lands or GC passes the round (which drops the
    entry: the data is never needed again, and peers may have pruned it). *)
-(* A certificate that arrived before [node]'s data may be waiting for it. *)
-let deliver_awaiting t (node : Types.node) =
-  match Int_tbl.find_opt t.awaiting_data (pos t ~round:node.Types.round ~author:node.Types.author) with
-  | Some cert -> ignore (try_deliver t cert)
-  | None -> ()
-
 let rec arm_fetch t ~key (cert : Types.certificate) =
   ignore
     (t.cb.schedule ~after:t.cfg.fetch_delay_ms (fun () ->
