@@ -147,8 +147,8 @@ let rec propose r round =
        rather than a total halt. *)
     let twin_batch = Batch.make ~txns:[] ~created_at in
     let twin_digest =
-      Types.node_digest ~lane:0 ~round ~author:r.id ~batch_digest:twin_batch.Batch.digest ~parents
-        ~weak_parents:[]
+      Types.node_digest ~lane:0 ~round ~author:r.id ~batch_digest:twin_batch.Batch.digest
+        ~parents ~weak_parents:[]
     in
     let twin =
       {

@@ -523,9 +523,6 @@ let sync_hooks the_t m =
     on_caught_up =
       (fun () ->
         let t = the_t () in
-        (* Every lane resumes at once, so the lanes rejoin in phase: a lane
-           resumed on its own last page would run live rounds while the
-           others still catch up. *)
         Array.iter (fun lane -> Instance.resume lane.instance) t.lanes;
         let requests, certs = sync_stats t in
         if requests > 0 then Obs.incr ~by:requests t.obs "sync.requests";

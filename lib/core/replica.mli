@@ -116,8 +116,8 @@ val deliver : t -> dag_id:int -> src:int -> Shoalpp_dag.Types.message -> unit
     posts exactly so. *)
 
 val start : t -> unit
-(** Start every DAG lane now, each on its own executor. From round 1 on a phase gate keeps the lanes in
-    the paper's stagger: lane j >= 1 enters round r no earlier than
+(** Start every DAG lane now, each on its own executor. From round 1 on
+    a phase gate keeps the lanes in the paper's stagger: lane j >= 1 enters round r no earlier than
     3/4 P/k after lane j-1 entered r, and lane 0 enters r no earlier
     than 3/4 P/k after lane k-1 entered r-1, P the largest of the
     lanes' round periods (each an EWMA, weight 1/8, of the lane's

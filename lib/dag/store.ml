@@ -86,7 +86,7 @@ let add_certified t (cn : Types.certified_node) =
     bump_parent_counters t node `Cert;
     true
 
-let same_digest (node : Types.node) (p : Types.node) = Digest32.equal p.Types.digest node.Types.digest
+let has_digest d (p : Types.node) = Digest32.equal p.Types.digest d
 
 (* A copy of a stored digest replaces it (the newest copy is kept). *)
 let note_proposal t (node : Types.node) =
@@ -97,7 +97,8 @@ let note_proposal t (node : Types.node) =
     bump_parent_counters t node `Weak;
     true
   | seen ->
-    s.proposals.(node.Types.author) <- node :: List.filter (fun p -> not (same_digest node p)) seen;
+    let others = List.filter (fun p -> not (has_digest node.Types.digest p)) seen in
+    s.proposals.(node.Types.author) <- node :: others;
     false
 
 let get t ~round ~author =
@@ -115,9 +116,7 @@ let mem_ref t r = Option.is_some (get_by_ref t r)
 let proposal t (r : Types.node_ref) =
   match slot_opt t r.Types.ref_round with
   | Some s when r.Types.ref_author >= 0 && r.Types.ref_author < t.n ->
-    List.find_opt
-      (fun (p : Types.node) -> Digest32.equal p.Types.digest r.Types.ref_digest)
-      s.proposals.(r.Types.ref_author)
+    List.find_opt (has_digest r.Types.ref_digest) s.proposals.(r.Types.ref_author)
   | _ -> None
 
 let nodes_at t ~round =

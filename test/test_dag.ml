@@ -358,7 +358,9 @@ let test_validation_lane_replay_refused () =
   let module Instance = Shoalpp_dag.Instance in
   let module Engine = Shoalpp_sim.Engine in
   let lane0 = make_node ~round:0 ~author:0 ~parents:[] () in
-  let proposal ~lane node = Validation.validate_proposal ~lane ~committee ~verify_signatures:true node in
+  let proposal ~lane node =
+    Validation.validate_proposal ~lane ~committee ~verify_signatures:true node
+  in
   checkb "a proposal passes in its own lane" true (Result.is_ok (proposal ~lane:0 lane0));
   expect_invalid "a lane-0 proposal in lane 1" (proposal ~lane:1 lane0);
   expect_invalid "a lane-0 certified node in lane 1"
@@ -371,7 +373,8 @@ let test_validation_lane_replay_refused () =
       Instance.broadcast = (fun m -> sent := m :: !sent);
       send = (fun ~dst:_ m -> sent := m :: !sent);
       now = (fun () -> Engine.now engine);
-      schedule = (Shoalpp_backend.Backend_sim.timers engine).Shoalpp_backend.Backend.Timers.schedule;
+      schedule =
+        (Shoalpp_backend.Backend_sim.timers engine).Shoalpp_backend.Backend.Timers.schedule;
       pull_batch = (fun ~max:_ -> []);
       anchors_of_round = (fun _ -> []);
       persist = (fun _ k -> k ());
@@ -389,7 +392,8 @@ let test_validation_lane_replay_refused () =
     match !sent with [ Types.Proposal node ] -> node | _ -> Alcotest.fail "one round-0 proposal"
   in
   Instance.handle_message inst ~src:0 (Types.Proposal own);
-  checkb "the lanes' round-0 twins differ" false (Digest32.equal own.Types.digest lane0.Types.digest);
+  checkb "the lanes' round-0 twins differ" false
+    (Digest32.equal own.Types.digest lane0.Types.digest);
   let vote_for (node : Types.node) voter =
     let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:node.Types.digest in
     Types.Vote
