@@ -842,6 +842,7 @@ let micro () =
              Shoalpp_workload.Transaction.make ~id ~submitted_at:0.0 ~origin:0 ()))
       ~created_at:0.0
   in
+  let batch_txns = Batch.txns batch in
   let kp = Shoalpp_dag.Committee.keypair committee 0 in
   let node =
     let digest =
@@ -868,7 +869,7 @@ let micro () =
   let signature = Shoalpp_crypto.Signer.sign kp "message" in
   let aggregate = Shoalpp_crypto.Multisig.aggregate ~n:16 sigs in
   let encoded_cert =
-    let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:node.Types.digest in
+    let preimage = Types.vote_preimage ~lane:0 ~round:0 ~author:0 ~digest:node.Types.digest in
     Types.encode_message
       (Types.Certificate
          {
@@ -897,7 +898,7 @@ let micro () =
         Test.make ~name:"sha256-1KiB"
           (Staged.stage (fun () -> ignore (Shoalpp_crypto.Sha256.digest_string payload_1k)));
         Test.make ~name:"batch-digest-500tx"
-          (Staged.stage (fun () -> ignore (Batch.make ~txns:batch.Batch.txns ~created_at:0.0)));
+          (Staged.stage (fun () -> ignore (Batch.make ~txns:batch_txns ~created_at:0.0)));
         Test.make ~name:"sign"
           (Staged.stage (fun () -> ignore (Shoalpp_crypto.Signer.sign kp "message")));
         Test.make ~name:"multisig-aggregate-11"

@@ -53,7 +53,7 @@ let () =
         (fun (cn : Types.certified_node) ->
           List.map
             (fun (tx : Transaction.t) -> tx.Transaction.id)
-            cn.Types.cn_node.Types.batch.Batch.txns)
+            (Batch.txns cn.Types.cn_node.Types.batch))
         s.Driver.nodes
     in
     Format.printf "log[%3d] <- dag %d, anchor %a (%s commit), %d nodes, txns %s@."

@@ -40,6 +40,7 @@ type t = {
   mutable select_cpu_s : float; (* loop-thread CPU inside select *)
   mutable timer_s : float; (* wall time firing timers *)
   mutable io_s : float; (* wall time in poller callbacks *)
+  mutable decode_s : float; (* wall time in [framed] decoders *)
   mutable cpu_s : float; (* loop-thread CPU of finished [run_for] calls *)
   mutable run_cpu0 : float; (* loop-thread CPU when the current [run_for] began *)
   (* Cross-domain wakeup: a byte written here makes a sleeping [select]
@@ -92,6 +93,7 @@ let create ?(max_tick_ms = 50.0) ?origin_of () =
       select_cpu_s = 0.0;
       timer_s = 0.0;
       io_s = 0.0;
+      decode_s = 0.0;
       cpu_s = 0.0;
       run_cpu0 = Float.nan;
       wake_r;
@@ -191,6 +193,7 @@ type loop_stats = {
   select_cpu_us : float;
   timer_us : float;
   io_us : float;
+  decode_us : float;
   cpu_us : float;
 }
 
@@ -203,6 +206,7 @@ let loop_stats t =
     select_cpu_us = 1e6 *. t.select_cpu_s;
     timer_us = 1e6 *. t.timer_s;
     io_us = 1e6 *. t.io_s;
+    decode_us = 1e6 *. t.decode_s;
     cpu_us = 1e6 *. (t.cpu_s +. running);
   }
 
@@ -546,7 +550,7 @@ end
    message to message, so a send or broadcast costs one encode into warm
    storage and one copy into its frame; the frame string is what every
    destination's queue (or delay timer) holds. *)
-let framed ~encode ~decode (inner : string Backend.Transport.t) =
+let framed exec ~encode ~decode (inner : string Backend.Transport.t) =
   let scratch = Wire.Writer.create ~initial:4096 () in
   let frame ~src msg = Framing.frame scratch ~src (fun w -> encode w msg) in
   let undecodable = ref 0 in
@@ -559,9 +563,11 @@ let framed ~encode ~decode (inner : string Backend.Transport.t) =
     set_handler =
       (fun replica h ->
         inner.Backend.Transport.set_handler replica (fun ~src frame ->
-            match decode frame ~pos:(snd (Framing.header frame)) with
-            | Some msg -> h ~src msg
-            | None -> incr undecodable));
+            let pos = snd (Framing.header frame) in
+            let w0 = Unix.gettimeofday () in
+            let msg = decode frame ~pos in
+            exec.decode_s <- exec.decode_s +. (Unix.gettimeofday () -. w0);
+            match msg with Some msg -> h ~src msg | None -> incr undecodable));
     stats =
       (fun () ->
         let s = inner.Backend.Transport.stats () in

@@ -109,6 +109,10 @@ type loop_stats = {
           clock read around the call), at any number of domains *)
   timer_us : float;  (** wall time firing due timers *)
   io_us : float;  (** wall time in poller callbacks (reads, writable pumps, accepts) *)
+  decode_us : float;
+      (** wall time in the decoders of this executor's {!framed}
+          transports: the codec's share of the inbound path, inside
+          [io_us] when a socket read delivers the frame *)
   cpu_us : float;
       (** CPU of the loop's thread while {!run_for} ran, the current call
           included: the denominator the three phases above are read
@@ -192,6 +196,7 @@ module Framing : sig
 end
 
 val framed :
+  t ->
   encode:(Shoalpp_codec.Wire.Writer.t -> 'msg -> unit) ->
   decode:(string -> pos:int -> 'msg option) ->
   string Backend.Transport.t ->
@@ -201,6 +206,7 @@ val framed :
     the message once into a reused scratch writer and hand one frame string
     to the inner transport, however many destinations it has; an inbound
     frame is decoded in place ([decode frame ~pos] with [pos] at its
-    payload). A frame that does not decode is dropped and counted in
-    [stats.dropped]. Drive it from one domain: the scratch writer is not
-    shared-safe. *)
+    payload), and the decode's wall time is added to the executor's
+    [decode_us]. A frame that does not decode is dropped and counted in
+    [stats.dropped]. Drive it from the executor's loop domain: the scratch
+    writer and the time sum are not shared-safe. *)

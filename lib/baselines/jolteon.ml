@@ -177,8 +177,7 @@ let commit_block t (b : block) =
       seq;
       committed_at = now;
       ordered_at = now;
-      batches =
-        [ { Harness.batched_at = b.jb_created_at; included_at = b.jb_created_at; txns = fresh } ];
+      batches = Harness.Block { created_at = b.jb_created_at; txns = fresh };
     }
 
 (* A request in flight during a partition is dropped silently, so dedup

@@ -177,15 +177,11 @@ let rec drain t =
          peer's node claiming our origin cannot grow the id set. *)
       List.iter
         (fun (cn : Types.certified_node) ->
-          let txns = cn.Types.cn_node.Types.batch.Batch.txns in
+          let batch = cn.Types.cn_node.Types.batch in
+          ntx := !ntx + Batch.length batch;
           if cn.Types.cn_node.Types.author = t.id then
-            List.iter
-              (fun (tx : Shoalpp_workload.Transaction.t) ->
-                incr ntx;
-                if tx.Shoalpp_workload.Transaction.origin = t.id then
-                  ignore (Seen.mark t.committed_own tx.Shoalpp_workload.Transaction.id))
-              txns
-          else ntx := !ntx + List.length txns)
+            Batch.iter batch (fun _ ~id ~size:_ ~origin ->
+                if origin = t.id then ignore (Seen.mark t.committed_own id)))
         segment.Driver.nodes;
       t.txns_ordered <- t.txns_ordered + !ntx;
       if Obs.tracing t.obs then
@@ -211,9 +207,9 @@ let rec drain t =
    proposal validation at every correct replica of its [lane]. Skipped
    when the original batch is already empty (the digests would coincide). *)
 let equivocation_twin t ~lane (node : Types.node) =
-  if node.Types.batch.Batch.txns = [] then None
+  if Batch.is_empty node.Types.batch then None
   else begin
-    let batch = Batch.make ~txns:[] ~created_at:node.Types.batch.Batch.created_at in
+    let batch = Batch.empty ~created_at:node.Types.batch.Batch.created_at in
     let digest =
       Types.node_digest ~lane ~round:node.Types.round ~author:node.Types.author
         ~batch_digest:batch.Batch.digest ~parents:node.Types.parents
@@ -280,7 +276,7 @@ let make_lane t dag_id =
             for r = lowest to round - 1 do
               match Store.get store ~round:r ~author:t.id with
               | Some cn when not (Driver.is_ordered (the_driver ()) ~round:r ~author:t.id) ->
-                orphaned := cn.Types.cn_node.Types.batch.Batch.txns :: !orphaned
+                orphaned := Batch.txns cn.Types.cn_node.Types.batch :: !orphaned
               | _ -> ()
             done;
             (match List.rev !orphaned with

@@ -5,6 +5,7 @@ let of_raw s =
   s
 
 let of_string s = Sha256.digest_string s
+let of_substring s ~pos ~len = Sha256.digest_sub s ~pos ~len
 let concat ds = Sha256.digest_string (String.concat "" ds)
 let raw t = t
 let hex = Sha256.to_hex

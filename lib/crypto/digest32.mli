@@ -15,6 +15,10 @@ val of_raw : string -> t
 val of_string : string -> t
 (** SHA-256 of arbitrary content. *)
 
+val of_substring : string -> pos:int -> len:int -> t
+(** SHA-256 of [len] bytes of a string from [pos], without copying them.
+    @raise Invalid_argument if the range is not inside the string. *)
+
 val concat : t list -> t
 (** Digest of the concatenation of digests — used for combining parents. *)
 

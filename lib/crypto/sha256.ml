@@ -26,6 +26,11 @@ let finalize ctx =
   Bytes.unsafe_to_string out
 
 external digest_string : string -> string = "shoalpp_sha256_digest"
+external digest_sub_raw : string -> int -> int -> string = "shoalpp_sha256_digest_sub"
+
+let digest_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Sha256.digest_sub";
+  digest_sub_raw s pos len
 
 type hmac_key = string
 

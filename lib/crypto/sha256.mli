@@ -29,6 +29,11 @@ val digest_string : string -> string
 (** One-shot 32-byte raw digest of the input, in one native call that
     allocates only the result. *)
 
+val digest_sub : string -> pos:int -> len:int -> string
+(** [digest_sub s ~pos ~len] is [digest_string (String.sub s pos len)],
+    without the copy.
+    @raise Invalid_argument if the range is not inside [s]. *)
+
 type hmac_key
 (** A precomputed HMAC-SHA256 key schedule: the SHA-256 states after the
     ipad and the opad key blocks. Immutable once built. *)

@@ -333,6 +333,14 @@ value shoalpp_sha256_digest(value msg) {
   return alloc_digest(d);
 }
 
+/* The caller (Sha256.digest_sub) has checked [pos, pos + len) lies in the
+   string. */
+value shoalpp_sha256_digest_sub(value msg, value vpos, value vlen) {
+  uint8_t d[32];
+  digest(active, (const uint8_t *)String_val(msg) + Long_val(vpos), (size_t)Long_val(vlen), d);
+  return alloc_digest(d);
+}
+
 value shoalpp_sha256_hmac_key(value key) {
   struct hmac_key k;
   hmac_schedule(active, (const uint8_t *)String_val(key), caml_string_length(key), &k);

@@ -455,7 +455,8 @@ let handle_proposal t ~src (node : Types.node) =
         if not (Int_tbl.mem t.voted key) then begin
           Int_tbl.replace t.voted key node.Types.digest;
           let preimage =
-            Types.vote_preimage ~round:node.Types.round ~author:node.Types.author
+            Types.vote_preimage ~lane:t.cfg.dag_id ~round:node.Types.round
+              ~author:node.Types.author
               ~digest:node.Types.digest
           in
           let vote =
@@ -493,7 +494,7 @@ let handle_vote t (v : Types.vote) =
   in
   if wanted then begin
     match
-      Validation.validate_vote ~committee:t.cfg.committee
+      Validation.validate_vote ~lane:t.cfg.dag_id ~committee:t.cfg.committee
         ~verify_signatures:t.cfg.verify_signatures v
     with
     | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
@@ -526,7 +527,7 @@ let handle_vote t (v : Types.vote) =
 
 let handle_certificate t (cert : Types.certificate) =
   match
-    Validation.validate_certificate ~committee:t.cfg.committee
+    Validation.validate_certificate ~lane:t.cfg.dag_id ~committee:t.cfg.committee
       ~verify_signatures:t.cfg.verify_signatures cert
   with
   | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1

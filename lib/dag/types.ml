@@ -2,7 +2,6 @@ module Digest32 = Shoalpp_crypto.Digest32
 module Signer = Shoalpp_crypto.Signer
 module Multisig = Shoalpp_crypto.Multisig
 module Batch = Shoalpp_workload.Batch
-module Transaction = Shoalpp_workload.Transaction
 module Wire = Shoalpp_codec.Wire
 module Bitset = Shoalpp_support.Bitset
 
@@ -89,18 +88,35 @@ let node_digest ~lane ~round ~author ~batch_digest ~parents ~weak_parents =
   write_refs weak_parents;
   Digest32.of_string (Wire.Writer.contents w)
 
-(* ["vote/" ^ round ^ "/" ^ author ^ "/" ^ raw digest], built in one buffer:
-   it runs on every vote signed or checked and every certificate check. *)
-let vote_preimage ~round ~author ~digest =
-  let r = Int.to_string round and a = Int.to_string author and d = Digest32.raw digest in
-  let lr = String.length r and la = String.length a in
-  let b = Bytes.create (7 + lr + la + String.length d) in
+(* ["vote/" ^ lane ^ "/" ^ round ^ "/" ^ author ^ "/" ^ raw digest], the
+   integers in decimal as [Int.to_string] writes them. It runs on every
+   vote signed or checked and every certificate check, so it is built in
+   one buffer, and a non-negative field (every honest one) is written
+   digit by digit without an intermediate string. *)
+let rec digits v = if v < 10 then 1 else 1 + digits (v / 10)
+let field_length v = if v < 0 then String.length (Int.to_string v) else digits v
+
+(* [v >= 0]'s digits, the last one at [i]. *)
+let rec put_digits b i v =
+  Bytes.set b i (Char.unsafe_chr (48 + (v mod 10)));
+  if v >= 10 then put_digits b (i - 1) (v / 10)
+
+let put_field b pos v =
+  let len = field_length v in
+  if v < 0 then Bytes.blit_string (Int.to_string v) 0 b pos len
+  else put_digits b (pos + len - 1) v;
+  Bytes.set b (pos + len) '/';
+  pos + len + 1
+
+let vote_preimage ~lane ~round ~author ~digest =
+  let d = Digest32.raw digest in
+  let b =
+    Bytes.create
+      (8 + field_length lane + field_length round + field_length author + String.length d)
+  in
   Bytes.blit_string "vote/" 0 b 0 5;
-  Bytes.blit_string r 0 b 5 lr;
-  Bytes.set b (5 + lr) '/';
-  Bytes.blit_string a 0 b (6 + lr) la;
-  Bytes.set b (6 + lr + la) '/';
-  Bytes.blit_string d 0 b (7 + lr + la) (String.length d);
+  let pos = put_field b (put_field b (put_field b 5 lane) round) author in
+  Bytes.blit_string d 0 b pos (String.length d);
   Bytes.unsafe_to_string b
 
 let ref_equal a b =
@@ -130,27 +146,11 @@ let read_ref rd =
   let ref_digest = Wire.Reader.digest rd in
   { ref_round; ref_author; ref_digest }
 
-let write_txn w (tx : Transaction.t) =
-  Wire.Writer.uint w tx.id;
-  Wire.Writer.uint w tx.size;
-  Wire.Writer.uint w tx.origin;
-  Wire.Writer.float w tx.submitted_at;
-  (* Payload bytes are synthetic: charge their size without materializing. *)
-  Wire.Writer.uint w tx.size
-
-let read_txn rd : Transaction.t =
-  let id = Wire.Reader.uint rd in
-  let size = Wire.Reader.uint rd in
-  let origin = Wire.Reader.uint rd in
-  let submitted_at = Wire.Reader.float rd in
-  let _payload_len = Wire.Reader.uint rd in
-  Transaction.make ~id ~size ~submitted_at ~origin ()
-
 let write_node w (n : node) =
   Wire.Writer.uint w n.round;
   Wire.Writer.uint w n.author;
   Wire.Writer.float w n.created_at;
-  Wire.Writer.list w (write_txn w) n.batch.Batch.txns;
+  Batch.write w n.batch;
   Wire.Writer.list w (write_ref w) n.parents;
   Wire.Writer.list w (write_ref w) n.weak_parents;
   Wire.Writer.raw w (Signer.raw n.signature)
@@ -159,11 +159,10 @@ let read_node ~lane rd =
   let round = Wire.Reader.uint rd in
   let author = Wire.Reader.uint rd in
   let created_at = Wire.Reader.float rd in
-  let txns = Wire.Reader.list rd read_txn in
+  let batch = Batch.read rd ~created_at in
   let parents = Wire.Reader.list rd read_ref in
   let weak_parents = Wire.Reader.list rd read_ref in
   let signature_raw = Wire.Reader.raw rd 32 in
-  let batch = Batch.make ~txns ~created_at in
   let digest =
     node_digest ~lane ~round ~author ~batch_digest:batch.Batch.digest ~parents ~weak_parents
   in

@@ -115,8 +115,12 @@ val node_digest :
 val max_weak_parents : int
 (** Per-node cap on weak edges (validation rejects more). *)
 
-val vote_preimage : round:round -> author:replica -> digest:Shoalpp_crypto.Digest32.t -> string
-(** Bytes a voter signs. *)
+val vote_preimage :
+  lane:int -> round:round -> author:replica -> digest:Shoalpp_crypto.Digest32.t -> string
+(** Bytes a voter signs. They bind the DAG lane, so a vote, and a
+    certificate aggregating votes, verifies only in the lane it was cast
+    in: a certificate replayed into another lane fails its multisig
+    there. *)
 
 val ref_equal : node_ref -> node_ref -> bool
 val compare_ref : node_ref -> node_ref -> int

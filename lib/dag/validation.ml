@@ -82,14 +82,14 @@ type entry =
   | Empty
   | Bound of Types.node * int (* the lane the binding held for *)
   | Signed of Types.node * Signer.registry
-  | Certified of Types.certificate * Signer.registry
+  | Certified of Types.certificate * Signer.registry * int (* and the lane *)
   | Ck_signed of Types.message * Signer.registry
 
 let same a b =
   match (a, b) with
   | Bound (x, l), Bound (y, l') -> x == y && Int.equal l l'
   | Signed (x, k), Signed (y, k') -> x == y && k == k'
-  | Certified (x, k), Certified (y, k') -> x == y && k == k'
+  | Certified (x, k, l), Certified (y, k', l') -> x == y && k == k' && Int.equal l l'
   | Ck_signed (x, k), Ck_signed (y, k') -> x == y && k == k'
   | _ -> false
 
@@ -130,29 +130,29 @@ let proposal_signature_ok ~committee (node : Types.node) =
       Signer.verify keys node.Types.author (Digest32.raw d) node.Types.signature)
 
 (* Not memoized: a vote is unicast, so no value reaches a second receiver. *)
-let vote_signature_ok ~committee (v : Types.vote) =
+let vote_signature_ok ~lane ~committee (v : Types.vote) =
   Signer.verify committee.Committee.keys v.Types.voter
-    (Types.vote_preimage ~round:v.Types.vote_round ~author:v.Types.vote_author
+    (Types.vote_preimage ~lane ~round:v.Types.vote_round ~author:v.Types.vote_author
        ~digest:v.Types.vote_digest)
     v.Types.vote_signature
 
-let certificate_signature_ok ~committee (c : Types.certificate) =
+let certificate_signature_ok ~lane ~committee (c : Types.certificate) =
   let keys = committee.Committee.keys and r = c.Types.cert_ref in
-  memoized Certificate_multisig ~hash:(Digest32.hash r.Types.ref_digest) (Certified (c, keys))
-    (fun () ->
+  memoized Certificate_multisig ~hash:(Digest32.hash r.Types.ref_digest)
+    (Certified (c, keys, lane)) (fun () ->
       Multisig.verify keys c.Types.multisig
-        (Types.vote_preimage ~round:r.Types.ref_round ~author:r.Types.ref_author
+        (Types.vote_preimage ~lane ~round:r.Types.ref_round ~author:r.Types.ref_author
            ~digest:r.Types.ref_digest))
 
-let signatures_ok ~committee (msg : Types.message) =
+let signatures_ok ?(lane = 0) ~committee (msg : Types.message) =
   let certified_ok (cn : Types.certified_node) =
     proposal_signature_ok ~committee cn.Types.cn_node
-    && certificate_signature_ok ~committee cn.Types.cn_cert
+    && certificate_signature_ok ~lane ~committee cn.Types.cn_cert
   in
   match msg with
   | Types.Proposal node -> proposal_signature_ok ~committee node
-  | Types.Vote v -> vote_signature_ok ~committee v
-  | Types.Certificate c -> certificate_signature_ok ~committee c
+  | Types.Vote v -> vote_signature_ok ~lane ~committee v
+  | Types.Certificate c -> certificate_signature_ok ~lane ~committee c
   | Types.Fetch_response cn -> certified_ok cn
   | Types.Checkpoint_vote { ck_digest; ck_voter; ck_signature; _ } ->
     (* Keyed on the whole message; every voter signs the same digest, so
@@ -180,15 +180,15 @@ let validate_proposal ?(lane = 0) ~committee ~verify_signatures (node : Types.no
       fail "bad author signature"
     else Ok ()
 
-let validate_vote ~committee ~verify_signatures (v : Types.vote) =
+let validate_vote ~lane ~committee ~verify_signatures (v : Types.vote) =
   if not (Committee.valid_replica committee v.Types.voter) then fail "voter out of range"
   else if not (Committee.valid_replica committee v.Types.vote_author) then
     fail "vote author out of range"
-  else if verify_signatures && not (vote_signature_ok ~committee v) then
+  else if verify_signatures && not (vote_signature_ok ~lane ~committee v) then
     fail "bad vote signature"
   else Ok ()
 
-let validate_certificate ~committee ~verify_signatures (c : Types.certificate) =
+let validate_certificate ~lane ~committee ~verify_signatures (c : Types.certificate) =
   let cap = Multisig.capacity c.Types.multisig in
   let nsig = Multisig.num_signers c.Types.multisig in
   if cap <> committee.Committee.n then
@@ -197,13 +197,14 @@ let validate_certificate ~committee ~verify_signatures (c : Types.certificate) =
     fail "certificate has %d signers, need >= %d" nsig (Committee.quorum committee)
   else if not (Committee.valid_replica committee c.Types.cert_ref.Types.ref_author) then
     fail "certified author out of range"
-  else if verify_signatures && not (certificate_signature_ok ~committee c) then
+  else if verify_signatures && not (certificate_signature_ok ~lane ~committee c) then
     fail "bad certificate multisig"
   else Ok ()
 
-let validate_certified_node ?lane ~committee ~verify_signatures (cn : Types.certified_node) =
-  let* () = validate_proposal ?lane ~committee ~verify_signatures cn.Types.cn_node in
-  let* () = validate_certificate ~committee ~verify_signatures cn.Types.cn_cert in
+let validate_certified_node ?(lane = 0) ~committee ~verify_signatures
+    (cn : Types.certified_node) =
+  let* () = validate_proposal ~lane ~committee ~verify_signatures cn.Types.cn_node in
+  let* () = validate_certificate ~lane ~committee ~verify_signatures cn.Types.cn_cert in
   if Types.ref_equal (Types.ref_of_node cn.Types.cn_node) cn.Types.cn_cert.Types.cert_ref then
     Ok ()
   else fail "certificate does not match node"

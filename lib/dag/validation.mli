@@ -22,9 +22,11 @@
       registry ([committee.keys]) it passed under, so a forged twin
       sharing a field with an honest value still takes the full check.
       Only passes are stored; the structural checks run on every call.
-      A binding entry also records the lane it held for: the digest binds
-      the DAG lane ({!Types.node_digest}), so the same node checked for
-      another lane takes the full check, and fails it;
+      A binding or certificate entry also records the lane it held for:
+      the digest and the vote preimage bind the DAG lane
+      ({!Types.node_digest}, {!Types.vote_preimage}), so the same node or
+      certificate checked for another lane takes the full check, and
+      fails it;
     - the memo is one direct-mapped table per domain, with no lock: each
       domain replays only verdicts it reached itself, so every function
       here is safe to call from any domain. A decoded copy is a distinct
@@ -38,16 +40,24 @@ val validate_proposal :
     the DAG lane the node arrived on), author signature. *)
 
 val validate_vote :
-  committee:Committee.t -> verify_signatures:bool -> Types.vote -> (unit, string) result
+  lane:int ->
+  committee:Committee.t ->
+  verify_signatures:bool ->
+  Types.vote ->
+  (unit, string) result
+(** Checks: voter and voted author in range, and the voter's signature
+    over the vote preimage for [lane], the DAG lane the vote arrived on. *)
 
 val validate_certificate :
+  lane:int ->
   committee:Committee.t ->
   verify_signatures:bool ->
   Types.certificate ->
   (unit, string) result
 (** Checks: >= n-f distinct signers and multisig validity over the vote
-    preimage — of the aggregate as carried by the certificate, which for a
-    decoded message is the one the sender put on the wire. *)
+    preimage for [lane] — of the aggregate as carried by the
+    certificate, which for a decoded message is the one the sender put on
+    the wire. *)
 
 val validate_certified_node :
   ?lane:int ->
@@ -55,16 +65,19 @@ val validate_certified_node :
   verify_signatures:bool ->
   Types.certified_node ->
   (unit, string) result
-(** Node (for [lane], default 0) and certificate valid, and the
+(** Node and certificate valid for [lane] (default 0), and the
     certificate matches the node. *)
 
-val signatures_ok : committee:Committee.t -> Types.message -> bool
+val signatures_ok : ?lane:int -> committee:Committee.t -> Types.message -> bool
 (** Just the cryptographic checks of a message — author signature for a
     proposal, voter signature for a vote, multisig for a certificate, both
     for each certified node of a fetch response or sync page, the voter's
     signature over {!Shoalpp_storage.Checkpoint.preimage_of_digest} for a
     checkpoint vote (a verifier needs only the digest voted on, never the
-    full candidate), vacuously true for the other requests — with none of
+    full candidate), vacuously true for the other requests. Votes and
+    certificates are checked for [lane] (default 0), the lane of the
+    envelope that carried them; checkpoint votes carry no lane. All of it
+    with none of
     the structural checks. This is the closure the multicore node hands
     to {!Shoalpp_backend.Verify_pool}: a message that passes here can be
     processed by an instance configured with [verify_signatures:false]

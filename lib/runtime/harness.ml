@@ -18,7 +18,9 @@ let equal_seg a b =
   Int.equal a.sdag b.sdag && Int.equal a.sround b.sround && Int.equal a.sauthor b.sauthor
   && Digest32.equal a.sdigest b.sdigest
 
-type batch = { batched_at : float; included_at : float; txns : Transaction.t list }
+type batches =
+  | Nodes of Types.certified_node list
+  | Block of { created_at : float; txns : Transaction.t list }
 
 type commit = {
   anchor : seg_id;
@@ -26,7 +28,7 @@ type commit = {
   seq : int;
   committed_at : float;
   ordered_at : float;
-  batches : batch list;
+  batches : batches;
 }
 
 let commit_of_segment (seg : Driver.segment) ~seq ~ordered_at =
@@ -43,17 +45,7 @@ let commit_of_segment (seg : Driver.segment) ~seq ~ordered_at =
     seq;
     committed_at = seg.Driver.committed_at;
     ordered_at;
-    batches =
-      List.map
-        (fun (cn : Types.certified_node) ->
-          let node = cn.Types.cn_node in
-          let b = node.Types.batch in
-          {
-            batched_at = b.Batch.created_at;
-            included_at = node.Types.created_at;
-            txns = b.Batch.txns;
-          })
-        seg.Driver.nodes;
+    batches = Nodes seg.Driver.nodes;
   }
 
 let commit_of_ordered (o : Replica.ordered) =
@@ -180,35 +172,61 @@ type ('msg, 'r) t = {
   mutable duplicate_orders : int;
 }
 
+(* The sink's two steps for one ordered transaction. They are top-level
+   functions, not closures: a sink call orders 1-2 nodes in the common
+   case, so anything allocated per call costs more than anything per
+   node. *)
+let dedup t replica_id id =
+  (* Replay/catch-up re-orders history by design; only a repeat outside
+     recovery is a safety violation. *)
+  if t.track_logs && Seen.mark t.ordered_seen.(replica_id) id && not t.recovering.(replica_id)
+  then t.duplicate_orders <- t.duplicate_orders + 1
+
+let record t replica_id (c : commit) ~batched_at ~included_at ~id submitted_at =
+  if not t.recovering.(replica_id) then
+    Ledger.record t.ledger
+      {
+        Ledger.le_tx = id;
+        le_origin = replica_id;
+        le_dag = c.anchor.sdag;
+        le_rule = c.rule;
+        le_seq = c.seq;
+        le_submitted = submitted_at;
+        le_batched = batched_at;
+        le_included = included_at;
+        le_committed = c.committed_at;
+        le_ordered = c.ordered_at;
+      }
+
+let rec order_nodes t replica_id c = function
+  | [] -> ()
+  | (cn : Types.certified_node) :: rest ->
+    let node = cn.Types.cn_node in
+    let sole = node.Types.batch.Batch.sole_origin in
+    (* Without the dedup only this replica's own transactions matter, so a
+       batch whose transactions all come from another replica is skipped
+       unread: of n replicas, one reads each batch. *)
+    if t.track_logs || sole < 0 || sole = replica_id then
+      Batch.iter node.Types.batch (fun i ~id ~size:_ ~origin ->
+          dedup t replica_id id;
+          if origin = replica_id then
+            record t replica_id c ~batched_at:node.Types.batch.Batch.created_at
+              ~included_at:node.Types.created_at ~id
+              (Batch.submitted_at node.Types.batch i));
+    order_nodes t replica_id c rest
+
 let on_commit t replica_id (c : commit) =
   if t.track_logs then t.logs.(replica_id) := c.anchor :: !(t.logs.(replica_id));
-  List.iter
-    (fun b ->
-      List.iter
-        (fun (tx : Transaction.t) ->
-          (* Replay/catch-up re-orders history by design; only a repeat
-             outside recovery is a safety violation. *)
-          if
-            t.track_logs
-            && Seen.mark t.ordered_seen.(replica_id) tx.Transaction.id
-            && not t.recovering.(replica_id)
-          then t.duplicate_orders <- t.duplicate_orders + 1;
-          if tx.Transaction.origin = replica_id && not t.recovering.(replica_id) then
-            Ledger.record t.ledger
-              {
-                Ledger.le_tx = tx.Transaction.id;
-                le_origin = replica_id;
-                le_dag = c.anchor.sdag;
-                le_rule = c.rule;
-                le_seq = c.seq;
-                le_submitted = tx.Transaction.submitted_at;
-                le_batched = b.batched_at;
-                le_included = b.included_at;
-                le_committed = c.committed_at;
-                le_ordered = c.ordered_at;
-              })
-        b.txns)
-    c.batches
+  match c.batches with
+  | Nodes nodes -> order_nodes t replica_id c nodes
+  | Block { created_at; txns } ->
+    List.iter
+      (fun (tx : Transaction.t) ->
+        dedup t replica_id tx.Transaction.id;
+        if tx.Transaction.origin = replica_id then
+          record t replica_id c ~batched_at:created_at ~included_at:created_at
+            ~id:tx.Transaction.id tx.Transaction.submitted_at)
+      txns
 
 let create ~backend ~n ~num_dags ~load_tps ~tx_size ~seed ~warmup_ms ~track_logs ~telemetry
     ~hooks ~make_replica () =

@@ -37,11 +37,12 @@ type seg_id = { sdag : int; sround : int; sauthor : int; sdigest : Shoalpp_crypt
 
 val equal_seg : seg_id -> seg_id -> bool
 
-type batch = {
-  batched_at : float;  (** ms: batch sealed *)
-  included_at : float;  (** ms: proposal (DAG node or block) created *)
-  txns : Shoalpp_workload.Transaction.t list;
-}
+type batches =
+  | Nodes of Shoalpp_dag.Types.certified_node list
+      (** a DAG segment's nodes, in order: each node's batch was sealed at
+          the batch's [created_at] and included at the node's *)
+  | Block of { created_at : float; txns : Shoalpp_workload.Transaction.t list }
+      (** a chain block's transactions, sealed and included at [created_at] *)
 
 type commit = {
   anchor : seg_id;
@@ -49,14 +50,14 @@ type commit = {
   seq : int;  (** global sequence number of this unit *)
   committed_at : float;
   ordered_at : float;
-  batches : batch list;  (** in order *)
+  batches : batches;
 }
 (** One ordered unit as a protocol hands it to the sink. *)
 
 val commit_of_segment :
   Shoalpp_consensus.Driver.segment -> seq:int -> ordered_at:float -> commit
 (** A DAG segment (Shoal++ or Mysticeti) as a commit: its anchor and rule,
-    one batch per DAG node. *)
+    and its nodes, whose batches the sink reads in place. *)
 
 val commit_of_ordered : Shoalpp_core.Replica.ordered -> commit
 (** A Shoal++ replica's ordered segment, at its global sequence. *)
@@ -138,7 +139,9 @@ val create :
 (** Build the per-replica state, then each replica via [make_replica i],
     which must wire the given mempool and callbacks into it. [load_tps] is
     split evenly over the [n] clients; [track_logs = false] skips the logs
-    and the dedup (the audit then sees empty logs). Every mempool joins
+    and the dedup (the audit then sees empty logs), and then a replica's
+    sink does not read a batch whose transactions all have another origin
+    ({!Shoalpp_workload.Batch.t.sole_origin}). Every mempool joins
     one arrival group on [backend]'s clock, so all clients share one id
     counter. A ledger
     is registered on [telemetry], with [warmup_ms] as its warmup cut and

@@ -167,7 +167,8 @@ let create setup =
          replica's messages to itself skip all three, as on the
          in-process loopback. *)
       Realtime.self_loopback exec
-        (Realtime.framed ~encode:write_envelope ~decode:read_envelope (shim (Tcp.transport h)))
+        (Realtime.framed exec ~encode:write_envelope ~decode:read_envelope
+           (shim (Tcp.transport h)))
   in
   let transport = if Option.is_none mc then shimmed else post_to_main shimmed in
   (* Modeled verification service time ({!Crypto_cost}), charged per
@@ -185,12 +186,10 @@ let create setup =
   let modeled_cost_us (payload : Types.message) =
     match payload with
     | Types.Proposal node ->
-      verify_cost_us
-      *. float_of_int (1 + List.length node.Types.batch.Shoalpp_workload.Batch.txns)
+      verify_cost_us *. float_of_int (1 + Shoalpp_workload.Batch.length node.Types.batch)
     | Types.Fetch_response cn ->
       verify_cost_us
-      *. float_of_int
-           (1 + List.length cn.Types.cn_node.Types.batch.Shoalpp_workload.Batch.txns)
+      *. float_of_int (1 + Shoalpp_workload.Batch.length cn.Types.cn_node.Types.batch)
     | _ -> verify_cost_us
   in
   let transport =
@@ -283,7 +282,7 @@ let create setup =
                     (not verify)
                     ||
                     (Crypto_cost.pay ~us:(modeled_cost_us payload);
-                     Validation.signatures_ok ~committee payload))
+                     Validation.signatures_ok ~lane:dag_id ~committee payload))
                   ~k:(fun ok ->
                     if ok then
                       Realtime.post m.mc_lane_execs.(dag_id) (fun () ->
@@ -352,6 +351,7 @@ let with_loop_counters t (s : Telemetry.snapshot) =
     | Some h ->
       let n = Tcp.net_stats h in
       [
+        ("backend.tcp_decode_us", us l.Realtime.decode_us);
         ("backend.tcp_deliver_us", us n.Tcp.deliver_us);
         ("backend.tcp_flushes", n.Tcp.flushes);
         ("backend.tcp_read_us", us n.Tcp.read_us);

@@ -167,7 +167,8 @@ val telemetry_snapshot : t -> Shoalpp_support.Telemetry.snapshot
     [backend.select_cpu_us], [backend.timer_us], [backend.io_us] and
     [backend.loop_cpu_us]; over TCP also
     ({!Shoalpp_backend.Tcp_transport.net_stats})
-    [backend.tcp_read_us], [backend.tcp_deliver_us],
+    [backend.tcp_read_us], [backend.tcp_deliver_us] (of which
+    [backend.tcp_decode_us] is the codec's [read_envelope]),
     [backend.tcp_flushes] and [backend.tcp_write_us]. The select and loop
     CPU are the main loop thread's own, so at [domains > 1] they leave out
     the lanes and the verify pool. Only meaningful after {!run} has

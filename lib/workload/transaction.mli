@@ -24,8 +24,11 @@ val default_size : int
 
 val make : id:int -> ?size:int -> submitted_at:float -> origin:int -> unit -> t
 
+val header_size : int
+(** The modeled per-transaction header: 8 bytes. *)
+
 val wire_size : t -> int
-(** Bytes this transaction contributes to a proposal: payload + small
-    header. *)
+(** Bytes this transaction contributes to a proposal: payload +
+    {!header_size}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -360,7 +360,7 @@ grep -Eq 'lanes [1-9][0-9]*,[1-9][0-9]*,[1-9][0-9]*$' "$out/tcpv.out" \
   || { echo "check failed: n=10 tcp+gcp10 run failed" >&2; cat "$out/tcp10.out" >&2; exit 1; }
 grep -q 'audit: consistent logs, no duplicates' "$out/tcp10.out" \
   || { echo "check failed: tcp+gcp10 audit line missing" >&2; exit 1; }
-for c in backend.tcp_read_us backend.tcp_deliver_us backend.tcp_flushes backend.tcp_write_us; do
+for c in backend.tcp_read_us backend.tcp_deliver_us backend.tcp_decode_us backend.tcp_flushes backend.tcp_write_us; do
   grep -Eq "\"$c\": *[1-9][0-9]*" "$out/tcp10.metrics.json" \
     || { echo "check failed: $c missing or zero in tcp+gcp10 metrics" >&2; exit 1; }
 done

@@ -43,9 +43,9 @@ let make_node ?(committee = committee) ?(lane = 0) ?(batch = make_batch []) ?(we
     created_at = 0.0;
   }
 
-let certify ?(committee = committee) (node : Types.node) =
+let certify ?(committee = committee) ?(lane = 0) (node : Types.node) =
   let preimage =
-    Types.vote_preimage ~round:node.Types.round ~author:node.Types.author
+    Types.vote_preimage ~lane ~round:node.Types.round ~author:node.Types.author
       ~digest:node.Types.digest
   in
   let sigs =
@@ -144,7 +144,7 @@ let test_encode_decode_proposal () =
 let test_encode_decode_vote_and_cert () =
   let node = make_node ~round:0 ~author:1 ~parents:[] () in
   let preimage =
-    Types.vote_preimage ~round:0 ~author:1 ~digest:node.Types.digest
+    Types.vote_preimage ~lane:0 ~round:0 ~author:1 ~digest:node.Types.digest
   in
   let vote =
     {
@@ -158,7 +158,7 @@ let test_encode_decode_vote_and_cert () =
   (match roundtrip (Types.Vote vote) with
   | Types.Vote v ->
     checki "voter" 3 v.Types.voter;
-    (match Validation.validate_vote ~committee ~verify_signatures:true v with
+    (match Validation.validate_vote ~lane:0 ~committee ~verify_signatures:true v with
     | Ok () -> ()
     | Error e -> Alcotest.failf "decoded vote invalid: %s" e)
   | _ -> Alcotest.fail "wrong kind");
@@ -166,7 +166,7 @@ let test_encode_decode_vote_and_cert () =
   match roundtrip (Types.Certificate cn.Types.cn_cert) with
   | Types.Certificate c -> (
     checki "signers" 3 (Multisig.num_signers c.Types.multisig);
-    match Validation.validate_certificate ~committee ~verify_signatures:true c with
+    match Validation.validate_certificate ~lane:0 ~committee ~verify_signatures:true c with
     | Ok () -> ()
     | Error e -> Alcotest.failf "decoded cert invalid: %s" e)
   | _ -> Alcotest.fail "wrong kind"
@@ -294,7 +294,7 @@ let test_validation_certificate_rules () =
   expect_valid "good certificate"
     (Validation.validate_certified_node ~committee ~verify_signatures:true cn);
   (* Too few signers. *)
-  let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:node.Types.digest in
+  let preimage = Types.vote_preimage ~lane:0 ~round:0 ~author:0 ~digest:node.Types.digest in
   let weak_cert =
     {
       Types.cert_ref = Types.ref_of_node node;
@@ -304,9 +304,9 @@ let test_validation_certificate_rules () =
     }
   in
   expect_invalid "sub-quorum certificate"
-    (Validation.validate_certificate ~committee ~verify_signatures:true weak_cert);
+    (Validation.validate_certificate ~lane:0 ~committee ~verify_signatures:true weak_cert);
   (* Signatures over the wrong digest. *)
-  let wrong_preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:Digest32.zero in
+  let wrong_preimage = Types.vote_preimage ~lane:0 ~round:0 ~author:0 ~digest:Digest32.zero in
   let forged =
     {
       Types.cert_ref = Types.ref_of_node node;
@@ -316,7 +316,7 @@ let test_validation_certificate_rules () =
     }
   in
   expect_invalid "forged multisig"
-    (Validation.validate_certificate ~committee ~verify_signatures:true forged);
+    (Validation.validate_certificate ~lane:0 ~committee ~verify_signatures:true forged);
   (* Certificate for a different node. *)
   let other = make_node ~round:0 ~author:1 ~parents:[] () in
   expect_invalid "mismatched node"
@@ -329,7 +329,7 @@ let test_validation_certificate_rules () =
    rule and the multisig check must refuse it. *)
 let test_validation_certificate_foreign_signers () =
   let node = make_node ~round:0 ~author:0 ~parents:[] () in
-  let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:node.Types.digest in
+  let preimage = Types.vote_preimage ~lane:0 ~round:0 ~author:0 ~digest:node.Types.digest in
   let outsider r =
     (r, Signer.sign (Signer.keygen ~cluster_seed:committee.Committee.cluster_seed ~replica:r) preimage)
   in
@@ -342,9 +342,9 @@ let test_validation_certificate_foreign_signers () =
     }
   in
   expect_invalid "foreign signers, signatures checked"
-    (Validation.validate_certificate ~committee ~verify_signatures:true cert);
+    (Validation.validate_certificate ~lane:0 ~committee ~verify_signatures:true cert);
   expect_invalid "foreign signers, signatures trusted"
-    (Validation.validate_certificate ~committee ~verify_signatures:false cert);
+    (Validation.validate_certificate ~lane:0 ~committee ~verify_signatures:false cert);
   checkb "multisig refuses an 8-wide bitmap on a 4-key registry" false
     (Multisig.verify committee.Committee.keys cert.Types.multisig preimage);
   checkb "verify-pool check refuses it" false
@@ -352,8 +352,9 @@ let test_validation_certificate_foreign_signers () =
 
 (* A value of one DAG lane is refused in another. The lanes' round-0
    nodes with empty batches are otherwise identical, so unless the digest
-   binds the lane, a lane-0 proposal, the votes on it and its certificate
-   all pass in lane 1. Replica 0's lane-1 instance is driven by hand. *)
+   and the vote preimage bind the lane, a lane-0 proposal, the votes on it
+   and its certificate all pass in lane 1. Replica 0's lane-1 instance is
+   driven by hand. *)
 let test_validation_lane_replay_refused () =
   let module Instance = Shoalpp_dag.Instance in
   let module Engine = Shoalpp_sim.Engine in
@@ -394,8 +395,8 @@ let test_validation_lane_replay_refused () =
   Instance.handle_message inst ~src:0 (Types.Proposal own);
   checkb "the lanes' round-0 twins differ" false
     (Digest32.equal own.Types.digest lane0.Types.digest);
-  let vote_for (node : Types.node) voter =
-    let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:node.Types.digest in
+  let vote_for ~lane (node : Types.node) voter =
+    let preimage = Types.vote_preimage ~lane ~round:0 ~author:0 ~digest:node.Types.digest in
     Types.Vote
       {
         Types.vote_round = 0;
@@ -405,21 +406,30 @@ let test_validation_lane_replay_refused () =
         vote_signature = Signer.sign (Committee.keypair committee voter) preimage;
       }
   in
-  List.iter (fun v -> Instance.handle_message inst ~src:v (vote_for lane0 v)) [ 1; 2; 3 ];
+  let refused = Instance.invalid_dropped inst in
+  List.iter (fun v -> Instance.handle_message inst ~src:v (vote_for ~lane:0 lane0 v)) [ 1; 2; 3 ];
   checki "lane-0 votes certify nothing in lane 1" 0 (Instance.certs_formed inst);
-  List.iter (fun v -> Instance.handle_message inst ~src:v (vote_for own v)) [ 1; 2; 3 ];
+  checki "lane-0 votes are refused in lane 1" (refused + 3) (Instance.invalid_dropped inst);
+  List.iter (fun v -> Instance.handle_message inst ~src:v (vote_for ~lane:1 own v)) [ 1; 2; 3 ];
   checki "its own lane's votes do" 1 (Instance.certs_formed inst);
   (* Author 1's lane-1 proposal arrives, then the certificate of its
-     lane-0 twin: it certifies no lane-1 node. *)
+     lane-0 twin: its multisig fails in lane 1, so the position stays
+     open for its own lane's certificate. *)
   Instance.handle_message inst ~src:1
     (Types.Proposal (make_node ~lane:1 ~round:0 ~author:1 ~parents:[] ()));
   let cn1 = certify (make_node ~round:0 ~author:1 ~parents:[] ()) in
+  let refused = Instance.invalid_dropped inst in
   Instance.handle_message inst ~src:1 (Types.Certificate cn1.Types.cn_cert);
+  checki "a lane-0 certificate is refused" (refused + 1) (Instance.invalid_dropped inst);
+  checkb "its position stays unknown" false (Instance.cert_known inst ~round:0 ~author:1);
   checkb "a lane-0 certificate stores no lane-1 node" true
     (Option.is_none (Store.get store ~round:0 ~author:1));
-  let refused = Instance.invalid_dropped inst in
   Instance.handle_message inst ~src:1 (Types.Fetch_response cn1);
-  checki "a lane-0 fetch response is refused" (refused + 1) (Instance.invalid_dropped inst)
+  checki "a lane-0 fetch response is refused" (refused + 2) (Instance.invalid_dropped inst);
+  let cn1' = certify ~lane:1 (make_node ~lane:1 ~round:0 ~author:1 ~parents:[] ()) in
+  Instance.handle_message inst ~src:1 (Types.Certificate cn1'.Types.cn_cert);
+  checkb "the position's own certificate is taken" true
+    (Instance.cert_known inst ~round:0 ~author:1)
 
 (* Every rejection names its rule: the message of each check, pinned. *)
 let test_validation_rejection_messages () =
@@ -465,18 +475,18 @@ let test_validation_rejection_messages () =
       vote_signature = Signer.sign (Committee.keypair committee 1) "x";
     }
   in
-  let validate_vote v = Validation.validate_vote ~committee ~verify_signatures:true v in
+  let validate_vote v = Validation.validate_vote ~lane:0 ~committee ~verify_signatures:true v in
   expect "voter out of range" (validate_vote { vote with Types.voter = 4 });
   expect "vote author out of range" (validate_vote { vote with Types.vote_author = -1 });
   expect "bad vote signature" (validate_vote vote);
   let cn = certify good in
   let cert = cn.Types.cn_cert in
-  let preimage = Types.vote_preimage ~round:0 ~author:0 ~digest:good.Types.digest in
+  let preimage = Types.vote_preimage ~lane:0 ~round:0 ~author:0 ~digest:good.Types.digest in
   let signed ~n ids =
     Multisig.aggregate ~n
       (List.map (fun i -> (i, Signer.sign (Committee.keypair committee i) preimage)) ids)
   in
-  let validate_cert c = Validation.validate_certificate ~committee ~verify_signatures:true c in
+  let validate_cert c = Validation.validate_certificate ~lane:0 ~committee ~verify_signatures:true c in
   expect "certificate bitmap sized 5, committee has 4"
     (validate_cert { cert with Types.multisig = signed ~n:5 [ 0; 1; 2 ] });
   expect "certificate has 2 signers, need >= 3"
@@ -503,7 +513,7 @@ let proposal ?(committee = committee) n =
   ok (Validation.validate_proposal ~committee ~verify_signatures:true n)
 
 let certificate ?(committee = committee) c =
-  ok (Validation.validate_certificate ~committee ~verify_signatures:true c)
+  ok (Validation.validate_certificate ~lane:0 ~committee ~verify_signatures:true c)
 
 let ck_vote ~voter digest =
   Types.Checkpoint_vote
@@ -1037,12 +1047,12 @@ let prop_store_stamp_traversals_match_reference =
 
 let prop_vote_preimage_matches_sprintf =
   QCheck.Test.make ~name:"vote preimage equals the sprintf form" ~count:200
-    QCheck.(triple int int string)
-    (fun (round, author, s) ->
+    QCheck.(quad small_nat int int string)
+    (fun (lane, round, author, s) ->
       let digest = Digest32.of_string s in
       String.equal
-        (Types.vote_preimage ~round ~author ~digest)
-        (Printf.sprintf "vote/%d/%d/%s" round author (Digest32.raw digest)))
+        (Types.vote_preimage ~lane ~round ~author ~digest)
+        (Printf.sprintf "vote/%d/%d/%d/%s" lane round author (Digest32.raw digest)))
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 

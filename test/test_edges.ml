@@ -101,7 +101,7 @@ let test_store_gc_then_counters_ignore_old () =
               (List.init 3 (fun i ->
                    ( i,
                      Signer.sign (Committee.keypair committee i)
-                       (Types.vote_preimage ~round:node.Types.round ~author:node.Types.author
+                       (Types.vote_preimage ~lane:0 ~round:node.Types.round ~author:node.Types.author
                           ~digest:node.Types.digest) )));
         };
     }

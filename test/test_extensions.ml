@@ -150,7 +150,7 @@ let test_direct_guard_blocks_commit () =
   in
   let certify node =
     let preimage =
-      Types.vote_preimage ~round:node.Types.round ~author:node.Types.author
+      Types.vote_preimage ~lane:0 ~round:node.Types.round ~author:node.Types.author
         ~digest:node.Types.digest
     in
     let sigs =

@@ -151,7 +151,7 @@ let make_node ~round ~author ~parents () =
 
 let certify node =
   let preimage =
-    Types.vote_preimage ~round:node.Types.round ~author:node.Types.author ~digest:node.Types.digest
+    Types.vote_preimage ~lane:0 ~round:node.Types.round ~author:node.Types.author ~digest:node.Types.digest
   in
   let sigs =
     List.map

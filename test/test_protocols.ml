@@ -124,7 +124,7 @@ let test_forged_messages_ignored () =
      original's signature or aggregate and keeps its digest, so it lands on
      the memo slot the original left behind and must still be refused. *)
   let orig = make_byz_node ~committee ~round:0 ~author:3 ~parents:[] ~tag:4 in
-  let preimage = Types.vote_preimage ~round:0 ~author:3 ~digest:orig.Types.digest in
+  let preimage = Types.vote_preimage ~lane:0 ~round:0 ~author:3 ~digest:orig.Types.digest in
   let cert =
     {
       Types.cert_ref = Types.ref_of_node orig;

@@ -299,7 +299,7 @@ let make_certified ~round ~author =
       created_at = 0.0;
     }
   in
-  let preimage = Types.vote_preimage ~round ~author ~digest in
+  let preimage = Types.vote_preimage ~lane:0 ~round ~author ~digest in
   let sigs =
     List.init (Committee.quorum committee) (fun i ->
         (i, Signer.sign (Committee.keypair committee i) preimage))

@@ -33,7 +33,7 @@ let make ~n exec =
   let h = Tcp.create exec ~n () in
   let inboxes = Array.init n (fun _ -> ref []) in
   let tr =
-    Realtime.framed
+    Realtime.framed exec
       ~encode:(fun w msg -> Wire.Writer.raw w msg)
       ~decode:(fun frame ~pos -> Some (String.sub frame pos (String.length frame - pos)))
       (Tcp.transport h)
@@ -86,7 +86,7 @@ let test_self_messages_skip_socket () =
   let inboxes = Array.init 3 (fun _ -> ref []) in
   let tr =
     Realtime.self_loopback exec
-      (Realtime.framed
+      (Realtime.framed exec
          ~encode:(fun w msg -> Wire.Writer.raw w msg)
          ~decode:(fun frame ~pos -> Some (String.sub frame pos (String.length frame - pos)))
          (Tcp.transport h))

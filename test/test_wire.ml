@@ -12,7 +12,12 @@
    - the harness's bitmap dedup counts a duplicate order, grows past its
      initial size and resets on recover;
    - a varint past max_int (bit 62 set) is refused, so no negative id
-     decodes, and forged ids near 2^60 stay out of the dense bitmap. *)
+     decodes, and forged ids near 2^60 stay out of the dense bitmap;
+   - a proposal's packed batch round-trips at 0-500 transactions, every
+     strict prefix, a trailing byte and a count that disagrees with the
+     stamps decode to [Error], its digest equals a reference list
+     serialization kept here, and decoding allocates nothing per
+     transaction beyond the batch's own bytes. *)
 
 module Backend = Shoalpp_backend.Backend
 module Realtime = Shoalpp_backend.Backend_realtime
@@ -47,8 +52,8 @@ let txns ids =
 
 (* A round-0 node (no parents needed) with a valid author signature, for
    DAG lane [lane] (by default 1, the lane [over_wire] carries it on). *)
-let make_node ?(lane = 1) ~author ids =
-  let batch = Batch.make ~txns:(txns ids) ~created_at:2.0 in
+let make_node_of ?(lane = 1) ~author txns =
+  let batch = Batch.make ~txns ~created_at:2.0 in
   let digest =
     Types.node_digest ~lane ~round:0 ~author ~batch_digest:batch.Batch.digest ~parents:[]
       ~weak_parents:[]
@@ -64,6 +69,8 @@ let make_node ?(lane = 1) ~author ids =
     created_at = 2.0;
   }
 
+let make_node ?lane ~author ids = make_node_of ?lane ~author (txns ids)
+
 (* A quorum of signers over [preimage]: honest when it is the vote
    preimage of the certified ref, a wrong aggregate otherwise. *)
 let cert_over node ~preimage =
@@ -76,11 +83,13 @@ let cert_over node ~preimage =
            [ 0; 1; 2 ]);
   }
 
-let vote_preimage node =
-  Types.vote_preimage ~round:node.Types.round ~author:node.Types.author
+let vote_preimage ~lane node =
+  Types.vote_preimage ~lane ~round:node.Types.round ~author:node.Types.author
     ~digest:node.Types.digest
 
-let honest node = { Types.cn_node = node; cn_cert = cert_over node ~preimage:(vote_preimage node) }
+let honest ?(lane = 1) node =
+  { Types.cn_node = node; cn_cert = cert_over node ~preimage:(vote_preimage ~lane node) }
+
 let forged node = { Types.cn_node = node; cn_cert = cert_over node ~preimage:"not the vote" }
 
 (* Through the socket codec, as a TCP peer would receive it. *)
@@ -99,7 +108,7 @@ let accepted payload =
   let valid =
     match payload with
     | Types.Certificate c ->
-      Result.is_ok (Validation.validate_certificate ~committee ~verify_signatures:true c)
+      Result.is_ok (Validation.validate_certificate ~lane:1 ~committee ~verify_signatures:true c)
     | Types.Fetch_response cn ->
       Result.is_ok (Validation.validate_certified_node ~lane:1 ~committee ~verify_signatures:true cn)
     | Types.Sync_response { sp_resp = Types.Certificates { sc_certs; _ }; _ } ->
@@ -110,7 +119,7 @@ let accepted payload =
         sc_certs
     | _ -> Alcotest.fail "unexpected message kind"
   in
-  valid && Validation.signatures_ok ~committee payload
+  valid && Validation.signatures_ok ~lane:1 ~committee payload
 
 let cases cn =
   [
@@ -243,7 +252,7 @@ let test_broadcast_encoded_once () =
   let encodes = ref 0 in
   let delays = Topology.delay_matrix (Topology.gcp10 ()) ~n in
   let tr =
-    Realtime.framed
+    Realtime.framed exec
       ~encode:(fun w env ->
         incr encodes;
         Node.write_envelope w env)
@@ -254,13 +263,14 @@ let test_broadcast_encoded_once () =
   for r = 0 to n - 1 do
     tr.Backend.Transport.set_handler r (fun ~src env -> inbox.(r) <- (src, env) :: inbox.(r))
   done;
-  let payload = Types.Fetch_response (honest (make_node ~lane:2 ~author:3 [ 4; 5 ])) in
+  let payload = Types.Fetch_response (honest ~lane:2 (make_node ~lane:2 ~author:3 [ 4; 5 ])) in
   let env = { Replica.dag_id = 2; payload } in
   tr.Backend.Transport.broadcast ~src:3 ~size:100 ~include_self:false env;
   let max_delay = Array.fold_left (fun acc row -> Array.fold_left Float.max acc row) 0.0 delays in
   Realtime.run_for exec ~duration_ms:(max_delay +. 400.0);
   Tcp.shutdown h;
   checki "one encode for the whole broadcast" 1 !encodes;
+  checkb "the peers' decodes are timed" true ((Realtime.loop_stats exec).Realtime.decode_us > 0.0);
   let want = Node.encode_envelope env in
   Array.iteri
     (fun r got ->
@@ -272,7 +282,7 @@ let test_broadcast_encoded_once () =
           checkb (Printf.sprintf "peer %d: equal message" r) true
             (String.equal want (Node.encode_envelope e));
           checkb (Printf.sprintf "peer %d: aggregate verifies" r) true
-            (Validation.signatures_ok ~committee e.Replica.payload)
+            (Validation.signatures_ok ~lane:e.Replica.dag_id ~committee e.Replica.payload)
         | l -> Alcotest.failf "peer %d got %d messages" r (List.length l))
     inbox
 
@@ -416,6 +426,116 @@ let test_seen_forged_ids () =
   Seen.reset s;
   checkb "reset empties both" false (Seen.mem s huge || Seen.mem s max_int || Seen.mem s 5)
 
+(* ------------------------------------------------------------------ *)
+(* The packed batch on the wire.                                        *)
+
+let gen_txns ~max =
+  QCheck.Gen.(
+    list_size (int_bound max)
+      (map
+         (fun (id, size, origin, stamp) -> Transaction.make ~id ~size ~submitted_at:stamp ~origin ())
+         (quad (int_bound (1 lsl 40)) (int_bound 100_000) (int_bound 20) float)))
+
+let print_txns l = Printf.sprintf "%d transactions" (List.length l)
+
+let same_txn (a : Transaction.t) (b : Transaction.t) =
+  a.Transaction.id = b.Transaction.id
+  && a.Transaction.size = b.Transaction.size
+  && a.Transaction.origin = b.Transaction.origin
+  && Int64.equal
+       (Int64.bits_of_float a.Transaction.submitted_at)
+       (Int64.bits_of_float b.Transaction.submitted_at)
+
+let proposal_frame txns = Types.encode_message (Types.Proposal (make_node_of ~author:1 txns))
+
+let decoded_batch frame =
+  match Types.decode_message ~lane:1 frame with
+  | Ok (Types.Proposal node) -> node.Types.batch
+  | Ok _ -> Alcotest.fail "not a proposal"
+  | Error m -> Alcotest.failf "an honest proposal must decode: %s" m
+
+let prop_batch_roundtrip =
+  QCheck.Test.make ~name:"proposals of 0-500 transactions round-trip" ~count:60
+    (QCheck.make ~print:print_txns (gen_txns ~max:500))
+    (fun txns ->
+      let sent = Batch.make ~txns ~created_at:2.0 in
+      let frame = proposal_frame txns in
+      let got = decoded_batch frame in
+      List.length (Batch.txns got) = List.length txns
+      && List.for_all2 same_txn txns (Batch.txns got)
+      && Digest32.equal got.Batch.digest sent.Batch.digest
+      && Batch.length got = Batch.length sent
+      && Batch.wire_size got = Batch.wire_size sent
+      && got.Batch.sole_origin = sent.Batch.sole_origin
+      && String.equal frame
+           (Types.encode_message (Types.Proposal (make_node_of ~author:1 (Batch.txns got)))))
+
+let refused frame = Result.is_error (Types.decode_message ~lane:1 frame)
+
+let prop_batch_malformed =
+  QCheck.Test.make ~name:"prefixes and a trailing byte are refused" ~count:40
+    (QCheck.make ~print:print_txns (gen_txns ~max:40))
+    (fun txns ->
+      let frame = proposal_frame txns in
+      List.for_all (fun len -> refused (String.sub frame 0 len)) (List.init (String.length frame) Fun.id)
+      && refused (frame ^ "\000"))
+
+(* The frame starts with tag 1, round 0, author 1 and an 8-byte stamp;
+   the batch's length prefix and then its count follow. *)
+let test_batch_count_disagrees () =
+  let txns = txns [ 1; 2; 3 ] in
+  let frame = proposal_frame txns in
+  let batch = Batch.make ~txns ~created_at:2.0 in
+  let at = 11 + Shoalpp_support.Varint.encoded_size (String.length batch.Batch.packed) in
+  checki "the count is where the layout puts it" 3 (Char.code frame.[at]);
+  List.iter
+    (fun count ->
+      let forged = Bytes.of_string frame in
+      Bytes.set forged at (Char.chr count);
+      checkb (Printf.sprintf "count %d refused" count) true (refused (Bytes.to_string forged)))
+    [ 0; 2; 4; 127 ]
+
+(* The digest preimage as it was serialized before batches were packed:
+   a count, then each transaction's id, size and origin as varints. *)
+let reference_digest txns =
+  let w = Wire.Writer.create () in
+  Wire.Writer.list w
+    (fun (tx : Transaction.t) ->
+      Wire.Writer.uint w tx.Transaction.id;
+      Wire.Writer.uint w tx.Transaction.size;
+      Wire.Writer.uint w tx.Transaction.origin)
+    txns;
+  Digest32.of_string (Wire.Writer.contents w)
+
+let prop_batch_digest_reference =
+  QCheck.Test.make ~name:"batch digest equals the reference serialization" ~count:100
+    (QCheck.make ~print:print_txns (gen_txns ~max:300))
+    (fun txns ->
+      let want = reference_digest txns in
+      Digest32.equal want (Batch.make ~txns ~created_at:0.0).Batch.digest
+      && Digest32.equal want (decoded_batch (proposal_frame txns)).Batch.digest)
+
+(* Beyond the slice of the batch's own bytes, decoding a proposal
+   allocates the same at 0, 50 and 500 transactions: no record, list
+   cell or boxed stamp per transaction. *)
+let test_batch_decode_allocation () =
+  let over k =
+    let txns = txns (List.init k Fun.id) in
+    let frame = proposal_frame txns in
+    ignore (decoded_batch frame);
+    let _, bytes = allocated_during (fun () -> Types.decode_message ~lane:1 frame) in
+    bytes -. float_of_int (String.length (Batch.make ~txns ~created_at:2.0).Batch.packed)
+  in
+  let base = over 0 in
+  List.iter
+    (fun k ->
+      let extra = over k in
+      checkb
+        (Printf.sprintf "%d transactions: %.0f bytes beyond the batch, %.0f at none" k extra base)
+        true
+        (extra <= base +. 16.0))
+    [ 50; 500 ]
+
 let suite =
   [
     ( "wire.aggregate",
@@ -441,4 +561,13 @@ let suite =
         Alcotest.test_case "retired sync tag is malformed" `Quick test_retired_sync_tag;
         Alcotest.test_case "forged huge ids stay sparse" `Quick test_seen_forged_ids;
       ] );
+    ( "wire.batch",
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_batch_roundtrip; prop_batch_malformed; prop_batch_digest_reference ]
+      @ [
+          Alcotest.test_case "count disagreeing with the stamps refused" `Quick
+            test_batch_count_disagrees;
+          Alcotest.test_case "decode allocates nothing per transaction" `Quick
+            test_batch_decode_allocation;
+        ] );
   ]
