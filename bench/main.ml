@@ -16,6 +16,7 @@
      dune exec bench/main.exe node        # realtime node vs --domains -> BENCH_node.json
      dune exec bench/main.exe net         # sim vs realtime TCP+gcp10 -> BENCH_net.json
      dune exec bench/main.exe mem         # retention vs checkpoint interval -> BENCH_mem.json
+     dune exec bench/main.exe vertices    # words per stored DAG vertex on the TCP node (JSON)
      dune exec bench/main.exe micro       # bechamel micro-benchmarks
    Environment, the same in every sweep: BENCH_N (replicas in every run;
    default 16 for the figures, the sweep's own otherwise), BENCH_DURATION_S
@@ -825,6 +826,110 @@ let net_bench () =
   write_record "net" (List.map snd results)
 
 (* ------------------------------------------------------------------ *)
+(* vertices: what a stored DAG vertex costs on the realtime node. One TCP
+   node with the gcp10 delay shim (n=10, 5k tx/s, 8 s, seed 3 unless
+   BENCH_N / BENCH_DURATION_S say otherwise) runs; then every replica's
+   lane stores are walked and one JSON object is printed: the live heap,
+   the words reachable from the stores, the certified vertices they hold,
+   and the mean words per vertex split into the batch, the certificate,
+   the parent refs and the rest (node records, signatures, round slots).
+   The split is marginal, in that order: a word reachable from two parts
+   counts in the first, so a parent ref that is the lane's own certificate
+   ref costs its list cell only. A parent is shared when it is [==] to the
+   cert_ref of the stored certificate at its position; parents whose
+   position holds no stored certificate are not counted. *)
+
+let vertices () =
+  let module Replica = Shoalpp_core.Replica in
+  let module Store = Shoalpp_dag.Store in
+  let module Types = Shoalpp_dag.Types in
+  let n = Option.value env_n ~default:10 and seed = 3 and load = 5_000.0 in
+  let duration_ms = duration_ms 8.0 in
+  let protocol = Config.shoalpp ~committee:(Committee.make ~n ~cluster_seed:seed ()) in
+  let setup =
+    {
+      (Node.default_setup ~protocol) with
+      Node.load_tps = load;
+      seed;
+      transport = Node.Tcp 0;
+      delays_ms = Some (Topology.delay_matrix (Topology.gcp10 ()) ~n);
+    }
+  in
+  Gc.compact ();
+  let base = (Gc.stat ()).Gc.live_words in
+  let node = Node.create setup in
+  Node.run node ~duration_ms;
+  Gc.full_major ();
+  let live_words = (Gc.stat ()).Gc.live_words - base in
+  let stores =
+    List.concat_map
+      (fun r -> List.init protocol.Config.num_dags (fun dag_id -> Replica.store r ~dag_id))
+      (Array.to_list (Node.replicas node))
+  in
+  (* (store, vertex) for every certified vertex of every store. *)
+  let all =
+    List.concat_map
+      (fun s ->
+        List.concat_map
+          (fun i ->
+            List.map (fun cn -> (s, cn)) (Store.nodes_at s ~round:(Store.lowest_stored s + i)))
+          (List.init (max 0 (Store.highest_round s - Store.lowest_stored s + 1)) Fun.id))
+      stores
+  in
+  (* Words reachable from [objs], not counting the array that holds them. *)
+  let reach objs = Obj.reachable_words (Obj.repr objs) - (Array.length objs + 1) in
+  let part f = Array.of_list (List.map (fun (_, cn) -> Obj.repr (f cn.Types.cn_node cn)) all) in
+  let batches = part (fun node _ -> node.Types.batch)
+  and certs = part (fun _ cn -> cn.Types.cn_cert)
+  and refs =
+    Array.append
+      (part (fun node _ -> node.Types.parents))
+      (part (fun node _ -> node.Types.weak_parents))
+  in
+  let w_batch = reach batches in
+  let w_cert = reach (Array.append batches certs) - w_batch in
+  let w_refs = reach (Array.concat [ batches; certs; refs ]) - w_batch - w_cert in
+  let store_words = reach (Array.of_list (List.map Obj.repr stores)) in
+  let counted = ref 0 and shared = ref 0 in
+  List.iter
+    (fun (s, cn) ->
+      let node = cn.Types.cn_node in
+      List.iter
+        (fun (p : Types.node_ref) ->
+          match Store.get s ~round:p.Types.ref_round ~author:p.Types.ref_author with
+          | Some at ->
+            incr counted;
+            if p == at.Types.cn_cert.Types.cert_ref then incr shared
+          | None -> ())
+        (node.Types.parents @ node.Types.weak_parents))
+    all;
+  let per_vertex w = Json.Float (float_of_int w /. float_of_int (max 1 (List.length all))) in
+  print_endline
+    (Json.to_string
+       (Json.Obj
+          [
+            ("n", Json.Int n);
+            ("load_tps", Json.Float load);
+            ("duration_ms", Json.Float duration_ms);
+            ("seed", Json.Int seed);
+            ("live_words", Json.Int live_words);
+            ("store_words", Json.Int store_words);
+            ("vertices", Json.Int (List.length all));
+            ( "words_per_vertex",
+              Json.Obj
+                [
+                  ("batch", per_vertex w_batch);
+                  ("parent_refs", per_vertex w_refs);
+                  ("certificate", per_vertex w_cert);
+                  ("rest", per_vertex (store_words - w_batch - w_cert - w_refs));
+                  ("total", per_vertex store_words);
+                ] );
+            ("parents_counted", Json.Int !counted);
+            ("parents_shared", Json.Int !shared);
+            ("shared_fraction", Json.Float (float_of_int !shared /. float_of_int (max 1 !counted)));
+          ]))
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks for the substrate. *)
 
 let micro () =
@@ -954,6 +1059,7 @@ let () =
     | "node" -> node_bench ()
     | "net" -> net_bench ()
     | "mem" -> mem ()
+    | "vertices" -> vertices ()
     | "micro" -> micro ()
     | "all" ->
       t1 ();
@@ -968,7 +1074,8 @@ let () =
       micro ()
     | other ->
       Printf.eprintf
-        "unknown bench %S (t1|fig5|fig6|fig7|fig8|failures|kdags|timeouts|a2a|perf|node|net|mem|micro|all)\n"
+        "unknown bench %S \
+         (t1|fig5|fig6|fig7|fig8|failures|kdags|timeouts|a2a|perf|node|net|mem|vertices|micro|all)\n"
         other;
       exit 2
   in

@@ -271,7 +271,7 @@ let on_block r (node : Types.node) =
   in
   if not already then begin
     match
-      Shoalpp_dag.Validation.validate_proposal ~committee:r.setup.committee
+      Shoalpp_dag.Validation.validate_proposal ~lane:0 ~committee:r.setup.committee
         ~verify_signatures:r.setup.verify_signatures node
     with
     | Error _ -> ()

@@ -99,6 +99,10 @@ type t = {
   (* Refs the consensus driver needs but whose certificates never reached us
      (e.g. the certificate broadcast itself was dropped). *)
   fetching_refs : unit Int_tbl.t;
+  mutable unknown_refs : int;
+      (* refs of the node last passed through [share_node] whose position
+         held no certificate then; the proposal handler's fetch walk runs
+         only when it is non-zero *)
   mutable proposals_made : int;
   mutable votes_cast : int;
   mutable certs_formed : int;
@@ -137,6 +141,7 @@ let create ?(obs = Obs.none) cfg cb ~store =
     certs_per_round = Int_tbl.create 32;
     awaiting_data = Int_tbl.create 16;
     fetching_refs = Int_tbl.create 16;
+    unknown_refs = 0;
     proposals_made = 0;
     votes_cast = 0;
     certs_formed = 0;
@@ -328,9 +333,11 @@ and gate t round =
 (* ---------------------------------------------------------------- *)
 (* Certified-node delivery.                                          *)
 
-let try_deliver t (cert : Types.certificate) =
+(* [proposal] is the stored proposal [cert] names ({!Store.proposal}),
+   looked up by the caller. *)
+let try_deliver t (cert : Types.certificate) proposal =
   let r = cert.Types.cert_ref in
-  match Store.proposal t.store r with
+  match proposal with
   | Some node ->
     Int_tbl.remove t.awaiting_data (pos t ~round:r.Types.ref_round ~author:r.Types.ref_author);
     if Store.add_certified t.store { Types.cn_node = node; cn_cert = cert } then
@@ -342,7 +349,7 @@ let try_deliver t (cert : Types.certificate) =
 let deliver_awaiting t (node : Types.node) =
   let key = pos t ~round:node.Types.round ~author:node.Types.author in
   match Int_tbl.find_opt t.awaiting_data key with
-  | Some cert -> ignore (try_deliver t cert)
+  | Some cert -> ignore (try_deliver t cert (Store.proposal t.store cert.Types.cert_ref))
   | None -> ()
 
 (* Off-critical-path fetch (§7): ask one of the f+1 correct signers that
@@ -398,7 +405,7 @@ let fetch_missing t (wanted : Types.node_ref) =
     ignore (t.cb.schedule ~after:t.cfg.fetch_delay_ms attempt)
   end
 
-let accept_certificate t (cert : Types.certificate) =
+let accept_certificate t (cert : Types.certificate) ~proposal =
   let r = cert.Types.cert_ref in
   let key = pos t ~round:r.Types.ref_round ~author:r.Types.ref_author in
   if (not (Int_tbl.mem t.cert_meta key)) && r.Types.ref_round >= t.lowest_round then begin
@@ -409,7 +416,7 @@ let accept_certificate t (cert : Types.certificate) =
     Int_tbl.replace t.certs_per_round r.Types.ref_round (certs_known_at t ~round:r.Types.ref_round + 1);
     (* Persist the certificate (group-committed; does not gate progress). *)
     t.cb.persist (Types.Certificate cert) (fun () -> ());
-    if not (try_deliver t cert) then begin
+    if not (try_deliver t cert proposal) then begin
       Int_tbl.replace t.awaiting_data key cert;
       arm_fetch t ~key cert
     end;
@@ -418,11 +425,68 @@ let accept_certificate t (cert : Types.certificate) =
   end
 
 (* ---------------------------------------------------------------- *)
+(* Shared refs.                                                      *)
+
+(* A decoded message holds its own copy of every ref in it, while the lane
+   already holds an equal one: a ref in [cert_meta] for each certificate
+   it knows, and a digest for each proposal it stores. Before validation,
+   a received node's refs and a certificate's digest are swapped for the
+   lane's own, so neither a stored vertex nor the validation memo (which
+   keeps the values it checked) holds a duplicate. Equal refs are equal
+   values, so no verdict, vote or byte changes. A value that already
+   points at the lane's refs (every simulated broadcast) is returned
+   itself, and nothing is allocated. *)
+
+(* The lane's ref when [p] is a decoded copy of it: the same round, author
+   and digest in other bytes. A ref that shares the lane's digest bytes is
+   already the sender's value; swapping its 4-word record would copy the
+   whole node. *)
+let lane_ref t (p : Types.node_ref) =
+  match Int_tbl.find t.cert_meta (pos t ~round:p.Types.ref_round ~author:p.Types.ref_author) with
+  | m -> if m.Types.ref_digest != p.Types.ref_digest && Types.ref_equal m p then m else p
+  | exception Not_found ->
+    t.unknown_refs <- t.unknown_refs + 1;
+    p
+
+let rec share_refs t refs =
+  match refs with
+  | [] -> refs
+  | p :: rest ->
+    let p' = lane_ref t p and rest' = share_refs t rest in
+    if p' == p && rest' == rest then refs else p' :: rest'
+
+let share_node t (node : Types.node) =
+  t.unknown_refs <- 0;
+  let parents = share_refs t node.Types.parents in
+  let weak_parents = share_refs t node.Types.weak_parents in
+  if parents == node.Types.parents && weak_parents == node.Types.weak_parents then node
+  else { node with Types.parents; weak_parents }
+
+(* [cert] naming [node]'s digest bytes, when it certifies [node]. *)
+let share_digest (cert : Types.certificate) (node : Types.node) =
+  let r = cert.Types.cert_ref in
+  if
+    r.Types.ref_digest != node.Types.digest
+    && r.Types.ref_round = node.Types.round
+    && r.Types.ref_author = node.Types.author
+    && Digest32.equal r.Types.ref_digest node.Types.digest
+  then { cert with Types.cert_ref = { r with Types.ref_digest = node.Types.digest } }
+  else cert
+
+let share_certified t (cn : Types.certified_node) =
+  let node = share_node t cn.Types.cn_node in
+  let cert = share_digest cn.Types.cn_cert node in
+  if node == cn.Types.cn_node && cert == cn.Types.cn_cert then cn
+  else { Types.cn_node = node; cn_cert = cert }
+
+(* ---------------------------------------------------------------- *)
 (* Message handlers.                                                 *)
 
 let handle_proposal t ~src (node : Types.node) =
   if src <> node.Types.author then t.invalid_dropped <- t.invalid_dropped + 1
   else begin
+    let node = share_node t node in
+    let unknown_refs = t.unknown_refs in
     match
       Validation.validate_proposal ~lane:t.cfg.dag_id ~committee:t.cfg.committee
         ~verify_signatures:t.cfg.verify_signatures node
@@ -437,15 +501,17 @@ let handle_proposal t ~src (node : Types.node) =
           t.cb.on_proposal_noted node;
           (* Efficient fetching (§7): certified edges we have never seen the
              certificate for are recovered asynchronously, off the critical
-             path — we vote regardless. *)
-          List.iter
-            (fun (p : Types.node_ref) ->
-              if
-                not
-                  (Int_tbl.mem t.cert_meta
-                     (pos t ~round:p.Types.ref_round ~author:p.Types.ref_author))
-              then fetch_missing t p)
-            node.Types.parents
+             path — we vote regardless. The sharing walk found whether
+             there are any. *)
+          if unknown_refs > 0 then
+            List.iter
+              (fun (p : Types.node_ref) ->
+                if
+                  not
+                    (Int_tbl.mem t.cert_meta
+                       (pos t ~round:p.Types.ref_round ~author:p.Types.ref_author))
+                then fetch_missing t p)
+              node.Types.parents
         end;
         (* A certificate may have arrived before the data. *)
         deliver_awaiting t node;
@@ -520,18 +586,21 @@ let handle_vote t (v : Types.vote) =
           Obs.event t.obs ~time:(t.cb.now ()) (Trace.Cert_formed { round; author });
           let cert_ref = { Types.ref_round = round; ref_author = author; ref_digest = x.digest } in
           let cert = { Types.cert_ref; multisig } in
-          if a2a then accept_certificate t cert else t.cb.broadcast (Types.Certificate cert)
+          if a2a then accept_certificate t cert ~proposal:(Store.proposal t.store cert_ref)
+          else t.cb.broadcast (Types.Certificate cert)
         end
       | _ -> ())
   end
 
 let handle_certificate t (cert : Types.certificate) =
+  let proposal = Store.proposal t.store cert.Types.cert_ref in
+  let cert = match proposal with Some node -> share_digest cert node | None -> cert in
   match
     Validation.validate_certificate ~lane:t.cfg.dag_id ~committee:t.cfg.committee
       ~verify_signatures:t.cfg.verify_signatures cert
   with
   | Error _ -> t.invalid_dropped <- t.invalid_dropped + 1
-  | Ok () -> accept_certificate t cert
+  | Ok () -> accept_certificate t cert ~proposal
 
 let handle_fetch_request t ~src (wanted : Types.node_ref) =
   (* A zero digest means "whatever certified node sits at this position" —
@@ -548,6 +617,7 @@ let handle_fetch_request t ~src (wanted : Types.node_ref) =
   | None -> ()
 
 let handle_fetch_response t (cn : Types.certified_node) =
+  let cn = share_certified t cn in
   match
     Validation.validate_certified_node ~lane:t.cfg.dag_id ~committee:t.cfg.committee
       ~verify_signatures:t.cfg.verify_signatures cn
@@ -557,7 +627,7 @@ let handle_fetch_response t (cn : Types.certified_node) =
     let node = cn.Types.cn_node in
     mark_referenced t node;
     if Store.note_proposal t.store node then t.cb.on_proposal_noted node;
-    accept_certificate t cn.Types.cn_cert;
+    accept_certificate t cn.Types.cn_cert ~proposal:(Some node);
     deliver_awaiting t node
 
 let handle_message t ~src msg =

@@ -25,6 +25,13 @@
       proposal it waited for;
     - garbage collection never drops state at or above the collection
       round, and re-delivered messages for collected rounds are ignored;
+    - before it is validated, a received node (a proposal, a fetch
+      response, a synced certified node) has each parent and weak parent
+      equal to a certificate ref this lane holds replaced by that ref, and
+      a certificate whose proposal is stored takes that node's digest, so
+      a stored vertex shares what its lane already holds. Only equal refs
+      are replaced, so no verdict, vote or byte changes; a value that
+      already shares them is kept as itself, with nothing allocated;
     - every table is keyed by round or by position, an identity-hashed
       [Int_tbl]; proposals live in the {!Store}'s round slots. What is read
       out of a table in table order (weak-edge candidates, the resume

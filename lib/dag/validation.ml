@@ -166,7 +166,7 @@ let signatures_ok ?(lane = 0) ~committee (msg : Types.message) =
     List.for_all certified_ok sc_certs
   | Types.Fetch_request _ | Types.Sync_request _ | Types.Sync_response _ -> true
 
-let validate_proposal ?(lane = 0) ~committee ~verify_signatures (node : Types.node) =
+let validate_proposal ~lane ~committee ~verify_signatures (node : Types.node) =
   if not (Committee.valid_replica committee node.Types.author) then fail "author out of range"
   else if node.Types.round < 0 then fail "negative round"
   else
@@ -201,8 +201,7 @@ let validate_certificate ~lane ~committee ~verify_signatures (c : Types.certific
     fail "bad certificate multisig"
   else Ok ()
 
-let validate_certified_node ?(lane = 0) ~committee ~verify_signatures
-    (cn : Types.certified_node) =
+let validate_certified_node ~lane ~committee ~verify_signatures (cn : Types.certified_node) =
   let* () = validate_proposal ~lane ~committee ~verify_signatures cn.Types.cn_node in
   let* () = validate_certificate ~lane ~committee ~verify_signatures cn.Types.cn_cert in
   if Types.ref_equal (Types.ref_of_node cn.Types.cn_node) cn.Types.cn_cert.Types.cert_ref then

@@ -33,11 +33,11 @@
       value, so the realtime node checks every copy in full. *)
 
 val validate_proposal :
-  ?lane:int -> committee:Committee.t -> verify_signatures:bool -> Types.node -> (unit, string) result
+  lane:int -> committee:Committee.t -> verify_signatures:bool -> Types.node -> (unit, string) result
 (** Checks: author in range, round >= 0, parents structure — round 0 nodes
     have no parents, later rounds have >= n-f parents, all from round-1 with
-    distinct valid authors —, digest binds content and [lane] (default 0,
-    the DAG lane the node arrived on), author signature. *)
+    distinct valid authors —, digest binds content and [lane] (the DAG
+    lane the node arrived on), author signature. *)
 
 val validate_vote :
   lane:int ->
@@ -60,13 +60,13 @@ val validate_certificate :
     the wire. *)
 
 val validate_certified_node :
-  ?lane:int ->
+  lane:int ->
   committee:Committee.t ->
   verify_signatures:bool ->
   Types.certified_node ->
   (unit, string) result
-(** Node and certificate valid for [lane] (default 0), and the
-    certificate matches the node. *)
+(** Node and certificate valid for [lane], and the certificate matches
+    the node. *)
 
 val signatures_ok : ?lane:int -> committee:Committee.t -> Types.message -> bool
 (** Just the cryptographic checks of a message — author signature for a

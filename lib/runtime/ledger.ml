@@ -82,7 +82,7 @@ type lane = {
 type instruments = {
   tel : Telemetry.t;
   aggregate : Telemetry.Histogram.t array; (* one per pipeline stage *)
-  lanes : (int, lane) Hashtbl.t;
+  mutable lanes : lane array; (* by DAG id *)
 }
 
 type t = {
@@ -98,38 +98,29 @@ type t = {
 let capacity = 4096
 let window_ms = 1000.0
 
+let make_lane tel dag =
+  {
+    txns = Telemetry.counter tel (Printf.sprintf "dag%d.txns" dag);
+    latency = Telemetry.histogram tel (Printf.sprintf "dag%d.latency" dag);
+    keyed = Array.make 4 None;
+  }
+
+(* Every lane is registered up front, so a lane that never commits still
+   exports an explicit zero. A DAG id past them (a ledger created with
+   fewer lanes than it is fed) registers the lanes up to it, in order. *)
 let lane_of ins dag =
-  match Hashtbl.find_opt ins.lanes dag with
-  | Some lane -> lane
-  | None ->
-    let lane =
-      {
-        txns = Telemetry.counter ins.tel (Printf.sprintf "dag%d.txns" dag);
-        latency = Telemetry.histogram ins.tel (Printf.sprintf "dag%d.latency" dag);
-        keyed = Array.make 4 None;
-      }
-    in
-    Hashtbl.replace ins.lanes dag lane;
-    lane
+  let have = Array.length ins.lanes in
+  if dag >= have then
+    ins.lanes <-
+      Array.append ins.lanes (Array.init (dag + 1 - have) (fun i -> make_lane ins.tel (have + i)));
+  ins.lanes.(dag)
 
 let create ?telemetry ?(warmup_ms = 0.0) ?(num_dags = 1) () =
   let instruments =
     Option.map
       (fun tel ->
-        let ins =
-          {
-            tel;
-            aggregate =
-              Array.of_list (List.map (Telemetry.histogram tel) aggregate_names);
-            lanes = Hashtbl.create 4;
-          }
-        in
-        (* Every lane is registered up front, so a lane that never commits
-           still exports an explicit zero. *)
-        for dag = 0 to max 1 num_dags - 1 do
-          ignore (lane_of ins dag)
-        done;
-        ins)
+        let aggregate = Array.of_list (List.map (Telemetry.histogram tel) aggregate_names) in
+        { tel; aggregate; lanes = Array.init (max 1 num_dags) (make_lane tel) })
       telemetry
   in
   {
@@ -172,14 +163,13 @@ let record t e =
     (* One bucket per stage serves its aggregate, keyed and (for e2e,
        listed last) lane histograms. *)
     let last = Array.length deltas - 1 in
-    Array.iteri
-      (fun i delta ->
-        let v = delta e in
-        let bucket = Telemetry.Histogram.bucket_of v in
-        Telemetry.Histogram.observe_in ins.aggregate.(i) ~bucket v;
-        Telemetry.Histogram.observe_in keyed.(i) ~bucket v;
-        if i = last then Telemetry.Histogram.observe_in lane.latency ~bucket v)
-      deltas;
+    for i = 0 to last do
+      let v = deltas.(i) e in
+      let bucket = Telemetry.Histogram.bucket_of v in
+      Telemetry.Histogram.observe_in ins.aggregate.(i) ~bucket v;
+      Telemetry.Histogram.observe_in keyed.(i) ~bucket v;
+      if i = last then Telemetry.Histogram.observe_in lane.latency ~bucket v
+    done;
     Telemetry.incr lane.txns);
   if e.le_ordered >= t.warmup_ms then begin
     let lat = e2e e in

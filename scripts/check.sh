@@ -574,6 +574,21 @@ else
     || { echo "check failed: BENCH_perf.json has no passing audit" >&2; exit 1; }
 fi
 
+# Shared DAG refs: a short n=4 TCP run of `bench vertices` must find at
+# least 95% of the stored parents to be the stored certificate's own ref
+# at their position, not a decoded copy of it. A proposal that outruns a
+# parent's certificate keeps its copy, so the bound is not 1.
+vout=$(BENCH_N=4 BENCH_DURATION_S=2 timeout 120 ./_build/default/bench/main.exe vertices) \
+  || { echo "check failed: bench vertices did not complete" >&2; exit 1; }
+python3 - "$vout" <<'EOF' || { echo "check failed: stored parents not shared ($vout)" >&2; exit 1; }
+import json, sys
+r = json.loads(sys.argv[1])
+assert r["vertices"] > 0 and r["parents_counted"] > 0, "no stored vertices"
+assert r["shared_fraction"] >= 0.95, f"shared fraction {r['shared_fraction']:.3f} < 0.95"
+print(f"vertices: {r['vertices']} stored, {r['words_per_vertex']['total']:.0f} words each, "
+      f"{r['shared_fraction']:.3f} of their parents shared")
+EOF
+
 # Benchmark digest guard: one short run of each simulator workload of the
 # repository benchmark at seed 3 must order the pinned commit stream. The
 # digests are a function of the seed only, so any change to them is a
@@ -592,4 +607,4 @@ for pin in sim-gcp10:d926891614a2b0c7682206277e7793aa sim-lifecycle:15da811c6fa3
 done
 echo "perfbench digests: sim-gcp10 and sim-lifecycle at seed 3 match the pins"
 
-echo "check: build + tests + docs + observability/scenario + usage error + merge wait + bench records + node + live scrape + trace analysis + multicore + tcp + verified tcp + gcp10 shim + node bench + perf smoke + perfbench digests OK"
+echo "check: build + tests + docs + observability/scenario + usage error + merge wait + bench records + node + live scrape + trace analysis + multicore + tcp + verified tcp + gcp10 shim + node bench + perf smoke + vertices + perfbench digests OK"

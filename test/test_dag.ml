@@ -136,7 +136,7 @@ let test_encode_decode_proposal () =
     checki "txns" 3 (Batch.length n.Types.batch);
     checki "parents" 4 (List.length n.Types.parents);
     (* The decoded node must still validate, signature included. *)
-    (match Validation.validate_proposal ~committee ~verify_signatures:true n with
+    (match Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true n with
     | Ok () -> ()
     | Error e -> Alcotest.failf "decoded node invalid: %s" e)
   | _ -> Alcotest.fail "wrong message kind"
@@ -209,28 +209,28 @@ let expect_valid name result =
 
 let test_validation_round0 () =
   expect_valid "round 0 no parents"
-    (Validation.validate_proposal ~committee ~verify_signatures:true
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
        (make_node ~round:0 ~author:0 ~parents:[] ()));
   let r0 = full_round ~round:0 ~parents:[] () in
   expect_invalid "round 0 with parents"
-    (Validation.validate_proposal ~committee ~verify_signatures:true
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
        (make_node ~round:0 ~author:0 ~parents:[ List.hd (refs_of r0) ] ()))
 
 let test_validation_parent_rules () =
   let r0 = full_round ~round:0 ~parents:[] () in
   let refs = refs_of r0 in
   expect_valid "quorum parents"
-    (Validation.validate_proposal ~committee ~verify_signatures:true
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
        (make_node ~round:1 ~author:0 ~parents:(List.filteri (fun i _ -> i < 3) refs) ()));
   expect_invalid "too few parents"
-    (Validation.validate_proposal ~committee ~verify_signatures:true
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
        (make_node ~round:1 ~author:0 ~parents:(List.filteri (fun i _ -> i < 2) refs) ()));
   expect_invalid "wrong parent round"
-    (Validation.validate_proposal ~committee ~verify_signatures:true
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
        (make_node ~round:2 ~author:0 ~parents:refs ()));
   let dup = List.hd refs :: List.filteri (fun i _ -> i < 3) refs in
   expect_invalid "duplicate parent author"
-    (Validation.validate_proposal ~committee ~verify_signatures:true
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
        (make_node ~round:1 ~author:0 ~parents:dup ()))
 
 let test_validation_weak_parent_rules () =
@@ -238,13 +238,13 @@ let test_validation_weak_parent_rules () =
   let r1 = full_round ~round:1 ~parents:(refs_of r0) () in
   let valid_weak = [ List.hd (refs_of r0) ] in
   expect_valid "weak from older round"
-    (Validation.validate_proposal ~committee ~verify_signatures:true
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
        (make_node ~round:2 ~author:0 ~parents:(refs_of r1) ~weak_parents:valid_weak ()));
   expect_invalid "weak from previous round"
-    (Validation.validate_proposal ~committee ~verify_signatures:true
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
        (make_node ~round:2 ~author:0 ~parents:(refs_of r1) ~weak_parents:[ List.hd (refs_of r1) ] ()));
   expect_invalid "duplicate weak parent"
-    (Validation.validate_proposal ~committee ~verify_signatures:true
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
        (make_node ~round:2 ~author:0 ~parents:(refs_of r1)
           ~weak_parents:[ List.hd (refs_of r0); List.hd (refs_of r0) ] ()))
 
@@ -256,7 +256,7 @@ let test_validation_duplicate_errors () =
     Alcotest.check
       Alcotest.(result unit string)
       label (Error want)
-      (Validation.validate_proposal ~committee ~verify_signatures:true
+      (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true
          (make_node ~round:2 ~author:0 ~parents ~weak_parents:weak ()))
   in
   let p0 = List.hd (refs_of r1) and w0 = List.hd (refs_of r0) in
@@ -272,19 +272,19 @@ let test_validation_signature () =
   let good = make_node ~round:0 ~author:0 ~parents:[] () in
   let forged = { good with Types.signature = Signer.sign (Committee.keypair committee 1) "x" } in
   expect_invalid "bad signature"
-    (Validation.validate_proposal ~committee ~verify_signatures:true forged);
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true forged);
   expect_valid "verification disabled accepts"
-    (Validation.validate_proposal ~committee ~verify_signatures:false forged)
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:false forged)
 
 let test_validation_digest_binding () =
   let good = make_node ~batch:(make_batch [ 1 ]) ~round:0 ~author:0 ~parents:[] () in
   let tampered = { good with Types.batch = make_batch [ 2 ] } in
   expect_invalid "tampered batch"
-    (Validation.validate_proposal ~committee ~verify_signatures:false tampered)
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:false tampered)
 
 let test_validation_author_range () =
   expect_invalid "author out of range"
-    (Validation.validate_proposal ~committee ~verify_signatures:false
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:false
        (make_node ~committee:(Committee.make ~n:7 ~cluster_seed:77 ()) ~round:0 ~author:5
           ~parents:[] ()))
 
@@ -292,7 +292,7 @@ let test_validation_certificate_rules () =
   let node = make_node ~round:0 ~author:0 ~parents:[] () in
   let cn = certify node in
   expect_valid "good certificate"
-    (Validation.validate_certified_node ~committee ~verify_signatures:true cn);
+    (Validation.validate_certified_node ~lane:0 ~committee ~verify_signatures:true cn);
   (* Too few signers. *)
   let preimage = Types.vote_preimage ~lane:0 ~round:0 ~author:0 ~digest:node.Types.digest in
   let weak_cert =
@@ -320,7 +320,7 @@ let test_validation_certificate_rules () =
   (* Certificate for a different node. *)
   let other = make_node ~round:0 ~author:1 ~parents:[] () in
   expect_invalid "mismatched node"
-    (Validation.validate_certified_node ~committee ~verify_signatures:true
+    (Validation.validate_certified_node ~lane:0 ~committee ~verify_signatures:true
        { Types.cn_node = other; cn_cert = cn.Types.cn_cert })
 
 (* A certificate may only name committee members: one real signer plus ids
@@ -355,17 +355,11 @@ let test_validation_certificate_foreign_signers () =
    and the vote preimage bind the lane, a lane-0 proposal, the votes on it
    and its certificate all pass in lane 1. Replica 0's lane-1 instance is
    driven by hand. *)
-let test_validation_lane_replay_refused () =
+(* One instance on an engine that never runs: what it sends is kept,
+   newest first, and its votes leave at once. *)
+let lone_instance ?(dag_id = 0) ~replica () =
   let module Instance = Shoalpp_dag.Instance in
   let module Engine = Shoalpp_sim.Engine in
-  let lane0 = make_node ~round:0 ~author:0 ~parents:[] () in
-  let proposal ~lane node =
-    Validation.validate_proposal ~lane ~committee ~verify_signatures:true node
-  in
-  checkb "a proposal passes in its own lane" true (Result.is_ok (proposal ~lane:0 lane0));
-  expect_invalid "a lane-0 proposal in lane 1" (proposal ~lane:1 lane0);
-  expect_invalid "a lane-0 certified node in lane 1"
-    (Validation.validate_certified_node ~lane:1 ~committee ~verify_signatures:true (certify lane0));
   let engine = Engine.create () in
   let store = Store.create ~n:4 ~genesis_digest:committee.Committee.genesis in
   let sent = ref [] in
@@ -386,8 +380,20 @@ let test_validation_lane_replay_refused () =
       entered = (fun ~round:_ ~held:_ -> ());
     }
   in
-  let cfg = { (Instance.default_config ~committee ~replica:0) with Instance.dag_id = 1 } in
-  let inst = Instance.create cfg callbacks ~store in
+  let cfg = { (Instance.default_config ~committee ~replica) with Instance.dag_id } in
+  (Instance.create cfg callbacks ~store, store, sent)
+
+let test_validation_lane_replay_refused () =
+  let module Instance = Shoalpp_dag.Instance in
+  let lane0 = make_node ~round:0 ~author:0 ~parents:[] () in
+  let proposal ~lane node =
+    Validation.validate_proposal ~lane ~committee ~verify_signatures:true node
+  in
+  checkb "a proposal passes in its own lane" true (Result.is_ok (proposal ~lane:0 lane0));
+  expect_invalid "a lane-0 proposal in lane 1" (proposal ~lane:1 lane0);
+  expect_invalid "a lane-0 certified node in lane 1"
+    (Validation.validate_certified_node ~lane:1 ~committee ~verify_signatures:true (certify lane0));
+  let inst, store, sent = lone_instance ~dag_id:1 ~replica:0 () in
   Instance.start inst;
   let own =
     match !sent with [ Types.Proposal node ] -> node | _ -> Alcotest.fail "one round-0 proposal"
@@ -431,6 +437,61 @@ let test_validation_lane_replay_refused () =
   checkb "the position's own certificate is taken" true
     (Instance.cert_known inst ~round:0 ~author:1)
 
+(* A received node's parents are swapped for the lane's own refs only when
+   equal. A parent naming a certified position under another digest stays
+   as received; a proposal tampered after signing is refused as before. *)
+let test_forged_parent_kept () =
+  let module Instance = Shoalpp_dag.Instance in
+  let decoded msg =
+    match Types.decode_message ~lane:0 (Types.encode_message msg) with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let inst, store, _ = lone_instance ~replica:3 () in
+  let r0 = full_round ~round:0 ~parents:[] () in
+  List.iter
+    (fun cn ->
+      Instance.handle_message inst ~src:cn.Types.cn_node.Types.author
+        (decoded (Types.Certificate cn.Types.cn_cert)))
+    r0;
+  let forged = Digest32.of_string "not the certified node" in
+  let parents =
+    List.map
+      (fun (p : Types.node_ref) ->
+        if p.Types.ref_author = 1 then { p with Types.ref_digest = forged } else p)
+      (refs_of r0)
+  in
+  let node = make_node ~round:1 ~author:0 ~parents () in
+  let refused = Instance.invalid_dropped inst in
+  Instance.handle_message inst ~src:0 (decoded (Types.Proposal node));
+  checki "a signed proposal naming a forged parent is taken" refused
+    (Instance.invalid_dropped inst);
+  let stored =
+    match Store.proposal store (Types.ref_of_node node) with
+    | Some stored -> stored
+    | None -> Alcotest.fail "the proposal is stored"
+  in
+  List.iter
+    (fun (p : Types.node_ref) ->
+      let own = Instance.cert_ref_at inst ~round:0 ~author:p.Types.ref_author in
+      if p.Types.ref_author = 1 then begin
+        checkb "the forged parent is not the lane's" false
+          (match own with Some m -> m == p | None -> true);
+        checkb "the forged parent keeps its digest" true (Digest32.equal p.Types.ref_digest forged)
+      end
+      else
+        checkb "an equal parent is the lane's" true
+          (match own with Some m -> m == p | None -> false))
+    stored.Types.parents;
+  let honest = make_node ~round:1 ~author:2 ~parents:(refs_of r0) () in
+  let tampered = { honest with Types.parents = parents } in
+  Alcotest.(check (result unit string))
+    "the tampered proposal fails its binding" (Error "digest mismatch")
+    (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true tampered);
+  Instance.handle_message inst ~src:2 (Types.Proposal tampered);
+  checki "the tampered proposal is refused" (refused + 1) (Instance.invalid_dropped inst);
+  checkb "and not stored" true (Option.is_none (Store.proposal store (Types.ref_of_node honest)))
+
 (* Every rejection names its rule: the message of each check, pinned. *)
 let test_validation_rejection_messages () =
   let r0 = full_round ~round:0 ~parents:[] () in
@@ -438,7 +499,7 @@ let test_validation_rejection_messages () =
   let p0 = List.hd (refs_of r1) and w0 = List.hd (refs_of r0) in
   let expect want got = Alcotest.(check (result unit string)) want (Error want) got in
   let proposal ?(verify = true) node =
-    Validation.validate_proposal ~committee ~verify_signatures:verify node
+    Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:verify node
   in
   let node ?weak_parents ~round parents = make_node ?weak_parents ~round ~author:0 ~parents () in
   expect "author out of range"
@@ -498,7 +559,7 @@ let test_validation_rejection_messages () =
     (validate_cert
        { cert with Types.cert_ref = { cert.Types.cert_ref with Types.ref_digest = Digest32.zero } });
   expect "certificate does not match node"
-    (Validation.validate_certified_node ~committee ~verify_signatures:true
+    (Validation.validate_certified_node ~lane:0 ~committee ~verify_signatures:true
        { cn with Types.cn_node = make_node ~round:0 ~author:1 ~parents:[] () })
 
 (* ------------------------------------------------------------------ *)
@@ -510,7 +571,7 @@ let test_validation_rejection_messages () =
 let ok = function Ok () -> true | Error _ -> false
 
 let proposal ?(committee = committee) n =
-  ok (Validation.validate_proposal ~committee ~verify_signatures:true n)
+  ok (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:true n)
 
 let certificate ?(committee = committee) c =
   ok (Validation.validate_certificate ~lane:0 ~committee ~verify_signatures:true c)
@@ -563,7 +624,7 @@ let test_memo_twins_refused_after_original () =
   let fewer = { node with Types.parents = List.tl parents } in
   checkb "other parents, same digest" false (proposal fewer);
   checkb "other parents, unsigned mode" false
-    (ok (Validation.validate_proposal ~committee ~verify_signatures:false fewer));
+    (ok (Validation.validate_proposal ~lane:0 ~committee ~verify_signatures:false fewer));
   let vote = ck_vote ~voter:1 (Digest32.of_string "checkpoint") in
   checkb "honest checkpoint vote" true (Validation.signatures_ok ~committee vote);
   (match vote with
@@ -1087,6 +1148,7 @@ let suite =
         Alcotest.test_case "certificate foreign signers" `Quick
           test_validation_certificate_foreign_signers;
         Alcotest.test_case "lane replay refused" `Quick test_validation_lane_replay_refused;
+        Alcotest.test_case "forged parent kept as received" `Quick test_forged_parent_kept;
       ] );
     ( "dag.validation_memo",
       [

@@ -17,7 +17,13 @@
      strict prefix, a trailing byte and a count that disagrees with the
      stamps decode to [Error], its digest equals a reference list
      serialization kept here, and decoding allocates nothing per
-     transaction beyond the batch's own bytes. *)
+     transaction beyond the batch's own bytes;
+   - a received node points at the refs its lane already holds: a decoded
+     proposal's parents are the lane's certificate refs, a late
+     certificate carries its stored node's digest, and a receiver handed
+     decoded copies stores, votes and commits exactly as one handed the
+     sender's own values, in any arrival order, on one domain or on
+     several. *)
 
 module Backend = Shoalpp_backend.Backend
 module Realtime = Shoalpp_backend.Backend_realtime
@@ -40,6 +46,9 @@ module Driver = Shoalpp_consensus.Driver
 module Topology = Shoalpp_sim.Topology
 module Telemetry = Shoalpp_support.Telemetry
 module Wire = Shoalpp_codec.Wire
+module Store = Shoalpp_dag.Store
+module Instance = Shoalpp_dag.Instance
+module Engine = Shoalpp_sim.Engine
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -50,19 +59,20 @@ let committee = Committee.make ~n ~cluster_seed:19 ()
 let txns ids =
   List.map (fun id -> Transaction.make ~id ~submitted_at:1.5 ~origin:(id mod n) ()) ids
 
-(* A round-0 node (no parents needed) with a valid author signature, for
-   DAG lane [lane] (by default 1, the lane [over_wire] carries it on). *)
-let make_node_of ?(lane = 1) ~author txns =
+(* A node (by default in round 0, with no parents) with a valid author
+   signature, for DAG lane [lane] (by default 1, the lane [over_wire]
+   carries it on). *)
+let make_node_of ?(lane = 1) ?(round = 0) ?(parents = []) ~author txns =
   let batch = Batch.make ~txns ~created_at:2.0 in
   let digest =
-    Types.node_digest ~lane ~round:0 ~author ~batch_digest:batch.Batch.digest ~parents:[]
+    Types.node_digest ~lane ~round ~author ~batch_digest:batch.Batch.digest ~parents
       ~weak_parents:[]
   in
   {
-    Types.round = 0;
+    Types.round;
     author;
     batch;
-    parents = [];
+    parents;
     weak_parents = [];
     digest;
     signature = Signer.sign (Committee.keypair committee author) (Digest32.raw digest);
@@ -536,6 +546,308 @@ let test_batch_decode_allocation () =
         (extra <= base +. 16.0))
     [ 50; 500 ]
 
+(* ------------------------------------------------------------------ *)
+(* Shared refs. *)
+
+(* One replica's k lanes, passive: per lane a store, an instance and a
+   driver, on an engine that never runs, so nothing is proposed or
+   fetched and each vote leaves at once. What it sends and what its
+   drivers emit is kept as bytes, newest first. *)
+type receiver = {
+  mutable lanes : (Store.t * Instance.t) array;
+  mutable sent : string list;
+  mutable segments : string list;
+}
+
+let describe (s : Driver.segment) =
+  Printf.sprintf "%d %d/%d %s %s" s.Driver.dag_id s.Driver.anchor.Types.ref_round
+    s.Driver.anchor.Types.ref_author
+    (match s.Driver.kind with Driver.Fast -> "fast" | Direct -> "direct" | Indirect -> "indirect")
+    (String.concat ","
+       (List.map
+          (fun (cn : Types.certified_node) -> Digest32.hex cn.Types.cn_node.Types.digest)
+          s.Driver.nodes))
+
+let receiver ~k ~me =
+  let engine = Engine.create () in
+  let rv = { lanes = [||]; sent = []; segments = [] } in
+  let lane dag_id =
+    let store = Store.create ~n ~genesis_digest:committee.Committee.genesis in
+    let driver = ref None in
+    let notify _ = Option.iter Driver.notify !driver in
+    let keep ~dst m =
+      rv.sent <- Printf.sprintf "%d>%s" dst (Types.encode_message m) :: rv.sent
+    in
+    let callbacks =
+      {
+        Instance.broadcast = keep ~dst:(-1);
+        send = keep;
+        now = (fun () -> Engine.now engine);
+        schedule =
+          (Shoalpp_backend.Backend_sim.timers engine).Shoalpp_backend.Backend.Timers.schedule;
+        pull_batch = (fun ~max:_ -> []);
+        anchors_of_round = (fun _ -> []);
+        persist = (fun _ k -> k ());
+        on_proposal_noted = notify;
+        on_certified = notify;
+        on_cert_meta = notify;
+        earliest = (fun ~round:_ ~ready:_ -> neg_infinity);
+        entered = (fun ~round:_ ~held:_ -> ());
+      }
+    in
+    let cfg = { (Instance.default_config ~committee ~replica:me) with Instance.dag_id } in
+    let inst = Instance.create cfg callbacks ~store in
+    driver :=
+      Some
+        (Driver.create
+           { (Driver.default_config ~committee) with Driver.dag_id }
+           {
+             Driver.now = (fun () -> Engine.now engine);
+             cert_ref = Instance.cert_ref_at inst;
+             request_fetch = Instance.fetch_missing inst;
+             on_segment = (fun s -> rv.segments <- describe s :: rv.segments);
+             request_gc = (fun ~round -> Instance.gc_upto inst ~round);
+             direct_guard = None;
+           }
+           ~store);
+    (store, inst)
+  in
+  rv.lanes <- Array.init k lane;
+  rv
+
+(* Lane [lane]'s certified rounds [0, rounds), oldest first: every
+   author's node names the round before by its certificates' own refs, as
+   a proposer names the refs its lane holds. *)
+let source_dag ~lane ~rounds =
+  let rec go round prev acc =
+    if round = rounds then List.rev acc
+    else begin
+      let parents =
+        List.map (fun (cn : Types.certified_node) -> cn.Types.cn_cert.Types.cert_ref) prev
+      in
+      let cns =
+        List.init n (fun author ->
+            honest ~lane
+              (make_node_of ~lane ~round ~parents ~author
+                 (txns [ (1000 * lane) + (n * round) + author ])))
+      in
+      go (round + 1) cns (List.rev_append cns acc)
+    end
+  in
+  go 0 [] []
+
+let decoded ~lane msg =
+  match Types.decode_message ~lane (Types.encode_message msg) with
+  | Ok m -> m
+  | Error e -> Alcotest.fail e
+
+let deliver rv ~lane ~src msg = Instance.handle_message (snd rv.lanes.(lane)) ~src msg
+
+let lane_ref_is rv ~lane (p : Types.node_ref) =
+  match
+    Instance.cert_ref_at (snd rv.lanes.(lane)) ~round:p.Types.ref_round ~author:p.Types.ref_author
+  with
+  | Some own -> own == p
+  | None -> false
+
+let test_decoded_parents_shared () =
+  let rv = receiver ~k:2 ~me:3 in
+  let dag = source_dag ~lane:1 ~rounds:2 in
+  let r0, r1 = List.partition (fun cn -> cn.Types.cn_node.Types.round = 0) dag in
+  List.iter
+    (fun cn ->
+      deliver rv ~lane:1 ~src:cn.Types.cn_node.Types.author
+        (decoded ~lane:1 (Types.Certificate cn.Types.cn_cert)))
+    r0;
+  let cn = List.hd r1 in
+  let node = cn.Types.cn_node in
+  let store = fst rv.lanes.(1) in
+  deliver rv ~lane:1 ~src:node.Types.author (decoded ~lane:1 (Types.Proposal node));
+  let stored =
+    match Store.proposal store (Types.ref_of_node node) with
+    | Some p -> p
+    | None -> Alcotest.fail "the decoded proposal is stored"
+  in
+  checki "every parent named" n (List.length stored.Types.parents);
+  checkb "its parents are the lane's certificate refs" true
+    (List.for_all (lane_ref_is rv ~lane:1) stored.Types.parents);
+  deliver rv ~lane:1 ~src:node.Types.author (decoded ~lane:1 (Types.Certificate cn.Types.cn_cert));
+  (match Store.get store ~round:1 ~author:node.Types.author with
+  | Some got ->
+    checkb "the late certificate carries the node's digest" true
+      (got.Types.cn_cert.Types.cert_ref.Types.ref_digest == got.Types.cn_node.Types.digest);
+    checkb "its node is the stored proposal" true (got.Types.cn_node == stored)
+  | None -> Alcotest.fail "the certified node is stored");
+  (* The sender's own values point at refs the lane does not hold, and an
+     instance that holds them keeps the value it was handed. *)
+  let twin = receiver ~k:2 ~me:3 in
+  List.iter
+    (fun cn ->
+      deliver twin ~lane:1 ~src:cn.Types.cn_node.Types.author (Types.Certificate cn.Types.cn_cert))
+    r0;
+  deliver twin ~lane:1 ~src:node.Types.author (Types.Proposal node);
+  checkb "a shared value is stored as itself" true
+    (match Store.proposal (fst twin.lanes.(1)) (Types.ref_of_node node) with
+    | Some p -> p == node
+    | None -> false)
+
+(* The messages of [k] lanes' DAGs in an arrival order drawn from [seed]:
+   every proposal and certificate, and a fetch response for about a third
+   of the positions. *)
+let arrivals ~k ~rounds ~seed =
+  let rng = Random.State.make [| seed |] in
+  let msgs =
+    List.concat_map
+      (fun lane ->
+        List.concat_map
+          (fun (cn : Types.certified_node) ->
+            let author = cn.Types.cn_node.Types.author in
+            [
+              (lane, author, Types.Proposal cn.Types.cn_node);
+              (lane, author, Types.Certificate cn.Types.cn_cert);
+            ]
+            @
+            if Random.State.int rng 3 = 0 then
+              [ (lane, (author + 1) mod n, Types.Fetch_response cn) ]
+            else [])
+          (source_dag ~lane ~rounds))
+      (List.init k Fun.id)
+  in
+  let a = Array.of_list msgs in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+let stored_bytes rv ~lane ~round ~author =
+  Option.map
+    (fun cn -> Types.encode_message (Types.Fetch_response cn))
+    (Store.get (fst rv.lanes.(lane)) ~round ~author)
+
+let prop_decoded_matches_shared =
+  QCheck.Test.make ~name:"decoded and shared arrivals store the same DAG" ~count:40
+    QCheck.(pair (int_range 1 3) small_nat)
+    (fun (k, seed) ->
+      let rounds = 6 in
+      let msgs = arrivals ~k ~rounds ~seed in
+      let tcp = receiver ~k ~me:3 and twin = receiver ~k ~me:3 in
+      (* First arrival of each position's certificate and of its node. *)
+      let first = Hashtbl.create 64 in
+      let seen key i = if not (Hashtbl.mem first key) then Hashtbl.replace first key i in
+      Array.iteri
+        (fun i (lane, src, msg) ->
+          (match msg with
+          | Types.Proposal node -> seen (`Node, lane, node.Types.round, node.Types.author) i
+          | Types.Certificate c ->
+            let r = c.Types.cert_ref in
+            seen (`Cert, lane, r.Types.ref_round, r.Types.ref_author) i
+          | Types.Fetch_response cn ->
+            let node = cn.Types.cn_node in
+            seen (`Node, lane, node.Types.round, node.Types.author) i;
+            seen (`Cert, lane, node.Types.round, node.Types.author) i
+          | _ -> ());
+          deliver tcp ~lane ~src (decoded ~lane msg);
+          deliver twin ~lane ~src msg)
+        msgs;
+      let all_positions =
+        List.concat_map
+          (fun lane ->
+            List.concat_map
+              (fun round -> List.init n (fun author -> (lane, round, author)))
+              (List.init rounds Fun.id))
+          (List.init k Fun.id)
+      in
+      let same_vertices =
+        List.for_all
+          (fun (lane, round, author) ->
+            stored_bytes tcp ~lane ~round ~author = stored_bytes twin ~lane ~round ~author)
+          all_positions
+      in
+      let sources = Hashtbl.create 64 in
+      Array.iter
+        (fun (lane, _, msg) ->
+          match msg with
+          | Types.Proposal node ->
+            Hashtbl.replace sources (lane, node.Types.round, node.Types.author) node
+          | _ -> ())
+        msgs;
+      let twin_keeps_values =
+        List.for_all
+          (fun (lane, round, author) ->
+            match Store.get (fst twin.lanes.(lane)) ~round ~author with
+            | Some cn -> cn.Types.cn_node == Hashtbl.find sources (lane, round, author)
+            | None -> true)
+          all_positions
+      in
+      let shared_when_cert_first =
+        List.for_all
+          (fun (lane, round, author) ->
+            match Store.get (fst tcp.lanes.(lane)) ~round ~author with
+            | None -> true
+            | Some cn ->
+              let node_at = Hashtbl.find first (`Node, lane, round, author) in
+              List.for_all
+                (fun (p : Types.node_ref) ->
+                  let cert = (`Cert, lane, p.Types.ref_round, p.Types.ref_author) in
+                  match Hashtbl.find_opt first cert with
+                  | Some c when c < node_at -> lane_ref_is tcp ~lane p
+                  | _ -> true)
+                cn.Types.cn_node.Types.parents)
+          all_positions
+      in
+      same_vertices && twin_keeps_values && shared_when_cert_first
+      && tcp.sent = twin.sent && tcp.segments <> [] && tcp.segments = twin.segments
+      && Array.for_all2
+           (fun (_, a) (_, b) -> Instance.invalid_dropped a = 0 && Instance.invalid_dropped b = 0)
+           tcp.lanes twin.lanes)
+
+(* Under --domains 2 over TCP, each lane's step runs on its own domain
+   against its own certificates: nearly every stored parent is the stored
+   certificate's ref at its position (a proposal can outrun a parent's
+   certificate, so not all). *)
+let test_multicore_tcp_shares () =
+  let protocol = Config.shoalpp ~committee in
+  let setup =
+    {
+      (Node.default_setup ~protocol) with
+      Node.load_tps = 400.0;
+      seed = 5;
+      domains = 2;
+      transport = Node.Tcp 0;
+    }
+  in
+  let node = Node.create setup in
+  Node.run node ~duration_ms:1_200.0;
+  let counted = ref 0 and shared = ref 0 in
+  Array.iter
+    (fun r ->
+      for dag_id = 0 to protocol.Config.num_dags - 1 do
+        let store = Replica.store r ~dag_id in
+        for round = Store.lowest_stored store to Store.highest_round store do
+          List.iter
+            (fun (cn : Types.certified_node) ->
+              List.iter
+                (fun (p : Types.node_ref) ->
+                  match Store.get store ~round:p.Types.ref_round ~author:p.Types.ref_author with
+                  | Some at ->
+                    incr counted;
+                    if p == at.Types.cn_cert.Types.cert_ref then incr shared
+                  | None -> ())
+                cn.Types.cn_node.Types.parents)
+            (Store.nodes_at store ~round)
+        done
+      done)
+    (Node.replicas node);
+  checkb "the audit holds" true (Harness.ok (Node.audit node));
+  checkb "parents stored" true (!counted > 100);
+  checkb
+    (Printf.sprintf "%d of %d stored parents shared" !shared !counted)
+    true
+    (float_of_int !shared >= 0.95 *. float_of_int !counted)
+
 let suite =
   [
     ( "wire.aggregate",
@@ -570,4 +882,11 @@ let suite =
           Alcotest.test_case "decode allocates nothing per transaction" `Quick
             test_batch_decode_allocation;
         ] );
+    ( "wire.shared_refs",
+      [
+        Alcotest.test_case "decoded parents and late certificates shared" `Quick
+          test_decoded_parents_shared;
+        QCheck_alcotest.to_alcotest prop_decoded_matches_shared;
+        Alcotest.test_case "multicore tcp node shares parents" `Quick test_multicore_tcp_shares;
+      ] );
   ]
